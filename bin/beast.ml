@@ -474,7 +474,7 @@ let resolve_space name device =
     exit 2
 
 let space_arg =
-  let doc = "Search space: gemm, gemm-opt, cholesky, trsm, lu, als, fft, synth (a billion-point constrained chain for exercising count/sample), or a \\.beast file written in the textual notation (see doc/LANGUAGE.md)." in
+  let doc = "Search space: gemm, gemm-opt, cholesky, trsm, lu, als, fft, synth (a billion-point constrained chain for exercising count/sample), or a .beast file written in the textual notation (see doc/LANGUAGE.md)." in
   Arg.(value & pos 0 string "gemm" & info [] ~docv:"SPACE" ~doc)
 
 let objective_for space_name device =

@@ -1,21 +1,89 @@
-(* Staging: every expression is compiled once into a [unit -> int] closure
-   reading the shared slot array; the step list is compiled into a single
-   [unit -> unit] continuation chain. After compilation the sweep runs
-   without looking at the plan again.
+(* Staging: the plan is compiled once per run into a chain of
+   [int array -> unit] closures over one slot array; after compilation
+   the sweep never looks at the plan again.
 
-   When tracing or progress reporting is active (Obs.instrumenting) the
-   steps are compiled by a second, instrumented compiler that also
-   counts per-depth loop entries, accumulates per-constraint evaluation
-   time and samples throughput; the choice is made once per run, at
-   compile time, so the uninstrumented closures are exactly the ones the
-   seed build produced.
+   This module compiles steps only. Every expression goes through the
+   specialising compiler shared with the provenance counting programs:
+   [Plan.compile_cexpr] for derived values and range bounds,
+   [Plan.compile_cond] for constraints. Slot-free subtrees fold, leaf
+   operands fuse into their parent's closure, and a constraint is a
+   [bool] closure, so a check never builds a 0/1 int.
 
-   An installed Metrics registry selects the same instrumented compiler
-   and additionally feeds each constraint evaluation into a per-domain
-   latency histogram; histogram handles are resolved here, once per run,
-   so the hot closure does an array read and a constant-time record. *)
+   Statistics are counted where they cost least. Each [Check] owns a
+   fired counter. Each [Loop] adds its trip count ([Plan.trip_count],
+   exact even when [stop - start] overflows, or the value array's
+   length) to its own counter once per entry, not once per iteration,
+   and then binds its slot to exactly that many values. Each
+   [Static_prune] counts its executions. The counters fold into
+   [pruned], the per-depth loop entries and [loop_iterations] once, at
+   run end.
+
+   One compiler serves three modes, chosen once per run, at compile
+   time, so the closures of one mode carry nothing of the others:
+   - plain: nothing installed — the disabled path is the uninstrumented
+     code;
+   - provenance: a collector is installed; firings, hits and static
+     prunes also feed a run-private [Provenance.local], with no clock
+     reads;
+   - instrumented: tracing, progress (Obs.instrumenting) or a Metrics
+     registry. Iterations are also counted live to sample throughput,
+     each loop level and each constraint evaluation is timed, and with
+     metrics each evaluation lands in a per-constraint latency
+     histogram whose handle is resolved here, once per run. *)
 
 open Beast_obs
+
+let zero_step l_var =
+  raise (Expr.Eval_error (Printf.sprintf "%s: zero range step" l_var))
+
+(* Bind [slot] to [n] values from [start] by [step]. [n] is exact, so
+   the final [v + step] may overflow but is never read. *)
+let iterate s slot ~start ~step n body =
+  let v = ref start in
+  for _ = 1 to n do
+    s.(slot) <- !v;
+    body s;
+    v := !v + step
+  done
+
+let iterate_values s slot vs body =
+  for j = 0 to Array.length vs - 1 do
+    s.(slot) <- vs.(j);
+    body s
+  done
+
+(* One loop entry: add the trip count to [entries], then run the body
+   once per value. A range with slot-free bounds has its trip count
+   computed here, at compile time. *)
+let compile_loop ~entries l_var l_slot (l_iter : Plan.citer) body =
+  match l_iter with
+  | CRange (a, b, c) -> (
+    match (Plan.static_cexpr a, Plan.static_cexpr b, Plan.static_cexpr c) with
+    | Some start, Some stop, Some step when step <> 0 ->
+      let n = Plan.trip_count ~start ~stop ~step in
+      fun s ->
+        entries := !entries + n;
+        iterate s l_slot ~start ~step n body
+    | _ ->
+      let fa = Plan.compile_cexpr a
+      and fb = Plan.compile_cexpr b
+      and fc = Plan.compile_cexpr c in
+      fun s ->
+        let start = fa s and stop = fb s and step = fc s in
+        if step = 0 then zero_step l_var;
+        let n = Plan.trip_count ~start ~stop ~step in
+        entries := !entries + n;
+        iterate s l_slot ~start ~step n body)
+  | CValues vs ->
+    let n = Array.length vs in
+    fun s ->
+      entries := !entries + n;
+      iterate_values s l_slot vs body
+  | CDyn materialize ->
+    fun s ->
+      let vs = materialize s in
+      entries := !entries + Array.length vs;
+      iterate_values s l_slot vs body
 
 let run ?on_hit (plan : Plan.t) =
   let metrics = Metrics.current () in
@@ -26,6 +94,7 @@ let run ?on_hit (plan : Plan.t) =
   let plocal =
     Option.map (fun _ -> Provenance.local_of (Provenance.attribution plan)) prov
   in
+  let instrumented = Obs.instrumenting () || metrics <> None in
   (* Per-constraint evaluation-latency histograms ([None] = metrics off). *)
   let eval_hists =
     Option.map
@@ -40,413 +109,183 @@ let run ?on_hit (plan : Plan.t) =
   in
   let slots = Array.make (max 1 plan.Plan.n_slots) 0 in
   let n_constraints = Array.length plan.Plan.constraint_info in
-  let pruned = Array.make n_constraints 0 in
-  let survivors = ref 0 in
-  let loop_iterations = ref 0 in
-  let rec compile_cexpr (e : Plan.cexpr) : unit -> int =
-    match e with
-    | CLit k -> fun () -> k
-    | CSlot i -> fun () -> slots.(i)
-    | CUn (Neg, a) ->
-      let fa = compile_cexpr a in
-      fun () -> -fa ()
-    | CUn (Not, a) ->
-      let fa = compile_cexpr a in
-      fun () -> if fa () = 0 then 1 else 0
-    | CBin (And, a, b) ->
-      let fa = compile_cexpr a and fb = compile_cexpr b in
-      fun () -> if fa () = 0 then 0 else if fb () = 0 then 0 else 1
-    | CBin (Or, a, b) ->
-      let fa = compile_cexpr a and fb = compile_cexpr b in
-      fun () -> if fa () <> 0 then 1 else if fb () <> 0 then 1 else 0
-    | CBin (Add, a, b) ->
-      let fa = compile_cexpr a and fb = compile_cexpr b in
-      fun () -> fa () + fb ()
-    | CBin (Sub, a, b) ->
-      let fa = compile_cexpr a and fb = compile_cexpr b in
-      fun () -> fa () - fb ()
-    | CBin (Mul, a, b) ->
-      let fa = compile_cexpr a and fb = compile_cexpr b in
-      fun () -> fa () * fb ()
-    | CBin (Div, a, b) ->
-      let fa = compile_cexpr a and fb = compile_cexpr b in
-      fun () -> fa () / fb ()
-    | CBin (Mod, a, b) ->
-      let fa = compile_cexpr a and fb = compile_cexpr b in
-      fun () -> fa () mod fb ()
-    | CBin (Eq, a, b) ->
-      let fa = compile_cexpr a and fb = compile_cexpr b in
-      fun () -> if fa () = fb () then 1 else 0
-    | CBin (Ne, a, b) ->
-      let fa = compile_cexpr a and fb = compile_cexpr b in
-      fun () -> if fa () <> fb () then 1 else 0
-    | CBin (Lt, a, b) ->
-      let fa = compile_cexpr a and fb = compile_cexpr b in
-      fun () -> if fa () < fb () then 1 else 0
-    | CBin (Le, a, b) ->
-      let fa = compile_cexpr a and fb = compile_cexpr b in
-      fun () -> if fa () <= fb () then 1 else 0
-    | CBin (Gt, a, b) ->
-      let fa = compile_cexpr a and fb = compile_cexpr b in
-      fun () -> if fa () > fb () then 1 else 0
-    | CBin (Ge, a, b) ->
-      let fa = compile_cexpr a and fb = compile_cexpr b in
-      fun () -> if fa () >= fb () then 1 else 0
-    | CIf (c, t, f) ->
-      let fc = compile_cexpr c and ft = compile_cexpr t and ff = compile_cexpr f in
-      fun () -> if fc () <> 0 then ft () else ff ()
-    | CCall (Min, [ a; b ]) ->
-      let fa = compile_cexpr a and fb = compile_cexpr b in
-      fun () -> min (fa ()) (fb ())
-    | CCall (Max, [ a; b ]) ->
-      let fa = compile_cexpr a and fb = compile_cexpr b in
-      fun () -> max (fa ()) (fb ())
-    | CCall (Abs, [ a ]) ->
-      let fa = compile_cexpr a in
-      fun () -> abs (fa ())
-    | CCall (Ceil_div, [ a; b ]) ->
-      let fa = compile_cexpr a and fb = compile_cexpr b in
-      fun () ->
-        let d = fb () in
-        (fa () + d - 1) / d
-    | CCall _ -> invalid_arg "Engine_staged: malformed builtin call"
-  in
-  let compile_compute = function
-    | Plan.CE e -> compile_cexpr e
-    | Plan.CF f -> fun () -> f slots
-  in
-  let hit =
-    match on_hit with
-    | None -> fun () -> incr survivors
-    | Some f ->
-      let lookup = Plan.lookup_of_slots plan slots in
-      fun () ->
-        incr survivors;
-        f lookup
-  in
-  let rec compile_steps (steps : Plan.step list) : unit -> unit =
-    match steps with
-    | [] -> fun () -> ()
-    | Yield :: rest ->
-      let k = compile_steps rest in
-      fun () ->
-        hit ();
-        k ()
-    | Derive { d_slot; d_compute; _ } :: rest ->
-      let f = compile_compute d_compute in
-      let k = compile_steps rest in
-      fun () ->
-        slots.(d_slot) <- f ();
-        k ()
-    | Check { c_index; c_compute; _ } :: rest ->
-      let f = compile_compute c_compute in
-      let k = compile_steps rest in
-      fun () ->
-        if f () <> 0 then pruned.(c_index) <- pruned.(c_index) + 1 else k ()
-    | Static_prune { sp_dead; _ } :: rest ->
-      (* Statistics compensation for statically-removed loop entries:
-         the following loop never visits the dead values, but the stats
-         must read as if it had entered each one and the attributed
-         constraint had fired. *)
-      let k = compile_steps rest in
-      let n = Array.length sp_dead in
-      let counts = Plan.static_prune_counts sp_dead in
-      fun () ->
-        loop_iterations := !loop_iterations + n;
-        Array.iter (fun (c, m) -> pruned.(c) <- pruned.(c) + m) counts;
-        k ()
-    | Loop { l_var; l_slot; l_iter; l_body; _ } :: rest -> (
-      let body = compile_steps l_body in
-      let k = compile_steps rest in
-      match l_iter with
-      | CRange (a, b, c) ->
-        let fa = compile_cexpr a and fb = compile_cexpr b and fc = compile_cexpr c in
-        fun () ->
-          let stop = fb () and step = fc () in
-          if step = 0 then
-            raise (Expr.Eval_error (Printf.sprintf "%s: zero range step" l_var));
-          let i = ref (fa ()) in
-          if step > 0 then
-            while !i < stop do
-              slots.(l_slot) <- !i;
-              incr loop_iterations;
-              body ();
-              i := !i + step
-            done
-          else
-            while !i > stop do
-              slots.(l_slot) <- !i;
-              incr loop_iterations;
-              body ();
-              i := !i + step
-            done;
-          k ()
-      | CValues vs ->
-        fun () ->
-          for j = 0 to Array.length vs - 1 do
-            slots.(l_slot) <- vs.(j);
-            incr loop_iterations;
-            body ()
-          done;
-          k ()
-      | CDyn materialize ->
-        fun () ->
-          let vs = materialize slots in
-          for j = 0 to Array.length vs - 1 do
-            slots.(l_slot) <- vs.(j);
-            incr loop_iterations;
-            body ()
-          done;
-          k ())
-  in
-  (* Instrumented compiler: same continuation chain, with per-depth
-     entry counts, per-level cumulative time, per-constraint evaluation
-     time and periodic sampling folded into the closures. *)
   let n_loops = List.length plan.Plan.iter_order in
-  let check_time = Array.make (max 1 n_constraints) 0 in
+  let pruned = Array.make n_constraints 0 in
   let depth_entries = Array.make (max 1 n_loops) 0 in
+  let survivors = ref 0 in
+  (* The compiled closures own their counters; these fold them into
+     [pruned] and [depth_entries] after the sweep. *)
+  let folds = ref [] in
+  let at_end f = folds := f :: !folds in
+  let add_entries depth n = depth_entries.(depth) <- depth_entries.(depth) + n in
+  (* Instrumented mode only: live point count for throughput sampling,
+     outer-loop progress, and per-level / per-constraint time. *)
+  let check_time = Array.make (max 1 n_constraints) 0 in
   let level_time = Array.make (max 1 n_loops) 0 in
+  let points = ref 0 in
   let outer_total = ref 0 in
   let outer_done = ref 0 in
   let sampler = Engine.make_sampler () in
-  let frac () =
-    if !outer_total > 0 then
-      float_of_int !outer_done /. float_of_int !outer_total
-    else -1.0
-  in
   let tick () =
-    if !loop_iterations land Engine.sample_mask = 0 then
-      Engine.sample sampler ~points:!loop_iterations ~survivors:!survivors
-        ~frac:(frac ())
+    if !points land Engine.sample_mask = 0 then
+      Engine.sample sampler ~points:!points ~survivors:!survivors
+        ~frac:
+          (if !outer_total > 0 then
+             float_of_int !outer_done /. float_of_int !outer_total
+           else -1.0)
   in
-  (* Resolved once per run: no-ops unless a provenance collector is
-     installed, so the instrumented-for-metrics path pays one indirect
-     call per firing/survivor at most. *)
-  let prov_fire, prov_hit =
+  let hit =
+    let count =
+      match on_hit with
+      | None -> fun _ -> incr survivors
+      | Some f ->
+        let lookup = Plan.lookup_of_slots plan slots in
+        fun _ ->
+          incr survivors;
+          f lookup
+    in
     match plocal with
-    | None -> ((fun _ -> ()), fun () -> ())
+    | None -> count
     | Some pl ->
-      ( (fun c -> Provenance.fire pl slots c),
-        fun () -> Provenance.hit pl slots )
+      fun s ->
+        count s;
+        Provenance.hit pl s
   in
-  (* Shared by both instrumented compilers: replay a Static_prune's dead
-     values into the statistics (and, when a provenance collector is
-     installed, into the per-constraint removal/cell accounting, with
-     the dead value substituted into the loop's slot). *)
-  let compile_static_prune ~depth sp_slot (sp_dead : (int * int) array) =
-    let n = Array.length sp_dead in
-    match plocal with
-    | None ->
-      let counts = Plan.static_prune_counts sp_dead in
-      fun () ->
-        loop_iterations := !loop_iterations + n;
-        depth_entries.(depth) <- depth_entries.(depth) + n;
-        Array.iter (fun (c, m) -> pruned.(c) <- pruned.(c) + m) counts
-    | Some pl ->
-      fun () ->
-        loop_iterations := !loop_iterations + n;
-        depth_entries.(depth) <- depth_entries.(depth) + n;
-        Array.iter
-          (fun (v, c) ->
-            pruned.(c) <- pruned.(c) + 1;
-            Provenance.static_fire pl slots ~slot:sp_slot ~value:v c)
-          sp_dead
-  in
-  let rec compile_steps_instr ~depth (steps : Plan.step list) : unit -> unit =
-    match steps with
-    | [] -> fun () -> ()
-    | Yield :: rest ->
-      let k = compile_steps_instr ~depth rest in
-      fun () ->
-        hit ();
-        prov_hit ();
-        k ()
-    | Derive { d_slot; d_compute; _ } :: rest ->
-      let f = compile_compute d_compute in
-      let k = compile_steps_instr ~depth rest in
-      fun () ->
-        slots.(d_slot) <- f ();
-        k ()
-    | Check { c_index; c_compute; _ } :: rest -> (
-      let f = compile_compute c_compute in
-      let k = compile_steps_instr ~depth rest in
-      match eval_hists with
-      | None ->
-        fun () ->
-          let t0 = Clock.now_ns () in
-          let v = f () in
-          check_time.(c_index) <- check_time.(c_index) + (Clock.now_ns () - t0);
-          if v <> 0 then begin
-            pruned.(c_index) <- pruned.(c_index) + 1;
-            prov_fire c_index
-          end
-          else k ()
-      | Some hists ->
-        let h = hists.(c_index) in
-        fun () ->
-          let t0 = Clock.now_ns () in
-          let v = f () in
-          let dt = Clock.now_ns () - t0 in
-          check_time.(c_index) <- check_time.(c_index) + dt;
-          Metrics.record h dt;
-          if v <> 0 then begin
-            pruned.(c_index) <- pruned.(c_index) + 1;
-            prov_fire c_index
-          end
-          else k ())
-    | Static_prune { sp_slot; sp_dead; _ } :: rest ->
-      let replay = compile_static_prune ~depth sp_slot sp_dead in
-      let k = compile_steps_instr ~depth rest in
-      fun () ->
-        replay ();
-        k ()
-    | Loop { l_var; l_slot; l_iter; l_body; _ } :: rest -> (
-      let body = compile_steps_instr ~depth:(depth + 1) l_body in
-      let k = compile_steps_instr ~depth rest in
-      let enter v =
-        slots.(l_slot) <- v;
-        incr loop_iterations;
-        depth_entries.(depth) <- depth_entries.(depth) + 1;
-        if depth = 0 then incr outer_done;
-        tick ();
-        body ()
-      in
-      match l_iter with
-      | CRange (a, b, c) ->
-        let fa = compile_cexpr a and fb = compile_cexpr b and fc = compile_cexpr c in
-        fun () ->
-          let t0 = Clock.now_ns () in
-          let start = fa () and stop = fb () and step = fc () in
-          if step = 0 then
-            raise (Expr.Eval_error (Printf.sprintf "%s: zero range step" l_var));
-          if depth = 0 then
-            outer_total := Plan.trip_count ~start ~stop ~step;
-          let i = ref start in
-          if step > 0 then
-            while !i < stop do
-              enter !i;
-              i := !i + step
-            done
-          else
-            while !i > stop do
-              enter !i;
-              i := !i + step
-            done;
-          level_time.(depth) <- level_time.(depth) + (Clock.now_ns () - t0);
-          k ()
-      | CValues vs ->
-        fun () ->
-          let t0 = Clock.now_ns () in
-          if depth = 0 then outer_total := Array.length vs;
-          for j = 0 to Array.length vs - 1 do
-            enter vs.(j)
-          done;
-          level_time.(depth) <- level_time.(depth) + (Clock.now_ns () - t0);
-          k ()
-      | CDyn materialize ->
-        fun () ->
-          let t0 = Clock.now_ns () in
-          let vs = materialize slots in
-          if depth = 0 then outer_total := Array.length vs;
-          for j = 0 to Array.length vs - 1 do
-            enter vs.(j)
-          done;
-          level_time.(depth) <- level_time.(depth) + (Clock.now_ns () - t0);
-          k ())
-  in
-  (* Provenance-only compiler: the plain continuation chain plus the
-     fire/hit hooks and per-depth entry counts provenance publishes —
-     none of the clock reads or sampling of the fully instrumented
-     path, which would otherwise dominate a provenance-enabled sweep
-     (two timestamps per constraint evaluation). *)
-  let rec compile_steps_prov ~depth (steps : Plan.step list) : unit -> unit =
-    match steps with
-    | [] -> fun () -> ()
-    | Yield :: rest ->
-      let k = compile_steps_prov ~depth rest in
-      fun () ->
-        hit ();
-        prov_hit ();
-        k ()
-    | Derive { d_slot; d_compute; _ } :: rest ->
-      let f = compile_compute d_compute in
-      let k = compile_steps_prov ~depth rest in
-      fun () ->
-        slots.(d_slot) <- f ();
-        k ()
-    | Check { c_index; c_compute; _ } :: rest ->
-      let f = compile_compute c_compute in
-      let k = compile_steps_prov ~depth rest in
-      fun () ->
-        if f () <> 0 then begin
-          pruned.(c_index) <- pruned.(c_index) + 1;
-          prov_fire c_index
+  let compile_check c_index (compute : Plan.compute) k =
+    let cond =
+      match compute with
+      | CE e -> Plan.compile_cond e
+      | CF f -> fun s -> f s <> 0
+    in
+    let fired = ref 0 in
+    at_end (fun () -> pruned.(c_index) <- pruned.(c_index) + !fired);
+    match (instrumented, plocal) with
+    | false, None -> fun s -> if cond s then incr fired else k s
+    | false, Some pl ->
+      fun s ->
+        if cond s then begin
+          incr fired;
+          Provenance.fire pl s c_index
         end
-        else k ()
-    | Static_prune { sp_slot; sp_dead; _ } :: rest ->
-      let replay = compile_static_prune ~depth sp_slot sp_dead in
-      let k = compile_steps_prov ~depth rest in
-      fun () ->
-        replay ();
-        k ()
-    | Loop { l_var; l_slot; l_iter; l_body; _ } :: rest -> (
-      let body = compile_steps_prov ~depth:(depth + 1) l_body in
-      let k = compile_steps_prov ~depth rest in
-      let enter v =
-        slots.(l_slot) <- v;
-        incr loop_iterations;
-        depth_entries.(depth) <- depth_entries.(depth) + 1;
-        body ()
+        else k s
+    | true, _ ->
+      let record =
+        match eval_hists with
+        | None -> fun _ -> ()
+        | Some hists ->
+          let h = hists.(c_index) in
+          fun dt -> Metrics.record h dt
       in
-      match l_iter with
-      | CRange (a, b, c) ->
-        let fa = compile_cexpr a and fb = compile_cexpr b and fc = compile_cexpr c in
-        fun () ->
-          let stop = fb () and step = fc () in
-          if step = 0 then
-            raise (Expr.Eval_error (Printf.sprintf "%s: zero range step" l_var));
-          let i = ref (fa ()) in
-          if step > 0 then
-            while !i < stop do
-              enter !i;
-              i := !i + step
-            done
-          else
-            while !i > stop do
-              enter !i;
-              i := !i + step
-            done;
-          k ()
-      | CValues vs ->
-        fun () ->
-          for j = 0 to Array.length vs - 1 do
-            enter vs.(j)
-          done;
-          k ()
-      | CDyn materialize ->
-        fun () ->
-          let vs = materialize slots in
-          for j = 0 to Array.length vs - 1 do
-            enter vs.(j)
-          done;
-          k ())
+      let prov_fire =
+        match plocal with
+        | None -> fun _ -> ()
+        | Some pl -> fun s -> Provenance.fire pl s c_index
+      in
+      fun s ->
+        let t0 = Clock.now_ns () in
+        let v = cond s in
+        let dt = Clock.now_ns () - t0 in
+        check_time.(c_index) <- check_time.(c_index) + dt;
+        record dt;
+        if v then begin
+          incr fired;
+          prov_fire s
+        end
+        else k s
   in
-  let full_instr = Obs.instrumenting () || metrics <> None in
-  let sweep =
-    if full_instr then compile_steps_instr ~depth:0 plan.Plan.steps
-    else if plocal <> None then compile_steps_prov ~depth:0 plan.Plan.steps
-    else compile_steps plan.Plan.steps
+  (* Statistics compensation for statically-removed loop entries: the
+     following loop never visits the dead values, but the stats must
+     read as if it had entered each one and the attributed constraint
+     had fired — and, with provenance, as if each dead value had been
+     bound to the loop's slot when it fired. *)
+  let compile_static_prune ~depth sp_slot sp_dead k =
+    let n = Array.length sp_dead in
+    let counts = Plan.static_prune_counts sp_dead in
+    let execs = ref 0 in
+    at_end (fun () ->
+        add_entries depth (!execs * n);
+        Array.iter (fun (c, m) -> pruned.(c) <- pruned.(c) + (!execs * m)) counts);
+    match (instrumented, plocal) with
+    | false, None ->
+      fun s ->
+        incr execs;
+        k s
+    | _ ->
+      fun s ->
+        incr execs;
+        if instrumented then points := !points + n;
+        Option.iter
+          (fun pl ->
+            Array.iter
+              (fun (v, c) -> Provenance.static_fire pl s ~slot:sp_slot ~value:v c)
+              sp_dead)
+          plocal;
+        k s
   in
+  let compile_entry ~depth ~entries l_var l_slot l_iter body =
+    if not instrumented then compile_loop ~entries l_var l_slot l_iter body
+    else
+      let body s =
+        incr points;
+        if depth = 0 then begin
+          outer_total := !entries;
+          incr outer_done
+        end;
+        tick ();
+        body s
+      in
+      let loop = compile_loop ~entries l_var l_slot l_iter body in
+      fun s ->
+        let t0 = Clock.now_ns () in
+        loop s;
+        level_time.(depth) <- level_time.(depth) + (Clock.now_ns () - t0)
+  in
+  let rec compile ~depth (steps : Plan.step list) : int array -> unit =
+    match steps with
+    | [] -> fun _ -> ()
+    | Yield :: rest -> and_then ~depth hit rest
+    | Derive { d_slot; d_compute; _ } :: rest ->
+      let f =
+        match d_compute with CE e -> Plan.compile_cexpr e | CF f -> f
+      in
+      let k = compile ~depth rest in
+      fun s ->
+        s.(d_slot) <- f s;
+        k s
+    | Check { c_index; c_compute; _ } :: rest ->
+      compile_check c_index c_compute (compile ~depth rest)
+    | Static_prune { sp_slot; sp_dead; _ } :: rest ->
+      compile_static_prune ~depth sp_slot sp_dead (compile ~depth rest)
+    | Loop { l_var; l_slot; l_iter; l_body } :: rest ->
+      let entries = ref 0 in
+      at_end (fun () -> add_entries depth !entries);
+      let body = compile ~depth:(depth + 1) l_body in
+      and_then ~depth (compile_entry ~depth ~entries l_var l_slot l_iter body) rest
+  (* A loop or yield ends its step list in every plan [Plan.make] builds,
+     so the common case has no continuation to call. *)
+  and and_then ~depth f rest =
+    match rest with
+    | [] -> f
+    | _ :: _ ->
+      let k = compile ~depth rest in
+      fun s ->
+        f s;
+        k s
+  in
+  let sweep = compile ~depth:0 plan.Plan.steps in
   let t0 = Clock.now_ns () in
   Obs.with_span ~cat:"engine"
     ~args:[ ("space", Obs.Str plan.Plan.space_name) ]
-    "sweep:staged" sweep;
-  if full_instr then
+    "sweep:staged"
+    (fun () -> sweep slots);
+  List.iter (fun fold -> fold ()) !folds;
+  let loop_iterations = Array.fold_left ( + ) 0 depth_entries in
+  if instrumented then
     Engine.emit_run_aggregates ~t0 plan ~pruned ~check_time ~depth_entries
       ~level_time;
   (* Unconditional: one hook check per run, and the cheap way a coarse
      status heartbeat learns per-chunk point totals. *)
-  Obs.progress_tick ~points:!loop_iterations ~survivors:!survivors ~frac:1.0;
+  Obs.progress_tick ~points:loop_iterations ~survivors:!survivors ~frac:1.0;
   (match (prov, plocal) with
   | Some collector, Some pl -> Provenance.publish collector ~depth_entries pl
   | _ -> ());
@@ -462,13 +301,13 @@ let run ?on_hit (plan : Plan.t) =
             depth_entries.(d))
         plan.Plan.iter_order;
       Metrics.add (Metrics.counter r ~name:"points_total" ~labels:[] ())
-        !loop_iterations;
+        loop_iterations;
       Metrics.add (Metrics.counter r ~name:"survivors_total" ~labels:[] ())
         !survivors)
     metrics;
   {
     Engine.survivors = !survivors;
-    loop_iterations = !loop_iterations;
+    loop_iterations;
     pruned =
       Array.mapi
         (fun i (n, c) -> (n, c, pruned.(i)))

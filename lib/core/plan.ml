@@ -105,49 +105,6 @@ let rec eval_cexpr slots e =
     if d = 0 then raise Division_by_zero else (eval_cexpr slots a + d - 1) / d
   | CCall _ -> invalid_arg "eval_cexpr: malformed builtin call"
 
-(* Staged twin of [eval_cexpr]: pay the AST walk once, get a closure
-   chain to run per evaluation. Worth it anywhere the same bound is
-   evaluated many times against different slot states (the staged
-   engine compiles its own richer variant; provenance counting
-   programs use this one). *)
-let rec compile_cexpr e =
-  match e with
-  | CLit k -> fun _ -> k
-  | CSlot i -> fun slots -> slots.(i)
-  | CUn (Neg, a) ->
-    let a = compile_cexpr a in
-    fun slots -> -a slots
-  | CUn (Not, a) ->
-    let a = compile_cexpr a in
-    fun slots -> if a slots = 0 then 1 else 0
-  | CBin (And, a, b) ->
-    let a = compile_cexpr a and b = compile_cexpr b in
-    fun slots -> if a slots = 0 then 0 else if b slots = 0 then 0 else 1
-  | CBin (Or, a, b) ->
-    let a = compile_cexpr a and b = compile_cexpr b in
-    fun slots -> if a slots <> 0 then 1 else if b slots <> 0 then 1 else 0
-  | CBin (op, a, b) ->
-    let a = compile_cexpr a and b = compile_cexpr b in
-    fun slots -> eval_int_binop op (a slots) (b slots)
-  | CIf (c, t, f) ->
-    let c = compile_cexpr c and t = compile_cexpr t and f = compile_cexpr f in
-    fun slots -> if c slots <> 0 then t slots else f slots
-  | CCall (Min, [ a; b ]) ->
-    let a = compile_cexpr a and b = compile_cexpr b in
-    fun slots -> min (a slots) (b slots)
-  | CCall (Max, [ a; b ]) ->
-    let a = compile_cexpr a and b = compile_cexpr b in
-    fun slots -> max (a slots) (b slots)
-  | CCall (Abs, [ a ]) ->
-    let a = compile_cexpr a in
-    fun slots -> abs (a slots)
-  | CCall (Ceil_div, [ a; b ]) ->
-    let a = compile_cexpr a and b = compile_cexpr b in
-    fun slots ->
-      let d = b slots in
-      if d = 0 then raise Division_by_zero else (a slots + d - 1) / d
-  | CCall _ -> invalid_arg "compile_cexpr: malformed builtin call"
-
 module Iset = Set.Make (Int)
 
 let cexpr_slots e =
@@ -160,6 +117,245 @@ let cexpr_slots e =
     | CCall (_, args) -> List.fold_left go acc args
   in
   Iset.elements (go Iset.empty e)
+
+(* A cexpr with no slot reads is a compile-time constant (settings were
+   folded during lowering); evaluate it once so chunk bounds stay
+   literal in the common case and golden plan dumps remain readable. *)
+let rec slot_free = function
+  | CLit _ -> true
+  | CSlot _ -> false
+  | CUn (_, a) -> slot_free a
+  | CBin (_, a, b) -> slot_free a && slot_free b
+  | CIf (c, t, f) -> slot_free c && slot_free t && slot_free f
+  | CCall (_, args) -> List.for_all slot_free args
+
+let static_cexpr e =
+  if slot_free e then try Some (eval_cexpr [||] e) with _ -> None else None
+
+(* ------------------------------------------------------------------ *)
+(* Specialising compiler                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* [compile_cexpr] and [compile_cond] are the staged twins of
+   [eval_cexpr]: the AST is walked once, and what runs per evaluation
+   is a closure over the slot array. The compiler specialises on shape:
+
+   - a slot-free subtree folds to its value (one that raises is kept,
+     so it still raises when, and only when, it is evaluated), and a
+     [?:] with a slot-free test keeps only the chosen branch;
+   - slot and literal operands of [+ - * / mod], of comparisons and of
+     [min]/[max] fuse into their parent's closure, so [s.(i) * s.(j)]
+     is one call rather than three;
+   - comparisons, [&&], [||], [!] and [?:] tests compile to [bool]
+     closures, so a constraint never builds a 0/1 int only to compare
+     it with 0 again.
+
+   Operand evaluation order may differ from [eval_cexpr]'s. That is
+   unobservable: expressions are pure, and the only exception they
+   raise is [Division_by_zero]. *)
+
+type operand =
+  | OLit of int
+  | OSlot of int
+  | OFn of (int array -> int)
+
+let closure_of = function
+  | OLit k -> fun _ -> k
+  | OSlot i -> fun s -> s.(i)
+  | OFn f -> f
+
+let int_min (a : int) b = if a <= b then a else b
+let int_max (a : int) b = if a >= b then a else b
+
+(* [+] and [*] commute, so a leaf moves right and four shapes cover
+   them; [-], [/] and [mod] need seven. Integer [/] and [mod] raise
+   [Division_by_zero] themselves. *)
+let compile_arith (op : Expr.binop) a b : int array -> int =
+  let a, b =
+    match (op, a, b) with
+    | (Add | Mul), (OLit _ | OSlot _), OFn _ | (Add | Mul), OLit _, OSlot _ ->
+      (b, a)
+    | _ -> (a, b)
+  in
+  match (op, a, b) with
+  | Add, OSlot i, OSlot j -> fun s -> s.(i) + s.(j)
+  | Add, OSlot i, OLit k -> fun s -> s.(i) + k
+  | Add, OFn f, OLit k -> fun s -> f s + k
+  | Add, OFn f, OSlot j -> fun s -> f s + s.(j)
+  | Mul, OSlot i, OSlot j -> fun s -> s.(i) * s.(j)
+  | Mul, OSlot i, OLit k -> fun s -> s.(i) * k
+  | Mul, OFn f, OLit k -> fun s -> f s * k
+  | Mul, OFn f, OSlot j -> fun s -> f s * s.(j)
+  | Sub, OSlot i, OSlot j -> fun s -> s.(i) - s.(j)
+  | Sub, OSlot i, OLit k -> fun s -> s.(i) - k
+  | Sub, OLit k, OSlot j -> fun s -> k - s.(j)
+  | Sub, OFn f, OLit k -> fun s -> f s - k
+  | Sub, OFn f, OSlot j -> fun s -> f s - s.(j)
+  | Sub, OLit k, OFn g -> fun s -> k - g s
+  | Sub, OSlot i, OFn g -> fun s -> s.(i) - g s
+  | Div, OSlot i, OSlot j -> fun s -> s.(i) / s.(j)
+  | Div, OSlot i, OLit k -> fun s -> s.(i) / k
+  | Div, OLit k, OSlot j -> fun s -> k / s.(j)
+  | Div, OFn f, OLit k -> fun s -> f s / k
+  | Div, OFn f, OSlot j -> fun s -> f s / s.(j)
+  | Div, OLit k, OFn g -> fun s -> k / g s
+  | Div, OSlot i, OFn g -> fun s -> s.(i) / g s
+  | Mod, OSlot i, OSlot j -> fun s -> s.(i) mod s.(j)
+  | Mod, OSlot i, OLit k -> fun s -> s.(i) mod k
+  | Mod, OLit k, OSlot j -> fun s -> k mod s.(j)
+  | Mod, OFn f, OLit k -> fun s -> f s mod k
+  | Mod, OFn f, OSlot j -> fun s -> f s mod s.(j)
+  | Mod, OLit k, OFn g -> fun s -> k mod g s
+  | Mod, OSlot i, OFn g -> fun s -> s.(i) mod g s
+  | _ -> (
+    let f = closure_of a and g = closure_of b in
+    match op with
+    | Add -> fun s -> f s + g s
+    | Sub -> fun s -> f s - g s
+    | Mul -> fun s -> f s * g s
+    | Div -> fun s -> f s / g s
+    | Mod -> fun s -> f s mod g s
+    | Eq | Ne | Lt | Le | Gt | Ge | And | Or ->
+      invalid_arg "Plan.compile_arith: not an arithmetic operator")
+
+(* A leaf moves right by mirroring the comparison ([k < e] is [e > k]),
+   leaving five shapes per operator. *)
+let compile_cmp (op : Expr.binop) a b : int array -> bool =
+  let op, a, b =
+    match (a, b) with
+    | (OLit _ | OSlot _), OFn _ | OLit _, OSlot _ ->
+      let mirror : Expr.binop =
+        match op with Lt -> Gt | Gt -> Lt | Le -> Ge | Ge -> Le | op -> op
+      in
+      (mirror, b, a)
+    | _ -> (op, a, b)
+  in
+  match (op, a, b) with
+  | Eq, OSlot i, OLit k -> fun s -> s.(i) = k
+  | Eq, OSlot i, OSlot j -> fun s -> s.(i) = s.(j)
+  | Eq, OFn f, OLit k -> fun s -> f s = k
+  | Eq, OFn f, OSlot j -> fun s -> f s = s.(j)
+  | Eq, OFn f, OFn g -> fun s -> f s = g s
+  | Ne, OSlot i, OLit k -> fun s -> s.(i) <> k
+  | Ne, OSlot i, OSlot j -> fun s -> s.(i) <> s.(j)
+  | Ne, OFn f, OLit k -> fun s -> f s <> k
+  | Ne, OFn f, OSlot j -> fun s -> f s <> s.(j)
+  | Ne, OFn f, OFn g -> fun s -> f s <> g s
+  | Lt, OSlot i, OLit k -> fun s -> s.(i) < k
+  | Lt, OSlot i, OSlot j -> fun s -> s.(i) < s.(j)
+  | Lt, OFn f, OLit k -> fun s -> f s < k
+  | Lt, OFn f, OSlot j -> fun s -> f s < s.(j)
+  | Lt, OFn f, OFn g -> fun s -> f s < g s
+  | Le, OSlot i, OLit k -> fun s -> s.(i) <= k
+  | Le, OSlot i, OSlot j -> fun s -> s.(i) <= s.(j)
+  | Le, OFn f, OLit k -> fun s -> f s <= k
+  | Le, OFn f, OSlot j -> fun s -> f s <= s.(j)
+  | Le, OFn f, OFn g -> fun s -> f s <= g s
+  | Gt, OSlot i, OLit k -> fun s -> s.(i) > k
+  | Gt, OSlot i, OSlot j -> fun s -> s.(i) > s.(j)
+  | Gt, OFn f, OLit k -> fun s -> f s > k
+  | Gt, OFn f, OSlot j -> fun s -> f s > s.(j)
+  | Gt, OFn f, OFn g -> fun s -> f s > g s
+  | Ge, OSlot i, OLit k -> fun s -> s.(i) >= k
+  | Ge, OSlot i, OSlot j -> fun s -> s.(i) >= s.(j)
+  | Ge, OFn f, OLit k -> fun s -> f s >= k
+  | Ge, OFn f, OSlot j -> fun s -> f s >= s.(j)
+  | Ge, OFn f, OFn g -> fun s -> f s >= g s
+  | _ ->
+    (* Two literals: only reached when the caller did not fold. *)
+    let f = closure_of a and g = closure_of b in
+    fun s -> eval_int_binop op (f s) (g s) <> 0
+
+let compile_minmax (b : Expr.builtin) x y : int array -> int =
+  let x, y =
+    match (x, y) with
+    | (OLit _ | OSlot _), OFn _ | OLit _, OSlot _ -> (y, x)
+    | _ -> (x, y)
+  in
+  match (b, x, y) with
+  | Min, OSlot i, OLit k -> fun s -> int_min s.(i) k
+  | Min, OSlot i, OSlot j -> fun s -> int_min s.(i) s.(j)
+  | Min, OFn f, OLit k -> fun s -> int_min (f s) k
+  | Min, OFn f, OSlot j -> fun s -> int_min (f s) s.(j)
+  | Max, OSlot i, OLit k -> fun s -> int_max s.(i) k
+  | Max, OSlot i, OSlot j -> fun s -> int_max s.(i) s.(j)
+  | Max, OFn f, OLit k -> fun s -> int_max (f s) k
+  | Max, OFn f, OSlot j -> fun s -> int_max (f s) s.(j)
+  | _ -> (
+    let f = closure_of x and g = closure_of y in
+    match b with
+    | Max -> fun s -> int_max (f s) (g s)
+    | _ -> fun s -> int_min (f s) (g s))
+
+let rec compile_cexpr e = closure_of (operand e)
+
+and operand e =
+  match e with
+  | CLit k -> OLit k
+  | CSlot i -> OSlot i
+  | _ -> (
+    match static_cexpr e with Some k -> OLit k | None -> OFn (compile_node e))
+
+and compile_node e : int array -> int =
+  match e with
+  | CLit k -> fun _ -> k
+  | CSlot i -> fun s -> s.(i)
+  | CUn (Neg, a) -> (
+    match operand a with
+    | OSlot i -> fun s -> -s.(i)
+    | a ->
+      let f = closure_of a in
+      fun s -> -f s)
+  | CUn (Not, _) | CBin ((Eq | Ne | Lt | Le | Gt | Ge | And | Or), _, _) ->
+    let c = compile_cond e in
+    fun s -> if c s then 1 else 0
+  | CBin (((Add | Sub | Mul | Div | Mod) as op), a, b) ->
+    compile_arith op (operand a) (operand b)
+  | CIf (c, t, f) -> (
+    match static_cexpr c with
+    | Some v -> compile_cexpr (if v <> 0 then t else f)
+    | None ->
+      let c = compile_cond c and t = compile_cexpr t and f = compile_cexpr f in
+      fun s -> if c s then t s else f s)
+  | CCall (((Min | Max) as b), [ x; y ]) -> compile_minmax b (operand x) (operand y)
+  | CCall (Abs, [ a ]) ->
+    let f = compile_cexpr a in
+    fun s -> abs (f s)
+  | CCall (Ceil_div, [ a; b ]) ->
+    let a = compile_cexpr a and b = compile_cexpr b in
+    fun s ->
+      let d = b s in
+      if d = 0 then raise Division_by_zero else (a s + d - 1) / d
+  | CCall _ -> invalid_arg "compile_cexpr: malformed builtin call"
+
+and compile_cond e : int array -> bool =
+  match static_cexpr e with
+  | Some v ->
+    let b = v <> 0 in
+    fun _ -> b
+  | None -> (
+    match e with
+    | CBin (((Eq | Ne | Lt | Le | Gt | Ge) as op), a, b) ->
+      compile_cmp op (operand a) (operand b)
+    | CBin (And, a, b) ->
+      let a = compile_cond a and b = compile_cond b in
+      fun s -> a s && b s
+    | CBin (Or, a, b) ->
+      let a = compile_cond a and b = compile_cond b in
+      fun s -> a s || b s
+    | CUn (Not, a) ->
+      let a = compile_cond a in
+      fun s -> not (a s)
+    | CIf (c, t, f) -> (
+      match static_cexpr c with
+      | Some v -> compile_cond (if v <> 0 then t else f)
+      | None ->
+        let c = compile_cond c and t = compile_cond t and f = compile_cond f in
+        fun s -> if c s then t s else f s)
+    | CSlot i -> fun s -> s.(i) <> 0
+    | _ ->
+      let f = compile_node e in
+      fun s -> f s <> 0)
 
 (* ------------------------------------------------------------------ *)
 (* Planning                                                            *)
@@ -434,18 +630,26 @@ let subsample ~index ~of_ arr =
   let count = if index >= n then 0 else ((n - index - 1) / of_) + 1 in
   Array.init count (fun j -> arr.(index + (j * of_)))
 
-(* A cexpr with no slot reads is a compile-time constant (settings were
-   folded during lowering); evaluate it once so chunk bounds stay
-   literal in the common case and golden plan dumps remain readable. *)
-let static_cexpr e =
-  match cexpr_slots e with
-  | [] -> ( try Some (eval_cexpr [||] e) with _ -> None)
-  | _ :: _ -> None
+(* Values [lo], [lo + step], ... below [hi], for [lo < hi] and
+   [step > 0] (or [step = min_int], standing for its magnitude). When
+   [hi - lo] overflows, the span exceeds [max_int] and the count is
+   taken in 64-bit arithmetic, where the difference of two OCaml ints
+   always fits; a count beyond [max_int] saturates. *)
+let count_steps ~lo ~hi ~step =
+  let span = hi - lo in
+  if span > 0 then ((span - 1) / step) + 1
+  else
+    let open Int64 in
+    let n =
+      add (div (pred (sub (of_int hi) (of_int lo))) (abs (of_int step))) 1L
+    in
+    if compare n (of_int Stdlib.max_int) > 0 then Stdlib.max_int else to_int n
 
 let trip_count ~start ~stop ~step =
-  if step = 0 then 0
-  else if step > 0 then max 0 ((stop - start + step - 1) / step)
-  else max 0 ((start - stop - step - 1) / -step)
+  if step > 0 then if start < stop then count_steps ~lo:start ~hi:stop ~step else 0
+  else if step < 0 then
+    if start > stop then count_steps ~lo:stop ~hi:start ~step:(-step) else 0
+  else 0
 
 (* Block [index] of [of_] over a trip sequence of length [len]:
    positions [index*len/of_, (index+1)*len/of_). Adjacent blocks tile

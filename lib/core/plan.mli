@@ -174,8 +174,19 @@ val eval_cexpr : int array -> cexpr -> int
 
 val compile_cexpr : cexpr -> int array -> int
 (** Staged twin of {!eval_cexpr}: the AST is walked once at compile
-    time, yielding a closure chain with the same semantics. Use where
-    one bound is evaluated many times against different slot states. *)
+    time, yielding a closure with the same value and the same
+    [Division_by_zero]. It specialises on shape: slot-free subtrees
+    fold, slot and literal operands fuse into their parent's closure,
+    and comparisons and boolean connectives go through {!compile_cond}.
+    Use where one expression is evaluated many times against different
+    slot states; every staged engine path and the provenance counting
+    programs share it. *)
+
+val compile_cond : cexpr -> int array -> bool
+(** [compile_cond e] evaluates [e <> 0] without building a 0/1 int:
+    comparisons (fused with slot or literal operands), [&&], [||], [!]
+    and [?:] tests compile to [bool] closures. Same value and
+    exceptions as [eval_cexpr slots e <> 0]. *)
 
 val cexpr_slots : cexpr -> int list
 (** Sorted slot indices read by the expression. *)
@@ -187,9 +198,14 @@ val static_cexpr : cexpr -> int option
 
 val trip_count : start:int -> stop:int -> step:int -> int
 (** Number of values [range(start, stop, step)] visits (0 when
-    [step = 0] — engines reject zero steps separately). The one formula
-    shared by the engines, {!chunk_outer} and the provenance
-    attribution, so subtree cardinalities agree everywhere. *)
+    [step = 0] — engines reject zero steps separately). Exact even when
+    [stop - start] overflows; a count beyond [max_int], which no loop
+    could enumerate, saturates. The one formula shared by the engines,
+    {!chunk_outer} and the provenance attribution, so subtree
+    cardinalities agree everywhere. *)
+
+val pp_cexpr : Format.formatter -> cexpr -> unit
+(** Infix dump of one expression, slots as [s<i>]. *)
 
 val pp : Format.formatter -> t -> unit
 (** Pseudo-code dump of the nest, for inspection and golden tests. *)

@@ -151,18 +151,15 @@ let compile_tail tail =
           if List.mem s reads then
             let f = memoize (f, reads, writes) in
             ( (fun slots ->
-                let start = a slots and stop = b slots and step = c slots in
-                if step = 0 then 0
-                else begin
-                  let acc = ref 0 in
-                  let v = ref start in
-                  while if step > 0 then !v < stop else !v > stop do
-                    slots.(s) <- !v;
-                    acc := !acc + f slots;
-                    v := !v + step
-                  done;
-                  !acc
-                end),
+                let start = a slots and step = c slots in
+                let acc = ref 0 in
+                let v = ref start in
+                for _ = 1 to Plan.trip_count ~start ~stop:(b slots) ~step do
+                  slots.(s) <- !v;
+                  acc := !acc + f slots;
+                  v := !v + step
+                done;
+                !acc),
               union breads (remove s reads),
               true )
           else

@@ -152,6 +152,93 @@ let test_eval_cexpr () =
   Alcotest.(check int) "7 + min(3,10)" 10 (Plan.eval_cexpr slots e);
   Alcotest.(check (list int)) "slots used" [ 0; 1 ] (Plan.cexpr_slots e)
 
+(* Differential test of the specialising compiler against the reference
+   evaluator. Expressions cover every constructor, with slot and literal
+   leaves (so every fused shape and every foldable subtree occurs),
+   negative and near-[max_int] values, and zero divisors. *)
+
+let diff_binops =
+  Expr.[| Add; Sub; Mul; Div; Mod; Eq; Ne; Lt; Le; Gt; Ge; And; Or |]
+
+let diff_lits = [| 0; 1; -1; 2; -3; 7; max_int; min_int; max_int - 1; min_int + 1 |]
+
+let diff_slot_states =
+  [
+    [| 0; 1; -1; 7 |];
+    [| max_int; min_int; 0; -3 |];
+    [| 2; 2; max_int - 1; min_int + 1 |];
+    [| -7; 3; 1; 0 |];
+  ]
+
+let gen_cexpr st =
+  let pick a = a.(Random.State.int st (Array.length a)) in
+  let leaf () =
+    if Random.State.bool st then Plan.CSlot (Random.State.int st 4)
+    else Plan.CLit (pick diff_lits)
+  in
+  let rec go depth : Plan.cexpr =
+    if depth = 0 || Random.State.int st 5 = 0 then leaf ()
+    else
+      let sub () = go (depth - 1) in
+      match Random.State.int st 11 with
+      | 0 -> CUn (Expr.Neg, sub ())
+      | 1 -> CUn (Expr.Not, sub ())
+      | 2 | 3 | 4 | 5 -> CBin (pick diff_binops, sub (), sub ())
+      | 6 -> CIf (sub (), sub (), sub ())
+      | 7 -> CCall (Expr.Min, [ sub (); sub () ])
+      | 8 -> CCall (Expr.Max, [ sub (); sub () ])
+      | 9 -> CCall (Expr.Abs, [ sub () ])
+      | _ -> CCall (Expr.Ceil_div, [ sub (); sub () ])
+  in
+  go (1 + Random.State.int st 4)
+
+let outcome f =
+  match f () with v -> Ok v | exception e -> Error (Printexc.to_string e)
+
+let test_compiler_matches_eval () =
+  let st = Random.State.make [| 20160523 |] in
+  let raised = ref 0 and shapes = Hashtbl.create 32 in
+  let rec note : Plan.cexpr -> unit = function
+    | CLit _ -> Hashtbl.replace shapes "lit" ()
+    | CSlot _ -> Hashtbl.replace shapes "slot" ()
+    | CUn (op, a) ->
+      Hashtbl.replace shapes (if op = Expr.Neg then "neg" else "not") ();
+      note a
+    | CBin (op, a, b) ->
+      Hashtbl.replace shapes (Expr.binop_symbol op) ();
+      note a;
+      note b
+    | CIf (c, t, f) ->
+      Hashtbl.replace shapes "if" ();
+      List.iter note [ c; t; f ]
+    | CCall (b, args) ->
+      Hashtbl.replace shapes (Expr.builtin_name b) ();
+      List.iter note args
+  in
+  for _ = 1 to 3000 do
+    let e = gen_cexpr st in
+    note e;
+    let value = Plan.compile_cexpr e and cond = Plan.compile_cond e in
+    List.iter
+      (fun s ->
+        let expected = outcome (fun () -> Plan.eval_cexpr s e) in
+        if Result.is_error expected then incr raised;
+        let got = outcome (fun () -> value s)
+        and got_cond = outcome (fun () -> cond s) in
+        if got <> expected || got_cond <> Result.map (fun v -> v <> 0) expected
+        then
+          Alcotest.failf "%a on [|%s|]: eval_cexpr %s, compile_cexpr %s, compile_cond %s"
+            Plan.pp_cexpr e
+            (String.concat "; " (Array.to_list (Array.map string_of_int s)))
+            (match expected with Ok v -> string_of_int v | Error x -> x)
+            (match got with Ok v -> string_of_int v | Error x -> x)
+            (match got_cond with Ok b -> string_of_bool b | Error x -> x))
+      diff_slot_states
+  done;
+  (* 13 operators, 2 unary, [?:], 4 builtins, 2 leaves. *)
+  Alcotest.(check int) "every constructor generated" 22 (Hashtbl.length shapes);
+  Alcotest.(check bool) "zero divisors exercised" true (!raised > 0)
+
 let test_slice_outer_partition () =
   (* Slices must partition the original survivors. *)
   let p = plan_of (Support.triangle_space ()) in
@@ -325,6 +412,8 @@ let () =
           Alcotest.test_case "float rejected" `Quick test_unsupported_float;
           Alcotest.test_case "lookup_of_slots" `Quick test_lookup_of_slots;
           Alcotest.test_case "eval_cexpr" `Quick test_eval_cexpr;
+          Alcotest.test_case "compiler matches eval_cexpr" `Quick
+            test_compiler_matches_eval;
           Alcotest.test_case "slice_outer partitions" `Quick
             test_slice_outer_partition;
           Alcotest.test_case "slice_outer values/dyn" `Quick
