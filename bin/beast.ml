@@ -405,23 +405,24 @@ let with_config ?space ?engine cfg f =
         (Run_meta.finalize ~dir m ~status ~exit_code:code
            ~wall_s:(Clock.elapsed_s ~since:t0))
   in
+  let fail code msg =
+    finalize_manifest code;
+    Format.eprintf "beast: %s@." msg;
+    exit code
+  in
   match
     Run_config.with_instrumentation ?run_id ?space cfg (fun () -> f run_id)
   with
   | code ->
     finalize_manifest code;
     if code <> 0 then exit code
-  | exception Sys_error msg ->
-    finalize_manifest 1;
-    Format.eprintf "beast: %s@." msg;
-    exit 1
-  | exception Engine_native.Error msg ->
-    (* Graceful degradation for the compiled tier: untranslatable space,
-       missing compiler, failed compile — one actionable line, exit 2,
-       never an exception trace. *)
-    finalize_manifest 2;
-    Format.eprintf "beast: %s@." msg;
-    exit 2
+  | exception Sys_error msg -> fail 1 msg
+  (* A space the engines cannot run — untranslatable for the compiled
+     tier, a missing compiler, a failed compile, an evaluation error such
+     as a zero range step — gets one actionable line, exit 2, never an
+     exception trace. *)
+  | exception (Engine_native.Error msg | Expr.Eval_error msg) -> fail 2 msg
+  | exception Division_by_zero -> fail 2 "division by zero"
   | exception e ->
     (* Cmdliner maps an uncaught exception to its internal-error code. *)
     finalize_manifest 125;

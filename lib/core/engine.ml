@@ -31,58 +31,163 @@ let merge a b =
         a.pruned;
   }
 
+let zero_step var =
+  raise (Expr.Eval_error (Printf.sprintf "%s: zero range step" var))
+
 (* ------------------------------------------------------------------ *)
-(* Instrumentation plumbing shared by the engines                      *)
+(* Per-run accounting                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Engines pick an instrumented code path once per run when
-   [Obs.instrumenting ()] holds; with tracing and progress both off the
-   hot loops are byte-identical to the uninstrumented build. Sampling
-   happens every [sample_mask + 1] loop entries. *)
+module Run = struct
+  type t = {
+    plan : Plan.t;
+    instrumented : bool;
+    prov : (Provenance.t * Provenance.local) option;
+    metrics : Metrics.t option;
+    eval_hists : Metrics.histogram array option;
+    pruned : int array;
+    depth_entries : int array;
+    check_time : int array;
+    level_time : int array;
+    mutable outer_done : int;
+    mutable outer_total : int;
+    mutable last_ns : int;
+    mutable last_points : int;
+    mutable t0 : int;
+  }
 
-let sample_mask = 0x7FFF
+  let sample_mask = 0x7FFF
+  let instrumenting () = Obs.instrumenting () || Metrics.enabled ()
 
-type sampler = {
-  mutable s_last_ns : int;
-  mutable s_last_points : int;
-}
+  let start (plan : Plan.t) =
+    let metrics = Metrics.current () in
+    let n_constraints = Array.length plan.Plan.constraint_info in
+    let n_loops = max 1 (List.length plan.Plan.iter_order) in
+    let now = Clock.now_ns () in
+    {
+      plan;
+      instrumented = instrumenting ();
+      (* Provenance accumulates into a run-private local (no
+         synchronization in the hot path) published into the ambient
+         collector by [finish], so parallel chunk runs compose by
+         summation. *)
+      prov =
+        Option.map
+          (fun c -> (c, Provenance.local_of (Provenance.attribution plan)))
+          (Provenance.current ());
+      metrics;
+      eval_hists =
+        Option.map
+          (fun r ->
+            Array.map
+              (fun (name, _) ->
+                Metrics.histogram r ~unit_:"ns" ~name:"constraint_eval_ns"
+                  ~labels:[ ("constraint", name) ]
+                  ())
+              plan.Plan.constraint_info)
+          metrics;
+      pruned = Array.make n_constraints 0;
+      depth_entries = Array.make n_loops 0;
+      check_time = Array.make (max 1 n_constraints) 0;
+      level_time = Array.make n_loops 0;
+      outer_done = 0;
+      outer_total = 0;
+      last_ns = now;
+      last_points = 0;
+      t0 = now;
+    }
 
-let make_sampler () = { s_last_ns = Clock.now_ns (); s_last_points = 0 }
+  let charge r c =
+    let check_time = r.check_time in
+    match r.eval_hists with
+    | None -> fun dt -> check_time.(c) <- check_time.(c) + dt
+    | Some hists ->
+      let h = hists.(c) in
+      fun dt ->
+        check_time.(c) <- check_time.(c) + dt;
+        Metrics.record h dt
 
-let sample s ~points ~survivors ~frac =
-  let now = Clock.now_ns () in
-  let dt = now - s.s_last_ns in
-  if dt > 0 && Obs.enabled () then
-    Obs.counter ~cat:"engine" "points_per_sec"
-      (float_of_int (points - s.s_last_points) /. Clock.ns_to_s dt);
-  s.s_last_ns <- now;
-  s.s_last_points <- points;
-  Obs.progress_tick ~points ~survivors ~frac
+  let tick r ~points ~survivors =
+    if points land sample_mask = 0 then begin
+      let now = Clock.now_ns () in
+      let dt = now - r.last_ns in
+      if dt > 0 && Obs.enabled () then
+        Obs.counter ~cat:"engine" "points_per_sec"
+          (float_of_int (points - r.last_points) /. Clock.ns_to_s dt);
+      r.last_ns <- now;
+      r.last_points <- points;
+      Obs.progress_tick ~points ~survivors
+        ~frac:
+          (if r.outer_total > 0 then
+             float_of_int r.outer_done /. float_of_int r.outer_total
+           else -1.0)
+    end
 
-(* Post-run aggregates: one Complete span per constraint (cumulative
-   evaluation time, firing count) and per loop level (cumulative time
-   inside the level, entry count), all anchored at the run's start
-   timestamp so they stack as tracks in a Chrome trace. *)
-let emit_run_aggregates ~t0 (plan : Plan.t) ~pruned ~check_time ~depth_entries
-    ~level_time =
-  if Obs.enabled () then begin
+  let sweep r ?(args = []) name f =
+    r.t0 <- Clock.now_ns ();
+    Obs.with_span ~cat:"engine"
+      ~args:(("space", Obs.Str r.plan.Plan.space_name) :: args)
+      name f
+
+  (* Post-run aggregates: one Complete span per constraint (cumulative
+     evaluation time, firing count) and per loop level (cumulative time
+     inside the level, entry count), all anchored at the sweep's start
+     so they stack as tracks in a Chrome trace. *)
+  let emit_aggregates r =
     Array.iteri
       (fun i (name, cls) ->
-        Obs.complete ~cat:"constraint" ~ts:t0 ~dur_ns:check_time.(i)
+        Obs.complete ~cat:"constraint" ~ts:r.t0 ~dur_ns:r.check_time.(i)
           ~args:
             [
-              ("fired", Obs.Int pruned.(i));
+              ("fired", Obs.Int r.pruned.(i));
               ("class", Obs.Str (Space.constraint_class_name cls));
             ]
           name)
-      plan.Plan.constraint_info;
+      r.plan.Plan.constraint_info;
     List.iteri
       (fun d var ->
-        Obs.complete ~cat:"level" ~ts:t0 ~dur_ns:level_time.(d)
-          ~args:[ ("depth", Obs.Int d); ("entries", Obs.Int depth_entries.(d)) ]
+        Obs.complete ~cat:"level" ~ts:r.t0 ~dur_ns:r.level_time.(d)
+          ~args:
+            [ ("depth", Obs.Int d); ("entries", Obs.Int r.depth_entries.(d)) ]
           var)
-      plan.Plan.iter_order
-  end
+      r.plan.Plan.iter_order
+
+  (* Counters add across chunks and shards, so per-run adds compose. *)
+  let add_counters r registry ~survivors ~loop_iterations =
+    List.iteri
+      (fun d var ->
+        Metrics.add
+          (Metrics.counter registry ~name:"loop_entries_total"
+             ~labels:[ ("depth", string_of_int d); ("var", var) ]
+             ())
+          r.depth_entries.(d))
+      r.plan.Plan.iter_order;
+    Metrics.add
+      (Metrics.counter registry ~name:"points_total" ~labels:[] ())
+      loop_iterations;
+    Metrics.add
+      (Metrics.counter registry ~name:"survivors_total" ~labels:[] ())
+      survivors
+
+  let finish r ~survivors ~loop_iterations =
+    if r.instrumented && Obs.enabled () then emit_aggregates r;
+    (* Unconditional: one hook check per run, and the cheap way a coarse
+       status heartbeat learns per-chunk point totals. *)
+    Obs.progress_tick ~points:loop_iterations ~survivors ~frac:1.0;
+    Option.iter
+      (fun (collector, local) ->
+        Provenance.publish collector ~depth_entries:r.depth_entries local)
+      r.prov;
+    Option.iter (add_counters r ~survivors ~loop_iterations) r.metrics;
+    {
+      survivors;
+      loop_iterations;
+      pruned =
+        Array.mapi
+          (fun i (n, c) -> (n, c, r.pruned.(i)))
+          r.plan.Plan.constraint_info;
+    }
+end
 
 let pp_stats ppf s =
   Format.fprintf ppf "survivors: %d@\nloop iterations: %d@\n" s.survivors

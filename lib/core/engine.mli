@@ -36,33 +36,77 @@ val merge : stats -> stats -> stats
 
 val pp_stats : Format.formatter -> stats -> unit
 
-(** {2 Instrumentation plumbing}
+val zero_step : string -> 'a
+(** [zero_step var] raises [Expr.Eval_error "<var>: zero range step"]:
+    the one diagnostic every in-process engine gives for a range loop
+    whose step evaluates to 0. *)
 
-    Shared by the engine implementations; not intended for end users.
-    Engines consult [Beast_obs.Obs.instrumenting] once per run and, when
-    it holds, switch to a code path that counts per-depth loop entries,
-    accumulates per-constraint evaluation time, and samples progress /
-    points-per-second every [sample_mask + 1] loop entries. With tracing
-    and progress both disabled the hot loops are exactly the
-    uninstrumented ones. *)
+(** {2 Per-run accounting}
 
-val sample_mask : int
+    The bookkeeping every in-process engine does once per run, in one
+    record: the interpreter, the VM and the staged engine each call
+    {!Run.start} before compiling and {!Run.finish} after sweeping, and
+    differ only in how they execute the plan in between. The hot code
+    keeps its own counters where that is cheaper (the staged closures
+    fold theirs into [pruned] and [depth_entries] before [finish]). *)
 
-type sampler
+module Run : sig
+  type t = {
+    plan : Plan.t;
+    instrumented : bool;
+        (** {!instrumenting}, decided once, at {!start} *)
+    prov : (Provenance.t * Provenance.local) option;
+        (** the ambient collector and this run's private accumulator,
+            when provenance is on *)
+    metrics : Beast_obs.Metrics.t option;
+    eval_hists : Beast_obs.Metrics.histogram array option;
+        (** per-constraint [constraint_eval_ns] histograms, by
+            [c_index]; see {!charge} *)
+    pruned : int array;  (** firings by [c_index] *)
+    depth_entries : int array;  (** loop entries per depth *)
+    check_time : int array;  (** evaluation ns by [c_index] *)
+    level_time : int array;  (** ns inside each loop level *)
+    mutable outer_done : int;
+    mutable outer_total : int;
+        (** position in the outermost loop, for the progress fraction;
+            [outer_total = 0] reports the fraction as unknown *)
+    mutable last_ns : int;
+    mutable last_points : int;
+    mutable t0 : int;  (** the sweep's start, set by {!sweep} *)
+  }
 
-val make_sampler : unit -> sampler
+  val instrumenting : unit -> bool
+  (** The one definition of an instrumented run: tracing or progress is
+      on ([Obs.instrumenting ()]) or a Metrics registry is installed.
+      Instrumented runs time each constraint evaluation and each loop
+      level, and sample progress / points-per-second. *)
 
-val sample : sampler -> points:int -> survivors:int -> frac:float -> unit
-(** Emit a points/sec counter (when tracing) and a progress tick. *)
+  val start : Plan.t -> t
+  (** Resolve Obs, Metrics and Provenance once and allocate the
+      per-constraint and per-depth arrays. *)
 
-val emit_run_aggregates :
-  t0:int ->
-  Plan.t ->
-  pruned:int array ->
-  check_time:int array ->
-  depth_entries:int array ->
-  level_time:int array ->
-  unit
-(** Emit per-constraint and per-level Complete spans anchored at [t0]
-    (the run's start, from [Beast_obs.Clock.now_ns]). No-op unless
-    tracing is enabled. *)
+  val charge : t -> int -> int -> unit
+  (** [charge r c] resolves, once, the recorder for constraint [c]:
+      the returned function adds an evaluation's ns to [check_time]
+      and, with metrics, to its [constraint_eval_ns] histogram. *)
+
+  val tick : t -> points:int -> survivors:int -> unit
+  (** Every [0x8000] points: a points/sec counter (when tracing) and a
+      progress tick. Instrumented runs call it once per loop entry. *)
+
+  val sweep :
+    t ->
+    ?args:(string * Beast_obs.Obs.arg) list ->
+    string ->
+    (unit -> unit) ->
+    unit
+  (** [sweep r name f] runs the enumeration [f] inside the engine's
+      [name] span (with the space name plus [args]), recording its start
+      for the aggregates. *)
+
+  val finish : t -> survivors:int -> loop_iterations:int -> stats
+  (** Emit the per-constraint and per-level aggregates (tracing only),
+      the final progress tick, the provenance publish and the
+      [points_total], [survivors_total] and [loop_entries_total]
+      counters (metrics only); return the run's statistics. *)
+end

@@ -1,9 +1,177 @@
-(* The interpreter reuses the plan only for structure (loop order and step
-   placement); all evaluation goes through the original named bodies and a
-   string-keyed hash table, so each variable access costs an associative
-   lookup — the scripting-tier cost model of Section XI-B. *)
+(* Both entry points run one step walker over the plan's steps. They
+   differ in three things only: how a derive is evaluated, how a check
+   is evaluated, and how a loop's values are produced and bound — the
+   [derive], [check] and [loop] functions below, each a match on where
+   the variables live. The Space path evaluates the original named
+   bodies against a string-keyed hash table, so each variable access
+   costs an associative lookup — the scripting-tier cost model of
+   Section XI-B. The Plan path re-walks each lowered expression through
+   [Plan.eval_cexpr] per visit. (A match, not a closure per path: an
+   indirect call per step measurably slows the Plan path.) *)
 
 open Beast_obs
+
+type env =
+  | Named of {
+      table : (string, Value.t) Hashtbl.t;
+      lookup : Expr.lookup;  (* [Hashtbl.find table], built once *)
+      bodies : (string, Space.body) Hashtbl.t;
+      iters : (string, Iter.t) Hashtbl.t;
+      mirror : bool;
+          (* keep the slot array in step with the table, for the
+             provenance counters, which read slots *)
+    }
+  | Slots
+
+let mirror slots slot (v : Value.t) =
+  match v with
+  | Int i -> slots.(slot) <- i
+  | Bool b -> slots.(slot) <- (if b then 1 else 0)
+  | Float _ | Str _ -> ()
+
+let eval_body lookup bodies name =
+  match Hashtbl.find bodies name with
+  | Space.E e -> Expr.eval lookup e
+  | Space.F { fn; _ } -> fn lookup
+
+let eval_compute slots = function
+  | Plan.CE e -> Plan.eval_cexpr slots e
+  | Plan.CF f -> f slots
+
+let derive env slots name slot compute =
+  match env with
+  | Named { table; lookup; bodies; mirror = m; _ } ->
+    let v = eval_body lookup bodies name in
+    Hashtbl.replace table name v;
+    if m then mirror slots slot v
+  | Slots -> slots.(slot) <- eval_compute slots compute
+
+let check env slots name compute =
+  match env with
+  | Named { lookup; bodies; _ } -> Value.truthy (eval_body lookup bodies name)
+  | Slots -> eval_compute slots compute <> 0
+
+(* Materialize the loop's values — as Python's range() builds its value
+   list (Section XI-B) — and return their count with a binder for the
+   j-th one. *)
+let loop env slots var slot (iter : Plan.citer) =
+  match env with
+  | Named { table; lookup; iters; mirror = m; _ } ->
+    let vs =
+      try Iter.materialize lookup (Hashtbl.find iters var)
+      with Expr.Eval_error "range: zero step" -> Engine.zero_step var
+    in
+    ( Array.length vs,
+      fun j ->
+        Hashtbl.replace table var vs.(j);
+        if m then mirror slots slot vs.(j) )
+  | Slots ->
+    let vs =
+      match iter with
+      | CRange (a, b, c) ->
+        let start = Plan.eval_cexpr slots a
+        and stop = Plan.eval_cexpr slots b
+        and step = Plan.eval_cexpr slots c in
+        if step = 0 then Engine.zero_step var;
+        Array.init (Plan.trip_count ~start ~stop ~step) (fun i ->
+            start + (i * step))
+      | CValues vs -> vs
+      | CDyn f -> f slots
+    in
+    (Array.length vs, fun j -> slots.(slot) <- vs.(j))
+
+(* [slots] is the integer slot array: the Plan path's variables, the
+   Space path's provenance mirror. *)
+let walk env ~slots ?on_hit ?args name (plan : Plan.t) =
+  let r = Engine.Run.start plan in
+  let lookup =
+    match env with
+    | Named { lookup; _ } -> lookup
+    | Slots -> Plan.lookup_of_slots plan slots
+  in
+  let instrumented = r.Engine.Run.instrumented in
+  let pruned = r.Engine.Run.pruned in
+  let depth_entries = r.Engine.Run.depth_entries in
+  let level_time = r.Engine.Run.level_time in
+  let charges =
+    Array.init (Array.length plan.Plan.constraint_info) (Engine.Run.charge r)
+  in
+  let prov_fire, prov_hit =
+    match r.Engine.Run.prov with
+    | None -> ((fun _ -> ()), fun () -> ())
+    | Some (_, pl) ->
+      ((fun c -> Provenance.fire pl slots c), fun () -> Provenance.hit pl slots)
+  in
+  let survivors = ref 0 in
+  (* Instrumented loops also count their entries live, for throughput
+     sampling and the outer-loop progress fraction. *)
+  let points = ref 0 in
+  let observed ~depth n bind j =
+    bind j;
+    incr points;
+    if depth = 0 then begin
+      r.Engine.Run.outer_total <- n;
+      r.Engine.Run.outer_done <- j + 1
+    end;
+    Engine.Run.tick r ~points:!points ~survivors:!survivors
+  in
+  let rec exec_steps ~depth (steps : Plan.step list) =
+    match steps with
+    | [] -> ()
+    | Yield :: rest ->
+      incr survivors;
+      prov_hit ();
+      (match on_hit with
+      | None -> ()
+      | Some f -> f lookup);
+      exec_steps ~depth rest
+    | Derive { d_name; d_slot; d_compute } :: rest ->
+      derive env slots d_name d_slot d_compute;
+      exec_steps ~depth rest
+    | Check { c_name; c_index; c_compute; _ } :: rest ->
+      let fired =
+        if instrumented then begin
+          let t0 = Clock.now_ns () in
+          let v = check env slots c_name c_compute in
+          charges.(c_index) (Clock.now_ns () - t0);
+          v
+        end
+        else check env slots c_name c_compute
+      in
+      if fired then begin
+        pruned.(c_index) <- pruned.(c_index) + 1;
+        prov_fire c_index
+      end
+      else exec_steps ~depth rest
+    | Static_prune { sp_slot; sp_dead; _ } :: rest ->
+      let n = Array.length sp_dead in
+      depth_entries.(depth) <- depth_entries.(depth) + n;
+      points := !points + n;
+      (match r.Engine.Run.prov with
+      | None -> Array.iter (fun (_, c) -> pruned.(c) <- pruned.(c) + 1) sp_dead
+      | Some (_, pl) ->
+        Array.iter
+          (fun (v, c) ->
+            pruned.(c) <- pruned.(c) + 1;
+            Provenance.static_fire pl slots ~slot:sp_slot ~value:v c)
+          sp_dead);
+      exec_steps ~depth rest
+    | Loop { l_var; l_slot; l_iter; l_body } :: rest ->
+      let n, bind = loop env slots l_var l_slot l_iter in
+      depth_entries.(depth) <- depth_entries.(depth) + n;
+      let t0 = if instrumented then Clock.now_ns () else 0 in
+      let bind = if instrumented then observed ~depth n bind else bind in
+      for j = 0 to n - 1 do
+        bind j;
+        exec_steps ~depth:(depth + 1) l_body
+      done;
+      if instrumented then
+        level_time.(depth) <- level_time.(depth) + (Clock.now_ns () - t0);
+      exec_steps ~depth rest
+  in
+  Engine.Run.sweep r ?args name (fun () -> exec_steps ~depth:0 plan.Plan.steps);
+  Engine.Run.finish r ~survivors:!survivors
+    ~loop_iterations:(Array.fold_left ( + ) 0 depth_entries)
 
 let run ?on_hit ?(variant = `Hoisted) space =
   let hoist =
@@ -12,304 +180,41 @@ let run ?on_hit ?(variant = `Hoisted) space =
     | `Naive -> false
   in
   let plan = Plan.make_exn ~hoist space in
-  (* The interpreter's environment is string-keyed, so provenance (which
-     evaluates trip bounds over the slot machine) keeps an integer slot
-     mirror, updated on loop entry and derivation in the instrumented
-     path. With [`Naive] every constraint sits at the innermost depth
-     and each firing removes exactly one point (empty subtree product),
-     so attribution is trivially exact. *)
-  let prov = Provenance.current () in
-  let plocal =
-    Option.map (fun _ -> Provenance.local_of (Provenance.attribution plan)) prov
-  in
-  let instrument = Obs.instrumenting () || plocal <> None in
-  let slots = Array.make (max 1 plan.Plan.n_slots) 0 in
-  let mirror slot (v : Value.t) =
-    match v with
-    | Int i -> slots.(slot) <- i
-    | Bool b -> slots.(slot) <- (if b then 1 else 0)
-    | Float _ | Str _ -> ()
-  in
-  let prov_fire, prov_hit =
-    match plocal with
-    | None -> ((fun _ -> ()), fun () -> ())
-    | Some pl ->
-      ( (fun c -> Provenance.fire pl slots c),
-        fun () -> Provenance.hit pl slots )
-  in
-  let env : (string, Value.t) Hashtbl.t = Hashtbl.create 64 in
-  List.iter (fun (n, v) -> Hashtbl.replace env n v) (Space.settings space);
-  let lookup name = Hashtbl.find env name in
-  let body_by_name = Hashtbl.create 64 in
+  let table = Hashtbl.create 64 in
+  List.iter (fun (n, v) -> Hashtbl.replace table n v) (Space.settings space);
+  let bodies = Hashtbl.create 64 in
   List.iter
-    (fun dv -> Hashtbl.replace body_by_name dv.Space.dv_name dv.Space.dv_body)
+    (fun dv -> Hashtbl.replace bodies dv.Space.dv_name dv.Space.dv_body)
     (Space.deriveds space);
   List.iter
-    (fun cn -> Hashtbl.replace body_by_name cn.Space.cn_name cn.Space.cn_body)
+    (fun cn -> Hashtbl.replace bodies cn.Space.cn_name cn.Space.cn_body)
     (Space.constraints space);
-  let iter_by_name = Hashtbl.create 16 in
+  let iters = Hashtbl.create 16 in
   List.iter
-    (fun it -> Hashtbl.replace iter_by_name it.Space.it_name it.Space.it_iter)
+    (fun it -> Hashtbl.replace iters it.Space.it_name it.Space.it_iter)
     (Space.iterators space);
-  let eval_body name =
-    match Hashtbl.find body_by_name name with
-    | Space.E e -> Expr.eval lookup e
-    | Space.F { fn; _ } -> fn lookup
-  in
-  let n_constraints = Array.length plan.Plan.constraint_info in
-  let n_loops = List.length plan.Plan.iter_order in
-  let pruned = Array.make n_constraints 0 in
-  let survivors = ref 0 in
-  let loop_iterations = ref 0 in
-  let check_time = Array.make (max 1 n_constraints) 0 in
-  let depth_entries = Array.make (max 1 n_loops) 0 in
-  let level_time = Array.make (max 1 n_loops) 0 in
-  let outer_total = ref 0 in
-  let outer_done = ref 0 in
-  let sampler = Engine.make_sampler () in
-  let tick () =
-    if !loop_iterations land Engine.sample_mask = 0 then
-      Engine.sample sampler ~points:!loop_iterations ~survivors:!survivors
-        ~frac:
-          (if !outer_total > 0 then
-             float_of_int !outer_done /. float_of_int !outer_total
-           else -1.0)
-  in
-  let rec exec_steps ~depth (steps : Plan.step list) =
-    match steps with
-    | [] -> ()
-    | Yield :: rest ->
-      incr survivors;
-      prov_hit ();
-      (match on_hit with
-      | None -> ()
-      | Some f -> f lookup);
-      exec_steps ~depth rest
-    | Derive { d_name; d_slot; _ } :: rest ->
-      let v = eval_body d_name in
-      Hashtbl.replace env d_name v;
-      if instrument then mirror d_slot v;
-      exec_steps ~depth rest
-    | Check { c_name; c_index; _ } :: rest ->
-      let fired =
-        if instrument then begin
-          let t0 = Clock.now_ns () in
-          let v = Value.truthy (eval_body c_name) in
-          check_time.(c_index) <- check_time.(c_index) + (Clock.now_ns () - t0);
-          v
-        end
-        else Value.truthy (eval_body c_name)
-      in
-      if fired then begin
-        pruned.(c_index) <- pruned.(c_index) + 1;
-        prov_fire c_index
-      end
-      else exec_steps ~depth rest
-    | Static_prune { sp_slot; sp_dead; _ } :: rest ->
-      let n = Array.length sp_dead in
-      loop_iterations := !loop_iterations + n;
-      if instrument then depth_entries.(depth) <- depth_entries.(depth) + n;
-      (match plocal with
-      | None -> Array.iter (fun (_, c) -> pruned.(c) <- pruned.(c) + 1) sp_dead
-      | Some pl ->
-        Array.iter
-          (fun (v, c) ->
-            pruned.(c) <- pruned.(c) + 1;
-            Provenance.static_fire pl slots ~slot:sp_slot ~value:v c)
-          sp_dead);
-      exec_steps ~depth rest
-    | Loop { l_var; l_slot; l_body; _ } :: rest ->
-      let it = Hashtbl.find iter_by_name l_var in
-      (* Materializing the whole iterator before looping mirrors Python's
-         range() building its value list (Section XI-B). *)
-      let vs = Iter.materialize lookup it in
-      if instrument then begin
-        let t0 = Clock.now_ns () in
-        if depth = 0 then outer_total := Array.length vs;
-        Array.iteri
-          (fun j v ->
-            Hashtbl.replace env l_var v;
-            mirror l_slot v;
-            incr loop_iterations;
-            depth_entries.(depth) <- depth_entries.(depth) + 1;
-            if depth = 0 then outer_done := j + 1;
-            tick ();
-            exec_steps ~depth:(depth + 1) l_body)
-          vs;
-        level_time.(depth) <- level_time.(depth) + (Clock.now_ns () - t0)
-      end
-      else
-        Array.iter
-          (fun v ->
-            Hashtbl.replace env l_var v;
-            incr loop_iterations;
-            exec_steps ~depth:(depth + 1) l_body)
-          vs;
-      Hashtbl.remove env l_var;
-      exec_steps ~depth rest
-  in
-  let t0 = Clock.now_ns () in
-  Obs.with_span ~cat:"engine"
+  (* With [`Naive] every constraint sits at the innermost depth and each
+     firing removes exactly one point (empty subtree product), so
+     provenance attribution is trivially exact. *)
+  let lookup name = Hashtbl.find table name in
+  walk
+    (Named { table; lookup; bodies; iters; mirror = Provenance.enabled () })
+    ~slots:(Array.make (max 1 plan.Plan.n_slots) 0)
+    ?on_hit
     ~args:
       [
-        ("space", Obs.Str plan.Plan.space_name);
         ( "variant",
           Obs.Str
             (match variant with
             | `Hoisted -> "hoisted"
             | `Naive -> "naive") );
       ]
-    "sweep:interp"
-    (fun () -> exec_steps ~depth:0 plan.Plan.steps);
-  if instrument then
-    Engine.emit_run_aggregates ~t0 plan ~pruned ~check_time ~depth_entries
-      ~level_time;
-  Obs.progress_tick ~points:!loop_iterations ~survivors:!survivors ~frac:1.0;
-  (match (prov, plocal) with
-  | Some collector, Some pl -> Provenance.publish collector ~depth_entries pl
-  | _ -> ());
-  {
-    Engine.survivors = !survivors;
-    loop_iterations = !loop_iterations;
-    pruned =
-      Array.mapi (fun i (n, c) -> (n, c, pruned.(i))) plan.Plan.constraint_info;
-  }
+    "sweep:interp" plan
 
-(* Tree-walking evaluation of an existing plan — the Plan-target path of
-   the engine API. No staging: every expression is re-walked through
-   [Plan.eval_cexpr] per visit, keeping the interpreter's cost model
-   while accepting plans the Space path cannot reconstruct (chunked,
-   sliced or propagated ones). *)
+(* The Plan-target path of the engine API. No staging, keeping the
+   interpreter's cost model while accepting plans the Space path cannot
+   reconstruct (chunked, sliced or propagated ones). *)
 let run_plan ?on_hit (plan : Plan.t) =
-  let prov = Provenance.current () in
-  let plocal =
-    Option.map (fun _ -> Provenance.local_of (Provenance.attribution plan)) prov
-  in
-  let instrument = Obs.instrumenting () || plocal <> None in
-  let slots = Array.make (max 1 plan.Plan.n_slots) 0 in
-  let prov_fire, prov_hit =
-    match plocal with
-    | None -> ((fun _ -> ()), fun () -> ())
-    | Some pl ->
-      ( (fun c -> Provenance.fire pl slots c),
-        fun () -> Provenance.hit pl slots )
-  in
-  let lookup = Plan.lookup_of_slots plan slots in
-  let eval_compute = function
-    | Plan.CE e -> Plan.eval_cexpr slots e
-    | Plan.CF f -> f slots
-  in
-  let materialize_citer = function
-    | Plan.CRange (a, b, c) ->
-      let start = Plan.eval_cexpr slots a
-      and stop = Plan.eval_cexpr slots b
-      and step = Plan.eval_cexpr slots c in
-      if step = 0 then raise (Expr.Eval_error "Engine_interp: zero range step");
-      Array.init (Plan.trip_count ~start ~stop ~step) (fun i ->
-          start + (i * step))
-    | Plan.CValues vs -> vs
-    | Plan.CDyn f -> f slots
-  in
-  let n_constraints = Array.length plan.Plan.constraint_info in
-  let n_loops = List.length plan.Plan.iter_order in
-  let pruned = Array.make n_constraints 0 in
-  let survivors = ref 0 in
-  let loop_iterations = ref 0 in
-  let check_time = Array.make (max 1 n_constraints) 0 in
-  let depth_entries = Array.make (max 1 n_loops) 0 in
-  let level_time = Array.make (max 1 n_loops) 0 in
-  let outer_total = ref 0 in
-  let outer_done = ref 0 in
-  let sampler = Engine.make_sampler () in
-  let tick () =
-    if !loop_iterations land Engine.sample_mask = 0 then
-      Engine.sample sampler ~points:!loop_iterations ~survivors:!survivors
-        ~frac:
-          (if !outer_total > 0 then
-             float_of_int !outer_done /. float_of_int !outer_total
-           else -1.0)
-  in
-  let rec exec_steps ~depth (steps : Plan.step list) =
-    match steps with
-    | [] -> ()
-    | Yield :: rest ->
-      incr survivors;
-      prov_hit ();
-      (match on_hit with
-      | None -> ()
-      | Some f -> f lookup);
-      exec_steps ~depth rest
-    | Derive { d_slot; d_compute; _ } :: rest ->
-      slots.(d_slot) <- eval_compute d_compute;
-      exec_steps ~depth rest
-    | Check { c_index; c_compute; _ } :: rest ->
-      let fired =
-        if instrument then begin
-          let t0 = Clock.now_ns () in
-          let v = eval_compute c_compute <> 0 in
-          check_time.(c_index) <- check_time.(c_index) + (Clock.now_ns () - t0);
-          v
-        end
-        else eval_compute c_compute <> 0
-      in
-      if fired then begin
-        pruned.(c_index) <- pruned.(c_index) + 1;
-        prov_fire c_index
-      end
-      else exec_steps ~depth rest
-    | Static_prune { sp_slot; sp_dead; _ } :: rest ->
-      let n = Array.length sp_dead in
-      loop_iterations := !loop_iterations + n;
-      if instrument then depth_entries.(depth) <- depth_entries.(depth) + n;
-      (match plocal with
-      | None -> Array.iter (fun (_, c) -> pruned.(c) <- pruned.(c) + 1) sp_dead
-      | Some pl ->
-        Array.iter
-          (fun (v, c) ->
-            pruned.(c) <- pruned.(c) + 1;
-            Provenance.static_fire pl slots ~slot:sp_slot ~value:v c)
-          sp_dead);
-      exec_steps ~depth rest
-    | Loop { l_slot; l_iter; l_body; _ } :: rest ->
-      let vs = materialize_citer l_iter in
-      if instrument then begin
-        let t0 = Clock.now_ns () in
-        if depth = 0 then outer_total := Array.length vs;
-        Array.iteri
-          (fun j v ->
-            slots.(l_slot) <- v;
-            incr loop_iterations;
-            depth_entries.(depth) <- depth_entries.(depth) + 1;
-            if depth = 0 then outer_done := j + 1;
-            tick ();
-            exec_steps ~depth:(depth + 1) l_body)
-          vs;
-        level_time.(depth) <- level_time.(depth) + (Clock.now_ns () - t0)
-      end
-      else
-        Array.iter
-          (fun v ->
-            slots.(l_slot) <- v;
-            incr loop_iterations;
-            exec_steps ~depth:(depth + 1) l_body)
-          vs;
-      exec_steps ~depth rest
-  in
-  let t0 = Clock.now_ns () in
-  Obs.with_span ~cat:"engine"
-    ~args:[ ("space", Obs.Str plan.Plan.space_name) ]
-    "sweep:interp-plan"
-    (fun () -> exec_steps ~depth:0 plan.Plan.steps);
-  if instrument then
-    Engine.emit_run_aggregates ~t0 plan ~pruned ~check_time ~depth_entries
-      ~level_time;
-  Obs.progress_tick ~points:!loop_iterations ~survivors:!survivors ~frac:1.0;
-  (match (prov, plocal) with
-  | Some collector, Some pl -> Provenance.publish collector ~depth_entries pl
-  | _ -> ());
-  {
-    Engine.survivors = !survivors;
-    loop_iterations = !loop_iterations;
-    pruned =
-      Array.mapi (fun i (n, c) -> (n, c, pruned.(i))) plan.Plan.constraint_info;
-  }
+  walk Slots
+    ~slots:(Array.make (max 1 plan.Plan.n_slots) 0)
+    ?on_hit "sweep:interp-plan" plan

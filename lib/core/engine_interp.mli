@@ -11,7 +11,13 @@
       no dependency analysis;
     - [`Hoisted] uses the plan's DAG placement, isolating the benefit of
       hoisting from the benefit of compilation (the ablation of
-      DESIGN.md §4). *)
+      DESIGN.md §4).
+
+    {!run} and {!run_plan} share one step walker and one
+    {!Engine.Run} record; they differ only in how a derive and a check
+    are evaluated and how a loop's values are produced and bound.
+    Both raise [Expr.Eval_error "<var>: zero range step"] on a range
+    loop whose step evaluates to 0. *)
 
 val run :
   ?on_hit:Engine.on_hit ->
@@ -23,6 +29,7 @@ val run :
 val run_plan : ?on_hit:Engine.on_hit -> Plan.t -> Engine.stats
 (** Tree-walk an existing plan (chunked, sliced or propagated — shapes
     the Space path cannot reconstruct), re-evaluating every expression
-    through {!Plan.eval_cexpr} per visit. The Plan-target path of the
-    engine API; the cost model stays interpretive, but without the
-    string-keyed environment the Space path reproduces. *)
+    through {!Plan.eval_cexpr} per visit over an integer slot array. The
+    Plan-target path of the engine API; the cost model stays
+    interpretive, but without the string-keyed environment the Space
+    path reproduces. *)

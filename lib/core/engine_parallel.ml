@@ -13,130 +13,7 @@ let serialized_on_hit on_hit =
         Fun.protect ~finally:(fun () -> Mutex.unlock m) (fun () -> f lookup))
     on_hit
 
-(* Depth-0 checks run once per executed chunk/slice; their counts are
-   identical across non-empty chunks (they depend only on settings and
-   depth-0 derived variables), so a merge keeps a single execution's
-   value. Taking the per-index maximum is order-independent and also
-   correct for the loop-free plan, where only chunk 0 carries the
-   steps. *)
-let dedup_depth0 ~depth0 ~(single : Engine.stats) (merged : Engine.stats) =
-  let pruned =
-    Array.mapi
-      (fun i (n, c, k) ->
-        if depth0.(i) then
-          let _, _, k0 = single.Engine.pruned.(i) in
-          (n, c, k0)
-        else (n, c, k))
-      merged.Engine.pruned
-  in
-  { merged with Engine.pruned }
-
-let pruned_max (a : Engine.stats) (b : Engine.stats) =
-  {
-    a with
-    Engine.pruned =
-      Array.mapi
-        (fun i (n, c, k) ->
-          let _, _, k' = b.Engine.pruned.(i) in
-          (n, c, max k k'))
-        a.Engine.pruned;
-  }
-
 let default_chunks_per_domain = 8
-
-let run ?on_hit ?(chunks_per_domain = default_chunks_per_domain) ~domains
-    (plan : Plan.t) =
-  if domains < 1 then invalid_arg "Engine_parallel.run: domains < 1";
-  if chunks_per_domain < 1 then
-    invalid_arg "Engine_parallel.run: chunks_per_domain < 1";
-  if domains = 1 then Engine_staged.run ?on_hit plan
-  else begin
-    let on_hit = serialized_on_hit on_hit in
-    let n_chunks = domains * chunks_per_domain in
-    let chunks =
-      Array.init n_chunks (fun index -> Plan.chunk_outer plan ~index ~of_:n_chunks)
-    in
-    (* Work stealing: a shared cursor hands out chunk indices; a domain
-       that exhausts a pruned-empty chunk immediately grabs the next
-       one, so skew in the constraint funnel cannot idle a domain for
-       longer than one chunk. Each worker folds its chunk results
-       locally (sum + per-constraint max for the depth-0 dedup). *)
-    let cursor = Atomic.make 0 in
-    let done_count = Atomic.make 0 in
-    (* One handle resolved up front; recording is per-domain inside. *)
-    let chunk_hist =
-      Option.map
-        (fun r ->
-          Metrics.histogram r ~unit_:"ns" ~name:"chunk_duration_ns"
-            ~labels:[ ("space", plan.Plan.space_name) ]
-            ())
-        (Metrics.current ())
-    in
-    let worker dom () =
-      let acc = ref None in
-      let rec steal () =
-        let i = Atomic.fetch_and_add cursor 1 in
-        if i < n_chunks then begin
-          let t0 = Clock.now_ns () in
-          let s =
-            Obs.with_span ~cat:"engine"
-              ~args:
-                [
-                  ("chunk", Obs.Int i);
-                  ("of", Obs.Int n_chunks);
-                  ("domain", Obs.Int dom);
-                ]
-              "sweep:chunk"
-              (fun () -> Engine_staged.run ?on_hit chunks.(i))
-          in
-          Option.iter
-            (fun h -> Metrics.record h (Clock.now_ns () - t0))
-            chunk_hist;
-          Obs.chunk_tick
-            ~completed:(1 + Atomic.fetch_and_add done_count 1)
-            ~total:n_chunks;
-          (acc :=
-             match !acc with
-             | None -> Some (s, s)
-             | Some (sum, mx) -> Some (Engine.merge sum s, pruned_max mx s));
-          steal ()
-        end
-      in
-      steal ();
-      !acc
-    in
-    let sweep () =
-      (* Anchor the reporter's throughput base before any chunk lands. *)
-      Obs.chunk_tick ~completed:0 ~total:n_chunks;
-      let spawned =
-        List.init domains (fun dom -> Domain.spawn (worker dom))
-      in
-      List.filter_map Domain.join spawned
-    in
-    let results =
-      Obs.with_span ~cat:"engine"
-        ~args:
-          [
-            ("space", Obs.Str plan.Plan.space_name);
-            ("domains", Obs.Int domains);
-            ("chunks", Obs.Int n_chunks);
-          ]
-        "sweep:parallel" sweep
-    in
-    match results with
-    | [] -> assert false (* n_chunks >= domains >= 2: someone ran a chunk *)
-    | (first_sum, first_max) :: rest ->
-      let sum, mx =
-        List.fold_left
-          (fun (sum, mx) (s, m) -> (Engine.merge sum s, pruned_max mx m))
-          (first_sum, first_max) rest
-      in
-      dedup_depth0 ~depth0:(Plan.depth0_constraints plan) ~single:mx sum
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Checkpointable, interruptible scheduler                             *)
-(* ------------------------------------------------------------------ *)
 
 (* Signal handlers may only do async-signal-safe work, so the handler
    installed by the CLI just flips this flag; workers poll it between
@@ -156,11 +33,9 @@ let crashes ~prob ~seed ~chunk ~attempt =
 
 let max_crash_attempts = 1000
 
-let run_resumable ?on_hit ?(chunks_per_domain = default_chunks_per_domain)
-    ?checkpoint ?resume ?fault ~domains (plan : Plan.t) : Engine_intf.outcome =
+let run_resumable ?on_hit ?checkpoint ?resume ?fault ~domains (plan : Plan.t) :
+    Engine_intf.outcome =
   if domains < 1 then invalid_arg "Engine_parallel.run_resumable: domains < 1";
-  if chunks_per_domain < 1 then
-    invalid_arg "Engine_parallel.run_resumable: chunks_per_domain < 1";
   (match fault with
   | Some (Run_config.Chunk_crash { prob; _ })
     when prob < 0.0 || prob >= 1.0 ->
@@ -177,7 +52,7 @@ let run_resumable ?on_hit ?(chunks_per_domain = default_chunks_per_domain)
   let n_chunks =
     match resume with
     | Some (ck : Checkpoint.t) -> ck.Checkpoint.n_chunks
-    | None -> domains * chunks_per_domain
+    | None -> domains * default_chunks_per_domain
   in
   let ledger = Array.make n_chunks None in
   (match resume with
@@ -291,7 +166,6 @@ let run_resumable ?on_hit ?(chunks_per_domain = default_chunks_per_domain)
         Obs.instant ~cat:"engine"
           ~args:[ ("chunk", Obs.Int id) ]
           "chunk:fatal";
-        Atomic.set stop_requested true;
         failwith
           (Printf.sprintf
              "Engine_parallel: injected fatal fault on chunk %d" id)
@@ -315,7 +189,16 @@ let run_resumable ?on_hit ?(chunks_per_domain = default_chunks_per_domain)
                   ("domain", Obs.Int dom);
                 ]
               "sweep:chunk"
-              (fun () -> run_chunk id)
+              (fun () ->
+                (* A raising chunk (an injected fatal fault, a zero range
+                   step, a division by zero) stops the other workers at
+                   their next chunk boundary, so the error surfaces
+                   without the rest of the space being swept. *)
+                match run_chunk id with
+                | s -> s
+                | exception e ->
+                  Atomic.set stop_requested true;
+                  raise e)
           in
           Option.iter
             (fun h -> Metrics.record h (Clock.now_ns () - t0))
@@ -356,62 +239,35 @@ let run_resumable ?on_hit ?(chunks_per_domain = default_chunks_per_domain)
     Engine_intf.Interrupted { completed = !completed; total = n_chunks }
   end
   else begin
-    (* Fold the ledger in id order: merging is commutative and
-       associative, so this equals the worker-order fold of a live run
-       and the resumed output is byte-identical to an uninterrupted
-       one. *)
-    let acc = ref None in
-    Array.iter
-      (fun s ->
-        match s with
-        | None -> assert false
-        | Some s ->
-          acc :=
-            (match !acc with
-            | None -> Some (s, s)
-            | Some (sum, mx) -> Some (Engine.merge sum s, pruned_max mx s)))
-      ledger;
-    match !acc with
-    | None -> assert false (* n_chunks >= 1 *)
-    | Some (sum, mx) ->
-      Engine_intf.Finished
-        (dedup_depth0 ~depth0:(Plan.depth0_constraints plan) ~single:mx sum)
+    (* Merging is commutative and associative, so a resumed run sums to
+       the same stats bytes as an uninterrupted one. Depth-0 checks run
+       once per chunk with identical counts in every non-empty chunk, so
+       they keep the per-chunk maximum instead: order-independent, and
+       also right for the loop-free plan, where only chunk 0 carries the
+       steps. *)
+    let chunks = Array.map Option.get ledger in
+    let sum = Array.fold_left Engine.merge (Engine.empty_stats plan) chunks in
+    let depth0 = Plan.depth0_constraints plan in
+    let max_fired i =
+      Array.fold_left
+        (fun m (s : Engine.stats) ->
+          let _, _, k = s.Engine.pruned.(i) in
+          max m k)
+        0 chunks
+    in
+    Engine_intf.Finished
+      {
+        sum with
+        Engine.pruned =
+          Array.mapi
+            (fun i (n, c, k) -> (n, c, if depth0.(i) then max_fired i else k))
+            sum.Engine.pruned;
+      }
   end
 
-(* The pre-chunking scheduler: one static round-robin slice per domain
-   ({!Plan.slice_outer}). Kept as the baseline for the ablation bench —
-   with skewed pruning most domains finish early and wait on the
-   slowest slice. *)
-let run_static ?on_hit ~domains (plan : Plan.t) =
-  if domains < 1 then invalid_arg "Engine_parallel.run_static: domains < 1";
-  if domains = 1 then Engine_staged.run ?on_hit plan
-  else begin
-    let on_hit = serialized_on_hit on_hit in
-    let sweep () =
-      let slices =
-        List.init domains (fun index -> Plan.slice_outer plan ~index ~of_:domains)
-      in
-      let spawned =
-        List.map
-          (fun slice -> Domain.spawn (fun () -> Engine_staged.run ?on_hit slice))
-          slices
-      in
-      List.map Domain.join spawned
-    in
-    let results =
-      Obs.with_span ~cat:"engine"
-        ~args:
-          [
-            ("space", Obs.Str plan.Plan.space_name);
-            ("domains", Obs.Int domains);
-          ]
-        "sweep:parallel-static" sweep
-    in
-    match results with
-    | [] -> assert false
-    | first :: rest ->
-      let merged = List.fold_left Engine.merge first rest in
-      dedup_depth0 ~depth0:(Plan.depth0_constraints plan) ~single:first merged
-  end
+let run ?on_hit ~domains plan =
+  match run_resumable ?on_hit ~domains plan with
+  | Engine_intf.Finished stats -> stats
+  | Engine_intf.Interrupted _ -> failwith "Engine_parallel.run: interrupted"
 
 let run_space ?on_hit ~domains space = run ?on_hit ~domains (Plan.make_exn space)

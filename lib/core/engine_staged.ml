@@ -14,9 +14,10 @@
    exact even when [stop - start] overflows, or the value array's
    length) to its own counter once per entry, not once per iteration,
    and then binds its slot to exactly that many values. Each
-   [Static_prune] counts its executions. The counters fold into
-   [pruned], the per-depth loop entries and [loop_iterations] once, at
-   run end.
+   [Static_prune] counts its executions. The counters fold into the
+   run record ([Engine.Run]: [pruned] and the per-depth loop entries)
+   once, at run end; [Engine.Run.finish] does the rest of the per-run
+   accounting.
 
    One compiler serves three modes, chosen once per run, at compile
    time, so the closures of one mode carry nothing of the others:
@@ -25,16 +26,13 @@
    - provenance: a collector is installed; firings, hits and static
      prunes also feed a run-private [Provenance.local], with no clock
      reads;
-   - instrumented: tracing, progress (Obs.instrumenting) or a Metrics
-     registry. Iterations are also counted live to sample throughput,
-     each loop level and each constraint evaluation is timed, and with
-     metrics each evaluation lands in a per-constraint latency
-     histogram whose handle is resolved here, once per run. *)
+   - instrumented ([Engine.Run]'s [instrumented]: tracing, progress or
+     a Metrics registry). Iterations are also counted live to sample
+     throughput, each loop level and each constraint evaluation is
+     timed, and with metrics each evaluation lands in a per-constraint
+     latency histogram whose recorder is resolved here, once per run. *)
 
 open Beast_obs
-
-let zero_step l_var =
-  raise (Expr.Eval_error (Printf.sprintf "%s: zero range step" l_var))
 
 (* Bind [slot] to [n] values from [start] by [step]. [n] is exact, so
    the final [v + step] may overflow but is never read. *)
@@ -70,7 +68,7 @@ let compile_loop ~entries l_var l_slot (l_iter : Plan.citer) body =
       and fc = Plan.compile_cexpr c in
       fun s ->
         let start = fa s and stop = fb s and step = fc s in
-        if step = 0 then zero_step l_var;
+        if step = 0 then Engine.zero_step l_var;
         let n = Plan.trip_count ~start ~stop ~step in
         entries := !entries + n;
         iterate s l_slot ~start ~step n body)
@@ -86,54 +84,23 @@ let compile_loop ~entries l_var l_slot (l_iter : Plan.citer) body =
       iterate_values s l_slot vs body
 
 let run ?on_hit (plan : Plan.t) =
-  let metrics = Metrics.current () in
-  let prov = Provenance.current () in
-  (* Provenance accumulates into a run-private local (no synchronization
-     in the hot path) published into the ambient collector at run end,
-     so parallel chunk runs compose by summation. *)
-  let plocal =
-    Option.map (fun _ -> Provenance.local_of (Provenance.attribution plan)) prov
-  in
-  let instrumented = Obs.instrumenting () || metrics <> None in
-  (* Per-constraint evaluation-latency histograms ([None] = metrics off). *)
-  let eval_hists =
-    Option.map
-      (fun r ->
-        Array.map
-          (fun (name, _) ->
-            Metrics.histogram r ~unit_:"ns" ~name:"constraint_eval_ns"
-              ~labels:[ ("constraint", name) ]
-              ())
-          plan.Plan.constraint_info)
-      metrics
-  in
+  let r = Engine.Run.start plan in
+  let instrumented = r.Engine.Run.instrumented in
+  let plocal = Option.map snd r.Engine.Run.prov in
   let slots = Array.make (max 1 plan.Plan.n_slots) 0 in
-  let n_constraints = Array.length plan.Plan.constraint_info in
-  let n_loops = List.length plan.Plan.iter_order in
-  let pruned = Array.make n_constraints 0 in
-  let depth_entries = Array.make (max 1 n_loops) 0 in
   let survivors = ref 0 in
-  (* The compiled closures own their counters; these fold them into
-     [pruned] and [depth_entries] after the sweep. *)
+  (* The compiled closures own their counters; these fold them into the
+     run record's [pruned] and [depth_entries] after the sweep. *)
   let folds = ref [] in
   let at_end f = folds := f :: !folds in
+  let pruned = r.Engine.Run.pruned in
+  let depth_entries = r.Engine.Run.depth_entries in
   let add_entries depth n = depth_entries.(depth) <- depth_entries.(depth) + n in
   (* Instrumented mode only: live point count for throughput sampling,
      outer-loop progress, and per-level / per-constraint time. *)
-  let check_time = Array.make (max 1 n_constraints) 0 in
-  let level_time = Array.make (max 1 n_loops) 0 in
+  let level_time = r.Engine.Run.level_time in
   let points = ref 0 in
-  let outer_total = ref 0 in
-  let outer_done = ref 0 in
-  let sampler = Engine.make_sampler () in
-  let tick () =
-    if !points land Engine.sample_mask = 0 then
-      Engine.sample sampler ~points:!points ~survivors:!survivors
-        ~frac:
-          (if !outer_total > 0 then
-             float_of_int !outer_done /. float_of_int !outer_total
-           else -1.0)
-  in
+  let tick () = Engine.Run.tick r ~points:!points ~survivors:!survivors in
   let hit =
     let count =
       match on_hit with
@@ -169,13 +136,7 @@ let run ?on_hit (plan : Plan.t) =
         end
         else k s
     | true, _ ->
-      let record =
-        match eval_hists with
-        | None -> fun _ -> ()
-        | Some hists ->
-          let h = hists.(c_index) in
-          fun dt -> Metrics.record h dt
-      in
+      let charge = Engine.Run.charge r c_index in
       let prov_fire =
         match plocal with
         | None -> fun _ -> ()
@@ -184,9 +145,7 @@ let run ?on_hit (plan : Plan.t) =
       fun s ->
         let t0 = Clock.now_ns () in
         let v = cond s in
-        let dt = Clock.now_ns () - t0 in
-        check_time.(c_index) <- check_time.(c_index) + dt;
-        record dt;
+        charge (Clock.now_ns () - t0);
         if v then begin
           incr fired;
           prov_fire s
@@ -228,8 +187,8 @@ let run ?on_hit (plan : Plan.t) =
       let body s =
         incr points;
         if depth = 0 then begin
-          outer_total := !entries;
-          incr outer_done
+          r.Engine.Run.outer_total <- !entries;
+          r.Engine.Run.outer_done <- r.Engine.Run.outer_done + 1
         end;
         tick ();
         body s
@@ -273,45 +232,9 @@ let run ?on_hit (plan : Plan.t) =
         k s
   in
   let sweep = compile ~depth:0 plan.Plan.steps in
-  let t0 = Clock.now_ns () in
-  Obs.with_span ~cat:"engine"
-    ~args:[ ("space", Obs.Str plan.Plan.space_name) ]
-    "sweep:staged"
-    (fun () -> sweep slots);
+  Engine.Run.sweep r "sweep:staged" (fun () -> sweep slots);
   List.iter (fun fold -> fold ()) !folds;
-  let loop_iterations = Array.fold_left ( + ) 0 depth_entries in
-  if instrumented then
-    Engine.emit_run_aggregates ~t0 plan ~pruned ~check_time ~depth_entries
-      ~level_time;
-  (* Unconditional: one hook check per run, and the cheap way a coarse
-     status heartbeat learns per-chunk point totals. *)
-  Obs.progress_tick ~points:loop_iterations ~survivors:!survivors ~frac:1.0;
-  (match (prov, plocal) with
-  | Some collector, Some pl -> Provenance.publish collector ~depth_entries pl
-  | _ -> ());
-  (* Counters add across chunks and shards, so per-run adds compose. *)
-  Option.iter
-    (fun r ->
-      List.iteri
-        (fun d var ->
-          Metrics.add
-            (Metrics.counter r ~name:"loop_entries_total"
-               ~labels:[ ("depth", string_of_int d); ("var", var) ]
-               ())
-            depth_entries.(d))
-        plan.Plan.iter_order;
-      Metrics.add (Metrics.counter r ~name:"points_total" ~labels:[] ())
-        loop_iterations;
-      Metrics.add (Metrics.counter r ~name:"survivors_total" ~labels:[] ())
-        !survivors)
-    metrics;
-  {
-    Engine.survivors = !survivors;
-    loop_iterations;
-    pruned =
-      Array.mapi
-        (fun i (n, c) -> (n, c, pruned.(i)))
-        plan.Plan.constraint_info;
-  }
+  Engine.Run.finish r ~survivors:!survivors
+    ~loop_iterations:(Array.fold_left ( + ) 0 depth_entries)
 
 let run_space ?on_hit space = run ?on_hit (Plan.make_exn space)

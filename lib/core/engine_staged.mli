@@ -9,8 +9,9 @@
     semantics (Section VIII-A). *)
 
 val run : ?on_hit:Engine.on_hit -> Plan.t -> Engine.stats
-(** One full sweep. Raises [Expr.Eval_error] on a zero-step range and
-    [Division_by_zero] if a body divides by zero. *)
+(** One full sweep. Raises [Expr.Eval_error "<var>: zero range step"]
+    on a range loop whose step evaluates to 0 and [Division_by_zero] if
+    a body divides by zero. *)
 
 val run_space : ?on_hit:Engine.on_hit -> Space.t -> Engine.stats
 (** Convenience: plan (with hoisting) and run.

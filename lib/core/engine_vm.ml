@@ -319,38 +319,34 @@ let compile ?(instrument = false) (plan : Plan.t) =
 
 let run ?on_hit (p : program) =
   let plan = p.prog_plan in
+  let r = Engine.Run.start plan in
   let regs = Array.make p.n_regs 0 in
   (* Registers [0, n_slots) ARE the plan's slots, so the provenance
      accumulator reads them directly. Resolved to no-op closures when no
      collector is installed; per-depth entries need an instrumented
      program ({!run_plan} selects one whenever provenance is on). *)
-  let prov = Provenance.current () in
-  let plocal =
-    Option.map (fun _ -> Provenance.local_of (Provenance.attribution plan)) prov
-  in
   let prov_fire, prov_hit =
-    match plocal with
+    match r.Engine.Run.prov with
     | None -> ((fun _ -> ()), fun () -> ())
-    | Some pl ->
+    | Some (_, pl) ->
       ( (fun c -> Provenance.fire pl regs c),
         fun () -> Provenance.hit pl regs )
   in
   let arrays = Array.make p.n_arrays [||] in
   List.iter (fun (aid, vs) -> arrays.(aid) <- vs) p.static_arrays;
-  let n_constraints = Array.length plan.Plan.constraint_info in
-  let pruned = Array.make n_constraints 0 in
+  let pruned = r.Engine.Run.pruned in
   let survivors = ref 0 in
   let loop_iterations = ref 0 in
   (* Instrumentation state; only touched by instructions that exist in
      instrumented programs. The VM cannot cheaply track its position in
      the outermost loop, so progress ticks report frac = -1 (unknown). *)
-  let n_loops = max 1 (List.length plan.Plan.iter_order) in
-  let check_time = Array.make (max 1 n_constraints) 0 in
-  let depth_entries = Array.make n_loops 0 in
-  let level_time = Array.make n_loops 0 in
-  let lstart = Array.make n_loops 0 in
+  let depth_entries = r.Engine.Run.depth_entries in
+  let level_time = r.Engine.Run.level_time in
+  let charges =
+    Array.init (Array.length plan.Plan.constraint_info) (Engine.Run.charge r)
+  in
+  let lstart = Array.make (Array.length level_time) 0 in
   let tic = ref 0 in
-  let sampler = Engine.make_sampler () in
   let hit =
     match on_hit with
     | None -> fun () -> incr survivors
@@ -406,7 +402,7 @@ let run ?on_hit (p : program) =
       incr pc
     | Itrip (d, s, e, st) ->
       let start = regs.(s) and stop = regs.(e) and step = regs.(st) in
-      if step = 0 then raise (Expr.Eval_error "Engine_vm: zero range step");
+      if step = 0 then Engine.zero_step plan.Plan.slot_names.(s);
       regs.(d) <- Plan.trip_count ~start ~stop ~step;
       incr pc
     | Iprune (c, t) ->
@@ -418,10 +414,10 @@ let run ?on_hit (p : program) =
       let n = Array.length dead in
       loop_iterations := !loop_iterations + n;
       if p.instrumented then depth_entries.(depth) <- depth_entries.(depth) + n;
-      (match plocal with
+      (match r.Engine.Run.prov with
       | None ->
         Array.iter (fun (c, m) -> pruned.(c) <- pruned.(c) + m) counts
-      | Some pl ->
+      | Some (_, pl) ->
         Array.iter
           (fun (v, c) ->
             pruned.(c) <- pruned.(c) + 1;
@@ -446,15 +442,13 @@ let run ?on_hit (p : program) =
       incr pc
     | Iobs d ->
       depth_entries.(d) <- depth_entries.(d) + 1;
-      if !loop_iterations land Engine.sample_mask = 0 then
-        Engine.sample sampler ~points:!loop_iterations ~survivors:!survivors
-          ~frac:(-1.0);
+      Engine.Run.tick r ~points:!loop_iterations ~survivors:!survivors;
       incr pc
     | Itic ->
       tic := Clock.now_ns ();
       incr pc
     | Itoc c ->
-      check_time.(c) <- check_time.(c) + (Clock.now_ns () - !tic);
+      charges.(c) (Clock.now_ns () - !tic);
       incr pc
     | Iltic d ->
       lstart.(d) <- Clock.now_ns ();
@@ -465,28 +459,15 @@ let run ?on_hit (p : program) =
     | Ihalt -> running := false
     done
   in
-  let t0 = Clock.now_ns () in
-  Obs.with_span ~cat:"engine"
-    ~args:[ ("space", Obs.Str plan.Plan.space_name) ]
-    "sweep:vm" dispatch;
-  if p.instrumented then
-    Engine.emit_run_aggregates ~t0 plan ~pruned ~check_time ~depth_entries
-      ~level_time;
-  Obs.progress_tick ~points:!loop_iterations ~survivors:!survivors ~frac:1.0;
-  (match (prov, plocal) with
-  | Some collector, Some pl -> Provenance.publish collector ~depth_entries pl
-  | _ -> ());
-  {
-    Engine.survivors = !survivors;
-    loop_iterations = !loop_iterations;
-    pruned =
-      Array.mapi (fun i (n, c) -> (n, c, pruned.(i))) plan.Plan.constraint_info;
-  }
+  Engine.Run.sweep r "sweep:vm" dispatch;
+  Engine.Run.finish r ~survivors:!survivors ~loop_iterations:!loop_iterations
 
+(* Provenance needs the per-depth entries only instrumented programs
+   count, so it selects one too. *)
 let run_plan ?on_hit plan =
   run ?on_hit
     (compile
-       ~instrument:(Obs.instrumenting () || Provenance.enabled ())
+       ~instrument:(Engine.Run.instrumenting () || Provenance.enabled ())
        plan)
 
 let run_space ?on_hit space = run_plan ?on_hit (Plan.make_exn space)

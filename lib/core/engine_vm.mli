@@ -16,12 +16,17 @@ type program
     instructions — per-depth entry counts, per-constraint and per-level
     stopwatches, throughput sampling. An uninstrumented program contains
     no such instructions, so tracing that is off costs nothing.
-    [run_plan] and [run_space] pick the flag from
-    [Beast_obs.Obs.instrumenting] automatically. *)
+    [run_plan] and [run_space] instrument whenever the run is
+    instrumented ({!Engine.Run}: tracing, progress or metrics) or
+    provenance is on, which needs the per-depth entry counts; a program
+    compiled without it reports no per-depth entries. *)
 val compile : ?instrument:bool -> Plan.t -> program
 val disassemble : program -> string
 val instruction_count : program -> int
 
 val run : ?on_hit:Engine.on_hit -> program -> Engine.stats
+(** Raises [Expr.Eval_error "<var>: zero range step"] on a range loop
+    whose step evaluates to 0, and [Division_by_zero]. *)
+
 val run_plan : ?on_hit:Engine.on_hit -> Plan.t -> Engine.stats
 val run_space : ?on_hit:Engine.on_hit -> Space.t -> Engine.stats

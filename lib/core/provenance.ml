@@ -273,10 +273,6 @@ type local = {
   l_removed : int array;
   l_exact : bool array;
   l_cells : (int, cell_acc) Hashtbl.t;
-  mutable l_static : int;
-      (* points removed via Static_prune replay rather than a live
-         firing: a subset of l_removed, surfaced as the "static
-         propagation" waterfall row *)
 }
 
 let local_of at =
@@ -286,7 +282,6 @@ let local_of at =
     l_removed = Array.make (max 1 n_c) 0;
     l_exact = Array.make (max 1 n_c) true;
     l_cells = Hashtbl.create 64;
-    l_static = 0;
   }
 
 let cell_of tbl v =
@@ -322,14 +317,11 @@ let fire local slots c =
 (* Replay one Static_prune dead value: the engine never binds it, so
    substitute it into the live slot array for the duration of the
    firing (the removal program and the density cell both read it),
-   then restore. The removal delta also accumulates into [l_static] —
-   the "static propagation" share of the waterfall. *)
+   then restore. *)
 let static_fire local slots ~slot ~value c =
   let saved = slots.(slot) in
   slots.(slot) <- value;
-  let before = local.l_removed.(c) in
   fire local slots c;
-  local.l_static <- local.l_static + (local.l_removed.(c) - before);
   slots.(slot) <- saved
 
 let hit local slots =
@@ -356,7 +348,6 @@ type t = {
   mutable g_removed : int array;
   mutable g_exact : bool array;
   mutable g_depth_entries : int array;
-  mutable g_static : int;
   g_cells : (int, cell_acc) Hashtbl.t;
 }
 
@@ -367,7 +358,6 @@ let create () =
     g_removed = [||];
     g_exact = [||];
     g_depth_entries = [||];
-    g_static = 0;
     g_cells = Hashtbl.create 64;
   }
 
@@ -411,7 +401,6 @@ let publish t ~depth_entries local =
       for d = 0 to n - 1 do
         t.g_depth_entries.(d) <- t.g_depth_entries.(d) + depth_entries.(d)
       done;
-      t.g_static <- t.g_static + local.l_static;
       Hashtbl.iter
         (fun v (c : cell_acc) ->
           let g = cell_of t.g_cells v in
@@ -439,9 +428,6 @@ type summary = {
   pv_iters : string list;
   pv_constraints : crow list;
   pv_depth_entries : int list;
-  pv_static : int;
-      (* points removed by Static_prune replay; 0 for unpropagated runs
-         and for summaries read from files that predate propagation *)
   pv_cells : cell list;
 }
 
@@ -473,7 +459,6 @@ let summary t =
                     (if t.g_exact.(i) then Some t.g_removed.(i) else None);
                 });
           pv_depth_entries = Array.to_list t.g_depth_entries;
-          pv_static = t.g_static;
           pv_cells = cells_sorted t.g_cells;
         })
 
@@ -549,8 +534,6 @@ let merge_summaries = function
           pv_iters = first.pv_iters;
           pv_constraints = constraints;
           pv_depth_entries = depth_entries;
-          pv_static =
-            List.fold_left (fun acc s -> acc + s.pv_static) 0 all;
           pv_cells = cells_sorted tbl;
         }
     end
@@ -585,9 +568,6 @@ let add_json buf ~indent s =
       add "%s\"%s\"" (if i = 0 then "" else ", ") (escape_string v))
     s.pv_iters;
   add "],\n";
-  (* Key emitted only when propagation removed something, so files from
-     unpropagated runs stay byte-identical to pre-propagation builds. *)
-  if s.pv_static > 0 then add "%s\"static_removed\": %d,\n" inner s.pv_static;
   add "%s\"constraints\": [" inner;
   List.iteri
     (fun i r ->
@@ -652,17 +632,11 @@ let of_jsonx (json : Jsonx.t) : (summary, string) result =
           })
         (Jsonx.to_list "cells" (Jsonx.member "cells" json))
     in
-    let static =
-      match Jsonx.member_opt "static_removed" json with
-      | None -> 0
-      | Some v -> Jsonx.to_int "static_removed" v
-    in
     Ok
       {
         pv_iters = iters;
         pv_constraints = constraints;
         pv_depth_entries = depth_entries;
-        pv_static = static;
         pv_cells = cells;
       }
   with Jsonx.Error msg -> Error msg

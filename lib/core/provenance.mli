@@ -75,8 +75,7 @@ val static_fire : local -> int array -> slot:int -> value:int -> int -> unit
     rejected loop value is substituted into [slots] at [slot] for the
     duration of the firing and restored afterwards. Removal counts and
     density cells accumulate exactly as if the constraint had fired
-    live; the removal delta is additionally tracked as statically
-    removed ({!summary}'s [pv_static]). *)
+    live. *)
 
 val hit : local -> int array -> unit
 (** A point survived: credit the current outer-value cell. *)
@@ -115,10 +114,6 @@ type summary = {
   pv_iters : string list;  (** loop variables, outermost first *)
   pv_constraints : crow list;  (** by [c_index] *)
   pv_depth_entries : int list;  (** loop entries per depth *)
-  pv_static : int;
-      (** points removed via {!Plan.Static_prune} replay (a subset of
-          the per-constraint totals); 0 for unpropagated runs and for
-          files written before propagation existed *)
   pv_cells : cell list;  (** sorted by [cell_value] *)
 }
 

@@ -85,27 +85,23 @@ let test_work_stealing_matches_staged_on_gemm () =
         (Printf.sprintf "stealing domains=%d" domains)
         seq
         (Engine_parallel.run ~domains plan))
-    [ 2; 3; 4 ];
-  Alcotest.check Support.stats_testable "static split" seq
-    (Engine_parallel.run_static ~domains:4 plan)
+    [ 2; 3; 4 ]
 
 let test_parallel_more_domains_than_trip_count () =
-  (* 16 domains over an outer loop with 8 values: most static slices and
-     most chunks are empty; stats must still match the sequential run,
-     depth-0 counters included. *)
+  (* 16 domains over an outer loop with 8 values: most chunks are empty;
+     stats must still match the sequential run, depth-0 counters
+     included. *)
   let sp = Support.triangle_space () in
   let open Expr.Infix in
   Space.constrain sp ~cls:Space.Soft "d0_never" (Expr.int 9 <: Expr.int 8);
   let plan = Plan.make_exn sp in
   let seq = Engine_staged.run plan in
   Alcotest.check Support.stats_testable "stealing" seq
-    (Engine_parallel.run ~domains:16 plan);
-  Alcotest.check Support.stats_testable "static" seq
-    (Engine_parallel.run_static ~domains:16 plan)
+    (Engine_parallel.run ~domains:16 plan)
 
 let test_parallel_firing_depth0_deduped () =
-  (* A depth-0 constraint that fires runs once per chunk/slice; the
-     merged count must stay 1, as sequentially. *)
+  (* A depth-0 constraint that fires runs once per chunk; the merged
+     count must stay 1, as sequentially. *)
   let sp = Support.triangle_space () in
   let open Expr.Infix in
   Space.constrain sp ~cls:Space.Hard "d0_always" (Expr.int 8 <: Expr.int 9);
@@ -113,9 +109,7 @@ let test_parallel_firing_depth0_deduped () =
   let seq = Engine_staged.run plan in
   Alcotest.(check int) "sequential survivors" 0 seq.Engine.survivors;
   Alcotest.check Support.stats_testable "stealing" seq
-    (Engine_parallel.run ~domains:4 plan);
-  Alcotest.check Support.stats_testable "static" seq
-    (Engine_parallel.run_static ~domains:4 plan)
+    (Engine_parallel.run ~domains:4 plan)
 
 let test_on_hit_receives_bindings () =
   let acc = ref [] in
@@ -250,13 +244,22 @@ let test_accounting_zero_step () =
   Space.iterator sp "y"
     (Iter.range ~step:(Expr.var "x" -: Expr.var "x") (Expr.int 0) (Expr.int 5));
   let plan = Plan.make_exn sp in
-  (match Engine_staged.run plan with
-  | _ -> Alcotest.fail "zero step accepted"
-  | exception Expr.Eval_error msg ->
-    Alcotest.(check string) "names the loop" "y: zero range step" msg);
-  match Engine_interp.run_plan plan with
-  | _ -> Alcotest.fail "interp accepted a zero step"
-  | exception Expr.Eval_error _ -> ()
+  (* Every in-process engine names the loop in one diagnostic. *)
+  List.iter
+    (fun (name, run) ->
+      match run () with
+      | (_ : Engine.stats) -> Alcotest.failf "%s accepted a zero step" name
+      | exception Expr.Eval_error msg ->
+        Alcotest.(check string) (name ^ " names the loop") "y: zero range step"
+          msg)
+    [
+      ("staged", fun () -> Engine_staged.run plan);
+      ("vm", fun () -> Engine_vm.run_plan plan);
+      ("interp plan", fun () -> Engine_interp.run_plan plan);
+      ("interp space", fun () -> Engine_interp.run sp);
+      ("interp naive", fun () -> Engine_interp.run ~variant:`Naive sp);
+      ("parallel", fun () -> Engine_parallel.run ~domains:2 plan);
+    ]
 
 let test_dynamic_algebra_iterators () =
   (* Union/intersection/filter with iterator-dependent operands exercise

@@ -248,6 +248,21 @@ let test_merge_gauge_and_mixed () =
 (* End-to-end: sharded instrumented sweeps over the real GEMM space     *)
 (* ------------------------------------------------------------------ *)
 
+(* How many times each constraint was evaluated: its latency histogram's
+   count. *)
+let evals snap name =
+  match
+    Metrics.Snapshot.find snap ~name:"constraint_eval_ns"
+      ~labels:[ ("constraint", name) ]
+  with
+  | Some { Metrics.value = Metrics.Vhist h; _ } -> h.Metrics.s_count
+  | _ -> Alcotest.failf "no eval histogram for %s" name
+
+let counter snap name labels =
+  match Metrics.Snapshot.find snap ~name ~labels with
+  | Some { Metrics.value = Metrics.Vcounter v; _ } -> v
+  | _ -> Alcotest.failf "no counter %s" name
+
 let instrumented_run plan ~shards =
   List.init shards (fun index ->
       let r = Metrics.create () in
@@ -285,14 +300,6 @@ let test_e2e_sharded_counts_match () =
     (List.find (fun c -> c.Stats_io.cr_name = name) full.Stats_io.constraints)
       .Stats_io.cr_depth0
   in
-  let evals snap name =
-    match
-      Metrics.Snapshot.find snap ~name:"constraint_eval_ns"
-        ~labels:[ ("constraint", name) ]
-    with
-    | Some { Metrics.value = Metrics.Vhist h; _ } -> h.Metrics.s_count
-    | _ -> Alcotest.failf "no eval histogram for %s" name
-  in
   Array.iter
     (fun (name, _) ->
       let expect =
@@ -302,11 +309,6 @@ let test_e2e_sharded_counts_match () =
         (Printf.sprintf "eval count for %s" name)
         expect (evals merged_snap name))
     plan.Plan.constraint_info;
-  let counter snap name labels =
-    match Metrics.Snapshot.find snap ~name ~labels with
-    | Some { Metrics.value = Metrics.Vcounter v; _ } -> v
-    | _ -> Alcotest.failf "no counter %s" name
-  in
   Alcotest.(check int) "points_total matches"
     (counter full_snap "points_total" [])
     (counter merged_snap "points_total" []);
@@ -330,6 +332,63 @@ let test_e2e_sharded_counts_match () =
     (fun sub ->
       Alcotest.(check bool) (sub ^ " in report") true (contains text sub))
     [ "p50"; "p95"; "p99"; "hot constraints"; "loop entries"; "phases" ]
+
+(* ------------------------------------------------------------------ *)
+(* Cross-engine: one run record, the same counters everywhere           *)
+(* ------------------------------------------------------------------ *)
+
+let test_engines_emit_same_metrics () =
+  (* Propagation removes values from the batched TRSM space, so the
+     replayed static prunes are counted too. *)
+  let plan =
+    Propagate.pass (Plan.make_exn (Beast_kernels.Trsm_batched.space ()))
+  in
+  Alcotest.(check bool) "plan is propagated" true (Plan.static_pruned plan > 0);
+  let snapshot_of run =
+    let r = Metrics.create () in
+    Metrics.set_current r;
+    let (_ : Engine.stats) =
+      Fun.protect ~finally:Metrics.clear_current (fun () -> run plan)
+    in
+    Metrics.snapshot r
+  in
+  let reference = snapshot_of Engine_staged.run in
+  Alcotest.(check bool) "points counted" true
+    (counter reference "points_total" [] > 0);
+  let depth0 = Plan.depth0_constraints plan in
+  List.iter
+    (fun (engine, run, chunks) ->
+      let snap = snapshot_of run in
+      let same what name labels =
+        Alcotest.(check int)
+          (Printf.sprintf "%s: %s" engine what)
+          (counter reference name labels)
+          (counter snap name labels)
+      in
+      same "points_total" "points_total" [];
+      same "survivors_total" "survivors_total" [];
+      List.iteri
+        (fun d var ->
+          same
+            (Printf.sprintf "loop entries at depth %d" d)
+            "loop_entries_total"
+            [ ("depth", string_of_int d); ("var", var) ])
+        plan.Plan.iter_order;
+      (* Depth-0 constraints evaluate once per parallel chunk. *)
+      Array.iteri
+        (fun i (name, _) ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s: evaluations of %s" engine name)
+            ((if depth0.(i) then chunks else 1) * evals reference name)
+            (evals snap name))
+        plan.Plan.constraint_info)
+    [
+      ("interp", Engine_interp.run_plan ?on_hit:None, 1);
+      ("vm", Engine_vm.run_plan ?on_hit:None, 1);
+      ( "parallel:3",
+        Engine_parallel.run ?on_hit:None ~domains:3,
+        3 * Engine_parallel.default_chunks_per_domain );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                       *)
@@ -447,6 +506,11 @@ let () =
             test_merge_gauge_and_mixed;
           Alcotest.test_case "e2e sharded GEMM counts" `Quick
             test_e2e_sharded_counts_match;
+        ] );
+      ( "engines",
+        [
+          Alcotest.test_case "same counters on every engine" `Quick
+            test_engines_emit_same_metrics;
         ] );
       ( "serialization",
         [

@@ -217,7 +217,7 @@ let test_sharded_identity () =
     (spaces ())
 
 (* ------------------------------------------------------------------ *)
-(* Provenance: static firings surface without disturbing attribution   *)
+(* Provenance: static firings replay exactly like live ones            *)
 (* ------------------------------------------------------------------ *)
 
 let test_provenance_static () =
@@ -229,22 +229,10 @@ let test_provenance_static () =
   let (_ : Engine.stats), prop =
     Provenance.with_collector (fun () -> Engine_staged.run propagated)
   in
-  Alcotest.(check int) "unpropagated pv_static" 0 base.Provenance.pv_static;
-  (* 5 dead x values, each removing the 3-point y subtree. *)
-  Alcotest.(check int) "propagated pv_static" 15 prop.Provenance.pv_static;
-  Alcotest.(check bool)
-    "same per-constraint removal" true
-    (List.for_all2
-       (fun (a : Provenance.crow) (b : Provenance.crow) ->
-         a.Provenance.pc_name = b.Provenance.pc_name
-         && a.Provenance.pc_removed = b.Provenance.pc_removed)
-       base.Provenance.pv_constraints prop.Provenance.pv_constraints);
-  Alcotest.(check (list int))
-    "same depth entries" base.Provenance.pv_depth_entries
-    prop.Provenance.pv_depth_entries;
-  Alcotest.(check bool)
-    "same density cells" true
-    (base.Provenance.pv_cells = prop.Provenance.pv_cells)
+  (* 5 dead x values, each replayed as a firing that removes the
+     3-point y subtree: the summary cannot tell them from live ones. *)
+  Alcotest.(check int) "dead values" 5 (Plan.static_pruned propagated);
+  Alcotest.(check bool) "identical summaries" true (base = prop)
 
 let () =
   Alcotest.run "propagate"

@@ -182,50 +182,64 @@ let test_engines_agree () =
 (* Shard merge                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let shard_stats sp n i =
+(* What [beast sweep --explain-out] writes: the stats file with the
+   provenance section. Like the CLI, a shard chunks the plan before
+   propagating it. *)
+let run_io ?(propagate = false) ?shard sp =
   let plan = Plan.make_exn sp in
-  let chunk = Plan.chunk_outer plan ~index:i ~of_:n in
-  let stats, summary =
-    Provenance.with_collector (fun () -> Engine_staged.run chunk)
+  let chunk, shard_info =
+    match shard with
+    | None -> (plan, Stats_io.unsharded)
+    | Some (index, of_) ->
+      ( Plan.chunk_outer plan ~index ~of_,
+        { Stats_io.shard_index = index; shard_of = of_ } )
   in
-  Stats_io.of_stats ~plan
-    ~shard:{ Stats_io.shard_index = i; shard_of = n }
-    ~provenance:summary stats
-
-let unsharded_stats sp =
-  let plan = Plan.make_exn sp in
+  let run_plan = if propagate then Propagate.pass chunk else chunk in
   let stats, summary =
-    Provenance.with_collector (fun () -> Engine_staged.run plan)
+    Provenance.with_collector (fun () -> Engine_staged.run run_plan)
   in
-  Stats_io.of_stats ~plan ~provenance:summary stats
+  Stats_io.of_stats ~plan ~shard:shard_info ~provenance:summary stats
 
-let test_shard_merge_byte_identical () =
-  let sp () = Support.triangle_space () in
-  let shards = List.init 3 (fun i -> shard_stats (sp ()) 3 i) in
+let merge_exn shards =
+  match Stats_io.merge shards with
+  | Ok t -> t
+  | Error e -> Alcotest.failf "merge failed: %s" e
+
+let check_shard_merge sp =
   let merged =
-    match Stats_io.merge shards with
-    | Ok t -> t
-    | Error e -> Alcotest.failf "merge failed: %s" e
+    merge_exn (List.init 3 (fun i -> run_io ~shard:(i, 3) (sp ())))
   in
   Alcotest.(check string) "merged JSON == unsharded JSON"
-    (Stats_io.to_json (unsharded_stats (sp ())))
+    (Stats_io.to_json (run_io (sp ())))
     (Stats_io.to_json merged)
 
-let test_shard_merge_gemm () =
-  let sp = gemm_space in
-  let shards = List.init 3 (fun i -> shard_stats (sp ()) 3 i) in
+let test_shard_merge_byte_identical () =
+  check_shard_merge Support.triangle_space
+
+let test_shard_merge_gemm () = check_shard_merge gemm_space
+
+(* The explain file depends on the space alone: propagation replays its
+   dead values as ordinary firings, so neither propagating nor
+   propagating per shard and merging changes a byte. Propagation removes
+   values from the batched TRSM space (it leaves the scaled GEMM one
+   untouched). *)
+let test_explain_propagation_invariant () =
+  let sp = Beast_kernels.Trsm_batched.space in
+  Alcotest.(check bool) "propagation removes values" true
+    (Plan.static_pruned (Propagate.pass (Plan.make_exn (sp ()))) > 0);
+  let unpropagated = Stats_io.to_json (run_io (sp ())) in
+  Alcotest.(check string) "propagated == unpropagated" unpropagated
+    (Stats_io.to_json (run_io ~propagate:true (sp ())));
   let merged =
-    match Stats_io.merge shards with
-    | Ok t -> t
-    | Error e -> Alcotest.failf "merge failed: %s" e
+    merge_exn
+      (List.init 2 (fun i -> run_io ~propagate:true ~shard:(i, 2) (sp ())))
   in
-  Alcotest.(check string) "merged JSON == unsharded JSON"
-    (Stats_io.to_json (unsharded_stats (sp ())))
+  Alcotest.(check string) "propagated 2-way merge == unsharded" unpropagated
     (Stats_io.to_json merged)
 
 let test_shard_merge_mixed_presence () =
   let sp () = Support.triangle_space () in
-  let with_prov = shard_stats (sp ()) 2 0 in
+  let with_prov = run_io ~shard:(0, 2) (sp ()) in
   let without =
     let plan = Plan.make_exn (sp ()) in
     let chunk = Plan.chunk_outer plan ~index:1 ~of_:2 in
@@ -276,14 +290,24 @@ let test_summary_json_roundtrip () =
   let buf = Buffer.create 256 in
   Provenance.add_json buf ~indent:"" summary;
   let parsed = Beast_obs.Jsonx.parse_exn (Buffer.contents buf) in
-  match Provenance.of_jsonx parsed with
+  (match Provenance.of_jsonx parsed with
   | Ok summary' ->
     Alcotest.(check bool) "roundtrip preserves the summary" true
       (summary = summary')
-  | Error e -> Alcotest.failf "decode failed: %s" e
+  | Error e -> Alcotest.failf "decode failed: %s" e);
+  (* Files written before the key was dropped still parse. *)
+  let json = Buffer.contents buf in
+  let old =
+    "{ \"static_removed\": 15,"
+    ^ String.sub json 1 (String.length json - 1)
+  in
+  match Provenance.of_jsonx (Beast_obs.Jsonx.parse_exn old) with
+  | Ok summary' ->
+    Alcotest.(check bool) "static_removed is ignored" true (summary = summary')
+  | Error e -> Alcotest.failf "decode of an older file failed: %s" e
 
 let test_stats_io_roundtrip () =
-  let io = unsharded_stats (Support.triangle_space ()) in
+  let io = run_io (Support.triangle_space ()) in
   let json = Stats_io.to_json io in
   match Stats_io.of_json json with
   | Ok io' -> Alcotest.(check string) "byte-stable" json (Stats_io.to_json io')
@@ -295,7 +319,7 @@ let test_stats_io_roundtrip () =
 
 let test_funnel_of_run () =
   let reference = Stats.funnel (Support.triangle_space ()) in
-  match Stats.funnel_of_run (unsharded_stats (Support.triangle_space ())) with
+  match Stats.funnel_of_run (run_io (Support.triangle_space ())) with
   | Ok f -> check_funnels_agree "of_run" reference f
   | Error e -> Alcotest.failf "funnel_of_run failed: %s" e
 
@@ -316,7 +340,7 @@ let render io =
   (r, Buffer.contents buf)
 
 let test_explain_sections () =
-  match render (unsharded_stats (Support.triangle_space ())) with
+  match render (run_io (Support.triangle_space ())) with
   | Ok (), out ->
     List.iter
       (fun section ->
@@ -364,6 +388,8 @@ let () =
           Alcotest.test_case "3-way byte-identical" `Quick
             test_shard_merge_byte_identical;
           Alcotest.test_case "3-way gemm" `Quick test_shard_merge_gemm;
+          Alcotest.test_case "propagation invariant" `Quick
+            test_explain_propagation_invariant;
           Alcotest.test_case "mixed presence rejected" `Quick
             test_shard_merge_mixed_presence;
           Alcotest.test_case "summary mismatch rejected" `Quick
