@@ -371,18 +371,22 @@ let funnel () =
   Format.printf "%a" Stats.pp f;
   Printf.printf "pruned fraction: %.4f%%\n" (100.0 *. Stats.pruned_fraction f);
   (* And the single-sweep funnel of the plain space at a larger scale:
-     firing counts only, with the unconstrained cardinality bounded. *)
+     firing counts only, with the unconstrained size counted exactly by
+     the feasible-set diagram instead of enumerated. *)
   let device = Device.scale ~max_dim:16 ~max_threads:64 Device.tesla_k40c in
   let settings = { Gemm.default_settings with Gemm.device } in
   let sp = Gemm.space ~settings () in
   let stats = Engine_staged.run_space sp in
+  let unconstrained =
+    Plan.make_exn (Space.filter_constraints sp ~keep:(fun _ -> false))
+  in
   let total =
-    match Sweep.cardinality ~budget:2_000_000 sp with
-    | `Exact n -> n
-    | `At_least n -> n
+    match Feasible.build unconstrained with
+    | Ok f -> string_of_int (Feasible.count f)
+    | Error msg -> Printf.sprintf "? (feasible set refused: %s)" msg
   in
   Printf.printf
-    "plain space at 16-dim scale: %d survivors of > %d raw points; top firing constraints:\n"
+    "plain space at 16-dim scale: %d survivors of %s raw points; top firing constraints:\n"
     stats.Engine.survivors total;
   Array.to_list stats.Engine.pruned
   |> List.sort (fun (_, _, a) (_, _, b) -> compare b a)
@@ -504,7 +508,7 @@ let ablation_parallel () =
     (fun spec ->
       match Engine_registry.find spec with
       | Error msg -> Printf.printf "%s: %s\n" spec msg
-      | Ok (module E : Engine_intf.S) ->
+      | Ok (_, (module E : Engine_intf.S)) ->
         let s, t = time_once (fun () -> E.run (Engine_intf.Plan plan)) in
         Printf.printf "%-12s %8.3f s, survivors %d\n" E.name t
           s.Engine.survivors)
@@ -714,7 +718,7 @@ let ablation_native () =
       (fun spec ->
         match Engine_registry.find spec with
         | Error msg -> failwith ("bench: " ^ spec ^ ": " ^ msg)
-        | Ok (module E : Engine_intf.S) ->
+        | Ok (_, (module E : Engine_intf.S)) ->
           (* Warm-up run: native pays its one-time C compile here (kept
              as the cold figure), parallel its domain spawn; then time
              the steady state every later sweep sees. *)
@@ -1026,6 +1030,96 @@ let load_bench_json path =
   | exception Sys_error msg -> Error msg
   | text -> Jsonx.parse text
 
+(* How a timing field is gated under --gate-timing: a slowdown past
+   +threshold%, a rise past +threshold points, or a speedup drop past
+   -threshold%. *)
+type timing = Relative of string | Points of string | Speedup of string
+
+(* What the gate checks for one bench kind: fields that must match the
+   baseline exactly, float fields (or float lists) within the %.2f
+   rounding of the file, fields the current run must report true (with
+   the reason printed on failure), and the timing rules. *)
+type gate = {
+  exact_str : string list;
+  exact_int : string list;
+  near : string list;
+  must_hold : (string * string) list;
+  timing : timing list;
+}
+
+let stealing_gate =
+  {
+    exact_str = [ "bench"; "space" ];
+    exact_int =
+      [ "max_dim"; "domains"; "chunks"; "survivors"; "loop_iterations" ];
+    near = [ "static_slice_shares_pct"; "max_chunk_share_pct" ];
+    must_hold =
+      [
+        ( "stats_match_sequential",
+          "current run must agree with the sequential sweep" );
+      ];
+    timing = [ Relative "stealing_s"; Speedup "speedup" ];
+  }
+
+let gates =
+  [
+    ( "ablation-status",
+      {
+        exact_str = [ "bench"; "space" ];
+        exact_int = [ "max_dim"; "survivors" ];
+        near = [];
+        must_hold =
+          [
+            ( "status_parses",
+              "final heartbeat snapshot must be parseable and completed" );
+            ("flight_nonempty", "flight recorder must dump at least one event");
+          ];
+        timing = [ Points "overhead_pct" ];
+      } );
+    ( "ablation-native",
+      {
+        exact_str = [ "bench"; "space" ];
+        exact_int =
+          [ "max_dim"; "max_threads"; "survivors"; "loop_iterations" ];
+        near = [];
+        must_hold =
+          [
+            ( "engines_agree",
+              "all five engines must produce identical statistics" );
+            ( "native_fastest",
+              "the compiled tier must be strictly fastest of the five engines"
+            );
+          ];
+        timing = [ Relative "native_s" ];
+      } );
+    ( "ablation-propagate",
+      {
+        exact_str = [ "bench"; "space" ];
+        exact_int = [ "max_dim"; "survivors"; "synth_count" ];
+        near = [];
+        must_hold =
+          [
+            ( "stats_identical",
+              "the propagated plan's statistics must match the plain plan's \
+               exactly" );
+            ( "synth_count_ok",
+              "the feasible-set count of the synthetic billion-point space \
+               must equal the closed form" );
+          ];
+        timing = [ Points "delta_pct" ];
+      } );
+    ( "ablation-provenance",
+      {
+        exact_str = [ "bench"; "space" ];
+        exact_int = [ "max_dim"; "survivors"; "total_removed" ];
+        near = [];
+        must_hold =
+          [ ("exact", "attribution must stay exact on the plain gemm space") ];
+        timing = [ Points "overhead_pct" ];
+      } );
+    ("ablation-stealing", stealing_gate);
+  ]
+
 let compare_baseline ~baseline_file ~current_file ~threshold_pct ~gate_timing =
   let load what path =
     match load_bench_json path with
@@ -1060,197 +1154,77 @@ let compare_baseline ~baseline_file ~current_file ~threshold_pct ~gate_timing =
     Printf.printf "  %-28s %s  %s\n" name (if ok then "ok  " else "FAIL") detail;
     if not ok then incr failures
   in
-  let exact_int name =
-    let b = Jsonx.to_int name (Jsonx.member name base)
-    and c = Jsonx.to_int name (Jsonx.member name cur) in
-    check name (b = c) (Printf.sprintf "baseline %d, current %d" b c)
+  let field to_v name =
+    (to_v name (Jsonx.member name base), to_v name (Jsonx.member name cur))
   in
-  let exact_str name =
-    let b = Jsonx.to_str name (Jsonx.member name base)
-    and c = Jsonx.to_str name (Jsonx.member name cur) in
-    check name (b = c) (Printf.sprintf "baseline %s, current %s" b c)
+  let exact to_v show name =
+    let b, c = field to_v name in
+    check name (b = c)
+      (Printf.sprintf "baseline %s, current %s" (show b) (show c))
   in
-  (* Shares are deterministic up to the %.2f rounding in the file. *)
-  let near_float name =
-    let b = Jsonx.to_float name (Jsonx.member name base)
-    and c = Jsonx.to_float name (Jsonx.member name cur) in
+  (* A near field is one float or a list of them. *)
+  let near name =
+    let floats = function
+      | Jsonx.Arr items -> List.map (Jsonx.to_float name) items
+      | v -> [ Jsonx.to_float name v ]
+    in
+    let show v =
+      let text =
+        String.concat " " (List.map (Printf.sprintf "%.2f") (floats v))
+      in
+      match v with Jsonx.Arr _ -> "[" ^ text ^ "]" | _ -> text
+    in
+    let b, c = field (fun _ v -> v) name in
+    let fb = floats b and fc = floats c in
     check name
-      (Float.abs (b -. c) <= 0.05)
-      (Printf.sprintf "baseline %.2f, current %.2f" b c)
+      (List.length fb = List.length fc
+      && List.for_all2 (fun b c -> Float.abs (b -. c) <= 0.05) fb fc)
+      (Printf.sprintf "baseline %s, current %s" (show b) (show c))
   in
-  let bench_kind =
+  let timed rule =
+    let name, ok, show, limit =
+      match rule with
+      | Relative name ->
+        ( name,
+          (fun b c -> c <= b *. (1.0 +. (threshold_pct /. 100.0))),
+          Printf.sprintf "%.4fs",
+          Printf.sprintf "+%.0f%%" threshold_pct )
+      | Points name ->
+        ( name,
+          (fun b c -> c <= b +. threshold_pct),
+          Printf.sprintf "%+.1f%%",
+          Printf.sprintf "+%.0f points" threshold_pct )
+      | Speedup name ->
+        ( name,
+          (fun b c -> c >= b *. (1.0 -. (threshold_pct /. 100.0))),
+          Printf.sprintf "%.2fx",
+          Printf.sprintf "-%.0f%%" threshold_pct )
+    in
+    let b, c = field Jsonx.to_float name in
+    let detail = Printf.sprintf "baseline %s, current %s" (show b) (show c) in
+    if gate_timing then
+      check name (ok b c) (Printf.sprintf "%s (threshold %s)" detail limit)
+    else
+      Printf.printf "  %-28s info  %s (not gated; pass --gate-timing)\n" name
+        detail
+  in
+  let kind =
     try Jsonx.to_str "bench" (Jsonx.member "bench" base)
     with Jsonx.Error _ -> "ablation-stealing"
   in
+  let g = Option.value (List.assoc_opt kind gates) ~default:stealing_gate in
   (try
-     if bench_kind = "ablation-status" then begin
-       exact_str "bench";
-       exact_str "space";
-       exact_int "max_dim";
-       exact_int "survivors";
-       check "status_parses"
-         (Jsonx.to_bool "status_parses" (Jsonx.member "status_parses" cur))
-         "final heartbeat snapshot must be parseable and completed";
-       check "flight_nonempty"
-         (Jsonx.to_bool "flight_nonempty" (Jsonx.member "flight_nonempty" cur))
-         "flight recorder must dump at least one event";
-       let b_over =
-         Jsonx.to_float "overhead_pct" (Jsonx.member "overhead_pct" base)
-       and c_over =
-         Jsonx.to_float "overhead_pct" (Jsonx.member "overhead_pct" cur)
-       in
-       if gate_timing then
-         check "overhead_pct"
-           (c_over <= b_over +. threshold_pct)
-           (Printf.sprintf
-              "baseline +%.1f%%, current +%.1f%% (threshold +%.0f points)"
-              b_over c_over threshold_pct)
-       else
-         Printf.printf
-           "  %-28s info  baseline +%.1f%%, current +%.1f%% (not gated; pass \
-            --gate-timing)\n"
-           "overhead_pct" b_over c_over;
-       raise Exit
-     end;
-     if bench_kind = "ablation-native" then begin
-       exact_str "bench";
-       exact_str "space";
-       exact_int "max_dim";
-       exact_int "max_threads";
-       exact_int "survivors";
-       exact_int "loop_iterations";
-       check "engines_agree"
-         (Jsonx.to_bool "engines_agree" (Jsonx.member "engines_agree" cur))
-         "all five engines must produce identical statistics";
-       check "native_fastest"
-         (Jsonx.to_bool "native_fastest" (Jsonx.member "native_fastest" cur))
-         "the compiled tier must be strictly fastest of the five engines";
-       let b_native = Jsonx.to_float "native_s" (Jsonx.member "native_s" base)
-       and c_native = Jsonx.to_float "native_s" (Jsonx.member "native_s" cur)
-       and c_staged = Jsonx.to_float "staged_s" (Jsonx.member "staged_s" cur)
-       and c_interp = Jsonx.to_float "interp_s" (Jsonx.member "interp_s" cur) in
-       if gate_timing then
-         check "native_s"
-           (c_native <= b_native *. (1.0 +. (threshold_pct /. 100.0)))
-           (Printf.sprintf "baseline %.4fs, current %.4fs (threshold +%.0f%%)"
-              b_native c_native threshold_pct)
-       else
-         Printf.printf
-           "  %-28s info  native %.4fs vs staged %.4fs vs interp %.4fs (not \
-            gated; pass --gate-timing)\n"
-           "native_s" c_native c_staged c_interp;
-       raise Exit
-     end;
-     if bench_kind = "ablation-propagate" then begin
-       exact_str "bench";
-       exact_str "space";
-       exact_int "max_dim";
-       exact_int "survivors";
-       exact_int "synth_count";
-       check "stats_identical"
-         (Jsonx.to_bool "stats_identical" (Jsonx.member "stats_identical" cur))
-         "the propagated plan's statistics must match the plain plan's \
-          exactly";
-       check "synth_count_ok"
-         (Jsonx.to_bool "synth_count_ok" (Jsonx.member "synth_count_ok" cur))
-         "the feasible-set count of the synthetic billion-point space must \
-          equal the closed form";
-       let b_delta = Jsonx.to_float "delta_pct" (Jsonx.member "delta_pct" base)
-       and c_delta = Jsonx.to_float "delta_pct" (Jsonx.member "delta_pct" cur) in
-       if gate_timing then
-         check "delta_pct"
-           (c_delta <= b_delta +. threshold_pct)
-           (Printf.sprintf
-              "baseline %+.1f%%, current %+.1f%% (threshold +%.0f points)"
-              b_delta c_delta threshold_pct)
-       else
-         Printf.printf
-           "  %-28s info  baseline %+.1f%%, current %+.1f%% (not gated; pass \
-            --gate-timing)\n"
-           "delta_pct" b_delta c_delta;
-       raise Exit
-     end;
-     if bench_kind = "ablation-provenance" then begin
-       exact_str "bench";
-       exact_str "space";
-       exact_int "max_dim";
-       exact_int "survivors";
-       exact_int "total_removed";
-       check "exact"
-         (Jsonx.to_bool "exact" (Jsonx.member "exact" cur))
-         "attribution must stay exact on the plain gemm space";
-       let b_over =
-         Jsonx.to_float "overhead_pct" (Jsonx.member "overhead_pct" base)
-       and c_over =
-         Jsonx.to_float "overhead_pct" (Jsonx.member "overhead_pct" cur)
-       in
-       if gate_timing then
-         check "overhead_pct"
-           (c_over <= b_over +. threshold_pct)
-           (Printf.sprintf
-              "baseline +%.1f%%, current +%.1f%% (threshold +%.0f points)"
-              b_over c_over threshold_pct)
-       else
-         Printf.printf
-           "  %-28s info  baseline +%.1f%%, current +%.1f%% (not gated; pass \
-            --gate-timing)\n"
-           "overhead_pct" b_over c_over;
-       raise Exit
-     end;
-     exact_str "bench";
-     exact_str "space";
-     exact_int "max_dim";
-     exact_int "domains";
-     exact_int "chunks";
-     exact_int "survivors";
-     exact_int "loop_iterations";
-     let b_shares =
-       List.map
-         (Jsonx.to_float "share")
-         (Jsonx.to_list "static_slice_shares_pct"
-            (Jsonx.member "static_slice_shares_pct" base))
-     and c_shares =
-       List.map
-         (Jsonx.to_float "share")
-         (Jsonx.to_list "static_slice_shares_pct"
-            (Jsonx.member "static_slice_shares_pct" cur))
-     in
-     check "static_slice_shares_pct"
-       (List.length b_shares = List.length c_shares
-       && List.for_all2 (fun b c -> Float.abs (b -. c) <= 0.05) b_shares
-            c_shares)
-       (Printf.sprintf "baseline [%s], current [%s]"
-          (String.concat " " (List.map (Printf.sprintf "%.2f") b_shares))
-          (String.concat " " (List.map (Printf.sprintf "%.2f") c_shares)));
-     near_float "max_chunk_share_pct";
-     check "stats_match_sequential"
-       (Jsonx.to_bool "stats_match_sequential"
-          (Jsonx.member "stats_match_sequential" cur))
-       "current run must agree with the sequential sweep";
-     let b_steal = Jsonx.to_float "stealing_s" (Jsonx.member "stealing_s" base)
-     and c_steal = Jsonx.to_float "stealing_s" (Jsonx.member "stealing_s" cur)
-     and b_speedup = Jsonx.to_float "speedup" (Jsonx.member "speedup" base)
-     and c_speedup = Jsonx.to_float "speedup" (Jsonx.member "speedup" cur) in
-     if gate_timing then begin
-       check "stealing_s"
-         (c_steal <= b_steal *. (1.0 +. (threshold_pct /. 100.0)))
-         (Printf.sprintf "baseline %.3fs, current %.3fs (threshold +%.0f%%)"
-            b_steal c_steal threshold_pct);
-       check "speedup"
-         (c_speedup >= b_speedup *. (1.0 -. (threshold_pct /. 100.0)))
-         (Printf.sprintf "baseline %.2fx, current %.2fx (threshold -%.0f%%)"
-            b_speedup c_speedup threshold_pct)
-     end
-     else
-       Printf.printf
-         "  %-28s info  baseline %.3fs/%.2fx, current %.3fs/%.2fx (not gated; \
-          pass --gate-timing)\n"
-         "stealing_s/speedup" b_steal b_speedup c_steal c_speedup
-   with
-  | Exit -> ()
-  | Jsonx.Error msg ->
-    Printf.eprintf "bench gate: malformed bench json: %s\n" msg;
-    exit 1);
+     List.iter (exact Jsonx.to_str Fun.id) g.exact_str;
+     List.iter (exact Jsonx.to_int string_of_int) g.exact_int;
+     List.iter near g.near;
+     List.iter
+       (fun (name, reason) ->
+         check name (Jsonx.to_bool name (Jsonx.member name cur)) reason)
+       g.must_hold;
+     List.iter timed g.timing
+   with Jsonx.Error msg ->
+     Printf.eprintf "bench gate: malformed bench json: %s\n" msg;
+     exit 1);
   if !failures > 0 then begin
     Printf.printf "bench gate: %d check(s) FAILED\n" !failures;
     exit 1

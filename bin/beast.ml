@@ -30,20 +30,21 @@ let max_threads_arg =
 
 let engine_arg =
   (* Engines resolve by name through the registry — the CLI no longer
-     keeps its own list of what exists. *)
+     keeps its own list of what exists. The value is the catalog row
+     together with the built engine. *)
   let parse s =
-    match Engine_registry.find s with
-    | Ok m -> Ok m
-    | Error msg -> Error (`Msg msg)
+    Result.map_error (fun msg -> `Msg msg) (Engine_registry.find s)
   in
-  let print ppf (module E : Engine_intf.S) = Format.pp_print_string ppf E.name in
+  let print ppf (_, (module E : Engine_intf.S)) =
+    Format.pp_print_string ppf E.name
+  in
   let doc =
     Printf.sprintf "Evaluation engine: %s."
       (String.concat ", " Engine_registry.names)
   in
   Arg.(
     value
-    & opt (conv (parse, print)) (module Engine_registry.Staged : Engine_intf.S)
+    & opt (conv (parse, print)) (Result.get_ok (Engine_registry.find "staged"))
     & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
 let trace_arg =
@@ -428,14 +429,6 @@ let with_config ?space ?engine cfg f =
     finalize_manifest 125;
     raise e
 
-let resolve_device name max_dim max_threads =
-  match Device.find name with
-  | Some d -> Device.scale ~max_dim ~max_threads d
-  | None ->
-    Format.eprintf "unknown device %s (try: %s)@." name
-      (String.concat ", " (List.map fst Device.presets));
-    exit 2
-
 let resolve_space name device =
   if Filename.check_suffix name ".beast" then
     match Parse.space_of_file name with
@@ -474,9 +467,28 @@ let resolve_space name device =
       other;
     exit 2
 
-let space_arg =
-  let doc = "Search space: gemm, gemm-opt, cholesky, trsm, lu, als, fft, synth (a billion-point constrained chain for exercising count/sample), or a .beast file written in the textual notation (see doc/LANGUAGE.md)." in
-  Arg.(value & pos 0 string "gemm" & info [] ~docv:"SPACE" ~doc)
+(* The SPACE argument resolved against the scaled --device: what every
+   space-taking command starts from. Commands apply it last, so the
+   other arguments are converted before a bad device or space exits. *)
+type selected = { s_name : string; s_device : Device.t; s_space : Space.t }
+
+let space_term =
+  let space_arg =
+    let doc = "Search space: gemm, gemm-opt, cholesky, trsm, lu, als, fft, synth (a billion-point constrained chain for exercising count/sample), or a .beast file written in the textual notation (see doc/LANGUAGE.md)." in
+    Arg.(value & pos 0 string "gemm" & info [] ~docv:"SPACE" ~doc)
+  in
+  let resolve name device max_dim max_threads =
+    let device =
+      match Device.find device with
+      | Some d -> Device.scale ~max_dim ~max_threads d
+      | None ->
+        Format.eprintf "unknown device %s (try: %s)@." device
+          (String.concat ", " (List.map fst Device.presets));
+        exit 2
+    in
+    { s_name = name; s_device = device; s_space = resolve_space name device }
+  in
+  Term.(const resolve $ space_arg $ device_arg $ max_dim_arg $ max_threads_arg)
 
 let objective_for space_name device =
   match space_name with
@@ -522,6 +534,10 @@ let objective_for space_name device =
 (* Commands                                                            *)
 (* ------------------------------------------------------------------ *)
 
+let resolve_archive_dir = function
+  | Some d -> d
+  | None -> Archive.default_dir ()
+
 (* Pool the metrics a resumed checkpoint carried over with what the live
    registry recorded after the resume, so the final stats file describes
    the whole logical run. *)
@@ -535,20 +551,15 @@ let pooled_metrics resume_ck =
     Some (Result.value ~default:live (Metrics.Snapshot.merge [ base; live ]))
 
 let sweep_term =
-  let run space_name device max_dim max_threads (module E : Engine_intf.S)
-      stats_out cfg =
-    let device = resolve_device device max_dim max_threads in
-    let sp = resolve_space space_name device in
+  let run ((row : Engine_registry.entry), (module E : Engine_intf.S)) stats_out
+      cfg { s_name = space_name; s_device = device; s_space = sp } =
     (* Whether the propagation pre-pass runs: --propagate wins, else
        the engine's catalog entry decides (off only for the
        deliberately-unoptimized interp-naive baseline). *)
     let propagate =
       match cfg.Run_config.propagate with
       | Some b -> b
-      | None -> (
-        match Engine_registry.entry_of E.name with
-        | Some e -> e.Engine_registry.e_propagate_default
-        | None -> true)
+      | None -> row.e_propagate_default
     in
     let wants_resumable =
       cfg.Run_config.checkpoint <> None
@@ -557,12 +568,10 @@ let sweep_term =
     in
     if wants_resumable && Option.is_none E.resumable then begin
       let ledgered =
-        List.filter_map
-          (fun e ->
-            if e.Engine_registry.e_resumable then
-              Some e.Engine_registry.e_spec
-            else None)
-          Engine_registry.catalog
+        Engine_registry.(
+          List.filter_map
+            (fun e -> if e.e_resumable then Some e.e_spec else None)
+            catalog)
       in
       Format.eprintf
         "beast: --checkpoint, --resume and --fault-inject need an engine \
@@ -581,6 +590,13 @@ let sweep_term =
             Format.eprintf "beast: %s: %s@." path msg;
             exit 1)
         cfg.Run_config.resume
+    in
+    (* Keep checkpointing into the resumed file unless --checkpoint
+       redirects it. *)
+    let ck_path =
+      match cfg.Run_config.checkpoint with
+      | Some _ as path -> path
+      | None -> cfg.Run_config.resume
     in
     with_config ~space:space_name ~engine:E.name cfg (fun run_id ->
         let t0 = Clock.now_ns () in
@@ -602,12 +618,11 @@ let sweep_term =
             Plan.optimize ~passes:[ Propagate.pass ] sharded
           else sharded
         in
-        let resume_check =
-          match resume_ck with
-          | None -> Ok ()
-          | Some ck -> Checkpoint.validate ~plan:run_plan ~shard:shard_info ck
-        in
-        match resume_check with
+        match
+          Option.fold ~none:(Ok ())
+            ~some:(Checkpoint.validate ~plan:run_plan ~shard:shard_info)
+            resume_ck
+        with
         | Error msg ->
           Format.eprintf "beast: %s@." msg;
           Run_config.set_exit_state "crashed";
@@ -620,13 +635,8 @@ let sweep_term =
                  every parallel sweep gets graceful SIGINT/SIGTERM
                  draining, checkpointed or not. *)
               let sink =
-                (* Keep checkpointing into the resumed file unless
-                   --checkpoint redirects it. *)
-                match
-                  (cfg.Run_config.checkpoint, cfg.Run_config.resume)
-                with
-                | Some path, _ | None, Some path ->
-                  Some
+                Option.map
+                  (fun path ->
                     {
                       Engine_intf.ck_path = path;
                       ck_every_s = cfg.Run_config.checkpoint_every_s;
@@ -635,8 +645,8 @@ let sweep_term =
                       ck_base_metrics =
                         Option.bind resume_ck (fun ck ->
                             ck.Checkpoint.metrics);
-                    }
-                | None, None -> None
+                    })
+                  ck_path
               in
               let handler =
                 Sys.Signal_handle (fun _ -> Engine_parallel.interrupt ())
@@ -658,11 +668,11 @@ let sweep_term =
           | Engine_intf.Interrupted { completed; total } ->
             Format.eprintf "beast: interrupted after %d of %d chunks@."
               completed total;
-            (match (cfg.Run_config.checkpoint, cfg.Run_config.resume) with
-            | Some path, _ | None, Some path ->
+            (match ck_path with
+            | Some path ->
               Format.eprintf
                 "beast: checkpoint saved; continue with --resume %s@." path
-            | None, None ->
+            | None ->
               Format.eprintf
                 "beast: progress lost (run with --checkpoint FILE to make \
                  sweeps resumable)@.");
@@ -679,21 +689,23 @@ let sweep_term =
             Format.printf "%a" Engine.pp_stats stats;
             (* A checkpoint that survived to the end is stale: the run
                completed, so resuming from it would be wrong. *)
-            (match (cfg.Run_config.checkpoint, cfg.Run_config.resume) with
-            | Some path, _ | None, Some path ->
-              if Sys.file_exists path then begin
-                (try Sys.remove path with Sys_error _ -> ());
-                Format.eprintf "beast: removed checkpoint %s (run complete)@."
-                  path
-              end
-            | None, None -> ());
+            Option.iter
+              (fun path ->
+                if Sys.file_exists path then begin
+                  (try Sys.remove path with Sys_error _ -> ());
+                  Format.eprintf
+                    "beast: removed checkpoint %s (run complete)@." path
+                end)
+              ck_path;
+            let record ?run_id ?provenance () =
+              Stats_io.of_stats ~plan ?run_id ~shard:shard_info
+                ?metrics:(pooled_metrics resume_ck) ?provenance stats
+            in
             (match stats_out with
             | None -> ()
             | Some file ->
               Stats_io.write_file file
-                (Stats_io.of_stats ~plan ?run_id:cfg.Run_config.run_id
-                   ~shard:shard_info
-                   ?metrics:(pooled_metrics resume_ck) stats);
+                (record ?run_id:cfg.Run_config.run_id ());
               Format.eprintf "wrote sweep statistics to %s@." file);
             (match (cfg.Run_config.explain_out, Provenance.current ()) with
             | Some file, Some collector ->
@@ -701,11 +713,8 @@ let sweep_term =
                  section (and the metrics, when recorded), so beast
                  merge/report/explain all read it. *)
               Stats_io.write_file file
-                (Stats_io.of_stats ~plan ?run_id:cfg.Run_config.run_id
-                   ~shard:shard_info
-                   ?metrics:(pooled_metrics resume_ck)
-                   ~provenance:(Provenance.summary collector)
-                   stats);
+                (record ?run_id:cfg.Run_config.run_id
+                   ~provenance:(Provenance.summary collector) ());
               Format.eprintf "wrote pruning provenance to %s@." file
             | _ -> ());
             (* Archive ingestion happens last and never fails the run: a
@@ -714,17 +723,12 @@ let sweep_term =
                repeated identical sweeps archive as distinct records and
                the trends timeline actually accumulates. *)
             (if cfg.Run_config.archive then begin
-               let dir =
-                 match cfg.Run_config.archive_dir with
-                 | Some d -> d
-                 | None -> Archive.default_dir ()
-               in
+               let dir = resolve_archive_dir cfg.Run_config.archive_dir in
                let record =
-                 Stats_io.of_stats ~plan ?run_id ~shard:shard_info
-                   ?metrics:(pooled_metrics resume_ck)
+                 record ?run_id
                    ?provenance:
                      (Option.map Provenance.summary (Provenance.current ()))
-                   stats
+                   ()
                in
                match
                  Archive.ingest ~dir ~engine:E.name
@@ -743,9 +747,7 @@ let sweep_term =
              end);
             0))
   in
-  Term.(
-    const run $ space_arg $ device_arg $ max_dim_arg $ max_threads_arg
-    $ engine_arg $ stats_out_arg $ sweep_config_term)
+  Term.(const run $ engine_arg $ stats_out_arg $ sweep_config_term $ space_term)
 
 let sweep_cmd =
   Cmd.v (Cmd.info "sweep" ~doc:"Enumerate and prune a search space") sweep_term
@@ -756,16 +758,13 @@ let enumerate_cmd =
     sweep_term
 
 let dot_cmd =
-  let run space_name device max_dim max_threads =
-    let device = resolve_device device max_dim max_threads in
-    print_string (Space.to_dot (resolve_space space_name device))
-  in
+  let run { s_space; _ } = print_string (Space.to_dot s_space) in
   Cmd.v
     (Cmd.info "dot"
        ~doc:
          "Print the dependency DAG (iterators, derived variables, \
           constraints) as GraphViz - Figure 16 of the paper")
-    Term.(const run $ space_arg $ device_arg $ max_dim_arg $ max_threads_arg)
+    Term.(const run $ space_term)
 
 let codegen_cmd =
   let lang_arg =
@@ -779,10 +778,8 @@ let codegen_cmd =
     Arg.(value & opt int 1 & info [ "threads" ] ~docv:"N"
            ~doc:"pthread fan-out (C backend only).")
   in
-  let run space_name device max_dim max_threads lang threads =
-    let device = resolve_device device max_dim max_threads in
-    let sp = resolve_space space_name device in
-    match Codegen.generate ~threads lang (Plan.make_exn sp) with
+  let run lang threads { s_space; _ } =
+    match Codegen.generate ~threads lang (Plan.make_exn s_space) with
     | Ok source -> print_string source
     | Error e ->
       Format.eprintf "cannot translate: %a@." Codegen_c.pp_error e;
@@ -791,9 +788,7 @@ let codegen_cmd =
   Cmd.v
     (Cmd.info "codegen"
        ~doc:"Translate a space to a standalone enumeration program")
-    Term.(
-      const run $ space_arg $ device_arg $ max_dim_arg $ max_threads_arg
-      $ lang_arg $ threads_arg)
+    Term.(const run $ lang_arg $ threads_arg $ space_term)
 
 let tune_cmd =
   let top_arg =
@@ -823,10 +818,8 @@ let tune_cmd =
       & info [ "backoff" ] ~docv:"SECONDS"
           ~doc:"Initial retry backoff; doubles on every further attempt.")
   in
-  let run space_name device max_dim max_threads engine top timeout_s retries
-      backoff_s cfg =
-    let device = resolve_device device max_dim max_threads in
-    let sp = resolve_space space_name device in
+  let run (_, engine) top timeout_s retries backoff_s cfg
+      { s_name = space_name; s_device = device; s_space = sp } =
     let objective, peak, baseline = objective_for space_name device in
     with_config ~space:space_name ~engine:"tune" cfg (fun _run_id ->
         let r =
@@ -847,9 +840,8 @@ let tune_cmd =
     (Cmd.info "tune"
        ~doc:"Enumerate, prune, benchmark on the device model, and rank")
     Term.(
-      const run $ space_arg $ device_arg $ max_dim_arg $ max_threads_arg
-      $ engine_arg $ top_arg $ timeout_arg $ retries_arg $ backoff_arg
-      $ obs_config_term)
+      const run $ engine_arg $ top_arg $ timeout_arg $ retries_arg
+      $ backoff_arg $ obs_config_term $ space_term)
 
 let occupancy_cmd =
   let threads = Arg.(required & pos 0 (some int) None & info [] ~docv:"THREADS") in
@@ -897,9 +889,7 @@ let funnel_cmd =
              of the single provenance-instrumented sweep (the two agree \
              exactly; this is the independent cross-check).")
   in
-  let run space_name device max_dim max_threads svg prefix_sweeps cfg =
-    let device = resolve_device device max_dim max_threads in
-    let sp = resolve_space space_name device in
+  let run svg prefix_sweeps cfg { s_name = space_name; s_space = sp; _ } =
     with_config ~space:space_name ~engine:"funnel" cfg (fun _run_id ->
         let f =
           if prefix_sweeps then Stats.funnel sp
@@ -921,8 +911,8 @@ let funnel_cmd =
          "Measure how much of the space each constraint removes (one \
           provenance-instrumented sweep; --prefix-sweeps for the n+1 \
           reference method)")
-    Term.(const run $ space_arg $ device_arg $ max_dim_arg $ max_threads_arg
-          $ svg_arg $ prefix_sweeps_arg $ obs_config_term)
+    Term.(
+      const run $ svg_arg $ prefix_sweeps_arg $ obs_config_term $ space_term)
 
 (* ------------------------------------------------------------------ *)
 (* count / sample — the compact feasible-set queries                    *)
@@ -956,9 +946,7 @@ let count_cmd =
              instead of building the diagram. Cheaper, never below the \
              exact count.")
   in
-  let run space_name device max_dim max_threads bound =
-    let device = resolve_device device max_dim max_threads in
-    let sp = resolve_space space_name device in
+  let run bound { s_name = space_name; s_space = sp; _ } =
     let plan, build = feasible_of space_name sp in
     if bound then (
       match Feasible.of_propagation plan with
@@ -975,9 +963,7 @@ let count_cmd =
           feasible-set decision diagram instead of full enumeration \
           (counts billion-point spaces in milliseconds); --bound for the \
           cheaper propagation-only upper bound")
-    Term.(
-      const run $ space_arg $ device_arg $ max_dim_arg $ max_threads_arg
-      $ bound_arg)
+    Term.(const run $ bound_arg $ space_term)
 
 let sample_cmd =
   let n_arg =
@@ -992,9 +978,7 @@ let sample_cmd =
       & info [ "seed" ] ~docv:"SEED"
           ~doc:"RNG seed; omitted, a fixed default state is used.")
   in
-  let run space_name device max_dim max_threads n seed =
-    let device = resolve_device device max_dim max_threads in
-    let sp = resolve_space space_name device in
+  let run n seed { s_name = space_name; s_space = sp; _ } =
     let _, build = feasible_of space_name sp in
     let f = build () in
     let rng = Option.map (fun s -> Random.State.make [| s |]) seed in
@@ -1018,9 +1002,7 @@ let sample_cmd =
          "Draw uniform random points from the feasible set — every draw \
           is a survivor, however sparse the constraints, via exact \
           indexing of the feasible-set diagram (no rejection loop)")
-    Term.(
-      const run $ space_arg $ device_arg $ max_dim_arg $ max_threads_arg
-      $ n_arg $ seed_arg)
+    Term.(const run $ n_arg $ seed_arg $ space_term)
 
 let search_cmd =
   let method_arg =
@@ -1035,9 +1017,8 @@ let search_cmd =
   let seed_arg =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.")
   in
-  let run space_name device max_dim max_threads method_ budget seed cfg =
-    let device = resolve_device device max_dim max_threads in
-    let sp = resolve_space space_name device in
+  let run method_ budget seed cfg
+      { s_name = space_name; s_device = device; s_space = sp } =
     let objective, peak, _ = objective_for space_name device in
     with_config ~space:space_name ~engine:"search" cfg (fun _run_id ->
         let plan = Plan.make_exn sp in
@@ -1069,8 +1050,8 @@ let search_cmd =
        ~doc:
          "Statistical search instead of exhaustive sweeping (the paper's           future-work direction)")
     Term.(
-      const run $ space_arg $ device_arg $ max_dim_arg $ max_threads_arg
-      $ method_arg $ budget_arg $ seed_arg $ obs_config_term)
+      const run $ method_arg $ budget_arg $ seed_arg $ obs_config_term
+      $ space_term)
 
 (* Cross-shard trace correlation: stitch the per-shard JSONL traces of a
    sharded sweep into one Chrome trace, with each shard rendered as a
@@ -1159,14 +1140,39 @@ let merge_traces files trace_out =
       (if List.length files = 1 then "" else "s")
       file)
 
+let files_arg doc =
+  Arg.(non_empty & pos_all file [] & info [] ~docv:"FILES" ~doc)
+
+(* The statistics files merge, report and explain read, combined into
+   one record: a lone file is taken as is unless [always_merge] (merge
+   checks even one shard for completeness). An unreadable file or a
+   failed merge is a one-line diagnostic and exit 1. *)
+let load_merged ~always_merge files =
+  let shards =
+    List.map
+      (fun f ->
+        match Stats_io.of_file f with
+        | Ok r -> r
+        | Error msg ->
+          Format.eprintf "%s: %s@." f msg;
+          exit 1)
+      files
+  in
+  match shards with
+  | [ one ] when not always_merge -> one
+  | shards -> (
+    match Stats_io.merge shards with
+    | Ok merged -> merged
+    | Error msg ->
+      Format.eprintf "merge: %s@." msg;
+      exit 1)
+
 let merge_cmd =
   let files_arg =
-    let doc =
+    files_arg
       "Shard statistics files written by sweep --stats-out (or, with \
        --traces, JSONL trace files written by sweep --trace FILE \
        --trace-format jsonl)."
-    in
-    Arg.(non_empty & pos_all file [] & info [] ~docv:"FILES" ~doc)
   in
   let traces_arg =
     let doc =
@@ -1185,30 +1191,16 @@ let merge_cmd =
   let run files stats_out traces trace_out =
     if traces then merge_traces files trace_out
     else begin
-      let shards =
-        List.map
-          (fun f ->
-            match Stats_io.of_file f with
-            | Ok r -> r
-            | Error msg ->
-              Format.eprintf "%s: %s@." f msg;
-              exit 1)
-          files
-      in
-      match Stats_io.merge shards with
-      | Error msg ->
-        Format.eprintf "merge: %s@." msg;
-        exit 1
-      | Ok merged ->
-        Format.printf "space %s: merged %d shard%s@." merged.Stats_io.space
-          (List.length files)
-          (if List.length files = 1 then "" else "s");
-        Format.printf "%a" Engine.pp_stats (Stats_io.to_stats merged);
-        (match stats_out with
-        | None -> ()
-        | Some file ->
-          Stats_io.write_file file merged;
-          Format.eprintf "wrote merged statistics to %s@." file)
+      let merged = load_merged ~always_merge:true files in
+      Format.printf "space %s: merged %d shard%s@." merged.Stats_io.space
+        (List.length files)
+        (if List.length files = 1 then "" else "s");
+      Format.printf "%a" Engine.pp_stats (Stats_io.to_stats merged);
+      match stats_out with
+      | None -> ()
+      | Some file ->
+        Stats_io.write_file file merged;
+        Format.eprintf "wrote merged statistics to %s@." file
     end
   in
   Cmd.v
@@ -1223,11 +1215,9 @@ let merge_cmd =
 
 let report_cmd =
   let files_arg =
-    let doc =
+    files_arg
       "Statistics files written by sweep --metrics --stats-out; several \
        shard files are merged before reporting."
-    in
-    Arg.(non_empty & pos_all file [] & info [] ~docv:"FILES" ~doc)
   in
   let top_arg =
     Arg.(
@@ -1235,26 +1225,7 @@ let report_cmd =
       & info [ "top" ] ~docv:"K" ~doc:"Show the K hottest constraints.")
   in
   let run files top =
-    let shards =
-      List.map
-        (fun f ->
-          match Stats_io.of_file f with
-          | Ok r -> r
-          | Error msg ->
-            Format.eprintf "%s: %s@." f msg;
-            exit 1)
-        files
-    in
-    let merged =
-      match shards with
-      | [ one ] -> one
-      | several -> (
-        match Stats_io.merge several with
-        | Ok m -> m
-        | Error msg ->
-          Format.eprintf "merge: %s@." msg;
-          exit 1)
-    in
+    let merged = load_merged ~always_merge:false files in
     let snap =
       match merged.Stats_io.metrics with
       | Some snap -> snap
@@ -1282,11 +1253,9 @@ let report_cmd =
 
 let explain_cmd =
   let files_arg =
-    let doc =
+    files_arg
       "Statistics files written by sweep --explain-out; several shard \
        files are merged (exactly, bucket for bucket) before rendering."
-    in
-    Arg.(non_empty & pos_all file [] & info [] ~docv:"FILES" ~doc)
   in
   let top_arg =
     Arg.(
@@ -1295,26 +1264,7 @@ let explain_cmd =
           ~doc:"Show the K largest dead outer-coordinate ranges.")
   in
   let run files top =
-    let shards =
-      List.map
-        (fun f ->
-          match Stats_io.of_file f with
-          | Ok r -> r
-          | Error msg ->
-            Format.eprintf "%s: %s@." f msg;
-            exit 1)
-        files
-    in
-    let merged =
-      match shards with
-      | [ one ] -> one
-      | several -> (
-        match Stats_io.merge several with
-        | Ok m -> m
-        | Error msg ->
-          Format.eprintf "merge: %s@." msg;
-          exit 1)
-    in
+    let merged = load_merged ~always_merge:false files in
     match Explain.write ~top Format.std_formatter merged with
     | Ok () -> Format.pp_print_flush Format.std_formatter ()
     | Error msg ->
@@ -1333,10 +1283,8 @@ let explain_cmd =
     Term.(const run $ files_arg $ top_arg)
 
 let export_cmd =
-  let run space_name device max_dim max_threads =
-    let device = resolve_device device max_dim max_threads in
-    let sp = resolve_space space_name device in
-    match Print.space_to_string sp with
+  let run { s_space; _ } =
+    match Print.space_to_string s_space with
     | Ok text -> print_string text
     | Error e ->
       Format.eprintf "cannot serialize: %a@." Print.pp_error e;
@@ -1348,7 +1296,7 @@ let export_cmd =
          "Serialize a space to the textual notation (the inverse of \
           loading a .beast file); closure-backed spaces cannot be \
           serialized")
-    Term.(const run $ space_arg $ device_arg $ max_dim_arg $ max_threads_arg)
+    Term.(const run $ space_term)
 
 (* ------------------------------------------------------------------ *)
 (* Live introspection: beast top (heartbeat viewer), beast runs        *)
@@ -1664,10 +1612,6 @@ let archive_store_arg =
   in
   Arg.(value & opt (some string) None & info [ "dir" ] ~docv:"DIR" ~doc)
 
-let resolve_archive_dir = function
-  | Some d -> d
-  | None -> Archive.default_dir ()
-
 let read_text file =
   match
     let ic = open_in_bin file in
@@ -1690,11 +1634,9 @@ let describe_record (r : Archive.record) =
 
 let archive_ingest_cmd =
   let files_arg =
-    let doc =
+    files_arg
       "Sweep statistics files (sweep --stats-out/--explain-out) or \
        BENCH_*.json ablation results to append to the archive."
-    in
-    Arg.(non_empty & pos_all file [] & info [] ~docv:"FILES" ~doc)
   in
   let engine_override_arg =
     let doc = "Record $(docv) as the producing engine spec." in

@@ -1,13 +1,18 @@
 #!/bin/sh
 # Sweeps a space whose range step evaluates to 0 on every in-process
-# engine and fails unless each exits 2 with exactly one stderr line
-# naming the loop, never an exception trace.
+# engine, and on the native engine when a C compiler is found, and fails
+# unless each exits 2 with exactly one stderr line naming the loop,
+# never an exception trace.
 # Usage: sh eval_error_check.sh path/to/beast.exe zero_step.beast
 beast=$1
 space=$2
 case $beast in */*) ;; *) beast=./$beast ;; esac
 want='beast: y: zero range step'
-for engine in interp-naive interp vm staged parallel:2; do
+engines='interp-naive interp vm staged parallel:2'
+if command -v "${BEAST_CC:-cc}" >/dev/null 2>&1; then
+  engines="$engines native native:2"
+fi
+for engine in $engines; do
   err=$("$beast" sweep "$space" --engine "$engine" 2>&1 >/dev/null)
   code=$?
   if [ "$code" -ne 2 ] || [ "$err" != "$want" ]; then

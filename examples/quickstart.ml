@@ -39,7 +39,8 @@ let () =
   Format.printf "%a" Engine.pp_stats stats;
 
   (* Same result through the bytecode VM. *)
-  let vm = Sweep.run ~engine:Sweep.Vm sp in
+  let _, vm_engine = Result.get_ok (Engine_registry.find "vm") in
+  let vm = Sweep.run ~engine:vm_engine sp in
   Format.printf "vm agrees: %b@."
     (vm.Engine.survivors = stats.Engine.survivors);
 

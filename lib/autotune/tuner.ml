@@ -80,7 +80,7 @@ let guarded ~timeout_s ~retries ~backoff_s ~on_retry objective lookup =
   in
   attempt 0
 
-let default_engine : (module Engine_intf.S) = (module Engine_registry.Staged)
+let default_engine = Engine_registry.staged
 
 let tune ?(engine = default_engine) ?(top_n = 10) ?timeout_s ?(retries = 1)
     ?(backoff_s = 0.05) ~objective space =

@@ -34,7 +34,7 @@ val tune :
   result
 (** Sweep the space, score every survivor, keep the [top_n] (default 10)
     best. The engine is any {!Engine_registry} module (default
-    {!Engine_registry.Staged}); with parallel engines the objective is
+    {!Engine_registry.staged}); with parallel engines the objective is
     called concurrently (invocations serialized by the scheduler).
 
     A raising objective no longer wedges the campaign: each failure is

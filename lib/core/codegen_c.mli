@@ -14,9 +14,14 @@
       byte-identical multithreaded stats;
     - [beast_sweep(...)] — the single-threaded entry;
     - a [main] that runs the sweep (across [threads] POSIX threads when
-      [threads > 1]) and prints the statistics in a stable, parseable
-      format: one [survivors N] line, one [iterations N] line and one
+      [threads > 1]; a slice whose thread cannot be created runs inline)
+      and prints the statistics in a stable, parseable format: one
+      [survivors N] line, one [iterations N] line and one
       [pruned <name> N] line per constraint.
+
+    A range loop whose step evaluates to 0 prints [zero-step K] (K the
+    loop's position in the plan's [iter_order]) and exits with
+    {!zero_step_exit}, mirroring the OCaml engines' error.
 
     Restrictions (mirroring the translatable subset of the paper's
     Python): opaque OCaml bodies ([Space.derived_f] / [Space.constrain_f])
@@ -26,6 +31,9 @@
     static arrays. *)
 
 type error = Unsupported of string
+
+val zero_step_exit : int
+(** 3 — the exit status of a program that met a zero range step. *)
 
 val sanitize : string -> string
 (** Map a parameter name to a valid C identifier fragment (shared with

@@ -1,13 +1,16 @@
-(* The common face of the evaluation engines. Each engine module packs
-   its entry points behind one signature so the CLI, the tuner and the
-   bench select engines by name through {!Engine_registry} instead of
-   each keeping a hand-written match over the engine variant. *)
+(** The common face of the evaluation engines.
 
-(* What an engine is asked to enumerate. A [Space] leaves planning to
-   the engine (the interpreters build their own — naive or hoisted —
-   plan; the compiled tiers call [Plan.make]); a [Plan] hands it an
-   exact nest to execute, which is how chunked, sharded and propagated
-   sweeps reach every engine through one entry point. *)
+    Each engine packs its entry points behind {!module-type-S} so the
+    CLI, the tuner and the bench select engines by name through
+    {!Engine_registry}. A types-only module: this file is its own
+    interface. *)
+
+(** What an engine is asked to enumerate. A [Space] leaves planning to
+    the engine — the interpreters build their own (naive or hoisted)
+    plan, reproducing their cost model end to end, and the compiled
+    tiers plan it once with [Plan.make_exn]. A [Plan] hands the engine an
+    exact nest to execute as given: chunked, sharded and propagated
+    sweeps all reach every engine through this one shape. *)
 type target =
   | Space of Space.t
   | Plan of Plan.t
@@ -15,21 +18,21 @@ type target =
 type outcome =
   | Finished of Engine.stats
   | Interrupted of { completed : int; total : int }
-      (* stopped by {!Engine_parallel.interrupt} after draining the
-         in-flight chunks; [completed] of [total] chunks are in the
-         checkpoint (when one was requested) *)
+      (** stopped by {!Engine_parallel.interrupt} after draining the
+          in-flight chunks; [completed] of [total] chunks made it into
+          the checkpoint (when one was requested) *)
 
-(* Where and how often a resumable run snapshots its chunk ledger. *)
 type checkpoint_sink = {
-  ck_path : string;
-  ck_every_s : float;
+  ck_path : string;  (** checkpoint file, written atomically *)
+  ck_every_s : float;  (** minimum seconds between periodic writes *)
   ck_run_id : string option;
-      (* stamped into the snapshot so resumed artifacts correlate with
-         the run that wrote them *)
-  ck_shard : Stats_io.shard;  (* recorded in the file for resume checks *)
+      (** stamped into the snapshot so resumed artifacts correlate with
+          the run that wrote them *)
+  ck_shard : Stats_io.shard;
+      (** recorded in the file so resume can reject a shard mismatch *)
   ck_base_metrics : Beast_obs.Metrics.snapshot option;
-      (* metrics carried over from the checkpoint being resumed; pooled
-         with the live registry's snapshot at every write *)
+      (** metrics carried over from the checkpoint being resumed; pooled
+          with the live registry's snapshot at every write *)
 }
 
 type resumable =
@@ -39,15 +42,19 @@ type resumable =
   ?fault:Run_config.fault ->
   Plan.t ->
   outcome
+(** A checkpointing sweep: skips the chunks [resume] records as
+    complete, periodically snapshots the ledger to [checkpoint], and —
+    under [fault] injection — retries crashed chunks with the survivor
+    callback still invoked exactly once per surviving point. *)
 
 module type S = sig
   val name : string
 
   val run : ?on_hit:Engine.on_hit -> target -> Engine.stats
-  (* one entry point for both target shapes; what each engine does with
-     a [Space] (which plan it builds) is the engine's own cost model *)
+  (** The one entry point, over both target shapes. Engines never
+      re-plan a handed-in [Plan]. *)
 
   val resumable : resumable option
-  (* checkpoint/resume/fault-injection entry point; only the parallel
-     scheduler keeps a chunk ledger, so only it offers one *)
+  (** checkpoint/resume/fault-injection entry point; only the parallel
+      scheduler keeps a chunk ledger, so only it offers one *)
 end

@@ -14,6 +14,23 @@ exception Error of string
 
 let errorf fmt = Printf.ksprintf (fun s -> raise (Error ("native: " ^ s))) fmt
 
+(* OCaml reports the signals it knows as negative constants; name them. *)
+let signal_name s =
+  match
+    List.assoc_opt s
+      Sys.
+        [
+          (sigabrt, "SIGABRT"); (sigalrm, "SIGALRM"); (sigbus, "SIGBUS");
+          (sigfpe, "SIGFPE"); (sighup, "SIGHUP"); (sigill, "SIGILL");
+          (sigint, "SIGINT"); (sigkill, "SIGKILL"); (sigpipe, "SIGPIPE");
+          (sigquit, "SIGQUIT"); (sigsegv, "SIGSEGV"); (sigstop, "SIGSTOP");
+          (sigterm, "SIGTERM"); (sigtrap, "SIGTRAP"); (sigxcpu, "SIGXCPU");
+          (sigxfsz, "SIGXFSZ");
+        ]
+  with
+  | Some name -> name
+  | None -> string_of_int s
+
 (* ------------------------------------------------------------------ *)
 (* Compiler detection and the binary cache                             *)
 (* ------------------------------------------------------------------ *)
@@ -122,7 +139,7 @@ let compile ?workdir ?threads ?emit_survivors (plan : Plan.t) =
           errorf "%s exited with status %d compiling %s: %s" compiler n
             plan.Plan.space_name (first_lines err_tmp)
         | Unix.WSIGNALED s | Unix.WSTOPPED s ->
-          errorf "%s killed by signal %d compiling %s" compiler s
+          errorf "%s killed by signal %s compiling %s" compiler (signal_name s)
             plan.Plan.space_name);
         (* Keep the source next to the binary for debugging cache
            entries; both renames are atomic within the workdir. *)
@@ -223,6 +240,14 @@ let stats_of_lines ?on_hit (plan : Plan.t) (lines : string Seq.t) :
       else if !iterations <> None then
         reject lineno "duplicate iterations line"
       else int_field lineno "iterations" n (fun v -> iterations := Some v)
+    | [ "zero-step"; k ] -> (
+      match int_of_string_opt k with
+      | Some i when i >= 0 && i < n_iters ->
+        fail :=
+          Some
+            (Printf.sprintf "%s: zero range step"
+               (List.nth plan.Plan.iter_order i))
+      | _ -> reject lineno "zero-step names no loop: %S" k)
     | [ "pruned"; name; n ] ->
       if !iterations = None then
         reject lineno "pruned line before iterations"
@@ -316,13 +341,17 @@ let run ?on_hit ?workdir ?(threads = 1) (plan : Plan.t) =
               match parsed with
               | Ok stats -> stats
               | Result.Error msg -> raise (Error msg))
-            | Unix.WEXITED n -> errorf "%s exited with status %d" exe n
-            | Unix.WSIGNALED s -> errorf "%s killed by signal %d" exe s
-            | Unix.WSTOPPED s -> errorf "%s stopped by signal %d" exe s))
+            | Unix.WEXITED n -> (
+              (* A zero range step names its loop on the last line. *)
+              match parsed with
+              | Result.Error msg when n = Codegen_c.zero_step_exit ->
+                raise (Error msg)
+              | _ -> errorf "%s exited with status %d" exe n)
+            | Unix.WSIGNALED s ->
+              errorf "%s killed by signal %s" exe (signal_name s)
+            | Unix.WSTOPPED s ->
+              errorf "%s stopped by signal %s" exe (signal_name s)))
   in
   Obs.progress_tick ~points:stats.Engine.loop_iterations
     ~survivors:stats.Engine.survivors ~frac:1.0;
   stats
-
-let run_space ?on_hit ?workdir ?threads space =
-  run ?on_hit ?workdir ?threads (Plan.make_exn space)

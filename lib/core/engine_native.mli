@@ -83,8 +83,3 @@ val run :
     is killed and reaped before the exception continues.
     @raise Error as {!compile}, or when the subprocess exits non-zero,
     dies on a signal, or prints output the parser rejects. *)
-
-val run_space :
-  ?on_hit:Engine.on_hit -> ?workdir:string -> ?threads:int -> Space.t ->
-  Engine.stats
-(** [run] on [Plan.make_exn space]. *)

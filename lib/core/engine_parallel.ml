@@ -215,7 +215,20 @@ let run_resumable ?on_hit ?checkpoint ?resume ?fault ~domains (plan : Plan.t) :
        as the base, not as throughput observed this run. *)
     Obs.chunk_tick ~completed:!completed ~total:n_chunks;
     let spawned = List.init domains (fun dom -> Domain.spawn (worker dom)) in
-    List.iter Domain.join spawned
+    (* Join every domain before re-raising a chunk's exception: a domain
+       left running would finish its chunk and could set
+       [stop_requested] after the next sweep in this process reset it. *)
+    let failures =
+      List.filter_map
+        (fun d ->
+          match Domain.join d with
+          | () -> None
+          | exception e -> Some (e, Printexc.get_raw_backtrace ()))
+        spawned
+    in
+    match failures with
+    | (e, bt) :: _ -> Printexc.raise_with_backtrace e bt
+    | [] -> ()
   in
   Obs.with_span ~cat:"engine"
     ~args:
@@ -269,5 +282,3 @@ let run ?on_hit ~domains plan =
   match run_resumable ?on_hit ~domains plan with
   | Engine_intf.Finished stats -> stats
   | Engine_intf.Interrupted _ -> failwith "Engine_parallel.run: interrupted"
-
-let run_space ?on_hit ~domains space = run ?on_hit ~domains (Plan.make_exn space)

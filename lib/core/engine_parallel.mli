@@ -65,7 +65,3 @@ val run : ?on_hit:Engine.on_hit -> domains:int -> Plan.t -> Engine.stats
     @raise Invalid_argument if [domains < 1].
     @raise Failure if {!interrupt} is called while the sweep runs (the
     partial ledger is discarded; use {!run_resumable} to keep it). *)
-
-val run_space :
-  ?on_hit:Engine.on_hit -> domains:int -> Space.t -> Engine.stats
-(** {!run} on [Plan.make_exn space]. *)

@@ -1,192 +1,107 @@
-(* Name-keyed engine selection: the one place that knows which engine
-   modules exist. The CLI, the tuner and the bench all resolve engines
-   through [find], so adding an engine means adding it here instead of
-   updating four hand-written match arms. *)
+(* Name-keyed engine selection: the one place that knows which engines
+   exist. Each engine is one catalog row carrying its constructor, so
+   the listing, the help text, the CLI defaults and [find] all read the
+   same rows. *)
 
-module Interp_naive : Engine_intf.S = struct
-  let name = "interp-naive"
+(* The compiled tiers plan a [Space] once and run a handed-in [Plan] as
+   given. *)
+let on_plan run ?on_hit = function
+  | Engine_intf.Space space -> run ?on_hit (Plan.make_exn space)
+  | Engine_intf.Plan plan -> run ?on_hit plan
 
-  let run ?on_hit = function
-    | Engine_intf.Space space ->
-      Engine_interp.run ?on_hit ~variant:`Naive space
-    | Engine_intf.Plan plan ->
-      (* A handed-in plan is executed as given: the naive cost model
-         only exists for spaces this engine plans itself. *)
-      Engine_interp.run_plan ?on_hit plan
-
-  let resumable = None
-end
-
-module Interp : Engine_intf.S = struct
-  let name = "interp"
-
-  let run ?on_hit = function
-    | Engine_intf.Space space ->
-      Engine_interp.run ?on_hit ~variant:`Hoisted space
-    | Engine_intf.Plan plan -> Engine_interp.run_plan ?on_hit plan
-
-  let resumable = None
-end
-
-module Vm : Engine_intf.S = struct
-  let name = "vm"
-
-  let run ?on_hit = function
-    | Engine_intf.Space space -> Engine_vm.run_space ?on_hit space
-    | Engine_intf.Plan plan -> Engine_vm.run_plan ?on_hit plan
-
-  let resumable = None
-end
-
-module Staged : Engine_intf.S = struct
-  let name = "staged"
-
-  let run ?on_hit = function
-    | Engine_intf.Space space -> Engine_staged.run_space ?on_hit space
-    | Engine_intf.Plan plan -> Engine_staged.run ?on_hit plan
-
-  let resumable = None
-end
-
-let default_parallel_domains = 4
-
-let parallel domains : (module Engine_intf.S) =
-  if domains < 1 then invalid_arg "Engine_registry.parallel: domains < 1";
+let engine ?resumable name
+    (run : ?on_hit:Engine.on_hit -> Engine_intf.target -> Engine.stats) :
+    (module Engine_intf.S) =
   (module struct
-    let name = Printf.sprintf "parallel-%d" domains
-
-    let run ?on_hit = function
-      | Engine_intf.Space space ->
-        Engine_parallel.run_space ?on_hit ~domains space
-      | Engine_intf.Plan plan -> Engine_parallel.run ?on_hit ~domains plan
-
-    let resumable =
-      Some
-        (fun ?on_hit ?checkpoint ?resume ?fault plan ->
-          Engine_parallel.run_resumable ?on_hit ?checkpoint ?resume ?fault
-            ~domains plan)
+    let name = name
+    let run = run
+    let resumable = resumable
   end)
 
-module Native : Engine_intf.S = struct
-  let name = "native"
+(* The interpreters plan a [Space] themselves (naive or hoisted), which
+   reproduces their cost model end to end; a handed-in plan is walked
+   as given. *)
+let interp variant name _ =
+  engine name (fun ?on_hit -> function
+    | Engine_intf.Space space -> Engine_interp.run ?on_hit ~variant space
+    | Engine_intf.Plan plan -> Engine_interp.run_plan ?on_hit plan)
 
-  let run ?on_hit = function
-    | Engine_intf.Space space -> Engine_native.run_space ?on_hit space
-    | Engine_intf.Plan plan -> Engine_native.run ?on_hit plan
+let parallel param =
+  let domains = Option.value param ~default:4 in
+  engine
+    (Printf.sprintf "parallel-%d" domains)
+    (on_plan (Engine_parallel.run ~domains))
+    ~resumable:(fun ?on_hit ?checkpoint ?resume ?fault plan ->
+      Engine_parallel.run_resumable ?on_hit ?checkpoint ?resume ?fault
+        ~domains plan)
 
-  let resumable = None
-end
+(* Bare "native" keeps its own name (and one thread) so manifests and
+   archive groups written before the parameter existed still match. *)
+let native threads =
+  let name =
+    match threads with
+    | None -> "native"
+    | Some n -> Printf.sprintf "native-%d" n
+  in
+  engine name (on_plan (Engine_native.run ?workdir:None ?threads))
 
-let default_native_threads = 1
+let staged = engine "staged" (on_plan Engine_staged.run)
 
-let native threads : (module Engine_intf.S) =
-  if threads < 1 then invalid_arg "Engine_registry.native: threads < 1";
-  (module struct
-    let name = Printf.sprintf "native-%d" threads
-
-    let run ?on_hit = function
-      | Engine_intf.Space space ->
-        Engine_native.run_space ?on_hit ~threads space
-      | Engine_intf.Plan plan -> Engine_native.run ?on_hit ~threads plan
-
-    let resumable = None
-  end)
-
-(* The single source of truth for what engines exist and how the CLI
-   should treat them: [names] (help text, error messages), the
-   [beast engines] listing, the per-engine --propagate default and the
-   resumable/opaque capability checks all derive from these entries,
-   so none of them can drift from [find]. *)
 type entry = {
-  e_spec : string;  (* accepted spec, parameters in brackets *)
-  e_descr : string;  (* one line for [beast engines] *)
+  e_spec : string;
+  e_descr : string;
   e_propagate_default : bool;
-      (* run [Propagate.pass] over the plan unless --propagate
-         overrides; off only for the deliberately-unoptimized
-         baseline, whose cost model is the whole point *)
   e_opaque : bool;
-      (* can evaluate opaque computes and iterators (deferred OCaml
-         closures); the generated-C tier cannot call back into the
-         host program *)
-  e_resumable : bool;  (* keeps a chunk ledger (checkpoint/resume/fault) *)
+  e_resumable : bool;
+  e_base : string;
+  e_param : string option;
+  e_make : int option -> (module Engine_intf.S);
 }
+
+let row ?param ?(propagate = true) ?(opaque = true) base descr make =
+  let (module E : Engine_intf.S) = make None in
+  {
+    e_spec =
+      (match param with
+      | None -> base
+      | Some noun ->
+        Printf.sprintf "%s[:%sS]" base (String.uppercase_ascii noun));
+    e_descr = descr;
+    e_propagate_default = propagate;
+    e_opaque = opaque;
+    e_resumable = Option.is_some E.resumable;
+    e_base = base;
+    e_param = param;
+    e_make = make;
+  }
 
 let catalog =
   [
-    {
-      e_spec = "interp-naive";
-      e_descr =
-        "tree-walking interpreter, nothing hoisted (the paper's \
-         scripting-language baseline)";
-      e_propagate_default = false;
-      e_opaque = true;
-      e_resumable = false;
-    };
-    {
-      e_spec = "interp";
-      e_descr = "tree-walking interpreter over the hoisted plan";
-      e_propagate_default = true;
-      e_opaque = true;
-      e_resumable = false;
-    };
-    {
-      e_spec = "vm";
-      e_descr = "bytecode compiler + stack VM";
-      e_propagate_default = true;
-      e_opaque = true;
-      e_resumable = false;
-    };
-    {
-      e_spec = "staged";
-      e_descr = "closure-staged compiler (the default)";
-      e_propagate_default = true;
-      e_opaque = true;
-      e_resumable = false;
-    };
-    {
-      e_spec = "parallel[:DOMAINS]";
-      e_descr =
-        "work-stealing staged sweep across OCaml domains (default 4); the \
-         only resumable engine";
-      e_propagate_default = true;
-      e_opaque = true;
-      e_resumable = true;
-    };
-    {
-      e_spec = "native[:THREADS]";
-      e_descr =
-        "generated C compiled with $BEAST_CC/cc -O2 and run as a subprocess \
-         (default 1 thread)";
-      e_propagate_default = true;
-      e_opaque = false;
-      e_resumable = false;
-    };
+    (* The deliberately-unoptimized baseline: propagation would change
+       the cost model that is its whole point. *)
+    row "interp-naive" ~propagate:false
+      "tree-walking interpreter, nothing hoisted (the paper's \
+       scripting-language baseline)"
+      (interp `Naive "interp-naive");
+    row "interp" "tree-walking interpreter over the hoisted plan"
+      (interp `Hoisted "interp");
+    row "vm" "bytecode compiler + stack VM" (fun _ ->
+        engine "vm" (on_plan Engine_vm.run_plan));
+    row "staged" "closure-staged compiler (the default)" (fun _ -> staged);
+    row "parallel" ~param:"domain"
+      "work-stealing staged sweep across OCaml domains (default 4); the \
+       only resumable engine"
+      parallel;
+    (* The generated-C tier cannot call back into opaque OCaml closures. *)
+    row "native" ~param:"thread" ~opaque:false
+      "generated C compiled with $BEAST_CC/cc -O2 and run as a subprocess \
+       (default 1 thread)"
+      native;
   ]
 
 let names = List.map (fun e -> e.e_spec) catalog
 
-let entry_base e =
-  match String.index_opt e.e_spec '[' with
-  | None -> e.e_spec
-  | Some k -> String.sub e.e_spec 0 k
-
-(* Accepts both spec syntax ("parallel:8") and resolved engine names
-   ("parallel-8"): exact base first, so "interp-naive" never falls into
-   "interp"'s parameterized-suffix case. *)
-let entry_of spec =
-  match List.find_opt (fun e -> entry_base e = spec) catalog with
-  | Some _ as found -> found
-  | None ->
-    List.find_opt
-      (fun e ->
-        let b = entry_base e in
-        let lb = String.length b in
-        String.length spec > lb
-        && String.sub spec 0 lb = b
-        && (spec.[lb] = ':' || spec.[lb] = '-'))
-      catalog
-
-let find spec : ((module Engine_intf.S), string) result =
+let find spec =
   let base, param =
     match String.index_opt spec ':' with
     | None -> (spec, None)
@@ -194,40 +109,18 @@ let find spec : ((module Engine_intf.S), string) result =
       ( String.sub spec 0 k,
         Some (String.sub spec (k + 1) (String.length spec - k - 1)) )
   in
-  let fixed m =
-    match param with
-    | None -> Ok m
-    | Some p ->
-      Error
-        (Printf.sprintf "the %s engine takes no parameter (got %S)" base p)
-  in
-  match base with
-  | "interp-naive" -> fixed (module Interp_naive : Engine_intf.S)
-  | "interp" -> fixed (module Interp : Engine_intf.S)
-  | "vm" -> fixed (module Vm : Engine_intf.S)
-  | "staged" -> fixed (module Staged : Engine_intf.S)
-  | "parallel" -> (
-    match param with
-    | None -> Ok (parallel default_parallel_domains)
-    | Some p -> (
-      match int_of_string_opt p with
-      | Some n when n >= 1 -> Ok (parallel n)
-      | Some n ->
-        Error (Printf.sprintf "parallel: need at least 1 domain (got %d)" n)
-      | None ->
-        Error
-          (Printf.sprintf "parallel: expected a domain count, got %S" p)))
-  | "native" -> (
-    match param with
-    | None -> Ok (module Native : Engine_intf.S)
-    | Some p -> (
-      match int_of_string_opt p with
-      | Some n when n >= 1 -> Ok (native n)
-      | Some n ->
-        Error (Printf.sprintf "native: need at least 1 thread (got %d)" n)
-      | None ->
-        Error (Printf.sprintf "native: expected a thread count, got %S" p)))
-  | _ ->
+  match (List.find_opt (fun e -> e.e_base = base) catalog, param) with
+  | None, _ ->
     Error
       (Printf.sprintf "unknown engine %s (try: %s)" spec
          (String.concat ", " names))
+  | Some e, None -> Ok (e, e.e_make None)
+  | Some { e_param = None; _ }, Some p ->
+    Error (Printf.sprintf "the %s engine takes no parameter (got %S)" base p)
+  | Some ({ e_param = Some noun; _ } as e), Some p -> (
+    match int_of_string_opt p with
+    | Some n when n >= 1 -> Ok (e, e.e_make (Some n))
+    | Some n ->
+      Error (Printf.sprintf "%s: need at least 1 %s (got %d)" base noun n)
+    | None ->
+      Error (Printf.sprintf "%s: expected a %s count, got %S" base noun p))

@@ -470,8 +470,6 @@ let run_plan ?on_hit plan =
        ~instrument:(Engine.Run.instrumenting () || Provenance.enabled ())
        plan)
 
-let run_space ?on_hit space = run_plan ?on_hit (Plan.make_exn space)
-
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                       *)
 (* ------------------------------------------------------------------ *)

@@ -16,7 +16,7 @@ type program
     instructions — per-depth entry counts, per-constraint and per-level
     stopwatches, throughput sampling. An uninstrumented program contains
     no such instructions, so tracing that is off costs nothing.
-    [run_plan] and [run_space] instrument whenever the run is
+    [run_plan] instruments whenever the run is
     instrumented ({!Engine.Run}: tracing, progress or metrics) or
     provenance is on, which needs the per-depth entry counts; a program
     compiled without it reports no per-depth entries. *)
@@ -29,4 +29,3 @@ val run : ?on_hit:Engine.on_hit -> program -> Engine.stats
     whose step evaluates to 0, and [Division_by_zero]. *)
 
 val run_plan : ?on_hit:Engine.on_hit -> Plan.t -> Engine.stats
-val run_space : ?on_hit:Engine.on_hit -> Space.t -> Engine.stats

@@ -448,6 +448,19 @@ let make_untraced ~hoist ~order space =
           d
       in
       List.iter (fun n -> ignore (depth n)) (Dag.nodes dag);
+      (* Unhoisted, a derived variable still has to be bound before the
+         first loop whose iterator reads it (directly or through other
+         derived variables): just inside the enclosing loop. *)
+      let unhoisted = Hashtbl.create 16 in
+      let rec bind_by d n =
+        if (not (is_iterator n)) && not (Hashtbl.mem unhoisted n) then begin
+          Hashtbl.replace unhoisted n d;
+          List.iter (bind_by d) (Dag.deps_of dag n)
+        end
+      in
+      List.iteri
+        (fun i it -> List.iter (bind_by i) (Dag.deps_of dag it))
+        iter_order;
       (* Slots: iterators first (loop order), then derived variables. *)
       let slot_list =
         iter_order @ List.map (fun dv -> dv.Space.dv_name) deriveds
@@ -531,7 +544,10 @@ let make_untraced ~hoist ~order space =
       List.iter
         (fun n ->
           if not (is_iterator n) then begin
-            let d = if hoist then depth n else n_loops in
+            let d =
+              if hoist then depth n
+              else Option.value (Hashtbl.find_opt unhoisted n) ~default:n_loops
+            in
             let step =
               match Smap.find_opt n dv_by_name with
               | Some dv ->

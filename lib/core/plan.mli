@@ -98,9 +98,10 @@ exception Error of error
 val make : ?hoist:bool -> ?order:string list -> Space.t -> (t, error) result
 (** [make space] builds the plan. [hoist] (default [true]) controls
     whether derived variables and constraints float to their minimal
-    depth; with [hoist:false] everything evaluates at the innermost level,
-    reproducing an un-optimized (scripting-style) enumeration for the
-    ablation study. [order] overrides the loop order; it must be a
+    depth; with [hoist:false] everything evaluates at the innermost level
+    (except a derived variable an iterator reads, which is bound just
+    before that iterator's loop), reproducing an un-optimized
+    (scripting-style) enumeration for the ablation study. [order] overrides the loop order; it must be a
     permutation of the iterator names compatible with the DAG. *)
 
 val make_exn : ?hoist:bool -> ?order:string list -> Space.t -> t

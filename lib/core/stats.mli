@@ -70,7 +70,7 @@ val funnel_of_run : Stats_io.t -> (funnel, string) result
 val of_stats : Space.t -> Engine.stats -> total_points:int -> funnel
 (** Cheap single-sweep variant: rows carry firing counts only
     ([removed = None]). [total_points] must be supplied by the caller
-    (e.g. from {!Sweep.cardinality}). *)
+    (e.g. {!Feasible.count} of the constraint-free space). *)
 
 val to_csv : funnel -> string
 val pp : Format.formatter -> funnel -> unit

@@ -1,28 +1,5 @@
-type engine =
-  | Interp_naive
-  | Interp
-  | Vm
-  | Staged
-  | Parallel of int
-
-let engine_name = function
-  | Interp_naive -> "interp-naive"
-  | Interp -> "interp"
-  | Vm -> "vm"
-  | Staged -> "staged"
-  | Parallel n -> Printf.sprintf "parallel-%d" n
-
-let all_engines = [ Interp_naive; Interp; Vm; Staged; Parallel 2 ]
-
-let module_of : engine -> (module Engine_intf.S) = function
-  | Interp_naive -> (module Engine_registry.Interp_naive)
-  | Interp -> (module Engine_registry.Interp)
-  | Vm -> (module Engine_registry.Vm)
-  | Staged -> (module Engine_registry.Staged)
-  | Parallel n -> Engine_registry.parallel n
-
-let run ?(engine = Staged) ?on_hit space =
-  let (module E : Engine_intf.S) = module_of engine in
+let run ?(engine = Engine_registry.staged) ?on_hit space =
+  let (module E : Engine_intf.S) = engine in
   E.run ?on_hit (Engine_intf.Space space)
 
 let survivors ?engine ?limit space =
@@ -45,23 +22,7 @@ let survivors ?engine ?limit space =
   ignore (run ?engine ~on_hit:record space);
   List.rev !acc
 
-let fold ?(engine = Staged) ~init ~f space =
-  (match engine with
-  | Parallel _ -> invalid_arg "Sweep.fold: sequential engines only"
-  | _ -> ());
+let fold ~init ~f space =
   let acc = ref init in
-  let stats = run ~engine ~on_hit:(fun lookup -> acc := f !acc lookup) space in
+  let stats = run ~on_hit:(fun lookup -> acc := f !acc lookup) space in
   (!acc, stats)
-
-exception Budget_reached
-
-let cardinality ?(budget = 10_000_000) space =
-  let unconstrained = Space.filter_constraints space ~keep:(fun _ -> false) in
-  let count = ref 0 in
-  let on_hit _ =
-    incr count;
-    if !count >= budget then raise Budget_reached
-  in
-  match Engine_staged.run_space ~on_hit unconstrained with
-  | _ -> `Exact !count
-  | exception Budget_reached -> `At_least !count

@@ -1,40 +1,25 @@
-(** High-level sweep API tying the pieces together: pick an engine, run
-    a space, collect survivors or fold over them. *)
+(** High-level sweep API tying the pieces together: run a space on an
+    engine, collect survivors or fold over them. Engines are
+    {!Engine_registry} modules, as in the tuner; the default is
+    {!Engine_registry.staged}. *)
 
-type engine =
-  | Interp_naive  (** tree-walking, everything evaluated innermost *)
-  | Interp  (** tree-walking with DAG hoisting *)
-  | Vm  (** bytecode *)
-  | Staged  (** closure-compiled (default) *)
-  | Parallel of int  (** staged across N domains *)
-
-val engine_name : engine -> string
-val all_engines : engine list
-
-val module_of : engine -> (module Engine_intf.S)
-(** The {!Engine_registry} module behind each variant; {!run} and the
-    tuner dispatch through it. *)
-
-val run : ?engine:engine -> ?on_hit:Engine.on_hit -> Space.t -> Engine.stats
+val run :
+  ?engine:(module Engine_intf.S) ->
+  ?on_hit:Engine.on_hit ->
+  Space.t ->
+  Engine.stats
 (** @raise Plan.Error if the space does not plan. *)
 
 val survivors :
-  ?engine:engine -> ?limit:int -> Space.t -> (string * Value.t) list list
+  ?engine:(module Engine_intf.S) ->
+  ?limit:int ->
+  Space.t ->
+  (string * Value.t) list list
 (** Collect surviving points as (iterator, value) bindings in loop
     order; stops recording after [limit] points (default unlimited) but
-    completes the sweep. Not meaningful with [Parallel _] order-wise;
-    the list order follows each domain's completion. *)
+    completes the sweep. With a parallel engine the list order follows
+    each domain's completion. *)
 
 val fold :
-  ?engine:engine ->
-  init:'a ->
-  f:('a -> Expr.lookup -> 'a) ->
-  Space.t ->
-  'a * Engine.stats
-(** Sequential fold over survivors (rejects [Parallel _]). *)
-
-val cardinality : ?budget:int -> Space.t -> [ `Exact of int | `At_least of int ]
-(** Size of the {e unconstrained} space (every iterator combination, no
-    pruning), counted by sweeping a constraint-free copy with the staged
-    engine. Stops and returns [`At_least] once [budget] points have been
-    counted (default budget [10_000_000]). *)
+  init:'a -> f:('a -> Expr.lookup -> 'a) -> Space.t -> 'a * Engine.stats
+(** Fold over survivors in sweep order on the staged engine. *)

@@ -21,6 +21,37 @@ let check_all_engines sp =
 let test_triangle_agreement () = check_all_engines (Support.triangle_space ())
 let test_mixed_agreement () = check_all_engines (Support.mixed_space ())
 
+(* Closure iterators that read derived variables (fft's divisors of
+   conv_len, gemm-opt's divisor pairs) must find them bound when their
+   loop starts, even in the unhoisted plan. *)
+let test_naive_binds_iterator_deriveds () =
+  let gemm_opt =
+    let device =
+      Beast_gpu.Device.scale ~max_dim:8 ~max_threads:128
+        Beast_gpu.Device.tesla_k40c
+    in
+    Beast_kernels.Gemm.space_divisor_opt
+      ~settings:{ Beast_kernels.Gemm.default_settings with device }
+      ()
+  in
+  let points variant sp =
+    let acc = ref [] in
+    let on_hit lookup =
+      acc :=
+        List.map (fun it -> lookup it.Space.it_name) (Space.iterators sp)
+        :: !acc
+    in
+    ignore (Engine_interp.run ~on_hit ~variant sp);
+    List.sort compare !acc
+  in
+  List.iter
+    (fun sp ->
+      Alcotest.(check bool)
+        (Space.name sp ^ ": naive survivors = hoisted")
+        true
+        (points `Naive sp = points `Hoisted sp))
+    [ Beast_kernels.Fft.space ~max_size:64 (); gemm_opt ]
+
 let test_triangle_exact () =
   (* x in 0..7, y in x..7, prune odd x+y and x>5: count by hand. *)
   let count = ref 0 in
@@ -171,7 +202,7 @@ let test_division_by_zero_propagates () =
   Alcotest.check_raises "staged raises" Division_by_zero (fun () ->
       ignore (Engine_staged.run_space sp));
   Alcotest.check_raises "vm raises" Division_by_zero (fun () ->
-      ignore (Engine_vm.run_space sp))
+      ignore (Engine_vm.run_plan (Plan.make_exn sp)))
 
 (* ---- Loop accounting: the staged engine adds a loop's trip count once
    per entry, so every range shape must count exactly what the
@@ -441,11 +472,15 @@ let prop_work_stealing_matches_staged =
 
 (* ---- Engine registry: name-keyed lookup behind Engine_intf.S ---- *)
 
-let find_exn spec =
+let find_row spec =
   match Engine_registry.find spec with
-  | Ok m -> m
+  | Ok found -> found
   | Error msg -> Alcotest.failf "find %S: %s" spec msg
 
+let find_exn spec = snd (find_row spec)
+
+(* Resolved names key manifests and archive groups, so every accepted
+   spec's [E.name] is pinned. *)
 let test_registry_resolves_all_names () =
   List.iter
     (fun (spec, expected_name) ->
@@ -456,22 +491,45 @@ let test_registry_resolves_all_names () =
       ("interp", "interp");
       ("vm", "vm");
       ("staged", "staged");
-      ("parallel", Printf.sprintf "parallel-%d" Engine_registry.default_parallel_domains);
+      ("parallel", "parallel-4");
+      ("parallel:1", "parallel-1");
       ("parallel:7", "parallel-7");
+      ("native", "native");
+      ("native:1", "native-1");
+      ("native:3", "native-3");
     ]
 
 let test_registry_rejects_bad_specs () =
+  let unknown spec =
+    Printf.sprintf
+      "unknown engine %s (try: interp-naive, interp, vm, staged, \
+       parallel[:DOMAINS], native[:THREADS])"
+      spec
+  in
   List.iter
-    (fun spec ->
+    (fun (spec, expected) ->
       match Engine_registry.find spec with
-      | Ok (module E : Engine_intf.S) ->
+      | Ok (_, (module E : Engine_intf.S)) ->
         Alcotest.failf "%S resolved to %s" spec E.name
       | Error msg ->
-        Alcotest.(check bool)
-          (Printf.sprintf "%S error names the choices (got %S)" spec msg)
-          true
-          (String.length msg > 0))
-    [ ""; "jit"; "parallel:0"; "parallel:-2"; "parallel:x"; "staged:2"; "interp:" ]
+        Alcotest.(check string) (Printf.sprintf "%S" spec) expected msg)
+    [
+      ("", unknown "");
+      ("jit", unknown "jit");
+      ("parallel-4", unknown "parallel-4");
+      ("parallel:0", "parallel: need at least 1 domain (got 0)");
+      ("parallel:-2", "parallel: need at least 1 domain (got -2)");
+      ("parallel:x", "parallel: expected a domain count, got \"x\"");
+      ("parallel:", "parallel: expected a domain count, got \"\"");
+      ("parallel:2:3", "parallel: expected a domain count, got \"2:3\"");
+      ("native:0", "native: need at least 1 thread (got 0)");
+      ("native:x", "native: expected a thread count, got \"x\"");
+      ("staged:2", "the staged engine takes no parameter (got \"2\")");
+      ("interp:", "the interp engine takes no parameter (got \"\")");
+      ( "interp-naive:3",
+        "the interp-naive engine takes no parameter (got \"3\")" );
+      ("vm:1:2", "the vm engine takes no parameter (got \"1:2\")");
+    ]
 
 let test_registry_engines_agree () =
   let sp = Support.triangle_space () in
@@ -486,13 +544,8 @@ let test_registry_engines_agree () =
     [ "interp-naive"; "interp"; "vm"; "staged"; "parallel:3" ]
 
 let test_registry_catalog_capabilities () =
-  let entry spec =
-    match Engine_registry.entry_of spec with
-    | Some e -> e
-    | None -> Alcotest.failf "%S has no catalog entry" spec
-  in
   let check spec ~propagate ~opaque ~resumable =
-    let e = entry spec in
+    let e, _ = find_row spec in
     Alcotest.(check bool)
       (spec ^ " propagate default")
       propagate e.Engine_registry.e_propagate_default;
@@ -505,10 +558,10 @@ let test_registry_catalog_capabilities () =
   check "interp" ~propagate:true ~opaque:true ~resumable:false;
   check "vm" ~propagate:true ~opaque:true ~resumable:false;
   check "staged" ~propagate:true ~opaque:true ~resumable:false;
+  check "parallel" ~propagate:true ~opaque:true ~resumable:true;
   check "parallel:8" ~propagate:true ~opaque:true ~resumable:true;
-  check "parallel-8" ~propagate:true ~opaque:true ~resumable:true;
   check "native" ~propagate:true ~opaque:false ~resumable:false;
-  Alcotest.(check bool) "unknown spec" true (Engine_registry.entry_of "jit" = None);
+  check "native:2" ~propagate:true ~opaque:false ~resumable:false;
   (* names derives from the catalog, so listing and lookup can't drift *)
   Alcotest.(check (list string))
     "names = catalog specs"
@@ -563,6 +616,8 @@ let () =
           Alcotest.test_case "triangle space" `Quick test_triangle_agreement;
           Alcotest.test_case "mixed space" `Quick test_mixed_agreement;
           Alcotest.test_case "triangle exact count" `Quick test_triangle_exact;
+          Alcotest.test_case "naive plan binds iterator deriveds" `Quick
+            test_naive_binds_iterator_deriveds;
           Alcotest.test_case "deep nest" `Quick test_deep_nest;
           Alcotest.test_case "dynamic iterator algebra" `Quick
             test_dynamic_algebra_iterators;

@@ -217,6 +217,73 @@ let test_parser_hit_count_mismatch () =
 (* Degradation, caching and crash hygiene                              *)
 (* ------------------------------------------------------------------ *)
 
+(* A range step that evaluates to 0 is the OCaml engines' one-line
+   error, on one thread or several. *)
+let test_zero_step_names_the_loop () =
+  let sp = Space.create ~name:"zero_step" () in
+  Space.iterator sp "x" (Iter.range_i 0 3);
+  Space.iterator sp "y"
+    (Iter.range ~step:Expr.Infix.(Expr.var "x" -: Expr.var "x") (Expr.int 0)
+       (Expr.int 5));
+  let plan = Plan.make_exn sp in
+  in_workdir (fun workdir ->
+      List.iter
+        (fun threads ->
+          match Engine_native.run ~workdir ~threads plan with
+          | _ -> Alcotest.failf "zero step ran on %d thread(s)" threads
+          | exception Engine_native.Error msg ->
+            Alcotest.(check string)
+              (Printf.sprintf "%d thread(s)" threads)
+              "y: zero range step" msg)
+        [ 1; 3 ]);
+  match parse plan [ "zero-step 1" ] with
+  | Ok _ -> Alcotest.fail "zero-step line parsed as statistics"
+  | Error e -> Alcotest.(check string) "parser" "y: zero range step" e
+
+(* A compiler wrapper links a shim that makes every other
+   pthread_create fail: the slices of the threads that could not be
+   created must run inline, not vanish from the statistics. *)
+let test_failed_thread_creation_runs_inline () =
+  let real_cc = Engine_native.cc () in
+  if Sys.command (Printf.sprintf "command -v %s >/dev/null 2>&1" real_cc) <> 0
+  then Alcotest.skip ();
+  in_workdir (fun workdir ->
+      Unix.mkdir workdir 0o755;
+      let write name text =
+        let path = Filename.concat workdir name in
+        Out_channel.with_open_text path (fun oc ->
+            Out_channel.output_string oc text);
+        path
+      in
+      let shim =
+        write "shim.c"
+          "#include <errno.h>\n\
+           #include <pthread.h>\n\
+           int __real_pthread_create(pthread_t *, const pthread_attr_t *,\n\
+          \                          void *(*)(void *), void *);\n\
+           static int calls;\n\
+           int __wrap_pthread_create(pthread_t *t, const pthread_attr_t *a,\n\
+          \                          void *(*f)(void *), void *arg) {\n\
+          \  if (calls++ % 2 == 1) return EAGAIN;\n\
+          \  return __real_pthread_create(t, a, f, arg);\n\
+           }\n"
+      in
+      let wrapper =
+        write "cc-shim.sh"
+          (Printf.sprintf
+             "#!/bin/sh\nexec %s \"$@\" %s -Wl,--wrap=pthread_create\n"
+             real_cc (Filename.quote shim))
+      in
+      Unix.chmod wrapper 0o755;
+      let plan = Plan.make_exn (small_gemm ()) in
+      let expected = Engine_staged.run plan in
+      Unix.putenv "BEAST_CC" wrapper;
+      Fun.protect
+        ~finally:(fun () -> Unix.putenv "BEAST_CC" "")
+        (fun () ->
+          check_stats "native:4 with failing pthread_create = staged" expected
+            (Engine_native.run ~workdir ~threads:4 plan)))
+
 let test_unsupported_is_one_line_error () =
   in_workdir (fun workdir ->
       match Engine_native.run ~workdir (Plan.make_exn (Support.mixed_space ()))
@@ -305,17 +372,14 @@ let test_kill_mid_run_leaves_no_temps () =
 
 let test_registry_specs () =
   (match Engine_registry.find "native" with
-  | Ok (module E : Engine_intf.S) ->
+  | Ok (e, (module E : Engine_intf.S)) ->
     Alcotest.(check string) "bare spec" "native" E.name;
-    (match Engine_registry.entry_of "native" with
-    | Some e ->
-      Alcotest.(check bool)
-        "catalog: native cannot evaluate opaque closures" false
-        e.Engine_registry.e_opaque
-    | None -> Alcotest.fail "native has no catalog entry")
+    Alcotest.(check bool)
+      "catalog: native cannot evaluate opaque closures" false
+      e.Engine_registry.e_opaque
   | Error e -> Alcotest.failf "native spec rejected: %s" e);
   (match Engine_registry.find "native:3" with
-  | Ok (module E : Engine_intf.S) ->
+  | Ok (_, (module E : Engine_intf.S)) ->
     Alcotest.(check string) "parameterized spec" "native-3" E.name
   | Error e -> Alcotest.failf "native:3 rejected: %s" e);
   (match Engine_registry.find "native:0" with
@@ -334,7 +398,7 @@ let test_registry_run () =
   in_workdir (fun _ ->
       match Engine_registry.find "native" with
       | Error e -> Alcotest.failf "native spec rejected: %s" e
-      | Ok (module E : Engine_intf.S) ->
+      | Ok (_, (module E : Engine_intf.S)) ->
         let sp = Support.triangle_space () in
         let expected = Engine_staged.run_space sp in
         check_stats "registry-resolved native run" expected
@@ -376,6 +440,10 @@ let () =
           Alcotest.test_case "compile cache hit" `Quick test_compile_cache_hit;
           Alcotest.test_case "kill mid-run leaves no temps" `Quick
             test_kill_mid_run_leaves_no_temps;
+          Alcotest.test_case "zero step names the loop" `Quick
+            test_zero_step_names_the_loop;
+          Alcotest.test_case "failed thread creation runs inline" `Quick
+            test_failed_thread_creation_runs_inline;
         ] );
       ( "registry",
         [

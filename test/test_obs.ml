@@ -179,9 +179,9 @@ let engines : (string * (Space.t -> Engine.stats)) list =
   [
     ("interp", fun sp -> Engine_interp.run sp);
     ("interp-naive", fun sp -> Engine_interp.run ~variant:`Naive sp);
-    ("vm", fun sp -> Engine_vm.run_space sp);
+    ("vm", fun sp -> Engine_vm.run_plan (Plan.make_exn sp));
     ("staged", fun sp -> Engine_staged.run_space sp);
-    ("parallel", fun sp -> Engine_parallel.run_space ~domains:3 sp);
+    ("parallel", fun sp -> Engine_parallel.run ~domains:3 (Plan.make_exn sp));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -333,7 +333,9 @@ let test_cross_engine_agreement_while_traced () =
 
 let recorded_sweep () =
   let sp = Support.triangle_space () in
-  let _, r = record (fun () -> Engine_parallel.run_space ~domains:2 sp) in
+  let _, r =
+    record (fun () -> Engine_parallel.run ~domains:2 (Plan.make_exn sp))
+  in
   r
 
 let test_chrome_well_formed () =

@@ -32,14 +32,20 @@ let test_funnel_order_is_evaluation_order () =
     "row order" [ "big_x"; "odd_sum" ]
     (List.map (fun (r : Stats.row) -> r.Stats.constraint_name) f.Stats.rows)
 
+(* Size of the unconstrained space (every iterator combination, no
+   pruning), counted by the feasible-set diagram without enumerating. *)
+let unconstrained_count sp =
+  let plan =
+    Plan.make_exn (Space.filter_constraints sp ~keep:(fun _ -> false))
+  in
+  match Feasible.build plan with
+  | Ok f -> Feasible.count f
+  | Error msg -> Alcotest.failf "feasible set refused: %s" msg
+
 let test_of_stats () =
   let sp = Support.triangle_space () in
   let stats = Engine_staged.run_space sp in
-  let total =
-    match Sweep.cardinality sp with
-    | `Exact n -> n
-    | `At_least _ -> Alcotest.fail "small space must be exact"
-  in
+  let total = unconstrained_count sp in
   let f = Stats.of_stats sp stats ~total_points:total in
   Alcotest.(check int) "total" 36 f.Stats.total_points;
   List.iter
@@ -128,10 +134,11 @@ let test_sweep_engines_api () =
   let sp = Support.triangle_space () in
   let expected = Support.survivor_count sp in
   List.iter
-    (fun engine ->
-      let s = Sweep.run ~engine sp in
-      Alcotest.(check int) (Sweep.engine_name engine) expected s.Engine.survivors)
-    Sweep.all_engines
+    (fun e ->
+      (* parameterized engines at 2 domains / threads *)
+      let s = Sweep.run ~engine:(e.Engine_registry.e_make (Some 2)) sp in
+      Alcotest.(check int) e.Engine_registry.e_spec expected s.Engine.survivors)
+    Engine_registry.catalog
 
 let test_sweep_survivors () =
   let sp = Support.triangle_space () in
@@ -155,27 +162,31 @@ let test_sweep_fold () =
   in
   Alcotest.(check bool) "positive sum" true (sum > 0);
   Alcotest.(check int) "stats survivors" (Support.survivor_count sp)
-    stats.Engine.survivors;
-  Alcotest.check_raises "parallel rejected"
-    (Invalid_argument "Sweep.fold: sequential engines only") (fun () ->
-      ignore (Sweep.fold ~engine:(Sweep.Parallel 2) sp ~init:0 ~f:(fun a _ -> a)))
+    stats.Engine.survivors
 
-let test_cardinality_budget () =
-  let sp = Space.create () in
-  Space.iterator sp "x" (Iter.range_i 0 1000);
-  Space.iterator sp "y" (Iter.range_i 0 1000);
-  (match Sweep.cardinality ~budget:500 sp with
-  | `At_least n -> Alcotest.(check int) "budget hit" 500 n
-  | `Exact _ -> Alcotest.fail "budget should trigger");
-  match Sweep.cardinality sp with
-  | `Exact n -> Alcotest.(check int) "exact" 1_000_000 n
-  | `At_least _ -> Alcotest.fail "within default budget"
-
+(* The feasible-set count of the unconstrained space against a sweep of
+   it, on a range space, on closure iterators and on GEMM-8. *)
 let test_cardinality_ignores_constraints () =
-  let sp = Support.triangle_space () in
-  match Sweep.cardinality sp with
-  | `Exact n -> Alcotest.(check int) "unconstrained" 36 n
-  | `At_least _ -> Alcotest.fail "small space"
+  let gemm8 =
+    let device =
+      Beast_gpu.Device.scale ~max_dim:8 ~max_threads:32
+        Beast_gpu.Device.tesla_k40c
+    in
+    Beast_kernels.Gemm.space
+      ~settings:{ Beast_kernels.Gemm.default_settings with device }
+      ()
+  in
+  Alcotest.(check int) "triangle" 36
+    (unconstrained_count (Support.triangle_space ()));
+  List.iter
+    (fun sp ->
+      let swept =
+        Engine_staged.run_space
+          (Space.filter_constraints sp ~keep:(fun _ -> false))
+      in
+      Alcotest.(check int) (Space.name sp) swept.Engine.survivors
+        (unconstrained_count sp))
+    [ Support.triangle_space (); Support.mixed_space (); gemm8 ]
 
 let () =
   Alcotest.run "stats"
@@ -201,7 +212,6 @@ let () =
           Alcotest.test_case "engine selection" `Quick test_sweep_engines_api;
           Alcotest.test_case "survivors" `Quick test_sweep_survivors;
           Alcotest.test_case "fold" `Quick test_sweep_fold;
-          Alcotest.test_case "cardinality budget" `Quick test_cardinality_budget;
           Alcotest.test_case "cardinality unconstrained" `Quick
             test_cardinality_ignores_constraints;
         ] );

@@ -69,7 +69,8 @@ let test_top_n_sorted_unique () =
 let test_parallel_matches_sequential_best () =
   let seq = Tuner.tune ~objective (simple_space ()) in
   let par =
-    Tuner.tune ~engine:(Engine_registry.parallel 3) ~objective (simple_space ())
+    let _, engine = Result.get_ok (Engine_registry.find "parallel:3") in
+    Tuner.tune ~engine ~objective (simple_space ())
   in
   match seq.Tuner.best, par.Tuner.best with
   | Some a, Some b ->
