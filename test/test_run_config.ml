@@ -70,6 +70,88 @@ let test_metrics_enabled () =
     (Run_config.metrics_enabled
        { Run_config.default with Run_config.metrics_out = Some "m.prom" })
 
+
+(* ------------------------------------------------------------------ *)
+(* The instrumented-path decision, one row per configuration           *)
+(* ------------------------------------------------------------------ *)
+
+let with_files f =
+  let files =
+    List.map (fun ext -> Filename.temp_file "beast_rc" ext)
+      [ ".trace"; ".flight"; ".status"; ".prom"; ".explain" ]
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) files)
+    (fun () -> f files)
+
+(* Each row: the config, and whether the run is instrumented (engines
+   compile their timing/sampling paths), traced (a sink receives
+   events) and explained (a provenance collector is ambient). Flight
+   and status are coarse consumers: they ride on the plain path. *)
+let matrix ~trace ~flight ~status ~metrics_out ~explain_out =
+  let d = Run_config.default in
+  [
+    ("plain", d, false, false, false);
+    ("trace", { d with Run_config.trace = Some trace }, true, true, false);
+    ("flight", { d with Run_config.flight = Some flight }, false, true, false);
+    ("status", { d with Run_config.status = Some status }, false, false, false);
+    ("progress", { d with Run_config.progress = true }, true, false, false);
+    ( "metrics",
+      { d with Run_config.metrics_out = Some metrics_out },
+      true, false, false );
+    ( "explain_out",
+      { d with Run_config.explain_out = Some explain_out },
+      false, false, true );
+    ( "status+flight",
+      { d with Run_config.status = Some status; flight = Some flight },
+      false, true, false );
+    ( "trace+flight",
+      { d with Run_config.trace = Some trace; flight = Some flight },
+      true, true, false );
+    ( "progress+status",
+      { d with Run_config.progress = true; status = Some status },
+      true, false, false );
+  ]
+
+let nothing_installed what =
+  Alcotest.(check bool) (what ^ ": no sink") false (Beast_obs.Obs.enabled ());
+  Alcotest.(check bool)
+    (what ^ ": not instrumenting")
+    false
+    (Engine.Run.instrumenting ());
+  Alcotest.(check bool)
+    (what ^ ": no collector")
+    false (Provenance.enabled ())
+
+let run_with cfg f =
+  Run_config.with_instrumentation ~run_id:"0123456789ab" ~space:"triangle"
+    cfg f
+
+let test_decision_table () =
+  with_files (function
+    | [ trace; flight; status; metrics_out; explain_out ] ->
+      List.iter
+        (fun (name, cfg, instrumented, traced, explained) ->
+          nothing_installed (name ^ " before");
+          run_with cfg (fun () ->
+              Alcotest.(check bool)
+                (name ^ ": instrumented")
+                instrumented
+                (Engine.Run.instrumenting ());
+              Alcotest.(check bool)
+                (name ^ ": traced") traced (Beast_obs.Obs.enabled ());
+              Alcotest.(check bool)
+                (name ^ ": explained")
+                explained (Provenance.enabled ()));
+          nothing_installed (name ^ " after return");
+          (match run_with cfg (fun () -> failwith "boom") with
+          | () -> Alcotest.failf "%s: the callback's exception was lost" name
+          | exception Failure _ -> ());
+          nothing_installed (name ^ " after raise"))
+        (matrix ~trace ~flight ~status ~metrics_out ~explain_out)
+    | _ -> assert false)
+
 let () =
   Alcotest.run "run_config"
     [
@@ -82,4 +164,6 @@ let () =
           Alcotest.test_case "fault probability" `Quick test_fault_probability;
           Alcotest.test_case "metrics_enabled" `Quick test_metrics_enabled;
         ] );
+      ( "install",
+        [ Alcotest.test_case "decision table" `Quick test_decision_table ] );
     ]
