@@ -791,9 +791,12 @@ let ablation_obs_overhead () =
   ignore (Engine_staged.run plan) (* warm up *);
   let off = ns_per_run "staged-obs-off" (fun () -> ignore (Engine_staged.run plan)) in
   let recorder = Recorder.create () in
-  Obs.set_sink (Recorder.sink recorder);
-  let on = ns_per_run "staged-obs-on" (fun () -> ignore (Engine_staged.run plan)) in
-  Obs.clear_sink ();
+  let on =
+    Obs.with_context
+      { Obs.off with Obs.sink = Some (Recorder.sink recorder); instrumented = true }
+      (fun () ->
+        ns_per_run "staged-obs-on" (fun () -> ignore (Engine_staged.run plan)))
+  in
   Printf.printf "tracing disabled: %10.3f ms/run\n" (off *. 1e-6);
   Printf.printf "tracing enabled:  %10.3f ms/run  (%d events recorded)\n"
     (on *. 1e-6) (Recorder.event_count recorder);
@@ -963,14 +966,18 @@ let ablation_status () =
       Run_config.status = Some status_file;
       status_every_s = 0.1;
       flight = Some flight_file;
+      run_id = Some "bench-status";
     }
   in
-  let on =
-    Run_config.with_instrumentation ~run_id:"bench-status" ~space:"gemm" cfg
-      (fun () ->
-        ns_per_run "staged-status-on" (fun () ->
-            ignore (Engine_staged.run plan)))
-  in
+  let on = ref 0.0 in
+  ignore
+    (Run_config.with_instrumentation ~space:"gemm" ~engine:"staged" cfg
+       (fun _ ->
+         on :=
+           ns_per_run "staged-status-on" (fun () ->
+               ignore (Engine_staged.run plan));
+         0));
+  let on = !on in
   let status_parses =
     match Status.of_file status_file with
     | Ok v -> v.Status.v_state = "completed"
@@ -1356,49 +1363,43 @@ let () =
   end;
   Printf.printf "BEAST reproduction benchmarks%s\n"
     (if quick then " (QUICK smoke mode)" else if fast then " (FAST mode)" else "");
-  (* BEAST_BENCH_TRACE=FILE records the whole harness run and writes a
-     Chrome trace at the end (obs-overhead ablation excepted: it manages
-     its own sink, so its instrumented timings stay self-contained). *)
-  let trace =
-    Option.map
-      (fun file ->
-        let r = Recorder.create () in
-        Obs.set_sink (Recorder.sink r);
-        (file, r))
-      (Sys.getenv_opt "BEAST_BENCH_TRACE")
+  let sections () =
+    if not quick then begin
+      fig17 ();
+      fig18 ();
+      fig19 ();
+      sweep_speedup ();
+      table1 ();
+      funnel ()
+    end;
+    fig16 ();
+    ablation_hoisting ();
+    if not quick then begin
+      ablation_loop_order ();
+      ablation_divisor_iterator ()
+    end;
+    ablation_parallel ();
+    ablation_stealing ();
+    ablation_provenance ();
+    ablation_propagate ();
+    ablation_checkpoint ();
+    ablation_status ();
+    ablation_native ()
   in
-  if not quick then begin
-    fig17 ();
-    fig18 ();
-    fig19 ();
-    sweep_speedup ();
-    table1 ();
-    funnel ()
-  end;
-  fig16 ();
-  ablation_hoisting ();
-  if not quick then begin
-    ablation_loop_order ();
-    ablation_divisor_iterator ()
-  end;
-  ablation_parallel ();
-  ablation_stealing ();
-  ablation_provenance ();
-  ablation_propagate ();
-  ablation_checkpoint ();
-  ablation_status ();
-  ablation_native ();
-  (match trace with
-  | None -> ()
-  | Some _ -> Obs.clear_sink ());
+  (* BEAST_BENCH_TRACE=FILE records the whole harness run as one traced
+     run and writes a Chrome trace at the end (obs-overhead ablation
+     excepted: it installs its own sink, so its instrumented timings
+     stay self-contained). *)
+  (match Sys.getenv_opt "BEAST_BENCH_TRACE" with
+  | None -> sections ()
+  | Some file ->
+    ignore
+      (Run_config.with_instrumentation ~space:"bench" ~engine:"bench"
+         { Run_config.default with Run_config.trace = Some file }
+         (fun _ ->
+           sections ();
+           0)));
   if not quick then ablation_obs_overhead ();
-  (match trace with
-  | None -> ()
-  | Some (file, r) ->
-    let oc = open_out file in
-    Sink_chrome.write ~start_ns:(Recorder.start_ns r) oc (Recorder.events r);
-    close_out oc;
-    Printf.printf "wrote %d trace events to %s\n" (Recorder.event_count r) file);
   line ();
   print_endline "done; see EXPERIMENTS.md for paper-vs-measured discussion.";
   (match !write_baseline with

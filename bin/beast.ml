@@ -346,88 +346,34 @@ let sweep_config_term =
     $ explain_out_arg $ archive_flag_arg $ archive_dir_arg)
 
 (* Validate the config, then run [f] under its instrumentation. [f]
-   receives the effective run id (explicit --run-id, or freshly minted
-   when any introspection surface wants one) and returns the process
-   exit code rather than calling [exit] itself, so the Fun.protect
-   finalizers inside with_instrumentation (trace, flight and metrics
-   writes, status finalization) always run before the process ends.
-
-   When --runs names a directory, a manifest is written before the work
-   starts and finalized on every exit path — normal return, Sys_error,
-   or a crash unwinding past us — so `beast runs` can always tell how a
-   run ended. *)
-let with_config ?space ?engine cfg f =
+   receives the effective run id and returns the process exit code
+   rather than calling [exit] itself, so the run's finalizers (trace,
+   flight and metrics writes, status and manifest finalization) always
+   run before the process ends. A space the engines cannot run —
+   untranslatable for the compiled tier, a missing compiler, a failed
+   compile, an evaluation error such as a zero range step — gets one
+   actionable line and exit 2, never an exception trace; any other
+   exception reaches Cmdliner, which exits 125. *)
+let with_config ~space ~engine cfg f =
   (match Run_config.validate cfg with
   | Ok () -> ()
   | Error msg ->
     Format.eprintf "beast: %s@." msg;
     exit 2);
-  let run_id =
-    match cfg.Run_config.run_id with
-    | Some id -> Some id
-    | None ->
-      if Run_config.introspected cfg then
-        let seed =
-          Printf.sprintf "%s|%s"
-            (Option.value space ~default:"beast")
-            (match cfg.Run_config.shard with
-            | None -> "0/1"
-            | Some (i, n) -> Printf.sprintf "%d/%d" i n)
-        in
-        Some (Run_meta.fresh_id ~seed ())
-      else None
-  in
-  let manifest =
-    match (cfg.Run_config.runs_dir, run_id) with
-    | Some dir, Some id ->
-      let m =
-        Run_meta.make ~run_id:id
-          ~space:(Option.value space ~default:"?")
-          ?shard:cfg.Run_config.shard
-          ~engine:(Option.value engine ~default:"-")
-          ()
-      in
-      Run_meta.save ~dir m;
-      Some (dir, m)
-    | _ -> None
-  in
-  let t0 = Clock.now_ns () in
-  let finalize_manifest code =
-    match manifest with
-    | None -> ()
-    | Some (dir, m) ->
-      let status =
-        match code with
-        | 0 -> Run_meta.Completed
-        | 3 -> Run_meta.Interrupted
-        | _ -> Run_meta.Crashed
-      in
-      ignore
-        (Run_meta.finalize ~dir m ~status ~exit_code:code
-           ~wall_s:(Clock.elapsed_s ~since:t0))
-  in
-  let fail code msg =
-    finalize_manifest code;
+  let diagnose code msg =
     Format.eprintf "beast: %s@." msg;
-    exit code
+    code
   in
   match
-    Run_config.with_instrumentation ?run_id ?space cfg (fun () -> f run_id)
+    Run_config.with_instrumentation ~space ~engine cfg (fun run_id ->
+        try f run_id with
+        | Sys_error msg -> diagnose 1 msg
+        | Engine_native.Error msg | Expr.Eval_error msg -> diagnose 2 msg
+        | Division_by_zero -> diagnose 2 "division by zero")
   with
-  | code ->
-    finalize_manifest code;
-    if code <> 0 then exit code
-  | exception Sys_error msg -> fail 1 msg
-  (* A space the engines cannot run — untranslatable for the compiled
-     tier, a missing compiler, a failed compile, an evaluation error such
-     as a zero range step — gets one actionable line, exit 2, never an
-     exception trace. *)
-  | exception (Engine_native.Error msg | Expr.Eval_error msg) -> fail 2 msg
-  | exception Division_by_zero -> fail 2 "division by zero"
-  | exception e ->
-    (* Cmdliner maps an uncaught exception to its internal-error code. *)
-    finalize_manifest 125;
-    raise e
+  | 0 -> ()
+  | code -> exit code
+  | exception Sys_error msg -> exit (diagnose 1 msg)
 
 let resolve_space name device =
   if Filename.check_suffix name ".beast" then
@@ -542,7 +488,7 @@ let resolve_archive_dir = function
    registry recorded after the resume, so the final stats file describes
    the whole logical run. *)
 let pooled_metrics resume_ck =
-  let live = Option.map Metrics.snapshot (Metrics.current ()) in
+  let live = Option.map Metrics.snapshot (Obs.current ()).Obs.metrics in
   let base = Option.bind resume_ck (fun ck -> ck.Checkpoint.metrics) in
   match (base, live) with
   | None, live -> live
@@ -566,19 +512,33 @@ let sweep_term =
       || cfg.Run_config.resume <> None
       || cfg.Run_config.fault <> None
     in
-    if wants_resumable && Option.is_none E.resumable then begin
-      let ledgered =
+    (* Flags the engine's catalog row cannot honor are refused before
+       any file is written, naming the engines that can. *)
+    let refuse needs capable =
+      let specs =
         Engine_registry.(
           List.filter_map
-            (fun e -> if e.e_resumable then Some e.e_spec else None)
+            (fun e -> if capable e then Some e.e_spec else None)
             catalog)
       in
-      Format.eprintf
-        "beast: --checkpoint, --resume and --fault-inject need an engine \
-         with a chunk ledger (use --engine %s)@."
-        (String.concat " or " ledgered);
+      let rec alternatives = function
+        | [] -> ""
+        | [ s ] -> s
+        | [ a; b ] -> a ^ " or " ^ b
+        | s :: rest -> s ^ ", " ^ alternatives rest
+      in
+      Format.eprintf "beast: %s (use --engine %s)@." needs
+        (alternatives specs);
       exit 2
-    end;
+    in
+    if wants_resumable && not row.e_resumable then
+      refuse
+        "--checkpoint, --resume and --fault-inject need an engine with a \
+         chunk ledger"
+        (fun e -> e.Engine_registry.e_resumable);
+    if cfg.Run_config.explain_out <> None && not row.e_provenance then
+      refuse "--explain-out needs an engine that records pruning provenance"
+        (fun e -> e.Engine_registry.e_provenance);
     (* The checkpoint file is read before instrumentation starts: a
        corrupt or mismatched file must fail before any work happens. *)
     let resume_ck =
@@ -625,7 +585,6 @@ let sweep_term =
         with
         | Error msg ->
           Format.eprintf "beast: %s@." msg;
-          Run_config.set_exit_state "crashed";
           1
         | Ok () -> (
           let outcome =
@@ -676,7 +635,6 @@ let sweep_term =
               Format.eprintf
                 "beast: progress lost (run with --checkpoint FILE to make \
                  sweeps resumable)@.");
-            Run_config.set_exit_state "interrupted";
             3
           | Engine_intf.Finished stats ->
             let dt = Clock.elapsed_s ~since:t0 in

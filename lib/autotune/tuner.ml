@@ -94,7 +94,7 @@ let tune ?(engine = default_engine) ?(top_n = 10) ?timeout_s ?(retries = 1)
   let evaluated = ref 0 in
   let failed = ref 0 in
   let fail_counter, retry_counter =
-    match Metrics.current () with
+    match (Obs.current ()).Obs.metrics with
     | None -> (None, None)
     | Some r ->
       let mk name =

@@ -69,7 +69,7 @@ let create_untraced ~nodes ~edges =
 
 let create ~nodes ~edges =
   let module Obs = Beast_obs.Obs in
-  Beast_obs.Metrics.time_phase "dag:build" @@ fun () ->
+  Beast_obs.Obs.time_phase "dag:build" @@ fun () ->
   Obs.with_span ~cat:"plan"
     ~args:
       [

@@ -38,6 +38,20 @@ let zero_step var =
 (* Per-run accounting                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* Unconditional: one hook check per run, and the cheap way a coarse
+   status heartbeat learns per-chunk point totals. *)
+let report_totals metrics ~survivors ~loop_iterations =
+  Obs.progress_tick ~points:loop_iterations ~survivors ~frac:1.0;
+  Option.iter
+    (fun registry ->
+      Metrics.add
+        (Metrics.counter registry ~name:"points_total" ~labels:[] ())
+        loop_iterations;
+      Metrics.add
+        (Metrics.counter registry ~name:"survivors_total" ~labels:[] ())
+        survivors)
+    metrics
+
 module Run = struct
   type t = {
     plan : Plan.t;
@@ -57,16 +71,17 @@ module Run = struct
   }
 
   let sample_mask = 0x7FFF
-  let instrumenting () = Obs.instrumenting () || Metrics.enabled ()
+  let instrumenting () = (Obs.current ()).Obs.instrumented
 
   let start (plan : Plan.t) =
-    let metrics = Metrics.current () in
+    let ctx = Obs.current () in
+    let metrics = ctx.Obs.metrics in
     let n_constraints = Array.length plan.Plan.constraint_info in
     let n_loops = max 1 (List.length plan.Plan.iter_order) in
     let now = Clock.now_ns () in
     {
       plan;
-      instrumented = instrumenting ();
+      instrumented = ctx.Obs.instrumented;
       (* Provenance accumulates into a run-private local (no
          synchronization in the hot path) published into the ambient
          collector by [finish], so parallel chunk runs compose by
@@ -152,33 +167,25 @@ module Run = struct
           var)
       r.plan.Plan.iter_order
 
-  (* Counters add across chunks and shards, so per-run adds compose. *)
-  let add_counters r registry ~survivors ~loop_iterations =
-    List.iteri
-      (fun d var ->
-        Metrics.add
-          (Metrics.counter registry ~name:"loop_entries_total"
-             ~labels:[ ("depth", string_of_int d); ("var", var) ]
-             ())
-          r.depth_entries.(d))
-      r.plan.Plan.iter_order;
-    Metrics.add
-      (Metrics.counter registry ~name:"points_total" ~labels:[] ())
-      loop_iterations;
-    Metrics.add
-      (Metrics.counter registry ~name:"survivors_total" ~labels:[] ())
-      survivors
-
   let finish r ~survivors ~loop_iterations =
     if r.instrumented && Obs.enabled () then emit_aggregates r;
-    (* Unconditional: one hook check per run, and the cheap way a coarse
-       status heartbeat learns per-chunk point totals. *)
-    Obs.progress_tick ~points:loop_iterations ~survivors ~frac:1.0;
     Option.iter
       (fun (collector, local) ->
         Provenance.publish collector ~depth_entries:r.depth_entries local)
       r.prov;
-    Option.iter (add_counters r ~survivors ~loop_iterations) r.metrics;
+    (* Counters add across chunks and shards, so per-run adds compose. *)
+    Option.iter
+      (fun registry ->
+        List.iteri
+          (fun d var ->
+            Metrics.add
+              (Metrics.counter registry ~name:"loop_entries_total"
+                 ~labels:[ ("depth", string_of_int d); ("var", var) ]
+                 ())
+              r.depth_entries.(d))
+          r.plan.Plan.iter_order)
+      r.metrics;
+    report_totals r.metrics ~survivors ~loop_iterations;
     {
       survivors;
       loop_iterations;

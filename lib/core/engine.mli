@@ -41,6 +41,12 @@ val zero_step : string -> 'a
     the one diagnostic every in-process engine gives for a range loop
     whose step evaluates to 0. *)
 
+val report_totals :
+  Beast_obs.Metrics.t option -> survivors:int -> loop_iterations:int -> unit
+(** The end-of-run totals every engine reports, the compiled tier
+    included: the final progress tick and, with a registry, the
+    [points_total] and [survivors_total] counters. *)
+
 (** {2 Per-run accounting}
 
     The bookkeeping every in-process engine does once per run, in one
@@ -76,14 +82,14 @@ module Run : sig
   }
 
   val instrumenting : unit -> bool
-  (** The one definition of an instrumented run: tracing or progress is
-      on ([Obs.instrumenting ()]) or a Metrics registry is installed.
-      Instrumented runs time each constraint evaluation and each loop
-      level, and sample progress / points-per-second. *)
+  (** The [instrumented] field of the installed {!Beast_obs.Obs.ctx}:
+      tracing, terminal progress or metrics is on. Instrumented runs
+      time each constraint evaluation and each loop level, and sample
+      progress / points-per-second. *)
 
   val start : Plan.t -> t
-  (** Resolve Obs, Metrics and Provenance once and allocate the
-      per-constraint and per-depth arrays. *)
+  (** Read the Obs context and the Provenance collector once and
+      allocate the per-constraint and per-depth arrays. *)
 
   val charge : t -> int -> int -> unit
   (** [charge r c] resolves, once, the recorder for constraint [c]:
@@ -106,7 +112,6 @@ module Run : sig
 
   val finish : t -> survivors:int -> loop_iterations:int -> stats
   (** Emit the per-constraint and per-level aggregates (tracing only),
-      the final progress tick, the provenance publish and the
-      [points_total], [survivors_total] and [loop_entries_total]
-      counters (metrics only); return the run's statistics. *)
+      the provenance publish, the [loop_entries_total] counters (metrics
+      only) and {!report_totals}; return the run's statistics. *)
 end

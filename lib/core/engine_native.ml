@@ -352,6 +352,7 @@ let run ?on_hit ?workdir ?(threads = 1) (plan : Plan.t) =
             | Unix.WSTOPPED s ->
               errorf "%s stopped by signal %s" exe (signal_name s)))
   in
-  Obs.progress_tick ~points:stats.Engine.loop_iterations
-    ~survivors:stats.Engine.survivors ~frac:1.0;
+  Engine.report_totals (Obs.current ()).Obs.metrics
+    ~survivors:stats.Engine.survivors
+    ~loop_iterations:stats.Engine.loop_iterations;
   stats

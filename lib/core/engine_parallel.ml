@@ -72,7 +72,7 @@ let run_resumable ?on_hit ?checkpoint ?resume ?fault ~domains (plan : Plan.t) :
   let completed =
     ref (n_chunks - Array.length pending) (* chunks carried in by resume *)
   in
-  let registry = Metrics.current () in
+  let registry = (Obs.current ()).Obs.metrics in
   let chunk_hist =
     Option.map
       (fun r ->

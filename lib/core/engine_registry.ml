@@ -53,12 +53,14 @@ type entry = {
   e_propagate_default : bool;
   e_opaque : bool;
   e_resumable : bool;
+  e_provenance : bool;
   e_base : string;
   e_param : string option;
   e_make : int option -> (module Engine_intf.S);
 }
 
-let row ?param ?(propagate = true) ?(opaque = true) base descr make =
+let row ?param ?(propagate = true) ?(opaque = true) ?(provenance = true) base
+    descr make =
   let (module E : Engine_intf.S) = make None in
   {
     e_spec =
@@ -70,6 +72,7 @@ let row ?param ?(propagate = true) ?(opaque = true) base descr make =
     e_propagate_default = propagate;
     e_opaque = opaque;
     e_resumable = Option.is_some E.resumable;
+    e_provenance = provenance;
     e_base = base;
     e_param = param;
     e_make = make;
@@ -92,8 +95,9 @@ let catalog =
       "work-stealing staged sweep across OCaml domains (default 4); the \
        only resumable engine"
       parallel;
-    (* The generated-C tier cannot call back into opaque OCaml closures. *)
-    row "native" ~param:"thread" ~opaque:false
+    (* The generated-C tier cannot call back into opaque OCaml closures,
+       and it reports totals only, no pruning provenance. *)
+    row "native" ~param:"thread" ~opaque:false ~provenance:false
       "generated C compiled with $BEAST_CC/cc -O2 and run as a subprocess \
        (default 1 thread)"
       native;

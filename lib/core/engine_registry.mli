@@ -19,8 +19,9 @@ val staged : (module Engine_intf.S)
     default ([e_propagate_default], off only for the
     deliberately-unoptimized baseline), whether the engine can evaluate
     opaque OCaml closures ([e_opaque], false for the generated-C tier),
-    and whether it keeps a resumable chunk ledger ([e_resumable], read
-    off the built module). *)
+    whether it keeps a resumable chunk ledger ([e_resumable], read off
+    the built module) and whether it records pruning provenance for
+    [--explain-out] ([e_provenance], false for the generated-C tier). *)
 type entry = {
   e_spec : string;
       (** accepted spec: [e_base], plus [[:NOUNS]] when parameterized *)
@@ -28,6 +29,7 @@ type entry = {
   e_propagate_default : bool;
   e_opaque : bool;
   e_resumable : bool;
+  e_provenance : bool;
   e_base : string;  (** the bare engine name *)
   e_param : string option;
       (** the parameter's noun (["domain"], ["thread"]); [None] for

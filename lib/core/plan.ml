@@ -617,7 +617,7 @@ let make_untraced ~hoist ~order space =
    relative to the sweep it feeds. *)
 let make ?(hoist = true) ?order space =
   let module Obs = Beast_obs.Obs in
-  Beast_obs.Metrics.time_phase "plan:make" @@ fun () ->
+  Beast_obs.Obs.time_phase "plan:make" @@ fun () ->
   Obs.with_span ~cat:"plan"
     ~args:[ ("space", Obs.Str (Space.name space)) ]
     "plan:make"

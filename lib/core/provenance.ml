@@ -361,12 +361,16 @@ let create () =
     g_cells = Hashtbl.create 64;
   }
 
-(* Same discipline as Metrics.current: a plain shared ref, read once per
+(* Same discipline as the Obs context: a plain shared slot, read once per
    run before any domain spawns, so the engines' disabled path is one
-   load-and-branch. *)
+   load-and-branch. [with_current] is its only writer. *)
 let current_ref : t option ref = ref None
-let set_current c = current_ref := Some c
-let clear_current () = current_ref := None
+
+let with_current c f =
+  let prev = !current_ref in
+  current_ref := Some c;
+  Fun.protect ~finally:(fun () -> current_ref := prev) f
+
 let current () = !current_ref
 let enabled () = !current_ref <> None
 
@@ -471,10 +475,8 @@ let total_removed s =
     (Some 0) s.pv_constraints
 
 let with_collector f =
-  let prev = !current_ref in
   let c = create () in
-  current_ref := Some c;
-  let x = Fun.protect ~finally:(fun () -> current_ref := prev) f in
+  let x = with_current c f in
   (x, summary c)
 
 let merge_summaries = function

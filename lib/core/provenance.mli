@@ -37,7 +37,7 @@
     re-sort deterministically, which is what makes merged shard
     provenance byte-identical to an unsharded run's.
 
-    Collection follows the [Metrics.current] discipline: engines check
+    Collection follows the [Obs.current] discipline: engines check
     {!current} once per run, accumulate into a private {!local} with no
     synchronization, and {!publish} it under the collector's mutex at
     run end. With no collector installed the engines' uninstrumented
@@ -85,8 +85,11 @@ val hit : local -> int array -> unit
 type t
 
 val create : unit -> t
-val set_current : t -> unit
-val clear_current : unit -> unit
+
+val with_current : t -> (unit -> 'a) -> 'a
+(** Make [t] the ambient collector for the duration of the callback,
+    restoring the previous one when it returns or raises. *)
+
 val current : unit -> t option
 val enabled : unit -> bool
 

@@ -146,168 +146,161 @@ let validate t =
        attribution)"
   else Ok ()
 
-(* How the run ended, for the status file's final snapshot. The default
-   is "completed"; the CLI flips it to "interrupted" before returning
-   exit code 3, and the crash wrapper below flips it to "crashed" when
-   the callback raises. A plain ref suffices: it is written from the
-   main thread only, between the sweep and the finalizers. *)
-let exit_state = ref "completed"
-let set_exit_state s = exit_state := s
+(* How a run ended, decided once for both the status file's final state
+   and the manifest: from the callback's exit code, or [Crashed] when it
+   raised (recorded with 125, the code an uncaught exception exits the
+   CLI with). *)
+let outcome = function
+  | Ok 0 -> (Run_meta.Completed, 0)
+  | Ok 3 -> (Run_meta.Interrupted, 3)
+  | Ok code -> (Run_meta.Crashed, code)
+  | Error _ -> (Run_meta.Crashed, 125)
 
-(* Install the event recorder, flight recorder, progress reporter,
-   status heartbeat and/or the metrics registry around [f]; when [f]
-   finishes (or raises) the collected events are written to the trace
-   file in the requested format, the flight rings are dumped, the status
-   file is finalized and the metrics go to the Prometheus file. Output
-   files are opened before any work happens so a bad path raises
-   [Sys_error] up front instead of discarding a completed run at the
-   end. *)
-let with_instrumentation ?run_id ?space t f =
-  exit_state := "completed";
+let mint_run_id ~space t =
+  match t.run_id with
+  | Some _ as id -> id
+  | None when introspected t ->
+    let shard =
+      match t.shard with
+      | None -> "0/1"
+      | Some (i, n) -> Printf.sprintf "%d/%d" i n
+    in
+    Some (Run_meta.fresh_id ~seed:(space ^ "|" ^ shard) ())
+  | None -> None
+
+let write_trace t (file, oc, r) =
+  let events = Recorder.events r in
+  (match t.trace_format with
+  | Jsonl -> Sink_jsonl.write oc events
+  | Chrome -> Sink_chrome.write ~start_ns:(Recorder.start_ns r) oc events
+  | Summary ->
+    let ppf = Format.formatter_of_out_channel oc in
+    Sink_summary.write ppf events;
+    Format.pp_print_flush ppf ());
+  close_out oc;
+  Format.eprintf "wrote %d trace events to %s@." (Array.length events) file
+
+let with_instrumentation ~space ~engine t f =
+  (* Every output file is opened, and the manifest saved, before anything
+     is installed: a bad path raises [Sys_error] up front, with nothing
+     installed and no channel left open, instead of discarding a
+     completed run at the end. *)
   let open_out_or_fail what file =
-    try open_out file
-    with Sys_error msg -> raise (Sys_error (Printf.sprintf "cannot open %s file: %s" what msg))
+    try (file, open_out file)
+    with Sys_error msg ->
+      raise (Sys_error (Printf.sprintf "cannot open %s file: %s" what msg))
   in
-  let recorder =
-    match t.trace with
-    | None -> None
-    | Some file ->
-      let oc = open_out_or_fail "trace" file in
-      let r = Recorder.create () in
-      Some (file, oc, r)
+  let trace =
+    Option.map
+      (fun file ->
+        let file, oc = open_out_or_fail "trace" file in
+        (file, oc, Recorder.create ()))
+      t.trace
   in
+  let run_id = mint_run_id ~space t in
+  let metrics_out, manifest =
+    try
+      ( Option.map (open_out_or_fail "metrics") t.metrics_out,
+        match (t.runs_dir, run_id) with
+        | Some dir, Some id ->
+          let m = Run_meta.make ~run_id:id ~space ?shard:t.shard ~engine () in
+          Run_meta.save ~dir m;
+          Some (dir, m)
+        | _ -> None )
+    with e ->
+      Option.iter (fun (_, oc, _) -> close_out_noerr oc) trace;
+      raise e
+  in
+  let t0 = Clock.now_ns () in
   let flight =
     Option.map
       (fun file -> (file, Flight.create ~capacity:t.flight_capacity ()))
       t.flight
   in
-  (* One global sink slot: the flight recorder tees into the trace
-     recorder when both are requested. *)
-  (match (recorder, flight) with
-  | None, None -> ()
-  | Some (_, _, r), None -> Obs.set_sink (Recorder.sink r)
-  | None, Some (_, fl) ->
-    (* Coarse: the ring wants the run's final moments (chunk spans,
-       faults, run:meta), not full tracing — a flight recorder must
-       not slow the plane down. *)
-    Obs.set_sink ~fine:false (Flight.sink fl)
-  | Some (_, _, r), Some (_, fl) -> Obs.set_sink (Flight.tee fl (Recorder.sink r)));
-  (* Stamp the run's identity into the event stream itself, so traces
-     and flight dumps stay attributable after files are renamed — and so
-     [beast merge --traces] can recover real shard coordinates instead
-     of trusting argument order. *)
-  if Obs.enabled () then begin
-    let args =
-      (match run_id with None -> [] | Some id -> [ ("run_id", Obs.Str id) ])
-      @ (match space with None -> [] | Some sp -> [ ("space", Obs.Str sp) ])
-      @
-      match t.shard with
-      | None -> []
-      | Some (i, n) -> [ ("shard_index", Obs.Int i); ("shard_of", Obs.Int n) ]
-    in
-    Obs.instant ~cat:"run" ~args "run:meta"
-  end;
-  let metrics_sink =
-    Option.map (fun file -> (file, open_out_or_fail "metrics" file)) t.metrics_out
-  in
-  let registry =
-    if metrics_enabled t then begin
-      let r = Metrics.create () in
-      Metrics.set_current r;
-      Some r
-    end
-    else None
+  let registry = if metrics_enabled t then Some (Metrics.create ()) else None in
+  let tally =
+    if t.progress || t.status <> None then Some (Tally.create ()) else None
   in
   let reporter =
-    if t.progress then Some (Progress.create ?interval_s:t.progress_every_s ())
+    if t.progress then
+      Option.map (Progress.create ?interval_s:t.progress_every_s) tally
     else None
   in
   let status =
-    Option.map
-      (fun path ->
-        let checkpoint_path =
-          match (t.checkpoint, t.resume) with
-          | Some p, _ | None, Some p -> Some p
-          | None, None -> None
-        in
-        Status.create ~interval_s:t.status_every_s ?run_id ?space
-          ?shard:t.shard ?checkpoint_path ~path ())
-      t.status
+    match (t.status, tally) with
+    | Some path, Some tally ->
+      let checkpoint_path =
+        match t.checkpoint with Some _ as p -> p | None -> t.resume
+      in
+      Some
+        (Status.create ~interval_s:t.status_every_s ?run_id ~space
+           ?shard:t.shard ?checkpoint_path ~path tally)
+    | _ -> None
   in
-  (* The Obs progress/chunk hooks are single-slot; when both the
-     terminal reporter and the status heartbeat are live, fan one
-     closure out to both. *)
-  (match (reporter, status) with
-  | None, None -> ()
-  | Some p, None -> Progress.install p
-  | None, Some st -> Status.install st
-  | Some p, Some st ->
-    Obs.set_progress (fun ~dom ~points ~survivors ~frac ->
-        Progress.tick p ~dom ~points ~survivors ~frac;
-        Status.tick st ~dom ~points ~survivors ~frac);
-    Obs.set_chunk_progress (fun ~completed ~total ->
-        Progress.chunk_tick p ~completed ~total;
-        Status.chunk_tick st ~completed ~total));
-  (* The collector is ambient like the metrics registry; the caller
-     reads its summary (Provenance.current) inside [f], before this
-     wrapper clears it. Serialization stays with the caller because the
-     explain file needs the plan and shard tag. *)
-  let collector =
-    if t.explain_out <> None then begin
-      let c = Provenance.create () in
-      Provenance.set_current c;
-      Some c
-    end
-    else None
+  let ctx =
+    {
+      Obs.sink =
+        (match (trace, flight) with
+        | None, None -> None
+        | Some (_, _, r), None -> Some (Recorder.sink r)
+        | None, Some (_, fl) -> Some (Flight.sink fl)
+        | Some (_, _, r), Some (_, fl) -> Some (Flight.tee fl (Recorder.sink r)));
+      (* A flight ring or a status heartbeat alone keeps the plain path:
+         they want the run's final moments and once-per-chunk ticks, and
+         must not slow the sweep down. *)
+      instrumented = trace <> None || t.progress || registry <> None;
+      tally;
+      metrics = registry;
+    }
   in
-  let run_f () =
-    match f () with
-    | v -> v
-    | exception e ->
-      exit_state := "crashed";
-      raise e
+  let run () =
+    (* Stamp the run's identity into the event stream itself, so traces
+       and flight dumps stay attributable after files are renamed — and
+       so [beast merge --traces] can recover real shard coordinates
+       instead of trusting argument order. *)
+    Obs.instant ~cat:"run"
+      ~args:
+        ((match run_id with None -> [] | Some id -> [ ("run_id", Obs.Str id) ])
+        @ [ ("space", Obs.Str space) ]
+        @
+        match t.shard with
+        | None -> []
+        | Some (i, n) -> [ ("shard_index", Obs.Int i); ("shard_of", Obs.Int n) ]
+        )
+      "run:meta";
+    (* The caller reads the collector (Provenance.current) inside [f]:
+       the explain file needs the plan and shard tag, which only it has. *)
+    if t.explain_out = None then f run_id
+    else Provenance.with_current (Provenance.create ()) (fun () -> f run_id)
   in
-  Fun.protect
-    ~finally:(fun () ->
-      if collector <> None then Provenance.clear_current ();
-      (match (reporter, status) with
-      | None, None -> ()
-      | Some p, None -> Progress.finish p
-      | None, Some st ->
-        Obs.clear_progress ();
-        Obs.clear_chunk_progress ();
-        Status.finalize st ~state:!exit_state
-      | Some p, Some st ->
-        Progress.finish p;
-        Status.finalize st ~state:!exit_state);
-      (match registry with
-      | None -> ()
-      | Some r ->
-        Metrics.clear_current ();
-        (match metrics_sink with
-        | None -> ()
-        | Some (file, oc) ->
-          output_string oc (Metrics.Snapshot.to_prometheus (Metrics.snapshot r));
-          close_out oc;
-          Format.eprintf "wrote metrics to %s@." file));
-      if recorder <> None || flight <> None then Obs.clear_sink ();
-      (match flight with
-      | None -> ()
-      | Some (file, fl) ->
-        let n = Flight.dump fl file in
-        Format.eprintf "wrote flight recording (%d events) to %s@." n file);
-      match recorder with
-      | None -> ()
-      | Some (file, oc, r) ->
-        let events = Recorder.events r in
-        (match t.trace_format with
-        | Jsonl -> Sink_jsonl.write oc events
-        | Chrome -> Sink_chrome.write ~start_ns:(Recorder.start_ns r) oc events
-        | Summary ->
-          let ppf = Format.formatter_of_out_channel oc in
-          Sink_summary.write ppf events;
-          Format.pp_print_flush ppf ());
-        close_out oc;
-        Format.eprintf "wrote %d trace events to %s@." (Array.length events)
-          file)
-    run_f
+  let result =
+    match Obs.with_context ctx run with
+    | code -> Ok code
+    | exception e -> Error (e, Printexc.get_raw_backtrace ())
+  in
+  let ended, exit_code = outcome result in
+  Option.iter Progress.finish reporter;
+  Option.iter
+    (fun st -> Status.finalize st ~state:(Run_meta.status_name ended))
+    status;
+  (match (registry, metrics_out) with
+  | Some r, Some (file, oc) ->
+    output_string oc (Metrics.Snapshot.to_prometheus (Metrics.snapshot r));
+    close_out oc;
+    Format.eprintf "wrote metrics to %s@." file
+  | _ -> ());
+  Option.iter
+    (fun (file, fl) ->
+      let n = Flight.dump fl file in
+      Format.eprintf "wrote flight recording (%d events) to %s@." n file)
+    flight;
+  Option.iter (write_trace t) trace;
+  Option.iter
+    (fun (dir, m) ->
+      ignore
+        (Run_meta.finalize ~dir m ~status:ended ~exit_code
+           ~wall_s:(Clock.elapsed_s ~since:t0)))
+    manifest;
+  match result with
+  | Ok code -> code
+  | Error (e, bt) -> Printexc.raise_with_backtrace e bt

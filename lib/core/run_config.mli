@@ -74,10 +74,6 @@ val default : t
 val metrics_enabled : t -> bool
 (** [metrics || metrics_out <> None]. *)
 
-val introspected : t -> bool
-(** Whether the run wants a run id minted: any of [runs_dir], [status],
-    [flight], [trace], [archive] or an explicit [run_id] is set. *)
-
 val validate : t -> (unit, string) result
 (** Reject configurations that would otherwise fail silently: shard
     bounds ([n <= 0], [i < 0] or [i >= n] would sweep an empty space),
@@ -87,35 +83,32 @@ val validate : t -> (unit, string) result
     with [resume] (a resumed run skips completed chunks, so its
     provenance would describe only the tail of the sweep). *)
 
-val set_exit_state : string -> unit
-(** How the run ended, for the status file's final snapshot:
-    ["completed"] (the default, reset by each
-    {!with_instrumentation}), ["interrupted"] or ["crashed"]. The CLI
-    sets it before returning a non-zero exit code; a callback that
-    raises is marked ["crashed"] automatically. *)
-
 val with_instrumentation :
-  ?run_id:string -> ?space:string -> t -> (unit -> 'a) -> 'a
-(** Install the event recorder, flight recorder, progress reporter,
-    status heartbeat, metrics registry and/or provenance collector
-    described by the config around the callback; when it returns (or
-    raises) the collected events are written to the trace file in the
-    requested format, the flight rings are dumped (whatever the exit
-    path — that is the point of a flight recorder), the status file is
-    finalized with the {!set_exit_state} state and the metrics go to
-    the Prometheus file. Output files are opened before the callback
-    runs, so a bad path raises [Sys_error] up front instead of
-    discarding a completed run at the end.
+  space:string -> engine:string -> t -> (string option -> int) -> int
+(** Run the callback as one instrumented run and return its exit code.
 
-    [run_id] and [space] are stamped into the status file and into a
-    ["run:meta"] instant event at the head of the event stream (when
-    any sink is live), which is how stitched traces recover real shard
-    coordinates.
+    The run id is [run_id], or minted when any introspection surface
+    wants one ([runs_dir], [status], [flight], [trace] or [archive]);
+    the callback receives it. Output files are opened and the
+    {!Beast_obs.Run_meta} manifest saved (with [runs_dir]) before
+    anything is installed, so a bad path raises [Sys_error] up front
+    with nothing left installed.
 
-    When both [progress] and [status] are requested the single-slot
-    [Obs] hooks are fanned out to both reporters.
-
-    When [explain_out] is set a {!Provenance} collector is ambient for
-    the callback's duration; the callback must read
+    The callback runs under one {!Beast_obs.Obs.ctx}: the trace
+    recorder and/or flight ring as its sink, one progress tally drawn
+    by the terminal reporter and/or the status heartbeat, the metrics
+    registry, and the [instrumented] decision (tracing, terminal
+    progress or metrics on). With [explain_out] a {!Provenance}
+    collector is ambient too; the callback reads
     [Provenance.current ()]'s summary itself (serialization needs the
-    plan and shard tag, which only the caller has). *)
+    plan and shard tag, which only the caller has). [run_id] and
+    [space] are stamped into the status file and into a ["run:meta"]
+    instant event at the head of the event stream.
+
+    How the run ended is decided once, from the returned exit code
+    (0 completed, 3 interrupted, anything else crashed) or from an
+    exception (crashed, exit code 125), and written to both the status
+    file's final state and the manifest. On every exit path the
+    context is uninstalled, the progress line finished, the metrics
+    written, the flight ring dumped and the trace written; an exception
+    is then re-raised. *)

@@ -67,10 +67,11 @@ let emit t ev =
   r.next <- (r.next + 1) mod Array.length r.buf;
   if r.count < Array.length r.buf then r.count <- r.count + 1
 
-let sink t = { Obs.emit = emit t; flush = ignore }
+let sink t = emit t
 
-let tee t inner =
-  { Obs.emit = (fun ev -> emit t ev; inner.Obs.emit ev); flush = inner.Obs.flush }
+let tee t inner ev =
+  emit t ev;
+  inner ev
 
 (* Merged snapshot: each ring laid out oldest-first, then a stable sort
    by timestamp (per-ring order is already chronological, single

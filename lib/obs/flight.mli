@@ -8,8 +8,8 @@
     cached in domain-local storage); the mutex only guards the
     domain-id table, taken once per domain and at snapshot time.
 
-    Install with [Obs.set_sink (Flight.sink t)], or with {!tee} to
-    record while also feeding another sink. Dump with {!dump} from a
+    Install it as the [sink] of a run's {!Obs.ctx}, alone or with {!tee}
+    to record while also feeding another sink. Dump with {!dump} from a
     signal handler or exception path: the output is plain JSONL
     ({!Sink_jsonl} lines) written atomically, so it round-trips
     through [Sink_jsonl.read_file]. *)
@@ -28,7 +28,7 @@ val sink : t -> Obs.sink
 
 val tee : t -> Obs.sink -> Obs.sink
 (** A sink that records into the rings and forwards every event to the
-    inner sink (flush goes to the inner sink alone). *)
+    inner sink. *)
 
 val emit : t -> Obs.event -> unit
 

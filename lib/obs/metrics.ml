@@ -220,24 +220,6 @@ let gauge r ?unit_ ~name ~labels () =
   | _ -> assert false
 
 (* ------------------------------------------------------------------ *)
-(* Global installation (mirrors Obs's sink switch)                     *)
-(* ------------------------------------------------------------------ *)
-
-let current_ref : t option ref = ref None
-let set_current r = current_ref := Some r
-let clear_current () = current_ref := None
-let current () = !current_ref
-let enabled () = !current_ref <> None
-
-let time_phase name f =
-  match !current_ref with
-  | None -> f ()
-  | Some r ->
-    let h = histogram r ~unit_:"ns" ~name:"phase_ns" ~labels:[ ("phase", name) ] () in
-    let t0 = Clock.now_ns () in
-    Fun.protect ~finally:(fun () -> record h (Clock.now_ns () - t0)) f
-
-(* ------------------------------------------------------------------ *)
 (* Snapshots                                                           *)
 (* ------------------------------------------------------------------ *)
 

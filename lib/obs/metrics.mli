@@ -9,7 +9,8 @@
 
     Recording writes into per-domain cells (no locks on the hot path,
     same pattern as {!Recorder}); the registry mutex is only taken on a
-    domain's first touch of a metric and when snapshotting. *)
+    domain's first touch of a metric and when snapshotting. A run's
+    registry is the [metrics] field of its {!Obs.ctx}. *)
 
 (** {2 Bucket grid} *)
 
@@ -57,22 +58,6 @@ val counter :
 val gauge :
   t -> ?unit_:string -> name:string -> labels:(string * string) list ->
   unit -> gauge
-
-(** {2 Global installation}
-
-    Mirrors {!Obs}'s sink switch: hot paths check {!enabled} (or resolve
-    their handles) once per run, so a disabled registry costs one ref
-    read. *)
-
-val set_current : t -> unit
-val clear_current : unit -> unit
-val current : unit -> t option
-val enabled : unit -> bool
-
-val time_phase : string -> (unit -> 'a) -> 'a
-(** [time_phase name f] runs [f] and records its wall time into the
-    [phase_ns{phase=name}] histogram of the current registry (no-op
-    when none is installed). *)
 
 (** {2 Snapshots} *)
 

@@ -19,47 +19,36 @@ type event = {
   ev_args : (string * arg) list;
 }
 
-type sink = {
-  emit : event -> unit;
-  flush : unit -> unit;
+type sink = event -> unit
+
+type ctx = {
+  sink : sink option;
+  instrumented : bool;
+  tally : Tally.t option;
+  metrics : Metrics.t option;
 }
 
-let null = { emit = ignore; flush = ignore }
+let off = { sink = None; instrumented = false; tally = None; metrics = None }
 
-(* The hot-path contract: instrumented code guards every emission (and
-   every clock read feeding one) behind [enabled ()], so with no sink
-   installed the cost is a single load-and-branch. The refs are shared
-   across domains; plain loads/stores of immediate values cannot tear,
-   and installation is expected to happen before domains are spawned. *)
-let current = ref null
-let on = ref false
+(* The one slot. The hot-path contract: with no context installed an
+   emission (and every clock read feeding one) costs a single
+   load-and-branch on [slot]. Plain loads/stores of one pointer cannot
+   tear, and the context is installed before domains are spawned. *)
+let slot : ctx option ref = ref None
 
-(* Whether a consumer wants the *fine-grained* event stream. Engines
-   compile instrumented closures (per-constraint timings, per-level
-   entry counts, periodic progress ticks) only when this is set: a
-   coarse sink — the flight recorder riding along on an otherwise
-   plain run — still receives the engine-level spans and instants the
-   uninstrumented path emits, without making the sweep pay for
-   full tracing. *)
-let fine_on = ref false
+let current () = match !slot with Some c -> c | None -> off
 
-let set_sink ?(fine = true) s =
-  current := s;
-  fine_on := fine;
-  on := true
+let with_context ctx f =
+  let prev = !slot in
+  slot := Some ctx;
+  Fun.protect ~finally:(fun () -> slot := prev) f
 
-let clear_sink () =
-  let s = !current in
-  on := false;
-  fine_on := false;
-  current := null;
-  s.flush ()
-
-let enabled () = !on
+let enabled () =
+  match !slot with Some { sink = Some _; _ } -> true | _ -> false
 
 let domain_id () = (Domain.self () :> int)
 
-let emit ev = if !on then !current.emit ev
+let emit ev = match !slot with Some { sink = Some s; _ } -> s ev | _ -> ()
 
 let make ?(cat = "") ?(args = []) kind name =
   {
@@ -71,84 +60,65 @@ let make ?(cat = "") ?(args = []) kind name =
     ev_args = args;
   }
 
-let span_begin ?cat ?args name = if !on then !current.emit (make ?cat ?args Begin name)
-let span_end ?cat ?args name = if !on then !current.emit (make ?cat ?args End name)
+let span_begin ?cat ?args name =
+  match !slot with
+  | Some { sink = Some s; _ } -> s (make ?cat ?args Begin name)
+  | _ -> ()
+
+let span_end ?cat ?args name =
+  match !slot with
+  | Some { sink = Some s; _ } -> s (make ?cat ?args End name)
+  | _ -> ()
 
 let with_span ?cat ?args name f =
-  if not !on then f ()
-  else begin
-    span_begin ?cat ?args name;
-    Fun.protect ~finally:(fun () -> span_end ?cat name) f
-  end
+  match !slot with
+  | Some { sink = Some s; _ } ->
+    s (make ?cat ?args Begin name);
+    Fun.protect ~finally:(fun () -> s (make ?cat End name)) f
+  | _ -> f ()
 
-let instant ?cat ?args name = if !on then !current.emit (make ?cat ?args Instant name)
+let instant ?cat ?args name =
+  match !slot with
+  | Some { sink = Some s; _ } -> s (make ?cat ?args Instant name)
+  | _ -> ()
 
 let counter ?cat name v =
-  if !on then !current.emit (make ?cat (Counter v) name)
+  match !slot with
+  | Some { sink = Some s; _ } -> s (make ?cat (Counter v) name)
+  | _ -> ()
 
 let complete ?cat ?args ?ts ~dur_ns name =
-  if !on then begin
+  match !slot with
+  | Some { sink = Some s; _ } ->
     let ev = make ?cat ?args (Complete dur_ns) name in
-    let ev =
-      match ts with
-      | None -> ev
-      | Some ts -> { ev with ev_ts_ns = ts }
-    in
-    !current.emit ev
-  end
+    s (match ts with None -> ev | Some ts -> { ev with ev_ts_ns = ts })
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Progress hook                                                       *)
+(* Progress and metrics                                                *)
 (* ------------------------------------------------------------------ *)
-
-(* Orthogonal to tracing so `--progress` works without a trace sink.
-   Engines sample every few tens of thousands of loop iterations and
-   call [progress_tick]; [frac] is the fraction of the outermost loop
-   completed when the engine can tell, negative otherwise. *)
-
-type progress_fn = dom:int -> points:int -> survivors:int -> frac:float -> unit
-
-let progress : progress_fn option ref = ref None
-let progress_on = ref false
-
-(* [fine] mirrors {!set_sink}: a coarse hook (the status heartbeat)
-   still receives the once-per-run ticks every engine emits at the end
-   of a sweep or chunk, but does not push the engines onto their
-   instrumented compiled path for intra-run sampling. *)
-let set_progress ?(fine = true) f =
-  progress := Some f;
-  if fine then progress_on := true
-
-let clear_progress () =
-  progress_on := false;
-  progress := None
-
-let progress_enabled () = !progress_on
 
 let progress_tick ~points ~survivors ~frac =
-  match !progress with
-  | None -> ()
-  | Some f -> f ~dom:(domain_id ()) ~points ~survivors ~frac
-
-(* Chunk-level progress, fed by the parallel scheduler once per
-   completed chunk (so no per-point cost and no instrumentation
-   requirement): completed/total chunk counts let the reporter derive a
-   pruning-aware ETA from measured chunk throughput instead of raw
-   point cardinality. *)
-
-type chunk_fn = completed:int -> total:int -> unit
-
-let chunk_progress : chunk_fn option ref = ref None
-
-let set_chunk_progress f = chunk_progress := Some f
-let clear_chunk_progress () = chunk_progress := None
+  match !slot with
+  | Some { tally = Some t; _ } ->
+    Tally.tick t ~dom:(domain_id ()) ~points ~survivors ~frac
+  | _ -> ()
 
 let chunk_tick ~completed ~total =
-  match !chunk_progress with
-  | None -> ()
-  | Some f -> f ~completed ~total
+  match !slot with
+  | Some { tally = Some t; _ } -> Tally.chunk_tick t ~completed ~total
+  | _ -> ()
 
-let instrumenting () = !fine_on || !progress_on
+let time_phase name f =
+  match !slot with
+  | Some { metrics = Some r; _ } ->
+    let h =
+      Metrics.histogram r ~unit_:"ns" ~name:"phase_ns"
+        ~labels:[ ("phase", name) ] ()
+    in
+    let t0 = Clock.now_ns () in
+    Fun.protect ~finally:(fun () -> Metrics.record h (Clock.now_ns () - t0)) f
+  | _ -> f ()
 
 (* ------------------------------------------------------------------ *)
 (* Pretty-printing (debug convenience)                                 *)

@@ -1,16 +1,20 @@
-(** The observability event model.
+(** The observability event model and the per-run instrumentation
+    context.
 
-    A low-overhead tracing layer for the planning and enumeration
-    pipeline: monotonic-clock spans, instant events and sampled counters
-    flowing into a pluggable {!sink}. With no sink installed every
-    emission helper reduces to a single load-and-branch on {!enabled},
-    so instrumented hot paths stay within the engines' performance
-    budget (measured in [bench/main.ml]).
+    Monotonic-clock spans, instant events and sampled counters flow into
+    the {!sink} of the installed {!ctx}, which also carries the run's
+    progress {!Tally} and {!Metrics} registry. A run installs one
+    context with {!with_context} ([Run_config.with_instrumentation]
+    builds it from a run's configuration); engines read it once per run
+    with {!current}. With no context installed every emission helper
+    reduces to a single load-and-branch, so instrumented hot paths stay
+    within the engines' performance budget (measured in
+    [bench/main.ml]).
 
     Events are tagged with the emitting domain's id; thread-safety of
     concurrent emission is the sink's responsibility ({!Recorder} keeps
-    per-domain buffers and merges them when read). Install sinks before
-    spawning domains. *)
+    per-domain buffers and merges them when read). Install the context
+    before spawning domains. *)
 
 type arg =
   | Int of int
@@ -36,27 +40,36 @@ type event = {
   ev_args : (string * arg) list;
 }
 
-type sink = {
-  emit : event -> unit;  (** may be called concurrently from domains *)
-  flush : unit -> unit;
+type sink = event -> unit
+(** May be called concurrently from domains. *)
+
+(** {2 The per-run context} *)
+
+type ctx = {
+  sink : sink option;  (** trace recorder and/or flight ring *)
+  instrumented : bool;
+      (** engines compile their instrumented paths (per-constraint
+          timings, per-level entry counts, periodic progress ticks).
+          Set when tracing, terminal progress or metrics is on; a flight
+          ring or a status heartbeat alone leaves it off, and sees only
+          the engine-level events and once-per-run ticks of the plain
+          path. *)
+  tally : Tally.t option;  (** fed by {!progress_tick} and {!chunk_tick} *)
+  metrics : Metrics.t option;
 }
 
-val null : sink
-(** Drops everything. *)
+val off : ctx
+(** Nothing installed: what {!current} returns outside a run. *)
 
-val set_sink : ?fine:bool -> sink -> unit
-(** Install a sink and enable tracing. [fine] (default [true]) also
-    turns on {!instrumenting}, making engines compile their
-    instrumented closures (per-constraint timings, per-level entry
-    counts, periodic progress ticks). Pass [~fine:false] for a coarse
-    consumer — the flight recorder on an otherwise plain run — that
-    should only see the engine-level spans and instants the
-    uninstrumented path emits, keeping the sweep at its plain speed. *)
+val current : unit -> ctx
+(** The installed context; engines read it once per run. *)
 
-val clear_sink : unit -> unit
-(** Disable tracing, restore {!null}, and flush the old sink. *)
+val with_context : ctx -> (unit -> 'a) -> 'a
+(** Install [ctx] for the duration of the callback and restore the
+    previous context when it returns or raises. *)
 
 val enabled : unit -> bool
+(** Whether the context has a sink. *)
 
 val emit : event -> unit
 (** Forward a ready-made event; one branch when tracing is off. *)
@@ -89,46 +102,24 @@ val complete :
 (** Emit a {!Complete} span; [ts] defaults to now (pass the run's start
     time to stack aggregate spans on one track). *)
 
-(** {2 Progress hook}
+(** {2 Progress and metrics}
 
-    Orthogonal to tracing so progress reporting works without a trace
-    sink. Engines call {!progress_tick} every few tens of thousands of
-    loop iterations; [frac] is the completed fraction of the outermost
-    loop when the engine can tell it, negative otherwise. *)
+    No-ops (one branch) when the context has no tally or registry. *)
 
-type progress_fn = dom:int -> points:int -> survivors:int -> frac:float -> unit
-
-val set_progress : ?fine:bool -> progress_fn -> unit
-(** [fine] mirrors {!set_sink}: with [~fine:false] the hook still
-    receives each engine's end-of-run tick (once per chunk in parallel
-    sweeps) but does not enable {!instrumenting} — how the status
-    heartbeat stays within its overhead budget. *)
-
-val clear_progress : unit -> unit
-val progress_enabled : unit -> bool
 val progress_tick : points:int -> survivors:int -> frac:float -> unit
+(** An engine's latest point and survivor counts for the calling domain;
+    [frac] is the completed fraction of the outermost loop when the
+    engine can tell it, negative otherwise. Engines tick every few tens
+    of thousands of loop iterations on the instrumented path, and once
+    at the end of every run (every chunk in parallel sweeps). *)
 
-(** {2 Chunk progress hook}
-
-    Fed by the parallel scheduler once per {e completed} chunk — no
-    per-point cost, so it needs no instrumented code path and is not
-    part of {!instrumenting}. Completed/total chunk counts let the
-    reporter derive a pruning-aware ETA from measured chunk throughput
-    (dead regions finish their chunks fast and pull the estimate down)
-    instead of raw point cardinality. *)
-
-type chunk_fn = completed:int -> total:int -> unit
-
-val set_chunk_progress : chunk_fn -> unit
-val clear_chunk_progress : unit -> unit
 val chunk_tick : completed:int -> total:int -> unit
+(** Fed by the parallel scheduler once per completed chunk, so it costs
+    nothing per point and needs no instrumented path. *)
 
-val instrumenting : unit -> bool
-(** Whether any {e fine-grained} consumer is live (a sink or a
-    progress hook installed without [~fine:false]): engines consult
-    this once per run to pick the instrumented code path. A coarse
-    sink or hook leaves it off — the run stays at plain speed and the
-    consumer sees only engine-level events and once-per-run ticks. *)
+val time_phase : string -> (unit -> 'a) -> 'a
+(** [time_phase name f] runs [f] and records its wall time into the
+    [phase_ns{phase=name}] histogram of the context's registry. *)
 
 (** {2 Debug} *)
 

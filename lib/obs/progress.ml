@@ -1,104 +1,30 @@
-(* Throttled progress line for long enumerations. Engines tick through
-   Obs.progress_tick from whichever domain is sweeping; the reporter
-   keeps the latest per-domain figures, sums them, and redraws a
-   carriage-return line at most every [interval_s] seconds.
-
-   When the output channel is not a tty (CI logs, redirected stderr) the
-   carriage-return redraw would smear into one unreadable megaline, so
-   the reporter instead prints ordinary newline-terminated lines at a
-   slower default cadence. *)
-
-type dom_state = {
-  mutable d_points : int;
-  mutable d_survivors : int;
-  mutable d_frac : float;  (* < 0 when unknown *)
-}
+(* Throttled progress line for long enumerations, drawn from the run's
+   tally. When the output channel is not a tty (CI logs, redirected
+   stderr) the carriage-return redraw would smear into one unreadable
+   megaline, so the reporter instead prints ordinary newline-terminated
+   lines at a slower default cadence. *)
 
 type t = {
-  mutex : Mutex.t;
-  doms : (int, dom_state) Hashtbl.t;
+  tally : Tally.t;
   out : out_channel;
   tty : bool;
-  interval_ns : int;
-  total : int option;  (* raw-cardinality estimate, for a fallback ETA *)
-  start_ns : int;
-  mutable last_render_ns : int;
   mutable last_width : int;
   mutable rendered : bool;
-  (* Chunk-completion figures from the parallel scheduler. [c_base] is
-     the completed count at the first tick: a resumed run starts with
-     its checkpointed chunks already done, and those must not count as
-     throughput observed this run. *)
-  mutable c_done : int;
-  mutable c_total : int;
-  mutable c_base : int;
 }
-
-let create ?interval_s ?total ?(out = stderr) ?tty () =
-  let tty =
-    match tty with
-    | Some b -> b
-    | None -> ( try Unix.isatty (Unix.descr_of_out_channel out) with _ -> false)
-  in
-  let interval_s =
-    match interval_s with Some s -> s | None -> if tty then 0.2 else 2.0
-  in
-  {
-    mutex = Mutex.create ();
-    doms = Hashtbl.create 8;
-    out;
-    tty;
-    interval_ns = int_of_float (interval_s *. 1e9);
-    total;
-    start_ns = Clock.now_ns ();
-    last_render_ns = 0;
-    last_width = 0;
-    rendered = false;
-    c_done = 0;
-    c_total = 0;
-    c_base = -1;
-  }
 
 let si = Units.si_int
 
-let totals t =
-  Hashtbl.fold
-    (fun _ d (pts, srv, fracs, nfrac) ->
-      ( pts + d.d_points,
-        srv + d.d_survivors,
-        (if d.d_frac >= 0.0 then fracs +. d.d_frac else fracs),
-        if d.d_frac >= 0.0 then nfrac + 1 else nfrac ))
-    t.doms (0, 0, 0.0, 0)
-
-let line t ~now =
-  let points, survivors, frac_sum, n_frac = totals t in
-  let elapsed = Clock.ns_to_s (now - t.start_ns) in
-  let rate = if elapsed > 0.0 then float_of_int points /. elapsed else 0.0 in
-  let frac =
-    if t.c_total > 0 then
-      Some (float_of_int t.c_done /. float_of_int t.c_total)
-    else if n_frac > 0 then Some (frac_sum /. float_of_int n_frac)
-    else
-      match t.total with
-      | Some total when total > 0 ->
-        Some (float_of_int points /. float_of_int total)
-      | _ -> None
+let line (s : Tally.snapshot) =
+  let elapsed = s.elapsed_s in
+  let rate =
+    if elapsed > 0.0 then float_of_int s.points /. elapsed else 0.0
   in
-  (* Prefer the chunk-weighted estimate: remaining work is priced at the
-     mean wall time of the chunks completed *this run* (c_base excludes
-     chunks restored from a checkpoint), so heavily pruned regions —
-     whose chunks fly by — shrink the ETA the way raw point cardinality
-     never can. *)
   let eta_s =
-    let observed = t.c_done - max 0 t.c_base in
-    if t.c_total > 0 && observed > 0 && elapsed > 0.0 then
-      Some
-        (elapsed *. float_of_int (t.c_total - t.c_done)
-        /. float_of_int observed)
-    else
-      match frac with
-      | Some f when f > 1e-6 && f <= 1.0 -> Some (elapsed *. ((1.0 /. f) -. 1.0))
-      | _ -> None
+    match (s.eta_s, s.frac) with
+    | (Some _ as eta), _ -> eta
+    | None, Some f when f > 1e-6 && f <= 1.0 ->
+      Some (elapsed *. ((1.0 /. f) -. 1.0))
+    | None, _ -> None
   in
   let eta =
     match eta_s with
@@ -106,19 +32,22 @@ let line t ~now =
     | None -> ""
   in
   let pct =
-    match frac with
+    match s.frac with
     | Some f -> Printf.sprintf "  %5.1f%%" (100.0 *. Float.min 1.0 f)
     | None -> ""
   in
   let chunks =
-    if t.c_total > 0 then Printf.sprintf "  %d/%d chunks" t.c_done t.c_total
+    if s.chunks_total > 0 then
+      Printf.sprintf "  %d/%d chunks" s.chunks_done s.chunks_total
     else ""
   in
   Printf.sprintf "[beast] %s points  %s survivors  %s pts/s  %.1fs%s%s%s"
-    (si points) (si survivors) (si (int_of_float rate)) elapsed chunks pct eta
+    (si s.points) (si s.survivors)
+    (si (int_of_float rate))
+    elapsed chunks pct eta
 
-let render t ~now =
-  let s = line t ~now in
+let render t snap =
+  let s = line snap in
   if t.tty then begin
     let pad = max 0 (t.last_width - String.length s) in
     output_string t.out ("\r" ^ s ^ String.make pad ' ');
@@ -126,48 +55,25 @@ let render t ~now =
   end
   else output_string t.out (s ^ "\n");
   flush t.out;
-  t.rendered <- true;
-  t.last_render_ns <- now
+  t.rendered <- true
 
-let tick t ~dom ~points ~survivors ~frac =
-  Mutex.lock t.mutex;
-  let d =
-    match Hashtbl.find_opt t.doms dom with
-    | Some d -> d
-    | None ->
-      let d = { d_points = 0; d_survivors = 0; d_frac = -1.0 } in
-      Hashtbl.replace t.doms dom d;
-      d
+let create ?interval_s ?(out = stderr) ?tty tally =
+  let tty =
+    match tty with
+    | Some b -> b
+    | None -> ( try Unix.isatty (Unix.descr_of_out_channel out) with _ -> false)
   in
-  d.d_points <- points;
-  d.d_survivors <- survivors;
-  d.d_frac <- frac;
-  let now = Clock.now_ns () in
-  if now - t.last_render_ns >= t.interval_ns then render t ~now;
-  Mutex.unlock t.mutex
-
-let chunk_tick t ~completed ~total =
-  Mutex.lock t.mutex;
-  if t.c_base < 0 then t.c_base <- completed;
-  (* Ticks from different domains can land out of order; the count only
-     ever grows. *)
-  t.c_done <- max t.c_done completed;
-  t.c_total <- total;
-  let now = Clock.now_ns () in
-  if now - t.last_render_ns >= t.interval_ns then render t ~now;
-  Mutex.unlock t.mutex
-
-let install t =
-  Obs.set_progress (tick t);
-  Obs.set_chunk_progress (chunk_tick t)
+  let every_s =
+    match interval_s with Some s -> s | None -> if tty then 0.2 else 2.0
+  in
+  let t = { tally; out; tty; last_width = 0; rendered = false } in
+  Tally.watch tally ~every_s (render t);
+  t
 
 let finish t =
-  Obs.clear_progress ();
-  Obs.clear_chunk_progress ();
-  Mutex.lock t.mutex;
-  if t.rendered then begin
-    render t ~now:(Clock.now_ns ());
-    if t.tty then output_string t.out "\n";
-    flush t.out
-  end;
-  Mutex.unlock t.mutex
+  Tally.draw t.tally (fun snap ->
+      if t.rendered then begin
+        render t snap;
+        if t.tty then output_string t.out "\n";
+        flush t.out
+      end)

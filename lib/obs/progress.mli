@@ -1,12 +1,11 @@
-(** Throttled progress reporter for long enumerations.
+(** Throttled progress line for long enumerations: a renderer over the
+    run's {!Tally}.
 
-    Install with {!install}; engines then feed it through
-    [Obs.progress_tick] from every sweeping domain. The reporter keeps
-    the latest per-domain counts, sums them, and redraws a single
-    carriage-return status line (points enumerated, survivors, rate,
-    completed fraction and ETA) at most once per [interval_s]. The
-    completed fraction comes from the engines' outermost-loop position
-    when available, else from [total] (a raw-cardinality estimate).
+    Redraws a single carriage-return status line (points enumerated,
+    survivors, rate, chunks, completed fraction and ETA) at most once
+    per [interval_s]. The ETA is the tally's pruning-aware chunk
+    estimate when the scheduler reports chunks, else it extrapolates
+    from the completed fraction.
 
     When [out] is not a tty the carriage-return redraw is skipped and
     the reporter prints plain newline-terminated lines instead, at a
@@ -15,27 +14,11 @@
 type t
 
 val create :
-  ?interval_s:float -> ?total:int -> ?out:out_channel -> ?tty:bool ->
-  unit -> t
-(** [out] defaults to [stderr]; [tty] to [Unix.isatty] on [out];
-    [interval_s] to 0.2 on a tty and 2.0 otherwise. *)
-
-val install : t -> unit
-(** Register as the global [Obs] progress {e and} chunk-progress hook. *)
-
-val tick :
-  t -> dom:int -> points:int -> survivors:int -> frac:float -> unit
-(** Direct entry point (what {!install} registers). Thread-safe. *)
-
-val chunk_tick : t -> completed:int -> total:int -> unit
-(** Chunk-completion entry point (registered by {!install} as the
-    [Obs.chunk_tick] hook). When chunk figures are present the status
-    line shows [done/total chunks] and the ETA switches to a
-    pruning-aware estimate: remaining chunks priced at the mean wall
-    time of the chunks completed this run (chunks restored from a
-    checkpoint are excluded from the observed throughput), rather than
-    extrapolating from raw point cardinality. Thread-safe. *)
+  ?interval_s:float -> ?out:out_channel -> ?tty:bool -> Tally.t -> t
+(** Watch the tally. [out] defaults to [stderr]; [tty] to
+    [Unix.isatty] on [out]; [interval_s] to 0.2 on a tty and 2.0
+    otherwise. *)
 
 val finish : t -> unit
-(** Unregister the hook, draw a final line and terminate it with a
-    newline (only if anything was ever drawn). *)
+(** Draw a final line and terminate it with a newline (only if anything
+    was ever drawn). *)

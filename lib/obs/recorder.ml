@@ -46,7 +46,7 @@ let emit t ev =
   b.chunks <- ev :: b.chunks;
   b.count <- b.count + 1
 
-let sink t = { Obs.emit = emit t; flush = ignore }
+let sink t = emit t
 
 let start_ns t = t.start_ns
 

@@ -57,7 +57,7 @@ let write_event buf ?(pid = 1) ~start_ns (ev : Obs.event) =
   | _ ->
     if ev.Obs.ev_args <> [] then begin
       Buffer.add_string buf ",\"args\":";
-      Trace_json.args_object buf ev.Obs.ev_args
+      Sink_jsonl.args_object buf ev.Obs.ev_args
     end);
   Buffer.add_string buf "}"
 

@@ -1,3 +1,20 @@
+let arg buf (a : Obs.arg) =
+  match a with
+  | Obs.Int i -> Buffer.add_string buf (string_of_int i)
+  | Obs.Float f -> Trace_json.float buf f
+  | Obs.Str s -> Trace_json.escape buf s
+
+let args_object buf args =
+  Buffer.add_char buf '{';
+  List.iteri
+    (fun i (k, v) ->
+      if i > 0 then Buffer.add_char buf ',';
+      Trace_json.escape buf k;
+      Buffer.add_char buf ':';
+      arg buf v)
+    args;
+  Buffer.add_char buf '}'
+
 let write_event buf (ev : Obs.event) =
   Buffer.add_string buf "{\"name\":";
   Trace_json.escape buf ev.Obs.ev_name;
@@ -15,7 +32,7 @@ let write_event buf (ev : Obs.event) =
   | Obs.Begin | Obs.End | Obs.Instant -> ());
   if ev.Obs.ev_args <> [] then begin
     Buffer.add_string buf ",\"args\":";
-    Trace_json.args_object buf ev.Obs.ev_args
+    args_object buf ev.Obs.ev_args
   end;
   Buffer.add_string buf "}\n"
 
@@ -99,24 +116,3 @@ let read_file path =
       with
       | () -> Ok (Array.of_list (List.rev !events))
       | exception Jsonx.Error msg -> Error msg)
-
-(* Streaming variant: events hit the channel as they are emitted (useful
-   when a run may not reach an orderly shutdown). Emission is serialized
-   with a mutex, so this sink is slower than {!Recorder} under the
-   parallel engine. *)
-let sink oc =
-  let mutex = Mutex.create () in
-  let buf = Buffer.create 512 in
-  let emit ev =
-    Mutex.lock mutex;
-    Buffer.clear buf;
-    write_event buf ev;
-    Buffer.output_buffer oc buf;
-    Mutex.unlock mutex
-  in
-  let flush () =
-    Mutex.lock mutex;
-    flush oc;
-    Mutex.unlock mutex
-  in
-  { Obs.emit; flush }

@@ -5,6 +5,10 @@
     grep/jq-friendly and stable for downstream tooling. *)
 
 val write_event : Buffer.t -> Obs.event -> unit
+
+val args_object : Buffer.t -> (string * Obs.arg) list -> unit
+(** An event's args as a flat JSON object (shared with {!Sink_chrome}). *)
+
 val write : out_channel -> Obs.event array -> unit
 
 val parse_line : string -> (Obs.event, string) result
@@ -14,8 +18,3 @@ val read_file : string -> (Obs.event array, string) result
 (** Read a whole JSONL trace back in emission order (blank lines are
     skipped; the error names the file and line). Cross-shard merging
     ([beast merge --traces]) reads per-shard logs through this. *)
-
-val sink : out_channel -> Obs.sink
-(** Streaming sink: each event is serialized and written under a mutex
-    as it is emitted. Prefer {!Recorder} + {!write} unless you need the
-    log to survive a crash mid-run. *)

@@ -3,59 +3,19 @@
    Checkpoint discipline) at most once per interval. Anything on the
    machine — `beast top`, a wrapper script, a future `beast serve`
    worker poller — can read the file at any instant and always sees a
-   complete, parseable document.
-
-   Feeding mirrors Progress: engines tick per-domain figures through
-   the Obs progress hook, the parallel scheduler ticks chunk
-   completions through the chunk hook, and the pruning-aware ETA is the
-   same chunk-throughput estimate (c_base excludes chunks restored from
-   a checkpoint so resumed runs don't count them as observed
-   throughput). *)
-
-type dom_state = {
-  mutable d_points : int;
-  mutable d_survivors : int;
-}
+   complete, parseable document. The figures come from the run's tally,
+   the same one the terminal progress line draws. *)
 
 type t = {
-  mutex : Mutex.t;
-  doms : (int, dom_state) Hashtbl.t;
+  tally : Tally.t;
   path : string;
   run_id : string option;
   space : string option;
   shard : (int * int) option;
   checkpoint_path : string option;
   pid : int;
-  interval_ns : int;
-  start_ns : int;
-  mutable last_write_ns : int;
-  mutable c_done : int;
-  mutable c_total : int;
-  mutable c_base : int;
   mutable finalized : bool;
 }
-
-let create ?(interval_s = 1.0) ?run_id ?space ?shard ?checkpoint_path ~path ()
-    =
-  if interval_s < 0.0 then
-    invalid_arg "Status.create: interval must be non-negative";
-  {
-    mutex = Mutex.create ();
-    doms = Hashtbl.create 8;
-    path;
-    run_id;
-    space;
-    shard;
-    checkpoint_path;
-    pid = Unix.getpid ();
-    interval_ns = int_of_float (interval_s *. 1e9);
-    start_ns = Clock.now_ns ();
-    last_write_ns = 0;
-    c_done = 0;
-    c_total = 0;
-    c_base = -1;
-    finalized = false;
-  }
 
 let path t = t.path
 
@@ -67,24 +27,13 @@ let checkpoint_age_s t =
     | st -> Some (Float.max 0.0 (Unix.gettimeofday () -. st.Unix.st_mtime))
     | exception Unix.Unix_error _ -> None)
 
-let render t ~state ~now =
-  let points, survivors =
-    Hashtbl.fold
-      (fun _ d (p, s) -> (p + d.d_points, s + d.d_survivors))
-      t.doms (0, 0)
+let render t ~state (s : Tally.snapshot) =
+  let rate =
+    if s.elapsed_s > 0.0 then float_of_int s.points /. s.elapsed_s else 0.0
   in
-  let elapsed = Clock.ns_to_s (now - t.start_ns) in
-  let rate = if elapsed > 0.0 then float_of_int points /. elapsed else 0.0 in
   let survivor_rate =
-    if points > 0 then float_of_int survivors /. float_of_int points else 0.0
-  in
-  (* Pruning-aware ETA (see Progress): remaining chunks priced at the
-     mean wall time of chunks completed this run. *)
-  let eta_s =
-    let observed = t.c_done - max 0 t.c_base in
-    if t.c_total > 0 && observed > 0 && elapsed > 0.0 then
-      Some (elapsed *. float_of_int (t.c_total - t.c_done) /. float_of_int observed)
-    else None
+    if s.points > 0 then float_of_int s.survivors /. float_of_int s.points
+    else 0.0
   in
   let buf = Buffer.create 512 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -116,36 +65,33 @@ let render t ~state ~now =
   | Some (i, n) -> add "  \"shard\": { \"index\": %d, \"of\": %d },\n" i n);
   add "  \"pid\": %d,\n" t.pid;
   add "  \"elapsed_s\": ";
-  flt elapsed;
-  add ",\n  \"chunks\": { \"done\": %d, \"total\": %d }" t.c_done t.c_total;
-  add ",\n  \"points\": %d" points;
-  add ",\n  \"survivors\": %d" survivors;
+  flt s.elapsed_s;
+  add ",\n  \"chunks\": { \"done\": %d, \"total\": %d }" s.chunks_done
+    s.chunks_total;
+  add ",\n  \"points\": %d" s.points;
+  add ",\n  \"survivors\": %d" s.survivors;
   add ",\n  \"points_per_s\": ";
   flt rate;
   add ",\n  \"survivor_rate\": ";
   flt survivor_rate;
-  opt_float "eta_s" eta_s;
+  opt_float "eta_s" s.eta_s;
   opt_float "checkpoint_age_s" (checkpoint_age_s t);
   add ",\n  \"domains\": [";
-  let doms =
-    Hashtbl.fold (fun d st acc -> (d, st) :: acc) t.doms []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  in
   List.iteri
-    (fun i (d, st) ->
+    (fun i (d, points, survivors) ->
       add "%s\n    { \"dom\": %d, \"points\": %d, \"survivors\": %d }"
         (if i = 0 then "" else ",")
-        d st.d_points st.d_survivors)
-    doms;
-  if doms <> [] then add "\n  ";
+        d points survivors)
+    s.domains;
+  if s.domains <> [] then add "\n  ";
   add "]\n}\n";
   Buffer.contents buf
 
 (* Temp-then-rename so a reader never sees a torn snapshot; the temp
    name carries the pid so two runs pointed at one status path (a
    configuration mistake) cannot corrupt each other's rename. *)
-let write t ~state ~now =
-  let text = render t ~state ~now in
+let write t ~state snap =
+  let text = render t ~state snap in
   let tmp = Printf.sprintf "%s.%d.tmp" t.path t.pid in
   let oc = open_out_bin tmp in
   (try
@@ -155,51 +101,34 @@ let write t ~state ~now =
      close_out_noerr oc;
      (try Sys.remove tmp with Sys_error _ -> ());
      raise e);
-  Sys.rename tmp t.path;
-  t.last_write_ns <- now
+  Sys.rename tmp t.path
 
-let maybe_write t =
-  if not t.finalized then begin
-    let now = Clock.now_ns () in
-    if now - t.last_write_ns >= t.interval_ns then write t ~state:"running" ~now
-  end
-
-let tick t ~dom ~points ~survivors ~frac:_ =
-  Mutex.lock t.mutex;
-  let d =
-    match Hashtbl.find_opt t.doms dom with
-    | Some d -> d
-    | None ->
-      let d = { d_points = 0; d_survivors = 0 } in
-      Hashtbl.replace t.doms dom d;
-      d
+let create ?(interval_s = 1.0) ?run_id ?space ?shard ?checkpoint_path ~path
+    tally =
+  if interval_s < 0.0 then
+    invalid_arg "Status.create: interval must be non-negative";
+  let t =
+    {
+      tally;
+      path;
+      run_id;
+      space;
+      shard;
+      checkpoint_path;
+      pid = Unix.getpid ();
+      finalized = false;
+    }
   in
-  d.d_points <- points;
-  d.d_survivors <- survivors;
-  maybe_write t;
-  Mutex.unlock t.mutex
-
-let chunk_tick t ~completed ~total =
-  Mutex.lock t.mutex;
-  if t.c_base < 0 then t.c_base <- completed;
-  t.c_done <- max t.c_done completed;
-  t.c_total <- total;
-  maybe_write t;
-  Mutex.unlock t.mutex
-
-let install t =
-  (* Coarse: end-of-run/chunk ticks are plenty for a 1 Hz heartbeat,
-     and they keep the engines off their instrumented path. *)
-  Obs.set_progress ~fine:false (tick t);
-  Obs.set_chunk_progress (chunk_tick t)
+  Tally.watch tally ~every_s:interval_s (fun snap ->
+      if not t.finalized then write t ~state:"running" snap);
+  t
 
 let finalize t ~state =
-  Mutex.lock t.mutex;
-  if not t.finalized then begin
-    t.finalized <- true;
-    write t ~state ~now:(Clock.now_ns ())
-  end;
-  Mutex.unlock t.mutex
+  Tally.draw t.tally (fun snap ->
+      if not t.finalized then begin
+        t.finalized <- true;
+        write t ~state snap
+      end)
 
 (* ------------------------------------------------------------------ *)
 (* Reading (beast top, tests)                                          *)

@@ -6,12 +6,9 @@
     complete parseable document. [beast top] renders it; [beast serve]
     workers will publish it.
 
-    Feeding mirrors {!Progress}: engines tick per-domain point and
-    survivor counts through the [Obs] progress hook, the parallel
-    scheduler ticks chunk completions through the chunk hook, and the
-    ETA is the same pruning-aware chunk-throughput estimate (chunks
-    restored from a checkpoint are excluded from observed
-    throughput). *)
+    A renderer over the run's {!Tally}, like {!Progress}: the per-domain
+    point and survivor counts, chunk figures and pruning-aware ETA are
+    the tally's. *)
 
 type t
 
@@ -22,26 +19,14 @@ val create :
   ?shard:int * int ->
   ?checkpoint_path:string ->
   path:string ->
-  unit ->
+  Tally.t ->
   t
-(** [interval_s] defaults to 1.0; 0 rewrites on every tick (tests).
-    [checkpoint_path] is stat-ed at each write to report the age of the
-    last checkpoint. Raises [Invalid_argument] on a negative
-    interval. *)
+(** Watch the tally. [interval_s] defaults to 1.0; 0 rewrites on every
+    tick (tests). [checkpoint_path] is stat-ed at each write to report
+    the age of the last checkpoint. Raises [Invalid_argument] on a
+    negative interval. *)
 
 val path : t -> string
-
-val install : t -> unit
-(** Register as the global [Obs] progress {e and} chunk-progress hook.
-    When another reporter (e.g. {!Progress}) also wants the hooks, the
-    caller must fan out to {!tick}/{!chunk_tick} itself — the hooks are
-    single-slot. *)
-
-val tick : t -> dom:int -> points:int -> survivors:int -> frac:float -> unit
-(** Per-domain progress entry point. Thread-safe. *)
-
-val chunk_tick : t -> completed:int -> total:int -> unit
-(** Chunk-completion entry point. Thread-safe. *)
 
 val finalize : t -> state:string -> unit
 (** Write a last snapshot with the given state (["completed"],

@@ -1,6 +1,6 @@
-(* Hand-rolled JSON emission shared by the JSONL and Chrome sinks (the
-   repo deliberately has no JSON dependency). Only what we need:
-   strings, ints, floats, and flat objects of event args. *)
+(* Hand-rolled JSON emission shared by the sinks, metrics, status and
+   run files (the repo deliberately has no JSON dependency). Only what
+   we need: strings and floats. *)
 
 let escape buf s =
   Buffer.add_char buf '"';
@@ -25,20 +25,3 @@ let float buf f =
   else if Float.is_integer f && Float.abs f < 1e15 then
     Buffer.add_string buf (Printf.sprintf "%.0f" f)
   else Buffer.add_string buf (Printf.sprintf "%.17g" f)
-
-let arg buf (a : Obs.arg) =
-  match a with
-  | Obs.Int i -> Buffer.add_string buf (string_of_int i)
-  | Obs.Float f -> float buf f
-  | Obs.Str s -> escape buf s
-
-let args_object buf (args : (string * Obs.arg) list) =
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      escape buf k;
-      Buffer.add_char buf ':';
-      arg buf v)
-    args;
-  Buffer.add_char buf '}'

@@ -220,11 +220,11 @@ let check_accounting name sp =
   Alcotest.check exact_stats (name ^ ": plain") expected (Engine_staged.run plan);
   Alcotest.check exact_stats (name ^ ": provenance") expected
     (fst (Provenance.with_collector (fun () -> Engine_staged.run plan)));
-  let r = Beast_obs.Metrics.create () in
-  Beast_obs.Metrics.set_current r;
+  let metrics = Some (Beast_obs.Metrics.create ()) in
   Alcotest.check exact_stats (name ^ ": metrics") expected
-    (Fun.protect ~finally:Beast_obs.Metrics.clear_current (fun () ->
-         Engine_staged.run plan));
+    (Beast_obs.Obs.with_context
+       { Beast_obs.Obs.off with metrics; instrumented = true }
+       (fun () -> Engine_staged.run plan));
   expected
 
 let test_accounting_range_shapes () =

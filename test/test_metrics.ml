@@ -263,13 +263,18 @@ let counter snap name labels =
   | Some { Metrics.value = Metrics.Vcounter v; _ } -> v
   | _ -> Alcotest.failf "no counter %s" name
 
+(* A run with a metrics registry in its context, as --metrics installs. *)
+let with_metrics r f =
+  Obs.with_context
+    { Obs.off with Obs.metrics = Some r; instrumented = true }
+    f
+
 let instrumented_run plan ~shards =
   List.init shards (fun index ->
       let r = Metrics.create () in
-      Metrics.set_current r;
       let stats =
-        Fun.protect ~finally:Metrics.clear_current (fun () ->
-            Metrics.time_phase "sweep" (fun () ->
+        with_metrics r (fun () ->
+            Obs.time_phase "sweep" (fun () ->
                 Engine_staged.run
                   (if shards = 1 then plan
                    else Plan.chunk_outer plan ~index ~of_:shards)))
@@ -346,10 +351,7 @@ let test_engines_emit_same_metrics () =
   Alcotest.(check bool) "plan is propagated" true (Plan.static_pruned plan > 0);
   let snapshot_of run =
     let r = Metrics.create () in
-    Metrics.set_current r;
-    let (_ : Engine.stats) =
-      Fun.protect ~finally:Metrics.clear_current (fun () -> run plan)
-    in
+    let (_ : Engine.stats) = with_metrics r (fun () -> run plan) in
     Metrics.snapshot r
   in
   let reference = snapshot_of Engine_staged.run in
@@ -388,7 +390,23 @@ let test_engines_emit_same_metrics () =
       ( "parallel:3",
         Engine_parallel.run ?on_hit:None ~domains:3,
         3 * Engine_parallel.default_chunks_per_domain );
-    ]
+    ];
+  (* The compiled tier knows only the totals, and reports them through
+     the same end-of-run path; checked when a compiler is found. *)
+  if
+    Sys.command
+      (Printf.sprintf "command -v %s >/dev/null 2>&1" (Engine_native.cc ()))
+    = 0
+  then begin
+    let snap =
+      snapshot_of (Engine_native.run ?on_hit:None ?workdir:None ?threads:None)
+    in
+    List.iter
+      (fun name ->
+        Alcotest.(check int) ("native: " ^ name) (counter reference name [])
+          (counter snap name []))
+      [ "points_total"; "survivors_total" ]
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                       *)

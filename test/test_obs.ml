@@ -164,11 +164,21 @@ end
 (* Helpers                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* A traced run's context, as --trace installs it. *)
 let record f =
   let r = Recorder.create () in
-  Obs.set_sink (Recorder.sink r);
-  let x = Fun.protect ~finally:Obs.clear_sink f in
+  let x =
+    Obs.with_context
+      { Obs.off with Obs.sink = Some (Recorder.sink r); instrumented = true }
+      f
+  in
   (x, r)
+
+(* A run with terminal progress on: the tally in the context. *)
+let with_tally tally f =
+  Obs.with_context
+    { Obs.off with Obs.tally = Some tally; instrumented = true }
+    f
 
 let int_arg name ev =
   match List.assoc_opt name ev.Obs.ev_args with
@@ -202,7 +212,8 @@ let test_clock () =
 
 let test_disabled_is_silent () =
   Alcotest.(check bool) "off by default" false (Obs.enabled ());
-  Alcotest.(check bool) "not instrumenting" false (Obs.instrumenting ());
+  Alcotest.(check bool) "not instrumenting" false
+    (Engine.Run.instrumenting ());
   (* Emission helpers must be no-ops, not crashes. *)
   Obs.instant "nobody-listens";
   Obs.counter "nothing" 1.0;
@@ -499,29 +510,33 @@ let test_recorder_merge_ordering () =
 (* ------------------------------------------------------------------ *)
 
 let test_progress_hook () =
-  let last = ref (0, 0, 0.0) in
-  Obs.set_progress (fun ~dom:_ ~points ~survivors ~frac ->
-      last := (points, survivors, frac));
-  Alcotest.(check bool) "instrumenting via progress" true (Obs.instrumenting ());
+  let tally = Tally.create () in
+  let last = ref None in
+  Tally.watch tally ~every_s:0.0 (fun s -> last := Some s);
   let stats =
-    Fun.protect ~finally:Obs.clear_progress (fun () ->
+    with_tally tally (fun () ->
         Engine_staged.run_space (Support.triangle_space ()))
   in
-  let points, survivors, frac = !last in
-  Alcotest.(check int) "final points" stats.Engine.loop_iterations points;
-  Alcotest.(check int) "final survivors" stats.Engine.survivors survivors;
-  Alcotest.(check (float 1e-9)) "final frac" 1.0 frac;
-  Alcotest.(check bool) "hook cleared" false (Obs.progress_enabled ())
+  match !last with
+  | None -> Alcotest.fail "the tally was never drawn"
+  | Some s ->
+    Alcotest.(check int) "final points" stats.Engine.loop_iterations
+      s.Tally.points;
+    Alcotest.(check int) "final survivors" stats.Engine.survivors
+      s.Tally.survivors;
+    Alcotest.(check (option (float 1e-9))) "final frac" (Some 1.0) s.Tally.frac;
+    Alcotest.(check bool) "tally uninstalled" true
+      ((Obs.current ()).Obs.tally = None)
 
 let test_progress_reporter_output () =
   let file = Filename.temp_file "beast_obs" ".progress" in
   let oc = open_out file in
-  let p = Progress.create ~interval_s:0.0 ~out:oc () in
-  Progress.install p;
+  let tally = Tally.create () in
+  let p = Progress.create ~interval_s:0.0 ~out:oc tally in
   ignore
-    (Fun.protect
-       ~finally:(fun () -> Progress.finish p)
-       (fun () -> Engine_staged.run_space (Support.triangle_space ())));
+    (with_tally tally (fun () ->
+         Engine_staged.run_space (Support.triangle_space ())));
+  Progress.finish p;
   close_out oc;
   let ic = open_in file in
   let len = in_channel_length ic in
@@ -546,12 +561,12 @@ let test_progress_tty_redraw () =
      only `finish` appends the final newline. *)
   let file = Filename.temp_file "beast_obs" ".progress" in
   let oc = open_out file in
-  let p = Progress.create ~interval_s:0.0 ~out:oc ~tty:true () in
-  Progress.install p;
+  let tally = Tally.create () in
+  let p = Progress.create ~interval_s:0.0 ~out:oc ~tty:true tally in
   ignore
-    (Fun.protect
-       ~finally:(fun () -> Progress.finish p)
-       (fun () -> Engine_staged.run_space (Support.triangle_space ())));
+    (with_tally tally (fun () ->
+         Engine_staged.run_space (Support.triangle_space ())));
+  Progress.finish p;
   close_out oc;
   let ic = open_in file in
   let content = really_input_string ic (in_channel_length ic) in

@@ -125,8 +125,12 @@ let nothing_installed what =
     false (Provenance.enabled ())
 
 let run_with cfg f =
-  Run_config.with_instrumentation ~run_id:"0123456789ab" ~space:"triangle"
-    cfg f
+  ignore
+    (Run_config.with_instrumentation ~space:"triangle" ~engine:"staged"
+       { cfg with Run_config.run_id = Some "0123456789ab" }
+       (fun _ ->
+         f ();
+         0))
 
 let test_decision_table () =
   with_files (function
@@ -152,6 +156,27 @@ let test_decision_table () =
         (matrix ~trace ~flight ~status ~metrics_out ~explain_out)
     | _ -> assert false)
 
+(* An output that cannot be opened fails the call before anything is
+   installed: the trace sink opened first must not outlive it. *)
+let test_failed_open_installs_nothing () =
+  with_files (function
+    | trace :: _ ->
+      let cfg =
+        {
+          Run_config.default with
+          Run_config.trace = Some trace;
+          metrics_out = Some "/nonexistent/m.prom";
+          progress = true;
+        }
+      in
+      (match
+         run_with cfg (fun () -> Alcotest.fail "the callback ran")
+       with
+      | () -> Alcotest.fail "an unopenable --metrics-out was accepted"
+      | exception Sys_error _ -> ());
+      nothing_installed "after a failed open"
+    | [] -> assert false)
+
 let () =
   Alcotest.run "run_config"
     [
@@ -165,5 +190,9 @@ let () =
           Alcotest.test_case "metrics_enabled" `Quick test_metrics_enabled;
         ] );
       ( "install",
-        [ Alcotest.test_case "decision table" `Quick test_decision_table ] );
+        [
+          Alcotest.test_case "decision table" `Quick test_decision_table;
+          Alcotest.test_case "failed open installs nothing" `Quick
+            test_failed_open_installs_nothing;
+        ] );
     ]

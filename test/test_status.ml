@@ -110,14 +110,15 @@ let test_fresh_id_shape () =
 
 let test_status_snapshot_fields () =
   with_tmp ".status" (fun path ->
-      let t =
+      let tally = Tally.create () in
+      let (_ : Status.t) =
         Status.create ~interval_s:0.0 ~run_id:"deadbeef0123" ~space:"triangle"
-          ~shard:(1, 3) ~path ()
+          ~shard:(1, 3) ~path tally
       in
-      Status.chunk_tick t ~completed:0 ~total:8;
-      Status.tick t ~dom:0 ~points:100 ~survivors:10 ~frac:0.5;
-      Status.tick t ~dom:1 ~points:50 ~survivors:5 ~frac:0.25;
-      Status.chunk_tick t ~completed:2 ~total:8;
+      Tally.chunk_tick tally ~completed:0 ~total:8;
+      Tally.tick tally ~dom:0 ~points:100 ~survivors:10 ~frac:0.5;
+      Tally.tick tally ~dom:1 ~points:50 ~survivors:5 ~frac:0.25;
+      Tally.chunk_tick tally ~completed:2 ~total:8;
       match Status.of_file path with
       | Error msg -> Alcotest.failf "cannot read status: %s" msg
       | Ok v ->
@@ -141,13 +142,14 @@ let test_status_always_parseable_concurrently () =
      the main domain samples it: every successful read must be a
      complete, schema-valid document — the atomicity claim. *)
   with_tmp ".status" (fun path ->
-      let t = Status.create ~interval_s:0.0 ~space:"triangle" ~path () in
-      Status.chunk_tick t ~completed:0 ~total:64;
+      let tally = Tally.create () in
+      let t = Status.create ~interval_s:0.0 ~space:"triangle" ~path tally in
+      Tally.chunk_tick tally ~completed:0 ~total:64;
       let writers =
         List.init 2 (fun w ->
             Domain.spawn (fun () ->
                 for i = 1 to 500 do
-                  Status.tick t ~dom:w ~points:(i * 10) ~survivors:i
+                  Tally.tick tally ~dom:w ~points:(i * 10) ~survivors:i
                     ~frac:(float_of_int i /. 500.0)
                 done))
       in
@@ -172,11 +174,12 @@ let test_status_always_parseable_concurrently () =
 
 let test_status_finalize_idempotent () =
   with_tmp ".status" (fun path ->
-      let t = Status.create ~interval_s:0.0 ~space:"triangle" ~path () in
-      Status.tick t ~dom:0 ~points:10 ~survivors:1 ~frac:0.1;
+      let tally = Tally.create () in
+      let t = Status.create ~interval_s:0.0 ~space:"triangle" ~path tally in
+      Tally.tick tally ~dom:0 ~points:10 ~survivors:1 ~frac:0.1;
       Status.finalize t ~state:"interrupted";
       (* Late ticks and a second finalize must not resurrect the run. *)
-      Status.tick t ~dom:0 ~points:999 ~survivors:99 ~frac:0.9;
+      Tally.tick tally ~dom:0 ~points:999 ~survivors:99 ~frac:0.9;
       Status.finalize t ~state:"completed";
       match Status.of_file path with
       | Error msg -> Alcotest.failf "cannot read status: %s" msg
@@ -188,7 +191,7 @@ let test_status_finalize_idempotent () =
 let test_status_negative_interval_rejected () =
   Alcotest.check_raises "negative interval"
     (Invalid_argument "Status.create: interval must be non-negative") (fun () ->
-      ignore (Status.create ~interval_s:(-1.0) ~path:"unused" ()))
+      ignore (Status.create ~interval_s:(-1.0) ~path:"unused" (Tally.create ())))
 
 (* ------------------------------------------------------------------ *)
 (* Stats byte-identity: the heartbeat must not perturb the sweep       *)
@@ -206,10 +209,16 @@ let run_with_introspection ~plan ~runner =
               Run_config.status = Some status_path;
               status_every_s = 0.0;
               flight = Some flight_path;
+              run_id = Some "feedc0ffee12";
             }
           in
-          Run_config.with_instrumentation ~run_id:"feedc0ffee12"
-            ~space:plan.Plan.space_name cfg (fun () -> runner ())))
+          let stats = ref None in
+          ignore
+            (Run_config.with_instrumentation ~space:plan.Plan.space_name
+               ~engine:"staged" cfg (fun _ ->
+                 stats := Some (runner ());
+                 0));
+          Option.get !stats))
 
 let test_stats_identical_with_status_unsharded () =
   let plan = triangle_plan () in
@@ -268,7 +277,7 @@ let test_flight_tee_forwards () =
   let recorder = Recorder.create () in
   let sink = Flight.tee fl (Recorder.sink recorder) in
   for i = 1 to 5 do
-    sink.Obs.emit (mk_event ~name:(Printf.sprintf "ev%d" i) ~ts:i ())
+    sink (mk_event ~name:(Printf.sprintf "ev%d" i) ~ts:i ())
   done;
   Alcotest.(check int) "ring keeps the tail" 2 (Flight.event_count fl);
   Alcotest.(check int) "inner sink sees everything" 5
@@ -309,14 +318,17 @@ let crashed_flight_dump plan =
               status_every_s = 0.0;
               flight = Some flight_path;
               fault = Some (Run_config.Chunk_fatal { chunk = 1 });
+              run_id = Some "feedc0ffee12";
             }
           in
           (match
-             Run_config.with_instrumentation ~run_id:"feedc0ffee12"
-               ~space:plan.Plan.space_name cfg (fun () ->
-                 Engine_parallel.run_resumable
-                   ~fault:(Run_config.Chunk_fatal { chunk = 1 })
-                   ~domains:1 plan)
+             Run_config.with_instrumentation ~space:plan.Plan.space_name
+               ~engine:"parallel" cfg (fun _ ->
+                 ignore
+                   (Engine_parallel.run_resumable
+                      ~fault:(Run_config.Chunk_fatal { chunk = 1 })
+                      ~domains:1 plan);
+                 0)
            with
           | _ -> Alcotest.fail "fatal fault did not take the run down"
           | exception Failure _ -> ());
