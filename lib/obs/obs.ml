@@ -40,7 +40,12 @@ let current () = match !slot with Some c -> c | None -> off
 
 let with_context ctx f =
   let prev = !slot in
-  slot := Some ctx;
+  (* A plain run installs as nothing, so it keeps that contract. *)
+  slot :=
+    (match ctx with
+    | { sink = None; instrumented = false; tally = None; metrics = None } ->
+      None
+    | _ -> Some ctx);
   Fun.protect ~finally:(fun () -> slot := prev) f
 
 let enabled () =

@@ -66,7 +66,8 @@ val current : unit -> ctx
 
 val with_context : ctx -> (unit -> 'a) -> 'a
 (** Install [ctx] for the duration of the callback and restore the
-    previous context when it returns or raises. *)
+    previous context when it returns or raises. A context with nothing
+    on installs as {!off}. *)
 
 val enabled : unit -> bool
 (** Whether the context has a sink. *)
