@@ -40,6 +40,47 @@ let rec c_expr names (e : Plan.cexpr) =
 
 let zero_step_exit = 3
 
+(* The C twin of [Plan.trip_count] and [Plan.solve], emitted only into
+   programs with a solved loop. Unsigned arithmetic keeps the trip count
+   and the last value exact for any int64 operands; the guards are the
+   OCaml ones with 63-bit bounds, so both languages solve the same
+   entries and test every value of the same others. *)
+let solve_helpers =
+  {|#define BEAST_MAX63 INT64_C(4611686018427387903)
+#define BEAST_OUT63(x) ((x) < -BEAST_MAX63 || (x) > BEAST_MAX63)
+
+static inline uint64_t beast_trip(int64_t start, int64_t stop, int64_t step) {
+  if (step > 0)
+    return start < stop
+      ? ((uint64_t)stop - (uint64_t)start - 1) / (uint64_t)step + 1 : 0;
+  return start > stop
+    ? ((uint64_t)start - (uint64_t)stop - 1) / (0 - (uint64_t)step) + 1 : 0;
+}
+
+/* -1: test every value; otherwise how many of the trip's values pass
+   "m * x != t" (0, or 1 with the value in *only). Mirrors Plan.solve. */
+static inline int beast_solve(int64_t start, int64_t step, uint64_t trip,
+                              int64_t m, int64_t t, int64_t *only) {
+  if (trip == 0) return 0;
+  if (trip >= (uint64_t)BEAST_MAX63) return -1;
+  int64_t last = (int64_t)((uint64_t)start + (trip - 1) * (uint64_t)step);
+  if (BEAST_OUT63(start) || BEAST_OUT63(step) || BEAST_OUT63(last)
+      || BEAST_OUT63(m) || BEAST_OUT63(t))
+    return -1;
+  if (m == 0) return t == 0 ? -1 : 0;
+  int64_t lo = beast_min(start, last), hi = beast_max(start, last);
+  if (beast_max(-lo, hi) > BEAST_MAX63 / beast_abs(m)
+      || (lo < 0 && hi > BEAST_MAX63 + lo))
+    return -1;
+  if (t % m != 0) return 0;
+  int64_t x = t / m;
+  if (x < lo || x > hi || (x - start) % step != 0) return 0;
+  *only = x;
+  return 1;
+}
+
+|}
+
 let generate ?(threads = 1) ?(emit_survivors = false) (plan : Plan.t) =
   try
     if threads < 1 then unsupported "threads must be >= 1";
@@ -79,6 +120,17 @@ let generate ?(threads = 1) ?(emit_survivors = false) (plan : Plan.t) =
         steps
     in
     scan_steps plan.Plan.steps;
+    let rec any_solved steps =
+      List.exists
+        (fun (step : Plan.step) ->
+          match step with
+          | Plan.Loop { l_slot; l_iter; l_body; _ } ->
+            Option.is_some (Plan.solved_check ~slot:l_slot l_iter l_body)
+            || any_solved l_body
+          | Plan.Derive _ | Plan.Check _ | Plan.Yield | Plan.Static_prune _ ->
+            false)
+        steps
+    in
     add "/* Generated by beast from search space %s.\n" plan.Plan.space_name;
     add "   Settings:";
     List.iter
@@ -94,6 +146,7 @@ let generate ?(threads = 1) ?(emit_survivors = false) (plan : Plan.t) =
     add "static inline int64_t beast_abs(int64_t a) { return a < 0 ? -a : a; }\n";
     add
       "static inline int64_t beast_ceil_div(int64_t a, int64_t b) { return (a + b - 1) / b; }\n\n";
+    if any_solved plan.Plan.steps then add "%s" solve_helpers;
     (* A range whose step evaluates to 0 is an error, as in the OCaml
        engines: name the loop (by its position in the plan's loop order)
        and leave with a status of its own. Marked cold so the check stays
@@ -198,9 +251,12 @@ let generate ?(threads = 1) ?(emit_survivors = false) (plan : Plan.t) =
             let v = names.(l_slot) in
             match l_iter with
             | Plan.CRange (a, b, c) ->
+              let solved = Plan.solved_check ~slot:l_slot l_iter l_body in
               add "%s{  /* loop %s */\n" ind l_var;
               add "%s  int64_t start_%d = %s;\n" ind depth (c_expr names a);
-              add "%s  const int64_t stop_%d = %s;\n" ind depth (c_expr names b);
+              add "%s  %sint64_t stop_%d = %s;\n" ind
+                (if solved = None then "const " else "")
+                depth (c_expr names b);
               add "%s  int64_t step_%d = %s;\n" ind depth (c_expr names c);
               (match c with
               | CLit k when k <> 0 -> ()
@@ -211,6 +267,34 @@ let generate ?(threads = 1) ?(emit_survivors = false) (plan : Plan.t) =
                 add "%s  start_%d += slice_index * step_%d;\n" ind depth depth;
                 add "%s  step_%d *= slice_count;\n" ind depth
               end;
+              Option.iter
+                (fun (sv : Plan.solved) ->
+                  (* Narrow the loop to the values that pass: none, or
+                     the one, which still runs its (passing) check. The
+                     others are charged in bulk. m and t are evaluated
+                     only when the loop has values, as unsolved. *)
+                  let c_name, _ = plan.Plan.constraint_info.(sv.sv_index) in
+                  add "%s  {  /* solved %s */\n" ind c_name;
+                  add
+                    "%s    const uint64_t trip = beast_trip(start_%d, stop_%d, step_%d);\n"
+                    ind depth depth depth;
+                  add "%s    int64_t only = 0;\n" ind;
+                  add
+                    "%s    const int pass = trip > 0 ? beast_solve(start_%d, step_%d, trip, %s, %s, &only) : 0;\n"
+                    ind depth depth
+                    (c_expr names sv.sv_coef)
+                    (c_expr names sv.sv_target);
+                  add "%s    if (pass >= 0) {\n" ind;
+                  add "%s      *loop_iterations += (int64_t)trip - pass;\n" ind;
+                  add "%s      prune_counts[%d] += (int64_t)trip - pass;\n" ind
+                    sv.sv_index;
+                  add "%s      start_%d = only;\n" ind depth;
+                  add
+                    "%s      stop_%d = pass == 0 ? only : step_%d > 0 ? only + 1 : only - 1;\n"
+                    ind depth depth;
+                  add "%s    }\n" ind;
+                  add "%s  }\n" ind)
+                solved;
               add
                 "%s  for (%s = start_%d; step_%d > 0 ? %s < stop_%d : %s > stop_%d; %s += step_%d) {\n"
                 ind v depth depth v depth v depth v depth;

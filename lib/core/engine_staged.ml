@@ -22,7 +22,11 @@
    One compiler serves three modes, chosen once per run, at compile
    time, so the closures of one mode carry nothing of the others:
    - plain: nothing installed — the disabled path is the uninstrumented
-     code;
+     code. Here alone a loop whose first check [Plan.solved_check]
+     recognises solves it once per entry ([Plan.solve]) and binds only
+     the value that passes, charging the others to the check in bulk;
+     the other modes test every value, so per-value provenance and
+     per-evaluation timing see every evaluation;
    - provenance: a collector is installed; firings, hits and static
      prunes also feed a run-private [Provenance.local], with no clock
      reads;
@@ -82,6 +86,31 @@ let compile_loop ~entries l_var l_slot (l_iter : Plan.citer) body =
       let vs = materialize s in
       entries := !entries + Array.length vs;
       iterate_values s l_slot vs body
+
+(* A loop whose first check [Plan.solve]s once per entry (plain mode
+   only). The loop still adds its whole trip to [entries]; the check
+   charges the values the solve skips to [fired] in bulk, and a kept
+   value still runs the check in [body], where it passes. *)
+let compile_solved ~entries ~fired l_var l_slot (a, b, c) (sv : Plan.solved)
+    body =
+  let fa = Plan.compile_cexpr a
+  and fb = Plan.compile_cexpr b
+  and fc = Plan.compile_cexpr c
+  and fm = Plan.compile_cexpr sv.sv_coef
+  and ft = Plan.compile_cexpr sv.sv_target in
+  let only = ref 0 in
+  fun s ->
+    let start = fa s and stop = fb s and step = fc s in
+    if step = 0 then Engine.zero_step l_var;
+    let n = Plan.trip_count ~start ~stop ~step in
+    entries := !entries + n;
+    match Plan.solve ~start ~step ~trip:n ~coef:(fm s) ~target:(ft s) ~only with
+    | Pass_none -> fired := !fired + n
+    | Pass_one ->
+      fired := !fired + n - 1;
+      s.(l_slot) <- !only;
+      body s
+    | Pass_all | Test_each -> iterate s l_slot ~start ~step n body
 
 let run ?on_hit (plan : Plan.t) =
   let r = Engine.Run.start plan in
@@ -181,8 +210,15 @@ let run ?on_hit (plan : Plan.t) =
           plocal;
         k s
   in
-  let compile_entry ~depth ~entries l_var l_slot l_iter body =
-    if not instrumented then compile_loop ~entries l_var l_slot l_iter body
+  let compile_entry ~depth ~entries l_var l_slot l_iter l_body body =
+    if not instrumented then
+      match (l_iter, plocal, Plan.solved_check ~slot:l_slot l_iter l_body) with
+      | CRange (a, b, c), None, Some sv ->
+        let fired = ref 0 in
+        at_end (fun () ->
+            pruned.(sv.sv_index) <- pruned.(sv.sv_index) + !fired);
+        compile_solved ~entries ~fired l_var l_slot (a, b, c) sv body
+      | _ -> compile_loop ~entries l_var l_slot l_iter body
     else
       let body s =
         incr points;
@@ -219,7 +255,9 @@ let run ?on_hit (plan : Plan.t) =
       let entries = ref 0 in
       at_end (fun () -> add_entries depth !entries);
       let body = compile ~depth:(depth + 1) l_body in
-      and_then ~depth (compile_entry ~depth ~entries l_var l_slot l_iter body) rest
+      and_then ~depth
+        (compile_entry ~depth ~entries l_var l_slot l_iter l_body body)
+        rest
   (* A loop or yield ends its step list in every plan [Plan.make] builds,
      so the common case has no continuation to call. *)
   and and_then ~depth f rest =

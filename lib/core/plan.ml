@@ -667,6 +667,110 @@ let trip_count ~start ~stop ~step =
     if start > stop then count_steps ~lo:stop ~hi:start ~step:(-step) else 0
   else 0
 
+(* ------------------------------------------------------------------ *)
+(* Solved checks                                                       *)
+(* ------------------------------------------------------------------ *)
+
+type solved = {
+  sv_index : int;
+  sv_coef : cexpr;
+  sv_target : cexpr;
+}
+
+(* Slots a step list binds, its nested loops included. *)
+let bound_slots steps =
+  let rec go acc = function
+    | [] -> acc
+    | Derive { d_slot; _ } :: rest -> go (Iset.add d_slot acc) rest
+    | Loop { l_slot; l_body; _ } :: rest ->
+      go (go (Iset.add l_slot acc) l_body) rest
+    | (Check _ | Static_prune _ | Yield) :: rest -> go acc rest
+  in
+  go Iset.empty steps
+
+(* Division by a non-zero literal is the only division that cannot
+   raise. *)
+let rec raise_free = function
+  | CLit _ | CSlot _ -> true
+  | CUn (_, a) -> raise_free a
+  | CBin ((Div | Mod), a, CLit k) | CCall (Ceil_div, [ a; CLit k ]) ->
+    k <> 0 && raise_free a
+  | CBin ((Div | Mod), _, _) | CCall (Ceil_div, _) -> false
+  | CBin (_, a, b) -> raise_free a && raise_free b
+  | CIf (c, t, f) -> raise_free c && raise_free t && raise_free f
+  | CCall (_, args) -> List.for_all raise_free args
+
+(* Skipping a value skips the derived values the body binds before its
+   first check, which is unobservable only when none of them can
+   raise. *)
+let rec first_check = function
+  | Derive { d_compute = CE e; _ } :: rest when raise_free e -> first_check rest
+  | Check _ as c :: _ -> Some c
+  | _ -> None
+
+let solved_check ~slot (iter : citer) body =
+  match (iter, first_check body) with
+  | CRange _, Some (Check { c_index; c_compute = CE (CBin (Ne, l, r)); _ }) -> (
+    let inner = Iset.add slot (bound_slots body) in
+    (* Raise-free, and constant over one entry of the loop. *)
+    let rec outer = function
+      | CLit _ -> true
+      | CSlot i -> not (Iset.mem i inner)
+      | CUn (Neg, a) -> outer a
+      | CBin ((Add | Sub | Mul), a, b) -> outer a && outer b
+      | CUn (Not, _) | CBin _ | CIf _ | CCall _ -> false
+    in
+    let coef = function
+      | CSlot i when i = slot -> Some (CLit 1)
+      | CBin (Mul, m, CSlot i) when i = slot && outer m -> Some m
+      | CBin (Mul, CSlot i, m) when i = slot && outer m -> Some m
+      | _ -> None
+    in
+    let solve x t =
+      match coef x with
+      | Some m when outer t ->
+        Some { sv_index = c_index; sv_coef = m; sv_target = t }
+      | _ -> None
+    in
+    match solve l r with Some _ as s -> s | None -> solve r l)
+  | _ -> None
+
+type solution =
+  | Test_each
+  | Pass_all
+  | Pass_none
+  | Pass_one
+
+(* [Codegen_c]'s [beast_solve] is the C twin, branch for branch. [last]
+   is exact even when [(trip - 1) * step] wraps, since the loop visits
+   it. The guards keep each product [coef * x] and the span [hi - lo]
+   within [max_int], so no step below wraps, in 63 or in 64 bits. The
+   kept value goes to [only] rather than into an allocated answer: the
+   staged engine solves once per loop entry and otherwise allocates
+   nothing while it sweeps. *)
+let solve ~start ~step ~trip ~coef ~target ~only =
+  if trip = 0 then Pass_none
+  else if trip = max_int then Test_each
+  else
+    let last = start + ((trip - 1) * step) in
+    if
+      start = min_int || step = min_int || last = min_int || coef = min_int
+      || target = min_int
+    then Test_each
+    else if coef = 0 then if target = 0 then Pass_all else Pass_none
+    else
+      let lo = int_min start last and hi = int_max start last in
+      if int_max (-lo) hi > max_int / abs coef || (lo < 0 && hi > max_int + lo)
+      then Test_each
+      else if target mod coef <> 0 then Pass_none
+      else
+        let x = target / coef in
+        if x < lo || x > hi || (x - start) mod step <> 0 then Pass_none
+        else begin
+          only := x;
+          Pass_one
+        end
+
 (* Block [index] of [of_] over a trip sequence of length [len]:
    positions [index*len/of_, (index+1)*len/of_). Adjacent blocks tile
    the sequence exactly and differ in size by at most one. *)
@@ -843,21 +947,27 @@ let pp_citer ppf = function
   | CDyn _ -> Format.pp_print_string ppf "<dynamic>"
 
 let pp ppf t =
-  let rec pp_steps indent steps =
+  let rec pp_steps ?solved indent steps =
     List.iter
       (fun step ->
         match step with
         | Derive { d_name; d_slot; d_compute } ->
           Format.fprintf ppf "%s%s (s%d) = %a@\n" indent d_name d_slot pp_compute
             d_compute
-        | Check { c_name; c_class; c_compute; _ } ->
-          Format.fprintf ppf "%sprune if %s [%s]: %a@\n" indent c_name
+        | Check { c_name; c_class; c_index; c_compute } ->
+          Format.fprintf ppf "%sprune if %s [%s%s]: %a@\n" indent c_name
             (Space.constraint_class_name c_class)
+            (if solved = Some c_index then ", solved" else "")
             pp_compute c_compute
         | Loop { l_var; l_slot; l_iter; l_body } ->
           Format.fprintf ppf "%sfor %s (s%d) in %a:@\n" indent l_var l_slot
             pp_citer l_iter;
-          pp_steps (indent ^ "  ") l_body
+          pp_steps
+            ?solved:
+              (Option.map
+                 (fun sv -> sv.sv_index)
+                 (solved_check ~slot:l_slot l_iter l_body))
+            (indent ^ "  ") l_body
         | Static_prune { sp_var; sp_slot; sp_dead } ->
           let by_constraint = Hashtbl.create 4 in
           Array.iter

@@ -205,8 +205,55 @@ val trip_count : start:int -> stop:int -> step:int -> int
     {!chunk_outer} and the provenance attribution, so subtree
     cardinalities agree everywhere. *)
 
+(** {2 Solved checks}
+
+    A loop whose body opens with a check [m * x != t] on the loop's own
+    range iterator [x] keeps at most one value per entry, so an engine
+    can solve the check once per entry instead of testing every value.
+    The plan is not rewritten: the recogniser and the per-entry
+    arithmetic live here, and each engine decides whether to use them.
+    The staged engine's plain mode and the generated C solve; every
+    other path tests each value and stays the oracle. *)
+
+type solved = {
+  sv_index : int;  (** the check's [c_index] *)
+  sv_coef : cexpr;  (** [m]; [CLit 1] for [x != t] *)
+  sv_target : cexpr;  (** [t] *)
+}
+
+val solved_check : slot:int -> citer -> step list -> solved option
+(** [solved_check ~slot iter body] recognises a loop over slot [slot]
+    whose iterator is a [CRange] and whose [body]'s first check has the
+    shape [m * x != t], [x * m != t] or [x != t], either side of [!=],
+    where [x] reads [slot]. [m] and [t] must be raise-free (literals,
+    slots, [+ - *], unary [-]) and read only slots bound outside the
+    loop. Only derived values that cannot raise may precede the check,
+    so skipping a value skips nothing observable. *)
+
+type solution =
+  | Test_each  (** the solve could overflow: test every value *)
+  | Pass_all  (** [m = t = 0]: no value fires *)
+  | Pass_none  (** every value fires *)
+  | Pass_one  (** only the value stored in [only] passes *)
+
+val solve :
+  start:int -> step:int -> trip:int -> coef:int -> target:int -> only:int ref ->
+  solution
+(** One loop entry of a solved check: the loop visits the [trip] values
+    [start], [start + step], ... ([trip] exact, from {!trip_count}), and
+    [coef] and [target] are [m] and [t] evaluated at entry. The answer
+    is exact: with [Pass_one], [coef * x <> target] holds for every
+    visited [x] except [!only]. It allocates nothing, so a sweep that
+    solves once per loop entry stays allocation-free. It is [Test_each]
+    when [trip] is [max_int],
+    an operand or the last value is [min_int], some [|coef * x|] would
+    exceed [max_int], or [coef <> 0] and the range spans more than
+    [max_int]. *)
+
 val pp_cexpr : Format.formatter -> cexpr -> unit
 (** Infix dump of one expression, slots as [s<i>]. *)
 
 val pp : Format.formatter -> t -> unit
-(** Pseudo-code dump of the nest, for inspection and golden tests. *)
+(** Pseudo-code dump of the nest, for inspection and golden tests. A
+    check {!solved_check} recognises is marked, as in
+    [prune if c [hard, solved]: ...]. *)

@@ -341,7 +341,10 @@ let test_deep_nest () =
   check_all_engines sp
 
 (* Property: random small spaces agree across engines and match the
-   brute-force reference. *)
+   brute-force reference. Ranges start anywhere in -3..3 and step by
+   either sign; the [!=] shapes over products, with literal 0 and
+   negative coefficients, reach the checks the staged engine and the
+   generated C solve per loop entry instead of testing each value. *)
 let gen_space =
   let open QCheck.Gen in
   let gen_bound prev =
@@ -356,26 +359,48 @@ let gen_space =
             (int_range 0 10);
         ]
   in
+  (* A negative step walks down from the bound to just above the start. *)
+  let gen_range prev =
+    gen_bound prev >>= fun bound ->
+    int_range (-3) 3 >>= fun start ->
+    oneofl [ 1; 1; 1; 2; 3; -1; -2 ] >>= fun step ->
+    return
+      (if step > 0 then (Expr.int start, bound, step)
+       else (bound, Expr.int (start - 1), step))
+  in
   let gen_expr_over names =
     let open Expr.Infix in
     oneofl names >>= fun a ->
     oneofl names >>= fun b ->
-    oneofl
+    oneofl names >>= fun c ->
+    let a = Expr.var a and b = Expr.var b and c = Expr.var c in
+    oneof
       [
-        Expr.var a +: Expr.var b;
-        Expr.var a *: Expr.int 2;
-        Expr.max_ (Expr.var a) (Expr.var b);
-        (Expr.var a %: Expr.int 3) =: Expr.int 0;
-        Expr.var a <=: Expr.var b;
+        oneofl
+          [
+            a +: b;
+            a *: Expr.int 2;
+            Expr.max_ a b;
+            (a %: Expr.int 3) =: Expr.int 0;
+            a <=: b;
+          ];
+        oneofl
+          [
+            a <>: b;
+            (a *: b) <>: c;
+            c <>: (b *: a);
+            (Expr.int 0 *: a) <>: b;
+            (Expr.int (-2) *: a) <>: c;
+          ];
       ]
   in
   int_range 1 4 >>= fun n_iters ->
   let rec build_iters i prev acc =
     if i = n_iters then return (List.rev acc)
     else
-      gen_bound prev >>= fun stop ->
+      gen_range prev >>= fun range ->
       let name = Printf.sprintf "i%d" i in
-      build_iters (i + 1) (name :: prev) ((name, stop) :: acc)
+      build_iters (i + 1) (name :: prev) ((name, range) :: acc)
   in
   build_iters 0 [] [] >>= fun iters ->
   let names = List.map fst iters in
@@ -386,7 +411,10 @@ let gen_space =
 
 let space_of (iters, dv, cons) =
   let sp = Space.create () in
-  List.iter (fun (n, stop) -> Space.iterator sp n (Iter.range (Expr.int 0) stop)) iters;
+  List.iter
+    (fun (n, (start, stop, step)) ->
+      Space.iterator sp n (Iter.range ~step:(Expr.int step) start stop))
+    iters;
   Space.derived sp "d0" dv;
   List.iteri
     (fun i e -> Space.constrain sp (Printf.sprintf "c%d" i) e)
@@ -398,7 +426,10 @@ let arb_space =
     ~print:(fun (iters, dv, cons) ->
       let b = Buffer.create 128 in
       List.iter
-        (fun (n, e) -> Buffer.add_string b (Printf.sprintf "%s in 0..%s; " n (Expr.to_string e)))
+        (fun (n, (start, stop, step)) ->
+          Buffer.add_string b
+            (Printf.sprintf "%s in range(%s, %s, %d); " n (Expr.to_string start)
+               (Expr.to_string stop) step))
         iters;
       Buffer.add_string b ("d0 = " ^ Expr.to_string dv ^ "; ");
       List.iteri
@@ -407,6 +438,30 @@ let arb_space =
         cons;
       Buffer.contents b)
     gen_space
+
+(* Plans with a loop the staged engine solves instead of testing. *)
+let rec has_solved_loop steps =
+  List.exists
+    (fun (step : Plan.step) ->
+      match step with
+      | Loop { l_slot; l_iter; l_body; _ } ->
+        Option.is_some (Plan.solved_check ~slot:l_slot l_iter l_body)
+        || has_solved_loop l_body
+      | Derive _ | Check _ | Static_prune _ | Yield -> false)
+    steps
+
+let test_generator_reaches_solved () =
+  let rng = Random.State.make [| 17 |] in
+  let solved =
+    List.length
+      (List.filter
+         (fun _ ->
+           has_solved_loop
+             (Plan.make_exn (space_of (gen_space rng))).Plan.steps)
+         (List.init 400 Fun.id))
+  in
+  if solved < 40 then
+    Alcotest.failf "only %d of 400 generated plans have a solved check" solved
 
 let prop_engines_agree =
   QCheck.Test.make ~name:"all engines match brute force" ~count:200 arb_space
@@ -463,6 +518,14 @@ let prop_chunks_partition =
               .Engine.survivors)
       in
       full = List.fold_left ( + ) 0 parts)
+
+let prop_provenance_keeps_staged_stats =
+  QCheck.Test.make ~name:"staged stats unchanged under provenance" ~count:100
+    arb_space (fun descr ->
+      let plan = Plan.make_exn (space_of descr) in
+      Engine_staged.run plan
+      = Provenance.with_current (Provenance.create ()) (fun () ->
+            Engine_staged.run plan))
 
 let prop_work_stealing_matches_staged =
   QCheck.Test.make ~name:"work-stealing sweep reproduces staged stats"
@@ -660,6 +723,8 @@ let () =
           Alcotest.test_case "values and dynamic" `Quick
             test_accounting_values_and_dyn;
           Alcotest.test_case "zero step" `Quick test_accounting_zero_step;
+          Alcotest.test_case "generator reaches solved checks" `Quick
+            test_generator_reaches_solved;
         ] );
       ( "registry",
         [
@@ -686,6 +751,7 @@ let () =
             prop_slices_partition;
             prop_chunks_partition;
             prop_work_stealing_matches_staged;
+            prop_provenance_keeps_staged_stats;
             prop_hoisting_preserves_semantics;
             prop_constraint_subsets_monotone;
           ] );

@@ -99,6 +99,58 @@ let test_sharded_matches_unsharded () =
       in
       check_stats "3 shards merge to the whole" whole merged)
 
+(* The generated C solves a loop's first [m * x != t] check once per
+   entry. In [walk], [y] steps down by 2 and its coefficient [x - 3] is
+   0 at [x = 3], [z]'s is a literal 0, so entries take every branch of
+   the solve; in [outer], the solved loop is the one the threads slice.
+   The stats files must be the interpreter's, byte for byte. *)
+let test_solved_checks_match_interp () =
+  let real_cc = Engine_native.cc () in
+  if Sys.command (Printf.sprintf "command -v %s >/dev/null 2>&1" real_cc) <> 0
+  then Alcotest.skip ();
+  let open Expr.Infix in
+  let x = Expr.var "x" and y = Expr.var "y" and z = Expr.var "z" in
+  let down ~step start stop =
+    Iter.range ~step:(Expr.int step) (Expr.int start) (Expr.int stop)
+  in
+  let walk = Space.create ~name:"walk" () in
+  Space.iterator walk "x" (Iter.range_i 0 7);
+  Space.iterator walk "y" (down ~step:(-2) 11 (-12));
+  Space.iterator walk "z" (down ~step:(-3) 5 (-5));
+  Space.constrain walk "y_fits"
+    (((x -: Expr.int 3) *: y) <>: ((x *: x) -: Expr.int 9));
+  Space.constrain walk "z_fits" ((Expr.int 0 *: z) <>: (x -: Expr.int 3));
+  let outer = Space.create ~name:"outer" () in
+  Space.iterator outer "x" (down ~step:(-3) 20 (-20));
+  Space.iterator outer "y" (Iter.range_i 0 4);
+  Space.constrain outer "x_fits" ((x *: Expr.int (-2)) <>: Expr.int 2);
+  let bytes plan stats = Stats_io.to_json (Stats_io.of_stats ~plan stats) in
+  in_workdir (fun workdir ->
+      List.iter
+        (fun (sp, solved) ->
+          let plan = Plan.make_exn sp in
+          let rec count steps =
+            List.fold_left
+              (fun n (step : Plan.step) ->
+                match step with
+                | Loop { l_slot; l_iter; l_body; _ } ->
+                  let here = Plan.solved_check ~slot:l_slot l_iter l_body in
+                  n + Bool.to_int (Option.is_some here) + count l_body
+                | Derive _ | Check _ | Static_prune _ | Yield -> n)
+              0 steps
+          in
+          Alcotest.(check int) (Space.name sp ^ " solved checks") solved
+            (count plan.Plan.steps);
+          let expected = bytes plan (Engine_interp.run_plan plan) in
+          List.iter
+            (fun threads ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s, %d thread(s)" (Space.name sp) threads)
+                expected
+                (bytes plan (Engine_native.run ~workdir ~threads plan)))
+            [ 1; 3 ])
+        [ (walk, 2); (outer, 1) ])
+
 (* ------------------------------------------------------------------ *)
 (* on_hit round-trip                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -421,6 +473,8 @@ let () =
           Alcotest.test_case "3-way shard merge" `Quick
             test_sharded_matches_unsharded;
           Alcotest.test_case "on_hit round-trip" `Quick test_on_hit_roundtrip;
+          Alcotest.test_case "solved checks match interp" `Quick
+            test_solved_checks_match_interp;
         ] );
       ( "parser",
         [

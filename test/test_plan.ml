@@ -378,10 +378,184 @@ let test_depth0_constraints_mask () =
   Alcotest.(check bool) "setting-only constraint is depth 0" true (by_name "d0");
   Alcotest.(check bool) "iterator constraint is deeper" false (by_name "odd_sum")
 
+(* Two iterators and a reshape check [a * b != t] the engines solve. *)
+let reshape_space () =
+  let open Expr.Infix in
+  let sp = Space.create ~name:"reshape" () in
+  Space.iterator sp "a" (Iter.range_i 1 9);
+  Space.iterator sp "b" (Iter.range_i 1 9);
+  Space.constrain sp ~cls:Space.Correctness "cant_reshape"
+    ((Expr.var "a" *: Expr.var "b") <>: Expr.int 12);
+  sp
+
+let contains text sub =
+  let n = String.length text and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub text i m = sub || go (i + 1)) in
+  go 0
+
 let test_pp_smoke () =
   let p = plan_of (Support.triangle_space ()) in
   let s = Format.asprintf "%a" Plan.pp p in
-  Alcotest.(check bool) "mentions loops" true (String.length s > 40)
+  Alcotest.(check bool) "mentions loops" true (String.length s > 40);
+  Alcotest.(check bool) "no check solved" false (contains s "solved");
+  let s = Format.asprintf "%a" Plan.pp (plan_of (reshape_space ())) in
+  Alcotest.(check bool) "solved check marked" true
+    (contains s
+       "prune if cant_reshape [correctness, solved]: ((s0 * s1) != 12)")
+
+(* ---- Solved checks ---- *)
+
+(* The values [coef * x <> target] lets through over a range, with the
+   engines' wrapping arithmetic. *)
+let passing ~start ~step ~trip ~coef ~target =
+  List.filter
+    (fun x -> coef * x = target)
+    (List.init trip (fun k -> start + (k * step)))
+
+let solve ~start ~step ~trip ~coef ~target =
+  let only = ref 0 in
+  let got = Plan.solve ~start ~step ~trip ~coef ~target ~only in
+  (got, !only)
+
+let check_solution ~what ~start ~step ~trip ~coef ~target (got, only) =
+  let pass = passing ~start ~step ~trip ~coef ~target in
+  let ok =
+    match (got : Plan.solution) with
+    | Test_each -> false
+    | Pass_all -> List.length pass = trip
+    | Pass_none -> pass = []
+    | Pass_one -> pass = [ only ]
+  in
+  if not ok then
+    Alcotest.failf
+      "%s: range(start %d, step %d, %d values), %d * x != %d: wrong answer" what
+      start step trip coef target
+
+let test_solve_exhaustive () =
+  for start = -6 to 6 do
+    for stop = -9 to 9 do
+      List.iter
+        (fun step ->
+          let trip = Plan.trip_count ~start ~stop ~step in
+          for coef = -3 to 3 do
+            for target = -20 to 20 do
+              check_solution ~what:"small" ~start ~step ~trip ~coef ~target
+                (solve ~start ~step ~trip ~coef ~target)
+            done
+          done)
+        [ 1; -1; 2; -2; 3; -3 ]
+    done
+  done
+
+(* Near the int limits the solve must test every value whenever a
+   product [coef * x] could wrap (so a wrapped product could equal the
+   target), an operand is [min_int], or the span of a range it must
+   search overflows; elsewhere it must still be exact. *)
+let test_solve_extremes () =
+  let wraps coef x =
+    let p = coef * x in
+    coef <> 0 && (p / coef <> x || p = min_int || (coef = -1 && x = min_int))
+  in
+  let ranges =
+    [
+      (max_int - 7, max_int, 1);
+      (max_int - 7, max_int, 3);
+      (max_int, max_int - 9, -2);
+      (min_int, min_int + 5, 1);
+      (min_int + 1, min_int + 9, 2);
+      (min_int + 9, min_int, -1);
+      (-3, max_int, max_int / 2);
+      (min_int + 1, max_int, max_int);
+      (max_int, min_int, min_int + 1);
+      (-(max_int / 2) - 2, max_int / 2 + 3, max_int / 4);
+      (0, 4, 1);
+      (-2, 3, 2);
+    ]
+  in
+  let coefs =
+    [ 0; 1; -1; 2; -3; max_int; min_int; -max_int; max_int / 2; min_int / 2;
+      max_int / 3 ]
+  in
+  List.iter
+    (fun (start, stop, step) ->
+      let trip = Plan.trip_count ~start ~stop ~step in
+      let xs = List.init trip (fun k -> start + (k * step)) in
+      let last = start + ((trip - 1) * step) in
+      List.iter
+        (fun coef ->
+          let targets =
+            [ 0; 1; -1; 7; max_int; min_int; max_int - 1 ]
+            @ List.map (fun x -> coef * x) xs
+          in
+          List.iter
+            (fun target ->
+              let got = solve ~start ~step ~trip ~coef ~target in
+              let lo = min start last and hi = max start last in
+              let must_test =
+                trip > 0
+                && (List.mem min_int [ start; step; last; coef; target ]
+                   || List.exists (wraps coef) xs
+                   || (coef <> 0 && hi - lo < 0))
+              in
+              if must_test then begin
+                if fst got <> Plan.Test_each then
+                  Alcotest.failf
+                    "range(%d, %d, %d), %d * x != %d: solved where it must test"
+                    start stop step coef target
+              end
+              else
+                check_solution ~what:"extreme" ~start ~step ~trip ~coef
+                  ~target got)
+            targets)
+        coefs)
+    ranges
+
+let loop_b (p : Plan.t) =
+  let rec go = function
+    | Plan.Loop l :: _ when l.l_var = "b" -> Some (l.l_slot, l.l_iter, l.l_body)
+    | Plan.Loop l :: rest -> (
+      match go l.l_body with Some _ as r -> r | None -> go rest)
+    | _ :: rest -> go rest
+    | [] -> None
+  in
+  Option.get (go p.Plan.steps)
+
+(* Which checks on the inner loop [b] are recognised as solvable. *)
+let test_solved_check_shapes () =
+  let open Expr.Infix in
+  let a = Expr.var "a" and b = Expr.var "b" in
+  let recognised ?(derived = []) ?(iter_b = Iter.range_i 1 9) c =
+    let sp = Space.create () in
+    Space.iterator sp "a" (Iter.range_i 1 9);
+    Space.iterator sp "b" iter_b;
+    List.iter (fun (n, e) -> Space.derived sp n e) derived;
+    Space.constrain sp "c" c;
+    let slot, iter, body = loop_b (plan_of sp) in
+    Option.is_some (Plan.solved_check ~slot iter body)
+  in
+  let yes name c = Alcotest.(check bool) name true (recognised c) in
+  let no name c = Alcotest.(check bool) name false (recognised c) in
+  yes "m * x != t" ((a *: b) <>: Expr.int 12);
+  yes "x * m != t" ((b *: a) <>: Expr.int 12);
+  yes "t != m * x" (Expr.int 12 <>: (a *: b));
+  yes "x != t" (b <>: (a +: Expr.int 1));
+  yes "literal 0 coefficient" ((Expr.int 0 *: b) <>: a);
+  yes "negative coefficient" ((Expr.int (-2) *: b) <>: (a *: a));
+  no "x on both sides" ((a *: b) <>: b);
+  no "x squared" ((b *: b) <>: a);
+  no "equality" ((a *: b) =: Expr.int 12);
+  no "division in target" ((a *: b) <>: (Expr.int 12 /: a));
+  no "disjunction" (((a *: b) <>: Expr.int 12) ||: (a =: Expr.int 2));
+  Alcotest.(check bool) "over a value list" false
+    (recognised ~iter_b:(Iter.ints [ 1; 2; 3 ]) ((a *: b) <>: Expr.int 12));
+  Alcotest.(check bool) "after a raise-free derived" true
+    (recognised ~derived:[ ("d", b +: Expr.int 1) ] ((a *: b) <>: Expr.int 12));
+  Alcotest.(check bool) "after a derived that may raise" false
+    (recognised
+       ~derived:[ ("d", Expr.int 12 /: b) ]
+       ((a *: b) <>: Expr.int 12));
+  Alcotest.(check bool) "target bound in the loop" false
+    (recognised ~derived:[ ("d", b +: Expr.int 1) ] ((a *: b) <>: Expr.var "d"))
 
 let () =
   Alcotest.run "plan"
@@ -418,6 +592,15 @@ let () =
             test_slice_outer_partition;
           Alcotest.test_case "slice_outer values/dyn" `Quick
             test_slice_outer_values_and_dyn;
+        ] );
+      ( "solving",
+        [
+          Alcotest.test_case "solve matches brute force" `Quick
+            test_solve_exhaustive;
+          Alcotest.test_case "solve near the int limits" `Quick
+            test_solve_extremes;
+          Alcotest.test_case "solved check shapes" `Quick
+            test_solved_check_shapes;
         ] );
       ( "chunking",
         [
