@@ -139,6 +139,140 @@ let test_file_roundtrip () =
       | Error msg -> Alcotest.fail msg
       | Ok r' -> Alcotest.check result_testable "file roundtrip" r r')
 
+(* ------------------------------------------------------------------ *)
+(* Golden bytes: what the file writers emit for their edge cases,      *)
+(* pinned as literals so a change to the JSON layout shows up here.    *)
+(* ------------------------------------------------------------------ *)
+
+let read_all path = In_channel.with_open_bin path In_channel.input_all
+
+let golden name expected actual = Alcotest.(check string) name expected actual
+
+let bare_stats =
+  {
+    Stats_io.space = "empty";
+    run_id = None;
+    shard = Stats_io.unsharded;
+    survivors = 0;
+    loop_iterations = 0;
+    constraints = [];
+    metrics = None;
+    provenance = None;
+  }
+
+let test_golden_stats_no_constraints () =
+  golden "stats without constraints" "{\n\
+    \  \"space\": \"empty\",\n\
+    \  \"shard\": { \"index\": 0, \"of\": 1 },\n\
+    \  \"survivors\": 0,\n\
+    \  \"loop_iterations\": 0,\n\
+    \  \"constraints\": []\n\
+    }\n"
+    (Stats_io.to_json bare_stats)
+
+let test_golden_provenance_empty () =
+  let provenance =
+    {
+      Provenance.pv_iters = [ "x"; "y" ];
+      pv_constraints = [];
+      pv_depth_entries = [ 1; 4 ];
+      pv_cells = [];
+    }
+  in
+  golden "provenance without constraints or cells" "{\n\
+    \  \"space\": \"empty\",\n\
+    \  \"run_id\": \"r\\\"1\",\n\
+    \  \"shard\": { \"index\": 1, \"of\": 2 },\n\
+    \  \"survivors\": 0,\n\
+    \  \"loop_iterations\": 0,\n\
+    \  \"constraints\": [],\n\
+    \  \"provenance\": {\n\
+    \    \"iters\": [\"x\", \"y\"],\n\
+    \    \"constraints\": [],\n\
+    \    \"depth_entries\": [1, 4],\n\
+    \    \"cells\": []\n\
+    \  }\n\
+    }\n"
+    (Stats_io.to_json
+       {
+         bare_stats with
+         Stats_io.run_id = Some "r\"1";
+         shard = { Stats_io.shard_index = 1; shard_of = 2 };
+         provenance = Some provenance;
+       })
+
+let test_golden_metrics_edges () =
+  let item ?(labels = []) ?(unit_ = "") name value =
+    { Beast_obs.Metrics.name; labels; unit_; value }
+  in
+  let snap =
+    Beast_obs.Metrics.
+      [
+        item "a_counter" (Vcounter 7);
+        item "b_gauge" ~unit_:"1/s" (Vgauge 2.5);
+        item "c_hist" ~unit_:"ns"
+          (Vhist { s_sub = 8; s_count = 0; s_sum = 0; s_buckets = [] });
+        item "d_hist"
+          ~labels:[ ("constraint", "c\\1"); ("depth", "0") ]
+          (Vhist
+             { s_sub = 8; s_count = 3; s_sum = 40; s_buckets = [ (9, 2); (12, 1) ] });
+      ]
+  in
+  golden "metrics without labels or buckets" "{\n\
+    \  \"space\": \"empty\",\n\
+    \  \"shard\": { \"index\": 0, \"of\": 1 },\n\
+    \  \"survivors\": 3,\n\
+    \  \"loop_iterations\": 9,\n\
+    \  \"constraints\": [\n\
+    \    { \"name\": \"big\", \"class\": \"hard\", \"depth0\": false, \"fired\": 6 }\n\
+    \  ],\n\
+    \  \"metrics\": [\n\
+    \    { \"name\": \"a_counter\", \"labels\": {}, \"type\": \"counter\", \"value\": 7 },\n\
+    \    { \"name\": \"b_gauge\", \"labels\": {}, \"unit\": \"1/s\", \"type\": \"gauge\", \"value\": 2.5 },\n\
+    \    { \"name\": \"c_hist\", \"labels\": {}, \"unit\": \"ns\", \"type\": \"histogram\", \"sub\": 8, \"count\": 0, \"sum\": 0, \"buckets\": [] },\n\
+    \    { \"name\": \"d_hist\", \"labels\": {\"constraint\": \"c\\\\1\", \"depth\": \"0\"}, \"type\": \"histogram\", \"sub\": 8, \"count\": 3, \"sum\": 40, \"buckets\": [[9, 2], [12, 1]] }\n\
+    \  ]\n\
+    }\n"
+    (Stats_io.to_json
+       {
+         bare_stats with
+         Stats_io.survivors = 3;
+         loop_iterations = 9;
+         constraints =
+           [
+             {
+               Stats_io.cr_name = "big";
+               cr_class = Space.Hard;
+               cr_depth0 = false;
+               cr_fired = 6;
+             };
+           ];
+         metrics = Some snap;
+       })
+
+let test_golden_checkpoint_no_chunks () =
+  let plan = Plan.make_exn (Support.triangle_space ()) in
+  let ck =
+    Checkpoint.make ~plan ~run_id:"ck1" ~shard:Stats_io.unsharded ~n_chunks:4 []
+  in
+  let path = Filename.temp_file "beast_golden" ".json" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Checkpoint.save path ck;
+      golden "checkpoint without chunks" "{\n\
+        \  \"beast_checkpoint\": 1,\n\
+        \  \"space\": \"triangle\",\n\
+        \  \"run_id\": \"ck1\",\n\
+        \  \"shard\": { \"index\": 0, \"of\": 1 },\n\
+        \  \"n_chunks\": 4,\n\
+        \  \"constraints\": [\n\
+        \    { \"name\": \"odd_sum\", \"class\": \"hard\", \"depth0\": false },\n\
+        \    { \"name\": \"big_x\", \"class\": \"soft\", \"depth0\": false }\n\
+        \  ],\n\
+        \  \"chunks\": []\n\
+        }\n" (read_all path))
+
 let () =
   Alcotest.run "stats_io"
     [
@@ -150,6 +284,17 @@ let () =
           Alcotest.test_case "garbage rejected" `Quick
             test_of_json_rejects_garbage;
           Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "stats without constraints" `Quick
+            test_golden_stats_no_constraints;
+          Alcotest.test_case "provenance without constraints or cells" `Quick
+            test_golden_provenance_empty;
+          Alcotest.test_case "metrics without labels or buckets" `Quick
+            test_golden_metrics_edges;
+          Alcotest.test_case "checkpoint without chunks" `Quick
+            test_golden_checkpoint_no_chunks;
         ] );
       ( "merging",
         [
