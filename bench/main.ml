@@ -1027,15 +1027,6 @@ let ablation_status () =
    any drift is a real behaviour change and fails the gate. The timing
    fields vary across machines and CI neighbours, so they are reported
    but only gated behind --gate-timing (with --threshold slack). *)
-let load_bench_json path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error msg -> Error msg
-  | text -> Jsonx.parse text
 
 (* How a timing field is gated under --gate-timing: a slowdown past
    +threshold%, a rise past +threshold points, or a speedup drop past
@@ -1129,7 +1120,7 @@ let gates =
 
 let compare_baseline ~baseline_file ~current_file ~threshold_pct ~gate_timing =
   let load what path =
-    match load_bench_json path with
+    match Jsonx.of_file path with
     | Ok json -> json
     | Error msg ->
       Printf.eprintf "bench gate: cannot read %s file %s: %s\n" what path msg;
@@ -1243,7 +1234,7 @@ let compare_baseline ~baseline_file ~current_file ~threshold_pct ~gate_timing =
    re-emit through the deterministic Jsonx printer, so regenerated
    baselines differ only where the measurements did. *)
 let write_baseline_file ~current_file ~out_file =
-  match load_bench_json current_file with
+  match Jsonx.of_file current_file with
   | Error msg ->
     Printf.eprintf "bench: cannot read %s: %s\n" current_file msg;
     exit 1
@@ -1261,10 +1252,7 @@ let write_baseline_file ~current_file ~out_file =
           | rest -> stamp :: rest)
       | other -> other
     in
-    let oc = open_out_bin out_file in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc (Jsonx.pretty json));
+    Jsonx.write_file out_file (Jsonx.pretty json);
     Printf.printf "wrote baseline %s (bench_schema %d)\n" out_file
       bench_schema_version
 
@@ -1276,7 +1264,7 @@ let archive_bench_results dir =
   List.iter
     (fun file ->
       if Sys.file_exists file then
-        match load_bench_json file with
+        match Jsonx.of_file file with
         | Error msg ->
           Printf.eprintf "bench: archive: %s: %s\n" file msg;
           exit 1

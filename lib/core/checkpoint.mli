@@ -53,9 +53,8 @@ val completed_ids : t -> int list
 val chunk_stats : t -> (int * Engine.stats) list
 (** The ledger back as per-chunk engine statistics, ascending by id. *)
 
-val to_json : t -> string
-(** Deterministic encoding: fixed key order, two-space indent, trailing
-    newline. *)
+val to_jsonx : t -> Beast_obs.Jsonx.t
+(** Deterministic encoding: fixed key order, no timestamps. *)
 
 val of_json : string -> (t, string) result
 (** Parse and structurally validate: version tag, [n_chunks >= 1],
@@ -65,8 +64,7 @@ val of_json : string -> (t, string) result
 val of_file : string -> (t, string) result
 
 val save : string -> t -> unit
-(** Atomic write: the JSON goes to [path ^ ".tmp"], then a rename
-    replaces [path] in one step. *)
+(** Atomic write through {!Beast_obs.Jsonx.write_file}. *)
 
 val validate : plan:Plan.t -> shard:Stats_io.shard -> t -> (unit, string) result
 (** Check that a loaded checkpoint belongs to this run: same space name,

@@ -544,59 +544,38 @@ let merge_summaries = function
 (* Serialization                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let escape_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let add_json buf ~indent s =
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let inner = indent ^ "  " in
-  add "{\n";
-  add "%s\"iters\": [" inner;
-  List.iteri
-    (fun i v ->
-      add "%s\"%s\"" (if i = 0 then "" else ", ") (escape_string v))
-    s.pv_iters;
-  add "],\n";
-  add "%s\"constraints\": [" inner;
-  List.iteri
-    (fun i r ->
-      add "%s\n%s  { \"name\": \"%s\", \"depth\": %d, \"removed\": %s }"
-        (if i = 0 then "" else ",")
-        inner (escape_string r.pc_name) r.pc_depth
-        (match r.pc_removed with
-        | Some k -> string_of_int k
-        | None -> "null"))
-    s.pv_constraints;
-  if s.pv_constraints <> [] then add "\n%s" inner;
-  add "],\n";
-  add "%s\"depth_entries\": [" inner;
-  List.iteri
-    (fun i k -> add "%s%d" (if i = 0 then "" else ", ") k)
-    s.pv_depth_entries;
-  add "],\n";
-  add "%s\"cells\": [" inner;
-  List.iteri
-    (fun i c ->
-      add "%s\n%s  { \"value\": %d, \"survivors\": %d, \"removed\": %d }"
-        (if i = 0 then "" else ",")
-        inner c.cell_value c.cell_survivors c.cell_removed)
-    s.pv_cells;
-  if s.pv_cells <> [] then add "\n%s" inner;
-  add "]\n";
-  add "%s}" indent
+let to_jsonx s =
+  Jsonx.Obj
+    [
+      ("iters", Jsonx.Arr (List.map (fun v -> Jsonx.Str v) s.pv_iters));
+      ( "constraints",
+        Jsonx.Arr
+          (List.map
+             (fun r ->
+               Jsonx.Obj
+                 [
+                   ("name", Jsonx.Str r.pc_name);
+                   ("depth", Jsonx.Int r.pc_depth);
+                   ( "removed",
+                     match r.pc_removed with
+                     | Some k -> Jsonx.Int k
+                     | None -> Jsonx.Null );
+                 ])
+             s.pv_constraints) );
+      ( "depth_entries",
+        Jsonx.Arr (List.map (fun k -> Jsonx.Int k) s.pv_depth_entries) );
+      ( "cells",
+        Jsonx.Arr
+          (List.map
+             (fun c ->
+               Jsonx.Obj
+                 [
+                   ("value", Jsonx.Int c.cell_value);
+                   ("survivors", Jsonx.Int c.cell_survivors);
+                   ("removed", Jsonx.Int c.cell_removed);
+                 ])
+             s.pv_cells) );
+    ]
 
 let of_jsonx (json : Jsonx.t) : (summary, string) result =
   try

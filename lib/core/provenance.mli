@@ -141,10 +141,8 @@ val with_collector : (unit -> 'a) -> 'a * summary
 
 (** {2 Serialization} *)
 
-val add_json : Buffer.t -> indent:string -> summary -> unit
-(** Deterministic encoding (fixed key order, two-space steps relative to
-    [indent], no trailing newline) — same discipline as
-    [Metrics.Snapshot.add_json], so equal summaries encode to equal
-    bytes. *)
+val to_jsonx : summary -> Beast_obs.Jsonx.t
+(** Deterministic encoding (fixed key order), so equal summaries encode
+    to equal bytes. *)
 
 val of_jsonx : Beast_obs.Jsonx.t -> (summary, string) result

@@ -59,19 +59,18 @@ val of_stats :
 val to_stats : t -> Engine.stats
 (** Back to engine statistics, e.g. for {!Engine.pp_stats}. *)
 
-val to_json : t -> string
-(** Deterministic encoding: fixed key order, two-space indent, one
-    constraint per line, trailing newline. Equal values encode to equal
-    bytes. *)
-
 val to_jsonx : t -> Beast_obs.Jsonx.t
-(** The parsed form of {!to_json} — the payload shape
-    {!Beast_obs.Archive.ingest} consumes when a sweep archives
-    itself. *)
+(** Fixed key order, no timestamps: equal values encode to equal
+    bytes. The payload shape {!Beast_obs.Archive.ingest} consumes when
+    a sweep archives itself. *)
+
+val to_json : t -> string
+(** [Jsonx.pretty (to_jsonx t)]: the bytes of a stats file. *)
 
 val of_json : string -> (t, string) result
 val of_file : string -> (t, string) result
 val write_file : string -> t -> unit
+(** Atomic, through {!Beast_obs.Jsonx.write_file}. *)
 
 val constraint_class_of_name : string -> Space.constraint_class
 (** Inverse of {!Space.constraint_class_name}; raises

@@ -501,11 +501,7 @@ let space_of_string ?(name = "space") text =
 
 let space_of_file path =
   let name = Filename.remove_extension (Filename.basename path) in
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  space_of_string ~name text
+  space_of_string ~name (In_channel.with_open_text path In_channel.input_all)
 
 let expr_of_string text =
   try

@@ -4,7 +4,7 @@
 
     One deterministic JSON record per ingested result lives under the
     archive directory ([$BEAST_ARCHIVE], default [.beast/archive]),
-    written temp-then-rename like [Checkpoint]. A record wraps a
+    written atomically ({!Jsonx.write_file}). A record wraps a
     {e payload} — a [Stats_io] sweep-statistics file (funnel, constraint
     provenance, metrics snapshot) or a [BENCH_*.json] ablation result —
     plus identity metadata (engine spec, run id, git commit, host) and
@@ -72,11 +72,17 @@ val ingest :
 
 (** {2 Reading} *)
 
-val to_json : record -> string
+val to_jsonx : record -> Jsonx.t
+(** Written with {!Jsonx.pretty}; the payload's members nest one per
+    line, but the id still hashes the compact {!Jsonx.to_string} form,
+    so a record written on one line loads and verifies the same. *)
+
+val of_jsonx : Jsonx.t -> (record, string) result
 val of_json : string -> (record, string) result
-(** [of_json] revalidates: the id and the series are recomputed from
-    the stored payload and must match, so a tampered or truncated
-    record is rejected with a diagnostic, not silently trusted. *)
+(** [of_jsonx] and [of_json] revalidate: the id and the series are
+    recomputed from the stored payload and must match, so a tampered or
+    truncated record is rejected with a diagnostic, not silently
+    trusted. *)
 
 val of_file : string -> (record, string) result
 

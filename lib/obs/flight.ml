@@ -101,19 +101,10 @@ let event_count t =
   Mutex.unlock t.mutex;
   n
 
-(* Atomic JSONL dump (temp-then-rename, like Checkpoint.save): a dump
-   interrupted mid-write leaves no truncated file under the real name.
-   Pure event lines, so Sink_jsonl.read_file round-trips the dump. *)
+(* Atomic JSONL dump (Jsonx.write_file): a dump interrupted mid-write
+   leaves no truncated file under the real name. Pure event lines, so
+   Sink_jsonl.read_file round-trips the dump. *)
 let dump t file =
   let evs = events t in
-  let tmp = file ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  (try
-     Sink_jsonl.write oc evs;
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp file;
+  Jsonx.write_file file (Sink_jsonl.render evs);
   Array.length evs

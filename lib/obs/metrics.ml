@@ -397,61 +397,33 @@ module Snapshot = struct
 
   (* ---------------- JSON ---------------- *)
 
-  let add_json_item buf it =
-    let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-    add "{ \"name\": ";
-    Trace_json.escape buf it.name;
-    add ", \"labels\": {";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then add ", ";
-        Trace_json.escape buf k;
-        add ": ";
-        Trace_json.escape buf v)
-      it.labels;
-    add "}";
-    if it.unit_ <> "" then begin
-      add ", \"unit\": ";
-      Trace_json.escape buf it.unit_
-    end;
-    (match it.value with
-    | Vhist h ->
-      add ", \"type\": \"histogram\", \"sub\": %d, \"count\": %d, \"sum\": %d, \"buckets\": ["
-        h.s_sub h.s_count h.s_sum;
-      List.iteri
-        (fun i (b, k) ->
-          if i > 0 then add ", ";
-          add "[%d, %d]" b k)
-        h.s_buckets;
-      add "]"
-    | Vcounter v -> add ", \"type\": \"counter\", \"value\": %d" v
-    | Vgauge v ->
-      add ", \"type\": \"gauge\", \"value\": ";
-      Trace_json.float buf v);
-    add " }"
-
   (* Deterministic: items sorted by (name, labels), labels sorted, fixed
-     key order, sparse index-sorted buckets. [indent] prefixes the
-     per-item lines so the block nests inside Stats_io's layout. *)
-  let add_json buf ?(indent = "") (t : t) =
-    Buffer.add_string buf "[";
-    List.iteri
-      (fun i it ->
-        Buffer.add_string buf (if i = 0 then "\n" else ",\n");
-        Buffer.add_string buf indent;
-        Buffer.add_string buf "  ";
-        add_json_item buf it)
-      t;
-    if t <> [] then begin
-      Buffer.add_string buf "\n";
-      Buffer.add_string buf indent
-    end;
-    Buffer.add_string buf "]"
+     key order, sparse index-sorted buckets. *)
+  let item_to_jsonx it =
+    let value =
+      match it.value with
+      | Vhist h ->
+        [
+          ("type", Jsonx.Str "histogram");
+          ("sub", Jsonx.Int h.s_sub);
+          ("count", Jsonx.Int h.s_count);
+          ("sum", Jsonx.Int h.s_sum);
+          ( "buckets",
+            Jsonx.Arr
+              (List.map (fun (b, k) -> Jsonx.Arr [ Jsonx.Int b; Jsonx.Int k ])
+                 h.s_buckets) );
+        ]
+      | Vcounter v -> [ ("type", Jsonx.Str "counter"); ("value", Jsonx.Int v) ]
+      | Vgauge v -> [ ("type", Jsonx.Str "gauge"); ("value", Jsonx.Float v) ]
+    in
+    Jsonx.Obj
+      (("name", Jsonx.Str it.name)
+       :: ( "labels",
+            Jsonx.Obj (List.map (fun (k, v) -> (k, Jsonx.Str v)) it.labels) )
+       :: (if it.unit_ = "" then [] else [ ("unit", Jsonx.Str it.unit_) ])
+      @ value)
 
-  let to_json (t : t) =
-    let buf = Buffer.create 1024 in
-    add_json buf t;
-    Buffer.contents buf
+  let to_jsonx (t : t) = Jsonx.Arr (List.map item_to_jsonx t)
 
   let of_jsonx (json : Jsonx.t) : (t, string) result =
     try
@@ -506,11 +478,6 @@ module Snapshot = struct
       Ok (List.sort compare_item items)
     with Jsonx.Error msg -> Error msg
 
-  let of_json text =
-    match Jsonx.parse text with
-    | Error msg -> Error msg
-    | Ok json -> of_jsonx json
-
   (* ---------------- Prometheus text exposition ---------------- *)
 
   let prom_labels buf labels =
@@ -521,21 +488,12 @@ module Snapshot = struct
           if i > 0 then Buffer.add_char buf ',';
           Buffer.add_string buf k;
           Buffer.add_string buf "=";
-          Trace_json.escape buf v)
+          Jsonx.add_string buf v)
         labels;
       Buffer.add_char buf '}'
     end
 
-  let prom_labels_plus buf labels extra =
-    Buffer.add_char buf '{';
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf k;
-        Buffer.add_string buf "=";
-        Trace_json.escape buf v)
-      (labels @ [ extra ]);
-    Buffer.add_char buf '}'
+  let prom_labels_plus buf labels extra = prom_labels buf (labels @ [ extra ])
 
   let to_prometheus (t : t) =
     let buf = Buffer.create 4096 in
@@ -562,7 +520,7 @@ module Snapshot = struct
           Buffer.add_string buf it.name;
           prom_labels buf it.labels;
           Buffer.add_char buf ' ';
-          Trace_json.float buf v;
+          Jsonx.add_float buf v;
           Buffer.add_char buf '\n'
         | Vhist h ->
           let cum = ref 0 in

@@ -121,13 +121,10 @@ module Snapshot : sig
 
   (** {3 Serialization} *)
 
-  val add_json : Buffer.t -> ?indent:string -> t -> unit
+  val to_jsonx : t -> Jsonx.t
   (** Deterministic JSON array of items (sorted items, sorted labels,
-      fixed key order); [indent] prefixes the per-item lines so the
-      block nests inside an outer layout. *)
+      fixed key order). *)
 
-  val to_json : t -> string
-  val of_json : string -> (t, string) result
   val of_jsonx : Jsonx.t -> (t, string) result
 
   val to_prometheus : t -> string

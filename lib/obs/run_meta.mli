@@ -46,14 +46,14 @@ val path : dir:string -> t -> string
 (** [dir/<run_id>.json]. *)
 
 val save : dir:string -> t -> unit
-(** Write the manifest atomically (temp-then-rename), creating [dir]
+(** Write the manifest atomically ({!Jsonx.write_file}), creating [dir]
     if needed. *)
 
 val finalize :
   dir:string -> t -> status:status -> exit_code:int -> wall_s:float -> t
 (** Rewrite with the final status; returns the finalized record. *)
 
-val to_json : t -> string
+val to_jsonx : t -> Jsonx.t
 val of_json : string -> (t, string) result
 val of_file : string -> (t, string) result
 

@@ -15,7 +15,7 @@ let metadata_event buf ~what ~pid ~tid ~name =
   Buffer.add_string buf
     (Printf.sprintf "{\"name\":\"%s\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"args\":{\"name\":"
        what pid tid);
-  Trace_json.escape buf name;
+  Jsonx.add_string buf name;
   Buffer.add_string buf "}}"
 
 let thread_name_event buf ~pid ~tid ~name =
@@ -34,25 +34,25 @@ let write_event buf ?(pid = 1) ~start_ns (ev : Obs.event) =
     | Obs.Counter _ -> "C"
   in
   Buffer.add_string buf "{\"name\":";
-  Trace_json.escape buf ev.Obs.ev_name;
+  Jsonx.add_string buf ev.Obs.ev_name;
   if ev.Obs.ev_cat <> "" then begin
     Buffer.add_string buf ",\"cat\":";
-    Trace_json.escape buf ev.Obs.ev_cat
+    Jsonx.add_string buf ev.Obs.ev_cat
   end;
   Buffer.add_string buf (Printf.sprintf ",\"ph\":\"%s\"" ph);
   Buffer.add_string buf ",\"ts\":";
-  Trace_json.float buf (Clock.ns_to_us (ev.Obs.ev_ts_ns - start_ns));
+  Jsonx.add_float buf (Clock.ns_to_us (ev.Obs.ev_ts_ns - start_ns));
   Buffer.add_string buf (Printf.sprintf ",\"pid\":%d,\"tid\":%d" pid ev.Obs.ev_dom);
   (match ev.Obs.ev_kind with
   | Obs.Complete dur ->
     Buffer.add_string buf ",\"dur\":";
-    Trace_json.float buf (Clock.ns_to_us dur)
+    Jsonx.add_float buf (Clock.ns_to_us dur)
   | Obs.Instant -> Buffer.add_string buf ",\"s\":\"t\""
   | Obs.Begin | Obs.End | Obs.Counter _ -> ());
   (match ev.Obs.ev_kind with
   | Obs.Counter v ->
     Buffer.add_string buf ",\"args\":{\"value\":";
-    Trace_json.float buf v;
+    Jsonx.add_float buf v;
     Buffer.add_string buf "}"
   | _ ->
     if ev.Obs.ev_args <> [] then begin

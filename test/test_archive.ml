@@ -85,7 +85,7 @@ let test_ingest_round_trip () =
       let text = In_channel.with_open_bin file In_channel.input_all in
       let r' = ok "of_file" (Archive.of_file file) in
       Alcotest.(check string)
-        "byte round trip" text (Archive.to_json r');
+        "byte round trip" text (Jsonx.pretty (Archive.to_jsonx r'));
       Alcotest.(check bool) "records equal" true (r = r');
       (* Series extraction covers the funnel and the constraint. *)
       let value name =
@@ -117,6 +117,37 @@ let test_ingest_dedupes_and_sequences () =
       let records, errors = Archive.load ~dir in
       Alcotest.(check int) "two records" 2 (List.length records);
       Alcotest.(check int) "no errors" 0 (List.length errors))
+
+(* Records written before the payload was laid out one member per line
+   carry it compact on one line. The id hashes the compact payload, not
+   the file's layout, so such a record still loads, verifies, and
+   re-encodes with the same id. *)
+let test_one_line_payload_record_loads () =
+  let text =
+    "{\n\
+    \  \"beast_archive\": 1,\n\
+    \  \"id\": \"ef88f98f148c\",\n\
+    \  \"seq\": 1,\n\
+    \  \"kind\": \"bench\",\n\
+    \  \"label\": \"ablation-x\",\n\
+    \  \"commit\": \"c0ffee\",\n\
+    \  \"host\": \"h\",\n\
+    \  \"series\": [\n\
+    \    { \"name\": \"elapsed_s\", \"value\": 1.5 },\n\
+    \    { \"name\": \"shares_pct/0\", \"value\": 1.5 },\n\
+    \    { \"name\": \"shares_pct/1\", \"value\": 98.5 },\n\
+    \    { \"name\": \"survivors\", \"value\": 12 }\n\
+    \  ],\n\
+    \  \"payload\": {\"bench\": \"ablation-x\", \"survivors\": 12, \
+     \"elapsed_s\": 1.5, \"shares_pct\": [1.5, 98.5]}\n\
+     }\n"
+  in
+  let r = ok "one-line payload record" (Archive.of_json text) in
+  Alcotest.(check string) "id" "ef88f98f148c" r.Archive.meta.Archive.a_id;
+  let text' = Jsonx.pretty (Archive.to_jsonx r) in
+  Alcotest.(check bool) "payload now spans lines" true (text' <> text);
+  let r' = ok "re-encoded record" (Archive.of_json text') in
+  Alcotest.(check bool) "same record" true (r = r')
 
 let test_corrupt_records_rejected () =
   with_dir (fun dir ->
@@ -283,6 +314,8 @@ let () =
             test_ingest_dedupes_and_sequences;
           Alcotest.test_case "corrupt records rejected" `Quick
             test_corrupt_records_rejected;
+          Alcotest.test_case "one-line payload record loads" `Quick
+            test_one_line_payload_record_loads;
         ] );
       ( "diff",
         [

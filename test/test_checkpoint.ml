@@ -15,6 +15,7 @@ let gemm_plan () =
 let triangle_plan () = Plan.make_exn (Support.triangle_space ())
 
 let tmp_path () = Filename.temp_file "beast_ck" ".json"
+let to_json ck = Beast_obs.Jsonx.pretty (Checkpoint.to_jsonx ck)
 
 (* Replace the first occurrence of [sub] in [s]; test-bug failure if
    [sub] is absent (the mangling tests rely on hitting real syntax). *)
@@ -47,7 +48,7 @@ let sample_checkpoint () =
 
 let test_round_trip () =
   let _, ck = sample_checkpoint () in
-  match Checkpoint.of_json (Checkpoint.to_json ck) with
+  match Checkpoint.of_json (to_json ck) with
   | Error msg -> Alcotest.failf "round trip failed: %s" msg
   | Ok ck' ->
     Alcotest.(check string) "space" ck.Checkpoint.space ck'.Checkpoint.space;
@@ -60,7 +61,7 @@ let test_round_trip () =
     Alcotest.(check bool) "ledger" true
       (Checkpoint.chunk_stats ck = Checkpoint.chunk_stats ck');
     Alcotest.(check string) "byte-stable re-encoding"
-      (Checkpoint.to_json ck) (Checkpoint.to_json ck')
+      (to_json ck) (to_json ck')
 
 let test_save_is_atomic_and_readable () =
   let _, ck = sample_checkpoint () in
@@ -70,12 +71,12 @@ let test_save_is_atomic_and_readable () =
     (fun () ->
       Checkpoint.save path ck;
       Alcotest.(check bool) "no stray tmp file" false
-        (Sys.file_exists (path ^ ".tmp"));
+        (Sys.file_exists (Printf.sprintf "%s.%d.tmp" path (Unix.getpid ())));
       match Checkpoint.of_file path with
       | Error msg -> Alcotest.failf "cannot read back: %s" msg
       | Ok ck' ->
-        Alcotest.(check string) "identical encoding" (Checkpoint.to_json ck)
-          (Checkpoint.to_json ck'))
+        Alcotest.(check string) "identical encoding" (to_json ck)
+          (to_json ck'))
 
 let expect_rejects what text =
   match Checkpoint.of_json text with
@@ -89,7 +90,7 @@ let expect_rejects what text =
 
 let test_corrupt_files_rejected () =
   let _, ck = sample_checkpoint () in
-  let good = Checkpoint.to_json ck in
+  let good = to_json ck in
   expect_rejects "garbage" "not json at all";
   expect_rejects "truncated file"
     (String.sub good 0 (String.length good / 2));
@@ -119,7 +120,7 @@ let test_fired_arity_rejected () =
   in
   (* Smuggle an extra fired count into the encoded chunk. *)
   let mangled =
-    replace_once ~sub:"\"fired\": [" ~by:"\"fired\": [0, " (Checkpoint.to_json ck)
+    replace_once ~sub:"\"fired\": [" ~by:"\"fired\": [0, " (to_json ck)
   in
   expect_rejects "fired arity mismatch" mangled
 

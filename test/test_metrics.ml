@@ -425,14 +425,15 @@ let rich_snapshot () =
 
 let test_json_roundtrip () =
   let snap = rich_snapshot () in
-  (match Metrics.Snapshot.of_json (Metrics.Snapshot.to_json snap) with
+  let of_json text = Result.bind (Jsonx.parse text) Metrics.Snapshot.of_jsonx in
+  (match of_json (Jsonx.pretty (Metrics.Snapshot.to_jsonx snap)) with
   | Error msg -> Alcotest.fail msg
   | Ok snap' ->
     Alcotest.(check bool) "roundtrip equal" true
       (Metrics.Snapshot.equal snap snap'));
   List.iter
     (fun text ->
-      match Metrics.Snapshot.of_json text with
+      match of_json text with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "accepted garbage %s" text)
     [ "{"; "[{\"name\": 3}]"; "[{\"name\": \"x\", \"type\": \"wat\"}]" ]
