@@ -5,8 +5,14 @@
    >100x interpreted-to-compiled sweep speedup, and Table I's improvement
    factors. Paper-vs-measured is recorded in EXPERIMENTS.md.
 
+   The ablations also check facts that must hold on any machine (engines
+   agree, resumed stats are byte-identical, provenance is exact, ...).
+   Each is printed as it is checked, and the run exits 1 naming every
+   false one; the exact counts behind them are pinned by the test suites.
+
    Run with: dune exec bench/main.exe            (full, a few minutes)
-             BEAST_BENCH_FAST=1 dune exec bench/main.exe   (reduced) *)
+             BEAST_BENCH_FAST=1 dune exec bench/main.exe   (reduced)
+             BEAST_BENCH_QUICK=1 dune exec bench/main.exe  (CI smoke) *)
 
 open Bechamel
 open Toolkit
@@ -18,18 +24,10 @@ open Beast_autotune
 open Beast_obs
 
 (* BEAST_BENCH_QUICK=1: the CI smoke configuration — reduced scales AND
-   only the cheap ablations, so the job finishes in well under a minute
-   while still emitting the machine-readable BENCH_*.json artifacts. *)
+   only the cheap sections, so the job finishes in seconds. *)
 let quick = Sys.getenv_opt "BEAST_BENCH_QUICK" <> None
 let fast = quick || Sys.getenv_opt "BEAST_BENCH_FAST" <> None
 let scale n = if fast then n / 10 else n
-
-(* Version of the BENCH_*.json field layout. Stamped into every artifact
-   this harness writes; the gate refuses a --baseline whose version
-   differs (an absent field reads as 0, covering pre-versioning
-   baselines) instead of failing one field at a time with misleading
-   diffs. Bump it when a bench record's fields change shape. *)
-let bench_schema_version = 1
 
 let line () = print_endline (String.make 72 '-')
 
@@ -37,6 +35,14 @@ let header title =
   line ();
   Printf.printf "%s\n" title;
   line ()
+
+(* The facts checked so far that came out false, newest first. *)
+let false_facts = ref []
+
+(* Print a fact the harness checks; a false one fails the run at exit. *)
+let require name ok =
+  Printf.printf "%s: %b\n" name ok;
+  if not ok then false_facts := name :: !false_facts
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel helper: nanoseconds per run of a thunk.                    *)
@@ -61,9 +67,9 @@ let ns_per_run ?(quota = 0.5) name fn =
     results nan
 
 let time_once fn =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now_s () in
   let r = fn () in
-  (r, Unix.gettimeofday () -. t0)
+  (r, Clock.now_s () -. t0)
 
 (* ------------------------------------------------------------------ *)
 (* Figures 17/18/19: loop-nest rates per language tier.                *)
@@ -139,9 +145,9 @@ let in_temp_dir files =
   dir
 
 let time_command cmd =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now_s () in
   let rc = Sys.command cmd in
-  let dt = Unix.gettimeofday () -. t0 in
+  let dt = Clock.now_s () -. t0 in
   if rc = 0 then Some dt else None
 
 let runtime_available cmd =
@@ -433,7 +439,8 @@ let ablation_hoisting () =
   Printf.printf "iteration inflation without hoisting: %.1fx; slowdown %.1fx\n"
     (float_of_int s2.Engine.loop_iterations /. float_of_int s1.Engine.loop_iterations)
     (t2 /. t1);
-  Printf.printf "survivors agree: %b\n" (s1.Engine.survivors = s2.Engine.survivors)
+  require "hoisting: survivors agree"
+    (s1.Engine.survivors = s2.Engine.survivors)
 
 let ablation_loop_order () =
   header
@@ -457,9 +464,10 @@ let ablation_loop_order () =
     s1.Engine.loop_iterations t1;
   Printf.printf "variants outermost:   %10d iterations, %8.3f s\n"
     s2.Engine.loop_iterations t2;
-  Printf.printf "penalty: %.1fx iterations, %.1fx time; survivors agree: %b\n"
+  Printf.printf "penalty: %.1fx iterations, %.1fx time\n"
     (float_of_int s2.Engine.loop_iterations /. float_of_int s1.Engine.loop_iterations)
-    (t2 /. t1)
+    (t2 /. t1);
+  require "loop order: survivors agree"
     (s1.Engine.survivors = s2.Engine.survivors)
 
 let ablation_divisor_iterator () =
@@ -491,9 +499,11 @@ let ablation_divisor_iterator () =
   Printf.printf "%-28s %13.3fs %13.3fs\n" "AST-walking interpreter" interp_plain
     interp_opt;
   Printf.printf
-    "survivors agree: %b (%d); interpreter speedup %.1fx, staged slowdown %.1fx\n"
+    "%d survivors; interpreter speedup %.1fx, staged slowdown %.1fx\n"
+    s1.Engine.survivors (interp_plain /. interp_opt)
+    (staged_opt /. staged_plain);
+  require "divisor iterator: survivors agree"
     (s1.Engine.survivors = s2.Engine.survivors)
-    s1.Engine.survivors (interp_plain /. interp_opt) (staged_opt /. staged_plain)
 
 let ablation_parallel () =
   header
@@ -553,7 +563,7 @@ let ablation_checkpoint () =
   Printf.printf "resumable, no checkpoint:     %8.3f s\n" t_ledger;
   Printf.printf "checkpoint after every chunk: %8.3f s  (+%.1f%%)\n" t_ck
     (100.0 *. ((t_ck /. t_ledger) -. 1.0));
-  Printf.printf "stats agree: %b\n" (s_ledger = s_ck);
+  require "checkpoint: stats agree" (s_ledger = s_ck);
   (* Resume equivalence: interrupt partway, resume from the flushed
      ledger, compare the stats files byte for byte. *)
   let hits = ref 0 in
@@ -573,10 +583,8 @@ let ablation_checkpoint () =
         finished (Engine_parallel.run_resumable ~resume:ck ~domains plan)
     in
     let json stats = Stats_io.to_json (Stats_io.of_stats ~plan stats) in
-    Printf.printf
-      "interrupted at %d/%d chunks; resumed stats byte-identical: %b\n"
-      completed total
-      (json resumed = json s_ledger)
+    Printf.printf "interrupted at %d/%d chunks\n" completed total;
+    require "resumed stats byte-identical" (json resumed = json s_ledger)
   | Engine_intf.Finished _ ->
     print_endline "interrupt landed after the sweep finished; nothing to resume");
   Sys.remove ck_path
@@ -621,7 +629,7 @@ let ablation_stealing () =
   header
     "Ablation: static split vs chunked work stealing on a skewed GEMM\n\
      space (dim_m divisibility constraint; survivors cluster in one\n\
-     round-robin residue class). BENCH_parallel.json records the result.";
+     round-robin residue class).";
   let max_dim = if fast then 20 else 32 in
   let max_threads = if fast then 96 else 128 in
   let device = Device.scale ~max_dim ~max_threads Device.tesla_k40c in
@@ -656,43 +664,17 @@ let ablation_stealing () =
     time_once (fun () -> run_static ~domains plan)
   in
   let s_steal, t_steal = time_once (fun () -> Engine_parallel.run ~domains plan) in
-  let agree = s_static = seq && s_steal = seq in
   Printf.printf "survivors %d, loop iterations %d, %d domains\n"
     seq.Engine.survivors seq.Engine.loop_iterations domains;
   Printf.printf "static slice shares of the work: %s\n"
     (String.concat " "
-       (List.map (fun s -> Printf.sprintf "%.1f%%" s) slice_shares));
-  Printf.printf "largest stolen chunk (%d chunks): %.1f%% of the work\n"
+       (List.map (fun s -> Printf.sprintf "%.2f%%" s) slice_shares));
+  Printf.printf "largest stolen chunk (%d chunks): %.2f%% of the work\n"
     n_chunks max_chunk_share;
   Printf.printf "static split:  %8.3f s\n" t_static;
   Printf.printf "work stealing: %8.3f s  (%.2fx)\n" t_steal
     (t_static /. t_steal);
-  Printf.printf "stats match the sequential sweep: %b\n" agree;
-  let oc = open_out "BENCH_parallel.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"ablation-stealing\",\n\
-    \  \"bench_schema\": %d,\n\
-    \  \"space\": \"gemm+skew_blocking\",\n\
-    \  \"max_dim\": %d,\n\
-    \  \"domains\": %d,\n\
-    \  \"chunks\": %d,\n\
-    \  \"survivors\": %d,\n\
-    \  \"loop_iterations\": %d,\n\
-    \  \"static_slice_shares_pct\": [%s],\n\
-    \  \"max_chunk_share_pct\": %.2f,\n\
-    \  \"static_s\": %.6f,\n\
-    \  \"stealing_s\": %.6f,\n\
-    \  \"speedup\": %.3f,\n\
-    \  \"stats_match_sequential\": %b\n\
-     }\n"
-    bench_schema_version max_dim domains n_chunks seq.Engine.survivors
-    seq.Engine.loop_iterations
-    (String.concat ", "
-       (List.map (fun s -> Printf.sprintf "%.2f" s) slice_shares))
-    max_chunk_share t_static t_steal (t_static /. t_steal) agree;
-  close_out oc;
-  print_endline "wrote BENCH_parallel.json"
+  require "stats match the sequential sweep" (s_static = seq && s_steal = seq)
 
 (* The full engine ladder of the paper's Figures 17-19: interpreted
    enumeration, bytecode, staged closures, multicore, and finally the
@@ -701,12 +683,12 @@ let ablation_stealing () =
    ~253x). Native's time includes fork+exec and stats parsing; its
    first run (reported separately) also includes the C compile, which
    the binary cache amortizes away for every later sweep of the same
-   space. BENCH_native.json feeds the regression gate. *)
+   space. *)
 let ablation_native () =
   header
     "Ablation: the engine ladder on GEMM (Figures 17-19 trajectory).\n\
      interp -> vm -> staged -> parallel -> native (generated C, compiled,\n\
-     run as a subprocess). BENCH_native.json records the result.";
+     run as a subprocess).";
   let max_dim = 32 and max_threads = 128 in
   let device = Device.scale ~max_dim ~max_threads Device.tesla_k40c in
   let settings = { Gemm.default_settings with Gemm.device } in
@@ -735,48 +717,17 @@ let ablation_native () =
       specs
   in
   let _, ref_stats, _ = List.hd results in
-  let engines_agree =
-    List.for_all (fun (_, s, _) -> s = ref_stats) results
-  in
-  let time_of spec =
-    let _, _, t = List.find (fun (s, _, _) -> s = spec) results in
-    t
-  in
-  let native_s = time_of "native" in
-  let native_fastest =
-    List.for_all
-      (fun (spec, _, t) -> spec = "native" || native_s < t)
-      results
-  in
+  Printf.printf "survivors %d, loop iterations %d\n" ref_stats.Engine.survivors
+    ref_stats.Engine.loop_iterations;
+  let _, _, native_s = List.find (fun (s, _, _) -> s = "native") results in
   Printf.printf "native first run (includes the C compile): %8.3f s\n"
     !native_cold;
-  Printf.printf "all five engines agree: %b; native strictly fastest: %b\n"
-    engines_agree native_fastest;
-  let oc = open_out "BENCH_native.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"ablation-native\",\n\
-    \  \"bench_schema\": %d,\n\
-    \  \"space\": \"gemm\",\n\
-    \  \"max_dim\": %d,\n\
-    \  \"max_threads\": %d,\n\
-    \  \"survivors\": %d,\n\
-    \  \"loop_iterations\": %d,\n\
-    \  \"engines_agree\": %b,\n\
-    \  \"native_fastest\": %b,\n\
-    \  \"interp_s\": %.6f,\n\
-    \  \"vm_s\": %.6f,\n\
-    \  \"staged_s\": %.6f,\n\
-    \  \"parallel_s\": %.6f,\n\
-    \  \"native_s\": %.6f,\n\
-    \  \"native_cold_s\": %.6f\n\
-     }\n"
-    bench_schema_version max_dim max_threads ref_stats.Engine.survivors
-    ref_stats.Engine.loop_iterations engines_agree native_fastest
-    (time_of "interp") (time_of "vm") (time_of "staged")
-    (time_of "parallel:4") native_s !native_cold;
-  close_out oc;
-  print_endline "wrote BENCH_native.json"
+  require "engines agree"
+    (List.for_all (fun (_, s, _) -> s = ref_stats) results);
+  require "native strictly fastest"
+    (List.for_all
+       (fun (spec, _, t) -> spec = "native" || native_s < t)
+       results)
 
 let ablation_obs_overhead () =
   header
@@ -811,13 +762,11 @@ let ablation_obs_overhead () =
    and without a pruning-provenance collector installed. Attribution
    compiles to per-constraint counting programs, so the instrumented
    sweep pays one closure call per firing plus the slot mirror; with no
-   collector the uninstrumented closures run and the cost is zero. The
-   deterministic outputs (survivors, total attributed removals,
-   exactness) feed the regression gate via BENCH_provenance.json. *)
+   collector the uninstrumented closures run and the cost is zero. *)
 let ablation_provenance () =
   header
     "Ablation: single-pass pruning provenance on the staged GEMM sweep\n\
-     (provenance off vs on; BENCH_provenance.json records the result).";
+     (provenance off vs on).";
   let max_dim = if fast then 20 else 32 in
   let max_threads = if fast then 96 else 128 in
   let device = Device.scale ~max_dim ~max_threads Device.tesla_k40c in
@@ -834,47 +783,23 @@ let ablation_provenance () =
   let stats, summary =
     Provenance.with_collector (fun () -> Engine_staged.run plan)
   in
-  let removed, exact =
-    match Provenance.total_removed summary with
-    | Some n -> (n, true)
-    | None -> (0, false)
-  in
-  let overhead_pct = 100.0 *. ((on /. off) -. 1.0) in
+  let removed = Provenance.total_removed summary in
   Printf.printf "provenance disabled: %10.3f ms/run\n" (off *. 1e-6);
   Printf.printf "provenance enabled:  %10.3f ms/run  (+%.1f%%)\n" (on *. 1e-6)
-    overhead_pct;
-  Printf.printf "%d survivors; %d removed points attributed; exact: %b\n"
-    stats.Engine.survivors removed exact;
-  let oc = open_out "BENCH_provenance.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"ablation-provenance\",\n\
-    \  \"bench_schema\": %d,\n\
-    \  \"space\": \"gemm\",\n\
-    \  \"max_dim\": %d,\n\
-    \  \"survivors\": %d,\n\
-    \  \"total_removed\": %d,\n\
-    \  \"exact\": %b,\n\
-    \  \"off_ms\": %.3f,\n\
-    \  \"on_ms\": %.3f,\n\
-    \  \"overhead_pct\": %.1f\n\
-     }\n"
-    bench_schema_version max_dim stats.Engine.survivors removed exact
-    (off *. 1e-6) (on *. 1e-6) overhead_pct;
-  close_out oc;
-  print_endline "wrote BENCH_provenance.json"
+    (100.0 *. ((on /. off) -. 1.0));
+  Printf.printf "%d survivors; %d removed points attributed\n"
+    stats.Engine.survivors (Option.value removed ~default:0);
+  require "provenance exact" (Option.is_some removed)
 
 (* The constraint-propagation ablation: the interval pre-pass must keep
    the staged sweep's statistics byte-identical (dead values are
    replayed as bookkeeping) while the feasible-set diagram counts a
-   billion-point constrained space exactly without enumerating it.
-   BENCH_propagate.json feeds the regression gate. *)
+   billion-point constrained space exactly without enumerating it. *)
 let ablation_propagate () =
   header
     "Ablation: constraint-propagation pre-pass on the staged GEMM sweep\n\
      (propagation off vs on; statistics must match exactly), plus exact\n\
-     feasible-set counting of a ~1.5e9-point constrained space.\n\
-     BENCH_propagate.json records the result.";
+     feasible-set counting of a ~1.5e9-point constrained space.";
   let max_dim = if fast then 20 else 32 in
   let max_threads = if fast then 96 else 128 in
   let device = Device.scale ~max_dim ~max_threads Device.tesla_k40c in
@@ -891,13 +816,11 @@ let ablation_propagate () =
   in
   let s_off = Engine_staged.run plan in
   let s_on = Engine_staged.run propagated in
-  let identical = s_off = s_on in
-  let delta_pct = 100.0 *. ((on /. off) -. 1.0) in
   Printf.printf "propagation off: %10.3f ms/run\n" (off *. 1e-6);
   Printf.printf "propagation on:  %10.3f ms/run  (%+.1f%%)\n" (on *. 1e-6)
-    delta_pct;
-  Printf.printf "%d survivors; statistics identical: %b\n"
-    s_off.Engine.survivors identical;
+    (100.0 *. ((on /. off) -. 1.0));
+  Printf.printf "%d survivors\n" s_off.Engine.survivors;
+  require "statistics identical" (s_off = s_on);
   let synth_plan =
     Plan.optimize ~passes:[ Propagate.pass ]
       (Plan.make_exn (Synth.space ()))
@@ -909,30 +832,10 @@ let ablation_propagate () =
         | Error msg -> failwith ("bench: feasible build failed: " ^ msg))
   in
   let synth_count = Feasible.count feas in
-  let synth_count_ok = synth_count = Synth.expected_survivors () in
-  Printf.printf "synth feasible count: %d in %.3f ms (expected: %b)\n"
-    synth_count (count_s *. 1e3) synth_count_ok;
-  let oc = open_out "BENCH_propagate.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"ablation-propagate\",\n\
-    \  \"bench_schema\": %d,\n\
-    \  \"space\": \"gemm\",\n\
-    \  \"max_dim\": %d,\n\
-    \  \"survivors\": %d,\n\
-    \  \"stats_identical\": %b,\n\
-    \  \"off_ms\": %.3f,\n\
-    \  \"on_ms\": %.3f,\n\
-    \  \"delta_pct\": %.1f,\n\
-    \  \"synth_count\": %d,\n\
-    \  \"synth_count_ok\": %b,\n\
-    \  \"synth_count_ms\": %.3f\n\
-     }\n"
-    bench_schema_version max_dim s_off.Engine.survivors identical
-    (off *. 1e-6) (on *. 1e-6) delta_pct synth_count synth_count_ok
+  Printf.printf "synth feasible count: %d in %.3f ms\n" synth_count
     (count_s *. 1e3);
-  close_out oc;
-  print_endline "wrote BENCH_propagate.json"
+  require "synth count matches the closed form"
+    (synth_count = Synth.expected_survivors ())
 
 (* The live-introspection companion: the same staged sweep with the
    heartbeat status file and the flight recorder installed vs plain.
@@ -940,26 +843,23 @@ let ablation_propagate () =
    interval) and the flight ring is a per-domain array store, so the
    dominant cost is the same one the obs ablation measures: the
    engines pick their instrumented compiled path once any sink is
-   live. BENCH_status.json feeds the regression gate; the checks that
-   must hold everywhere (status file parses, flight dump non-empty)
-   are deterministic, the overhead is reported and gated only behind
-   --gate-timing like every other timing field. *)
+   live. The overhead is reported; the final status file and the
+   flight dump are required. *)
 let ablation_status () =
   header
     "Ablation: heartbeat status + flight recorder on the staged GEMM\n\
-     sweep (introspection off vs on; BENCH_status.json records the\n\
-     result).";
+     sweep (introspection off vs on).";
   let max_dim = if fast then 20 else 32 in
   let max_threads = if fast then 96 else 128 in
   let device = Device.scale ~max_dim ~max_threads Device.tesla_k40c in
   let settings = { Gemm.default_settings with Gemm.device } in
   let plan = Plan.make_exn (Gemm.space ~settings ()) in
-  let stats = Engine_staged.run plan (* warm up + reference counts *) in
+  ignore (Engine_staged.run plan) (* warm up *);
   let off =
     ns_per_run "staged-status-off" (fun () -> ignore (Engine_staged.run plan))
   in
-  let status_file = "BENCH_status.heartbeat.json" in
-  let flight_file = "BENCH_status.flight.jsonl" in
+  let status_file = Filename.temp_file "beast_bench_status" ".json" in
+  let flight_file = Filename.temp_file "beast_bench_flight" ".jsonl" in
   let cfg =
     {
       Run_config.default with
@@ -978,426 +878,56 @@ let ablation_status () =
                ignore (Engine_staged.run plan));
          0));
   let on = !on in
-  let status_parses =
-    match Status.of_file status_file with
+  Printf.printf "introspection disabled: %10.3f ms/run\n" (off *. 1e-6);
+  Printf.printf "status + flight on:     %10.3f ms/run  (%+.1f%%)\n"
+    (on *. 1e-6) (100.0 *. ((on /. off) -. 1.0));
+  require "status parses"
+    (match Status.of_file status_file with
     | Ok v -> v.Status.v_state = "completed"
-    | Error _ -> false
-  in
-  let flight_nonempty =
-    match Sink_jsonl.read_file flight_file with
+    | Error _ -> false);
+  require "flight non-empty"
+    (match Sink_jsonl.read_file flight_file with
     | Ok events -> Array.length events > 0
-    | Error _ -> false
-  in
+    | Error _ -> false);
   List.iter
     (fun f -> try Sys.remove f with Sys_error _ -> ())
-    [ status_file; flight_file ];
-  let overhead_pct = 100.0 *. ((on /. off) -. 1.0) in
-  Printf.printf "introspection disabled: %10.3f ms/run\n" (off *. 1e-6);
-  Printf.printf "status + flight on:     %10.3f ms/run  (+%.1f%%)\n"
-    (on *. 1e-6) overhead_pct;
-  Printf.printf "final status parses: %b; flight dump non-empty: %b\n"
-    status_parses flight_nonempty;
-  let oc = open_out "BENCH_status.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"ablation-status\",\n\
-    \  \"bench_schema\": %d,\n\
-    \  \"space\": \"gemm\",\n\
-    \  \"max_dim\": %d,\n\
-    \  \"survivors\": %d,\n\
-    \  \"status_parses\": %b,\n\
-    \  \"flight_nonempty\": %b,\n\
-    \  \"off_ms\": %.3f,\n\
-    \  \"on_ms\": %.3f,\n\
-    \  \"overhead_pct\": %.1f\n\
-     }\n"
-    bench_schema_version max_dim stats.Engine.survivors status_parses
-    flight_nonempty (off *. 1e-6) (on *. 1e-6) overhead_pct;
-  close_out oc;
-  print_endline "wrote BENCH_status.json"
-
-(* ------------------------------------------------------------------ *)
-(* Regression gate: compare BENCH_parallel.json (or any other BENCH_*   *)
-(* artifact, dispatched on its "bench" field) against a committed       *)
-(* baseline.                                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* Two classes of field. The deterministic ones (survivor and iteration
-   counts, split arity, work-share percentages) are machine-independent:
-   any drift is a real behaviour change and fails the gate. The timing
-   fields vary across machines and CI neighbours, so they are reported
-   but only gated behind --gate-timing (with --threshold slack). *)
-
-(* How a timing field is gated under --gate-timing: a slowdown past
-   +threshold%, a rise past +threshold points, or a speedup drop past
-   -threshold%. *)
-type timing = Relative of string | Points of string | Speedup of string
-
-(* What the gate checks for one bench kind: fields that must match the
-   baseline exactly, float fields (or float lists) within the %.2f
-   rounding of the file, fields the current run must report true (with
-   the reason printed on failure), and the timing rules. *)
-type gate = {
-  exact_str : string list;
-  exact_int : string list;
-  near : string list;
-  must_hold : (string * string) list;
-  timing : timing list;
-}
-
-let stealing_gate =
-  {
-    exact_str = [ "bench"; "space" ];
-    exact_int =
-      [ "max_dim"; "domains"; "chunks"; "survivors"; "loop_iterations" ];
-    near = [ "static_slice_shares_pct"; "max_chunk_share_pct" ];
-    must_hold =
-      [
-        ( "stats_match_sequential",
-          "current run must agree with the sequential sweep" );
-      ];
-    timing = [ Relative "stealing_s"; Speedup "speedup" ];
-  }
-
-let gates =
-  [
-    ( "ablation-status",
-      {
-        exact_str = [ "bench"; "space" ];
-        exact_int = [ "max_dim"; "survivors" ];
-        near = [];
-        must_hold =
-          [
-            ( "status_parses",
-              "final heartbeat snapshot must be parseable and completed" );
-            ("flight_nonempty", "flight recorder must dump at least one event");
-          ];
-        timing = [ Points "overhead_pct" ];
-      } );
-    ( "ablation-native",
-      {
-        exact_str = [ "bench"; "space" ];
-        exact_int =
-          [ "max_dim"; "max_threads"; "survivors"; "loop_iterations" ];
-        near = [];
-        must_hold =
-          [
-            ( "engines_agree",
-              "all five engines must produce identical statistics" );
-            ( "native_fastest",
-              "the compiled tier must be strictly fastest of the five engines"
-            );
-          ];
-        timing = [ Relative "native_s" ];
-      } );
-    ( "ablation-propagate",
-      {
-        exact_str = [ "bench"; "space" ];
-        exact_int = [ "max_dim"; "survivors"; "synth_count" ];
-        near = [];
-        must_hold =
-          [
-            ( "stats_identical",
-              "the propagated plan's statistics must match the plain plan's \
-               exactly" );
-            ( "synth_count_ok",
-              "the feasible-set count of the synthetic billion-point space \
-               must equal the closed form" );
-          ];
-        timing = [ Points "delta_pct" ];
-      } );
-    ( "ablation-provenance",
-      {
-        exact_str = [ "bench"; "space" ];
-        exact_int = [ "max_dim"; "survivors"; "total_removed" ];
-        near = [];
-        must_hold =
-          [ ("exact", "attribution must stay exact on the plain gemm space") ];
-        timing = [ Points "overhead_pct" ];
-      } );
-    ("ablation-stealing", stealing_gate);
-  ]
-
-let compare_baseline ~baseline_file ~current_file ~threshold_pct ~gate_timing =
-  let load what path =
-    match Jsonx.of_file path with
-    | Ok json -> json
-    | Error msg ->
-      Printf.eprintf "bench gate: cannot read %s file %s: %s\n" what path msg;
-      exit 1
-  in
-  let base = load "baseline" baseline_file in
-  let cur = load "current" current_file in
-  (* Refuse a baseline from a different field layout outright: gating
-     current fields against a stale shape fails one field at a time with
-     misleading diffs. An absent field reads as version 0 (pre-versioning
-     files). *)
-  let base_schema =
-    match Jsonx.member_opt "bench_schema" base with
-    | None -> 0
-    | Some v -> ( try Jsonx.to_int "bench_schema" v with Jsonx.Error _ -> 0)
-  in
-  if base_schema <> bench_schema_version then begin
-    Printf.eprintf
-      "bench gate: baseline %s has bench_schema %d but this harness writes \
-       %d; regenerate it with --write-baseline\n"
-      baseline_file base_schema bench_schema_version;
-    exit 1
-  end;
-  header
-    (Printf.sprintf "Regression gate: %s vs baseline %s" current_file
-       baseline_file);
-  let failures = ref 0 in
-  let check name ok detail =
-    Printf.printf "  %-28s %s  %s\n" name (if ok then "ok  " else "FAIL") detail;
-    if not ok then incr failures
-  in
-  let field to_v name =
-    (to_v name (Jsonx.member name base), to_v name (Jsonx.member name cur))
-  in
-  let exact to_v show name =
-    let b, c = field to_v name in
-    check name (b = c)
-      (Printf.sprintf "baseline %s, current %s" (show b) (show c))
-  in
-  (* A near field is one float or a list of them. *)
-  let near name =
-    let floats = function
-      | Jsonx.Arr items -> List.map (Jsonx.to_float name) items
-      | v -> [ Jsonx.to_float name v ]
-    in
-    let show v =
-      let text =
-        String.concat " " (List.map (Printf.sprintf "%.2f") (floats v))
-      in
-      match v with Jsonx.Arr _ -> "[" ^ text ^ "]" | _ -> text
-    in
-    let b, c = field (fun _ v -> v) name in
-    let fb = floats b and fc = floats c in
-    check name
-      (List.length fb = List.length fc
-      && List.for_all2 (fun b c -> Float.abs (b -. c) <= 0.05) fb fc)
-      (Printf.sprintf "baseline %s, current %s" (show b) (show c))
-  in
-  let timed rule =
-    let name, ok, show, limit =
-      match rule with
-      | Relative name ->
-        ( name,
-          (fun b c -> c <= b *. (1.0 +. (threshold_pct /. 100.0))),
-          Printf.sprintf "%.4fs",
-          Printf.sprintf "+%.0f%%" threshold_pct )
-      | Points name ->
-        ( name,
-          (fun b c -> c <= b +. threshold_pct),
-          Printf.sprintf "%+.1f%%",
-          Printf.sprintf "+%.0f points" threshold_pct )
-      | Speedup name ->
-        ( name,
-          (fun b c -> c >= b *. (1.0 -. (threshold_pct /. 100.0))),
-          Printf.sprintf "%.2fx",
-          Printf.sprintf "-%.0f%%" threshold_pct )
-    in
-    let b, c = field Jsonx.to_float name in
-    let detail = Printf.sprintf "baseline %s, current %s" (show b) (show c) in
-    if gate_timing then
-      check name (ok b c) (Printf.sprintf "%s (threshold %s)" detail limit)
-    else
-      Printf.printf "  %-28s info  %s (not gated; pass --gate-timing)\n" name
-        detail
-  in
-  let kind =
-    try Jsonx.to_str "bench" (Jsonx.member "bench" base)
-    with Jsonx.Error _ -> "ablation-stealing"
-  in
-  let g = Option.value (List.assoc_opt kind gates) ~default:stealing_gate in
-  (try
-     List.iter (exact Jsonx.to_str Fun.id) g.exact_str;
-     List.iter (exact Jsonx.to_int string_of_int) g.exact_int;
-     List.iter near g.near;
-     List.iter
-       (fun (name, reason) ->
-         check name (Jsonx.to_bool name (Jsonx.member name cur)) reason)
-       g.must_hold;
-     List.iter timed g.timing
-   with Jsonx.Error msg ->
-     Printf.eprintf "bench gate: malformed bench json: %s\n" msg;
-     exit 1);
-  if !failures > 0 then begin
-    Printf.printf "bench gate: %d check(s) FAILED\n" !failures;
-    exit 1
-  end
-  else print_endline "bench gate: all checks passed"
-
-(* Canonicalize a bench artifact into a committed baseline: parse,
-   stamp the current bench_schema right after the dispatch field, and
-   re-emit through the deterministic Jsonx printer, so regenerated
-   baselines differ only where the measurements did. *)
-let write_baseline_file ~current_file ~out_file =
-  match Jsonx.of_file current_file with
-  | Error msg ->
-    Printf.eprintf "bench: cannot read %s: %s\n" current_file msg;
-    exit 1
-  | Ok json ->
-    let json =
-      match json with
-      | Jsonx.Obj members ->
-        let members =
-          List.filter (fun (k, _) -> k <> "bench_schema") members
-        in
-        let stamp = ("bench_schema", Jsonx.Int bench_schema_version) in
-        Jsonx.Obj
-          (match members with
-          | ("bench", v) :: rest -> ("bench", v) :: stamp :: rest
-          | rest -> stamp :: rest)
-      | other -> other
-    in
-    Jsonx.write_file out_file (Jsonx.pretty json);
-    Printf.printf "wrote baseline %s (bench_schema %d)\n" out_file
-      bench_schema_version
-
-(* Append the ablation artifacts to the cross-run archive, so
-   [beast trends] sees the bench timeline alongside sweep records. *)
-let archive_bench_results dir =
-  let commit = Archive.commit_from_env () in
-  let host = Unix.gethostname () in
-  List.iter
-    (fun file ->
-      if Sys.file_exists file then
-        match Jsonx.of_file file with
-        | Error msg ->
-          Printf.eprintf "bench: archive: %s: %s\n" file msg;
-          exit 1
-        | Ok payload -> (
-          match Archive.ingest ~dir ?commit ~host payload with
-          | Ok (r, true) ->
-            Printf.printf "archived %s as %s (seq %d)\n" file
-              r.Archive.meta.Archive.a_id r.Archive.meta.Archive.a_seq
-          | Ok (r, false) ->
-            Printf.printf "%s already archived as %s\n" file
-              r.Archive.meta.Archive.a_id
-          | Error msg ->
-            Printf.eprintf "bench: archive: %s: %s\n" file msg;
-            exit 1))
-    [
-      "BENCH_parallel.json"; "BENCH_native.json"; "BENCH_provenance.json";
-      "BENCH_status.json"; "BENCH_propagate.json";
-    ]
+    [ status_file; flight_file ]
 
 let () =
-  let baseline = ref None in
-  let threshold = ref 25.0 in
-  let compare_only = ref false in
-  let gate_timing = ref false in
-  let current_file = ref "BENCH_parallel.json" in
-  let write_baseline = ref None in
-  let archive_dir = ref None in
-  let usage () =
+  if Array.length Sys.argv > 1 then begin
     prerr_endline
-      "usage: main.exe [--baseline FILE] [--current FILE] [--threshold PCT] \
-       [--gate-timing] [--compare-only] [--write-baseline FILE] \
-       [--archive DIR]";
+      "usage: main.exe (no arguments; BEAST_BENCH_FAST=1 or \
+       BEAST_BENCH_QUICK=1 selects reduced sizes)";
     exit 2
-  in
-  let rec parse = function
-    | [] -> ()
-    | "--baseline" :: f :: rest ->
-      baseline := Some f;
-      parse rest
-    | "--current" :: f :: rest ->
-      current_file := f;
-      parse rest
-    | "--threshold" :: p :: rest -> (
-      match float_of_string_opt p with
-      | Some v ->
-        threshold := v;
-        parse rest
-      | None -> usage ())
-    | "--compare-only" :: rest ->
-      compare_only := true;
-      parse rest
-    | "--gate-timing" :: rest ->
-      gate_timing := true;
-      parse rest
-    | "--write-baseline" :: f :: rest ->
-      write_baseline := Some f;
-      parse rest
-    | "--archive" :: d :: rest ->
-      archive_dir := Some d;
-      parse rest
-    | _ -> usage ()
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  if !compare_only then begin
-    (match !write_baseline with
-    | Some out -> write_baseline_file ~current_file:!current_file ~out_file:out
-    | None -> ());
-    (match !archive_dir with
-    | Some dir -> archive_bench_results dir
-    | None -> ());
-    match !baseline with
-    | None ->
-      if !write_baseline = None && !archive_dir = None then begin
-        prerr_endline
-          "bench gate: --compare-only needs --baseline, --write-baseline or \
-           --archive";
-        exit 2
-      end
-      else exit 0
-    | Some baseline_file ->
-      compare_baseline ~baseline_file ~current_file:!current_file
-        ~threshold_pct:!threshold ~gate_timing:!gate_timing;
-      exit 0
   end;
   Printf.printf "BEAST reproduction benchmarks%s\n"
     (if quick then " (QUICK smoke mode)" else if fast then " (FAST mode)" else "");
-  let sections () =
-    if not quick then begin
-      fig17 ();
-      fig18 ();
-      fig19 ();
-      sweep_speedup ();
-      table1 ();
-      funnel ()
-    end;
-    fig16 ();
-    ablation_hoisting ();
-    if not quick then begin
-      ablation_loop_order ();
-      ablation_divisor_iterator ()
-    end;
-    ablation_parallel ();
-    ablation_stealing ();
-    ablation_provenance ();
-    ablation_propagate ();
-    ablation_checkpoint ();
-    ablation_status ();
-    ablation_native ()
-  in
-  (* BEAST_BENCH_TRACE=FILE records the whole harness run as one traced
-     run and writes a Chrome trace at the end (obs-overhead ablation
-     excepted: it installs its own sink, so its instrumented timings
-     stay self-contained). *)
-  (match Sys.getenv_opt "BEAST_BENCH_TRACE" with
-  | None -> sections ()
-  | Some file ->
-    ignore
-      (Run_config.with_instrumentation ~space:"bench" ~engine:"bench"
-         { Run_config.default with Run_config.trace = Some file }
-         (fun _ ->
-           sections ();
-           0)));
+  if not quick then begin
+    fig17 ();
+    fig18 ();
+    fig19 ();
+    sweep_speedup ();
+    table1 ();
+    funnel ()
+  end;
+  fig16 ();
+  ablation_hoisting ();
+  if not quick then begin
+    ablation_loop_order ();
+    ablation_divisor_iterator ()
+  end;
+  ablation_parallel ();
+  ablation_stealing ();
+  ablation_provenance ();
+  ablation_propagate ();
+  ablation_checkpoint ();
+  ablation_status ();
+  ablation_native ();
   if not quick then ablation_obs_overhead ();
   line ();
   print_endline "done; see EXPERIMENTS.md for paper-vs-measured discussion.";
-  (match !write_baseline with
-  | Some out -> write_baseline_file ~current_file:!current_file ~out_file:out
-  | None -> ());
-  (match !archive_dir with
-  | Some dir -> archive_bench_results dir
-  | None -> ());
-  match !baseline with
-  | None -> ()
-  | Some baseline_file ->
-    compare_baseline ~baseline_file ~current_file:!current_file
-      ~threshold_pct:!threshold ~gate_timing:!gate_timing
+  match List.rev !false_facts with
+  | [] -> ()
+  | names ->
+    Printf.eprintf "bench: false: %s\n" (String.concat "; " names);
+    exit 1

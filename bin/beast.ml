@@ -1597,8 +1597,8 @@ let describe_record (r : Archive.record) =
 let archive_ingest_cmd =
   let files_arg =
     files_arg
-      "Sweep statistics files (sweep --stats-out/--explain-out) or \
-       BENCH_*.json ablation results to append to the archive."
+      "Sweep statistics files (sweep --stats-out/--explain-out) or JSON \
+       objects with a $(b,bench) field to append to the archive."
   in
   let engine_override_arg =
     let doc = "Record $(docv) as the producing engine spec." in

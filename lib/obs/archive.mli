@@ -6,7 +6,7 @@
     archive directory ([$BEAST_ARCHIVE], default [.beast/archive]),
     written atomically ({!Jsonx.write_file}). A record wraps a
     {e payload} — a [Stats_io] sweep-statistics file (funnel, constraint
-    provenance, metrics snapshot) or a [BENCH_*.json] ablation result —
+    provenance, metrics snapshot) or a JSON object with a [bench] field —
     plus identity metadata (engine spec, run id, git commit, host) and
     the numeric {e series} extracted from the payload (survivor counts,
     per-constraint fire counts, histogram quantiles, bench timings).

@@ -110,3 +110,12 @@ let stats_testable =
   Alcotest.testable Engine.pp_stats (fun a b ->
       a.Engine.survivors = b.Engine.survivors
       && a.Engine.pruned = b.Engine.pruned)
+
+(* The GEMM space on a K40c scaled to [max_dim] and [max_threads]. *)
+let gemm_space ~max_dim ~max_threads =
+  let device =
+    Beast_gpu.Device.scale ~max_dim ~max_threads Beast_gpu.Device.tesla_k40c
+  in
+  Beast_kernels.Gemm.space
+    ~settings:{ Beast_kernels.Gemm.default_settings with device }
+    ()

@@ -103,12 +103,7 @@ let test_work_stealing_matches_staged_on_gemm () =
   (* The acceptance bar for the chunked scheduler: identical totals and
      per-constraint pruned counts to the sequential staged sweep on the
      real GEMM space, not just on toy nests. *)
-  let device =
-    Beast_gpu.Device.scale ~max_dim:16 ~max_threads:64
-      Beast_gpu.Device.tesla_k40c
-  in
-  let settings = { Beast_kernels.Gemm.default_settings with device } in
-  let plan = Plan.make_exn (Beast_kernels.Gemm.space ~settings ()) in
+  let plan = Plan.make_exn (Support.gemm_space ~max_dim:16 ~max_threads:64) in
   let seq = Engine_staged.run plan in
   List.iter
     (fun domains ->
@@ -117,6 +112,36 @@ let test_work_stealing_matches_staged_on_gemm () =
         seq
         (Engine_parallel.run ~domains plan))
     [ 2; 3; 4 ]
+
+(* The skewed GEMM-20 of the bench's work-stealing ablation: a
+   divisibility constraint on the outermost iterator leaves every
+   survivor in one round-robin residue class, so one of 4 static slices
+   holds nearly all the work, while no one of 32 chunks holds more than
+   58.29% of it. The work shares are machine-independent. *)
+let test_skewed_gemm_work_shares () =
+  let sp = Support.gemm_space ~max_dim:20 ~max_threads:96 in
+  let open Expr.Infix in
+  Space.constrain sp ~cls:Space.Hard "skew_blocking"
+    (Expr.var "dim_m" %: Expr.int 4 <>: Expr.int 0);
+  let plan = Plan.make_exn sp in
+  let seq = Engine_staged.run plan in
+  Alcotest.(check int) "survivors" 2080 seq.Engine.survivors;
+  Alcotest.(check int) "loop iterations" 48963 seq.Engine.loop_iterations;
+  let share part =
+    100.0
+    *. float_of_int (Engine_staged.run part).Engine.loop_iterations
+    /. float_of_int seq.Engine.loop_iterations
+  in
+  Alcotest.(check (list (float 0.05)))
+    "static slice shares (%)" [ 0.01; 0.01; 0.01; 99.97 ]
+    (List.init 4 (fun index -> share (Plan.slice_outer plan ~index ~of_:4)));
+  Alcotest.(check (float 0.05))
+    "largest of 32 chunk shares (%)" 58.29
+    (List.fold_left Float.max 0.0
+       (List.init 32 (fun index ->
+            share (Plan.chunk_outer plan ~index ~of_:32))));
+  Alcotest.check Support.stats_testable "parallel:4 = staged" seq
+    (Engine_parallel.run ~domains:4 plan)
 
 let test_parallel_more_domains_than_trip_count () =
   (* 16 domains over an outer loop with 8 values: most chunks are empty;
@@ -606,6 +631,33 @@ let test_registry_engines_agree () =
         (E.run (Engine_intf.Space sp)).Engine.survivors)
     [ "interp-naive"; "interp"; "vm"; "staged"; "parallel:3" ]
 
+(* Exact GEMM counts, pinned as literals rather than derived from an
+   engine (the spaces are too large to brute-force): every engine must
+   reproduce them, statistics in full. *)
+let test_registry_gemm_counts () =
+  let stats_equal = Alcotest.testable Engine.pp_stats ( = ) in
+  List.iter
+    (fun (max_dim, max_threads, survivors, iterations) ->
+      let sp = Support.gemm_space ~max_dim ~max_threads in
+      let label = Printf.sprintf "GEMM-%d" max_dim in
+      let staged = Engine_staged.run_space sp in
+      Alcotest.(check int) (label ^ " survivors") survivors
+        staged.Engine.survivors;
+      Option.iter
+        (fun n ->
+          Alcotest.(check int) (label ^ " loop iterations") n
+            staged.Engine.loop_iterations)
+        iterations;
+      List.iter
+        (fun spec ->
+          let (module E : Engine_intf.S) = find_exn spec in
+          Alcotest.check stats_equal
+            (Printf.sprintf "%s %s = staged" label spec)
+            staged
+            (E.run (Engine_intf.Space sp)))
+        [ "interp"; "vm"; "parallel:4" ])
+    [ (20, 96, 2080, None); (32, 128, 31712, Some 1_286_861) ]
+
 let test_registry_catalog_capabilities () =
   let check spec ~propagate ~opaque ~resumable =
     let e, _ = find_row spec in
@@ -697,6 +749,8 @@ let () =
             test_parallel_stats_match_sequential;
           Alcotest.test_case "work stealing = staged on GEMM" `Quick
             test_work_stealing_matches_staged_on_gemm;
+          Alcotest.test_case "skewed gemm work shares" `Quick
+            test_skewed_gemm_work_shares;
           Alcotest.test_case "more domains than trip count" `Quick
             test_parallel_more_domains_than_trip_count;
           Alcotest.test_case "firing depth-0 constraint deduped" `Quick
@@ -734,6 +788,8 @@ let () =
             test_registry_rejects_bad_specs;
           Alcotest.test_case "engines agree via registry" `Quick
             test_registry_engines_agree;
+          Alcotest.test_case "gemm exact counts" `Quick
+            test_registry_gemm_counts;
           Alcotest.test_case "catalog capabilities" `Quick
             test_registry_catalog_capabilities;
           Alcotest.test_case "plan target runs as given" `Quick

@@ -28,14 +28,6 @@ let in_workdir f =
       end)
     (fun () -> f dir)
 
-let small_gemm () =
-  let device =
-    Beast_gpu.Device.scale ~max_dim:16 ~max_threads:64
-      Beast_gpu.Device.tesla_k40c
-  in
-  let settings = { Beast_kernels.Gemm.default_settings with device } in
-  Beast_kernels.Gemm.space ~settings ()
-
 (* ------------------------------------------------------------------ *)
 (* Byte-identity with the staged engine                                *)
 (* ------------------------------------------------------------------ *)
@@ -48,13 +40,22 @@ let test_matches_staged_triangle () =
       check_stats "threads=3" expected
         (Engine_native.run ~workdir ~threads:3 plan))
 
+(* GEMM-32 is the bench's engine-ladder space; test_engines pins its
+   exact counts on the OCaml engines. *)
 let test_matches_staged_gemm () =
   in_workdir (fun workdir ->
-      let plan = Plan.make_exn (small_gemm ()) in
-      let expected = Engine_staged.run plan in
-      check_stats "threads=1" expected (Engine_native.run ~workdir plan);
-      check_stats "threads=4" expected
-        (Engine_native.run ~workdir ~threads:4 plan))
+      List.iter
+        (fun (label, sp) ->
+          let plan = Plan.make_exn sp in
+          let expected = Engine_staged.run plan in
+          check_stats (label ^ " threads=1") expected
+            (Engine_native.run ~workdir plan);
+          check_stats (label ^ " threads=4") expected
+            (Engine_native.run ~workdir ~threads:4 plan))
+        [
+          ("GEMM-16", Support.gemm_space ~max_dim:16 ~max_threads:64);
+          ("GEMM-32", Support.gemm_space ~max_dim:32 ~max_threads:128);
+        ])
 
 let test_depth0_constraint_threads () =
   (* A constraint evaluable before the first loop executes in every
@@ -327,7 +328,9 @@ let test_failed_thread_creation_runs_inline () =
              real_cc (Filename.quote shim))
       in
       Unix.chmod wrapper 0o755;
-      let plan = Plan.make_exn (small_gemm ()) in
+      let plan =
+        Plan.make_exn (Support.gemm_space ~max_dim:16 ~max_threads:64)
+      in
       let expected = Engine_staged.run plan in
       Unix.putenv "BEAST_CC" wrapper;
       Fun.protect

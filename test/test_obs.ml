@@ -707,21 +707,18 @@ let test_jsonx_writer_fixed_point () =
     (Jsonx.to_string (Jsonx.Float Float.infinity));
   Alcotest.(check string) "neg zero is 0" "0" (Jsonx.to_string (Jsonx.Float (-0.0)))
 
-(* Every committed JSON fixture (the bench/perf reference outputs and
-   the quick-bench baselines) is in the one file layout: printing its
-   parsed value again gives the file back byte for byte. *)
+(* Every committed JSON fixture (the bench/perf reference outputs) is
+   in the one file layout: printing its parsed value again gives the
+   file back byte for byte. *)
 let test_jsonx_fixtures_are_pretty () =
-  let fixtures dir keep =
-    Sys.readdir dir |> Array.to_list |> List.filter keep |> List.sort compare
+  let dir = "../bench/perf/ref" in
+  let files =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".json")
+    |> List.sort compare
     |> List.map (Filename.concat dir)
   in
-  let files =
-    fixtures "../bench/perf/ref" (fun f -> Filename.check_suffix f ".json")
-    @ fixtures "../bench" (fun f ->
-          String.starts_with ~prefix:"baseline_" f
-          && Filename.check_suffix f ".json")
-  in
-  Alcotest.(check bool) "fixtures found" true (List.length files >= 17);
+  Alcotest.(check bool) "fixtures found" true (List.length files >= 12);
   List.iter
     (fun file ->
       let text = In_channel.with_open_bin file In_channel.input_all in

@@ -118,24 +118,13 @@ let engines =
     ("interp", fun plan -> Engine_interp.run_plan plan);
   ]
 
-let gemm_scaled () =
-  let open Beast_kernels in
-  Gemm.space
-    ~settings:
-      {
-        Gemm.default_settings with
-        Gemm.device =
-          Beast_gpu.Device.scale ~max_dim:16 ~max_threads:64
-            Beast_gpu.Device.tesla_k40c;
-      }
-    ()
-
 let spaces () =
   [
     ("parity", parity_space ());
     ("triangle", Support.triangle_space ());
     ("mixed", Support.mixed_space ());
-    ("gemm", gemm_scaled ());
+    ("gemm", Support.gemm_space ~max_dim:16 ~max_threads:64);
+    ("gemm-20", Support.gemm_space ~max_dim:20 ~max_threads:96);
     ("conv2d", Beast_kernels.Conv2d.space ());
   ]
 

@@ -163,20 +163,30 @@ let collect_with engine sp =
   let _, summary = Provenance.with_collector (fun () -> engine plan) in
   summary
 
+(* The engines agree on the summary, whose exact removal total is pinned
+   as a literal: the triangle's 36 points minus its 18 survivors, and
+   GEMM-20's as the bench's provenance ablation measured it. *)
 let test_engines_agree () =
-  let sp () = Support.triangle_space () in
-  let staged = collect_with Engine_staged.run (sp ()) in
-  let vm = collect_with Engine_vm.run_plan (sp ()) in
-  let interp =
-    let plan_sp = sp () in
-    let _, summary =
-      Provenance.with_collector (fun () -> Engine_interp.run plan_sp)
-    in
-    ignore plan_sp;
-    summary
-  in
-  Alcotest.(check bool) "vm == staged" true (vm = staged);
-  Alcotest.(check bool) "interp == staged" true (interp = staged)
+  List.iter
+    (fun (label, sp, total) ->
+      let staged = collect_with Engine_staged.run (sp ()) in
+      let vm = collect_with Engine_vm.run_plan (sp ()) in
+      let _, interp =
+        Provenance.with_collector (fun () -> Engine_interp.run (sp ()))
+      in
+      Alcotest.(check bool) (label ^ ": vm == staged") true (vm = staged);
+      Alcotest.(check bool) (label ^ ": interp == staged") true
+        (interp = staged);
+      Alcotest.(check (option int))
+        (label ^ ": exact total removed")
+        (Some total)
+        (Provenance.total_removed staged))
+    [
+      ("triangle", Support.triangle_space, 18);
+      ( "GEMM-20",
+        (fun () -> Support.gemm_space ~max_dim:20 ~max_threads:96),
+        41_676_358_880 );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Shard merge                                                         *)

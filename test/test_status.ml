@@ -200,6 +200,9 @@ let test_status_negative_interval_rejected () =
 let stats_json ?shard plan stats =
   Stats_io.to_json (Stats_io.of_stats ~plan ?shard stats)
 
+(* Runs [runner] under the status heartbeat and the flight recorder; the
+   final status file must read "completed" and the flight dump must hold
+   at least one event. *)
 let run_with_introspection ~plan ~runner =
   with_tmp ".status" (fun status_path ->
       with_tmp ".flight" (fun flight_path ->
@@ -218,17 +221,32 @@ let run_with_introspection ~plan ~runner =
                ~engine:"staged" cfg (fun _ ->
                  stats := Some (runner ());
                  0));
+          (match Status.of_file status_path with
+          | Error msg -> Alcotest.failf "final status unreadable: %s" msg
+          | Ok v ->
+            Alcotest.(check string) "final state" "completed" v.Status.v_state);
+          (match Sink_jsonl.read_file flight_path with
+          | Error msg -> Alcotest.failf "flight dump unreadable: %s" msg
+          | Ok events ->
+            Alcotest.(check bool) "flight dump non-empty" true
+              (Array.length events > 0));
           Option.get !stats))
 
 let test_stats_identical_with_status_unsharded () =
-  let plan = triangle_plan () in
-  let plain = Engine_staged.run plan in
-  let instrumented = run_with_introspection ~plan ~runner:(fun () ->
-      Engine_staged.run plan)
-  in
-  Alcotest.(check string) "staged stats byte-identical"
-    (stats_json plan plain)
-    (stats_json plan instrumented)
+  List.iter
+    (fun plan ->
+      let plain = Engine_staged.run plan in
+      let instrumented =
+        run_with_introspection ~plan ~runner:(fun () -> Engine_staged.run plan)
+      in
+      Alcotest.(check string)
+        (plan.Plan.space_name ^ ": staged stats byte-identical")
+        (stats_json plan plain)
+        (stats_json plan instrumented))
+    [
+      triangle_plan ();
+      Plan.make_exn (Support.gemm_space ~max_dim:20 ~max_threads:96);
+    ]
 
 let test_stats_identical_with_status_sharded () =
   let plan = triangle_plan () in
