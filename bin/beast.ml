@@ -894,11 +894,7 @@ let feasible_of space_name sp =
     match Feasible.build plan with
     | Ok f -> f
     | Error msg ->
-      Format.eprintf
-        "%s: cannot build a feasible set: %s@.(opaque computes, dynamic \
-         iterators and post-loop steps defeat the decision diagram; use \
-         'beast sweep' to enumerate instead)@."
-        space_name msg;
+      Format.eprintf "%s: cannot build a feasible set: %s@." space_name msg;
       exit 2)
 
 let count_cmd =
@@ -949,15 +945,18 @@ let sample_cmd =
     let f = build () in
     let rng = Option.map (fun s -> Random.State.make [| s |]) seed in
     let ok = ref 0 in
+    (* One flush at the end: a flush per line costs a write(2) per point. *)
     for _ = 1 to n do
       match Feasible.sample ?rng f with
       | Some point ->
         incr ok;
-        Format.printf "%s@."
+        print_string
           (String.concat " "
-             (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) point))
+             (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) point));
+        print_char '\n'
       | None -> ()
     done;
+    flush stdout;
     if !ok = 0 && n > 0 then (
       Format.eprintf "%s: no feasible points@." space_name;
       exit 1)

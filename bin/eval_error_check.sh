@@ -11,6 +11,8 @@
 # no statistics. A write that fails part way (a zero file-size limit
 # with SIGXFSZ ignored, so write(2) fails with EFBIG) is one stderr
 # line, exit 1, and the previous file kept, with no temp file left.
+# And `count` over a range too long to walk (2^62 values) is one stderr
+# line naming the file, the iterator and its trip count, and exit 2.
 # Usage: sh eval_error_check.sh path/to/beast.exe zero_step.beast
 beast=$1
 space=$2
@@ -50,6 +52,21 @@ case $engines in
 esac
 
 dir=$(mktemp -d)
+long=$dir/long_range.beast
+printf 'space long_range\niter x = range(0, 4611686018427387903)\niter y = range(0, 3)\n' \
+  >"$long"
+err=$("$beast" count "$long" 2>&1 >/dev/null)
+code=$?
+lines=$(printf '%s\n' "$err" | wc -l)
+case $err in "$long: "*"iterator x"*4611686018427387903*) ok=1 ;; *) ok=0 ;; esac
+rm -f "$long"
+if [ "$code" -ne 2 ] || [ "$lines" -ne 1 ] || [ "$ok" -ne 1 ]; then
+  echo "count $long: exit $code, stderr: $err" >&2
+  echo "expected exit 2 and one line naming the file, x and its trip count" >&2
+  rm -rf "$dir"
+  exit 1
+fi
+
 "$beast" sweep gemm --max-dim 12 --max-threads 32 --stats-out "$dir/S" \
   >/dev/null 2>&1 || { echo "sweep --stats-out failed" >&2; exit 1; }
 # unwritable PATH ARGS...: beast ARGS must refuse PATH

@@ -12,14 +12,16 @@
    parameters collapses to a DAG a few hundred nodes wide no matter
    how many points it holds.
 
-   Construction is a memoized depth-first walk of the nest: at each
-   loop the walk keys on the projection of the slot state onto the
-   slots the subtree actually reads (its free slots, computed once per
-   plan), so a subtree is evaluated once per DISTINCT outer context
-   rather than once per outer assignment. Opaque computes ([CF]) and
-   dynamic iterators ([CDyn]) are executed concretely — they are plain
-   int functions — but their reads are unknown, so they widen the memo
-   key to the whole slot state; correct, merely less shared.
+   Construction is a memoized depth-first walk of the nest, compiled
+   once per plan into the staged engine's closures: at each loop the
+   walk keys on the projection of the slot state onto the slots the
+   subtree actually reads (its free slots), so a subtree is evaluated
+   once per DISTINCT outer context rather than once per outer
+   assignment, and a loop whose first check is [m * x != t] visits only
+   the value that solves it. Opaque computes ([CF]) and dynamic
+   iterators ([CDyn]) are plain int functions, run as they are, but
+   their reads are unknown, so they widen the memo key to the whole
+   slot state; correct, merely less shared.
 
    The payoff: [count] is exact without enumeration (the CI criterion
    pins a billion-point space), [nth]/[sample] index the set directly,
@@ -63,61 +65,74 @@ let nid_of = function
   | Accept -> -2
   | Node { nid; _ } -> nid
 
+(* Int-array keys hashed over every element: [Hashtbl.hash] reads only
+   a bounded prefix, so long keys sharing one would all collide. *)
+module Ints = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) (b : t) =
+    let n = Array.length a in
+    let rec from i = i = n || (a.(i) = b.(i) && from (i + 1)) in
+    n = Array.length b && from 0
+
+  let hash (a : t) =
+    let h = ref 0 in
+    for i = 0 to Array.length a - 1 do
+      h := (!h + a.(i)) * 0x1f3d5b79a3c6e5
+    done;
+    !h lxor (!h lsr 29)
+end)
+
 type arena = {
   mutable next_nid : int;
-  cons : ((int * int * int * int) list, node) Hashtbl.t;
-      (** (lo, step, len, child nid) per run -> node *)
+  cons : node Ints.t;  (** lo, step, len, child nid per run -> node *)
 }
 
-let arena () = { next_nid = 0; cons = Hashtbl.create 256 }
+let arena () = { next_nid = 0; cons = Ints.create 256 }
 
 (* Greedy left-to-right run compression of a sorted, duplicate-free
-   (value, child) list. Greedy is canonical here: a run extends exactly
-   while the child stays the same node and the stride stays constant,
-   so equal maps always compress identically — the property the
-   deterministic serialization and the hash-consing key rely on. *)
-let compress pairs =
-  let close (lo, _last, step, len, child) =
-    if len = 1 then { r_lo = lo; r_step = 1; r_len = 1; r_child = child }
-    else { r_lo = lo; r_step = step; r_len = len; r_child = child }
+   (value, child) list, given as its head [(v, c)] and tail. Greedy is
+   canonical here: a run extends exactly while the child stays the
+   same node and the stride stays constant, so equal maps always
+   compress identically — the property the deterministic serialization
+   and the hash-consing key rely on. *)
+let compress v c tl =
+  let close lo step len child =
+    let r_step = if len = 1 then 1 else step in
+    { r_lo = lo; r_step; r_len = len; r_child = child }
   in
-  let rec go acc cur = function
-    | [] -> List.rev (close cur :: acc)
-    | (v, c) :: tl ->
-      let lo, last, step, len, child = cur in
-      if nid_of c = nid_of child && (len = 1 || v - last = step) then
-        go acc (lo, v, (if len = 1 then v - last else step), len + 1, child) tl
-      else go (close cur :: acc) (v, v, 1, 1, c) tl
+  let rec go acc lo last step len child = function
+    | (v, c) :: tl when c == child && (len = 1 || v - last = step) ->
+      go acc lo v (v - last) (len + 1) child tl
+    | [] -> Array.of_list (List.rev (close lo step len child :: acc))
+    | (v, c) :: tl -> go (close lo step len child :: acc) v v 1 1 c tl
   in
-  match pairs with
-  | [] -> [||]
-  | (v, c) :: tl -> Array.of_list (go [] (v, v, 1, 1, c) tl)
+  go [] v v 1 1 c tl
 
 (* Build (or reuse) the node for a sorted (value, child) map. Values
    must be strictly increasing; Empty children must already have been
    filtered out. *)
-let cons_node a pairs =
-  match pairs with
+let cons_node a = function
   | [] -> Empty
-  | _ ->
-    let runs = compress pairs in
+  | (v, c) :: tl ->
+    let runs = compress v c tl in
     let key =
-      Array.to_list
-        (Array.map
-           (fun r -> (r.r_lo, r.r_step, r.r_len, nid_of r.r_child))
-           runs)
+      Array.init (4 * Array.length runs) (fun i ->
+          let r = runs.(i / 4) in
+          match i mod 4 with
+          | 0 -> r.r_lo
+          | 1 -> r.r_step
+          | 2 -> r.r_len
+          | _ -> nid_of r.r_child)
     in
-    (match Hashtbl.find_opt a.cons key with
+    (match Ints.find_opt a.cons key with
     | Some n -> n
     | None ->
-      let total =
-        Array.fold_left
-          (fun acc r -> acc + (r.r_len * node_count r.r_child))
-          0 runs
-      in
+      let weigh acc r = acc + (r.r_len * node_count r.r_child) in
+      let total = Array.fold_left weigh 0 runs in
       let n = Node { nid = a.next_nid; runs; total } in
       a.next_nid <- a.next_nid + 1;
-      Hashtbl.add a.cons key n;
+      Ints.add a.cons key n;
       n)
 
 (* ------------------------------------------------------------------ *)
@@ -163,26 +178,43 @@ let citer_reads = function
 (* Annotated program                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* The canonical nest re-expressed for the walk: [Static_prune] steps
-   vanish (they are statistics, not feasibility), and each loop carries
-   a memo id plus its subtree's free slots. *)
+(* The canonical nest re-expressed for the walk and compiled once per
+   plan with the staged engine's compiler: [Static_prune] steps vanish
+   (they are statistics, not feasibility), and each loop carries a memo
+   id plus the free slots of its subtree (every slot for [All]). *)
+type fn = int array -> int
+
 type aprog =
   | ADone  (** Yield: the assignment is feasible *)
   | ANone  (** no Yield below (an emptied chunk): nothing feasible *)
-  | ADerive of int * Plan.compute * aprog
-  | ACheck of Plan.compute * aprog
+  | ADerive of int * fn * aprog
+  | ACheck of (int array -> bool) * aprog  (** [true] prunes *)
   | ALoop of {
       uid : int;
+      var : string;
       slot : int;
-      iter : Plan.citer;
-      key : slotset;  (** free slots of the whole loop step *)
+      iter : aiter;
+      key : int array;  (** free slots of the whole loop step *)
       body : aprog;
     }
 
-exception Unsupported of string
+and aiter =
+  | ARange of fn * fn * fn * (fn * fn) option
+      (** start, stop, step, and the coefficient and target of the first
+          check when [Plan.solved_check] recognises it *)
+  | AValues of (int array -> int array)  (** [CValues] and [CDyn] *)
 
-let annotate (steps : Plan.step list) =
+exception Failed of string
+
+let fail fmt = Printf.ksprintf (fun msg -> raise (Failed msg)) fmt
+
+let annotate ~n_slots (steps : Plan.step list) =
   let uid = ref 0 in
+  let compute = function Plan.CE e -> Plan.compile_cexpr e | Plan.CF f -> f
+  and cond = function
+    | Plan.CE e -> Plan.compile_cond e
+    | Plan.CF f -> fun s -> f s <> 0
+  in
   let rec go steps =
     match (steps : Plan.step list) with
     | [] -> (ANone, Only [])
@@ -190,23 +222,34 @@ let annotate (steps : Plan.step list) =
     | Plan.Static_prune _ :: rest -> go rest
     | Plan.Derive { d_slot; d_compute; _ } :: rest ->
       let a, fs = go rest in
-      (ADerive (d_slot, d_compute, a),
+      (ADerive (d_slot, compute d_compute, a),
        sunion (compute_reads d_compute) (sremove d_slot fs))
     | Plan.Check { c_compute; _ } :: rest ->
       let a, fs = go rest in
-      (ACheck (c_compute, a), sunion (compute_reads c_compute) fs)
-    | Plan.Loop { l_slot; l_iter; l_body; _ } :: rest ->
+      (ACheck (cond c_compute, a), sunion (compute_reads c_compute) fs)
+    | Plan.Loop { l_var; l_slot; l_iter; l_body } :: rest ->
+      (* Canonical nests put nothing after a loop; points are defined by
+         the path to Yield, so trailing steps would be ambiguous. *)
       (match go rest with
       | ANone, _ -> ()
-      | _ ->
-        (* Canonical nests put nothing after a loop; points are defined
-           by the path to Yield, so trailing steps would be ambiguous. *)
-        raise (Unsupported "steps after a loop"));
+      | _ -> fail "unsupported plan shape: steps after a loop");
       let body, bfs = go l_body in
       let key = sunion (citer_reads l_iter) (sremove l_slot bfs) in
-      let id = !uid in
+      let iter =
+        match l_iter with
+        | Plan.CRange (a, b, c) ->
+          let f = Plan.compile_cexpr in
+          let solve (sv : Plan.solved) = (f sv.sv_coef, f sv.sv_target) in
+          let solved = Plan.solved_check ~slot:l_slot l_iter l_body in
+          ARange (f a, f b, f c, Option.map solve solved)
+        | Plan.CValues vs -> AValues (fun _ -> vs)
+        | Plan.CDyn f -> AValues f
+      in
       incr uid;
-      (ALoop { uid = id; slot = l_slot; iter = l_iter; key; body }, key)
+      let read = match key with All -> List.init n_slots Fun.id | Only r -> r in
+      let key' = Array.of_list read in
+      (ALoop { uid = !uid; var = l_var; slot = l_slot; iter; key = key'; body },
+       key)
   in
   fst (go steps)
 
@@ -214,76 +257,87 @@ let annotate (steps : Plan.step list) =
 (* Building from a plan (exact)                                        *)
 (* ------------------------------------------------------------------ *)
 
-exception Too_many_states of int
-exception Duplicate_value of int
-
 let default_max_states = 2_000_000
 
+(* A range visits its values in trip order, already sorted (reversed
+   when the step is negative) and distinct, and keeps only the
+   non-Empty children. A solved loop visits only the values that can
+   pass its first check: a skipped value fails that check right after
+   derives that cannot raise, so no deeper loop, state or error is
+   skipped. Value lists are sorted and checked for repeats. *)
 let build ?(max_states = default_max_states) (plan : Plan.t) :
     (t, string) result =
   try
-    let prog = annotate plan.Plan.steps in
     let slots = Array.make (max 1 plan.Plan.n_slots) 0 in
+    let prog = annotate ~n_slots:(Array.length slots) plan.Plan.steps in
     let a = arena () in
-    let memo : (int * int list, node) Hashtbl.t = Hashtbl.create 1024 in
+    let memo = Ints.create 1024 in
     let states = ref 0 in
-    let eval_compute = function
-      | Plan.CE e -> Plan.eval_cexpr slots e
-      | Plan.CF f -> f slots
-    in
-    let materialize = function
-      | Plan.CRange (sa, sb, sc) ->
-        let start = Plan.eval_cexpr slots sa
-        and stop = Plan.eval_cexpr slots sb
-        and step = Plan.eval_cexpr slots sc in
-        if step = 0 then
-          raise (Expr.Eval_error "Feasible: zero range step");
-        Array.init (Plan.trip_count ~start ~stop ~step) (fun i ->
-            start + (i * step))
-      | Plan.CValues vs -> vs
-      | Plan.CDyn f -> f slots
-    in
-    let project = function
-      | All -> Array.to_list slots
-      | Only xs -> List.map (fun s -> slots.(s)) xs
-    in
+    let only = ref 0 in
     let rec exec = function
       | ADone -> Accept
       | ANone -> Empty
-      | ADerive (slot, comp, rest) ->
-        slots.(slot) <- eval_compute comp;
+      | ADerive (slot, f, rest) ->
+        slots.(slot) <- f slots;
         exec rest
-      | ACheck (comp, rest) -> if eval_compute comp <> 0 then Empty else exec rest
-      | ALoop { uid; slot; iter; key; body } -> (
-        let k = (uid, project key) in
-        match Hashtbl.find_opt memo k with
+      | ACheck (fires, rest) -> if fires slots then Empty else exec rest
+      | ALoop l -> (
+        let k =
+          Array.init (Array.length l.key + 1) (fun i ->
+              if i = 0 then l.uid else slots.(l.key.(i - 1)))
+        in
+        match Ints.find_opt memo k with
         | Some n -> n
         | None ->
           incr states;
-          if !states > max_states then raise (Too_many_states max_states);
-          let vs = materialize iter in
-          let pairs =
-            Array.to_list
-              (Array.map
-                 (fun v ->
-                   slots.(slot) <- v;
-                   (v, exec body))
-                 vs)
-          in
-          let pairs =
-            List.sort (fun (x, _) (y, _) -> compare x y) pairs
-          in
-          let rec dedup = function
-            | (x, _) :: ((y, _) :: _ as tl) ->
-              if x = y then raise (Duplicate_value x) else dedup tl
-            | _ -> ()
-          in
-          dedup pairs;
-          let n =
-            cons_node a (List.filter (fun (_, c) -> c <> Empty) pairs)
-          in
-          Hashtbl.add memo k n;
+          if !states > max_states then
+            fail
+              "state explosion: more than %d distinct loop contexts (the \
+               plan's constraints could not be factored; raise ?max_states \
+               or count by enumeration)"
+              max_states;
+          let n = cons_node a (walk l.var l.slot l.iter l.body) in
+          Ints.add memo k n;
           n)
+    and walk var slot iter body =
+      let visit v =
+        slots.(slot) <- v;
+        exec body
+      in
+      let keep acc v = match visit v with Empty -> acc | c -> (v, c) :: acc in
+      match iter with
+      | AValues f ->
+        let pairs = Array.map (fun v -> (v, visit v)) (f slots) in
+        Array.stable_sort (fun (x, _) (y, _) -> compare x y) pairs;
+        for i = 1 to Array.length pairs - 1 do
+          if fst pairs.(i - 1) = fst pairs.(i) then
+            fail "iterator visits value %d twice" (fst pairs.(i))
+        done;
+        List.filter (fun (_, c) -> c != Empty) (Array.to_list pairs)
+      | ARange (start, stop, step, solved) -> (
+        let start = start slots and stop = stop slots and step = step slots in
+        if step = 0 then fail "Feasible: zero range step";
+        let n = Plan.trip_count ~start ~stop ~step in
+        if n > max_states then
+          fail "iterator %s: range of %d values exceeds the %d-state budget"
+            var n max_states;
+        let solution =
+          match solved with
+          | None -> Plan.Test_each
+          | Some (coef, target) ->
+            Plan.solve ~start ~step ~trip:n ~coef:(coef slots)
+              ~target:(target slots) ~only
+        in
+        match solution with
+        | Pass_none -> []
+        | Pass_one -> keep [] !only
+        | Pass_all | Test_each ->
+          let acc = ref [] and v = ref start in
+          for _ = 1 to n do
+            acc := keep !acc !v;
+            v := !v + step
+          done;
+          if step > 0 then List.rev !acc else !acc)
     in
     Ok
       {
@@ -292,22 +346,25 @@ let build ?(max_states = default_max_states) (plan : Plan.t) :
         f_root = exec prog;
       }
   with
-  | Unsupported msg -> Error ("unsupported plan shape: " ^ msg)
-  | Too_many_states cap ->
-    Error
-      (Printf.sprintf
-         "state explosion: more than %d distinct loop contexts (the plan's \
-          constraints could not be factored; raise ?max_states or count by \
-          enumeration)"
-         cap)
-  | Duplicate_value v ->
-    Error (Printf.sprintf "iterator visits value %d twice" v)
+  | Failed msg | Expr.Eval_error msg -> Error msg
   | Division_by_zero -> Error "division by zero while evaluating the plan"
-  | Expr.Eval_error msg -> Error msg
 
 (* ------------------------------------------------------------------ *)
 (* Upper bound from propagation alone                                  *)
 (* ------------------------------------------------------------------ *)
+
+(* The values of an iterator whose bounds are all slot-free. *)
+let static = function
+  | Plan.CValues vs -> Some vs
+  | Plan.CRange (sa, sb, sc) -> (
+    let open Plan in
+    match (static_cexpr sa, static_cexpr sb, static_cexpr sc) with
+    | Some start, Some stop, Some step when step <> 0 ->
+      Some
+        (Array.init (trip_count ~start ~stop ~step) (fun i ->
+             start + (i * step)))
+    | _ -> None)
+  | Plan.CDyn _ -> None
 
 (* The product of the (propagated) iterator domains: every check is
    assumed to pass, so this is exact precisely when propagation folded
@@ -318,21 +375,7 @@ let of_propagation (plan : Plan.t) : (t, string) result =
     | [] -> List.rev acc
     | Plan.Loop { l_var; l_iter; l_body; _ } :: _ ->
       loops ((l_var, l_iter) :: acc) l_body
-    | (Plan.Derive _ | Plan.Check _ | Plan.Static_prune _ | Plan.Yield) :: rest
-      ->
-      loops acc rest
-  in
-  let static = function
-    | Plan.CValues vs -> Some vs
-    | Plan.CRange (sa, sb, sc) -> (
-      match (Plan.static_cexpr sa, Plan.static_cexpr sb, Plan.static_cexpr sc)
-      with
-      | Some start, Some stop, Some step when step <> 0 ->
-        Some
-          (Array.init (Plan.trip_count ~start ~stop ~step) (fun i ->
-               start + (i * step)))
-      | _ -> None)
-    | Plan.CDyn _ -> None
+    | _ :: rest -> loops acc rest
   in
   let a = arena () in
   let rec chain = function
@@ -596,8 +639,7 @@ let to_string t =
 let outer_counts t values =
   let lookup v =
     match t.f_root with
-    | Empty -> 0
-    | Accept -> 0
+    | Empty | Accept -> 0
     | Node { runs; _ } ->
       let rec scan ri =
         if ri >= Array.length runs then 0
@@ -627,18 +669,6 @@ let chunk_outer_balanced feas (plan : Plan.t) ~index ~of_ =
   if of_ <= 0 then invalid_arg "Feasible.chunk_outer_balanced: of_ must be > 0";
   if index < 0 || index >= of_ then
     invalid_arg "Feasible.chunk_outer_balanced: index out of range";
-  let static = function
-    | Plan.CValues vs -> Some vs
-    | Plan.CRange (sa, sb, sc) -> (
-      match (Plan.static_cexpr sa, Plan.static_cexpr sb, Plan.static_cexpr sc)
-      with
-      | Some start, Some stop, Some step when step <> 0 ->
-        Some
-          (Array.init (Plan.trip_count ~start ~stop ~step) (fun i ->
-               start + (i * step)))
-      | _ -> None)
-    | Plan.CDyn _ -> None
-  in
   let rec outer_iter = function
     | Plan.Loop { l_iter; _ } :: _ -> Some l_iter
     | _ :: rest -> outer_iter rest

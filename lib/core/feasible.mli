@@ -19,15 +19,19 @@
 type t
 
 val build : ?max_states:int -> Plan.t -> (t, string) result
-(** Exact feasible set of the plan. The walk evaluates each loop
+(** Exact feasible set of the plan. The walk runs the plan compiled
+    once into the staged engine's closures and evaluates each loop
     subtree once per distinct context — the projection of the slot
     state onto the subtree's free slots — so cost is the number of
-    distinct contexts times domain width, not the space size. Opaque
-    computes and [CDyn] iterators are executed concretely but widen
-    the memo key to the full slot state. [Error] (never an exception)
-    on: context explosion past [max_states] (default 2M), an iterator
-    visiting a value twice, a zero range step, division by zero, or a
-    non-canonical nest shape. *)
+    distinct contexts times domain width, not the space size. A loop
+    whose first check [Plan.solved_check] recognises visits only the
+    value that can pass it. Opaque computes and [CDyn] iterators are
+    executed concretely but widen the memo key to the full slot state.
+    [Error] (never an exception) on: context explosion past
+    [max_states] (default 2M), a single range entry of more than
+    [max_states] values (the message names the iterator and its trip
+    count), an iterator visiting a value twice, a zero range step,
+    division by zero, or a non-canonical nest shape. *)
 
 val of_propagation : Plan.t -> (t, string) result
 (** Product of the static iterator domains: every check assumed to

@@ -237,6 +237,180 @@ let test_deterministic_serialization () =
       Alcotest.(check string) (name ^ ": independent builds agree") s1 s2)
     (count_spaces ())
 
+(* The serialized diagrams of three reference spaces, pinned by digest:
+   a rewrite of the walk that reorders or re-splits runs fails here even
+   when it agrees with itself. *)
+let test_pinned_digests () =
+  List.iter
+    (fun (name, sp, digest) ->
+      let s = Feasible.to_string (build_exn (Plan.make_exn sp)) in
+      Alcotest.(check string)
+        (name ^ ": diagram digest") digest
+        (Digest.to_hex (Digest.string s)))
+    [
+      ( "synth",
+        Beast_kernels.Synth.space (),
+        "4b9988092ab56f345fee375a2cf9b5ae" );
+      ( "gemm-20",
+        Support.gemm_space ~max_dim:20 ~max_threads:96,
+        "b970a37bbbece59cd7e0b3ba3037efdd" );
+      ( "conv2d",
+        Beast_kernels.Conv2d.space (),
+        "9f10fbc31a93d2b09060621e83b92832" );
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* Edge paths of the build                                             *)
+(* ------------------------------------------------------------------ *)
+
+let build_error ?max_states sp =
+  match Feasible.build ?max_states (Plan.make_exn sp) with
+  | Ok _ -> Alcotest.fail "build accepted the space"
+  | Error msg -> msg
+
+let two_level name ~x ~checks =
+  let sp = Space.create ~name () in
+  Space.iterator sp "x" x;
+  Space.iterator sp "y" (Iter.range_i 0 3);
+  List.iter (fun (n, e) -> Space.constrain sp n e) checks;
+  sp
+
+let test_duplicate_value () =
+  let open Expr.Infix in
+  let dup = Iter.ints [ 3; 1; 3 ] in
+  Alcotest.(check string)
+    "repeated value" "iterator visits value 3 twice"
+    (build_error (two_level "dup" ~x:dup ~checks:[]));
+  (* Value 3's subtree is empty, yet the repeat is still an error. *)
+  Alcotest.(check string)
+    "repeated value with an empty subtree" "iterator visits value 3 twice"
+    (build_error
+       (two_level "dup_empty" ~x:dup
+          ~checks:[ ("no3", Expr.var "x" =: Expr.int 3) ]))
+
+let test_descending_range () =
+  let open Expr.Infix in
+  let checks =
+    [ ("mod4", (Expr.var "x" +: Expr.var "y") %: Expr.int 4 =: Expr.int 0) ]
+  in
+  let down =
+    build_exn
+      (Plan.make_exn
+         (two_level "steps" ~x:(Iter.range_i ~step:(-2) 10 0) ~checks))
+  and up =
+    build_exn
+      (Plan.make_exn
+         (two_level "steps" ~x:(Iter.ints [ 2; 4; 6; 8; 10 ]) ~checks))
+  in
+  Alcotest.(check string)
+    "range(10, 0, -2) = values(2, 4, 6, 8, 10)" (Feasible.to_string up)
+    (Feasible.to_string down)
+
+let test_eval_errors () =
+  let open Expr.Infix in
+  let zero = Space.create ~name:"zero_step" () in
+  Space.iterator zero "x" (Iter.range_i 0 3);
+  Space.iterator zero "y"
+    (Iter.range ~step:(Expr.var "x" -: Expr.var "x") (Expr.int 0) (Expr.int 5));
+  Alcotest.(check string)
+    "zero step" "Feasible: zero range step" (build_error zero);
+  let div = Space.create ~name:"div" () in
+  Space.iterator div "y" (Iter.range_i 0 3);
+  Space.derived div "z" (Expr.int 12 /: Expr.var "y");
+  Space.constrain div "big_z" (Expr.var "z" >: Expr.int 100);
+  Alcotest.(check string)
+    "12 / y at y = 0" "division by zero while evaluating the plan"
+    (build_error div)
+
+let test_state_budget () =
+  let sp = Space.create ~name:"tiny" () in
+  Space.iterator sp "x" (Iter.range_i 0 1);
+  Space.iterator sp "y" (Iter.range_i 0 1);
+  let msg = build_error ~max_states:1 sp in
+  Alcotest.(check bool)
+    ("state explosion: " ^ msg) true
+    (String.starts_with ~prefix:"state explosion" msg)
+
+(* One range entry longer than the budget is refused before it is
+   walked, however cheap its values would be. *)
+let test_long_range () =
+  let long = Space.create ~name:"long" () in
+  Space.iterator long "x" (Iter.range_i 0 max_int);
+  Space.iterator long "y" (Iter.range_i 0 3);
+  Alcotest.(check string)
+    "range longer than the budget"
+    (Printf.sprintf
+       "iterator x: range of %d values exceeds the 2000000-state budget"
+       max_int)
+    (build_error long)
+
+(* Opaque computes and dynamic iterators run concretely. *)
+let test_opaque_counts () =
+  let sp = Space.create ~name:"opaque" () in
+  Space.iterator sp "a" (Iter.range_i 1 9);
+  Space.iterator sp "b"
+    (Iter.of_list_fn ~deps:[ "a" ] (fun env ->
+         let a = Value.to_int (env "a") in
+         List.init a (fun i -> Value.Int (a * (i + 1)))));
+  Space.derived_f sp "s" ~deps:[ "a"; "b" ] (fun env ->
+      Value.Int (Value.to_int (env "a") + Value.to_int (env "b")));
+  Space.constrain_f sp "s_mod3" ~deps:[ "s" ] (fun env ->
+      Value.Bool (Value.to_int (env "s") mod 3 = 1));
+  let plan = Plan.make_exn sp in
+  let expected = Support.survivor_count sp in
+  Alcotest.(check int) "staged = reference" expected
+    (Engine_staged.run plan).Engine.survivors;
+  Alcotest.(check int) "count = reference" expected
+    (Feasible.count (build_exn plan))
+
+(* [y * x != 12] is solved per entry of the y loop: x = 0 and x = 5
+   leave no y ([Pass_none]), x in {1, 3, 4} leave exactly one
+   ([Pass_one]), and x = max_int / 2 could overflow the solve, which
+   tests every y instead ([Test_each]). *)
+let test_solved_counts () =
+  let open Expr.Infix in
+  let big = max_int / 2 in
+  let sp = Space.create ~name:"solved" () in
+  Space.iterator sp "x" (Iter.ints [ 0; 1; 3; 4; 5; big ]);
+  Space.iterator sp "y" (Iter.range_i 0 20);
+  Space.constrain sp "product" (Expr.var "y" *: Expr.var "x" <>: Expr.int 12);
+  let plan = Plan.make_exn sp in
+  let rec find var = function
+    | Plan.Loop { l_var; l_slot; l_iter; l_body } :: rest ->
+      if l_var = var then (l_slot, l_iter, l_body)
+      else (try find var l_body with Not_found -> find var rest)
+    | _ :: rest -> find var rest
+    | [] -> raise Not_found
+  in
+  let x_slot, _, _ = find "x" plan.Plan.steps in
+  let y_slot, y_iter, y_body = find "y" plan.Plan.steps in
+  let sv =
+    match Plan.solved_check ~slot:y_slot y_iter y_body with
+    | Some sv -> sv
+    | None -> Alcotest.fail "the y loop's check is not solved"
+  in
+  let solution x =
+    let s = Array.make plan.Plan.n_slots 0 in
+    s.(x_slot) <- x;
+    Plan.solve ~start:0 ~step:1 ~trip:20
+      ~coef:(Plan.eval_cexpr s sv.Plan.sv_coef)
+      ~target:(Plan.eval_cexpr s sv.Plan.sv_target)
+      ~only:(ref 0)
+  in
+  Alcotest.(check bool)
+    "Pass_none, Pass_one and Test_each all occur" true
+    (List.map solution [ 0; 1; 3; 4; 5; big ]
+    = Plan.[ Pass_none; Pass_one; Pass_one; Pass_one; Pass_none; Test_each ]);
+  List.iter
+    (fun (what, plan) ->
+      Alcotest.(check int)
+        (what ^ ": count = staged survivors") 3
+        (Engine_staged.run plan).Engine.survivors;
+      Alcotest.(check int)
+        (what ^ ": count") 3
+        (Feasible.count (build_exn plan)))
+    [ ("plan", plan); ("propagated", Propagate.pass plan) ]
+
 (* ------------------------------------------------------------------ *)
 (* Survivor-balanced sharding                                          *)
 (* ------------------------------------------------------------------ *)
@@ -320,6 +494,18 @@ let () =
         [
           Alcotest.test_case "serialization" `Quick
             test_deterministic_serialization;
+          Alcotest.test_case "pinned diagram digests" `Quick
+            test_pinned_digests;
+        ] );
+      ( "edges",
+        [
+          Alcotest.test_case "repeated value" `Quick test_duplicate_value;
+          Alcotest.test_case "descending range" `Quick test_descending_range;
+          Alcotest.test_case "evaluation errors" `Quick test_eval_errors;
+          Alcotest.test_case "state budget" `Quick test_state_budget;
+          Alcotest.test_case "long range" `Quick test_long_range;
+          Alcotest.test_case "opaque computes" `Quick test_opaque_counts;
+          Alcotest.test_case "solved checks" `Quick test_solved_counts;
         ] );
       ( "sharding",
         [ Alcotest.test_case "balanced chunks" `Quick test_balanced_chunks ]
