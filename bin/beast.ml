@@ -375,37 +375,48 @@ let with_config ~space ~engine cfg f =
   | code -> exit code
   | exception Sys_error msg -> exit (diagnose 1 msg)
 
+(* The space, and the device when the space is built from it: a .beast
+   file's own settings define its space, and fft and synth have none. *)
 let resolve_space name device =
   if Filename.check_suffix name ".beast" then
     match Parse.space_of_file name with
-    | Ok sp -> sp
+    | Ok sp -> (sp, None)
     | Error e ->
       Format.eprintf "%s: %a@." name Parse.pp_error e;
       exit 2
   else
+  let on_device sp = (sp, Some device) in
   match name with
   | "gemm" ->
-    Gemm.space ~settings:{ Gemm.default_settings with Gemm.device } ()
+    on_device
+    @@ Gemm.space ~settings:{ Gemm.default_settings with Gemm.device } ()
   | "cholesky" ->
-    Cholesky_batched.space
+    on_device
+    @@ Cholesky_batched.space
       ~workload:{ Cholesky_batched.default_workload with Cholesky_batched.device }
       ()
   | "trsm" ->
-    Trsm_batched.space
+    on_device
+    @@ Trsm_batched.space
       ~workload:{ Trsm_batched.default_workload with Trsm_batched.device }
       ()
   | "lu" ->
-    Lu_batched.space
+    on_device
+    @@ Lu_batched.space
       ~workload:{ Lu_batched.default_workload with Lu_batched.device }
       ()
   | "als" ->
-    Als.space ~workload:{ Als.default_workload with Als.device } ()
+    on_device @@ Als.space ~workload:{ Als.default_workload with Als.device } ()
   | "conv2d" ->
-    Conv2d.space ~workload:{ Conv2d.default_workload with Conv2d.device } ()
+    on_device
+    @@ Conv2d.space ~workload:{ Conv2d.default_workload with Conv2d.device } ()
   | "gemm-opt" ->
-    Gemm.space_divisor_opt ~settings:{ Gemm.default_settings with Gemm.device } ()
-  | "fft" -> Fft.space ~max_size:64 ()
-  | "synth" -> Synth.space ()
+    on_device
+    @@ Gemm.space_divisor_opt
+         ~settings:{ Gemm.default_settings with Gemm.device }
+         ()
+  | "fft" -> (Fft.space ~max_size:64 (), None)
+  | "synth" -> (Synth.space (), None)
   | other ->
     Format.eprintf
       "unknown space %s (try: gemm, gemm-opt, cholesky, trsm, lu, als, conv2d, \
@@ -415,8 +426,13 @@ let resolve_space name device =
 
 (* The SPACE argument resolved against the scaled --device: what every
    space-taking command starts from. Commands apply it last, so the
-   other arguments are converted before a bad device or space exits. *)
-type selected = { s_name : string; s_device : Device.t; s_space : Space.t }
+   other arguments are converted before a bad device or space exits.
+   [s_device] is [None] for a space the device does not shape. *)
+type selected = {
+  s_name : string;
+  s_device : Device.t option;
+  s_space : Space.t;
+}
 
 let space_term =
   let space_arg =
@@ -432,44 +448,45 @@ let space_term =
           (String.concat ", " (List.map fst Device.presets));
         exit 2
     in
-    { s_name = name; s_device = device; s_space = resolve_space name device }
+    let s_space, s_device = resolve_space name device in
+    { s_name = name; s_device; s_space }
   in
   Term.(const resolve $ space_arg $ device_arg $ max_dim_arg $ max_threads_arg)
 
 let objective_for space_name device =
-  match space_name with
-  | "gemm" | "gemm-opt" ->
+  match (space_name, device) with
+  | ("gemm" | "gemm-opt"), Some device ->
     let settings = { Gemm.default_settings with Gemm.device } in
     ( Gemm.objective settings,
       Some (Device.peak_gflops device Device.Double),
       None )
-  | "cholesky" ->
+  | "cholesky", Some device ->
     let w = { Cholesky_batched.default_workload with Cholesky_batched.device } in
     ( Cholesky_batched.objective w,
       Some (Device.peak_gflops device Device.Double),
       Some (Cholesky_batched.baseline_gflops w) )
-  | "trsm" ->
+  | "trsm", Some device ->
     let w = { Trsm_batched.default_workload with Trsm_batched.device } in
     ( Trsm_batched.objective w,
       Some (Device.peak_gflops device Device.Double),
       Some (Trsm_batched.baseline_gflops w) )
-  | "lu" ->
+  | "lu", Some device ->
     let w = { Lu_batched.default_workload with Lu_batched.device } in
     ( Lu_batched.objective w,
       Some (Device.peak_gflops device Device.Double),
       Some (Lu_batched.baseline_gflops w) )
-  | "als" ->
+  | "als", Some device ->
     let w = { Als.default_workload with Als.device } in
     ( Als.objective w,
       Some (Device.peak_gflops device w.Als.precision),
       Some (Als.cpu_baseline_gflops w) )
-  | "conv2d" ->
+  | "conv2d", Some device ->
     let w = { Conv2d.default_workload with Conv2d.device } in
     ( Conv2d.objective w,
       Some (Device.peak_gflops device w.Conv2d.precision),
       None )
-  | "fft" -> (Fft.objective, None, None)
-  | other ->
+  | "fft", _ -> (Fft.objective, None, None)
+  | other, _ ->
     Format.eprintf
       "no benchmark objective is bundled for %s; tune/search need one of the \
        built-in spaces (use sweep/dot/codegen/funnel for .beast files)@."
@@ -646,8 +663,11 @@ let sweep_term =
             3
           | Engine_intf.Finished stats ->
             let dt = Clock.elapsed_s ~since:t0 in
-            Format.printf "space %s on %s, engine %s%s: %.3fs@." space_name
-              device.Device.name E.name
+            Format.printf "space %s%s, engine %s%s: %.3fs@." space_name
+              (match device with
+              | Some d -> " on " ^ d.Device.name
+              | None -> "")
+              E.name
               (match cfg.Run_config.shard with
               | None -> ""
               | Some (i, n) -> Printf.sprintf ", shard %d/%d" i n)

@@ -2,7 +2,9 @@
 # Sweeps a space whose range step evaluates to 0 on every in-process
 # engine, and on the native engine when a C compiler is found, and fails
 # unless each exits 2 with exactly one stderr line naming the loop,
-# never an exception trace. With a compiler it also asks the native
+# never an exception trace; a space that divides by zero must give every
+# engine the one line "beast: division by zero" and exit 2 (C leaves the
+# division undefined, so native must check it). With a compiler it also asks the native
 # engine for --explain-out, which it cannot honor: one stderr line,
 # exit 2, and no file written. Last, an output path in a missing
 # directory (merge --stats-out; sweep --stats-out, --explain-out and
@@ -11,26 +13,30 @@
 # no statistics. A write that fails part way (a zero file-size limit
 # with SIGXFSZ ignored, so write(2) fails with EFBIG) is one stderr
 # line, exit 1, and the previous file kept, with no temp file left.
-# And `count` over a range too long to walk (2^62 values) is one stderr
-# line naming the file, the iterator and its trip count, and exit 2.
+# And `count` and `count --bound` over a range too long to walk (2^62
+# values) are one stderr line naming the file, the iterator and its trip
+# count, and exit 2.
 # Usage: sh eval_error_check.sh path/to/beast.exe zero_step.beast
 beast=$1
 space=$2
 case $beast in /*) ;; *) beast=$(pwd)/$beast ;; esac
-want='beast: y: zero range step'
 engines='interp-naive interp vm staged parallel:2'
 if command -v "${BEAST_CC:-cc}" >/dev/null 2>&1; then
   engines="$engines native native:2"
 fi
-for engine in $engines; do
-  err=$("$beast" sweep "$space" --engine "$engine" 2>&1 >/dev/null)
-  code=$?
-  if [ "$code" -ne 2 ] || [ "$err" != "$want" ]; then
-    echo "sweep --engine $engine: exit $code, stderr: $err" >&2
-    echo "expected exit 2 and the single line: $want" >&2
-    exit 1
-  fi
-done
+# refused SPACE LINE: every engine must exit 2 with exactly LINE on stderr
+refused() {
+  for engine in $engines; do
+    err=$("$beast" sweep "$1" --engine "$engine" 2>&1 >/dev/null)
+    code=$?
+    if [ "$code" -ne 2 ] || [ "$err" != "$2" ]; then
+      echo "sweep $1 --engine $engine: exit $code, stderr: $err" >&2
+      echo "expected exit 2 and the single line: $2" >&2
+      exit 1
+    fi
+  done
+}
+refused "$space" 'beast: y: zero range step'
 case $engines in
 *native*)
   dir=$(mktemp -d)
@@ -55,17 +61,25 @@ dir=$(mktemp -d)
 long=$dir/long_range.beast
 printf 'space long_range\niter x = range(0, 4611686018427387903)\niter y = range(0, 3)\n' \
   >"$long"
-err=$("$beast" count "$long" 2>&1 >/dev/null)
-code=$?
-lines=$(printf '%s\n' "$err" | wc -l)
-case $err in "$long: "*"iterator x"*4611686018427387903*) ok=1 ;; *) ok=0 ;; esac
+for bound in '' --bound; do
+  err=$("$beast" count "$long" $bound 2>&1 >/dev/null)
+  code=$?
+  lines=$(printf '%s\n' "$err" | wc -l)
+  case $err in "$long: "*"iterator x"*4611686018427387903*) ok=1 ;; *) ok=0 ;; esac
+  if [ "$code" -ne 2 ] || [ "$lines" -ne 1 ] || [ "$ok" -ne 1 ]; then
+    echo "count $long $bound: exit $code, stderr: $err" >&2
+    echo "expected exit 2 and one line naming the file, x and its trip count" >&2
+    rm -rf "$dir"
+    exit 1
+  fi
+done
 rm -f "$long"
-if [ "$code" -ne 2 ] || [ "$lines" -ne 1 ] || [ "$ok" -ne 1 ]; then
-  echo "count $long: exit $code, stderr: $err" >&2
-  echo "expected exit 2 and one line naming the file, x and its trip count" >&2
-  rm -rf "$dir"
-  exit 1
-fi
+
+divzero=$dir/div_zero.beast
+printf 'space div_zero\niter x = range(0, 3)\niter y = range(0, 2)\nderived q = x / y\nconstraint hard big = q > 100\n' \
+  >"$divzero"
+(refused "$divzero" 'beast: division by zero') || { rm -rf "$dir"; exit 1; }
+rm -f "$divzero"
 
 "$beast" sweep gemm --max-dim 12 --max-threads 32 --stats-out "$dir/S" \
   >/dev/null 2>&1 || { echo "sweep --stats-out failed" >&2; exit 1; }

@@ -17,12 +17,21 @@ let sanitize name =
 let var_names (plan : Plan.t) =
   Array.map (fun n -> "v_" ^ sanitize n) plan.Plan.slot_names
 
+(* Only a division by a nonzero literal is emitted as plain C: any other
+   divisor goes through a checked helper, since C leaves division by
+   zero undefined (gcc assumes it away) where OCaml raises. *)
+let nonzero_lit : Plan.cexpr -> bool = function CLit k -> k <> 0 | _ -> false
+
 let rec c_expr names (e : Plan.cexpr) =
   match e with
   | CLit k -> Printf.sprintf "INT64_C(%d)" k
   | CSlot i -> names.(i)
   | CUn (Neg, a) -> Printf.sprintf "(-%s)" (c_expr names a)
   | CUn (Not, a) -> Printf.sprintf "(!%s)" (c_expr names a)
+  | CBin (((Div | Mod) as op), a, b) when not (nonzero_lit b) ->
+    Printf.sprintf "beast_%s(%s, %s)"
+      (if op = Div then "div" else "mod")
+      (c_expr names a) (c_expr names b)
   | CBin (op, a, b) ->
     Printf.sprintf "(%s %s %s)" (c_expr names a) (Expr.binop_symbol op)
       (c_expr names b)
@@ -40,15 +49,48 @@ let rec c_expr names (e : Plan.cexpr) =
 
 let zero_step_exit = 3
 
-(* The C twin of [Plan.trip_count] and [Plan.solve], emitted only into
-   programs with a solved loop. Unsigned arithmetic keeps the trip count
-   and the last value exact for any int64 operands; the guards are the
-   OCaml ones with 63-bit bounds, so both languages solve the same
-   entries and test every value of the same others. *)
-let solve_helpers =
-  {|#define BEAST_MAX63 INT64_C(4611686018427387903)
-#define BEAST_OUT63(x) ((x) < -BEAST_MAX63 || (x) > BEAST_MAX63)
+let div_zero_exit = 4
 
+(* Helpers every program carries. The two exits are cold and noreturn,
+   so their checks stay off the hot path: without the attribute gcc 12
+   -O2 laid the GEMM-120 nest out ~30% slower. A range whose step
+   evaluates to 0 names its loop (by its position in the plan's loop
+   order); a division by zero leaves with a status of its own. The
+   checks of a literal divisor fold away once the helpers inline. *)
+let helpers =
+  Printf.sprintf
+    {|static inline int64_t beast_min(int64_t a, int64_t b) { return a < b ? a : b; }
+static inline int64_t beast_max(int64_t a, int64_t b) { return a > b ? a : b; }
+static inline int64_t beast_abs(int64_t a) { return a < 0 ? -a : a; }
+
+#if defined(__GNUC__)
+#define BEAST_COLD __attribute__((noreturn, cold))
+#else
+#define BEAST_COLD
+#endif
+
+BEAST_COLD static void beast_zero_step(int loop) {
+  printf("zero-step %%d\n", loop);
+  fflush(stdout);
+  _Exit(%d);
+}
+
+BEAST_COLD static void beast_div_zero(void) { _Exit(%d); }
+
+static inline int64_t beast_div(int64_t a, int64_t b) {
+  if (b == 0) beast_div_zero();
+  return a / b;
+}
+static inline int64_t beast_mod(int64_t a, int64_t b) {
+  if (b == 0) beast_div_zero();
+  return a %% b;
+}
+static inline int64_t beast_ceil_div(int64_t a, int64_t b) {
+  return beast_div(a + b - 1, b);
+}
+
+/* The twin of Plan.trip_count: unsigned arithmetic keeps it exact for
+   any int64 operands. */
 static inline uint64_t beast_trip(int64_t start, int64_t stop, int64_t step) {
   if (step > 0)
     return start < stop
@@ -56,6 +98,17 @@ static inline uint64_t beast_trip(int64_t start, int64_t stop, int64_t step) {
   return start > stop
     ? ((uint64_t)start - (uint64_t)stop - 1) / (0 - (uint64_t)step) + 1 : 0;
 }
+
+|}
+    zero_step_exit div_zero_exit
+
+(* The C twin of [Plan.solve], emitted only into programs with a solved
+   loop. The guards are the OCaml ones with 63-bit bounds, so both
+   languages solve the same entries and test every value of the same
+   others. *)
+let solve_helper =
+  {|#define BEAST_MAX63 INT64_C(4611686018427387903)
+#define BEAST_OUT63(x) ((x) < -BEAST_MAX63 || (x) > BEAST_MAX63)
 
 /* -1: test every value; otherwise how many of the trip's values pass
    "m * x != t" (0, or 1 with the value in *only). Mirrors Plan.solve. */
@@ -140,26 +193,8 @@ let generate ?(threads = 1) ?(emit_survivors = false) (plan : Plan.t) =
     add "#include <stdio.h>\n#include <stdlib.h>\n";
     add "#include <stdint.h>\n#include <inttypes.h>\n";
     if threads > 1 then add "#include <pthread.h>\n";
-    add "\n";
-    add "static inline int64_t beast_min(int64_t a, int64_t b) { return a < b ? a : b; }\n";
-    add "static inline int64_t beast_max(int64_t a, int64_t b) { return a > b ? a : b; }\n";
-    add "static inline int64_t beast_abs(int64_t a) { return a < 0 ? -a : a; }\n";
-    add
-      "static inline int64_t beast_ceil_div(int64_t a, int64_t b) { return (a + b - 1) / b; }\n\n";
-    if any_solved plan.Plan.steps then add "%s" solve_helpers;
-    (* A range whose step evaluates to 0 is an error, as in the OCaml
-       engines: name the loop (by its position in the plan's loop order)
-       and leave with a status of its own. Marked cold so the check stays
-       off the hot path: without it gcc 12 -O2 laid the GEMM-120 nest out
-       ~30% slower. *)
-    add "#if defined(__GNUC__)\n";
-    add "__attribute__((noreturn, cold))\n";
-    add "#endif\n";
-    add "static void beast_zero_step(int loop) {\n";
-    add "  printf(\"zero-step %%d\\n\", loop);\n";
-    add "  fflush(stdout);\n";
-    add "  _Exit(%d);\n" zero_step_exit;
-    add "}\n\n";
+    add "\n%s" helpers;
+    if any_solved plan.Plan.steps then add "%s" solve_helper;
     add "#define BEAST_N_CONSTRAINTS %d\n\n" n_constraints;
     List.iter
       (fun (id, vs) ->
@@ -174,14 +209,22 @@ let generate ?(threads = 1) ?(emit_survivors = false) (plan : Plan.t) =
         end)
       (List.rev !tables);
     add "\n";
+    (* With several threads, each claims the next position of the outer
+       loop from one counter until the counter passes the trip count, so
+       an uneven nest still keeps every thread busy. One counter serves
+       because the canonical nest (see Plan) has one outermost loop. *)
+    if threads > 1 then begin
+      add "static uint64_t beast_next;\n";
+      add
+        "#define BEAST_CLAIM() __atomic_fetch_add(&beast_next, 1, __ATOMIC_RELAXED)\n\n"
+    end;
     add
-      "static int64_t beast_sweep_slice(int64_t slice_index, int64_t slice_count,\n";
-    add
-      "                                 int64_t *prune_counts, int64_t *loop_iterations) {\n";
+      "static int64_t beast_sweep(int64_t worker, int64_t *prune_counts,\n";
+    add "                           int64_t *loop_iterations) {\n";
     add "  int64_t survivors = 0;\n";
     Array.iter (fun n -> add "  int64_t %s = 0;\n" n) names;
     Array.iter (fun n -> add "  (void)%s;\n" n) names;
-    add "  (void)slice_index; (void)slice_count;\n";
+    add "  (void)worker;\n";
     let indent d = String.make (2 * (d + 1)) ' ' in
     let table_counter = ref 0 in
     let rec emit_steps depth steps =
@@ -190,11 +233,10 @@ let generate ?(threads = 1) ?(emit_survivors = false) (plan : Plan.t) =
           match step with
           | Plan.Yield ->
             (* A yield at depth 0 means the plan has no loops: the whole
-               space is one point, which belongs to slice 0 alone (the
-               same convention as Plan.slice_outer). *)
+               space is one point, which worker 0 alone counts. *)
             let ind =
               if depth = 0 then begin
-                add "%sif (slice_index == 0) {\n" (indent depth);
+                add "%sif (worker == 0) {\n" (indent depth);
                 indent (depth + 1)
               end
               else indent depth
@@ -215,12 +257,12 @@ let generate ?(threads = 1) ?(emit_survivors = false) (plan : Plan.t) =
           | Plan.Derive { d_compute = CF _; _ } -> assert false
           | Plan.Check { c_index; c_compute = CE e; c_name; _ } ->
             if depth = 0 then
-              (* Depth-0 steps execute in every slice (the bounds of the
+              (* Depth-0 steps execute in every worker (the bounds of the
                  outer loop may need them), but their statistics describe
-                 the whole space once: only slice 0 counts the firing, so
-                 the per-slice totals sum to the sequential ones. *)
+                 the whole space once: only worker 0 counts the firing, so
+                 the per-worker totals sum to the sequential ones. *)
               add
-                "%sif (%s) { if (slice_index == 0) prune_counts[%d]++; goto beast_done; }  /* %s */\n"
+                "%sif (%s) { if (worker == 0) prune_counts[%d]++; goto beast_done; }  /* %s */\n"
                 (indent depth) (c_expr names e) c_index c_name
             else
               add "%sif (%s) { prune_counts[%d]++; continue; }  /* %s */\n"
@@ -228,16 +270,15 @@ let generate ?(threads = 1) ?(emit_survivors = false) (plan : Plan.t) =
           | Plan.Check { c_compute = CF _; _ } -> assert false
           | Plan.Static_prune { sp_var; sp_dead; _ } ->
             (* Statistics-only replay of propagation-removed values. An
-               outer-loop prune sits before the sliced loop and would be
-               replayed once per slice, so only slice 0 counts it —
-               same convention as depth-0 checks; deeper prunes run once
-               per enclosing-body entry, which each slice does for its
-               own share of the work. *)
+               outer-loop prune sits before the claimed loop, where every
+               worker passes, so only worker 0 counts it; deeper prunes
+               run once per enclosing-body entry, which belongs to the
+               worker that claimed it. *)
             let ind = indent depth in
             let n = Array.length sp_dead in
             let counts = Plan.static_prune_counts sp_dead in
             if depth = 0 then
-              add "%sif (slice_index == 0) {  /* static prune %s */\n" ind
+              add "%sif (worker == 0) {  /* static prune %s */\n" ind
                 (sanitize sp_var)
             else add "%s{  /* static prune %s */\n" ind (sanitize sp_var);
             add "%s  *loop_iterations += INT64_C(%d);\n" ind n;
@@ -249,30 +290,29 @@ let generate ?(threads = 1) ?(emit_survivors = false) (plan : Plan.t) =
           | Plan.Loop { l_slot; l_iter; l_body; l_var } -> (
             let ind = indent depth in
             let v = names.(l_slot) in
+            (* The outer loop of a multithreaded program visits the
+               positions its worker claims, in any order. *)
+            let claimed = depth = 0 && threads > 1 in
             match l_iter with
             | Plan.CRange (a, b, c) ->
               let solved = Plan.solved_check ~slot:l_slot l_iter l_body in
+              let bound = if solved = None then "const int64_t" else "int64_t" in
               add "%s{  /* loop %s */\n" ind l_var;
-              add "%s  int64_t start_%d = %s;\n" ind depth (c_expr names a);
-              add "%s  %sint64_t stop_%d = %s;\n" ind
-                (if solved = None then "const " else "")
-                depth (c_expr names b);
-              add "%s  int64_t step_%d = %s;\n" ind depth (c_expr names c);
+              add "%s  %s start_%d = %s;\n" ind bound depth (c_expr names a);
+              add "%s  %s stop_%d = %s;\n" ind bound depth (c_expr names b);
+              add "%s  const int64_t step_%d = %s;\n" ind depth (c_expr names c);
               (match c with
               | CLit k when k <> 0 -> ()
               | _ ->
                 add "%s  if (step_%d == 0) beast_zero_step(%d);\n" ind depth
                   (loop_position l_var));
-              if depth = 0 then begin
-                add "%s  start_%d += slice_index * step_%d;\n" ind depth depth;
-                add "%s  step_%d *= slice_count;\n" ind depth
-              end;
               Option.iter
                 (fun (sv : Plan.solved) ->
                   (* Narrow the loop to the values that pass: none, or
                      the one, which still runs its (passing) check. The
-                     others are charged in bulk. m and t are evaluated
-                     only when the loop has values, as unsolved. *)
+                     others are charged in bulk, for the outer loop by
+                     worker 0 alone. m and t are evaluated only when the
+                     loop has values, as unsolved. *)
                   let c_name, _ = plan.Plan.constraint_info.(sv.sv_index) in
                   add "%s  {  /* solved %s */\n" ind c_name;
                   add
@@ -285,9 +325,11 @@ let generate ?(threads = 1) ?(emit_survivors = false) (plan : Plan.t) =
                     (c_expr names sv.sv_coef)
                     (c_expr names sv.sv_target);
                   add "%s    if (pass >= 0) {\n" ind;
-                  add "%s      *loop_iterations += (int64_t)trip - pass;\n" ind;
-                  add "%s      prune_counts[%d] += (int64_t)trip - pass;\n" ind
-                    sv.sv_index;
+                  let charge = if depth = 0 then "if (worker == 0) " else "" in
+                  add "%s      %s*loop_iterations += (int64_t)trip - pass;\n"
+                    ind charge;
+                  add "%s      %sprune_counts[%d] += (int64_t)trip - pass;\n"
+                    ind charge sv.sv_index;
                   add "%s      start_%d = only;\n" ind depth;
                   add
                     "%s      stop_%d = pass == 0 ? only : step_%d > 0 ? only + 1 : only - 1;\n"
@@ -295,9 +337,21 @@ let generate ?(threads = 1) ?(emit_survivors = false) (plan : Plan.t) =
                   add "%s    }\n" ind;
                   add "%s  }\n" ind)
                 solved;
-              add
-                "%s  for (%s = start_%d; step_%d > 0 ? %s < stop_%d : %s > stop_%d; %s += step_%d) {\n"
-                ind v depth depth v depth v depth v depth;
+              if claimed then begin
+                add
+                  "%s  const uint64_t trip_%d = beast_trip(start_%d, stop_%d, step_%d);\n"
+                  ind depth depth depth depth;
+                add
+                  "%s  for (uint64_t k_%d = BEAST_CLAIM(); k_%d < trip_%d; k_%d = BEAST_CLAIM()) {\n"
+                  ind depth depth depth depth;
+                add
+                  "%s    %s = (int64_t)((uint64_t)start_%d + k_%d * (uint64_t)step_%d);\n"
+                  ind v depth depth depth
+              end
+              else
+                add
+                  "%s  for (%s = start_%d; step_%d > 0 ? %s < stop_%d : %s > stop_%d; %s += step_%d) {\n"
+                  ind v depth depth v depth v depth v depth;
               add "%s    (*loop_iterations)++;\n" ind;
               emit_steps (depth + 2) l_body;
               add "%s  }\n" ind;
@@ -310,12 +364,13 @@ let generate ?(threads = 1) ?(emit_survivors = false) (plan : Plan.t) =
                   l_var
               else begin
                 add "%s{  /* loop %s */\n" ind l_var;
-                let first, step_idx =
-                  if depth = 0 then ("slice_index", "slice_count") else ("0", "1")
-                in
-                add
-                  "%s  for (int64_t idx_%d = %s; idx_%d < %d; idx_%d += %s) {\n"
-                  ind depth first depth (Array.length vs) depth step_idx;
+                if claimed then
+                  add
+                    "%s  for (uint64_t idx_%d = BEAST_CLAIM(); idx_%d < %d; idx_%d = BEAST_CLAIM()) {\n"
+                    ind depth depth (Array.length vs) depth
+                else
+                  add "%s  for (int64_t idx_%d = 0; idx_%d < %d; idx_%d++) {\n"
+                    ind depth depth (Array.length vs) depth;
                 add "%s    %s = beast_values_%d[idx_%d];\n" ind v id depth;
                 add "%s    (*loop_iterations)++;\n" ind;
                 emit_steps (depth + 2) l_body;
@@ -332,49 +387,41 @@ let generate ?(threads = 1) ?(emit_survivors = false) (plan : Plan.t) =
     add "}\n\n";
     if threads > 1 then begin
       add "typedef struct {\n";
-      add "  int64_t index, count, survivors, iterations;\n";
+      add "  int64_t worker, survivors, iterations;\n";
       add "  int64_t prune_counts[BEAST_N_CONSTRAINTS > 0 ? BEAST_N_CONSTRAINTS : 1];\n";
       add "} beast_task;\n\n";
       add "static void *beast_thread(void *arg) {\n";
       add "  beast_task *t = (beast_task *)arg;\n";
       add
-        "  t->survivors = beast_sweep_slice(t->index, t->count, t->prune_counts, &t->iterations);\n";
+        "  t->survivors = beast_sweep(t->worker, t->prune_counts, &t->iterations);\n";
       add "  return NULL;\n";
       add "}\n\n"
     end;
     add "int main(void) {\n";
+    add "  int64_t survivors = 0, iterations = 0;\n";
+    add "  int64_t prune_counts[BEAST_N_CONSTRAINTS > 0 ? BEAST_N_CONSTRAINTS : 1] = { 0 };\n";
     if threads > 1 then begin
+      (* main is worker 0. A thread that cannot be created leaves its
+         claims to the workers that run. *)
       add "  enum { T = %d };\n" threads;
-      add "  beast_task tasks[T];\n";
+      add "  static beast_task tasks[T];\n";
       add "  pthread_t tids[T];\n";
-      add "  int joined[T];\n";
-      add "  for (int t = 0; t < T; t++) {\n";
-      add "    tasks[t].index = t; tasks[t].count = T;\n";
-      add "    tasks[t].survivors = tasks[t].iterations = 0;\n";
+      add "  int started = 1;\n";
+      add "  for (int t = 0; t < T; t++) tasks[t].worker = t;\n";
       add
-        "    for (int c = 0; c < BEAST_N_CONSTRAINTS; c++) tasks[t].prune_counts[c] = 0;\n";
-      (* A thread that cannot be created must not drop its slice: run
-         it inline and skip its join. *)
-      add
-        "    joined[t] =\n\
-        \      pthread_create(&tids[t], NULL, beast_thread, &tasks[t]) == 0;\n";
-      add "    if (!joined[t]) beast_thread(&tasks[t]);\n";
-      add "  }\n";
-      add "  int64_t survivors = 0, iterations = 0;\n";
-      add "  int64_t prune_counts[BEAST_N_CONSTRAINTS > 0 ? BEAST_N_CONSTRAINTS : 1] = { 0 };\n";
-      add "  for (int t = 0; t < T; t++) {\n";
-      add "    if (joined[t]) pthread_join(tids[t], NULL);\n";
+        "  while (started < T\n\
+        \         && pthread_create(&tids[started], NULL, beast_thread, &tasks[started]) == 0)\n";
+      add "    started++;\n";
+      add "  beast_thread(&tasks[0]);\n";
+      add "  for (int t = 0; t < started; t++) {\n";
+      add "    if (t > 0) pthread_join(tids[t], NULL);\n";
       add "    survivors += tasks[t].survivors;\n";
       add "    iterations += tasks[t].iterations;\n";
       add
         "    for (int c = 0; c < BEAST_N_CONSTRAINTS; c++) prune_counts[c] += tasks[t].prune_counts[c];\n";
       add "  }\n"
     end
-    else begin
-      add "  int64_t iterations = 0;\n";
-      add "  int64_t prune_counts[BEAST_N_CONSTRAINTS > 0 ? BEAST_N_CONSTRAINTS : 1] = { 0 };\n";
-      add "  int64_t survivors = beast_sweep_slice(0, 1, prune_counts, &iterations);\n"
-    end;
+    else add "  survivors = beast_sweep(0, prune_counts, &iterations);\n";
     add "  printf(\"survivors %%\" PRId64 \"\\n\", survivors);\n";
     add "  printf(\"iterations %%\" PRId64 \"\\n\", iterations);\n";
     Array.iteri

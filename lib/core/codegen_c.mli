@@ -4,24 +4,28 @@
     executed at high speed, and multithreaded for extra performance."
 
     The emitted translation unit contains:
-    - [beast_sweep_slice(slice_index, slice_count, prune_counts,
-      loop_iterations, survivor_hook)] enumerating a round-robin slice of
-      the outermost loop (slice 0 of 1 is the whole space). Steps before
-      the first loop execute in every slice, but only slice 0 counts
-      their statistics (depth-0 constraint firings, the yield of a
-      loop-free plan), so per-slice totals sum to exactly the
-      sequential run's — the invariant {!Engine_native} relies on for
-      byte-identical multithreaded stats;
-    - [beast_sweep(...)] — the single-threaded entry;
-    - a [main] that runs the sweep (across [threads] POSIX threads when
-      [threads > 1]; a slice whose thread cannot be created runs inline)
-      and prints the statistics in a stable, parseable format: one
-      [survivors N] line, one [iterations N] line and one
+    - [beast_sweep(worker, prune_counts, loop_iterations)] enumerating the
+      nest. With [threads > 1] its outermost loop computes its trip count
+      once and visits the positions its worker claims from one atomic
+      counter ([__atomic_fetch_add]), so a skewed nest keeps every
+      thread busy. Steps before that loop execute in every worker, but
+      only worker 0 counts their statistics (depth-0 constraint
+      firings, depth-0 static prunes, the bulk charge of a solved outer
+      loop, the yield of a loop-free plan), so per-worker totals sum to
+      exactly the sequential run's — the invariant {!Engine_native}
+      relies on for byte-identical multithreaded stats;
+    - a [main] that runs the sweep as worker 0, beside [threads - 1]
+      POSIX threads (a thread that cannot be created leaves its claims
+      to the others), and prints the statistics in a stable, parseable
+      format: one [survivors N] line, one [iterations N] line and one
       [pruned <name> N] line per constraint.
 
     A range loop whose step evaluates to 0 prints [zero-step K] (K the
     loop's position in the plan's [iter_order]) and exits with
-    {!zero_step_exit}, mirroring the OCaml engines' error.
+    {!zero_step_exit}; a division or [ceil_div] by zero exits with
+    {!div_zero_exit}. Both mirror the OCaml engines' errors: every
+    [ceil_div], and [/] and [%] by anything but a nonzero literal, go
+    through checked helpers, since C leaves division by zero undefined.
 
     Restrictions (mirroring the translatable subset of the paper's
     Python): opaque OCaml bodies ([Space.derived_f] / [Space.constrain_f])
@@ -34,6 +38,9 @@ type error = Unsupported of string
 
 val zero_step_exit : int
 (** 3 — the exit status of a program that met a zero range step. *)
+
+val div_zero_exit : int
+(** 4 — the exit status of a program that divided by zero. *)
 
 val sanitize : string -> string
 (** Map a parameter name to a valid C identifier fragment (shared with

@@ -342,10 +342,13 @@ let run ?on_hit ?workdir ?(threads = 1) (plan : Plan.t) =
               | Ok stats -> stats
               | Result.Error msg -> raise (Error msg))
             | Unix.WEXITED n -> (
-              (* A zero range step names its loop on the last line. *)
+              (* A zero range step names its loop on the last line; a
+                 division by zero is the OCaml engines' message. *)
               match parsed with
               | Result.Error msg when n = Codegen_c.zero_step_exit ->
                 raise (Error msg)
+              | _ when n = Codegen_c.div_zero_exit ->
+                raise (Error "division by zero")
               | _ -> errorf "%s exited with status %d" exe n)
             | Unix.WSIGNALED s ->
               errorf "%s killed by signal %s" exe (signal_name s)

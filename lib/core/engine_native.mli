@@ -19,16 +19,20 @@
 
     Sharding composes for free: a plan restricted with
     {!Plan.chunk_outer} (what [beast sweep --shard I/N] does) generates a
-    program for exactly that block, and the C program's own
-    [slice_index/slice_count] round-robin decomposition carries the
-    [THREADS] fan-out, with depth-0 statistics counted by slice 0 alone —
-    so both [beast merge] over shard files and the in-binary pthread
-    split reproduce the unsharded, single-threaded output byte for byte.
+    program for exactly that block. Inside the binary, [THREADS] workers
+    (main and [THREADS - 1] pthreads) claim outer-loop positions one at a
+    time from one atomic counter, so a nest whose work sits in a few
+    outer values still keeps every thread busy; depth-0 statistics are
+    counted by worker 0 alone. Both [beast merge] over shard files and
+    the in-binary claiming reproduce the unsharded, single-threaded
+    output byte for byte.
 
     Failures are values, not traces: an untranslatable plan (opaque OCaml
     constraint bodies, dependent closure iterators), a missing compiler,
     a failed compile and malformed subprocess output all raise {!Error}
-    with a one-line actionable message. *)
+    with a one-line actionable message. A zero range step and a division
+    by zero in the running program raise {!Error} with the OCaml
+    engines' text ([y: zero range step], [division by zero]). *)
 
 exception Error of string
 (** Everything that can go wrong between a plan and its parsed

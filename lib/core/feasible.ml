@@ -208,6 +208,12 @@ exception Failed of string
 
 let fail fmt = Printf.ksprintf (fun msg -> raise (Failed msg)) fmt
 
+(* A range too long to walk or materialise is refused up front. *)
+let check_trip var n max_states =
+  if n > max_states then
+    fail "iterator %s: range of %d values exceeds the %d-state budget" var n
+      max_states
+
 let annotate ~n_slots (steps : Plan.step list) =
   let uid = ref 0 in
   let compute = function Plan.CE e -> Plan.compile_cexpr e | Plan.CF f -> f
@@ -318,9 +324,7 @@ let build ?(max_states = default_max_states) (plan : Plan.t) :
         let start = start slots and stop = stop slots and step = step slots in
         if step = 0 then fail "Feasible: zero range step";
         let n = Plan.trip_count ~start ~stop ~step in
-        if n > max_states then
-          fail "iterator %s: range of %d values exceeds the %d-state budget"
-            var n max_states;
+        check_trip var n max_states;
         let solution =
           match solved with
           | None -> Plan.Test_each
@@ -353,16 +357,17 @@ let build ?(max_states = default_max_states) (plan : Plan.t) :
 (* Upper bound from propagation alone                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The values of an iterator whose bounds are all slot-free. *)
-let static = function
+(* The values of iterator [var] when its bounds are all slot-free;
+   [Failed] for a range past the state budget. *)
+let static var = function
   | Plan.CValues vs -> Some vs
   | Plan.CRange (sa, sb, sc) -> (
     let open Plan in
     match (static_cexpr sa, static_cexpr sb, static_cexpr sc) with
     | Some start, Some stop, Some step when step <> 0 ->
-      Some
-        (Array.init (trip_count ~start ~stop ~step) (fun i ->
-             start + (i * step)))
+      let n = trip_count ~start ~stop ~step in
+      check_trip var n default_max_states;
+      Some (Array.init n (fun i -> start + (i * step)))
     | _ -> None)
   | Plan.CDyn _ -> None
 
@@ -381,7 +386,7 @@ let of_propagation (plan : Plan.t) : (t, string) result =
   let rec chain = function
     | [] -> Ok Accept
     | (var, iter) :: deeper -> (
-      match static iter with
+      match static var iter with
       | None -> Error (Printf.sprintf "iterator %s is not static" var)
       | Some vs -> (
         match chain deeper with
@@ -394,7 +399,7 @@ let of_propagation (plan : Plan.t) : (t, string) result =
           Ok (cons_node a pairs)))
   in
   match chain (loops [] plan.Plan.steps) with
-  | Error msg -> Error msg
+  | Error msg | (exception Failed msg) -> Error msg
   | Ok root ->
     Ok
       {
@@ -669,13 +674,14 @@ let chunk_outer_balanced feas (plan : Plan.t) ~index ~of_ =
   if of_ <= 0 then invalid_arg "Feasible.chunk_outer_balanced: of_ must be > 0";
   if index < 0 || index >= of_ then
     invalid_arg "Feasible.chunk_outer_balanced: index out of range";
-  let rec outer_iter = function
-    | Plan.Loop { l_iter; _ } :: _ -> Some l_iter
-    | _ :: rest -> outer_iter rest
+  let rec outer_values = function
+    | Plan.Loop { l_var; l_iter; _ } :: _ -> static l_var l_iter
+    | _ :: rest -> outer_values rest
     | [] -> None
   in
-  match Option.bind (outer_iter plan.Plan.steps) static with
-  | None -> Plan.chunk_outer plan ~index ~of_
+  match outer_values plan.Plan.steps with
+  | exception Failed msg -> Error msg
+  | None -> Ok (Plan.chunk_outer plan ~index ~of_)
   | Some values ->
     let n = Array.length values in
     let weights = outer_counts feas values in
@@ -718,4 +724,4 @@ let chunk_outer_balanced feas (plan : Plan.t) ~index ~of_ =
       | s :: rest -> s :: rebuild rest
       | [] -> []
     in
-    { plan with Plan.steps = rebuild plan.Plan.steps }
+    Ok { plan with Plan.steps = rebuild plan.Plan.steps }

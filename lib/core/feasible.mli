@@ -36,7 +36,9 @@ val build : ?max_states:int -> Plan.t -> (t, string) result
 val of_propagation : Plan.t -> (t, string) result
 (** Product of the static iterator domains: every check assumed to
     pass. An upper bound on {!build}; [Error] when an iterator has
-    symbolic bounds or is dynamic. *)
+    symbolic bounds or is dynamic, or when a range holds more values
+    than {!build}'s default state budget (the message names the
+    iterator and its trip count, as {!build}'s does). *)
 
 val count : t -> int
 (** Exact number of feasible points. O(1): totals are stored on the
@@ -70,7 +72,8 @@ val to_string : t -> string
     serialize identically regardless of construction order, so
     separate processes can agree on shard plans by comparing digests. *)
 
-val chunk_outer_balanced : t -> Plan.t -> index:int -> of_:int -> Plan.t
+val chunk_outer_balanced :
+  t -> Plan.t -> index:int -> of_:int -> (Plan.t, string) result
 (** [Plan.chunk_outer] with the cut positions chosen by cumulative
     feasible count: each chunk is a contiguous block of the outer trip
     sequence holding as close to [count t / of_] survivors as block
@@ -79,4 +82,6 @@ val chunk_outer_balanced : t -> Plan.t -> index:int -> of_:int -> Plan.t
     Falls back to [Plan.chunk_outer] when the outer iterator is not
     static. Depth-0 [Static_prune] bookkeeping splits by block
     position, so merged statistics still sum to the sequential run's.
+    [Error] when the outer range holds more values than {!build}'s
+    default state budget, with {!build}'s message.
     @raise Invalid_argument for [of_ <= 0] or [index] out of range. *)

@@ -174,6 +174,30 @@ let test_of_propagation () =
     Alcotest.(check int) "coupled: product bound" 25 (Feasible.count ub);
     Alcotest.(check int) "coupled: exact below bound" 22 exact
 
+(* A static range too long to materialise (2^62 values) is the budget
+   error [build] gives, from the bound and from balanced chunking. *)
+let test_oversized_range () =
+  let xy stop =
+    let sp = Space.create ~name:"long_range" () in
+    Space.iterator sp "x" (Iter.range_i 0 stop);
+    Space.iterator sp "y" (Iter.range_i 0 3);
+    Plan.make_exn sp
+  in
+  let plan = xy max_int in
+  let budget what = function
+    | Ok _ -> Alcotest.failf "%s accepted a 2^62-value range" what
+    | Error msg ->
+      Alcotest.(check string) what
+        (Printf.sprintf
+           "iterator x: range of %d values exceeds the 2000000-state budget"
+           max_int)
+        msg
+  in
+  budget "build" (Feasible.build plan);
+  budget "of_propagation" (Feasible.of_propagation plan);
+  budget "chunk_outer_balanced"
+    (Feasible.chunk_outer_balanced (build_exn (xy 3)) plan ~index:0 ~of_:2)
+
 (* ------------------------------------------------------------------ *)
 (* Set algebra                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -435,11 +459,16 @@ let outer_values plan =
   in
   go plan.Plan.steps
 
+let balanced feas plan ~index =
+  match Feasible.chunk_outer_balanced feas plan ~index ~of_:2 with
+  | Ok chunk -> chunk
+  | Error msg -> Alcotest.fail msg
+
 let test_balanced_chunks () =
   let plan = Plan.make_exn (skewed_space ()) in
   let feas = build_exn plan in
-  let c0 = Feasible.chunk_outer_balanced feas plan ~index:0 ~of_:2 in
-  let c1 = Feasible.chunk_outer_balanced feas plan ~index:1 ~of_:2 in
+  let c0 = balanced feas plan ~index:0 in
+  let c1 = balanced feas plan ~index:1 in
   Alcotest.(check (array int)) "heavy value isolated" [| 0 |] (outer_values c0);
   Alcotest.(check (array int))
     "light tail together"
@@ -462,7 +491,7 @@ let test_balanced_chunks () =
      the propagated chunk's stats equal the unpropagated chunk's. *)
   let prop = Propagate.pass plan in
   let feas_p = build_exn prop in
-  let p0 = Feasible.chunk_outer_balanced feas_p prop ~index:0 ~of_:2 in
+  let p0 = balanced feas_p prop ~index:0 in
   let sp0 = Engine_staged.run p0 in
   Alcotest.(check int) "propagated balanced chunk survivors"
     s0.Engine.survivors sp0.Engine.survivors
@@ -487,7 +516,11 @@ let () =
           Alcotest.test_case "sample" `Quick test_sample;
         ] );
       ( "bound",
-        [ Alcotest.test_case "of_propagation" `Quick test_of_propagation ] );
+        [
+          Alcotest.test_case "of_propagation" `Quick test_of_propagation;
+          Alcotest.test_case "oversized range is an error" `Quick
+            test_oversized_range;
+        ] );
       ( "algebra",
         [ Alcotest.test_case "union and inter" `Quick test_union_inter ] );
       ( "determinism",
