@@ -904,10 +904,10 @@ let funnel_cmd =
 (* count / sample — the compact feasible-set queries                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Both commands run the propagation pre-pass unconditionally: it never
-   changes the feasible set (the identity tests pin that), it only
-   shrinks the diagram construction, and the --bound path reads the
-   Static_prune records it leaves behind. *)
+(* count, sample and search run the propagation pre-pass
+   unconditionally: it never changes the feasible set (the identity
+   tests pin that), it only shrinks the diagram construction, and the
+   --bound path reads the Static_prune records it leaves behind. *)
 let feasible_of space_name sp =
   let plan = Plan.optimize ~passes:[ Propagate.pass ] (Plan.make_exn sp) in
   (plan, fun () ->
@@ -1005,35 +1005,37 @@ let search_cmd =
   let run method_ budget seed cfg
       { s_name = space_name; s_device = device; s_space = sp } =
     let objective, peak, _ = objective_for space_name device in
+    let plan, build = feasible_of space_name sp in
+    let feas = build () in
     with_config ~space:space_name ~engine:"search" cfg (fun _run_id ->
-        let plan = Plan.make_exn sp in
         let rng = Random.State.make [| seed |] in
         Search.reset_counters ();
         let result =
           match method_ with
-          | `Random -> Search.random_search ~rng ~budget ~objective plan
+          | `Random -> Search.random_search ~rng ~budget ~objective plan feas
           | `Hill ->
             Search.hill_climb ~rng ~restarts:(max 1 (budget / 100))
-              ~steps:100 ~objective plan
+              ~steps:100 ~objective plan feas
         in
         (match result with
         | None -> Format.printf "no feasible point found@."
         | Some c ->
-          Format.printf "best score %.2f" c.Search.score;
+          Format.printf "best score %.2f" c.Tuner.score;
           (match peak with
           | Some p when p > 0.0 ->
-            Format.printf " (%.1f%% of peak)" (100.0 *. c.Search.score /. p)
+            Format.printf " (%.1f%% of peak)" (100.0 *. c.Tuner.score /. p)
           | _ -> ());
           Format.printf " after %d evaluations@." (Search.evaluations ());
           List.iter
             (fun (n, v) -> Format.printf "  %s = %s@." n (Value.to_string v))
-            c.Search.bindings);
+            c.Tuner.bindings);
         0)
   in
   Cmd.v
     (Cmd.info "search"
        ~doc:
-         "Statistical search instead of exhaustive sweeping (the paper's           future-work direction)")
+         "Statistical search over the feasible set instead of exhaustive \
+          sweeping (the paper's future-work direction)")
     Term.(
       const run $ method_arg $ budget_arg $ seed_arg $ obs_config_term
       $ space_term)

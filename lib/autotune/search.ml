@@ -1,213 +1,110 @@
 open Beast_core
 open Beast_obs
 
-type candidate = {
-  score : float;
-  slots : int array;
-  bindings : (string * Value.t) list;
-}
-
 let eval_count = ref 0
 let evaluations () = !eval_count
 let reset_counters () = eval_count := 0
 
-let eval_compute slots = function
-  | Plan.CE e -> Plan.eval_cexpr slots e
-  | Plan.CF f -> f slots
-
-let materialize_citer slots = function
-  | Plan.CRange (a, b, c) ->
-    let start = Plan.eval_cexpr slots a
-    and stop = Plan.eval_cexpr slots b
-    and step = Plan.eval_cexpr slots c in
-    if step = 0 then raise (Expr.Eval_error "Search: zero range step");
-    let n =
-      if step > 0 then max 0 ((stop - start + step - 1) / step)
-      else max 0 ((start - stop - step - 1) / -step)
-    in
-    Array.init n (fun i -> start + (i * step))
-  | Plan.CValues vs -> vs
-  | Plan.CDyn f -> f slots
-
-(* Walk the nest once with a value-chooser per loop. [choose slot values]
-   returns the index to take. Returns false when a constraint fires or a
-   loop is empty. *)
-let rec walk ~choose slots (steps : Plan.step list) =
-  match steps with
-  | [] -> true
-  | Plan.Yield :: rest -> walk ~choose slots rest
-  | Plan.Derive { d_slot; d_compute; _ } :: rest ->
-    slots.(d_slot) <- eval_compute slots d_compute;
-    walk ~choose slots rest
-  | Plan.Check { c_compute; _ } :: rest ->
-    if eval_compute slots c_compute <> 0 then false
-    else walk ~choose slots rest
-  (* Dead-value bookkeeping, not part of the live nest: skip. *)
-  | Plan.Static_prune _ :: rest -> walk ~choose slots rest
-  | Plan.Loop { l_slot; l_iter; l_body; _ } :: rest ->
-    let vs = materialize_citer slots l_iter in
-    if Array.length vs = 0 then false
-    else begin
-      slots.(l_slot) <- vs.(choose l_slot vs);
-      walk ~choose slots l_body && walk ~choose slots rest
-    end
-
-(* Drawing a point by independent uniform choices per dimension almost
-   never survives exact-divisibility constraints (the GEMM reshape
-   constraints accept ~1 in 10^6 raw draws), so sampling is a randomized
-   backtracking DFS: at each loop the values are visited in random order
-   and a constraint failure backtracks to the nearest choice point.
-   [max_tries] bounds the total number of value bindings explored. This
-   is biased toward survivors in sparse subtrees — acceptable for the
-   heuristic searches below and documented in the interface. *)
-let sample ?rng ?(max_tries = 1000) (plan : Plan.t) =
-  let rng =
-    match rng with
-    | Some r -> r
-    | None -> Random.State.make_self_init ()
-  in
+(* The slot vector of one feasible point (iterator values in layer
+   order). The iterators take the point's values; the single path they
+   select is walked to compute each derive and re-run each check as a
+   cross-check of the diagram — a firing one means the diagram and the
+   plan disagree. *)
+let bind (plan : Plan.t) point =
   let slots = Array.make (max 1 plan.Plan.n_slots) 0 in
-  let budget = ref (max_tries * 100) in
-  let exception Out_of_budget in
-  let shuffle_in_place a =
-    for i = Array.length a - 1 downto 1 do
-      let j = Random.State.int rng (i + 1) in
-      let t = a.(i) in
-      a.(i) <- a.(j);
-      a.(j) <- t
-    done
+  Array.iteri (fun i s -> slots.(s) <- point.(i)) plan.Plan.iter_slots;
+  let compute = function
+    | Plan.CE e -> Plan.eval_cexpr slots e
+    | Plan.CF f -> f slots
   in
-  let rec dfs (steps : Plan.step list) =
+  let rec go (steps : Plan.step list) =
     match steps with
-    | [] -> true
-    | Plan.Yield :: rest -> dfs rest
+    | [] | Plan.Yield :: _ -> ()
     | Plan.Derive { d_slot; d_compute; _ } :: rest ->
-      slots.(d_slot) <- eval_compute slots d_compute;
-      dfs rest
-    | Plan.Check { c_compute; _ } :: rest ->
-      eval_compute slots c_compute = 0 && dfs rest
-    | Plan.Static_prune _ :: rest -> dfs rest
-    | Plan.Loop { l_slot; l_iter; l_body; _ } :: rest ->
-      let vs = Array.copy (materialize_citer slots l_iter) in
-      shuffle_in_place vs;
-      let n = Array.length vs in
-      let rec try_values i =
-        if i >= n then false
-        else begin
-          decr budget;
-          if !budget <= 0 then raise Out_of_budget;
-          slots.(l_slot) <- vs.(i);
-          (dfs l_body && dfs rest) || try_values (i + 1)
-        end
-      in
-      try_values 0
+      slots.(d_slot) <- compute d_compute;
+      go rest
+    | Plan.Check { c_name; c_compute; _ } :: rest ->
+      if compute c_compute <> 0 then
+        Printf.ksprintf failwith "Search: %s rejects a feasible point" c_name;
+      go rest
+    | Plan.Static_prune _ :: rest -> go rest
+    | Plan.Loop { l_body; _ } :: _ -> go l_body
   in
-  match dfs plan.Plan.steps with
-  | true -> Some slots
-  | false -> None
-  | exception Out_of_budget -> None
+  go plan.Plan.steps;
+  slots
 
-let candidate_of plan ~objective slots =
-  let lookup = Plan.lookup_of_slots plan slots in
+let point_of feasible_point = Array.of_list (List.map snd feasible_point)
+
+let evaluate plan ~objective point =
+  let lookup = Plan.lookup_of_slots plan (bind plan point) in
   incr eval_count;
+  let score = objective lookup in
+  Obs.instant ~cat:"tune" ~args:[ ("score", Obs.Float score) ] "search:eval";
   {
-    score = objective lookup;
-    slots;
-    bindings =
-      List.map (fun n -> (n, lookup n)) plan.Plan.iter_order;
+    Tuner.score;
+    bindings = List.map (fun n -> (n, lookup n)) plan.Plan.iter_order;
   }
 
 let better a b =
   match a, b with
   | None, x | x, None -> x
-  | Some x, Some y -> if x.score >= y.score then Some x else Some y
+  | Some x, Some y -> if x.Tuner.score >= y.Tuner.score then Some x else Some y
 
-let random_search ?rng ?max_tries ~budget ~objective plan =
-  let rng =
-    match rng with
-    | Some r -> r
-    | None -> Random.State.make_self_init ()
-  in
-  (* A failed draw (budget exhausted inside a survivor-free subtree) is
-     not fatal; give up only after many consecutive failures. *)
-  let rec go best remaining failures =
-    if remaining = 0 || failures > 50 then best
+let setup ?rng (plan : Plan.t) feas =
+  if Feasible.iterators feas <> plan.Plan.iter_order then
+    invalid_arg "Search: the feasible set's layers are not the plan's loops";
+  match rng with
+  | Some r -> r
+  | None -> Random.State.make_self_init ()
+
+let random_search ?rng ~budget ~objective plan feas =
+  let rng = setup ?rng plan feas in
+  let rec go best remaining =
+    if remaining <= 0 then best
     else
-      match sample ~rng ?max_tries plan with
-      | None -> go best remaining (failures + 1)
-      | Some slots ->
-        let cand = candidate_of plan ~objective slots in
-        Obs.instant ~cat:"tune"
-          ~args:[ ("score", Obs.Float cand.score) ]
-          "search:eval";
-        go (better best (Some cand)) (remaining - 1) 0
+      match Feasible.sample ~rng feas with
+      | None -> None
+      | Some p ->
+        let cand = evaluate plan ~objective (point_of p) in
+        go (better best (Some cand)) (remaining - 1)
   in
   Obs.with_span ~cat:"tune"
     ~args:[ ("budget", Obs.Int budget) ]
     "search:random"
-    (fun () -> go None budget 0)
+    (fun () -> go None budget)
 
-(* Re-walk the nest pinning each loop as close as possible to [target]:
-   pick the value of the (dependent) range nearest the target. Used to
-   revalidate a perturbed point: outer changes reshape inner ranges, and
-   every hoisted constraint re-fires if violated. *)
-let clamp_walk plan targets =
-  let slots = Array.make (max 1 plan.Plan.n_slots) 0 in
-  let choose slot vs =
-    let target = targets.(slot) in
-    let best = ref 0 and best_d = ref max_int in
-    Array.iteri
-      (fun i v ->
-        let d = abs (v - target) in
-        if d < !best_d then begin
-          best := i;
-          best_d := d
-        end)
-      vs;
-    !best
+let hill_climb ?rng ?(restarts = 5) ?(steps = 200) ~objective plan feas =
+  let rng = setup ?rng plan feas in
+  let layers = List.length plan.Plan.iter_order in
+  (* Nudge one layer; magnitude scales with its value so big ranges move
+     in useful increments. The nearest survivor is always a legal move. *)
+  let move point =
+    let dim = Random.State.int rng layers in
+    let delta = if Random.State.bool rng then 1 else -1 in
+    let targets = Array.copy point in
+    targets.(dim) <- targets.(dim) + (delta * max 1 (abs targets.(dim) / 8));
+    point_of (Feasible.nearest feas targets)
   in
-  if walk ~choose slots plan.Plan.steps then Some slots else None
-
-let hill_climb ?rng ?(restarts = 5) ?(steps = 200) ~objective (plan : Plan.t) =
-  let rng =
-    match rng with
-    | Some r -> r
-    | None -> Random.State.make_self_init ()
-  in
-  let n_loops = Array.length plan.Plan.iter_slots in
-  let climb_once () =
-    match sample ~rng plan with
-    | None -> None
-    | Some slots ->
-      let current = ref (candidate_of plan ~objective slots) in
-      for _ = 1 to steps do
-        if n_loops > 0 then begin
-          let dim = plan.Plan.iter_slots.(Random.State.int rng n_loops) in
-          let delta = if Random.State.bool rng then 1 else -1 in
-          let targets = Array.copy !current.slots in
-          (* Nudge one dimension; magnitude scales with its value so big
-             ranges move in useful increments. *)
-          let step = max 1 (abs targets.(dim) / 8) in
-          targets.(dim) <- targets.(dim) + (delta * step);
-          match clamp_walk plan targets with
-          | None -> ()
-          | Some slots' ->
-            if slots' <> !current.slots then begin
-              let cand = candidate_of plan ~objective slots' in
-              if cand.score > !current.score then current := cand
-            end
-        end
-      done;
-      Some !current
-  in
-  let rec go best remaining =
-    if remaining = 0 then best
+  let rec climb point current k =
+    if k = 0 || layers = 0 then current
     else
-      let attempt =
-        Obs.with_span ~cat:"tune"
-          ~args:[ ("restart", Obs.Int (restarts - remaining)) ]
-          "search:climb" climb_once
-      in
-      go (better best attempt) (remaining - 1)
+      let moved = move point in
+      if moved = point then climb point current (k - 1)
+      else
+        let cand = evaluate plan ~objective moved in
+        if cand.Tuner.score > current.Tuner.score then climb moved cand (k - 1)
+        else climb point current (k - 1)
   in
-  go None restarts
+  let climb_once () =
+    Feasible.sample ~rng feas
+    |> Option.map (fun p ->
+           let point = point_of p in
+           climb point (evaluate plan ~objective point) steps)
+  in
+  List.fold_left
+    (fun best i ->
+      better best
+        (Obs.with_span ~cat:"tune" ~args:[ ("restart", Obs.Int i) ]
+           "search:climb" climb_once))
+    None
+    (List.init (max 0 restarts) Fun.id)

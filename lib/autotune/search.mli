@@ -4,39 +4,27 @@
     implemented here as an extension.
 
     Instead of enumerating every surviving point, these methods draw
-    candidate points directly through the loop-nest plan: outer
-    dimensions are sampled first so that dependent iterator ranges and
-    hoisted constraints apply exactly as in a full sweep — a sample is
-    drawn from the {e pruned} space, never from the raw cross product. *)
+    candidates from the space's feasible-set diagram ({!Feasible}):
+    every draw is a survivor, uniform over the pruned space, and a
+    hill-climbing move lands on the nearest survivor, so no draw or move
+    can fail on however sparse a space. The diagram must hold the
+    plan's feasible set over the plan's loop order (built from the plan
+    or from its propagated form); the objective receives the plan's full
+    lookup, derived variables included. *)
 
 open Beast_core
 
-type candidate = {
-  score : float;
-  slots : int array;
-  bindings : (string * Value.t) list;  (** iterators, in loop order *)
-}
-
-val sample :
-  ?rng:Random.State.t -> ?max_tries:int -> Plan.t -> int array option
-(** One random draw of a surviving point, by randomized backtracking
-    DFS through the nest: loop values are visited in random order and
-    hoisted constraints cut partial assignments, so even spaces whose
-    survivors are ~1 in 10⁶ of the raw cross product (GEMM's exact
-    reshape constraints) sample in microseconds. The draw is {e not}
-    uniform over survivors — sparse subtrees are over-represented —
-    which is fine for the heuristics below. [None] once a node budget
-    derived from [max_tries] (default 1000) is exhausted. The returned
-    array is the slot vector, iterators and derived variables filled. *)
-
 val random_search :
   ?rng:Random.State.t ->
-  ?max_tries:int ->
   budget:int ->
   objective:(Expr.lookup -> float) ->
   Plan.t ->
-  candidate option
-(** Best of [budget] valid samples. *)
+  Feasible.t ->
+  Tuner.candidate option
+(** Best of [budget] uniform draws of {!Feasible.sample}; [None] only
+    for an empty set.
+    @raise Invalid_argument when the diagram's layers are not the
+    plan's loops. *)
 
 val hill_climb :
   ?rng:Random.State.t ->
@@ -44,13 +32,15 @@ val hill_climb :
   ?steps:int ->
   objective:(Expr.lookup -> float) ->
   Plan.t ->
-  candidate option
-(** Stochastic hill climbing: start from a random sample; repeatedly
-    nudge one loop dimension to a neighbouring value of its (dependent)
-    range, re-clamping the inner dimensions and re-checking every
-    constraint; accept improvements. [restarts] (default 5) independent
-    climbs of at most [steps] (default 200) accepted or rejected moves
-    each; returns the best point seen. *)
+  Feasible.t ->
+  Tuner.candidate option
+(** Stochastic hill climbing: start from a {!Feasible.sample} draw;
+    repeatedly nudge one layer's value by [max 1 (|v|/8)] up or down
+    and move to {!Feasible.nearest} of the nudged point; accept
+    improvements. [restarts] (default 5) independent climbs of [steps]
+    (default 200) moves each; returns the best point seen, [None] only
+    for an empty set.
+    @raise Invalid_argument as {!random_search}. *)
 
 val evaluations : unit -> int
 (** Number of objective evaluations since the last {!reset_counters} —

@@ -458,6 +458,44 @@ let sample ?rng t =
     in
     Some (nth t i)
 
+(* A difference of two stored values, or a run's stride, can pass
+   max_int and wrap; its true value lies in [0, 2^63), so reading the
+   wrapped bits as unsigned recovers it exactly. *)
+let unsigned x = Int64.logand (Int64.of_int x) Int64.max_int
+let dist a b = unsigned (if a >= b then a - b else b - a)
+
+(* At each layer, the stored value nearest the layer's target, the
+   smaller on a tie. Runs are sorted, disjoint blocks: each answers in
+   O(1), and an earlier run keeps a tie. *)
+let nearest t targets =
+  if count t = 0 then invalid_arg "Feasible.nearest: empty set";
+  if Array.length targets <> Array.length t.f_iters then
+    invalid_arg "Feasible.nearest: one target per layer expected";
+  let in_run target r =
+    let hi = r.r_lo + ((r.r_len - 1) * r.r_step) in
+    if target <= r.r_lo then r.r_lo
+    else if target >= hi then hi
+    else
+      let k = Int64.div (unsigned (target - r.r_lo)) (unsigned r.r_step) in
+      let below = r.r_lo + (Int64.to_int k * r.r_step) in
+      let above = below + r.r_step in
+      if dist target below <= dist above target then below else above
+  in
+  let rec go layer node acc =
+    match node with
+    | Empty -> assert false
+    | Accept -> List.rev acc
+    | Node { runs; _ } ->
+      let target = targets.(layer) in
+      let pick (r, v) r' =
+        let v' = in_run target r' in
+        if dist v' target < dist v target then (r', v') else (r, v)
+      in
+      let r, v = Array.fold_left pick (runs.(0), in_run target runs.(0)) runs in
+      go (layer + 1) r.r_child ((t.f_iters.(layer), v) :: acc)
+  in
+  go 0 t.f_root []
+
 (* ------------------------------------------------------------------ *)
 (* Set algebra                                                         *)
 (* ------------------------------------------------------------------ *)

@@ -60,6 +60,15 @@ val sample : ?rng:Random.State.t -> t -> (string * int) list option
     default generator is a fixed-seed state shared across calls, so an
     unseeded sequence is reproducible run to run. *)
 
+val nearest : t -> int array -> (string * int) list
+(** [nearest t targets] descends the diagram greedily: at each layer it
+    takes the stored value nearest that layer's target ([targets] in
+    layer order), the smaller value on a tie. The result is always a
+    member, though not necessarily the member nearest [targets] as a
+    whole. Distances are exact across the whole int range.
+    @raise Invalid_argument on an empty set or when [targets] does not
+    hold one value per layer. *)
+
 val union : t -> t -> (t, string) result
 val inter : t -> t -> (t, string) result
 (** Set algebra over identical layer lists. [Error] on a layer-list

@@ -147,6 +147,77 @@ let test_sample () =
   Alcotest.(check int) "dead space count" 0 (Feasible.count td);
   Alcotest.(check bool) "dead space sample" true (Feasible.sample td = None)
 
+(* Layer-greedy nearest by brute force: keep the members whose value at
+   each layer, in turn, is nearest that layer's target (smallest on a
+   tie). *)
+let greedy_nearest members targets =
+  let rec go layer = function
+    | [ p ] -> p
+    | ps ->
+      let t = targets.(layer) in
+      let v_of p = snd (List.nth p layer) in
+      let better v w =
+        let dv = abs (v - t) and dw = abs (w - t) in
+        if dv < dw || (dv = dw && v < w) then v else w
+      in
+      let vs = List.map v_of ps in
+      let v = List.fold_left better (List.hd vs) vs in
+      let ps = List.filter (fun p -> v_of p = v) ps in
+      if layer + 1 = Array.length targets then List.hd ps else go (layer + 1) ps
+  in
+  go 0 members
+
+let test_nearest () =
+  let t = build_exn (Plan.make_exn (Support.mixed_space ())) in
+  let members = all_points t in
+  let layers = List.length (Feasible.iterators t) in
+  let rng = Random.State.make [| 2024 |] in
+  for _ = 1 to 200 do
+    let targets = Array.init layers (fun _ -> Random.State.int rng 21 - 5) in
+    let p = Feasible.nearest t targets in
+    if not (List.mem p members) then Alcotest.fail "nearest: not a member";
+    if p <> greedy_nearest members targets then
+      Alcotest.failf "nearest [%s]: differs from brute force"
+        (String.concat " " (Array.to_list (Array.map string_of_int targets)))
+  done
+
+(* A one-iterator space over the given values. *)
+let values_set vs =
+  let sp = Space.create ~name:"values" () in
+  Space.iterator sp "x" (Iter.ints vs);
+  build_exn (Plan.make_exn sp)
+
+let nearest_x t target = List.assoc "x" (Feasible.nearest t [| target |])
+
+let test_nearest_ties_and_extremes () =
+  (* 2 and 4 share a run, 10 has its own: one tie inside a run, one
+     across runs. *)
+  let t = values_set [ 2; 4; 10 ] in
+  Alcotest.(check int) "tie inside a run" 2 (nearest_x t 3);
+  Alcotest.(check int) "tie across runs" 4 (nearest_x t 7);
+  Alcotest.(check int) "past the end" 10 (nearest_x t 100);
+  (* Differences to the far end do not fit in an int. *)
+  let t = values_set [ -max_int; 0; max_int ] in
+  Alcotest.(check int) "min_int" (-max_int) (nearest_x t min_int);
+  Alcotest.(check int) "max_int" max_int (nearest_x t max_int);
+  Alcotest.(check int) "just above 0" 0 (nearest_x t 1);
+  Alcotest.(check int) "just below max_int" max_int (nearest_x t (max_int - 1));
+  (* Here even the run's stride wraps. *)
+  let t = values_set [ -max_int; max_int ] in
+  Alcotest.(check int) "wrapped stride, tie" (-max_int) (nearest_x t 0);
+  Alcotest.(check int) "wrapped stride, above" max_int (nearest_x t 1);
+  Alcotest.(check int) "wrapped stride, below" (-max_int) (nearest_x t (-1))
+
+let test_nearest_empty () =
+  let open Expr.Infix in
+  let dead = Space.create ~name:"dead" () in
+  Space.iterator dead "x" (Iter.range_i 0 5);
+  Space.constrain dead "always" (Expr.var "x" >=: Expr.int 0);
+  let td = build_exn (Plan.make_exn dead) in
+  Alcotest.check_raises "empty set"
+    (Invalid_argument "Feasible.nearest: empty set")
+    (fun () -> ignore (Feasible.nearest td [| 0 |]))
+
 (* ------------------------------------------------------------------ *)
 (* of_propagation: upper bound, exact when propagation is complete     *)
 (* ------------------------------------------------------------------ *)
@@ -514,6 +585,11 @@ let () =
             test_nth_enumerates_the_set;
           Alcotest.test_case "nth bounds" `Quick test_nth_out_of_bounds;
           Alcotest.test_case "sample" `Quick test_sample;
+          Alcotest.test_case "nearest is layer-greedy" `Quick test_nearest;
+          Alcotest.test_case "nearest ties and extremes" `Quick
+            test_nearest_ties_and_extremes;
+          Alcotest.test_case "nearest of the empty set" `Quick
+            test_nearest_empty;
         ] );
       ( "bound",
         [

@@ -5,6 +5,11 @@ open Beast_autotune
 
 let rng () = Random.State.make [| 7; 11; 13 |]
 
+let feasible plan =
+  match Feasible.build plan with
+  | Ok f -> f
+  | Error msg -> Alcotest.fail ("Feasible.build: " ^ msg)
+
 let simple_plan () =
   let open Expr.Infix in
   let sp = Space.create ~name:"simple" () in
@@ -13,14 +18,19 @@ let simple_plan () =
   Space.constrain sp "odd" ((Expr.var "x" +: Expr.var "y") %: Expr.int 2 <>: Expr.int 0);
   Plan.make_exn sp
 
+let gemm_plan () =
+  let device = Device.scale ~max_dim:32 ~max_threads:128 Device.tesla_k40c in
+  let settings = { Gemm.default_settings with Gemm.device } in
+  (settings, Plan.make_exn (Gemm.space ~settings ()))
+
 let test_sample_valid () =
-  let plan = simple_plan () in
+  let feas = feasible (simple_plan ()) in
   let r = rng () in
   for _ = 1 to 100 do
-    match Search.sample ~rng:r plan with
+    match Feasible.sample ~rng:r feas with
     | None -> Alcotest.fail "dense space must sample"
-    | Some slots ->
-      let x = slots.(Plan.slot_of plan "x") and y = slots.(Plan.slot_of plan "y") in
+    | Some p ->
+      let x = List.assoc "x" p and y = List.assoc "y" p in
       Alcotest.(check bool) "y <= x" true (y <= x);
       Alcotest.(check bool) "even sum" true ((x + y) mod 2 = 0)
   done
@@ -30,64 +40,155 @@ let test_sample_empty_space () =
   Space.iterator sp "x" (Iter.range_i 0 10);
   Space.constrain sp "none" (Expr.bool true);
   let plan = Plan.make_exn sp in
-  Alcotest.(check bool) "no sample" true (Search.sample ~rng:(rng ()) plan = None)
+  let feas = feasible plan in
+  let objective _ = 0.0 in
+  Alcotest.(check bool) "no sample" true
+    (Feasible.sample ~rng:(rng ()) feas = None);
+  Alcotest.(check bool) "random search finds nothing" true
+    (Search.random_search ~rng:(rng ()) ~budget:10 ~objective plan feas
+    = None);
+  Alcotest.(check bool) "hill climb finds nothing" true
+    (Search.hill_climb ~rng:(rng ()) ~objective plan feas = None)
 
 let test_sample_sparse_gemm () =
   (* The motivating case: GEMM's divisor constraints make uniform draws
-     hopeless; backtracking must still sample quickly. *)
-  let device = Device.scale ~max_dim:32 ~max_threads:128 Device.tesla_k40c in
-  let settings = { Gemm.default_settings with Gemm.device } in
-  let plan = Plan.make_exn (Gemm.space ~settings ()) in
+     from the raw cross product hopeless; the diagram never misses. *)
+  let feas = feasible (snd (gemm_plan ())) in
   let r = rng () in
   let ok = ref 0 in
   for _ = 1 to 20 do
-    match Search.sample ~rng:r plan with
+    match Feasible.sample ~rng:r feas with
     | Some _ -> incr ok
     | None -> ()
   done;
-  Alcotest.(check bool) "mostly succeeds" true (!ok >= 15)
+  Alcotest.(check int) "every draw succeeds" 20 !ok
 
 let test_random_search_finds_good () =
   let plan = simple_plan () in
   let objective lookup =
     float_of_int (Value.to_int (lookup "x") + Value.to_int (lookup "y"))
   in
-  match Search.random_search ~rng:(rng ()) ~budget:300 ~objective plan with
+  let feas = feasible plan in
+  Alcotest.(check bool) "negative budget draws nothing" true
+    (Search.random_search ~rng:(rng ()) ~budget:(-1) ~objective plan feas
+    = None);
+  match Search.random_search ~rng:(rng ()) ~budget:300 ~objective plan feas with
   | None -> Alcotest.fail "search failed"
   | Some c ->
     (* optimum is x=29, y=29 (even sum), score 58. *)
-    Alcotest.(check bool) "near optimum" true (c.Search.score >= 50.0)
+    Alcotest.(check bool) "near optimum" true (c.Tuner.score >= 50.0)
 
 let test_hill_climb_improves () =
-  let device = Device.scale ~max_dim:32 ~max_threads:128 Device.tesla_k40c in
-  let settings = { Gemm.default_settings with Gemm.device } in
-  let plan = Plan.make_exn (Gemm.space ~settings ()) in
+  let settings, plan = gemm_plan () in
   let objective = Gemm.objective settings in
   Search.reset_counters ();
-  match Search.hill_climb ~rng:(rng ()) ~restarts:4 ~steps:60 ~objective plan with
+  match
+    Search.hill_climb ~rng:(rng ()) ~restarts:4 ~steps:60 ~objective plan
+      (feasible plan)
+  with
   | None -> Alcotest.fail "no start"
   | Some c ->
-    Alcotest.(check bool) "positive score" true (c.Search.score > 0.0);
+    Alcotest.(check bool) "positive score" true (c.Tuner.score > 0.0);
     Alcotest.(check bool) "evaluations counted" true (Search.evaluations () > 0);
     Alcotest.(check int) "bindings cover iterators" 15
-      (List.length c.Search.bindings)
+      (List.length c.Tuner.bindings)
 
 let test_search_candidates_satisfy_constraints () =
-  let device = Device.scale ~max_dim:32 ~max_threads:128 Device.tesla_k40c in
-  let settings = { Gemm.default_settings with Gemm.device } in
-  let plan = Plan.make_exn (Gemm.space ~settings ()) in
+  let settings, plan = gemm_plan () in
+  let feas = feasible plan in
+  let objective = Gemm.objective settings in
+  let check what = function
+    | None -> Alcotest.fail (what ^ " failed")
+    | Some c ->
+      let geti n = Value.to_int (List.assoc n c.Tuner.bindings) in
+      let threads = geti "dim_m" * geti "dim_n" in
+      Alcotest.(check int) (what ^ ": a-grid reshape holds")
+        threads
+        (geti "dim_m_a" * geti "dim_n_a");
+      Alcotest.(check int) (what ^ ": full warps") 0 (threads mod 32)
+  in
+  check "random search"
+    (Search.random_search ~rng:(rng ()) ~budget:20 ~objective plan feas);
+  check "hill climb"
+    (Search.hill_climb ~rng:(rng ()) ~restarts:2 ~steps:30 ~objective plan
+       feas)
+
+(* A range whose naive trip count (stop - start + step - 1) / step
+   overflows: the space holds exactly x = 0 and x = 2^61. *)
+let test_huge_step () =
+  let sp = Space.create ~name:"huge_step" () in
+  Space.iterator sp "x"
+    (Iter.range ~step:(Expr.int (1 lsl 61)) (Expr.int 0) (Expr.int max_int));
+  let plan = Plan.make_exn sp in
+  let feas = feasible plan in
+  Alcotest.(check int) "two points" 2 (Feasible.count feas);
+  let objective lookup = float_of_int (Value.to_int (lookup "x") lsr 58) in
+  let check what = function
+    | None -> Alcotest.fail (what ^ ": no point")
+    | Some c ->
+      let x = Value.to_int (List.assoc "x" c.Tuner.bindings) in
+      Alcotest.(check bool) (what ^ ": x in {0, 2^61}") true
+        (x = 0 || x = 1 lsl 61)
+  in
+  check "random search"
+    (Search.random_search ~rng:(rng ()) ~budget:5 ~objective plan feas);
+  check "hill climb"
+    (Search.hill_climb ~rng:(rng ()) ~restarts:2 ~steps:10 ~objective plan
+       feas)
+
+(* Draws are uniform over the survivors, not over each layer's values:
+   x in [0, 6), y in [0, x], x + y even holds 12 points, 1 to 3 per x. *)
+let test_random_search_uniform () =
+  let open Expr.Infix in
+  let sp = Space.create ~name:"uniform" () in
+  Space.iterator sp "x" (Iter.range_i 0 6);
+  Space.iterator sp "y" (Iter.range (Expr.int 0) (Expr.var "x" +: Expr.int 1));
+  Space.constrain sp "odd" ((Expr.var "x" +: Expr.var "y") %: Expr.int 2 <>: Expr.int 0);
+  let plan = Plan.make_exn sp in
+  let feas = feasible plan in
+  let k = Feasible.count feas in
+  Alcotest.(check int) "survivors" 12 k;
+  let per = 200 in
+  let seen = Hashtbl.create 16 in
+  let objective lookup =
+    let p = (Value.to_int (lookup "x"), Value.to_int (lookup "y")) in
+    Hashtbl.replace seen p (1 + Option.value ~default:0 (Hashtbl.find_opt seen p));
+    0.0
+  in
+  ignore
+    (Search.random_search ~rng:(rng ()) ~budget:(k * per) ~objective plan feas);
+  Alcotest.(check int) "every survivor drawn" k (Hashtbl.length seen);
+  let expected = float_of_int per in
+  let chi2 =
+    Hashtbl.fold
+      (fun _ n acc ->
+        let d = float_of_int n -. expected in
+        acc +. (d *. d /. expected))
+      seen 0.0
+  in
+  (* 0.999 quantile of chi-squared with 11 degrees of freedom. *)
+  if chi2 >= 31.264 then Alcotest.failf "chi-squared %.2f >= 31.264" chi2
+
+(* The objective's lookup is rebuilt from the plan, re-running every
+   check on the point's path: a diagram that does not match the plan is
+   caught at the first bad point, never scored. *)
+let test_mismatched_diagram () =
+  let open Expr.Infix in
+  let space ~pruned =
+    let sp = Space.create ~name:"parity" () in
+    Space.iterator sp "x" (Iter.range_i 0 10);
+    if pruned then
+      Space.constrain sp "even_x" (Expr.var "x" %: Expr.int 2 =: Expr.int 0);
+    Plan.make_exn sp
+  in
+  let plan = space ~pruned:true and feas = feasible (space ~pruned:false) in
   match
-    Search.random_search ~rng:(rng ()) ~budget:20
-      ~objective:(Gemm.objective settings) plan
+    Search.random_search ~rng:(rng ()) ~budget:50
+      ~objective:(fun _ -> 0.0)
+      plan feas
   with
-  | None -> Alcotest.fail "search failed"
-  | Some c ->
-    let geti n = Value.to_int (List.assoc n c.Search.bindings) in
-    let threads = geti "dim_m" * geti "dim_n" in
-    Alcotest.(check int) "a-grid reshape holds"
-      threads
-      (geti "dim_m_a" * geti "dim_n_a");
-    Alcotest.(check int) "full warps" 0 (threads mod 32)
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "a diagram point the plan rejects was scored"
 
 (* ---- Pareto / energy ---- *)
 
@@ -208,6 +309,10 @@ let () =
           Alcotest.test_case "hill climb" `Quick test_hill_climb_improves;
           Alcotest.test_case "constraints hold" `Quick
             test_search_candidates_satisfy_constraints;
+          Alcotest.test_case "overflowing trip count" `Quick test_huge_step;
+          Alcotest.test_case "uniform draws" `Quick test_random_search_uniform;
+          Alcotest.test_case "mismatched diagram" `Quick
+            test_mismatched_diagram;
         ] );
       ( "pareto",
         [
