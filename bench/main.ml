@@ -508,8 +508,8 @@ let ablation_divisor_iterator () =
 let ablation_parallel () =
   header
     "Ablation: multithreaded sweep (outermost level-set decomposition).\n\
-     This container exposes a single core, so this validates the\n\
-     decomposition, not the scaling.";
+     This validates the decomposition; bench/perf's\n\
+     parallel.efficiency measures the scaling.";
   let device = Device.scale ~max_dim:20 ~max_threads:96 Device.tesla_k40c in
   let settings = { Gemm.default_settings with Gemm.device } in
   let plan = Plan.make_exn (Gemm.space ~settings ()) in

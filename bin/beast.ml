@@ -207,17 +207,6 @@ let metrics_out_arg =
   Arg.(
     value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
 
-let progress_every_arg =
-  let doc =
-    "Seconds between progress redraws (default 0.2 on a tty, 2 \
-     otherwise). Raise it so long sweeps don't flood non-tty CI logs \
-     with throttled plain lines."
-  in
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "progress-every" ] ~docv:"SECONDS" ~doc)
-
 let status_arg =
   let doc =
     "Atomically rewrite a small JSON heartbeat snapshot of the run \
@@ -239,13 +228,6 @@ let flight_arg =
      without full --trace cost."
   in
   Arg.(value & opt (some string) None & info [ "flight" ] ~docv:"FILE" ~doc)
-
-let flight_size_arg =
-  let doc = "Flight-recorder ring capacity per domain (default 512 events)." in
-  Arg.(
-    value
-    & opt int Flight.default_capacity
-    & info [ "flight-size" ] ~docv:"N" ~doc)
 
 let runs_dir_arg =
   let doc =
@@ -284,29 +266,26 @@ let archive_dir_arg =
    assembled into one Run_config record instead of a dozen loose values
    threaded through each term. *)
 let obs_config_term =
-  let build trace trace_format progress progress_every_s metrics metrics_out
-      status status_every_s flight flight_capacity runs_dir run_id =
+  let build trace trace_format progress metrics metrics_out status
+      status_every_s flight runs_dir run_id =
     {
       Run_config.default with
       Run_config.trace;
       trace_format;
       progress;
-      progress_every_s;
       metrics;
       metrics_out;
       status;
       status_every_s;
       flight;
-      flight_capacity;
       runs_dir;
       run_id;
     }
   in
   Term.(
-    const build $ trace_arg $ trace_format_arg $ progress_arg
-    $ progress_every_arg $ metrics_arg $ metrics_out_arg $ status_arg
-    $ status_every_arg $ flight_arg $ flight_size_arg $ runs_dir_arg
-    $ run_id_arg)
+    const build $ trace_arg $ trace_format_arg $ progress_arg $ metrics_arg
+    $ metrics_out_arg $ status_arg $ status_every_arg $ flight_arg
+    $ runs_dir_arg $ run_id_arg)
 
 let propagate_arg =
   let doc =
@@ -866,39 +845,31 @@ let funnel_cmd =
     Arg.(value & opt (some string) None & info [ "svg" ] ~docv:"FILE"
            ~doc:"Also write the radial visualization (paper ref. [7]).")
   in
-  let prefix_sweeps_arg =
-    Arg.(
-      value & flag
-      & info [ "prefix-sweeps" ]
-          ~doc:
-            "Measure with the reference n+1 prefix-sweep method instead \
-             of the single provenance-instrumented sweep (the two agree \
-             exactly; this is the independent cross-check).")
-  in
-  let run svg prefix_sweeps cfg { s_name = space_name; s_space = sp; _ } =
+  let run svg cfg { s_name = space_name; s_space = sp; _ } =
+    (* Probe the SVG path now, so an unwritable one fails before the
+       sweep, not after it. *)
+    (try Option.iter Jsonx.check_writable svg
+     with Sys_error msg ->
+       Format.eprintf "beast: %s@." msg;
+       exit 1);
     with_config ~space:space_name ~engine:"funnel" cfg (fun _run_id ->
-        let f =
-          if prefix_sweeps then Stats.funnel sp
-          else Stats.funnel_single_pass sp
-        in
+        let f = Stats.funnel sp in
         Format.printf "%a" Stats.pp f;
-        (match svg with
-        | Some file ->
-          let oc = open_out file in
-          output_string oc (Visualize.svg f);
-          close_out oc;
-          Format.printf "wrote %s@." file
-        | None -> ());
+        Option.iter
+          (fun file ->
+            Jsonx.write_file file (Visualize.svg f);
+            Format.printf "wrote %s@." file)
+          svg;
         0)
   in
   Cmd.v
     (Cmd.info "funnel"
        ~doc:
-         "Measure how much of the space each constraint removes (one \
-          provenance-instrumented sweep; --prefix-sweeps for the n+1 \
-          reference method)")
-    Term.(
-      const run $ svg_arg $ prefix_sweeps_arg $ obs_config_term $ space_term)
+         "Measure how much of the space each constraint removes: one \
+          provenance-instrumented sweep, or one sweep per constraint \
+          prefix when closure iterators make that sweep's attribution \
+          inexact")
+    Term.(const run $ svg_arg $ obs_config_term $ space_term)
 
 (* ------------------------------------------------------------------ *)
 (* count / sample — the compact feasible-set queries                    *)

@@ -8,9 +8,9 @@
 # engine for --explain-out, which it cannot honor: one stderr line,
 # exit 2, and no file written. Last, an output path in a missing
 # directory (merge --stats-out; sweep --stats-out, --explain-out and
-# --status) is one stderr line naming that path, exit 1 and no file
-# written; the sweeps refuse it before they enumerate, so they print
-# no statistics. A write that fails part way (a zero file-size limit
+# --status; funnel --svg) is one stderr line naming that path, exit 1
+# and no file written; sweep and funnel refuse it before they
+# enumerate, so they print no statistics. A write that fails part way (a zero file-size limit
 # with SIGXFSZ ignored, so write(2) fails with EFBIG) is one stderr
 # line, exit 1, and the previous file kept, with no temp file left.
 # And `count` and `count --bound` over a range too long to walk (2^62
@@ -94,13 +94,13 @@ unwritable() {
   lines=$(printf '%s\n' "$err" | wc -l)
   written=$(ls -A "$dir")
   case $err in "beast: $path: "*) ok=1 ;; *) ok=0 ;; esac
-  case $1 in sweep) [ -z "$out" ] || ok=0 ;; esac
+  case $1 in sweep | funnel) [ -z "$out" ] || ok=0 ;; esac
   if [ "$code" -ne 1 ] || [ "$lines" -ne 1 ] || [ "$ok" -ne 1 ] ||
     [ "$written" != S ]; then
     echo "$*: exit $code, stderr: $err" >&2
     echo "files: $written" >&2
     echo "expected exit 1, one 'beast: $path: ...' line, no" >&2
-    echo "statistics from a sweep and no file but S" >&2
+    echo "statistics from a sweep or funnel and no file but S" >&2
     rm -rf "$dir"
     exit 1
   fi
@@ -110,6 +110,7 @@ unwritable "$m/m.json" merge "$dir/S" --stats-out "$m/m.json"
 unwritable "$m/x.json" sweep gemm --max-dim 16 --stats-out "$m/x.json"
 unwritable "$m/x.json" sweep gemm --max-dim 16 --explain-out "$m/x.json"
 unwritable "$m/s.json" sweep gemm --max-dim 16 --status "$m/s.json"
+unwritable "$m/f.svg" funnel conv2d --svg "$m/f.svg"
 cp "$dir/S" "$dir/T"
 # failing_write ARGS...: beast ARGS must fail to write T and keep it
 failing_write() {
@@ -130,4 +131,5 @@ failing_write() {
 }
 failing_write merge "$dir/S" --stats-out "$dir/T"
 failing_write sweep gemm --max-dim 12 --max-threads 32 --stats-out "$dir/T"
+failing_write funnel conv2d --svg "$dir/T"
 rm -rf "$dir"

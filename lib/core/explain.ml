@@ -6,65 +6,21 @@
 module Metrics = Beast_obs.Metrics
 module Units = Beast_obs.Units
 
-type crow = {
-  name : string;
-  cls : Space.constraint_class;
-  depth : int;
-  fired : int;
-  removed : int option;
-}
-
-(* The canonical nest is linear (one loop per level), so evaluation
-   order — the pre-order walk Stats.evaluation_order computes from the
-   plan — is exactly a stable sort of the c_index rows by rejection
-   depth. That lets the report work from the serialized file alone. *)
-let rows_in_eval_order (t : Stats_io.t) (p : Provenance.summary) =
-  if List.length t.Stats_io.constraints <> List.length p.Provenance.pv_constraints
-  then Error "the stats and provenance constraint lists differ in length"
-  else begin
-    let paired = List.combine t.Stats_io.constraints p.Provenance.pv_constraints in
-    match
-      List.find_opt
-        (fun ((cr : Stats_io.constraint_row), (pc : Provenance.crow)) ->
-          cr.Stats_io.cr_name <> pc.Provenance.pc_name)
-        paired
-    with
-    | Some ((cr : Stats_io.constraint_row), (pc : Provenance.crow)) ->
-      Error
-        (Printf.sprintf
-           "stats row %S does not match provenance row %S (files from \
-            different sweeps?)"
-           cr.Stats_io.cr_name pc.Provenance.pc_name)
-    | None ->
-      Ok
-        (List.stable_sort
-           (fun a b -> compare a.depth b.depth)
-           (List.map
-              (fun ((cr : Stats_io.constraint_row), (pc : Provenance.crow)) ->
-                {
-                  name = cr.Stats_io.cr_name;
-                  cls = cr.Stats_io.cr_class;
-                  depth = pc.Provenance.pc_depth;
-                  fired = cr.Stats_io.cr_fired;
-                  removed = pc.Provenance.pc_removed;
-                })
-              paired))
-  end
-
 let opt_int = function
   | Some k -> Units.si_int k
   | None -> "?"
 
 (* ---- constraint waterfall ---------------------------------------- *)
 
-let waterfall ppf ~survivors rows =
+let waterfall ppf (f : Stats.funnel) =
+  let survivors = f.Stats.survivors in
   let total =
-    List.fold_left
-      (fun acc r ->
-        match (acc, r.removed) with
-        | Some a, Some k -> Some (a + k)
-        | _ -> None)
-      (Some survivors) rows
+    if
+      List.for_all
+        (fun (r : Stats.row) -> r.Stats.removed <> None)
+        f.Stats.rows
+    then Some f.Stats.total_points
+    else None
   in
   Format.fprintf ppf "constraint waterfall (evaluation order)@.";
   (match total with
@@ -81,14 +37,15 @@ let waterfall ppf ~survivors rows =
     "removed" "left";
   let remaining = ref total in
   List.iter
-    (fun r ->
+    (fun (r : Stats.row) ->
       (remaining :=
-         match (!remaining, r.removed) with
+         match (!remaining, r.Stats.removed) with
          | Some rem, Some k -> Some (rem - k)
          | _ -> None);
-      Format.fprintf ppf "  %-30s %5d %10s %10s %10s@." r.name r.depth
-        (Units.si_int r.fired) (opt_int r.removed) (opt_int !remaining))
-    rows;
+      Format.fprintf ppf "  %-30s %5d %10s %10s %10s@." r.Stats.constraint_name
+        r.Stats.depth (Units.si_int r.Stats.fired) (opt_int r.Stats.removed)
+        (opt_int !remaining))
+    f.Stats.rows;
   Format.fprintf ppf "@."
 
 (* ---- cost vs selectivity ----------------------------------------- *)
@@ -97,7 +54,7 @@ let waterfall ppf ~survivors rows =
    work is minimized by evaluating in decreasing removals-per-unit-cost.
    We only flag *adjacent* inversions — those are the pairs where a
    plain swap (at equal depth) or a hoist is guaranteed to help. *)
-let cost_table ppf (t : Stats_io.t) rows =
+let cost_table ppf (t : Stats_io.t) (rows : Stats.row list) =
   Format.fprintf ppf "cost vs selectivity@.";
   match t.Stats_io.metrics with
   | None ->
@@ -116,10 +73,10 @@ let cost_table ppf (t : Stats_io.t) rows =
     in
     let scored =
       List.map
-        (fun r ->
-          let cost = eval_ns r.name in
+        (fun (r : Stats.row) ->
+          let cost = eval_ns r.Stats.constraint_name in
           let score =
-            match (r.removed, cost) with
+            match (r.Stats.removed, cost) with
             | Some k, Some (ns, _) when ns > 0 ->
               (* removed points per microsecond of evaluation time *)
               Some (1000.0 *. float_of_int k /. float_of_int ns)
@@ -132,8 +89,8 @@ let cost_table ppf (t : Stats_io.t) rows =
       (* r_i is misplaced when the constraint evaluated right after it
          removes strictly more per unit cost. *)
       let rec mark = function
-        | (r, _, Some a) :: (((_, _, Some b) :: _) as rest) ->
-          (if a < b then [ r.name ] else []) @ mark rest
+        | ((r : Stats.row), _, Some a) :: (((_, _, Some b) :: _) as rest) ->
+          (if a < b then [ r.Stats.constraint_name ] else []) @ mark rest
         | _ :: rest -> mark rest
         | [] -> []
       in
@@ -142,8 +99,8 @@ let cost_table ppf (t : Stats_io.t) rows =
     Format.fprintf ppf "  %-30s %10s %10s %12s %s@." "" "evals"
       "eval time" "removed/us" "";
     List.iter
-      (fun (r, cost, score) ->
-        Format.fprintf ppf "  %-30s %10s %10s %12s %s@." r.name
+      (fun ((r : Stats.row), cost, score) ->
+        Format.fprintf ppf "  %-30s %10s %10s %12s %s@." r.Stats.constraint_name
           (match cost with
           | Some (_, n) -> Units.si_int n
           | None -> "?")
@@ -153,7 +110,8 @@ let cost_table ppf (t : Stats_io.t) rows =
           (match score with
           | Some s -> Printf.sprintf "%.1f" s
           | None -> "?")
-          (if List.mem r.name misplaced then "<- misplaced" else ""))
+          (if List.mem r.Stats.constraint_name misplaced then "<- misplaced"
+           else ""))
       scored;
     if misplaced <> [] then
       Format.fprintf ppf
@@ -264,20 +222,15 @@ let funnel_bars ppf ~survivors (p : Provenance.summary) =
 (* ------------------------------------------------------------------ *)
 
 let write ?(top = 5) ppf (t : Stats_io.t) =
-  match t.Stats_io.provenance with
-  | None ->
-    Error
-      "no \"provenance\" section: sweep with --explain-out FILE and \
-       explain that file"
-  | Some p -> (
-    match rows_in_eval_order t p with
-    | Error _ as e -> e
-    | Ok rows ->
+  Result.map
+    (fun (f : Stats.funnel) ->
+      (* of_run succeeds only on a run that carries provenance. *)
+      let p = Option.get t.Stats_io.provenance in
       Format.fprintf ppf "explain %s: %s survivors@." t.Stats_io.space
         (Units.si_int t.Stats_io.survivors);
       Format.fprintf ppf "@.";
-      waterfall ppf ~survivors:t.Stats_io.survivors rows;
-      cost_table ppf t rows;
+      waterfall ppf f;
+      cost_table ppf t f.Stats.rows;
       dead_table ppf ~top p;
-      funnel_bars ppf ~survivors:t.Stats_io.survivors p;
-      Ok ())
+      funnel_bars ppf ~survivors:t.Stats_io.survivors p)
+    (Stats.of_run t)

@@ -20,13 +20,13 @@
     - the per-depth {e survival funnel}: loop entries at each depth and
       the survivor count, with bars.
 
-    The input must carry a ["provenance"] section (sweep with
-    [--explain-out]); {!write} returns [Error] with a one-line
-    diagnostic otherwise. *)
+    The waterfall and cost table render {!Stats.of_run}'s rows, so the
+    input must carry a ["provenance"] section (sweep with
+    [--explain-out]); {!write} returns [Error] with {!Stats.of_run}'s
+    one-line diagnostic otherwise. *)
 
 val write :
   ?top:int -> Format.formatter -> Stats_io.t -> (unit, string) result
 (** [write ~top ppf stats] renders the report; [top] bounds the
-    dead-range table (default 5). [Error] when [stats] has no
-    provenance section, or when its constraint rows disagree with the
-    provenance rows (files from different sweeps). *)
+    dead-range table (default 5). [Error] exactly when
+    {!Stats.of_run} refuses [stats]. *)

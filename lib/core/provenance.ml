@@ -8,8 +8,8 @@
    engine abandons a subtree whose cardinality is the product of the
    trip counts of the loops at depths d+1..n. Every abandoned point is
    charged to the FIRST constraint (in evaluation order) that rejects
-   its prefix — the same exclusive attribution the n+1-prefix-sweep
-   Stats.funnel measures — because deeper/later constraints were never
+   its prefix — the same exclusive attribution Stats.prefix_sweeps
+   measures — because deeper/later constraints were never
    reached for those points. The subtree cardinality is computed by a
    per-check compiled COUNTING PROGRAM over the tail of the (linear)
    nest: loops whose slot no deeper bound reads contribute a trip-count

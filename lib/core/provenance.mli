@@ -1,15 +1,16 @@
 (** Single-pass pruning provenance.
 
-    {!Stats.funnel} measures exact per-constraint attribution with [n+1]
-    full sweeps; this module gets the same numbers from {e one} sweep by
-    exploiting the plan's structure: a constraint firing at depth [d]
-    abandons the whole subtree below it, and the cardinality of that
-    subtree is the product of the trip counts of the loops deeper than
-    [d]. In the canonical nest constraints earlier in evaluation order
-    (the pre-order walk) read only slots bound at depths [<= d], so the
-    per-firing subtree products are {e exclusive} removal counts — each
-    removed point is charged to exactly the first constraint that would
-    have rejected it, which is what the prefix-sweep funnel measures.
+    {!Stats.prefix_sweeps} measures exact per-constraint attribution
+    with [n+1] full sweeps; this module gets the same numbers from
+    {e one} sweep by exploiting the plan's structure: a constraint
+    firing at depth [d] abandons the whole subtree below it, and the
+    cardinality of that subtree is the product of the trip counts of the
+    loops deeper than [d]. In the canonical nest constraints earlier in
+    evaluation order (the pre-order walk) read only slots bound at
+    depths [<= d], so the per-firing subtree products are {e exclusive}
+    removal counts — each removed point is charged to exactly the first
+    constraint that would have rejected it, which is what the
+    prefix-sweep funnel measures.
 
     Subtree cardinality comes from a per-check counting program
     compiled over the tail of the (linear) nest ({!attribution}): loops
@@ -137,7 +138,7 @@ val merge_summaries : summary list -> (summary, string) result
 val with_collector : (unit -> 'a) -> 'a * summary
 (** Install a fresh collector around [f] (restoring any previous one),
     returning [f]'s result and the collected summary — how
-    {!Stats.funnel_single_pass} runs one provenance-enabled sweep. *)
+    {!Stats.funnel} runs one provenance-enabled sweep. *)
 
 (** {2 Serialization} *)
 

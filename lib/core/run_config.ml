@@ -20,7 +20,6 @@ type t = {
   trace : string option;
   trace_format : trace_format;
   progress : bool;
-  progress_every_s : float option;
   metrics : bool;
   metrics_out : string option;
   shard : (int * int) option;
@@ -35,7 +34,6 @@ type t = {
   status : string option;
   status_every_s : float;
   flight : string option;
-  flight_capacity : int;
   archive : bool;
   archive_dir : string option;
 }
@@ -45,7 +43,6 @@ let default =
     trace = None;
     trace_format = Chrome;
     progress = false;
-    progress_every_s = None;
     metrics = false;
     metrics_out = None;
     shard = None;
@@ -60,7 +57,6 @@ let default =
     status = None;
     status_every_s = 1.0;
     flight = None;
-    flight_capacity = Flight.default_capacity;
     archive = false;
     archive_dir = None;
   }
@@ -106,19 +102,6 @@ let validate t =
       Error
         (Printf.sprintf "status-every: need a non-negative period (got %g)"
            t.status_every_s)
-    else Ok ()
-  in
-  let* () =
-    match t.progress_every_s with
-    | Some s when s <= 0.0 ->
-      Error (Printf.sprintf "progress-every: need a positive period (got %g)" s)
-    | _ -> Ok ()
-  in
-  let* () =
-    if t.flight_capacity < 1 then
-      Error
-        (Printf.sprintf "flight-size: need at least one event (got %d)"
-           t.flight_capacity)
     else Ok ()
   in
   let* () =
@@ -215,7 +198,7 @@ let with_instrumentation ~space ~engine t f =
   let t0 = Clock.now_ns () in
   let flight =
     Option.map
-      (fun file -> (file, Flight.create ~capacity:t.flight_capacity ()))
+      (fun file -> (file, Flight.create ()))
       t.flight
   in
   let registry = if metrics_enabled t then Some (Metrics.create ()) else None in
@@ -224,7 +207,7 @@ let with_instrumentation ~space ~engine t f =
   in
   let reporter =
     if t.progress then
-      Option.map (Progress.create ?interval_s:t.progress_every_s) tally
+      Option.map Progress.create tally
     else None
   in
   let status =

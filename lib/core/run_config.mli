@@ -25,10 +25,6 @@ type t = {
   trace : string option;  (** write a trace of the run to this file *)
   trace_format : trace_format;
   progress : bool;  (** live progress reporting on stderr *)
-  progress_every_s : float option;
-      (** progress redraw period; defaults to the reporter's own
-          (0.2s tty / 2s plain) — raise it so non-tty CI logs aren't
-          flooded on long sweeps *)
   metrics : bool;  (** install a metrics registry around the run *)
   metrics_out : string option;
       (** write Prometheus text exposition here (implies [metrics]) *)
@@ -57,7 +53,6 @@ type t = {
   flight : string option;
       (** keep a flight-recorder ring of recent events and dump it here
           as JSONL at exit (clean, interrupted or crashed) *)
-  flight_capacity : int;  (** ring capacity per domain *)
   archive : bool;
       (** ingest the run's stats record into the cross-run archive on
           clean completion *)
@@ -68,8 +63,7 @@ type t = {
 
 val default : t
 (** No instrumentation, no shard, no checkpointing,
-    [checkpoint_every_s = 5.0], [status_every_s = 1.0],
-    [flight_capacity = Flight.default_capacity]. *)
+    [checkpoint_every_s = 5.0], [status_every_s = 1.0]. *)
 
 val metrics_enabled : t -> bool
 (** [metrics || metrics_out <> None]. *)
@@ -77,8 +71,8 @@ val metrics_enabled : t -> bool
 val validate : t -> (unit, string) result
 (** Reject configurations that would otherwise fail silently: shard
     bounds ([n <= 0], [i < 0] or [i >= n] would sweep an empty space),
-    non-positive checkpoint/progress periods, negative status periods,
-    a flight ring below one event, crash probabilities outside
+    non-positive checkpoint periods, negative status periods, crash
+    probabilities outside
     [\[0, 1)], negative fatal chunk ids, and [explain_out] combined
     with [resume] (a resumed run skips completed chunks, so its
     provenance would describe only the tail of the sweep). *)

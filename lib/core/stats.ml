@@ -1,6 +1,7 @@
 type row = {
   constraint_name : string;
   constraint_class : Space.constraint_class;
+  depth : int;
   fired : int;
   removed : int option;
 }
@@ -18,203 +19,140 @@ let survival_rate f =
 
 let pruned_fraction f = 1.0 -. survival_rate f
 
-let space_with_constraints src names =
-  Space.filter_constraints src ~keep:(fun cn ->
-      List.mem cn.Space.cn_name names)
+(* The one pairing of stats rows with provenance rows. The canonical
+   nest is linear (one loop per level), so evaluation order — the
+   pre-order walk of the plan — is exactly a stable sort of the c_index
+   rows by rejection depth, and the funnel can be read from a
+   serialized run alone. *)
+let of_run (t : Stats_io.t) =
+  match t.Stats_io.provenance with
+  | None -> Error "no \"provenance\" section (sweep with --explain-out FILE)"
+  | Some p
+    when List.compare_lengths t.Stats_io.constraints
+           p.Provenance.pv_constraints
+         <> 0 ->
+    Error "the stats and provenance constraint lists differ in length"
+  | Some p -> (
+    let paired =
+      List.combine t.Stats_io.constraints p.Provenance.pv_constraints
+    in
+    match
+      List.find_opt
+        (fun ((cr : Stats_io.constraint_row), (pc : Provenance.crow)) ->
+          cr.Stats_io.cr_name <> pc.Provenance.pc_name)
+        paired
+    with
+    | Some (cr, pc) ->
+      Error
+        (Printf.sprintf
+           "stats row %S does not match provenance row %S (files from \
+            different sweeps?)"
+           cr.Stats_io.cr_name pc.Provenance.pc_name)
+    | None ->
+      let rows =
+        List.map
+          (fun ((cr : Stats_io.constraint_row), (pc : Provenance.crow)) ->
+            {
+              constraint_name = cr.Stats_io.cr_name;
+              constraint_class = cr.Stats_io.cr_class;
+              depth = pc.Provenance.pc_depth;
+              fired = cr.Stats_io.cr_fired;
+              removed = pc.Provenance.pc_removed;
+            })
+          paired
+        |> List.stable_sort (fun a b -> compare a.depth b.depth)
+      in
+      let exact_removed =
+        List.fold_left
+          (fun acc r -> acc + Option.value r.removed ~default:0)
+          0 rows
+      in
+      Ok
+        {
+          space = t.Stats_io.space;
+          total_points = t.Stats_io.survivors + exact_removed;
+          survivors = t.Stats_io.survivors;
+          rows;
+        })
 
-(* Constraints in actual evaluation order: a pre-order walk of the nest
-   (hoisted constraints at shallow depths run first). *)
+(* Constraints in actual evaluation order with their rejection depths: a
+   pre-order walk of the nest (hoisted constraints at shallow depths run
+   first). *)
 let evaluation_order (plan : Plan.t) =
-  let rec walk acc steps =
+  let rec walk depth acc steps =
     List.fold_left
       (fun acc (step : Plan.step) ->
         match step with
-        | Plan.Check { c_name; c_class; _ } -> (c_name, c_class) :: acc
-        | Plan.Loop { l_body; _ } -> walk acc l_body
+        | Plan.Check { c_name; c_class; _ } -> (c_name, c_class, depth) :: acc
+        | Plan.Loop { l_body; _ } -> walk (depth + 1) acc l_body
         | Plan.Derive _ | Plan.Yield | Plan.Static_prune _ -> acc)
       acc steps
   in
-  List.rev (walk [] plan.Plan.steps)
+  List.rev (walk 0 [] plan.Plan.steps)
 
-let funnel ?(engine = fun plan -> Engine_staged.run plan) space =
+let prefix_sweeps space =
+  let survivors_with names =
+    (Engine_staged.run_space
+       (Space.filter_constraints space ~keep:(fun cn ->
+            List.mem cn.Space.cn_name names)))
+      .Engine.survivors
+  in
+  let plan = Plan.make_exn space in
+  let full_stats = Engine_staged.run plan in
+  let fired_of name =
+    let _, _, k =
+      Array.to_list full_stats.Engine.pruned
+      |> List.find (fun (n, _, _) -> n = name)
+    in
+    k
+  in
+  let total = survivors_with [] in
+  let rec build prev_survivors prefix = function
+    | [] -> []
+    | (name, cls, depth) :: rest ->
+      let prefix = name :: prefix in
+      let s = survivors_with prefix in
+      {
+        constraint_name = name;
+        constraint_class = cls;
+        depth;
+        fired = fired_of name;
+        removed = Some (prev_survivors - s);
+      }
+      :: build s prefix rest
+  in
+  {
+    space = Space.name space;
+    total_points = total;
+    survivors = full_stats.Engine.survivors;
+    rows = build total [] (evaluation_order plan);
+  }
+
+let funnel space =
   let module Obs = Beast_obs.Obs in
   Obs.with_span ~cat:"stats"
     ~args:[ ("space", Obs.Str (Space.name space)) ]
     "funnel"
     (fun () ->
       let plan = Plan.make_exn space in
-      let order = evaluation_order plan in
-      let survivors_with names =
-        (engine (Plan.make_exn (space_with_constraints space names)))
-          .Engine.survivors
+      let stats, provenance =
+        Provenance.with_collector (fun () -> Engine_staged.run plan)
       in
-      let full_stats = engine plan in
-      let fired_of name =
-        let _, _, k =
-          Array.to_list full_stats.Engine.pruned
-          |> List.find (fun (n, _, _) -> n = name)
-        in
-        k
+      let f =
+        match of_run (Stats_io.of_stats ~plan ~provenance stats) with
+        | Ok f when List.for_all (fun r -> r.removed <> None) f.rows -> f
+        | Ok _ | Error _ -> prefix_sweeps space
       in
-      let total = survivors_with [] in
-      let rec build prev_survivors prefix = function
-        | [] -> []
-        | (name, cls) :: rest ->
-          let prefix = name :: prefix in
-          let s = survivors_with prefix in
-          let removed = prev_survivors - s in
+      List.iter
+        (fun r ->
           Obs.instant ~cat:"funnel"
             ~args:
-              [ ("fired", Obs.Int (fired_of name)); ("removed", Obs.Int removed) ]
-            name;
-          {
-            constraint_name = name;
-            constraint_class = cls;
-            fired = fired_of name;
-            removed = Some removed;
-          }
-          :: build s prefix rest
-      in
-      let rows = build total [] order in
-      {
-        space = Space.name space;
-        total_points = total;
-        survivors = full_stats.Engine.survivors;
-        rows;
-      })
-
-(* Exact funnel from ONE sweep: run the space once with a provenance
-   collector installed; each constraint's removal count is its summed
-   subtree cardinality at rejection (see Provenance). On spaces where
-   attribution is exact — all inner loop bounds static or bound before
-   the check — this equals the n+1-sweep funnel above; otherwise fall
-   back to the prefix sweeps rather than return partial counts. *)
-let funnel_single_pass ?(engine = fun plan -> Engine_staged.run plan) space =
-  let module Obs = Beast_obs.Obs in
-  Obs.with_span ~cat:"stats"
-    ~args:[ ("space", Obs.Str (Space.name space)) ]
-    "funnel_single_pass"
-    (fun () ->
-      let plan = Plan.make_exn space in
-      let stats, summary =
-        Provenance.with_collector (fun () -> engine plan)
-      in
-      match Provenance.total_removed summary with
-      | None -> funnel ~engine space
-      | Some removed_total ->
-        let removed_by_name =
-          List.map
-            (fun (r : Provenance.crow) ->
-              (r.Provenance.pc_name, r.Provenance.pc_removed))
-            summary.Provenance.pv_constraints
-        in
-        let fired_of name =
-          match
-            Array.to_list stats.Engine.pruned
-            |> List.find_opt (fun (n, _, _) -> n = name)
-          with
-          | Some (_, _, k) -> k
-          | None -> 0
-        in
-        let rows =
-          List.map
-            (fun (name, cls) ->
-              {
-                constraint_name = name;
-                constraint_class = cls;
-                fired = fired_of name;
-                removed =
-                  (match List.assoc_opt name removed_by_name with
-                  | Some r -> r
-                  | None -> None);
-              })
-            (evaluation_order plan)
-        in
-        {
-          space = Space.name space;
-          total_points = stats.Engine.survivors + removed_total;
-          survivors = stats.Engine.survivors;
-          rows;
-        })
-
-(* Rebuild a funnel from a serialized instrumented run (or a merged
-   shard set) without re-sweeping anything. The canonical nest is
-   linear, so evaluation order is a stable sort of the rows by
-   rejection depth. *)
-let funnel_of_run (t : Stats_io.t) =
-  match t.Stats_io.provenance with
-  | None ->
-    Error "no \"provenance\" section (sweep with --explain-out FILE)"
-  | Some p ->
-    if
-      List.length t.Stats_io.constraints
-      <> List.length p.Provenance.pv_constraints
-    then Error "the stats and provenance constraint lists differ in length"
-    else begin
-      let paired =
-        List.combine t.Stats_io.constraints p.Provenance.pv_constraints
-      in
-      match
-        List.find_opt
-          (fun ((cr : Stats_io.constraint_row), (pc : Provenance.crow)) ->
-            cr.Stats_io.cr_name <> pc.Provenance.pc_name)
-          paired
-      with
-      | Some (cr, pc) ->
-        Error
-          (Printf.sprintf
-             "stats row %S does not match provenance row %S"
-             cr.Stats_io.cr_name pc.Provenance.pc_name)
-      | None ->
-        let ordered =
-          List.stable_sort
-            (fun (_, (a : Provenance.crow)) (_, (b : Provenance.crow)) ->
-              compare a.Provenance.pc_depth b.Provenance.pc_depth)
-            paired
-        in
-        let rows =
-          List.map
-            (fun ((cr : Stats_io.constraint_row), (pc : Provenance.crow)) ->
-              {
-                constraint_name = cr.Stats_io.cr_name;
-                constraint_class = cr.Stats_io.cr_class;
-                fired = cr.Stats_io.cr_fired;
-                removed = pc.Provenance.pc_removed;
-              })
-            ordered
-        in
-        let exact_removed =
-          List.fold_left
-            (fun acc r ->
-              match r.removed with
-              | Some k -> acc + k
-              | None -> acc)
-            0 rows
-        in
-        Ok
-          {
-            space = t.Stats_io.space;
-            total_points = t.Stats_io.survivors + exact_removed;
-            survivors = t.Stats_io.survivors;
-            rows;
-          }
-    end
-
-let of_stats space (stats : Engine.stats) ~total_points =
-  {
-    space = Space.name space;
-    total_points;
-    survivors = stats.Engine.survivors;
-    rows =
-      Array.to_list stats.Engine.pruned
-      |> List.map (fun (n, c, k) ->
-             {
-               constraint_name = n;
-               constraint_class = c;
-               fired = k;
-               removed = None;
-             });
-  }
+              (("fired", Obs.Int r.fired)
+              :: Option.fold r.removed ~none:[] ~some:(fun k ->
+                     [ ("removed", Obs.Int k) ]))
+            r.constraint_name)
+        f.rows;
+      f)
 
 let to_csv f =
   let buf = Buffer.create 256 in

@@ -9,11 +9,11 @@
 type row = {
   constraint_name : string;
   constraint_class : Space.constraint_class;
+  depth : int;  (** rejection depth: 0 = before the first loop *)
   fired : int;  (** times the constraint rejected (subtree abandoned) *)
   removed : int option;
-      (** full points removed by those firings; [None] when the funnel
-          was built from a single sweep and exact attribution is
-          unavailable *)
+      (** full points removed by those firings; [None] when exact
+          attribution is unavailable (see {!of_run}) *)
 }
 
 type funnel = {
@@ -29,48 +29,36 @@ val survival_rate : funnel -> float
 val pruned_fraction : funnel -> float
 (** 1 - {!survival_rate}: the paper's "as much as 99%". *)
 
-val funnel :
-  ?engine:(Plan.t -> Engine.stats) ->
-  Space.t ->
-  funnel
-(** The reference prefix-sweep method: one sweep per prefix of the
-    constraint set (constraints in evaluation order, each run adding
-    one more) with the given engine (default {!Engine_staged.run}); the
-    drop in survivors between consecutive runs is the number of points
-    each constraint removes. Cost: [n+1] sweeps over the
-    {e unconstrained} space — prefer {!funnel_single_pass}, which gets
-    the same numbers from one sweep, and keep this as the independent
-    cross-check it serves as in the test suite.
-    @raise Plan.Error if the space does not plan. *)
-
-val funnel_single_pass :
-  ?engine:(Plan.t -> Engine.stats) ->
-  Space.t ->
-  funnel
-(** The fast path: one provenance-instrumented sweep of the full space.
-    A constraint firing at depth [d] abandons a subtree whose
-    cardinality is the product of the inner loops' trip counts, and
-    constraints earlier in evaluation order reject first, so summing
-    those products per constraint reproduces {!funnel}'s exclusive
-    removal counts exactly (see {!Provenance}). When the space defeats
-    exact attribution (closure iterators or bounds read from
-    later-bound variables below a check) this falls back to the
-    [n+1]-sweep {!funnel} instead of returning partial counts.
-    @raise Plan.Error if the space does not plan. *)
-
-val funnel_of_run : Stats_io.t -> (funnel, string) result
-(** Rebuild the funnel from a serialized instrumented run
-    ([sweep --explain-out], or a [beast merge] of a complete shard set)
-    without re-sweeping anything. Rows come back in evaluation order.
-    [Error] when the file carries no provenance section or its rows
+val of_run : Stats_io.t -> (funnel, string) result
+(** The one place a run becomes funnel rows: pair a serialized
+    instrumented run's stats rows ([sweep --explain-out], or a
+    [beast merge] of a complete shard set) with its provenance rows,
+    without re-sweeping anything. Rows come back in evaluation order
+    (a stable sort by rejection depth; the canonical nest is linear).
+    [Error] when the run carries no provenance section or its rows
     disagree with the stats rows. Constraints with inexact attribution
     keep [removed = None] and do not contribute to [total_points]
     (which is then a lower bound). *)
 
-val of_stats : Space.t -> Engine.stats -> total_points:int -> funnel
-(** Cheap single-sweep variant: rows carry firing counts only
-    ([removed = None]). [total_points] must be supplied by the caller
-    (e.g. {!Feasible.count} of the constraint-free space). *)
+val funnel : Space.t -> funnel
+(** The exact funnel, every row [Some]: one provenance-instrumented
+    staged sweep read through {!of_run}. A constraint firing at depth
+    [d] abandons a subtree whose cardinality is the product of the
+    inner loops' trip counts, and earlier constraints reject first, so
+    these sums are each constraint's exclusive removal count (see
+    {!Provenance}). When the space defeats exact attribution (closure
+    iterators, or bounds read from later-bound variables below a check)
+    the result is {!prefix_sweeps} instead. Emits one ["funnel"] trace
+    instant per row.
+    @raise Plan.Error if the space does not plan. *)
+
+val prefix_sweeps : Space.t -> funnel
+(** The exact fallback and the tests' reference: one staged sweep per
+    prefix of the constraint set in evaluation order, each adding one
+    more constraint; the drop in survivors between consecutive sweeps
+    is the number of points each constraint removes. Cost: [n+1] sweeps
+    over the {e unconstrained} space.
+    @raise Plan.Error if the space does not plan. *)
 
 val to_csv : funnel -> string
 val pp : Format.formatter -> funnel -> unit

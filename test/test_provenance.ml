@@ -69,25 +69,47 @@ let test_attribution_dynamic () =
     Alcotest.(check int) "empty subtree under a=0" 0 (f slots)
   | _ -> Alcotest.fail "ca guards a data-dependent subtree: Dyn"
 
-(* A closure iterator below the check is opaque: no exact count without
-   sweeping. *)
-let test_attribution_inexact () =
+(* A closure iterator below a check that fires (a = 3, 4). *)
+let inexact_space () =
   let open Expr.Infix in
   let sp = Space.create ~name:"inexact" () in
   Space.iterator sp "a" (Iter.range_i 1 5);
-  Space.constrain sp "ca" (Expr.var "a" >: Expr.int 10);
+  Space.constrain sp "ca" (Expr.var "a" >: Expr.int 2);
   Space.iterator sp "z"
     (Iter.closure ~deps:[ "a" ] (fun env ->
          let a = Value.to_int (env "a") in
          List.to_seq (List.init a (fun i -> Value.Int i))));
-  let plan = Plan.make_exn sp in
+  sp
+
+(* A closure iterator below the check is opaque: no exact count without
+   sweeping. *)
+let test_attribution_inexact () =
+  let plan = Plan.make_exn (inexact_space ()) in
   let at = Provenance.attribution plan in
   match Provenance.removal_of at (c_index plan "ca") with
   | Provenance.Inexact -> ()
   | _ -> Alcotest.fail "closure iterator below the check must be Inexact"
 
+(* What [beast sweep --explain-out] writes: the stats file with the
+   provenance section. Like the CLI, a shard chunks the plan before
+   propagating it. *)
+let run_io ?(propagate = false) ?shard sp =
+  let plan = Plan.make_exn sp in
+  let chunk, shard_info =
+    match shard with
+    | None -> (plan, Stats_io.unsharded)
+    | Some (index, of_) ->
+      ( Plan.chunk_outer plan ~index ~of_,
+        { Stats_io.shard_index = index; shard_of = of_ } )
+  in
+  let run_plan = if propagate then Propagate.pass chunk else chunk in
+  let stats, summary =
+    Provenance.with_collector (fun () -> Engine_staged.run run_plan)
+  in
+  Stats_io.of_stats ~plan ~shard:shard_info ~provenance:summary stats
+
 (* ------------------------------------------------------------------ *)
-(* Single-pass funnel == n+1-sweep funnel                              *)
+(* Single-pass funnel == n+1 prefix sweeps                             *)
 (* ------------------------------------------------------------------ *)
 
 let check_funnels_agree label (a : Stats.funnel) (b : Stats.funnel) =
@@ -103,6 +125,9 @@ let check_funnels_agree label (a : Stats.funnel) (b : Stats.funnel) =
     (fun (ra : Stats.row) (rb : Stats.row) ->
       Alcotest.(check string) (label ^ ": row name") ra.Stats.constraint_name
         rb.Stats.constraint_name;
+      Alcotest.(check int)
+        (label ^ ": depth " ^ ra.Stats.constraint_name)
+        ra.Stats.depth rb.Stats.depth;
       Alcotest.(check int)
         (label ^ ": fired " ^ ra.Stats.constraint_name)
         ra.Stats.fired rb.Stats.fired;
@@ -133,26 +158,37 @@ let conv2d_space () =
 
 let test_single_pass_triangle () =
   let sp () = Support.triangle_space () in
-  check_funnels_agree "triangle" (Stats.funnel (sp ()))
-    (Stats.funnel_single_pass (sp ()))
+  check_funnels_agree "triangle" (Stats.prefix_sweeps (sp ()))
+    (Stats.funnel (sp ()))
 
-(* mixed_space has a closure iterator, so single-pass attribution is
-   inexact and the fast path must fall back to the prefix sweeps — the
-   funnels still agree exactly. *)
+(* A closure iterator below a firing check leaves that row inexact after
+   one provenance sweep, so Stats.funnel must fall back to the prefix
+   sweeps. (Support.mixed_space's closure iterator sits above both of
+   its checks, so its attribution is exact.) *)
 let test_single_pass_fallback () =
-  let sp () = Support.mixed_space () in
-  check_funnels_agree "mixed" (Stats.funnel (sp ()))
-    (Stats.funnel_single_pass (sp ()))
+  let sp () = inexact_space () in
+  (match Stats.of_run (run_io (sp ())) with
+  | Ok f ->
+    Alcotest.(check bool) "one provenance sweep leaves a row inexact" true
+      (List.exists (fun (r : Stats.row) -> r.Stats.removed = None) f.Stats.rows)
+  | Error e -> Alcotest.failf "of_run failed: %s" e);
+  let f = Stats.funnel (sp ()) in
+  List.iter
+    (fun (r : Stats.row) ->
+      Alcotest.(check bool) ("exact " ^ r.Stats.constraint_name) true
+        (r.Stats.removed <> None))
+    f.Stats.rows;
+  check_funnels_agree "inexact" (Stats.prefix_sweeps (sp ())) f
 
 let test_single_pass_gemm () =
   check_funnels_agree "gemm"
+    (Stats.prefix_sweeps (gemm_space ()))
     (Stats.funnel (gemm_space ()))
-    (Stats.funnel_single_pass (gemm_space ()))
 
 let test_single_pass_conv2d () =
   check_funnels_agree "conv2d"
+    (Stats.prefix_sweeps (conv2d_space ()))
     (Stats.funnel (conv2d_space ()))
-    (Stats.funnel_single_pass (conv2d_space ()))
 
 (* ------------------------------------------------------------------ *)
 (* Engine agreement                                                    *)
@@ -191,24 +227,6 @@ let test_engines_agree () =
 (* ------------------------------------------------------------------ *)
 (* Shard merge                                                         *)
 (* ------------------------------------------------------------------ *)
-
-(* What [beast sweep --explain-out] writes: the stats file with the
-   provenance section. Like the CLI, a shard chunks the plan before
-   propagating it. *)
-let run_io ?(propagate = false) ?shard sp =
-  let plan = Plan.make_exn sp in
-  let chunk, shard_info =
-    match shard with
-    | None -> (plan, Stats_io.unsharded)
-    | Some (index, of_) ->
-      ( Plan.chunk_outer plan ~index ~of_,
-        { Stats_io.shard_index = index; shard_of = of_ } )
-  in
-  let run_plan = if propagate then Propagate.pass chunk else chunk in
-  let stats, summary =
-    Provenance.with_collector (fun () -> Engine_staged.run run_plan)
-  in
-  Stats_io.of_stats ~plan ~shard:shard_info ~provenance:summary stats
 
 let merge_exn shards =
   match Stats_io.merge shards with
@@ -322,19 +340,19 @@ let test_stats_io_roundtrip () =
   | Error e -> Alcotest.failf "of_json failed: %s" e
 
 (* ------------------------------------------------------------------ *)
-(* funnel_of_run and the explain renderer                               *)
+(* of_run and the explain renderer                                      *)
 (* ------------------------------------------------------------------ *)
 
-let test_funnel_of_run () =
-  let reference = Stats.funnel (Support.triangle_space ()) in
-  match Stats.funnel_of_run (run_io (Support.triangle_space ())) with
+let test_of_run () =
+  let reference = Stats.prefix_sweeps (Support.triangle_space ()) in
+  match Stats.of_run (run_io (Support.triangle_space ())) with
   | Ok f -> check_funnels_agree "of_run" reference f
-  | Error e -> Alcotest.failf "funnel_of_run failed: %s" e
+  | Error e -> Alcotest.failf "of_run failed: %s" e
 
-let test_funnel_of_run_requires_provenance () =
+let test_of_run_requires_provenance () =
   let plan = Plan.make_exn (Support.triangle_space ()) in
   let io = Stats_io.of_stats ~plan (Engine_staged.run plan) in
-  match Stats.funnel_of_run io with
+  match Stats.of_run io with
   | Ok _ -> Alcotest.fail "must reject a run without provenance"
   | Error e ->
     Alcotest.(check bool) "diagnostic names provenance" true
@@ -419,9 +437,9 @@ let () =
         ] );
       ( "explain",
         [
-          Alcotest.test_case "funnel_of_run" `Quick test_funnel_of_run;
-          Alcotest.test_case "funnel_of_run needs provenance" `Quick
-            test_funnel_of_run_requires_provenance;
+          Alcotest.test_case "of_run" `Quick test_of_run;
+          Alcotest.test_case "of_run needs provenance" `Quick
+            test_of_run_requires_provenance;
           Alcotest.test_case "renders all sections" `Quick
             test_explain_sections;
           Alcotest.test_case "explain needs provenance" `Quick

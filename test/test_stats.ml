@@ -28,9 +28,12 @@ let test_funnel_rates () =
 let test_funnel_order_is_evaluation_order () =
   let f = Stats.funnel (Support.triangle_space ()) in
   (* big_x (depth 1) is evaluated before odd_sum (depth 2). *)
-  Alcotest.(check (list string))
-    "row order" [ "big_x"; "odd_sum" ]
-    (List.map (fun (r : Stats.row) -> r.Stats.constraint_name) f.Stats.rows)
+  Alcotest.(check (list (pair string int)))
+    "row order and depths"
+    [ ("big_x", 1); ("odd_sum", 2) ]
+    (List.map
+       (fun (r : Stats.row) -> (r.Stats.constraint_name, r.Stats.depth))
+       f.Stats.rows)
 
 (* Size of the unconstrained space (every iterator combination, no
    pruning), counted by the feasible-set diagram without enumerating. *)
@@ -41,17 +44,6 @@ let unconstrained_count sp =
   match Feasible.build plan with
   | Ok f -> Feasible.count f
   | Error msg -> Alcotest.failf "feasible set refused: %s" msg
-
-let test_of_stats () =
-  let sp = Support.triangle_space () in
-  let stats = Engine_staged.run_space sp in
-  let total = unconstrained_count sp in
-  let f = Stats.of_stats sp stats ~total_points:total in
-  Alcotest.(check int) "total" 36 f.Stats.total_points;
-  List.iter
-    (fun (r : Stats.row) ->
-      Alcotest.(check bool) "no attribution" true (r.Stats.removed = None))
-    f.Stats.rows
 
 let test_csv () =
   let f = Stats.funnel (Support.triangle_space ()) in
@@ -197,7 +189,6 @@ let () =
           Alcotest.test_case "rates" `Quick test_funnel_rates;
           Alcotest.test_case "evaluation order" `Quick
             test_funnel_order_is_evaluation_order;
-          Alcotest.test_case "of_stats" `Quick test_of_stats;
           Alcotest.test_case "csv" `Quick test_csv;
           Alcotest.test_case "csv TOTAL row" `Quick test_csv_total_row;
           Alcotest.test_case "merge" `Quick test_merge;
