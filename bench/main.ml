@@ -600,16 +600,25 @@ let ablation_checkpoint () =
    Wall-clock gains need real cores (this container may expose one);
    the per-slice iteration shares are machine-independent evidence. *)
 let ablation_stealing () =
-  (* The pre-chunking scheduler, kept here as the baseline: exactly one
-     static round-robin slice per domain (Plan.slice_outer), no
-     stealing. Depth-0 checks run once per slice, so the merge keeps
-     one slice's counts for them. *)
-  let run_static ~domains plan =
+  (* The pre-chunking scheduler, kept here as the baseline: one static
+     round-robin slice per domain, no stealing. Slice k holds the outer
+     positions k, k + domains, ...: with one Plan.chunk_outer block per
+     position ([positions] is the outer trip count), the blocks k,
+     k + domains, .... Depth-0 checks run once per block, so the merge
+     keeps one block's counts for them. *)
+  let static_slice ~domains ~positions plan k =
+    List.filter_map
+      (fun p ->
+        if p mod domains = k then
+          Some (Engine_staged.run (Plan.chunk_outer plan ~index:p ~of_:positions))
+        else None)
+      (List.init positions Fun.id)
+  in
+  let run_static ~domains ~positions plan =
     let stats =
-      List.init domains (fun index ->
-          Domain.spawn (fun () ->
-              Engine_staged.run (Plan.slice_outer plan ~index ~of_:domains)))
-      |> List.map Domain.join
+      List.init domains (fun k ->
+          Domain.spawn (fun () -> static_slice ~domains ~positions plan k))
+      |> List.concat_map Domain.join
     in
     let sum = List.fold_left Engine.merge (Engine.empty_stats plan) stats in
     let depth0 = Plan.depth0_constraints plan in
@@ -640,16 +649,20 @@ let ablation_stealing () =
     (Expr.var "dim_m" %: Expr.int 4 <>: Expr.int 0);
   let plan = Plan.make_exn sp in
   let domains = 4 in
+  (* dim_m, the outermost loop, is range(1, max_dim + 1). *)
+  let positions = max_dim in
   let seq = Engine_staged.run plan in
   (* Machine-independent skew: each static slice's share of the loop
      iterations vs the largest single chunk of the stealing split. *)
   let total = float_of_int seq.Engine.loop_iterations in
   let share iters = 100.0 *. float_of_int iters /. total in
   let slice_shares =
-    List.init domains (fun index ->
+    List.init domains (fun k ->
         share
-          (Engine_staged.run (Plan.slice_outer plan ~index ~of_:domains))
-            .Engine.loop_iterations)
+          (List.fold_left
+             (fun n s -> n + s.Engine.loop_iterations)
+             0
+             (static_slice ~domains ~positions plan k)))
   in
   let n_chunks = domains * Engine_parallel.default_chunks_per_domain in
   let max_chunk_share =
@@ -661,7 +674,7 @@ let ablation_stealing () =
   in
   ignore (Engine_parallel.run ~domains plan) (* warm up domain spawning *);
   let s_static, t_static =
-    time_once (fun () -> run_static ~domains plan)
+    time_once (fun () -> run_static ~domains ~positions plan)
   in
   let s_steal, t_steal = time_once (fun () -> Engine_parallel.run ~domains plan) in
   Printf.printf "survivors %d, loop iterations %d, %d domains\n"
@@ -838,16 +851,16 @@ let ablation_propagate () =
     (synth_count = Synth.expected_survivors ())
 
 (* The live-introspection companion: the same staged sweep with the
-   heartbeat status file and the flight recorder installed vs plain.
-   The status writer is throttled (at most one temp-then-rename per
-   interval) and the flight ring is a per-domain array store, so the
-   dominant cost is the same one the obs ablation measures: the
-   engines pick their instrumented compiled path once any sink is
-   live. The overhead is reported; the final status file and the
-   flight dump are required. *)
+   run record and the flight recorder installed vs plain. The record's
+   heartbeat is throttled (at most one temp-then-rename per interval)
+   and the flight ring is a per-domain array store, so the dominant
+   cost is the same one the obs ablation measures: the engines pick
+   their instrumented compiled path once any sink is live. The overhead
+   is reported; the finalized run record and the flight dump are
+   required. *)
 let ablation_status () =
   header
-    "Ablation: heartbeat status + flight recorder on the staged GEMM\n\
+    "Ablation: run record + flight recorder on the staged GEMM\n\
      sweep (introspection off vs on).";
   let max_dim = if fast then 20 else 32 in
   let max_threads = if fast then 96 else 128 in
@@ -858,12 +871,14 @@ let ablation_status () =
   let off =
     ns_per_run "staged-status-off" (fun () -> ignore (Engine_staged.run plan))
   in
-  let status_file = Filename.temp_file "beast_bench_status" ".json" in
+  let runs_dir = Filename.temp_file "beast_bench_runs" "" in
+  Sys.remove runs_dir;
+  let record_file = Filename.concat runs_dir "bench-status.json" in
   let flight_file = Filename.temp_file "beast_bench_flight" ".jsonl" in
   let cfg =
     {
       Run_config.default with
-      Run_config.status = Some status_file;
+      Run_config.runs_dir = Some runs_dir;
       status_every_s = 0.1;
       flight = Some flight_file;
       run_id = Some "bench-status";
@@ -879,11 +894,11 @@ let ablation_status () =
          0));
   let on = !on in
   Printf.printf "introspection disabled: %10.3f ms/run\n" (off *. 1e-6);
-  Printf.printf "status + flight on:     %10.3f ms/run  (%+.1f%%)\n"
+  Printf.printf "record + flight on:     %10.3f ms/run  (%+.1f%%)\n"
     (on *. 1e-6) (100.0 *. ((on /. off) -. 1.0));
   require "status parses"
-    (match Status.of_file status_file with
-    | Ok v -> v.Status.v_state = "completed"
+    (match Status.of_file record_file with
+    | Ok r -> r.Status.state = Status.Completed
     | Error _ -> false);
   require "flight non-empty"
     (match Sink_jsonl.read_file flight_file with
@@ -891,7 +906,8 @@ let ablation_status () =
     | Error _ -> false);
   List.iter
     (fun f -> try Sys.remove f with Sys_error _ -> ())
-    [ status_file; flight_file ]
+    [ record_file; flight_file ];
+  try Unix.rmdir runs_dir with Unix.Unix_error _ -> ()
 
 let () =
   if Array.length Sys.argv > 1 then begin

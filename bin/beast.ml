@@ -125,7 +125,7 @@ let resume_arg =
 let fault_arg =
   (* Test hooks: chunk-crash proves crash recovery (failed attempts are
      retried); chunk-fatal takes the whole run down, exercising the
-     flight-recorder and manifest crash paths. *)
+     flight-recorder and run-record crash paths. *)
   let parse s =
     let bad () =
       Error
@@ -207,17 +207,8 @@ let metrics_out_arg =
   Arg.(
     value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
 
-let status_arg =
-  let doc =
-    "Atomically rewrite a small JSON heartbeat snapshot of the run \
-     (chunks done/total, per-domain throughput, survivor rate, \
-     pruning-aware ETA, checkpoint age) to $(docv); attach to it with \
-     $(b,beast top)."
-  in
-  Arg.(value & opt (some string) None & info [ "status" ] ~docv:"FILE" ~doc)
-
 let status_every_arg =
-  let doc = "Seconds between status-file rewrites (default 1)." in
+  let doc = "Seconds between --runs record rewrites (default 1)." in
   Arg.(value & opt float 1.0 & info [ "status-every" ] ~docv:"SECONDS" ~doc)
 
 let flight_arg =
@@ -231,9 +222,12 @@ let flight_arg =
 
 let runs_dir_arg =
   let doc =
-    "Write a run manifest into $(docv) at start (status \"running\") \
-     and finalize it at exit (completed/interrupted/crashed, exit code, \
-     wall time); inspect with $(b,beast runs)."
+    "Write the run record $(docv)/RUN_ID.json at start (state \
+     \"running\"), rewrite it every --status-every seconds (chunks \
+     done/total, per-domain throughput, survivor rate, pruning-aware ETA, \
+     checkpoint age) and finalize it at exit (completed/interrupted/\
+     crashed, exit code). Follow one with $(b,beast top), list them with \
+     $(b,beast runs); --run-id fixes the file name."
   in
   Arg.(value & opt (some string) None & info [ "runs" ] ~docv:"DIR" ~doc)
 
@@ -266,8 +260,8 @@ let archive_dir_arg =
    assembled into one Run_config record instead of a dozen loose values
    threaded through each term. *)
 let obs_config_term =
-  let build trace trace_format progress metrics metrics_out status
-      status_every_s flight runs_dir run_id =
+  let build trace trace_format progress metrics metrics_out status_every_s
+      flight runs_dir run_id =
     {
       Run_config.default with
       Run_config.trace;
@@ -275,7 +269,6 @@ let obs_config_term =
       progress;
       metrics;
       metrics_out;
-      status;
       status_every_s;
       flight;
       runs_dir;
@@ -284,8 +277,8 @@ let obs_config_term =
   in
   Term.(
     const build $ trace_arg $ trace_format_arg $ progress_arg $ metrics_arg
-    $ metrics_out_arg $ status_arg $ status_every_arg $ flight_arg
-    $ runs_dir_arg $ run_id_arg)
+    $ metrics_out_arg $ status_every_arg $ flight_arg $ runs_dir_arg
+    $ run_id_arg)
 
 let propagate_arg =
   let doc =
@@ -327,7 +320,7 @@ let sweep_config_term =
 (* Validate the config, then run [f] under its instrumentation. [f]
    receives the effective run id and returns the process exit code
    rather than calling [exit] itself, so the run's finalizers (trace,
-   flight and metrics writes, status and manifest finalization) always
+   flight and metrics writes, run record finalization) always
    run before the process ends. A space the engines cannot run —
    untranslatable for the compiled tier, a missing compiler, a failed
    compile, an evaluation error such as a zero range step — gets one
@@ -554,11 +547,14 @@ let sweep_term =
       | Some _ as path -> path
       | None -> cfg.Run_config.resume
     in
-    (* The files the sweep writes when it ends are probed now, so an
-       unwritable path fails before the enumeration, not after it. *)
+    (* The files the sweep writes as it runs or when it ends are probed
+       now, so an unwritable path fails before the enumeration, not
+       part-way or after it. *)
     (try
        List.iter Jsonx.check_writable
-         (Option.to_list stats_out @ Option.to_list cfg.Run_config.explain_out)
+         (Option.to_list stats_out
+         @ Option.to_list cfg.Run_config.explain_out
+         @ Option.to_list ck_path)
      with Sys_error msg ->
        Format.eprintf "beast: %s@." msg;
        exit 1);
@@ -1263,13 +1259,16 @@ let export_cmd =
     Term.(const run $ space_term)
 
 (* ------------------------------------------------------------------ *)
-(* Live introspection: beast top (heartbeat viewer), beast runs        *)
+(* Live introspection: beast top (run record viewer), beast runs      *)
 (* ------------------------------------------------------------------ *)
 
 let top_cmd =
-  let status_file_arg =
-    let doc = "Heartbeat status file written by sweep --status $(docv)." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
+  let record_arg =
+    let doc =
+      "Run record written by sweep --runs DIR: DIR/RUN_ID.json, a fixed \
+       name with --run-id."
+    in
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"RECORD" ~doc)
   in
   let once_arg =
     let doc = "Print one snapshot and exit instead of following." in
@@ -1284,8 +1283,7 @@ let top_cmd =
     | Some s when s < 0.0 -> "-"
     | Some s -> Printf.sprintf "%.0fs" s
   in
-  let render ppf (v : Status.view) =
-    let open Status in
+  let render ppf (r : Status.record) =
     let lines = ref 0 in
     let line fmt =
       Format.kfprintf
@@ -1294,29 +1292,31 @@ let top_cmd =
           Format.fprintf ppf "@.")
         ppf fmt
     in
-    line "%s  %s%s  pid %d  %s"
-      (match v.v_run_id with None -> "run -" | Some id -> "run " ^ id)
-      (match v.v_space with None -> "?" | Some sp -> sp)
-      (match v.v_shard with
+    line "run %s  %s%s  %s  pid %d  %s%s" r.run_id r.space
+      (match r.shard with
       | None -> ""
       | Some (i, n) -> Printf.sprintf " shard %d/%d" i n)
-      v.v_pid v.v_state;
+      r.engine r.pid
+      (Status.state_name r.state)
+      (match r.exit_code with
+      | None -> ""
+      | Some c -> Printf.sprintf " (exit %d)" c);
     line "chunks %d/%d  points %s (%s/s)  survivors %s (%.2f%%)"
-      v.v_chunks_done v.v_chunks_total
-      (Units.si_int v.v_points)
-      (Units.si_int (int_of_float v.v_points_per_s))
-      (Units.si_int v.v_survivors)
-      (100.0 *. v.v_survivor_rate);
-    line "elapsed %.1fs  eta %s  checkpoint %s" v.v_elapsed_s
-      (fmt_eta v.v_eta_s)
-      (match v.v_checkpoint_age_s with
+      r.chunks_done r.chunks_total
+      (Units.si_int r.points)
+      (Units.si_int (int_of_float r.points_per_s))
+      (Units.si_int r.survivors)
+      (100.0 *. r.survivor_rate);
+    line "elapsed %.1fs  eta %s  checkpoint %s" r.elapsed_s
+      (fmt_eta r.eta_s)
+      (match r.checkpoint_age_s with
       | None -> "-"
       | Some age -> Printf.sprintf "%.1fs ago" age);
     List.iter
       (fun (dom, points, survivors) ->
         line "  dom %d: %s points, %s survivors" dom (Units.si_int points)
           (Units.si_int survivors))
-      v.v_domains;
+      r.domains;
     !lines
   in
   let run file once interval =
@@ -1325,12 +1325,12 @@ let top_cmd =
       exit 2
     end;
     let tty = Unix.isatty Unix.stdout in
-    let read_view () = Status.of_file file in
+    let read_record () = Status.of_file file in
     if once || not tty then begin
       (* One plain snapshot (or, when following off-tty, a snapshot
          line block per interval — greppable, no control codes). *)
       let rec loop first =
-        match read_view () with
+        match read_record () with
         | Error msg ->
           if first then begin
             Format.eprintf "beast top: %s: %s@." file msg;
@@ -1343,7 +1343,7 @@ let top_cmd =
         | Ok v ->
           ignore (render Format.std_formatter v);
           Format.pp_print_flush Format.std_formatter ();
-          if not (once || v.Status.v_state <> "running") then begin
+          if (not once) && v.Status.state = Status.Running then begin
             Unix.sleepf interval;
             loop false
           end
@@ -1355,7 +1355,7 @@ let top_cmd =
          the terminal shows one live panel instead of a scrolling log. *)
       let prev_lines = ref 0 in
       let rec loop first =
-        (match read_view () with
+        (match read_record () with
         | Error msg ->
           if first then begin
             Format.eprintf "beast top: %s: %s (waiting)@." file msg;
@@ -1375,7 +1375,7 @@ let top_cmd =
                  if l <> "" then print_string ("\027[2K" ^ l ^ "\n"));
           prev_lines := n;
           flush stdout;
-          if v.Status.v_state <> "running" then raise Exit);
+          if v.Status.state <> Status.Running then raise Exit);
         Unix.sleepf interval;
         loop false
       in
@@ -1385,57 +1385,53 @@ let top_cmd =
   Cmd.v
     (Cmd.info "top"
        ~doc:
-         "Follow the heartbeat status file of a running sweep (sweep \
-          --status FILE): chunk progress, throughput, survivor rate, \
-          pruning-aware ETA, checkpoint age and per-domain utilization. \
-          Redraws in place on a tty; plain snapshots with --once or \
-          when piped")
-    Term.(const run $ status_file_arg $ once_arg $ interval_arg)
+         "Follow the run record of a running sweep (sweep --runs DIR): \
+          chunk progress, throughput, survivor rate, pruning-aware ETA, \
+          checkpoint age and per-domain utilization. Redraws in place on \
+          a tty; plain snapshots with --once or when piped")
+    Term.(const run $ record_arg $ once_arg $ interval_arg)
 
 let runs_cmd =
   let target_arg =
     let doc =
       "Runs directory written by sweep --runs (default $(b,runs)), or a \
-       single manifest file to inspect."
+       single run record to inspect."
     in
     Arg.(value & pos 0 string "runs" & info [] ~docv:"DIR|FILE" ~doc)
   in
-  let describe (m : Run_meta.t) =
-    Format.printf "%-12s  %-14s  %-7s  %-10s  %-11s  %-4s  %s@." m.Run_meta.run_id
-      m.Run_meta.space
-      (match m.Run_meta.shard with
+  let describe (r : Status.record) =
+    Format.printf "%-12s  %-14s  %-7s  %-10s  %-11s  %-4s  %.1fs@." r.run_id
+      r.space
+      (match r.shard with
       | None -> "-"
       | Some (i, n) -> Printf.sprintf "%d/%d" i n)
-      m.Run_meta.engine
-      (Run_meta.status_name m.Run_meta.status)
-      (match m.Run_meta.exit_code with
+      r.engine
+      (Status.state_name r.state)
+      (match r.exit_code with
       | None -> "-"
       | Some c -> string_of_int c)
-      (match m.Run_meta.wall_s with
-      | None -> "-"
-      | Some w -> Printf.sprintf "%.1fs" w)
+      r.elapsed_s
   in
   let header () =
     Format.printf "%-12s  %-14s  %-7s  %-10s  %-11s  %-4s  %s@." "run" "space"
-      "shard" "engine" "status" "exit" "wall"
+      "shard" "engine" "state" "exit" "elapsed"
   in
   let prune_arg =
     let doc =
-      "Remove finished and unreadable manifests from the directory \
-       (running manifests whose process is still alive are always \
-       kept); restrict with --keep/--older-than, preview with \
-       --dry-run."
+      "Remove finished and unreadable records from the directory \
+       (running records whose process is still alive are always kept); \
+       restrict with --keep/--older-than, preview with --dry-run."
     in
     Arg.(value & flag & info [ "prune" ] ~doc)
   in
   let keep_arg =
-    let doc = "With --prune: keep the $(docv) most recently written manifests." in
+    let doc = "With --prune: keep the $(docv) most recently written records." in
     Arg.(value & opt (some int) None & info [ "keep" ] ~docv:"N" ~doc)
   in
   let older_than_arg =
     let doc =
-      "With --prune: only remove manifests last written more than \
-       $(docv) seconds ago."
+      "With --prune: only remove records last written more than $(docv) \
+       seconds ago."
     in
     Arg.(
       value
@@ -1446,7 +1442,7 @@ let runs_cmd =
     let doc = "With --prune: print what would be removed, remove nothing." in
     Arg.(value & flag & info [ "dry-run" ] ~doc)
   in
-  (* A "running" manifest may belong to a process that died without
+  (* A "running" record may belong to a process that died without
      finalizing (SIGKILL, power loss); signal 0 probes liveness. EPERM
      means the pid exists under another user — treat it as alive. *)
   let pid_alive pid =
@@ -1458,7 +1454,7 @@ let runs_cmd =
   let prune_dir dir ~keep ~older_than ~dry_run =
     let now = Unix.gettimeofday () in
     let entries =
-      Run_meta.entries ~dir
+      Status.entries ~dir
       |> List.map (fun (file, r) ->
              let mtime =
                match Unix.stat file with
@@ -1480,8 +1476,7 @@ let runs_cmd =
           &&
           match r with
           | Error _ -> true (* unreadable: prune *)
-          | Ok m ->
-            not (m.Run_meta.status = Run_meta.Running && pid_alive m.Run_meta.pid))
+          | Ok r -> not (r.Status.state = Status.Running && pid_alive r.Status.pid))
         entries
     in
     List.iter
@@ -1489,7 +1484,7 @@ let runs_cmd =
         let why =
           match r with
           | Error _ -> "unreadable"
-          | Ok m -> Run_meta.status_name m.Run_meta.status
+          | Ok r -> Status.state_name r.Status.state
         in
         if dry_run then Format.printf "would remove %s (%s)@." file why
         else begin
@@ -1497,7 +1492,7 @@ let runs_cmd =
           Format.printf "removed %s (%s)@." file why
         end)
       victims;
-    Format.printf "%s %d of %d manifest file%s in %s@."
+    Format.printf "%s %d of %d run record%s in %s@."
       (if dry_run then "would prune" else "pruned")
       (List.length victims) (List.length entries)
       (if List.length entries = 1 then "" else "s")
@@ -1525,17 +1520,17 @@ let runs_cmd =
           "beast runs: --prune needs a runs directory, not a file@.";
         exit 2
       end;
-      match Run_meta.of_file target with
+      match Status.of_file target with
       | Error msg ->
         Format.eprintf "beast runs: %s: %s@." target msg;
         exit 1
-      | Ok m ->
+      | Ok r ->
         header ();
-        describe m
+        describe r
     end
     else if prune then prune_dir target ~keep ~older_than ~dry_run
     else begin
-      let entries = Run_meta.entries ~dir:target in
+      let entries = Status.entries ~dir:target in
       List.iter
         (fun (file, r) ->
           match r with
@@ -1547,20 +1542,20 @@ let runs_cmd =
         List.filter_map (fun (_, r) -> Result.to_option r) entries
       with
       | [] ->
-        Format.eprintf "beast runs: no readable manifests in %s@." target;
+        Format.eprintf "beast runs: no readable run records in %s@." target;
         exit 1
-      | manifests ->
+      | records ->
         header ();
-        List.iter describe manifests
+        List.iter describe records
     end
   in
   Cmd.v
     (Cmd.info "runs"
        ~doc:
-         "List the run manifests in a runs directory (sweep --runs DIR): \
-          run id, space, shard, engine, outcome, exit code and wall \
-          time — or inspect a single manifest file. With --prune, \
-          remove finished and unreadable manifests (never a live run's)")
+         "List the run records in a runs directory (sweep --runs DIR): \
+          run id, space, shard, engine, state, exit code and elapsed \
+          time — or inspect a single record. With --prune, remove \
+          finished and unreadable records (never a live run's)")
     Term.(
       const run $ target_arg $ prune_arg $ keep_arg $ older_than_arg
       $ dry_run_arg)

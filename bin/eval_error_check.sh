@@ -7,9 +7,10 @@
 # division undefined, so native must check it). With a compiler it also asks the native
 # engine for --explain-out, which it cannot honor: one stderr line,
 # exit 2, and no file written. Last, an output path in a missing
-# directory (merge --stats-out; sweep --stats-out, --explain-out and
-# --status; funnel --svg) is one stderr line naming that path, exit 1
-# and no file written; sweep and funnel refuse it before they
+# directory (merge --stats-out; sweep --stats-out, --explain-out,
+# --flight and --checkpoint; funnel --svg) or a runs directory under a
+# regular file (sweep --runs) is one stderr line naming that path,
+# exit 1 and no file written; sweep and funnel refuse it before they
 # enumerate, so they print no statistics. A write that fails part way (a zero file-size limit
 # with SIGXFSZ ignored, so write(2) fails with EFBIG) is one stderr
 # line, exit 1, and the previous file kept, with no temp file left.
@@ -109,7 +110,12 @@ m=$dir/missing
 unwritable "$m/m.json" merge "$dir/S" --stats-out "$m/m.json"
 unwritable "$m/x.json" sweep gemm --max-dim 16 --stats-out "$m/x.json"
 unwritable "$m/x.json" sweep gemm --max-dim 16 --explain-out "$m/x.json"
-unwritable "$m/s.json" sweep gemm --max-dim 16 --status "$m/s.json"
+unwritable "$m/f.jsonl" sweep gemm --max-dim 12 --max-threads 32 \
+  --flight "$m/f.jsonl"
+unwritable "$m/c.json" sweep gemm --max-dim 12 --max-threads 32 \
+  --engine parallel:2 --checkpoint "$m/c.json"
+unwritable "$dir/S/runs" sweep gemm --max-dim 12 --max-threads 32 \
+  --runs "$dir/S/runs"
 unwritable "$m/f.svg" funnel conv2d --svg "$m/f.svg"
 cp "$dir/S" "$dir/T"
 # failing_write ARGS...: beast ARGS must fail to write T and keep it

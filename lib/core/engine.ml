@@ -39,7 +39,7 @@ let zero_step var =
 (* ------------------------------------------------------------------ *)
 
 (* Unconditional: one hook check per run, and the cheap way a coarse
-   status heartbeat learns per-chunk point totals. *)
+   run-record heartbeat learns per-chunk point totals. *)
 let report_totals metrics ~survivors ~loop_iterations =
   Obs.progress_tick ~points:loop_iterations ~survivors ~frac:1.0;
   Option.iter

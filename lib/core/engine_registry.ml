@@ -35,7 +35,7 @@ let parallel param =
       Engine_parallel.run_resumable ?on_hit ?checkpoint ?resume ?fault
         ~domains plan)
 
-(* Bare "native" keeps its own name (and one thread) so manifests and
+(* Bare "native" keeps its own name (and one thread) so run records and
    archive groups written before the parameter existed still match. *)
 let native threads =
   let name =

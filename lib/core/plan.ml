@@ -641,11 +641,6 @@ let make_exn ?hoist ?order space =
   | Ok p -> p
   | Error e -> raise (Error e)
 
-let subsample ~index ~of_ arr =
-  let n = Array.length arr in
-  let count = if index >= n then 0 else ((n - index - 1) / of_) + 1 in
-  Array.init count (fun j -> arr.(index + (j * of_)))
-
 (* Values [lo], [lo + step], ... below [hi], for [lo < hi] and
    [step > 0] (or [step = min_int], standing for its magnitude). When
    [hi - lo] overflows, the span exceeds [max_int] and the count is
@@ -844,32 +839,6 @@ let depth0_constraints t =
   in
   go t.steps;
   mask
-
-let slice_outer t ~index ~of_ =
-  if of_ < 1 || index < 0 || index >= of_ then
-    invalid_arg "Plan.slice_outer: need 0 <= index < of_";
-  if of_ = 1 then t
-  else
-    let slice_citer = function
-      | CRange (a, b, c) ->
-        CRange
-          ( CBin (Expr.Add, a, CBin (Expr.Mul, CLit index, c)),
-            b,
-            CBin (Expr.Mul, c, CLit of_) )
-      | CValues vs -> CValues (subsample ~index ~of_ vs)
-      | CDyn f -> CDyn (fun slots -> subsample ~index ~of_ (f slots))
-    in
-    let rec slice_steps = function
-      | [] -> if index = 0 then [] else raise Exit
-      | Loop l :: rest -> Loop { l with l_iter = slice_citer l.l_iter } :: rest
-      | Static_prune p :: rest ->
-        Static_prune { p with sp_dead = subsample ~index ~of_ p.sp_dead }
-        :: slice_steps rest
-      | step :: rest -> step :: slice_steps rest
-    in
-    match slice_steps t.steps with
-    | steps -> { t with steps }
-    | exception Exit -> { t with steps = [] }
 
 (* ------------------------------------------------------------------ *)
 (* Optimization pipeline                                               *)

@@ -122,17 +122,6 @@ val static_pruned : t -> int
     nest — how many loop entries propagation proved statically
     infeasible. 0 for plans straight out of {!make}. *)
 
-val slice_outer : t -> index:int -> of_:int -> t
-(** [slice_outer t ~index ~of_] restricts the outermost loop to every
-    [of_]-th value starting at position [index] (round-robin
-    decomposition). The union of the [of_] slices visits exactly the
-    original space; this is how {!Engine_parallel} shards work across
-    domains — the paper's parallelization "at the outermost loop nests,
-    close to level 0" (Section X-B). Steps before the first loop are kept
-    in every slice, so statistics for depth-0 constraints are replicated
-    per slice. A plan with no loops is returned unchanged for [index] 0
-    and emptied otherwise. *)
-
 val chunk_outer : t -> index:int -> of_:int -> t
 (** [chunk_outer t ~index ~of_] restricts the outermost loop to the
     [index]-th of [of_] {e contiguous} blocks of its trip sequence
@@ -140,11 +129,11 @@ val chunk_outer : t -> index:int -> of_:int -> t
     count [n]). The blocks tile the original sequence exactly, so the
     union of the [of_] chunks visits the original space and per-chunk
     statistics sum to the sequential ones (depth-0 steps excepted, see
-    below). Unlike {!slice_outer}'s round-robin stride, a chunk of a
-    [CValues]/[CDyn] iterator is a contiguous sub-array — the
-    decomposition both the work-stealing scheduler
-    ({!Engine_parallel.run}) and cross-process sharding
-    ([beast sweep --shard I/N]) are built on. With [of_] larger than the
+    below). A chunk of a [CValues]/[CDyn] iterator is a contiguous
+    sub-array. The paper parallelizes "at the outermost loop nests,
+    close to level 0" (Section X-B); this decomposition is how: both the
+    work-stealing scheduler ({!Engine_parallel.run}) and cross-process
+    sharding ([beast sweep --shard I/N]) are built on it. With [of_] larger than the
     outer trip count the trailing chunks are empty; they still execute
     the depth-0 steps.
 
@@ -155,8 +144,8 @@ val chunk_outer : t -> index:int -> of_:int -> t
 
 val depth0_constraints : t -> bool array
 (** Indexed by [c_index]: [true] for the constraints placed before the
-    first loop. These execute once per {!chunk_outer}/{!slice_outer}
-    chunk, so merges keep a single chunk's counts for them. *)
+    first loop. These execute once per {!chunk_outer} chunk, so merges
+    keep a single chunk's counts for them. *)
 
 val slot_of : t -> string -> int
 (** @raise Not_found for names that are not iterators/derived variables *)

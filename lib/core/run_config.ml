@@ -1,5 +1,5 @@
 (* One record for everything a `beast` run can be configured with beyond
-   the space itself: observability (trace/progress/metrics/status/
+   the space itself: observability (trace/progress/metrics/run record/
    flight), sharding, and the checkpoint/resume/fault-injection settings
    of long-running sweeps. The CLI builds the record once per invocation
    and threads it through sweep/tune/funnel/search instead of growing
@@ -31,7 +31,6 @@ type t = {
   explain_out : string option;
   run_id : string option;
   runs_dir : string option;
-  status : string option;
   status_every_s : float;
   flight : string option;
   archive : bool;
@@ -54,7 +53,6 @@ let default =
     explain_out = None;
     run_id = None;
     runs_dir = None;
-    status = None;
     status_every_s = 1.0;
     flight = None;
     archive = false;
@@ -64,7 +62,7 @@ let default =
 let metrics_enabled t = t.metrics || t.metrics_out <> None
 
 let introspected t =
-  t.runs_dir <> None || t.status <> None || t.flight <> None
+  t.runs_dir <> None || t.flight <> None
   || t.trace <> None || t.run_id <> None || t.archive
 
 (* The shard bounds used to be checked only by the CLI argument parser;
@@ -129,15 +127,14 @@ let validate t =
        attribution)"
   else Ok ()
 
-(* How a run ended, decided once for both the status file's final state
-   and the manifest: from the callback's exit code, or [Crashed] when it
-   raised (recorded with 125, the code an uncaught exception exits the
-   CLI with). *)
+(* How a run ended, decided once for the run record: from the callback's
+   exit code, or [Crashed] when it raised (recorded with 125, the code an
+   uncaught exception exits the CLI with). *)
 let outcome = function
-  | Ok 0 -> (Run_meta.Completed, 0)
-  | Ok 3 -> (Run_meta.Interrupted, 3)
-  | Ok code -> (Run_meta.Crashed, code)
-  | Error _ -> (Run_meta.Crashed, 125)
+  | Ok 0 -> (Status.Completed, 0)
+  | Ok 3 -> (Status.Interrupted, 3)
+  | Ok code -> (Status.Crashed, code)
+  | Error _ -> (Status.Crashed, 125)
 
 let mint_run_id ~space t =
   match t.run_id with
@@ -148,7 +145,7 @@ let mint_run_id ~space t =
       | None -> "0/1"
       | Some (i, n) -> Printf.sprintf "%d/%d" i n
     in
-    Some (Run_meta.fresh_id ~seed:(space ^ "|" ^ shard) ())
+    Some (Status.fresh_id ~seed:(space ^ "|" ^ shard) ())
   | None -> None
 
 let write_trace t (file, oc, r) =
@@ -164,63 +161,53 @@ let write_trace t (file, oc, r) =
   Format.eprintf "wrote %d trace events to %s@." (Array.length events) file
 
 let with_instrumentation ~space ~engine t f =
-  (* Every output file is opened or probed, and the manifest saved,
+  (* Every output file is opened or probed, and the run record written,
      before anything is installed: a bad path raises [Sys_error] up
-     front, with nothing installed, no channel left open and no file
-     written, instead of discarding a completed run at the end. *)
-  Option.iter Jsonx.check_writable t.status;
+     front, with nothing installed and no channel left open, instead of
+     discarding a completed run at the end. *)
+  Option.iter Jsonx.check_writable t.flight;
+  let opened = ref [] in
   let open_out_or_fail what file =
-    try (file, open_out file)
-    with Sys_error msg ->
+    match open_out file with
+    | oc ->
+      opened := oc :: !opened;
+      (file, oc)
+    | exception Sys_error msg ->
       raise (Sys_error (Printf.sprintf "cannot open %s file: %s" what msg))
   in
-  let trace =
-    Option.map
-      (fun file ->
-        let file, oc = open_out_or_fail "trace" file in
-        (file, oc, Recorder.create ()))
-      t.trace
-  in
   let run_id = mint_run_id ~space t in
-  let metrics_out, manifest =
+  let tally =
+    if t.progress || t.runs_dir <> None then Some (Tally.create ()) else None
+  in
+  let trace, metrics_out, record =
     try
-      ( Option.map (open_out_or_fail "metrics") t.metrics_out,
-        match (t.runs_dir, run_id) with
-        | Some dir, Some id ->
-          let m = Run_meta.make ~run_id:id ~space ?shard:t.shard ~engine () in
-          Run_meta.save ~dir m;
-          Some (dir, m)
-        | _ -> None )
+      let trace =
+        Option.map
+          (fun file ->
+            let file, oc = open_out_or_fail "trace" file in
+            (file, oc, Recorder.create ()))
+          t.trace
+      in
+      let metrics_out = Option.map (open_out_or_fail "metrics") t.metrics_out in
+      let record =
+        match (t.runs_dir, run_id, tally) with
+        | Some dir, Some run_id, Some tally ->
+          let checkpoint_path =
+            match t.checkpoint with Some _ as p -> p | None -> t.resume
+          in
+          Some
+            (Status.create ~interval_s:t.status_every_s ?shard:t.shard
+               ?checkpoint_path ~dir ~run_id ~space ~engine tally)
+        | _ -> None
+      in
+      (trace, metrics_out, record)
     with e ->
-      Option.iter (fun (_, oc, _) -> close_out_noerr oc) trace;
+      List.iter close_out_noerr !opened;
       raise e
   in
-  let t0 = Clock.now_ns () in
-  let flight =
-    Option.map
-      (fun file -> (file, Flight.create ()))
-      t.flight
-  in
+  let flight = Option.map (fun file -> (file, Flight.create ())) t.flight in
   let registry = if metrics_enabled t then Some (Metrics.create ()) else None in
-  let tally =
-    if t.progress || t.status <> None then Some (Tally.create ()) else None
-  in
-  let reporter =
-    if t.progress then
-      Option.map Progress.create tally
-    else None
-  in
-  let status =
-    match (t.status, tally) with
-    | Some path, Some tally ->
-      let checkpoint_path =
-        match t.checkpoint with Some _ as p -> p | None -> t.resume
-      in
-      Some
-        (Status.create ~interval_s:t.status_every_s ?run_id ~space
-           ?shard:t.shard ?checkpoint_path ~path tally)
-    | _ -> None
-  in
+  let reporter = if t.progress then Option.map Progress.create tally else None in
   let ctx =
     {
       Obs.sink =
@@ -229,7 +216,7 @@ let with_instrumentation ~space ~engine t f =
         | Some (_, _, r), None -> Some (Recorder.sink r)
         | None, Some (_, fl) -> Some (Flight.sink fl)
         | Some (_, _, r), Some (_, fl) -> Some (Flight.tee fl (Recorder.sink r)));
-      (* A flight ring or a status heartbeat alone keeps the plain path:
+      (* A flight ring or a run record alone keeps the plain path:
          they want the run's final moments and once-per-chunk ticks, and
          must not slow the sweep down. *)
       instrumented = trace <> None || t.progress || registry <> None;
@@ -264,9 +251,7 @@ let with_instrumentation ~space ~engine t f =
   in
   let ended, exit_code = outcome result in
   Option.iter Progress.finish reporter;
-  Option.iter
-    (fun st -> Status.finalize st ~state:(Run_meta.status_name ended))
-    status;
+  Option.iter (fun r -> Status.finalize r ~state:ended ~exit_code) record;
   (match (registry, metrics_out) with
   | Some r, Some (file, oc) ->
     output_string oc (Metrics.Snapshot.to_prometheus (Metrics.snapshot r));
@@ -279,12 +264,6 @@ let with_instrumentation ~space ~engine t f =
       Format.eprintf "wrote flight recording (%d events) to %s@." n file)
     flight;
   Option.iter (write_trace t) trace;
-  Option.iter
-    (fun (dir, m) ->
-      ignore
-        (Run_meta.finalize ~dir m ~status:ended ~exit_code
-           ~wall_s:(Clock.elapsed_s ~since:t0)))
-    manifest;
   match result with
   | Ok code -> code
   | Error (e, bt) -> Printexc.raise_with_backtrace e bt

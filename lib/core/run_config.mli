@@ -1,6 +1,6 @@
 (** One record for everything a run can be configured with beyond the
-    space itself: observability (trace, progress, metrics, heartbeat
-    status, flight recorder), sharding and the checkpoint/resume/
+    space itself: observability (trace, progress, metrics, run record,
+    flight recorder), sharding and the checkpoint/resume/
     fault-injection settings of long-running sweeps. [bin/beast.ml]
     builds the record once per invocation and threads it through
     sweep/tune/funnel/search instead of passing a growing pile of
@@ -19,7 +19,7 @@ type fault =
   | Chunk_fatal of { chunk : int }
       (** test hook: the first attempt at chunk [chunk] raises an
           unrecoverable exception, taking the whole run down — exercises
-          the crash path (flight-recorder dump, manifest status) *)
+          the crash path (flight-recorder dump, run record state) *)
 
 type t = {
   trace : string option;  (** write a trace of the run to this file *)
@@ -45,11 +45,11 @@ type t = {
           never is, keeping --stats-out byte-identical across
           instrumentation settings) *)
   runs_dir : string option;
-      (** write a {!Beast_obs.Run_meta} manifest into this directory *)
-  status : string option;
-      (** atomically rewrite a heartbeat status snapshot here, for
-          [beast top] *)
-  status_every_s : float;  (** seconds between status rewrites; 0 = every tick *)
+      (** write the {!Beast_obs.Status} run record [runs_dir/<run id>.json]:
+          at start, every [status_every_s] and once at exit, for
+          [beast top] and [beast runs] *)
+  status_every_s : float;
+      (** seconds between run-record rewrites; 0 = every tick *)
   flight : string option;
       (** keep a flight-recorder ring of recent events and dump it here
           as JSONL at exit (clean, interrupted or crashed) *)
@@ -82,28 +82,28 @@ val with_instrumentation :
 (** Run the callback as one instrumented run and return its exit code.
 
     The run id is [run_id], or minted when any introspection surface
-    wants one ([runs_dir], [status], [flight], [trace] or [archive]);
-    the callback receives it. Output files are opened, the [status]
-    path probed ({!Beast_obs.Jsonx.check_writable}) and the
-    {!Beast_obs.Run_meta}
-    manifest saved (with [runs_dir]) before anything is installed, so a
-    bad path raises [Sys_error] up front with nothing left installed.
+    wants one ([runs_dir], [flight], [trace] or [archive]); the callback
+    receives it. The [flight] path is probed
+    ({!Beast_obs.Jsonx.check_writable}), output files are opened and the
+    run record written (with [runs_dir]) before anything is installed,
+    so a bad path raises [Sys_error] up front with nothing left
+    installed.
 
     The callback runs under one {!Beast_obs.Obs.ctx}: the trace
-    recorder and/or flight ring as its sink, one progress tally drawn
-    by the terminal reporter and/or the status heartbeat, the metrics
-    registry, and the [instrumented] decision (tracing, terminal
-    progress or metrics on). With [explain_out] a {!Provenance}
-    collector is ambient too; the callback reads
-    [Provenance.current ()]'s summary itself (serialization needs the
-    plan and shard tag, which only the caller has). [run_id] and
-    [space] are stamped into the status file and into a ["run:meta"]
-    instant event at the head of the event stream.
+    recorder and/or flight ring as its sink, one progress tally (with
+    [progress] or [runs_dir]) drawn by the terminal reporter and/or the
+    run record's heartbeat, the metrics registry, and the
+    [instrumented] decision (tracing, terminal progress or metrics on).
+    With [explain_out] a {!Provenance} collector is ambient too; the
+    callback reads [Provenance.current ()]'s summary itself
+    (serialization needs the plan and shard tag, which only the caller
+    has). [run_id] and [space] are stamped into a ["run:meta"] instant
+    event at the head of the event stream.
 
     How the run ended is decided once, from the returned exit code
     (0 completed, 3 interrupted, anything else crashed) or from an
-    exception (crashed, exit code 125), and written to both the status
-    file's final state and the manifest. On every exit path the
-    context is uninstalled, the progress line finished, the metrics
-    written, the flight ring dumped and the trace written; an exception
-    is then re-raised. *)
+    exception (crashed, exit code 125), and written into the run
+    record with the exit code. On every exit path the context is
+    uninstalled, the progress line finished, the record finalized, the
+    metrics written, the flight ring dumped and the trace written; an
+    exception is then re-raised. *)

@@ -1,7 +1,7 @@
 (** The one JSON module: a minimal reader, a deterministic writer, the
     layout every JSON file uses, and the file reader and atomic writer
-    all of them go through (stats, explain, checkpoint, status and run
-    manifest files, archive records, bench baselines, flight dumps).
+    all of them go through (stats, explain, checkpoint and run record
+    files, archive records, flight dumps).
 
     Integers and floats are distinct constructors so count fields
     round-trip exactly: a number parses to {!Float} iff its lexeme

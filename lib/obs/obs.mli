@@ -51,7 +51,7 @@ type ctx = {
       (** engines compile their instrumented paths (per-constraint
           timings, per-level entry counts, periodic progress ticks).
           Set when tracing, terminal progress or metrics is on; a flight
-          ring or a status heartbeat alone leaves it off, and sees only
+          ring or a run record alone leaves it off, and sees only
           the engine-level events and once-per-run ticks of the plain
           path. *)
   tally : Tally.t option;  (** fed by {!progress_tick} and {!chunk_tick} *)

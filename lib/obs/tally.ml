@@ -1,6 +1,6 @@
 (* One progress tally per run, fed by the engines' progress ticks and the
    parallel scheduler's chunk ticks, and read by throttled renderers:
-   the terminal line (Progress) and the heartbeat file (Status). *)
+   the terminal line (Progress) and the run record (Status). *)
 
 type dom_state = {
   mutable d_points : int;

@@ -4,7 +4,7 @@
     survivor counts per domain, plus the outermost-loop fraction when
     known) and the parallel scheduler through [Obs.chunk_tick]
     (completed/total chunks). Renderers — the terminal line of
-    {!Progress} and the heartbeat file of {!Status} — {!watch} it, each
+    {!Progress} and the run record of {!Status} — {!watch} it, each
     with its own throttle, and read one {!snapshot} per draw. *)
 
 type t

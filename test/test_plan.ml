@@ -239,39 +239,6 @@ let test_compiler_matches_eval () =
   Alcotest.(check int) "every constructor generated" 22 (Hashtbl.length shapes);
   Alcotest.(check bool) "zero divisors exercised" true (!raised > 0)
 
-let test_slice_outer_partition () =
-  (* Slices must partition the original survivors. *)
-  let p = plan_of (Support.triangle_space ()) in
-  let full = (Engine_staged.run p).Engine.survivors in
-  let parts =
-    List.init 3 (fun index ->
-        (Engine_staged.run (Plan.slice_outer p ~index ~of_:3)).Engine.survivors)
-  in
-  Alcotest.(check int) "partition" full (List.fold_left ( + ) 0 parts)
-
-let test_slice_outer_values_and_dyn () =
-  (* Slicing must partition when the outermost loop is a value table or
-     a dynamic closure, not just a range. *)
-  let check sp =
-    let p = Plan.make_exn sp in
-    let full = (Engine_staged.run p).Engine.survivors in
-    let parts =
-      List.init 3 (fun index ->
-          (Engine_staged.run (Plan.slice_outer p ~index ~of_:3)).Engine.survivors)
-    in
-    Alcotest.(check int) "partition" full (List.fold_left ( + ) 0 parts)
-  in
-  let sp = Space.create () in
-  Space.iterator sp "x" (Iter.ints [ 3; 1; 4; 1; 5; 9; 2; 6 ]);
-  Space.iterator sp "y" (Iter.upto (Expr.var "x"));
-  check sp;
-  let sp = Space.create () in
-  Space.setting_i sp "k" 7;
-  Space.iterator sp "x"
-    (Iter.filter (fun v -> Value.to_int v mod 2 = 1) (Iter.range_i 0 20));
-  Space.iterator sp "y" (Iter.upto (Expr.var "x"));
-  check sp
-
 let outer_values plan =
   (* Outer-loop values actually visited, in visit order. *)
   let seen = ref [] in
@@ -588,10 +555,6 @@ let () =
           Alcotest.test_case "eval_cexpr" `Quick test_eval_cexpr;
           Alcotest.test_case "compiler matches eval_cexpr" `Quick
             test_compiler_matches_eval;
-          Alcotest.test_case "slice_outer partitions" `Quick
-            test_slice_outer_partition;
-          Alcotest.test_case "slice_outer values/dyn" `Quick
-            test_slice_outer_values_and_dyn;
         ] );
       ( "solving",
         [

@@ -78,24 +78,32 @@ let test_metrics_enabled () =
 let with_files f =
   let files =
     List.map (fun ext -> Filename.temp_file "beast_rc" ext)
-      [ ".trace"; ".flight"; ".status"; ".prom"; ".explain" ]
+      [ ".trace"; ".flight"; ".prom"; ".explain" ]
   in
+  let runs = Filename.temp_file "beast_rc" ".runs" in
+  Sys.remove runs;
   Fun.protect
     ~finally:(fun () ->
-      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) files)
-    (fun () -> f files)
+      let rm p = try Sys.remove p with Sys_error _ -> () in
+      List.iter rm files;
+      if Sys.file_exists runs then begin
+        Array.iter (fun f -> rm (Filename.concat runs f)) (Sys.readdir runs);
+        Unix.rmdir runs
+      end)
+    (fun () -> f (files @ [ runs ]))
 
 (* Each row: the config, and whether the run is instrumented (engines
    compile their timing/sampling paths), traced (a sink receives
    events) and explained (a provenance collector is ambient). Flight
-   and status are coarse consumers: they ride on the plain path. *)
-let matrix ~trace ~flight ~status ~metrics_out ~explain_out =
+   and the run record are coarse consumers: they ride on the plain
+   path. *)
+let matrix ~trace ~flight ~runs ~metrics_out ~explain_out =
   let d = Run_config.default in
   [
     ("plain", d, false, false, false);
     ("trace", { d with Run_config.trace = Some trace }, true, true, false);
     ("flight", { d with Run_config.flight = Some flight }, false, true, false);
-    ("status", { d with Run_config.status = Some status }, false, false, false);
+    ("runs", { d with Run_config.runs_dir = Some runs }, false, false, false);
     ("progress", { d with Run_config.progress = true }, true, false, false);
     ( "metrics",
       { d with Run_config.metrics_out = Some metrics_out },
@@ -103,14 +111,14 @@ let matrix ~trace ~flight ~status ~metrics_out ~explain_out =
     ( "explain_out",
       { d with Run_config.explain_out = Some explain_out },
       false, false, true );
-    ( "status+flight",
-      { d with Run_config.status = Some status; flight = Some flight },
+    ( "runs+flight",
+      { d with Run_config.runs_dir = Some runs; flight = Some flight },
       false, true, false );
     ( "trace+flight",
       { d with Run_config.trace = Some trace; flight = Some flight },
       true, true, false );
-    ( "progress+status",
-      { d with Run_config.progress = true; status = Some status },
+    ( "progress+runs",
+      { d with Run_config.progress = true; runs_dir = Some runs },
       true, false, false );
   ]
 
@@ -124,21 +132,38 @@ let nothing_installed what =
     (what ^ ": no collector")
     false (Provenance.enabled ())
 
+let run_id = "0123456789ab"
+
 let run_with cfg f =
   ignore
     (Run_config.with_instrumentation ~space:"triangle" ~engine:"staged"
-       { cfg with Run_config.run_id = Some "0123456789ab" }
+       { cfg with Run_config.run_id = Some run_id }
        (fun _ ->
          f ();
          0))
 
+(* With --runs, the record's state and exit code as [beast top] reads
+   them, removing the file so the next run must write it afresh. *)
+let take_record cfg =
+  Option.map
+    (fun dir ->
+      let path = Filename.concat dir (run_id ^ ".json") in
+      match Beast_obs.Status.of_file path with
+      | Error msg -> Alcotest.failf "%s: %s" path msg
+      | Ok r ->
+        Sys.remove path;
+        (Beast_obs.Status.state_name r.Beast_obs.Status.state, r.exit_code))
+    cfg.Run_config.runs_dir
+
 let test_decision_table () =
   with_files (function
-    | [ trace; flight; status; metrics_out; explain_out ] ->
+    | [ trace; flight; metrics_out; explain_out; runs ] ->
       List.iter
         (fun (name, cfg, instrumented, traced, explained) ->
           nothing_installed (name ^ " before");
+          let record_at_start = ref None in
           run_with cfg (fun () ->
+              record_at_start := take_record cfg;
               Alcotest.(check bool)
                 (name ^ ": instrumented")
                 instrumented
@@ -148,12 +173,23 @@ let test_decision_table () =
               Alcotest.(check bool)
                 (name ^ ": explained")
                 explained (Provenance.enabled ()));
+          let record = Alcotest.(option (pair string (option int))) in
+          let with_runs v = Option.map (fun _ -> v) cfg.Run_config.runs_dir in
+          Alcotest.check record (name ^ ": record at start")
+            (with_runs ("running", None))
+            !record_at_start;
+          Alcotest.check record (name ^ ": record after return")
+            (with_runs ("completed", Some 0))
+            (take_record cfg);
           nothing_installed (name ^ " after return");
           (match run_with cfg (fun () -> failwith "boom") with
           | () -> Alcotest.failf "%s: the callback's exception was lost" name
           | exception Failure _ -> ());
+          Alcotest.check record (name ^ ": record after raise")
+            (with_runs ("crashed", Some 125))
+            (take_record cfg);
           nothing_installed (name ^ " after raise"))
-        (matrix ~trace ~flight ~status ~metrics_out ~explain_out)
+        (matrix ~trace ~flight ~runs ~metrics_out ~explain_out)
     | _ -> assert false)
 
 (* An output that cannot be opened fails the call before anything is

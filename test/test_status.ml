@@ -1,28 +1,22 @@
-(* Live-introspection layer: run manifests, the heartbeat status file,
-   the flight recorder and the fatal-fault crash path.
+(* Live-introspection layer: the run record, the flight recorder and
+   the fatal-fault crash path.
 
-   The load-bearing properties: a status file is *always* a complete
+   The load-bearing properties: a run record is *always* a complete
    parseable document no matter when a reader samples it (atomic
-   temp-then-rename under concurrent ticks), turning the heartbeat on
-   never changes the sweep's statistics (byte-identical --stats-out),
-   and a crashed run leaves a deterministic flight dump behind. *)
+   temp-then-rename under concurrent ticks), turning it on never
+   changes the sweep's statistics (byte-identical --stats-out), and a
+   crashed run leaves a deterministic flight dump behind. *)
 
 open Beast_core
 open Beast_obs
 
 let triangle_plan () = Plan.make_exn (Support.triangle_space ())
 
-let tmp_path suffix = Filename.temp_file "beast_status" suffix
-
 let rm path = try Sys.remove path with Sys_error _ -> ()
 
 let with_tmp suffix f =
-  let path = tmp_path suffix in
+  let path = Filename.temp_file "beast_status" suffix in
   Fun.protect ~finally:(fun () -> rm path) (fun () -> f path)
-
-(* ------------------------------------------------------------------ *)
-(* Run manifests                                                       *)
-(* ------------------------------------------------------------------ *)
 
 let with_tmp_dir f =
   let dir = Filename.temp_file "beast_runs" "" in
@@ -35,67 +29,108 @@ let with_tmp_dir f =
       end)
     (fun () -> f dir)
 
-let test_run_meta_round_trip () =
-  let m =
-    Run_meta.make ~run_id:"deadbeef0123" ~space:"triangle" ~shard:(1, 3)
-      ~engine:"parallel" ()
+let read path =
+  match Status.of_file path with
+  | Ok r -> r
+  | Error msg -> Alcotest.failf "cannot read %s: %s" path msg
+
+let state_name r = Status.state_name r.Status.state
+
+(* ------------------------------------------------------------------ *)
+(* The record's identity, persistence and listing                      *)
+(* ------------------------------------------------------------------ *)
+
+let test_record_round_trip () =
+  let r =
+    {
+      Status.state = Status.Running;
+      run_id = "deadbeef0123";
+      space = "triangle";
+      shard = Some (1, 3);
+      engine = "parallel";
+      pid = 4242;
+      exit_code = None;
+      elapsed_s = 1.5;
+      chunks_done = 2;
+      chunks_total = 8;
+      points = 150;
+      survivors = 15;
+      points_per_s = 100.0;
+      survivor_rate = 0.1;
+      eta_s = Some 4.5;
+      checkpoint_age_s = None;
+      domains = [ (0, 100, 10); (1, 50, 5) ];
+    }
   in
-  let to_json m = Jsonx.pretty (Run_meta.to_jsonx m) in
-  match Run_meta.of_json (to_json m) with
+  let to_json r = Jsonx.pretty (Status.to_jsonx r) in
+  match Status.of_json (to_json r) with
   | Error msg -> Alcotest.failf "round trip failed: %s" msg
-  | Ok m' ->
-    Alcotest.(check string) "byte-stable re-encoding" (to_json m) (to_json m');
-    Alcotest.(check string) "status" "running"
-      (Run_meta.status_name m'.Run_meta.status);
-    Alcotest.(check bool) "no exit code while running" true
-      (m'.Run_meta.exit_code = None)
+  | Ok r' ->
+    Alcotest.(check string) "byte-stable re-encoding" (to_json r) (to_json r');
+    Alcotest.(check bool) "every field read back" true (r = r')
 
-let test_run_meta_save_finalize_list () =
+let test_record_save_finalize_list () =
   with_tmp_dir (fun dir ->
-      let a =
-        Run_meta.make ~run_id:"aaaaaaaaaaaa" ~space:"triangle"
-          ~engine:"staged" ()
+      let create run_id ?shard engine =
+        Status.create ~dir ~run_id ~space:"triangle" ?shard ~engine
+          (Tally.create ())
       in
-      let b =
-        Run_meta.make ~run_id:"bbbbbbbbbbbb" ~space:"triangle" ~shard:(0, 2)
-          ~engine:"parallel" ()
-      in
-      Run_meta.save ~dir a;
-      Run_meta.save ~dir b;
-      let b' =
-        Run_meta.finalize ~dir b ~status:Run_meta.Interrupted ~exit_code:3
-          ~wall_s:1.5
-      in
-      Alcotest.(check bool) "finalize records the exit code" true
-        (b'.Run_meta.exit_code = Some 3);
-      match Run_meta.list ~dir with
-      | [ x; y ] ->
+      let _a = create "aaaaaaaaaaaa" "staged" in
+      let b = create "bbbbbbbbbbbb" ~shard:(0, 2) "parallel" in
+      Alcotest.(check string) "path is DIR/RUN_ID.json"
+        (Filename.concat dir "bbbbbbbbbbbb.json")
+        (Status.path b);
+      Status.finalize b ~state:Status.Interrupted ~exit_code:3;
+      match Status.entries ~dir with
+      | [ (_, Ok x); (_, Ok y) ] ->
         Alcotest.(check string) "sorted by run id" "aaaaaaaaaaaa"
-          x.Run_meta.run_id;
-        Alcotest.(check string) "finalized status read back" "interrupted"
-          (Run_meta.status_name y.Run_meta.status);
-        Alcotest.(check bool) "wall time read back" true
-          (y.Run_meta.wall_s = Some 1.5)
-      | l -> Alcotest.failf "expected 2 manifests, got %d" (List.length l))
+          x.Status.run_id;
+        Alcotest.(check string) "unfinalized record still running" "running"
+          (state_name x);
+        Alcotest.(check bool) "no exit code while running" true
+          (x.Status.exit_code = None);
+        Alcotest.(check string) "finalized state read back" "interrupted"
+          (state_name y);
+        Alcotest.(check bool) "exit code read back" true
+          (y.Status.exit_code = Some 3);
+        Alcotest.(check bool) "shard read back" true
+          (y.Status.shard = Some (0, 2))
+      | l -> Alcotest.failf "expected 2 readable records, got %d" (List.length l))
 
-let test_run_meta_list_skips_garbage () =
+(* The start-and-exit manifest this record replaced. *)
+let old_manifest =
+  {|{ "beast_run": 1, "run_id": "dddddddddddd", "space": "triangle",
+  "engine": "staged", "pid": 1, "status": "completed", "exit_code": 0,
+  "wall_s": 0.5 }|}
+
+let test_record_list_skips_garbage () =
   with_tmp_dir (fun dir ->
-      let m =
-        Run_meta.make ~run_id:"cccccccccccc" ~space:"triangle" ~engine:"staged"
-          ()
+      let _r =
+        Status.create ~dir ~run_id:"cccccccccccc" ~space:"triangle"
+          ~engine:"staged" (Tally.create ())
       in
-      Run_meta.save ~dir m;
-      let oc = open_out (Filename.concat dir "junk.json") in
-      output_string oc "{ not json";
-      close_out oc;
-      Alcotest.(check int) "only the parseable manifest" 1
-        (List.length (Run_meta.list ~dir));
+      List.iter
+        (fun (name, text) ->
+          Out_channel.with_open_bin (Filename.concat dir name) (fun oc ->
+              output_string oc text))
+        [
+          ("junk.json", "{ not json");
+          ("dddddddddddd.json", old_manifest);
+          ("other.json", {|{ "bench": "x" }|});
+        ];
+      let entries = Status.entries ~dir in
+      Alcotest.(check int) "every .json file listed" 4 (List.length entries);
+      Alcotest.(check (list string)) "only the record is readable"
+        [ "cccccccccccc" ]
+        (List.filter_map
+           (fun (_, r) -> Option.map (fun r -> r.Status.run_id) (Result.to_option r))
+           entries);
       Alcotest.(check int) "absent directory is empty" 0
-        (List.length (Run_meta.list ~dir:(dir ^ ".does-not-exist"))))
+        (List.length (Status.entries ~dir:(dir ^ ".does-not-exist"))))
 
 let test_fresh_id_shape () =
-  let a = Run_meta.fresh_id ~seed:"s" () in
-  let b = Run_meta.fresh_id ~seed:"s" () in
+  let a = Status.fresh_id ~seed:"s" () in
+  let b = Status.fresh_id ~seed:"s" () in
   Alcotest.(check int) "12 hex chars" 12 (String.length a);
   String.iter
     (fun c ->
@@ -105,45 +140,45 @@ let test_fresh_id_shape () =
   Alcotest.(check bool) "nonce makes same-seed ids distinct" true (a <> b)
 
 (* ------------------------------------------------------------------ *)
-(* Heartbeat status file                                               *)
+(* The heartbeat                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let test_status_snapshot_fields () =
-  with_tmp ".status" (fun path ->
+  with_tmp_dir (fun dir ->
       let tally = Tally.create () in
-      let (_ : Status.t) =
-        Status.create ~interval_s:0.0 ~run_id:"deadbeef0123" ~space:"triangle"
-          ~shard:(1, 3) ~path tally
+      let st =
+        Status.create ~interval_s:0.0 ~dir ~run_id:"deadbeef0123"
+          ~space:"triangle" ~shard:(1, 3) ~engine:"parallel" tally
       in
       Tally.chunk_tick tally ~completed:0 ~total:8;
       Tally.tick tally ~dom:0 ~points:100 ~survivors:10 ~frac:0.5;
       Tally.tick tally ~dom:1 ~points:50 ~survivors:5 ~frac:0.25;
       Tally.chunk_tick tally ~completed:2 ~total:8;
-      match Status.of_file path with
-      | Error msg -> Alcotest.failf "cannot read status: %s" msg
-      | Ok v ->
-        Alcotest.(check string) "state" "running" v.Status.v_state;
-        Alcotest.(check bool) "run id" true
-          (v.Status.v_run_id = Some "deadbeef0123");
-        Alcotest.(check bool) "shard" true (v.Status.v_shard = Some (1, 3));
-        Alcotest.(check int) "chunks done" 2 v.Status.v_chunks_done;
-        Alcotest.(check int) "chunks total" 8 v.Status.v_chunks_total;
-        Alcotest.(check int) "points pooled" 150 v.Status.v_points;
-        Alcotest.(check int) "survivors pooled" 15 v.Status.v_survivors;
-        Alcotest.(check (list (triple int int int))) "per-domain rows sorted"
-          [ (0, 100, 10); (1, 50, 5) ]
-          v.Status.v_domains;
-        Alcotest.(check bool) "no stray tmp file" false
-          (Sys.file_exists
-             (Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()))))
+      let r = read (Status.path st) in
+      Alcotest.(check string) "state" "running" (state_name r);
+      Alcotest.(check string) "run id" "deadbeef0123" r.Status.run_id;
+      Alcotest.(check string) "engine" "parallel" r.Status.engine;
+      Alcotest.(check bool) "shard" true (r.Status.shard = Some (1, 3));
+      Alcotest.(check int) "chunks done" 2 r.Status.chunks_done;
+      Alcotest.(check int) "chunks total" 8 r.Status.chunks_total;
+      Alcotest.(check int) "points pooled" 150 r.Status.points;
+      Alcotest.(check int) "survivors pooled" 15 r.Status.survivors;
+      Alcotest.(check (list (triple int int int))) "per-domain rows sorted"
+        [ (0, 100, 10); (1, 50, 5) ]
+        r.Status.domains;
+      Alcotest.(check (list string)) "no stray tmp file" [ "deadbeef0123.json" ]
+        (Array.to_list (Sys.readdir dir)))
 
 let test_status_always_parseable_concurrently () =
   (* Writers hammer the file with interval 0 (a rewrite per tick) while
      the main domain samples it: every successful read must be a
      complete, schema-valid document — the atomicity claim. *)
-  with_tmp ".status" (fun path ->
+  with_tmp_dir (fun dir ->
       let tally = Tally.create () in
-      let t = Status.create ~interval_s:0.0 ~space:"triangle" ~path tally in
+      let t =
+        Status.create ~interval_s:0.0 ~dir ~run_id:"aaaaaaaaaaaa"
+          ~space:"triangle" ~engine:"parallel" tally
+      in
       Tally.chunk_tick tally ~completed:0 ~total:64;
       let writers =
         List.init 2 (fun w ->
@@ -155,43 +190,46 @@ let test_status_always_parseable_concurrently () =
       in
       let reads = ref 0 in
       while !reads < 200 do
-        match Status.of_file path with
-        | Ok v ->
+        match Status.of_file (Status.path t) with
+        | Ok r ->
           incr reads;
           Alcotest.(check string) "state while running" "running"
-            v.Status.v_state;
-          Alcotest.(check int) "chunk total stable" 64 v.Status.v_chunks_total
+            (state_name r);
+          Alcotest.(check int) "chunk total stable" 64 r.Status.chunks_total
         | Error msg -> Alcotest.failf "torn or invalid snapshot: %s" msg
       done;
       List.iter Domain.join writers;
-      Status.finalize t ~state:"completed";
-      match Status.of_file path with
-      | Error msg -> Alcotest.failf "final snapshot unreadable: %s" msg
-      | Ok v ->
-        Alcotest.(check string) "final state" "completed" v.Status.v_state;
-        Alcotest.(check int) "all ticks pooled" (2 * 500 * 10)
-          v.Status.v_points)
+      Status.finalize t ~state:Status.Completed ~exit_code:0;
+      let r = read (Status.path t) in
+      Alcotest.(check string) "final state" "completed" (state_name r);
+      Alcotest.(check int) "all ticks pooled" (2 * 500 * 10) r.Status.points)
 
 let test_status_finalize_idempotent () =
-  with_tmp ".status" (fun path ->
+  with_tmp_dir (fun dir ->
       let tally = Tally.create () in
-      let t = Status.create ~interval_s:0.0 ~space:"triangle" ~path tally in
+      let t =
+        Status.create ~interval_s:0.0 ~dir ~run_id:"aaaaaaaaaaaa"
+          ~space:"triangle" ~engine:"staged" tally
+      in
       Tally.tick tally ~dom:0 ~points:10 ~survivors:1 ~frac:0.1;
-      Status.finalize t ~state:"interrupted";
+      Status.finalize t ~state:Status.Interrupted ~exit_code:3;
       (* Late ticks and a second finalize must not resurrect the run. *)
       Tally.tick tally ~dom:0 ~points:999 ~survivors:99 ~frac:0.9;
-      Status.finalize t ~state:"completed";
-      match Status.of_file path with
-      | Error msg -> Alcotest.failf "cannot read status: %s" msg
-      | Ok v ->
-        Alcotest.(check string) "first finalize wins" "interrupted"
-          v.Status.v_state;
-        Alcotest.(check int) "late tick ignored" 10 v.Status.v_points)
+      Status.finalize t ~state:Status.Completed ~exit_code:0;
+      let r = read (Status.path t) in
+      Alcotest.(check string) "first finalize wins" "interrupted"
+        (state_name r);
+      Alcotest.(check bool) "first exit code wins" true
+        (r.Status.exit_code = Some 3);
+      Alcotest.(check int) "late tick ignored" 10 r.Status.points)
 
 let test_status_negative_interval_rejected () =
   Alcotest.check_raises "negative interval"
     (Invalid_argument "Status.create: interval must be non-negative") (fun () ->
-      ignore (Status.create ~interval_s:(-1.0) ~path:"unused" (Tally.create ())))
+      ignore
+        (Status.create ~interval_s:(-1.0) ~dir:"unused" ~run_id:"x"
+           ~space:"triangle" ~engine:"staged" (Tally.create ())));
+  Alcotest.(check bool) "nothing created" false (Sys.file_exists "unused")
 
 (* ------------------------------------------------------------------ *)
 (* Stats byte-identity: the heartbeat must not perturb the sweep       *)
@@ -200,16 +238,16 @@ let test_status_negative_interval_rejected () =
 let stats_json ?shard plan stats =
   Stats_io.to_json (Stats_io.of_stats ~plan ?shard stats)
 
-(* Runs [runner] under the status heartbeat and the flight recorder; the
-   final status file must read "completed" and the flight dump must hold
-   at least one event. *)
+(* Runs [runner] under the run record and the flight recorder; the
+   final record must read "completed" and the flight dump must hold at
+   least one event. *)
 let run_with_introspection ~plan ~runner =
-  with_tmp ".status" (fun status_path ->
+  with_tmp_dir (fun dir ->
       with_tmp ".flight" (fun flight_path ->
           let cfg =
             {
               Run_config.default with
-              Run_config.status = Some status_path;
+              Run_config.runs_dir = Some dir;
               status_every_s = 0.0;
               flight = Some flight_path;
               run_id = Some "feedc0ffee12";
@@ -221,10 +259,9 @@ let run_with_introspection ~plan ~runner =
                ~engine:"staged" cfg (fun _ ->
                  stats := Some (runner ());
                  0));
-          (match Status.of_file status_path with
-          | Error msg -> Alcotest.failf "final status unreadable: %s" msg
-          | Ok v ->
-            Alcotest.(check string) "final state" "completed" v.Status.v_state);
+          let r = read (Filename.concat dir "feedc0ffee12.json") in
+          Alcotest.(check string) "final state" "completed" (state_name r);
+          Alcotest.(check bool) "exit code 0" true (r.Status.exit_code = Some 0);
           (match Sink_jsonl.read_file flight_path with
           | Error msg -> Alcotest.failf "flight dump unreadable: %s" msg
           | Ok events ->
@@ -327,12 +364,12 @@ let shape events =
        (fun e -> (e.Obs.ev_name, e.Obs.ev_cat, e.Obs.ev_args)) events)
 
 let crashed_flight_dump plan =
-  with_tmp ".status" (fun status_path ->
+  with_tmp_dir (fun dir ->
       with_tmp ".flight" (fun flight_path ->
           let cfg =
             {
               Run_config.default with
-              Run_config.status = Some status_path;
+              Run_config.runs_dir = Some dir;
               status_every_s = 0.0;
               flight = Some flight_path;
               fault = Some (Run_config.Chunk_fatal { chunk = 1 });
@@ -350,12 +387,12 @@ let crashed_flight_dump plan =
            with
           | _ -> Alcotest.fail "fatal fault did not take the run down"
           | exception Failure _ -> ());
-          (* The status file must record the crash... *)
-          (match Status.of_file status_path with
-          | Error msg -> Alcotest.failf "status unreadable: %s" msg
-          | Ok v ->
-            Alcotest.(check string) "status records the crash" "crashed"
-              v.Status.v_state);
+          (* The run record must hold the crash... *)
+          let r = read (Filename.concat dir "feedc0ffee12.json") in
+          Alcotest.(check string) "record holds the crash" "crashed"
+            (state_name r);
+          Alcotest.(check bool) "exit code 125" true
+            (r.Status.exit_code = Some 125);
           (* ...and the flight dump must exist with the fatal event. *)
           match Sink_jsonl.read_file flight_path with
           | Error msg -> Alcotest.failf "flight dump unreadable: %s" msg
@@ -380,11 +417,11 @@ let () =
     [
       ( "run_meta",
         [
-          Alcotest.test_case "round trip" `Quick test_run_meta_round_trip;
+          Alcotest.test_case "round trip" `Quick test_record_round_trip;
           Alcotest.test_case "save, finalize, list" `Quick
-            test_run_meta_save_finalize_list;
+            test_record_save_finalize_list;
           Alcotest.test_case "list skips garbage" `Quick
-            test_run_meta_list_skips_garbage;
+            test_record_list_skips_garbage;
           Alcotest.test_case "fresh id shape" `Quick test_fresh_id_shape;
         ] );
       ( "status",
