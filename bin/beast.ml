@@ -19,8 +19,10 @@ let device_arg =
 
 let max_dim_arg =
   let doc =
-    "Scale the device's thread-grid dimensions down to $(docv) so the sweep \
-     is tractable (the unscaled K40c GEMM space is astronomically large)."
+    "Scale the device's thread-grid dimensions down to $(docv). The \
+     unscaled K40c GEMM space ($(docv) = 1024 with --max-threads 1024) is \
+     2,096,997,743 loop iterations and 1,207,600 survivors, about 1.3 s \
+     on --engine native:2 including the C compile."
   in
   Arg.(value & opt int 32 & info [ "max-dim" ] ~docv:"N" ~doc)
 
@@ -48,7 +50,10 @@ let engine_arg =
     & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
 let trace_arg =
-  let doc = "Write a trace of planning and enumeration to $(docv)." in
+  let doc =
+    "Write a trace of planning and enumeration to $(docv); the file is \
+     written when the run ends."
+  in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
 let trace_format_arg =
@@ -202,7 +207,8 @@ let metrics_arg =
 let metrics_out_arg =
   let doc =
     "Write the recorded metrics to $(docv) in Prometheus text \
-     exposition format (implies --metrics)."
+     exposition format (implies --metrics); the file is written when the \
+     run ends."
   in
   Arg.(
     value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
@@ -210,6 +216,15 @@ let metrics_out_arg =
 let status_every_arg =
   let doc = "Seconds between --runs record rewrites (default 1)." in
   Arg.(value & opt float 1.0 & info [ "status-every" ] ~docv:"SECONDS" ~doc)
+
+(* The removed --status FILE, hidden and refused by name: undeclared, it
+   parses as a prefix of --status-every. An exact name wins over a
+   prefix, so --status-every and --status-e still work. *)
+let status_arg =
+  Arg.(
+    value
+    & opt ~vopt:(Some "") (some string) None
+    & info [ "status" ] ~docs:Manpage.s_none)
 
 let flight_arg =
   let doc =
@@ -261,7 +276,13 @@ let archive_dir_arg =
    threaded through each term. *)
 let obs_config_term =
   let build trace trace_format progress metrics metrics_out status_every_s
-      flight runs_dir run_id =
+      status flight runs_dir run_id =
+    if status <> None then begin
+      Format.eprintf
+        "beast: --status is gone; --runs DIR writes the run record \
+         DIR/RUN_ID.json that beast top follows@.";
+      exit 2
+    end;
     {
       Run_config.default with
       Run_config.trace;
@@ -277,8 +298,8 @@ let obs_config_term =
   in
   Term.(
     const build $ trace_arg $ trace_format_arg $ progress_arg $ metrics_arg
-    $ metrics_out_arg $ status_every_arg $ flight_arg $ runs_dir_arg
-    $ run_id_arg)
+    $ metrics_out_arg $ status_every_arg $ status_arg $ flight_arg
+    $ runs_dir_arg $ run_id_arg)
 
 let propagate_arg =
   let doc =
@@ -317,16 +338,17 @@ let sweep_config_term =
     $ checkpoint_arg $ checkpoint_every_arg $ resume_arg $ fault_arg
     $ explain_out_arg $ archive_flag_arg $ archive_dir_arg)
 
-(* Validate the config, then run [f] under its instrumentation. [f]
-   receives the effective run id and returns the process exit code
-   rather than calling [exit] itself, so the run's finalizers (trace,
-   flight and metrics writes, run record finalization) always
-   run before the process ends. A space the engines cannot run —
-   untranslatable for the compiled tier, a missing compiler, a failed
-   compile, an evaluation error such as a zero range step — gets one
-   actionable line and exit 2, never an exception trace; any other
-   exception reaches Cmdliner, which exits 125. *)
-let with_config ~space ~engine cfg f =
+(* Validate the config, then run [f] under its instrumentation, which
+   probes [outputs] (the files only [f] writes) with the config's own
+   output paths before anything runs. [f] receives the effective run id
+   and returns the process exit code rather than calling [exit] itself,
+   so the run's finalizers (trace, flight and metrics writes, run record
+   finalization) always run before the process ends. A space the
+   engines cannot run — untranslatable for the compiled tier, a missing
+   compiler, a failed compile, an evaluation error such as a zero range
+   step — gets one actionable line and exit 2, never an exception
+   trace; any other exception reaches Cmdliner, which exits 125. *)
+let with_config ?outputs ~space ~engine cfg f =
   (match Run_config.validate cfg with
   | Ok () -> ()
   | Error msg ->
@@ -337,7 +359,7 @@ let with_config ~space ~engine cfg f =
     code
   in
   match
-    Run_config.with_instrumentation ~space ~engine cfg (fun run_id ->
+    Run_config.with_instrumentation ?outputs ~space ~engine cfg (fun run_id ->
         try f run_id with
         | Sys_error msg -> diagnose 1 msg
         | Engine_native.Error msg | Expr.Eval_error msg -> diagnose 2 msg
@@ -540,25 +562,9 @@ let sweep_term =
             exit 1)
         cfg.Run_config.resume
     in
-    (* Keep checkpointing into the resumed file unless --checkpoint
-       redirects it. *)
-    let ck_path =
-      match cfg.Run_config.checkpoint with
-      | Some _ as path -> path
-      | None -> cfg.Run_config.resume
-    in
-    (* The files the sweep writes as it runs or when it ends are probed
-       now, so an unwritable path fails before the enumeration, not
-       part-way or after it. *)
-    (try
-       List.iter Jsonx.check_writable
-         (Option.to_list stats_out
-         @ Option.to_list cfg.Run_config.explain_out
-         @ Option.to_list ck_path)
-     with Sys_error msg ->
-       Format.eprintf "beast: %s@." msg;
-       exit 1);
-    with_config ~space:space_name ~engine:E.name cfg (fun run_id ->
+    let ck_path = Run_config.checkpoint_path cfg in
+    with_config ~outputs:(Option.to_list stats_out) ~space:space_name
+      ~engine:E.name cfg (fun run_id ->
         let t0 = Clock.now_ns () in
         (* The unchunked plan carries the constraint metadata --stats-out
            serializes; sharding restricts a copy of it. *)
@@ -842,13 +848,8 @@ let funnel_cmd =
            ~doc:"Also write the radial visualization (paper ref. [7]).")
   in
   let run svg cfg { s_name = space_name; s_space = sp; _ } =
-    (* Probe the SVG path now, so an unwritable one fails before the
-       sweep, not after it. *)
-    (try Option.iter Jsonx.check_writable svg
-     with Sys_error msg ->
-       Format.eprintf "beast: %s@." msg;
-       exit 1);
-    with_config ~space:space_name ~engine:"funnel" cfg (fun _run_id ->
+    with_config ~outputs:(Option.to_list svg) ~space:space_name
+      ~engine:"funnel" cfg (fun _run_id ->
         let f = Stats.funnel sp in
         Format.printf "%a" Stats.pp f;
         Option.iter

@@ -8,15 +8,21 @@
 # engine for --explain-out, which it cannot honor: one stderr line,
 # exit 2, and no file written. Last, an output path in a missing
 # directory (merge --stats-out; sweep --stats-out, --explain-out,
-# --flight and --checkpoint; funnel --svg) or a runs directory under a
-# regular file (sweep --runs) is one stderr line naming that path,
-# exit 1 and no file written; sweep and funnel refuse it before they
-# enumerate, so they print no statistics. A write that fails part way (a zero file-size limit
-# with SIGXFSZ ignored, so write(2) fails with EFBIG) is one stderr
-# line, exit 1, and the previous file kept, with no temp file left.
-# And `count` and `count --bound` over a range too long to walk (2^62
-# values) are one stderr line naming the file, the iterator and its trip
-# count, and exit 2.
+# --flight, --checkpoint, --trace and --metrics-out; funnel --svg) or a
+# runs directory under a regular file (sweep --runs) is one stderr line
+# naming that path, exit 1 and no file written; sweep and funnel refuse
+# it before they enumerate, so they print no statistics, and a run
+# refused for its runs directory leaves existing --trace and
+# --metrics-out files byte-identical. A write that fails part way (a
+# zero file-size limit with SIGXFSZ ignored, so write(2) fails with
+# EFBIG: merge and sweep --stats-out, funnel --svg, a JSONL --trace,
+# --metrics-out) is one stderr line naming the file, exit 1, and the
+# previous file kept, with no temp file left. The removed --status
+# option is one stderr line naming --runs DIR and exit 2, while
+# --status-every and its prefix --status-e still parse. And `count`
+# and `count --bound` over a range too long to walk (2^62 values) are
+# one stderr line naming the file, the iterator and its trip count,
+# and exit 2.
 # Usage: sh eval_error_check.sh path/to/beast.exe zero_step.beast
 beast=$1
 space=$2
@@ -116,7 +122,24 @@ unwritable "$m/c.json" sweep gemm --max-dim 12 --max-threads 32 \
   --engine parallel:2 --checkpoint "$m/c.json"
 unwritable "$dir/S/runs" sweep gemm --max-dim 12 --max-threads 32 \
   --runs "$dir/S/runs"
+unwritable "$m/t.json" sweep gemm --max-dim 12 --max-threads 32 \
+  --trace "$m/t.json"
+unwritable "$m/m.prom" sweep gemm --max-dim 12 --max-threads 32 \
+  --metrics-out "$m/m.prom"
 unwritable "$m/f.svg" funnel conv2d --svg "$m/f.svg"
+# A run refused for its runs directory leaves the files it would have
+# written untouched.
+keep=$(mktemp -d)
+cp "$dir/S" "$keep/t.json"
+cp "$dir/S" "$keep/m.prom"
+unwritable "$dir/S/runs" sweep gemm --max-dim 12 --max-threads 32 \
+  --trace "$keep/t.json" --metrics-out "$keep/m.prom" --runs "$dir/S/runs"
+if ! cmp -s "$dir/S" "$keep/t.json" || ! cmp -s "$dir/S" "$keep/m.prom"; then
+  echo "sweep refused for --runs changed its --trace or --metrics-out file" >&2
+  rm -rf "$dir" "$keep"
+  exit 1
+fi
+rm -rf "$keep"
 cp "$dir/S" "$dir/T"
 # failing_write ARGS...: beast ARGS must fail to write T and keep it
 failing_write() {
@@ -138,4 +161,26 @@ failing_write() {
 failing_write merge "$dir/S" --stats-out "$dir/T"
 failing_write sweep gemm --max-dim 12 --max-threads 32 --stats-out "$dir/T"
 failing_write funnel conv2d --svg "$dir/T"
+failing_write sweep gemm --max-dim 12 --max-threads 32 --trace "$dir/T" \
+  --trace-format jsonl
+failing_write sweep gemm --max-dim 12 --max-threads 32 --metrics-out "$dir/T"
 rm -rf "$dir"
+
+# --status FILE was replaced by --runs DIR: it is refused by name, not
+# read as a prefix of --status-every.
+for value in 5 s.json; do
+  err=$("$beast" sweep gemm --max-dim 12 --max-threads 32 --status "$value" \
+    2>&1 >/dev/null)
+  code=$?
+  lines=$(printf '%s\n' "$err" | wc -l)
+  case $err in beast:*"--runs DIR"*) ok=1 ;; *) ok=0 ;; esac
+  if [ "$code" -ne 2 ] || [ "$lines" -ne 1 ] || [ "$ok" -ne 1 ]; then
+    echo "sweep --status $value: exit $code, stderr: $err" >&2
+    echo "expected exit 2 and one 'beast: ...' line naming --runs DIR" >&2
+    exit 1
+  fi
+done
+for opt in --status-every --status-e; do
+  "$beast" sweep gemm --max-dim 12 --max-threads 32 "$opt" 2 >/dev/null ||
+    { echo "sweep $opt 2 failed" >&2; exit 1; }
+done

@@ -128,12 +128,14 @@ let validate t =
   else Ok ()
 
 (* How a run ended, decided once for the run record: from the callback's
-   exit code, or [Crashed] when it raised (recorded with 125, the code an
-   uncaught exception exits the CLI with). *)
+   exit code, or [Crashed] when it raised, recorded with the code the CLI
+   exits with: 1 for a failed file operation ([Sys_error]), 125 (an
+   uncaught exception) for anything else. *)
 let outcome = function
   | Ok 0 -> (Status.Completed, 0)
   | Ok 3 -> (Status.Interrupted, 3)
   | Ok code -> (Status.Crashed, code)
+  | Error (Sys_error _, _) -> (Status.Crashed, 1)
   | Error _ -> (Status.Crashed, 125)
 
 let mint_run_id ~space t =
@@ -148,63 +150,43 @@ let mint_run_id ~space t =
     Some (Status.fresh_id ~seed:(space ^ "|" ^ shard) ())
   | None -> None
 
-let write_trace t (file, oc, r) =
+let checkpoint_path t =
+  match t.checkpoint with Some _ as p -> p | None -> t.resume
+
+let write_trace t (file, r) =
   let events = Recorder.events r in
-  (match t.trace_format with
-  | Jsonl -> Sink_jsonl.write oc events
-  | Chrome -> Sink_chrome.write ~start_ns:(Recorder.start_ns r) oc events
-  | Summary ->
-    let ppf = Format.formatter_of_out_channel oc in
-    Sink_summary.write ppf events;
-    Format.pp_print_flush ppf ());
-  close_out oc;
+  Jsonx.write_with file (fun oc ->
+      match t.trace_format with
+      | Jsonl -> Sink_jsonl.write oc events
+      | Chrome ->
+        output_string oc
+          (Sink_chrome.render ~start_ns:(Recorder.start_ns r) events)
+      | Summary ->
+        Sink_summary.write (Format.formatter_of_out_channel oc) events);
   Format.eprintf "wrote %d trace events to %s@." (Array.length events) file
 
-let with_instrumentation ~space ~engine t f =
-  (* Every output file is opened or probed, and the run record written,
-     before anything is installed: a bad path raises [Sys_error] up
-     front, with nothing installed and no channel left open, instead of
-     discarding a completed run at the end. *)
-  Option.iter Jsonx.check_writable t.flight;
-  let opened = ref [] in
-  let open_out_or_fail what file =
-    match open_out file with
-    | oc ->
-      opened := oc :: !opened;
-      (file, oc)
-    | exception Sys_error msg ->
-      raise (Sys_error (Printf.sprintf "cannot open %s file: %s" what msg))
-  in
+let with_instrumentation ?(outputs = []) ~space ~engine t f =
+  (* Every file the run writes is probed, and the run record written,
+     before anything is installed: a bad path fails up front with no
+     file touched, instead of discarding a completed run at the end. *)
+  let checkpoint_path = checkpoint_path t in
+  List.iter Jsonx.check_writable
+    (outputs
+    @ List.filter_map Fun.id
+        [ t.explain_out; checkpoint_path; t.flight; t.trace; t.metrics_out ]);
   let run_id = mint_run_id ~space t in
   let tally =
     if t.progress || t.runs_dir <> None then Some (Tally.create ()) else None
   in
-  let trace, metrics_out, record =
-    try
-      let trace =
-        Option.map
-          (fun file ->
-            let file, oc = open_out_or_fail "trace" file in
-            (file, oc, Recorder.create ()))
-          t.trace
-      in
-      let metrics_out = Option.map (open_out_or_fail "metrics") t.metrics_out in
-      let record =
-        match (t.runs_dir, run_id, tally) with
-        | Some dir, Some run_id, Some tally ->
-          let checkpoint_path =
-            match t.checkpoint with Some _ as p -> p | None -> t.resume
-          in
-          Some
-            (Status.create ~interval_s:t.status_every_s ?shard:t.shard
-               ?checkpoint_path ~dir ~run_id ~space ~engine tally)
-        | _ -> None
-      in
-      (trace, metrics_out, record)
-    with e ->
-      List.iter close_out_noerr !opened;
-      raise e
+  let record =
+    match (t.runs_dir, run_id, tally) with
+    | Some dir, Some run_id, Some tally ->
+      Some
+        (Status.create ~interval_s:t.status_every_s ?shard:t.shard
+           ?checkpoint_path ~dir ~run_id ~space ~engine tally)
+    | _ -> None
   in
+  let trace = Option.map (fun file -> (file, Recorder.create ())) t.trace in
   let flight = Option.map (fun file -> (file, Flight.create ())) t.flight in
   let registry = if metrics_enabled t then Some (Metrics.create ()) else None in
   let reporter = if t.progress then Option.map Progress.create tally else None in
@@ -213,9 +195,9 @@ let with_instrumentation ~space ~engine t f =
       Obs.sink =
         (match (trace, flight) with
         | None, None -> None
-        | Some (_, _, r), None -> Some (Recorder.sink r)
+        | Some (_, r), None -> Some (Recorder.sink r)
         | None, Some (_, fl) -> Some (Flight.sink fl)
-        | Some (_, _, r), Some (_, fl) -> Some (Flight.tee fl (Recorder.sink r)));
+        | Some (_, r), Some (_, fl) -> Some (Flight.tee fl (Recorder.sink r)));
       (* A flight ring or a run record alone keeps the plain path:
          they want the run's final moments and once-per-chunk ticks, and
          must not slow the sweep down. *)
@@ -249,21 +231,38 @@ let with_instrumentation ~space ~engine t f =
     | code -> Ok code
     | exception e -> Error (e, Printexc.get_raw_backtrace ())
   in
-  let ended, exit_code = outcome result in
   Option.iter Progress.finish reporter;
+  (* The end-of-run files go before the record is finalized, so a failed
+     write is in its exit code; the run's own exception wins over it. *)
+  let attempt result write =
+    match write () with
+    | () -> result
+    | exception (Sys_error _ as e) when Result.is_ok result ->
+      Error (e, Printexc.get_raw_backtrace ())
+    | exception Sys_error _ -> result
+  in
+  let result =
+    List.fold_left attempt result
+      [
+        (fun () ->
+          match (registry, t.metrics_out) with
+          | Some r, Some file ->
+            Jsonx.write_file file
+              (Metrics.Snapshot.to_prometheus (Metrics.snapshot r));
+            Format.eprintf "wrote metrics to %s@." file
+          | _ -> ());
+        (fun () ->
+          Option.iter
+            (fun (file, fl) ->
+              let n = Flight.dump fl file in
+              Format.eprintf "wrote flight recording (%d events) to %s@." n
+                file)
+            flight);
+        (fun () -> Option.iter (write_trace t) trace);
+      ]
+  in
+  let ended, exit_code = outcome result in
   Option.iter (fun r -> Status.finalize r ~state:ended ~exit_code) record;
-  (match (registry, metrics_out) with
-  | Some r, Some (file, oc) ->
-    output_string oc (Metrics.Snapshot.to_prometheus (Metrics.snapshot r));
-    close_out oc;
-    Format.eprintf "wrote metrics to %s@." file
-  | _ -> ());
-  Option.iter
-    (fun (file, fl) ->
-      let n = Flight.dump fl file in
-      Format.eprintf "wrote flight recording (%d events) to %s@." n file)
-    flight;
-  Option.iter (write_trace t) trace;
   match result with
   | Ok code -> code
   | Error (e, bt) -> Printexc.raise_with_backtrace e bt

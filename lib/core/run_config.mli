@@ -68,6 +68,10 @@ val default : t
 val metrics_enabled : t -> bool
 (** [metrics || metrics_out <> None]. *)
 
+val checkpoint_path : t -> string option
+(** [checkpoint], else [resume]: a resumed run keeps checkpointing into
+    the file it resumed from unless [checkpoint] redirects it. *)
+
 val validate : t -> (unit, string) result
 (** Reject configurations that would otherwise fail silently: shard
     bounds ([n <= 0], [i < 0] or [i >= n] would sweep an empty space),
@@ -78,16 +82,18 @@ val validate : t -> (unit, string) result
     provenance would describe only the tail of the sweep). *)
 
 val with_instrumentation :
+  ?outputs:string list ->
   space:string -> engine:string -> t -> (string option -> int) -> int
 (** Run the callback as one instrumented run and return its exit code.
 
     The run id is [run_id], or minted when any introspection surface
     wants one ([runs_dir], [flight], [trace] or [archive]); the callback
-    receives it. The [flight] path is probed
-    ({!Beast_obs.Jsonx.check_writable}), output files are opened and the
-    run record written (with [runs_dir]) before anything is installed,
-    so a bad path raises [Sys_error] up front with nothing left
-    installed.
+    receives it. Before anything is installed, [outputs] (the files only
+    the caller writes), [explain_out], {!checkpoint_path}, [flight],
+    [trace] and [metrics_out] are probed
+    ({!Beast_obs.Jsonx.check_writable}) and the run record written (with
+    [runs_dir]): a bad path raises [Sys_error] naming it, no file
+    touched.
 
     The callback runs under one {!Beast_obs.Obs.ctx}: the trace
     recorder and/or flight ring as its sink, one progress tally (with
@@ -96,14 +102,14 @@ val with_instrumentation :
     [instrumented] decision (tracing, terminal progress or metrics on).
     With [explain_out] a {!Provenance} collector is ambient too; the
     callback reads [Provenance.current ()]'s summary itself
-    (serialization needs the plan and shard tag, which only the caller
-    has). [run_id] and [space] are stamped into a ["run:meta"] instant
-    event at the head of the event stream.
+    (serialization needs the plan and shard tag, which only it has).
+    [run_id] and [space] are stamped into a ["run:meta"] instant event
+    at the head of the event stream.
 
-    How the run ended is decided once, from the returned exit code
-    (0 completed, 3 interrupted, anything else crashed) or from an
-    exception (crashed, exit code 125), and written into the run
-    record with the exit code. On every exit path the context is
-    uninstalled, the progress line finished, the record finalized, the
-    metrics written, the flight ring dumped and the trace written; an
-    exception is then re-raised. *)
+    On every exit path the context is uninstalled, the progress line
+    finished, and the metrics, flight ring and trace written
+    ({!Beast_obs.Jsonx.write_with}), each even when another failed. The
+    record is then finalized with how the run ended: 0 completed, 3
+    interrupted, another code crashed, an exception crashed with 1 for
+    [Sys_error] (a failed write too) or 125. The callback's exception,
+    or else the first failed write's, is re-raised. *)

@@ -67,8 +67,8 @@ let classify payload =
         | _ ->
           Error
             "unrecognized payload: expected a sweep statistics file \
-             (space/survivors/constraints) or a BENCH_*.json ablation \
-             result")))
+             (space/survivors/constraints) or an object with a string \
+             \"bench\" field")))
   | _ -> Error "payload is not a JSON object"
 
 let label_suffix = function

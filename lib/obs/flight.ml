@@ -101,10 +101,10 @@ let event_count t =
   Mutex.unlock t.mutex;
   n
 
-(* Atomic JSONL dump (Jsonx.write_file): a dump interrupted mid-write
+(* Atomic JSONL dump (Jsonx.write_with): a dump interrupted mid-write
    leaves no truncated file under the real name. Pure event lines, so
    Sink_jsonl.read_file round-trips the dump. *)
 let dump t file =
   let evs = events t in
-  Jsonx.write_file file (Sink_jsonl.render evs);
+  Jsonx.write_with file (fun oc -> Sink_jsonl.write oc evs);
   Array.length evs

@@ -419,10 +419,18 @@ let decode ?what f (r : (t, string) result) : (_, string) result =
    process, and reaches its real name by one rename: a reader never sees
    a torn file, and two processes pointed at one path cannot clobber
    each other's temp file. Failures name the target, not the temp file,
-   and leave no temp file behind. *)
-let with_temp path f =
+   and leave no temp file behind. The explicit [close_out] matters: most
+   files fit in the channel buffer, so the real write happens at close,
+   and [with_open_bin] closes with [close_out_noerr], which would drop a
+   full disk or a quota error and let the rename put an empty file over
+   [path]. *)
+let write_with path f =
   let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
-  try f tmp
+  try
+    Out_channel.with_open_bin tmp (fun oc ->
+        f oc;
+        close_out oc);
+    Sys.rename tmp path
   with Sys_error msg ->
     (try Sys.remove tmp with Sys_error _ -> ());
     let prefix = tmp ^ ": " in
@@ -434,16 +442,7 @@ let with_temp path f =
     in
     raise (Sys_error (Printf.sprintf "%s: %s" path reason))
 
-(* The explicit [close_out] matters: these files fit in the channel
-   buffer, so the real write happens at close, and [with_open_bin]
-   closes with [close_out_noerr], which would drop a full disk or a
-   quota error and let the rename put an empty file over [path]. *)
-let write_file path text =
-  with_temp path (fun tmp ->
-      Out_channel.with_open_bin tmp (fun oc ->
-          output_string oc text;
-          close_out oc);
-      Sys.rename tmp path)
+let write_file path text = write_with path (fun oc -> output_string oc text)
 
 (* One access(2) call, not a trial write: the probe runs on every run
    with an output file, and creating and removing a file costs more. *)

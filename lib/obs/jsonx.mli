@@ -1,7 +1,7 @@
 (** The one JSON module: a minimal reader, a deterministic writer, the
     layout every JSON file uses, and the file reader and atomic writer
-    all of them go through (stats, explain, checkpoint and run record
-    files, archive records, flight dumps).
+    every output goes through (stats, explain, checkpoint, run record,
+    archive, flight, trace and metrics files).
 
     Integers and floats are distinct constructors so count fields
     round-trip exactly: a number parses to {!Float} iff its lexeme
@@ -99,18 +99,21 @@ val decode :
     {!of_file}; every error, read, parse or decode, is prefixed with
     [what ^ ": "] when [what] is given. *)
 
-val write_file : string -> string -> unit
-(** [write_file path text] replaces [path] atomically: [text] goes to
+val write_with : string -> (out_channel -> unit) -> unit
+(** [write_with path f] replaces [path] atomically: [f] writes to
     [path.<pid>.tmp], which a rename then moves over [path], so a
     reader never sees a torn file. A failed write (a full disk, say)
     raises before the rename, so [path] keeps its previous contents; the
     temp file is removed and [Sys_error] names [path]. Since [path] is
     replaced, not opened, a symlink at [path] is replaced rather than
     followed, and a read-only file in a writable directory is
-    overwritten. *)
+    overwritten. [f] may stream; it must not close the channel. *)
+
+val write_file : string -> string -> unit
+(** [write_file path text] is {!write_with} writing [text]. *)
 
 val check_writable : string -> unit
-(** Check that {!write_file} can create its temp file: [path]'s
+(** Check that {!write_with} can create its temp file: [path]'s
     directory exists and is writable. A run refuses an unwritable output
     path this way before it does any work. Raises [Sys_error] naming
     [path]; writes nothing. *)

@@ -94,5 +94,3 @@ let render_processes processes =
 
 let render ?(start_ns = 0) events =
   render_processes [ (1, "beast", start_ns, events) ]
-
-let write ?start_ns oc events = output_string oc (render ?start_ns events)

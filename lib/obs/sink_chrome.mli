@@ -17,5 +17,3 @@ val render_processes : (int * string * int * Obs.event array) list -> string
     as thread) and uses the real shard index for the pid, so the
     [process_name] labels survive re-ordering of the input files. Each
     group's timestamps are rendered relative to its own [start_ns]. *)
-
-val write : ?start_ns:int -> out_channel -> Obs.event array -> unit

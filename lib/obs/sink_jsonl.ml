@@ -36,11 +36,6 @@ let write_event buf (ev : Obs.event) =
   end;
   Buffer.add_string buf "}\n"
 
-let render events =
-  let buf = Buffer.create 4096 in
-  Array.iter (write_event buf) events;
-  Buffer.contents buf
-
 let write oc events =
   let buf = Buffer.create 4096 in
   Array.iter

@@ -9,12 +9,9 @@ val write_event : Buffer.t -> Obs.event -> unit
 val args_object : Buffer.t -> (string * Obs.arg) list -> unit
 (** An event's args as a flat JSON object (shared with {!Sink_chrome}). *)
 
-val render : Obs.event array -> string
-(** One {!write_event} line per event. *)
-
 val write : out_channel -> Obs.event array -> unit
-(** {!render}, streamed one event at a time, so a long trace is never
-    held as one string. *)
+(** One {!write_event} line per event, streamed one event at a time, so
+    a long trace is never held as one string. *)
 
 val parse_line : string -> (Obs.event, string) result
 (** Inverse of {!write_event}, for one line. *)

@@ -192,26 +192,46 @@ let test_decision_table () =
         (matrix ~trace ~flight ~runs ~metrics_out ~explain_out)
     | _ -> assert false)
 
-(* An output that cannot be opened fails the call before anything is
-   installed: the trace sink opened first must not outlive it. *)
+(* An output that cannot be written fails the call before anything is
+   installed or written: a refused run leaves existing files as they
+   were, whether a probed path or the run record refused it. *)
 let test_failed_open_installs_nothing () =
   with_files (function
-    | trace :: _ ->
+    | trace :: _ :: metrics_out :: _ ->
+      let old = "previous contents\n" in
+      let refused what cfg =
+        List.iter
+          (fun file ->
+            Out_channel.with_open_bin file (fun oc -> output_string oc old))
+          [ trace; metrics_out ];
+        (match run_with cfg (fun () -> Alcotest.fail "the callback ran") with
+        | () -> Alcotest.failf "%s was accepted" what
+        | exception Sys_error _ -> ());
+        List.iter
+          (fun file ->
+            Alcotest.(check string)
+              (what ^ ": " ^ file ^ " kept")
+              old
+              (In_channel.with_open_bin file In_channel.input_all))
+          [ trace; metrics_out ];
+        nothing_installed ("after " ^ what)
+      in
       let cfg =
         {
           Run_config.default with
           Run_config.trace = Some trace;
-          metrics_out = Some "/nonexistent/m.prom";
           progress = true;
         }
       in
-      (match
-         run_with cfg (fun () -> Alcotest.fail "the callback ran")
-       with
-      | () -> Alcotest.fail "an unopenable --metrics-out was accepted"
-      | exception Sys_error _ -> ());
-      nothing_installed "after a failed open"
-    | [] -> assert false)
+      refused "an unwritable --metrics-out"
+        { cfg with Run_config.metrics_out = Some "/nonexistent/m.prom" };
+      refused "a --runs dir under a regular file"
+        {
+          cfg with
+          Run_config.metrics_out = Some metrics_out;
+          runs_dir = Some (Filename.concat trace "runs");
+        }
+    | _ -> assert false)
 
 let () =
   Alcotest.run "run_config"
