@@ -938,9 +938,13 @@ let sample_cmd =
       match Feasible.sample ?rng f with
       | Some point ->
         incr ok;
-        print_string
-          (String.concat " "
-             (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) point));
+        List.iteri
+          (fun i (k, v) ->
+            if i > 0 then print_char ' ';
+            print_string k;
+            print_char '=';
+            print_string (string_of_int v))
+          point;
         print_char '\n'
       | None -> ()
     done;

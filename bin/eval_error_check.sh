@@ -22,6 +22,8 @@
 # --status-every and its prefix --status-e still parse. And `count`
 # and `count --bound` over a range too long to walk (2^62 values) are
 # one stderr line naming the file, the iterator and its trip count,
+# and exit 2; `count`, `count --bound` and `sample` over a space of
+# 2^65 points, more than max_int, are one stderr line naming the file
 # and exit 2.
 # Usage: sh eval_error_check.sh path/to/beast.exe zero_step.beast
 beast=$1
@@ -81,6 +83,25 @@ for bound in '' --bound; do
   fi
 done
 rm -f "$long"
+
+# Five range(0, 8192) iterators hold 2^65 points, past max_int: count,
+# count --bound and sample refuse the set instead of wrapping its size.
+huge=$dir/huge.beast
+printf 'space huge\n' >"$huge"
+for v in a b c d e; do printf 'iter %s = range(0, 8192)\n' "$v" >>"$huge"; done
+for cmd in count 'count --bound' sample; do
+  err=$("$beast" $cmd "$huge" 2>&1 >/dev/null)
+  code=$?
+  lines=$(printf '%s\n' "$err" | wc -l)
+  case $err in "$huge: "*max_int*) ok=1 ;; *) ok=0 ;; esac
+  if [ "$code" -ne 2 ] || [ "$lines" -ne 1 ] || [ "$ok" -ne 1 ]; then
+    echo "$cmd $huge: exit $code, stderr: $err" >&2
+    echo "expected exit 2 and one line naming the file and max_int" >&2
+    rm -rf "$dir"
+    exit 1
+  fi
+done
+rm -f "$huge"
 
 divzero=$dir/div_zero.beast
 printf 'space div_zero\niter x = range(0, 3)\niter y = range(0, 2)\nderived q = x / y\nconstraint hard big = q > 100\n' \

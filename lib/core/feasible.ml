@@ -17,8 +17,9 @@
    walk keys on the projection of the slot state onto the slots the
    subtree actually reads (its free slots), so a subtree is evaluated
    once per DISTINCT outer context rather than once per outer
-   assignment, and a loop whose first check is [m * x != t] visits only
-   the value that solves it. Opaque computes ([CF]) and dynamic
+   assignment (a loop whose context can never repeat skips the memo),
+   and a loop whose first check is [m * x != t] visits only the value
+   that solves it. Opaque computes ([CF]) and dynamic
    iterators ([CDyn]) are plain int functions, run as they are, but
    their reads are unknown, so they widen the memo key to the whole
    slot state; correct, merely less shared.
@@ -67,6 +68,8 @@ let nid_of = function
 
 (* Int-array keys hashed over every element: [Hashtbl.hash] reads only
    a bounded prefix, so long keys sharing one would all collide. *)
+let mix h x = (h + x) * 0x1f3d5b79a3c6e5
+
 module Ints = Hashtbl.Make (struct
   type t = int array
 
@@ -78,17 +81,41 @@ module Ints = Hashtbl.Make (struct
   let hash (a : t) =
     let h = ref 0 in
     for i = 0 to Array.length a - 1 do
-      h := (!h + a.(i)) * 0x1f3d5b79a3c6e5
+      h := mix !h a.(i)
     done;
     !h lxor (!h lsr 29)
 end)
 
-type arena = {
-  mutable next_nid : int;
-  cons : node Ints.t;  (** lo, step, len, child nid per run -> node *)
-}
+(* A node's runs as the hash-consing key. Children are already consed
+   in the same arena, so physical identity is structural equality. *)
+module Runs = Hashtbl.Make (struct
+  type t = run array
 
-let arena () = { next_nid = 0; cons = Ints.create 256 }
+  let equal (a : t) (b : t) =
+    let n = Array.length a in
+    let same x y =
+      x.r_lo = y.r_lo && x.r_step = y.r_step && x.r_len = y.r_len
+      && x.r_child == y.r_child
+    in
+    let rec from i = i = n || (same a.(i) b.(i) && from (i + 1)) in
+    n = Array.length b && from 0
+
+  let hash (a : t) =
+    let h = ref 0 in
+    for i = 0 to Array.length a - 1 do
+      let r = a.(i) in
+      h := mix (mix (mix (mix !h r.r_lo) r.r_step) r.r_len) (nid_of r.r_child)
+    done;
+    !h lxor (!h lsr 29)
+end)
+
+type arena = { mutable next_nid : int; cons : node Runs.t }
+
+let arena () = { next_nid = 0; cons = Runs.create 256 }
+
+exception Failed of string
+
+let fail fmt = Printf.ksprintf (fun msg -> raise (Failed msg)) fmt
 
 (* Greedy left-to-right run compression of a sorted, duplicate-free
    (value, child) list, given as its head [(v, c)] and tail. Greedy is
@@ -111,28 +138,24 @@ let compress v c tl =
 
 (* Build (or reuse) the node for a sorted (value, child) map. Values
    must be strictly increasing; Empty children must already have been
-   filtered out. *)
+   filtered out. A total past [max_int] is refused, never wrapped. *)
 let cons_node a = function
   | [] -> Empty
-  | (v, c) :: tl ->
+  | (v, c) :: tl -> (
     let runs = compress v c tl in
-    let key =
-      Array.init (4 * Array.length runs) (fun i ->
-          let r = runs.(i / 4) in
-          match i mod 4 with
-          | 0 -> r.r_lo
-          | 1 -> r.r_step
-          | 2 -> r.r_len
-          | _ -> nid_of r.r_child)
-    in
-    (match Ints.find_opt a.cons key with
+    match Runs.find_opt a.cons runs with
     | Some n -> n
     | None ->
-      let weigh acc r = acc + (r.r_len * node_count r.r_child) in
+      let weigh acc r =
+        let per = node_count r.r_child in
+        if per > 0 && r.r_len > (max_int - acc) / per then
+          fail "the feasible set holds more than max_int (%d) points" max_int;
+        acc + (r.r_len * per)
+      in
       let total = Array.fold_left weigh 0 runs in
       let n = Node { nid = a.next_nid; runs; total } in
       a.next_nid <- a.next_nid + 1;
-      Ints.add a.cons key n;
+      Runs.add a.cons runs n;
       n)
 
 (* ------------------------------------------------------------------ *)
@@ -181,7 +204,11 @@ let citer_reads = function
 (* The canonical nest re-expressed for the walk and compiled once per
    plan with the staged engine's compiler: [Static_prune] steps vanish
    (they are statistics, not feasibility), and each loop carries a memo
-   id plus the free slots of its subtree (every slot for [All]). *)
+   id plus the free slots of its subtree (every slot for [All]). A loop
+   whose key holds its parent loop's whole exact key and the parent's
+   own slot is not memoized: its context fixes the parent's context and
+   value, the parent is walked once per context and visits each value
+   once, so that key can never repeat. *)
 type fn = int array -> int
 
 type aprog =
@@ -190,11 +217,14 @@ type aprog =
   | ADerive of int * fn * aprog
   | ACheck of (int array -> bool) * aprog  (** [true] prunes *)
   | ALoop of {
-      uid : int;
       var : string;
       slot : int;
       iter : aiter;
       key : int array;  (** free slots of the whole loop step *)
+      mutable memo : bool;  (** false when [key] can never repeat *)
+      probe : int array;
+          (** the memo key: a loop id, then the [key] slots' values,
+              refilled per lookup so a memo hit allocates nothing *)
       body : aprog;
     }
 
@@ -203,10 +233,6 @@ and aiter =
       (** start, stop, step, and the coefficient and target of the first
           check when [Plan.solved_check] recognises it *)
   | AValues of (int array -> int array)  (** [CValues] and [CDyn] *)
-
-exception Failed of string
-
-let fail fmt = Printf.ksprintf (fun msg -> raise (Failed msg)) fmt
 
 (* A range too long to walk or materialise is refused up front. *)
 let check_trip var n max_states =
@@ -241,6 +267,19 @@ let annotate ~n_slots (steps : Plan.step list) =
       | _ -> fail "unsupported plan shape: steps after a loop");
       let body, bfs = go l_body in
       let key = sunion (citer_reads l_iter) (sremove l_slot bfs) in
+      (* An opaque key also holds stale values of inner slots, so only an
+         exact one is fixed by a child's context. *)
+      (match key with
+      | All -> ()
+      | Only read ->
+        let rec mark_child = function
+          | ADerive (_, _, a) | ACheck (_, a) -> mark_child a
+          | ALoop c ->
+            let within s = Array.mem s c.key in
+            c.memo <- not (within l_slot && List.for_all within read)
+          | ADone | ANone -> ()
+        in
+        mark_child body);
       let iter =
         match l_iter with
         | Plan.CRange (a, b, c) ->
@@ -254,8 +293,11 @@ let annotate ~n_slots (steps : Plan.step list) =
       incr uid;
       let read = match key with All -> List.init n_slots Fun.id | Only r -> r in
       let key' = Array.of_list read in
-      (ALoop { uid = !uid; var = l_var; slot = l_slot; iter; key = key'; body },
-       key)
+      let probe = Array.make (Array.length key' + 1) !uid in
+      ( ALoop
+          { var = l_var; slot = l_slot; iter; key = key';
+            memo = true; probe; body },
+        key )
   in
   fst (go steps)
 
@@ -280,6 +322,23 @@ let build ?(max_states = default_max_states) (plan : Plan.t) :
     let memo = Ints.create 1024 in
     let states = ref 0 in
     let only = ref 0 in
+    (* Every walk of a loop is one state, memoized or not. *)
+    let count_state var key =
+      incr states;
+      if !states > max_states then
+        let name s =
+          if s < Array.length plan.Plan.slot_names then plan.Plan.slot_names.(s)
+          else string_of_int s
+        in
+        let context = Array.to_list (Array.map name key) in
+        fail
+          "state explosion at iterator %s (context: %s): more than %d \
+           distinct loop contexts (the plan's constraints could not be \
+           factored; raise ?max_states or count by enumeration)"
+          var
+          (if context = [] then "none" else String.concat ", " context)
+          max_states
+    in
     let rec exec = function
       | ADone -> Accept
       | ANone -> Empty
@@ -287,21 +346,19 @@ let build ?(max_states = default_max_states) (plan : Plan.t) :
         slots.(slot) <- f slots;
         exec rest
       | ACheck (fires, rest) -> if fires slots then Empty else exec rest
+      | ALoop l when not l.memo ->
+        count_state l.var l.key;
+        cons_node a (walk l.var l.slot l.iter l.body)
       | ALoop l -> (
-        let k =
-          Array.init (Array.length l.key + 1) (fun i ->
-              if i = 0 then l.uid else slots.(l.key.(i - 1)))
-        in
-        match Ints.find_opt memo k with
+        let probe = l.probe in
+        for i = 0 to Array.length l.key - 1 do
+          probe.(i + 1) <- slots.(l.key.(i))
+        done;
+        match Ints.find_opt memo probe with
         | Some n -> n
         | None ->
-          incr states;
-          if !states > max_states then
-            fail
-              "state explosion: more than %d distinct loop contexts (the \
-               plan's constraints could not be factored; raise ?max_states \
-               or count by enumeration)"
-              max_states;
+          let k = Array.copy probe in
+          count_state l.var l.key;
           let n = cons_node a (walk l.var l.slot l.iter l.body) in
           Ints.add memo k n;
           n)
@@ -611,7 +668,9 @@ let combine op ta tb : (t, string) result =
           f_iters = ta.f_iters;
           f_root = go ta.f_root tb.f_root;
         }
-    with Run_too_wide n ->
+    with
+    | Failed msg -> Error msg
+    | Run_too_wide n ->
       Error
         (Printf.sprintf
            "a layer holds %d distinct values (cap %d): too wide to merge"

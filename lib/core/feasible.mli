@@ -23,22 +23,30 @@ val build : ?max_states:int -> Plan.t -> (t, string) result
     once into the staged engine's closures and evaluates each loop
     subtree once per distinct context — the projection of the slot
     state onto the subtree's free slots — so cost is the number of
-    distinct contexts times domain width, not the space size. A loop
-    whose first check [Plan.solved_check] recognises visits only the
-    value that can pass it. Opaque computes and [CDyn] iterators are
-    executed concretely but widen the memo key to the full slot state.
-    [Error] (never an exception) on: context explosion past
-    [max_states] (default 2M), a single range entry of more than
-    [max_states] values (the message names the iterator and its trip
-    count), an iterator visiting a value twice, a zero range step,
-    division by zero, or a non-canonical nest shape. *)
+    distinct contexts times domain width, not the space size. A loop is
+    memoized on its context unless that context holds its parent loop's
+    whole context plus the parent's value: such a context can never
+    repeat, so the loop is walked with no memo key, lookup or entry.
+    Every walk, memoized or not, counts as one state toward
+    [max_states]. A loop whose first check [Plan.solved_check]
+    recognises visits only the value that can pass it. Opaque computes
+    and [CDyn] iterators are executed concretely but widen the memo key
+    to the full slot state.
+    [Error] (never an exception) on: more than [max_states] walks
+    (default 2M; the message starts [state explosion] and names the
+    iterator and the slots of its context), a single range entry of more
+    than [max_states] values (the message names the iterator and its
+    trip count), a set of more than [max_int] points, an iterator
+    visiting a value twice, a zero range step, division by zero, or a
+    non-canonical nest shape. *)
 
 val of_propagation : Plan.t -> (t, string) result
 (** Product of the static iterator domains: every check assumed to
     pass. An upper bound on {!build}; [Error] when an iterator has
-    symbolic bounds or is dynamic, or when a range holds more values
-    than {!build}'s default state budget (the message names the
-    iterator and its trip count, as {!build}'s does). *)
+    symbolic bounds or is dynamic, when a range holds more values than
+    {!build}'s default state budget (the message names the iterator and
+    its trip count, as {!build}'s does), or when the product passes
+    [max_int]. *)
 
 val count : t -> int
 (** Exact number of feasible points. O(1): totals are stored on the
@@ -72,8 +80,9 @@ val nearest : t -> int array -> (string * int) list
 val union : t -> t -> (t, string) result
 val inter : t -> t -> (t, string) result
 (** Set algebra over identical layer lists. [Error] on a layer-list
-    mismatch or when a single layer is too wide to merge (a run
-    compressing millions of values would have to be expanded). *)
+    mismatch, when a single layer is too wide to merge (a run
+    compressing millions of values would have to be expanded), or when
+    the result holds more than [max_int] points. *)
 
 val to_string : t -> string
 (** Deterministic text form: children-first depth-first numbering from

@@ -119,3 +119,104 @@ let gemm_space ~max_dim ~max_threads =
   Beast_kernels.Gemm.space
     ~settings:{ Beast_kernels.Gemm.default_settings with device }
     ()
+
+(* Random small spaces for the properties checked against
+   [brute_force]: one to four ranges, each bound a literal or an earlier
+   iterator (a dependent bound), one derived value and up to two checks.
+   Ranges start anywhere in -3..3 and step by either sign; the [!=]
+   shapes over products, with literal 0 and negative coefficients, reach
+   the checks the staged engine and the generated C solve per loop entry
+   instead of testing each value. *)
+let gen_space =
+  let open QCheck.Gen in
+  let gen_bound prev =
+    match prev with
+    | [] -> map (fun k -> Expr.int (1 + k)) (int_range 0 4)
+    | _ ->
+      oneof
+        [
+          map (fun k -> Expr.int (1 + k)) (int_range 0 4);
+          map
+            (fun i -> Expr.var (List.nth prev (i mod List.length prev)))
+            (int_range 0 10);
+        ]
+  in
+  (* A negative step walks down from the bound to just above the start. *)
+  let gen_range prev =
+    gen_bound prev >>= fun bound ->
+    int_range (-3) 3 >>= fun start ->
+    oneofl [ 1; 1; 1; 2; 3; -1; -2 ] >>= fun step ->
+    return
+      (if step > 0 then (Expr.int start, bound, step)
+       else (bound, Expr.int (start - 1), step))
+  in
+  let gen_expr_over names =
+    let open Expr.Infix in
+    oneofl names >>= fun a ->
+    oneofl names >>= fun b ->
+    oneofl names >>= fun c ->
+    let a = Expr.var a and b = Expr.var b and c = Expr.var c in
+    oneof
+      [
+        oneofl
+          [
+            a +: b;
+            a *: Expr.int 2;
+            Expr.max_ a b;
+            (a %: Expr.int 3) =: Expr.int 0;
+            a <=: b;
+          ];
+        oneofl
+          [
+            a <>: b;
+            (a *: b) <>: c;
+            c <>: (b *: a);
+            (Expr.int 0 *: a) <>: b;
+            (Expr.int (-2) *: a) <>: c;
+          ];
+      ]
+  in
+  int_range 1 4 >>= fun n_iters ->
+  let rec build_iters i prev acc =
+    if i = n_iters then return (List.rev acc)
+    else
+      gen_range prev >>= fun range ->
+      let name = Printf.sprintf "i%d" i in
+      build_iters (i + 1) (name :: prev) ((name, range) :: acc)
+  in
+  build_iters 0 [] [] >>= fun iters ->
+  let names = List.map fst iters in
+  gen_expr_over names >>= fun dv ->
+  int_range 0 2 >>= fun n_cons ->
+  list_repeat n_cons (gen_expr_over ("d0" :: names)) >>= fun cons ->
+  return (iters, dv, cons)
+
+let space_of (iters, dv, cons) =
+  let sp = Space.create () in
+  List.iter
+    (fun (n, (start, stop, step)) ->
+      Space.iterator sp n (Iter.range ~step:(Expr.int step) start stop))
+    iters;
+  Space.derived sp "d0" dv;
+  List.iteri
+    (fun i e -> Space.constrain sp (Printf.sprintf "c%d" i) e)
+    cons;
+  sp
+
+let arb_space =
+  QCheck.make
+    ~print:(fun (iters, dv, cons) ->
+      let b = Buffer.create 128 in
+      List.iter
+        (fun (n, (start, stop, step)) ->
+          Buffer.add_string b
+            (Printf.sprintf "%s in range(%s, %s, %d); " n (Expr.to_string start)
+               (Expr.to_string stop) step))
+        iters;
+      Buffer.add_string b ("d0 = " ^ Expr.to_string dv ^ "; ");
+      List.iteri
+        (fun i e ->
+          Buffer.add_string b (Printf.sprintf "c%d: %s; " i (Expr.to_string e)))
+        cons;
+      Buffer.contents b)
+    gen_space

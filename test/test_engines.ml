@@ -371,105 +371,6 @@ let test_deep_nest () =
   done;
   check_all_engines sp
 
-(* Property: random small spaces agree across engines and match the
-   brute-force reference. Ranges start anywhere in -3..3 and step by
-   either sign; the [!=] shapes over products, with literal 0 and
-   negative coefficients, reach the checks the staged engine and the
-   generated C solve per loop entry instead of testing each value. *)
-let gen_space =
-  let open QCheck.Gen in
-  let gen_bound prev =
-    match prev with
-    | [] -> map (fun k -> Expr.int (1 + k)) (int_range 0 4)
-    | _ ->
-      oneof
-        [
-          map (fun k -> Expr.int (1 + k)) (int_range 0 4);
-          map
-            (fun i -> Expr.var (List.nth prev (i mod List.length prev)))
-            (int_range 0 10);
-        ]
-  in
-  (* A negative step walks down from the bound to just above the start. *)
-  let gen_range prev =
-    gen_bound prev >>= fun bound ->
-    int_range (-3) 3 >>= fun start ->
-    oneofl [ 1; 1; 1; 2; 3; -1; -2 ] >>= fun step ->
-    return
-      (if step > 0 then (Expr.int start, bound, step)
-       else (bound, Expr.int (start - 1), step))
-  in
-  let gen_expr_over names =
-    let open Expr.Infix in
-    oneofl names >>= fun a ->
-    oneofl names >>= fun b ->
-    oneofl names >>= fun c ->
-    let a = Expr.var a and b = Expr.var b and c = Expr.var c in
-    oneof
-      [
-        oneofl
-          [
-            a +: b;
-            a *: Expr.int 2;
-            Expr.max_ a b;
-            (a %: Expr.int 3) =: Expr.int 0;
-            a <=: b;
-          ];
-        oneofl
-          [
-            a <>: b;
-            (a *: b) <>: c;
-            c <>: (b *: a);
-            (Expr.int 0 *: a) <>: b;
-            (Expr.int (-2) *: a) <>: c;
-          ];
-      ]
-  in
-  int_range 1 4 >>= fun n_iters ->
-  let rec build_iters i prev acc =
-    if i = n_iters then return (List.rev acc)
-    else
-      gen_range prev >>= fun range ->
-      let name = Printf.sprintf "i%d" i in
-      build_iters (i + 1) (name :: prev) ((name, range) :: acc)
-  in
-  build_iters 0 [] [] >>= fun iters ->
-  let names = List.map fst iters in
-  gen_expr_over names >>= fun dv ->
-  int_range 0 2 >>= fun n_cons ->
-  list_repeat n_cons (gen_expr_over ("d0" :: names)) >>= fun cons ->
-  return (iters, dv, cons)
-
-let space_of (iters, dv, cons) =
-  let sp = Space.create () in
-  List.iter
-    (fun (n, (start, stop, step)) ->
-      Space.iterator sp n (Iter.range ~step:(Expr.int step) start stop))
-    iters;
-  Space.derived sp "d0" dv;
-  List.iteri
-    (fun i e -> Space.constrain sp (Printf.sprintf "c%d" i) e)
-    cons;
-  sp
-
-let arb_space =
-  QCheck.make
-    ~print:(fun (iters, dv, cons) ->
-      let b = Buffer.create 128 in
-      List.iter
-        (fun (n, (start, stop, step)) ->
-          Buffer.add_string b
-            (Printf.sprintf "%s in range(%s, %s, %d); " n (Expr.to_string start)
-               (Expr.to_string stop) step))
-        iters;
-      Buffer.add_string b ("d0 = " ^ Expr.to_string dv ^ "; ");
-      List.iteri
-        (fun i e ->
-          Buffer.add_string b (Printf.sprintf "c%d: %s; " i (Expr.to_string e)))
-        cons;
-      Buffer.contents b)
-    gen_space
-
 (* Plans with a loop the staged engine solves instead of testing. *)
 let rec has_solved_loop steps =
   List.exists
@@ -487,38 +388,39 @@ let test_generator_reaches_solved () =
     List.length
       (List.filter
          (fun _ ->
-           has_solved_loop
-             (Plan.make_exn (space_of (gen_space rng))).Plan.steps)
+           let sp = Support.space_of (Support.gen_space rng) in
+           has_solved_loop (Plan.make_exn sp).Plan.steps)
          (List.init 400 Fun.id))
   in
   if solved < 40 then
     Alcotest.failf "only %d of 400 generated plans have a solved check" solved
 
 let prop_engines_agree =
-  QCheck.Test.make ~name:"all engines match brute force" ~count:200 arb_space
-    (fun descr ->
-      let expected = Support.survivor_count (space_of descr) in
-      List.for_all (fun (_, got) -> got = expected) (engines_on (space_of descr)))
+  QCheck.Test.make ~name:"all engines match brute force" ~count:200
+    Support.arb_space (fun descr ->
+      let sp = Support.space_of descr in
+      let expected = Support.survivor_count sp in
+      List.for_all (fun (_, got) -> got = expected) (engines_on sp))
 
 let prop_vm_staged_stats =
   QCheck.Test.make ~name:"vm and staged produce identical stats" ~count:200
-    arb_space (fun descr ->
-      let plan = Plan.make_exn (space_of descr) in
+    Support.arb_space (fun descr ->
+      let plan = Plan.make_exn (Support.space_of descr) in
       let a = Engine_staged.run plan and b = Engine_vm.run_plan plan in
       a = b)
 
 let prop_hoisting_preserves_semantics =
   QCheck.Test.make ~name:"hoisting never changes the survivor set" ~count:150
-    arb_space (fun descr ->
-      let sp = space_of descr in
+    Support.arb_space (fun descr ->
+      let sp = Support.space_of descr in
       let hoisted = Engine_staged.run (Plan.make_exn ~hoist:true sp) in
       let flat = Engine_staged.run (Plan.make_exn ~hoist:false sp) in
       hoisted.Engine.survivors = flat.Engine.survivors)
 
 let prop_constraint_subsets_monotone =
   QCheck.Test.make ~name:"removing constraints never removes survivors"
-    ~count:150 arb_space (fun descr ->
-      let sp = space_of descr in
+    ~count:150 Support.arb_space (fun descr ->
+      let sp = Support.space_of descr in
       let all = (Engine_staged.run_space sp).Engine.survivors in
       let none =
         (Engine_staged.run_space (Space.filter_constraints sp ~keep:(fun _ -> false)))
@@ -528,8 +430,8 @@ let prop_constraint_subsets_monotone =
 
 let prop_chunks_partition =
   QCheck.Test.make ~name:"outer chunks partition the space" ~count:100
-    arb_space (fun descr ->
-      let plan = Plan.make_exn (space_of descr) in
+    Support.arb_space (fun descr ->
+      let plan = Plan.make_exn (Support.space_of descr) in
       let full = (Engine_staged.run plan).Engine.survivors in
       let parts =
         List.init 5 (fun index ->
@@ -540,16 +442,16 @@ let prop_chunks_partition =
 
 let prop_provenance_keeps_staged_stats =
   QCheck.Test.make ~name:"staged stats unchanged under provenance" ~count:100
-    arb_space (fun descr ->
-      let plan = Plan.make_exn (space_of descr) in
+    Support.arb_space (fun descr ->
+      let plan = Plan.make_exn (Support.space_of descr) in
       Engine_staged.run plan
       = Provenance.with_current (Provenance.create ()) (fun () ->
             Engine_staged.run plan))
 
 let prop_work_stealing_matches_staged =
   QCheck.Test.make ~name:"work-stealing sweep reproduces staged stats"
-    ~count:30 arb_space (fun descr ->
-      let plan = Plan.make_exn (space_of descr) in
+    ~count:30 Support.arb_space (fun descr ->
+      let plan = Plan.make_exn (Support.space_of descr) in
       Engine_staged.run plan = Engine_parallel.run ~domains:3 plan)
 
 (* ---- Engine registry: name-keyed lookup behind Engine_intf.S ---- *)

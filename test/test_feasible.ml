@@ -423,8 +423,63 @@ let test_state_budget () =
   Space.iterator sp "y" (Iter.range_i 0 1);
   let msg = build_error ~max_states:1 sp in
   Alcotest.(check bool)
-    ("state explosion: " ^ msg) true
-    (String.starts_with ~prefix:"state explosion" msg)
+    ("names the iterator: " ^ msg) true
+    (String.starts_with ~prefix:"state explosion at iterator y (context: none)"
+       msg);
+  let fits ~max_states sp expected =
+    match Feasible.build ~max_states (Plan.make_exn sp) with
+    | Ok t -> Alcotest.(check int) "count" expected (Feasible.count t)
+    | Error msg -> Alcotest.fail msg
+  in
+  (* y reads nothing outside, so its one context is walked once and the
+     second x value hits the memo: two states. *)
+  let sp = Space.create ~name:"independent" () in
+  Space.iterator sp "x" (Iter.range_i 0 2);
+  Space.iterator sp "y" (Iter.range_i 0 2);
+  fits ~max_states:2 sp 4;
+  (* y's range reads x, so y's context is x and never repeats: y is not
+     memoized, yet each of its three walks still counts as a state. *)
+  let open Expr.Infix in
+  let sp = Space.create ~name:"dependent" () in
+  Space.iterator sp "x" (Iter.range_i 0 3);
+  Space.iterator sp "y" (Iter.range (Expr.int 0) (Expr.var "x" +: Expr.int 1));
+  fits ~max_states:4 sp 6;
+  let msg = build_error ~max_states:3 sp in
+  Alcotest.(check bool)
+    ("names the iterator and its context: " ^ msg) true
+    (String.starts_with ~prefix:"state explosion at iterator y (context: x):"
+       msg)
+
+(* Five range(0, 8192) layers hold 2^65 points: the total is refused,
+   never wrapped, by the exact build, the bound and the set algebra. *)
+let test_count_overflow () =
+  let layers ~a_lo ~a_hi =
+    let open Expr.Infix in
+    let sp = Space.create ~name:"huge" () in
+    Space.iterator sp "a" (Iter.range_i 0 8192);
+    List.iter
+      (fun v -> Space.iterator sp v (Iter.range_i 0 8192))
+      [ "b"; "c"; "d"; "e" ];
+    Space.constrain sp "a_out"
+      (Expr.var "a" <: Expr.int a_lo ||: (Expr.var "a" >=: Expr.int a_hi));
+    Plan.make_exn sp
+  in
+  let refused what = function
+    | Ok t -> Alcotest.failf "%s: count %d accepted" what (Feasible.count t)
+    | Error msg ->
+      Alcotest.(check string) what
+        (Printf.sprintf "the feasible set holds more than max_int (%d) points"
+           max_int)
+        msg
+  in
+  let full = layers ~a_lo:0 ~a_hi:8192 in
+  refused "build" (Feasible.build full);
+  refused "of_propagation" (Feasible.of_propagation full);
+  (* Each half holds 2^61 points; together 2^62, one past max_int. *)
+  let half a_lo a_hi = build_exn (layers ~a_lo ~a_hi) in
+  let lo = half 0 512 and hi = half 512 1024 in
+  Alcotest.(check int) "a half fits" (1 lsl 61) (Feasible.count lo);
+  refused "union" (Feasible.union lo hi)
 
 (* One range entry longer than the budget is refused before it is
    walked, however cheap its values would be. *)
@@ -567,6 +622,36 @@ let test_balanced_chunks () =
   Alcotest.(check int) "propagated balanced chunk survivors"
     s0.Engine.survivors sp0.Engine.survivors
 
+(* ------------------------------------------------------------------ *)
+(* Oracle: random spaces against brute-force enumeration               *)
+(* ------------------------------------------------------------------ *)
+
+(* Count and every indexed point agree with [Support.brute_force], on the
+   plain and the propagated plan. The generator's dependent bounds give
+   loops whose context holds their parent's, which the build walks
+   without a memo. *)
+let prop_matches_brute_force =
+  QCheck.Test.make ~name:"count and nth match brute force" ~count:200
+    Support.arb_space (fun descr ->
+      let sp = Support.space_of descr in
+      let plan = Plan.make_exn sp in
+      let expected =
+        let order = plan.Plan.iter_order in
+        Support.brute_force sp
+        |> List.map (fun point ->
+               List.map (fun n -> Value.to_int (List.assoc n point)) order)
+        |> List.sort compare
+      in
+      List.for_all
+        (fun plan ->
+          let t = build_exn plan in
+          let points =
+            List.init (Feasible.count t) (fun i ->
+                List.map snd (Feasible.nth t i))
+          in
+          points = expected)
+        [ plan; Propagate.pass plan ])
+
 let () =
   Alcotest.run "feasible"
     [
@@ -612,6 +697,7 @@ let () =
           Alcotest.test_case "descending range" `Quick test_descending_range;
           Alcotest.test_case "evaluation errors" `Quick test_eval_errors;
           Alcotest.test_case "state budget" `Quick test_state_budget;
+          Alcotest.test_case "count past max_int" `Quick test_count_overflow;
           Alcotest.test_case "long range" `Quick test_long_range;
           Alcotest.test_case "opaque computes" `Quick test_opaque_counts;
           Alcotest.test_case "solved checks" `Quick test_solved_counts;
@@ -619,4 +705,6 @@ let () =
       ( "sharding",
         [ Alcotest.test_case "balanced chunks" `Quick test_balanced_chunks ]
       );
+      ( "oracle",
+        [ QCheck_alcotest.to_alcotest prop_matches_brute_force ] );
     ]
