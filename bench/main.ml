@@ -552,7 +552,6 @@ let ablation_checkpoint () =
       ck_every_s = 0.0 (* flush after every chunk: worst case *);
       ck_run_id = None;
       ck_shard = Stats_io.unsharded;
-      ck_base_metrics = None;
     }
   in
   let s_ck, t_ck =
@@ -604,8 +603,7 @@ let ablation_stealing () =
      round-robin slice per domain, no stealing. Slice k holds the outer
      positions k, k + domains, ...: with one Plan.chunk_outer block per
      position ([positions] is the outer trip count), the blocks k,
-     k + domains, .... Depth-0 checks run once per block, so the merge
-     keeps one block's counts for them. *)
+     k + domains, ..., recombined by Engine.merge_blocks. *)
   let static_slice ~domains ~positions plan k =
     List.filter_map
       (fun p ->
@@ -620,20 +618,7 @@ let ablation_stealing () =
           Domain.spawn (fun () -> static_slice ~domains ~positions plan k))
       |> List.concat_map Domain.join
     in
-    let sum = List.fold_left Engine.merge (Engine.empty_stats plan) stats in
-    let depth0 = Plan.depth0_constraints plan in
-    let first = (List.hd stats).Engine.pruned in
-    {
-      sum with
-      Engine.pruned =
-        Array.mapi
-          (fun i (n, c, k) ->
-            if depth0.(i) then
-              let _, _, k0 = first.(i) in
-              (n, c, k0)
-            else (n, c, k))
-          sum.Engine.pruned;
-    }
+    Engine.merge_blocks ~depth0:(Plan.depth0_constraints plan) stats
   in
   header
     "Ablation: static split vs chunked work stealing on a skewed GEMM\n\

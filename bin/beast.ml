@@ -17,6 +17,15 @@ let device_arg =
   let doc = "Device preset: k40c, gtx680, c2050 or gtx750ti." in
   Arg.(value & opt string "k40c" & info [ "device" ] ~docv:"NAME" ~doc)
 
+(* The one device lookup: an unknown name is one stderr line, exit 2. *)
+let find_device name =
+  match Device.find name with
+  | Some d -> d
+  | None ->
+    Format.eprintf "unknown device %s (try: %s)@." name
+      (String.concat ", " (List.map fst Device.presets));
+    exit 2
+
 let max_dim_arg =
   let doc =
     "Scale the device's thread-grid dimensions down to $(docv). The \
@@ -434,14 +443,7 @@ let space_term =
     Arg.(value & pos 0 string "gemm" & info [] ~docv:"SPACE" ~doc)
   in
   let resolve name device max_dim max_threads =
-    let device =
-      match Device.find device with
-      | Some d -> Device.scale ~max_dim ~max_threads d
-      | None ->
-        Format.eprintf "unknown device %s (try: %s)@." device
-          (String.concat ", " (List.map fst Device.presets));
-        exit 2
-    in
+    let device = Device.scale ~max_dim ~max_threads (find_device device) in
     let s_space, s_device = resolve_space name device in
     { s_name = name; s_device; s_space }
   in
@@ -494,18 +496,6 @@ let objective_for space_name device =
 let resolve_archive_dir = function
   | Some d -> d
   | None -> Archive.default_dir ()
-
-(* Pool the metrics a resumed checkpoint carried over with what the live
-   registry recorded after the resume, so the final stats file describes
-   the whole logical run. *)
-let pooled_metrics resume_ck =
-  let live = Option.map Metrics.snapshot (Obs.current ()).Obs.metrics in
-  let base = Option.bind resume_ck (fun ck -> ck.Checkpoint.metrics) in
-  match (base, live) with
-  | None, live -> live
-  | Some base, None -> Some base
-  | Some base, Some live ->
-    Some (Result.value ~default:live (Metrics.Snapshot.merge [ base; live ]))
 
 let sweep_term =
   let run ((row : Engine_registry.entry), (module E : Engine_intf.S)) stats_out
@@ -607,9 +597,6 @@ let sweep_term =
                       ck_every_s = cfg.Run_config.checkpoint_every_s;
                       ck_run_id = run_id;
                       ck_shard = shard_info;
-                      ck_base_metrics =
-                        Option.bind resume_ck (fun ck ->
-                            ck.Checkpoint.metrics);
                     })
                   ck_path
               in
@@ -666,7 +653,8 @@ let sweep_term =
               ck_path;
             let record ?run_id ?provenance () =
               Stats_io.of_stats ~plan ?run_id ~shard:shard_info
-                ?metrics:(pooled_metrics resume_ck) ?provenance stats
+                ?metrics:(Checkpoint.run_metrics resume_ck) ?provenance
+                stats
             in
             (match stats_out with
             | None -> ()
@@ -787,6 +775,23 @@ let tune_cmd =
   in
   let run (_, engine) top timeout_s retries backoff_s cfg
       { s_name = space_name; s_device = device; s_space = sp } =
+    (* Refused before the sweep: a negative count or delay would raise
+       mid-run, and a timeout of 0 disarms the guard instead of
+       enforcing it. *)
+    let refuse what =
+      Format.eprintf "beast tune: %s@." what;
+      exit 2
+    in
+    if retries < 0 then
+      refuse (Printf.sprintf "--retries must be non-negative (got %d)" retries);
+    if not (backoff_s >= 0.0) then
+      refuse
+        (Printf.sprintf "--backoff must be non-negative (got %g)" backoff_s);
+    Option.iter
+      (fun t ->
+        if not (t > 0.0) then
+          refuse (Printf.sprintf "--timeout must be positive (got %g)" t))
+      timeout_s;
     let objective, peak, baseline = objective_for space_name device in
     with_config ~space:space_name ~engine:"tune" cfg (fun _run_id ->
         let r =
@@ -815,11 +820,7 @@ let occupancy_cmd =
   let regs = Arg.(required & pos 1 (some int) None & info [] ~docv:"REGS") in
   let shmem = Arg.(required & pos 2 (some int) None & info [] ~docv:"SHMEM") in
   let run device threads regs shmem =
-    let d =
-      match Device.find device with
-      | Some d -> d
-      | None -> exit 2
-    in
+    let d = find_device device in
     let usage =
       {
         Occupancy.threads_per_block = threads;
@@ -976,6 +977,11 @@ let search_cmd =
   in
   let run method_ budget seed cfg
       { s_name = space_name; s_device = device; s_space = sp } =
+    if budget < 1 then begin
+      Format.eprintf "beast search: --budget must be at least 1 (got %d)@."
+        budget;
+      exit 2
+    end;
     let objective, peak, _ = objective_for space_name device in
     let plan, build = feasible_of space_name sp in
     let feas = build () in

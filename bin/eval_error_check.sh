@@ -24,7 +24,9 @@
 # one stderr line naming the file, the iterator and its trip count,
 # and exit 2; `count`, `count --bound` and `sample` over a space of
 # 2^65 points, more than max_int, are one stderr line naming the file
-# and exit 2.
+# and exit 2. A bad `tune --retries`, `--backoff` or `--timeout`,
+# `occupancy --device` or `search --budget` is one stderr line naming
+# it, exit 2 and no output.
 # Usage: sh eval_error_check.sh path/to/beast.exe zero_step.beast
 beast=$1
 space=$2
@@ -103,6 +105,32 @@ for cmd in count 'count --bound' sample; do
 done
 rm -f "$huge"
 
+# usage PATTERN ARGS...: beast ARGS must print nothing on stdout and
+# exactly one stderr line matching PATTERN, and exit 2, before any work.
+usage() {
+  pattern=$1
+  shift
+  out=$("$beast" "$@" 2>"$dir/err")
+  code=$?
+  err=$(cat "$dir/err")
+  rm -f "$dir/err"
+  lines=$(printf '%s\n' "$err" | wc -l)
+  case $err in $pattern) ok=1 ;; *) ok=0 ;; esac
+  if [ "$code" -ne 2 ] || [ "$lines" -ne 1 ] || [ "$ok" -ne 1 ] ||
+    [ -n "$out" ]; then
+    echo "$*: exit $code, stderr: $err" >&2
+    echo "expected exit 2, no output and one stderr line matching $pattern" >&2
+    rm -rf "$dir"
+    exit 1
+  fi
+}
+usage '*--retries*-1*' tune fft --retries=-1
+usage '*--backoff*-1*' tune fft --backoff=-1
+usage '*--timeout*-1*' tune fft --timeout=-1
+usage '*--timeout*0*' tune fft --timeout=0
+usage 'unknown device foo (try: *)' occupancy --device foo 256 32 0
+usage '*--budget*0*' search gemm --budget=0
+
 divzero=$dir/div_zero.beast
 printf 'space div_zero\niter x = range(0, 3)\niter y = range(0, 2)\nderived q = x / y\nconstraint hard big = q > 100\n' \
   >"$divzero"
@@ -162,10 +190,15 @@ if ! cmp -s "$dir/S" "$keep/t.json" || ! cmp -s "$dir/S" "$keep/m.prom"; then
 fi
 rm -rf "$keep"
 cp "$dir/S" "$dir/T"
-# failing_write ARGS...: beast ARGS must fail to write T and keep it
+# failing_write ARGS...: beast ARGS must fail to write T and keep it.
+# Only beast runs under the limit: its stdout is a pipe to a reader
+# outside it, so the one failing write is T's even where /dev/null is
+# a regular file. Its stderr and then "exit CODE" come back on fd 3.
 failing_write() {
-  err=$( (ulimit -f 0 && trap '' XFSZ && "$beast" "$@" 2>&1 >/dev/null) )
-  code=$?
+  res=$( { { (ulimit -f 0 && trap '' XFSZ && exec "$beast" "$@") 2>&3
+    echo "exit $?" >&3; } | cat >/dev/null; } 3>&1)
+  code=${res##*exit }
+  err=$(printf '%s' "${res%exit *}")
   lines=$(printf '%s\n' "$err" | wc -l)
   written=$(ls -A "$dir" | tr '\n' ' ')
   case $err in "beast: $dir/T: "*) ok=1 ;; *) ok=0 ;; esac

@@ -2,15 +2,14 @@
    as a file. A checkpoint records which chunks of an [n_chunks]-way
    split have completed and each one's stats partial (survivors, loop
    iterations, per-constraint fired counts), plus the metrics histograms
-   accumulated so far, bucket for bucket. Because chunk merging is
-   commutative and associative (sums, with a per-index max for the
-   depth-0 dedup), replaying the ledger in id order and sweeping only
-   the missing chunks reproduces the uninterrupted run's output
-   byte-for-byte.
+   accumulated so far, bucket for bucket. Because chunk merging
+   (Engine.merge_blocks) is commutative and associative, replaying the
+   ledger and sweeping only the missing chunks reproduces the
+   uninterrupted run's output byte-for-byte.
 
-   The encoding follows Stats_io: fixed key order, no timestamps, a
-   version tag so future format changes fail loudly instead of parsing
-   garbage. *)
+   The encoding follows Stats_io, whose row codec writes the constraint
+   table: fixed key order, no timestamps, a version tag so future
+   format changes fail loudly instead of parsing garbage. *)
 
 module Jsonx = Beast_obs.Jsonx
 module Metrics = Beast_obs.Metrics
@@ -29,14 +28,14 @@ type t = {
   run_id : string option;
   shard : Stats_io.shard;
   n_chunks : int;
-  constraints : (string * Space.constraint_class * bool) array;
+  constraints : Stats_io.constraint_row list;
   chunks : chunk list;  (* sorted by c_id, each id present at most once *)
   metrics : Metrics.snapshot option;
 }
 
-let constraint_meta (plan : Plan.t) =
-  let depth0 = Plan.depth0_constraints plan in
-  Array.mapi (fun i (n, c) -> (n, c, depth0.(i))) plan.Plan.constraint_info
+(* A header row carries no count, so it is the stats row at zero. *)
+let header (plan : Plan.t) =
+  Stats_io.constraint_rows ~plan (Engine.empty_stats plan)
 
 let make ~(plan : Plan.t) ?run_id ~shard ~n_chunks ?metrics completed =
   let chunks =
@@ -57,7 +56,7 @@ let make ~(plan : Plan.t) ?run_id ~shard ~n_chunks ?metrics completed =
     run_id;
     shard;
     n_chunks;
-    constraints = constraint_meta plan;
+    constraints = header plan;
     chunks;
     metrics;
   }
@@ -72,7 +71,11 @@ let chunk_stats t =
           Engine.survivors = c.c_survivors;
           loop_iterations = c.c_loop_iterations;
           pruned =
-            Array.mapi (fun i (n, cls, _) -> (n, cls, c.c_fired.(i))) t.constraints;
+            Array.of_list
+              (List.mapi
+                 (fun i r ->
+                   (r.Stats_io.cr_name, r.Stats_io.cr_class, c.c_fired.(i)))
+                 t.constraints);
         } ))
     t.chunks
 
@@ -97,16 +100,9 @@ let to_jsonx t =
         ("n_chunks", Jsonx.Int t.n_chunks);
         ( "constraints",
           Jsonx.Arr
-            (Array.to_list
-               (Array.map
-                  (fun (n, c, d0) ->
-                    Jsonx.Obj
-                      [
-                        ("name", Jsonx.Str n);
-                        ("class", Jsonx.Str (Space.constraint_class_name c));
-                        ("depth0", Jsonx.Bool d0);
-                      ])
-                  t.constraints)) );
+            (List.map
+               (fun r -> Jsonx.Obj (Stats_io.row_fields r))
+               t.constraints) );
         ( "chunks",
           Jsonx.Arr
             (List.map
@@ -149,16 +145,10 @@ let decode json =
   let n_chunks = Jsonx.to_int "n_chunks" (Jsonx.member "n_chunks" json) in
   if n_chunks < 1 then fail "n_chunks must be at least 1 (got %d)" n_chunks;
   let constraints =
-    Array.of_list
-      (List.map
-         (fun row ->
-           ( Jsonx.to_str "name" (Jsonx.member "name" row),
-             Stats_io.constraint_class_of_name
-               (Jsonx.to_str "class" (Jsonx.member "class" row)),
-             Jsonx.to_bool "depth0" (Jsonx.member "depth0" row) ))
-         (Jsonx.to_list "constraints" (Jsonx.member "constraints" json)))
+    List.map Stats_io.row_of_jsonx
+      (Jsonx.to_list "constraints" (Jsonx.member "constraints" json))
   in
-  let n_constraints = Array.length constraints in
+  let n_constraints = List.length constraints in
   let chunks =
     List.map
       (fun row ->
@@ -214,6 +204,16 @@ let decode json =
 let of_json text = Jsonx.decode ~what:"checkpoint" decode (Jsonx.parse text)
 let of_file path = Jsonx.decode ~what:"checkpoint" decode (Jsonx.of_file path)
 
+let run_metrics resume =
+  let live = Option.map Metrics.snapshot (Beast_obs.Obs.current ()).metrics in
+  match (Option.bind resume (fun t -> t.metrics), live) with
+  | Some base, Some live ->
+    (* Bucket-wise pooling; the grids always match (same build), so the
+       merge cannot fail in practice. *)
+    Some (Result.value ~default:live (Metrics.Snapshot.merge [ base; live ]))
+  | base, None -> base
+  | None, live -> live
+
 (* Atomic (Jsonx.write_file): a crash or kill signal during the write
    leaves the previous complete checkpoint, never a truncated one. *)
 let save path t = Jsonx.write_file path (Jsonx.pretty (to_jsonx t))
@@ -233,7 +233,7 @@ let validate ~(plan : Plan.t) ~(shard : Stats_io.shard) t =
          "checkpoint: file was written by shard %d/%d, this run is shard %d/%d"
          t.shard.Stats_io.shard_index t.shard.Stats_io.shard_of
          shard.Stats_io.shard_index shard.Stats_io.shard_of)
-  else if t.constraints <> constraint_meta plan then
+  else if t.constraints <> header plan then
     Error
       "checkpoint: the file's constraint list does not match this space \
        (the space definition changed since the checkpoint was written)"

@@ -29,8 +29,9 @@ type t = {
           definition a different run *)
   shard : Stats_io.shard;  (** the split this run was a shard of *)
   n_chunks : int;  (** arity of the chunk split being checkpointed *)
-  constraints : (string * Space.constraint_class * bool) array;
-      (** name, class, depth-0 flag — must match the plan on resume *)
+  constraints : Stats_io.constraint_row list;
+      (** name, class, depth-0 flag ({!Stats_io.constraint_rows}, with
+          [cr_fired = 0]) — must match the plan on resume *)
   chunks : chunk list;  (** completed chunks, sorted by [c_id] *)
   metrics : Beast_obs.Metrics.snapshot option;
 }
@@ -62,6 +63,13 @@ val of_json : string -> (t, string) result
     ["checkpoint: "]. *)
 
 val of_file : string -> (t, string) result
+
+val run_metrics : t option -> Beast_obs.Metrics.snapshot option
+(** The whole logical run's metrics: the snapshot the resumed
+    checkpoint carried over, pooled bucket-wise with the installed
+    registry's live snapshot (either one alone when the other is
+    absent). What a resumed run writes to its checkpoints and its
+    stats file. *)
 
 val save : string -> t -> unit
 (** Atomic write through {!Beast_obs.Jsonx.write_file}. *)

@@ -17,7 +17,7 @@ let empty_stats (plan : Plan.t) =
 
 let total_pruned s = Array.fold_left (fun acc (_, _, k) -> acc + k) 0 s.pruned
 
-let merge a b =
+let combine ~fired a b =
   if Array.length a.pruned <> Array.length b.pruned then
     invalid_arg "Engine.merge: stats from different plans";
   {
@@ -27,9 +27,21 @@ let merge a b =
       Array.mapi
         (fun i (n, c, k) ->
           let _, _, k' = b.pruned.(i) in
-          (n, c, k + k'))
+          (n, c, fired i k k'))
         a.pruned;
   }
+
+let merge = combine ~fired:(fun _ k k' -> k + k')
+
+(* Depth-0 checks run once per block with the same count in every
+   non-empty block, so they keep the maximum: order-independent, and
+   also right for a loop-free plan, where only block 0 carries them. *)
+let merge_blocks ~depth0 = function
+  | [] -> invalid_arg "Engine.merge_blocks: no blocks"
+  | first :: rest ->
+    List.fold_left
+      (combine ~fired:(fun i k k' -> if depth0.(i) then max k k' else k + k'))
+      first rest
 
 let zero_step var =
   raise (Expr.Eval_error (Printf.sprintf "%s: zero range step" var))

@@ -34,6 +34,14 @@ val total_pruned : stats -> int
 val merge : stats -> stats -> stats
 (** Pointwise sum; the constraint arrays must describe the same plan. *)
 
+val merge_blocks : depth0:bool array -> stats list -> stats
+(** The one rule for recombining the blocks of a split sweep
+    ({!Plan.chunk_outer} chunks, [--shard] files, checkpointed chunks):
+    every count sums, except the fired counts of the constraints
+    [depth0] marks ({!Plan.depth0_constraints}), which ran once per
+    block and keep the per-index maximum. Order-independent.
+    @raise Invalid_argument on an empty list or mismatched plans. *)
+
 val pp_stats : Format.formatter -> stats -> unit
 
 val zero_step : string -> 'a

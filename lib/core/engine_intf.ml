@@ -30,9 +30,6 @@ type checkpoint_sink = {
           the run that wrote them *)
   ck_shard : Stats_io.shard;
       (** recorded in the file so resume can reject a shard mismatch *)
-  ck_base_metrics : Beast_obs.Metrics.snapshot option;
-      (** metrics carried over from the checkpoint being resumed; pooled
-          with the live registry's snapshot at every write *)
 }
 
 type resumable =

@@ -97,18 +97,6 @@ let run_resumable ?on_hit ?checkpoint ?resume ?fault ~domains (plan : Plan.t) :
           ())
       registry
   in
-  let checkpoint_metrics () =
-    let live = Option.map Metrics.snapshot registry in
-    match (checkpoint, live) with
-    | None, _ -> None
-    | Some sink, None -> sink.Engine_intf.ck_base_metrics
-    | Some { Engine_intf.ck_base_metrics = None; _ }, Some snap -> Some snap
-    | Some { Engine_intf.ck_base_metrics = Some base; _ }, Some snap ->
-      (* Bucket-wise pooling of the pre-interruption histograms with the
-         live registry; the grids always match (same build), so the
-         merge cannot fail in practice. *)
-      Some (Result.value ~default:snap (Metrics.Snapshot.merge [ base; snap ]))
-  in
   (* Callers hold [ledger_mutex]. *)
   let write_checkpoint sink =
     let entries = ref [] in
@@ -123,7 +111,7 @@ let run_resumable ?on_hit ?checkpoint ?resume ?fault ~domains (plan : Plan.t) :
         Checkpoint.save sink.Engine_intf.ck_path
           (Checkpoint.make ~plan ?run_id:sink.Engine_intf.ck_run_id
              ~shard:sink.Engine_intf.ck_shard ~n_chunks
-             ?metrics:(checkpoint_metrics ()) !entries));
+             ?metrics:(Checkpoint.run_metrics resume) !entries));
     Option.iter Metrics.incr ck_writes
   in
   let last_ck_ns = ref (Clock.now_ns ()) in
@@ -253,29 +241,11 @@ let run_resumable ?on_hit ?checkpoint ?resume ?fault ~domains (plan : Plan.t) :
   end
   else begin
     (* Merging is commutative and associative, so a resumed run sums to
-       the same stats bytes as an uninterrupted one. Depth-0 checks run
-       once per chunk with identical counts in every non-empty chunk, so
-       they keep the per-chunk maximum instead: order-independent, and
-       also right for the loop-free plan, where only chunk 0 carries the
-       steps. *)
-    let chunks = Array.map Option.get ledger in
-    let sum = Array.fold_left Engine.merge (Engine.empty_stats plan) chunks in
-    let depth0 = Plan.depth0_constraints plan in
-    let max_fired i =
-      Array.fold_left
-        (fun m (s : Engine.stats) ->
-          let _, _, k = s.Engine.pruned.(i) in
-          max m k)
-        0 chunks
-    in
+       the same stats bytes as an uninterrupted one. *)
     Engine_intf.Finished
-      {
-        sum with
-        Engine.pruned =
-          Array.mapi
-            (fun i (n, c, k) -> (n, c, if depth0.(i) then max_fired i else k))
-            sum.Engine.pruned;
-      }
+      (Engine.merge_blocks
+         ~depth0:(Plan.depth0_constraints plan)
+         (Array.to_list (Array.map Option.get ledger)))
   end
 
 let run ?on_hit ~domains plan =

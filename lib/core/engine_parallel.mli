@@ -13,7 +13,7 @@
 
     Steps placed before the first loop (depth-0 derived variables and
     constraints) execute once per chunk; their prune counters are
-    de-duplicated during the merge ({!Plan.depth0_constraints}) so the
+    de-duplicated by the one block merge, {!Engine.merge_blocks}, so the
     reported statistics match a sequential run exactly — totals,
     per-constraint fired counts and loop iterations are all identical to
     {!Engine_staged.run}. *)
@@ -49,7 +49,8 @@ val run_resumable :
     (and fixes the chunk-split arity to the file's [n_chunks], so a
     resume may use a different domain count); only the missing chunks
     are swept. [checkpoint] snapshots the ledger atomically at most once
-    per [ck_every_s] seconds, and once more on interruption. Because
+    per [ck_every_s] seconds, and once more on interruption, with
+    {!Checkpoint.run_metrics}[ resume] as its metrics. Because
     chunk merging is commutative and associative, an
     interrupted-then-resumed run produces stats equal to an
     uninterrupted one — byte-identical through {!Stats_io.to_json}.

@@ -27,8 +27,7 @@
    The payoff: [count] is exact without enumeration (the CI criterion
    pins a billion-point space), [nth]/[sample] index the set directly,
    [union]/[inter] combine sets, and the serialized form is
-   deterministic, so shard planners on different machines agree on
-   equal-cardinality slices ([chunk_outer_balanced]). *)
+   deterministic, so separate processes can compare sets by digest. *)
 
 type node =
   | Empty
@@ -731,94 +730,3 @@ let to_string t =
     (List.rev !order);
   Buffer.add_string buf ("root " ^ ref_of t.f_root ^ "\n");
   Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
-(* Feasible-balanced sharding                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Survivor count below each value of the outermost layer, in iterator
-   trip order (0 for values propagation or the checks already killed). *)
-let outer_counts t values =
-  let lookup v =
-    match t.f_root with
-    | Empty | Accept -> 0
-    | Node { runs; _ } ->
-      let rec scan ri =
-        if ri >= Array.length runs then 0
-        else
-          let r = runs.(ri) in
-          let off = v - r.r_lo in
-          if
-            off >= 0
-            && off mod r.r_step = 0
-            && off / r.r_step < r.r_len
-          then node_count r.r_child
-          else scan (ri + 1)
-      in
-      scan 0
-  in
-  Array.map lookup values
-
-(* [chunk_outer_balanced feas plan ~index ~of_] is [Plan.chunk_outer]
-   with the cut positions placed by cumulative FEASIBLE count instead
-   of trip count: each chunk covers a contiguous block of the outer
-   trip sequence holding as close to [count/of_] survivors as block
-   boundaries allow. [feas] must describe [plan] (same space, built
-   from it or its propagated form). Falls back to [Plan.chunk_outer]
-   when the outer iterator is not static — the balance information
-   cannot be applied without knowing the trip sequence. *)
-let chunk_outer_balanced feas (plan : Plan.t) ~index ~of_ =
-  if of_ <= 0 then invalid_arg "Feasible.chunk_outer_balanced: of_ must be > 0";
-  if index < 0 || index >= of_ then
-    invalid_arg "Feasible.chunk_outer_balanced: index out of range";
-  let rec outer_values = function
-    | Plan.Loop { l_var; l_iter; _ } :: _ -> static l_var l_iter
-    | _ :: rest -> outer_values rest
-    | [] -> None
-  in
-  match outer_values plan.Plan.steps with
-  | exception Failed msg -> Error msg
-  | None -> Ok (Plan.chunk_outer plan ~index ~of_)
-  | Some values ->
-    let n = Array.length values in
-    let weights = outer_counts feas values in
-    let total = Array.fold_left ( + ) 0 weights in
-    (* prefix.(p) = survivors under the first p values. *)
-    let prefix = Array.make (n + 1) 0 in
-    for p = 0 to n - 1 do
-      prefix.(p + 1) <- prefix.(p) + weights.(p)
-    done;
-    (* Smallest position whose prefix reaches the i-th equal share;
-       monotone by construction, so blocks tile [0, n). *)
-    let cut i =
-      if i = 0 then 0
-      else if i = of_ then n
-      else begin
-        let target = total * i / of_ in
-        let pos = ref 0 in
-        while !pos < n && prefix.(!pos) < target do
-          incr pos
-        done;
-        !pos
-      end
-    in
-    let lo = cut index and hi = cut (index + 1) in
-    let sub = Array.sub values lo (hi - lo) in
-    (* Dead-value bookkeeping splits by plain block position, exactly
-       like [Plan.chunk_outer]: merged statistics must still sum to the
-       sequential run's. *)
-    let split_dead (dead : (int * int) array) =
-      let nd = Array.length dead in
-      let dlo = nd * index / of_ and dhi = nd * (index + 1) / of_ in
-      Array.sub dead dlo (dhi - dlo)
-    in
-    let rec rebuild = function
-      | Plan.Static_prune { sp_var; sp_slot; sp_dead } :: rest ->
-        Plan.Static_prune { sp_var; sp_slot; sp_dead = split_dead sp_dead }
-        :: rebuild rest
-      | Plan.Loop { l_var; l_slot; l_iter = _; l_body } :: rest ->
-        Plan.Loop { l_var; l_slot; l_iter = Plan.CValues sub; l_body } :: rest
-      | s :: rest -> s :: rebuild rest
-      | [] -> []
-    in
-    Ok { plan with Plan.steps = rebuild plan.Plan.steps }

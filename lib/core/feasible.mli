@@ -6,9 +6,8 @@
     arithmetic-progression runs and nodes hash-consed so identical
     sub-spaces share structure. The representation makes the survivor
     set a first-class value: exact {!count} without enumeration,
-    {!nth}/{!sample} indexing, {!union}/{!inter} algebra, a
-    deterministic {!to_string} serialization, and survivor-balanced
-    shard planning ({!chunk_outer_balanced}).
+    {!nth}/{!sample} indexing, {!union}/{!inter} algebra and a
+    deterministic {!to_string} serialization.
 
     Two constructors: {!build} walks the plan (memoized on each
     subtree's free slots) and is exact; {!of_propagation} reads only
@@ -88,18 +87,4 @@ val to_string : t -> string
 (** Deterministic text form: children-first depth-first numbering from
     the root, runs in sorted value order — structure-equal diagrams
     serialize identically regardless of construction order, so
-    separate processes can agree on shard plans by comparing digests. *)
-
-val chunk_outer_balanced :
-  t -> Plan.t -> index:int -> of_:int -> (Plan.t, string) result
-(** [Plan.chunk_outer] with the cut positions chosen by cumulative
-    feasible count: each chunk is a contiguous block of the outer trip
-    sequence holding as close to [count t / of_] survivors as block
-    boundaries allow, instead of an equal share of raw trip positions.
-    [t] must describe [plan] (built from it or its propagated form).
-    Falls back to [Plan.chunk_outer] when the outer iterator is not
-    static. Depth-0 [Static_prune] bookkeeping splits by block
-    position, so merged statistics still sum to the sequential run's.
-    [Error] when the outer range holds more values than {!build}'s
-    default state budget, with {!build}'s message.
-    @raise Invalid_argument for [of_ <= 0] or [index] out of range. *)
+    separate processes can compare sets by digest. *)

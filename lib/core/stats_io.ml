@@ -38,21 +38,23 @@ type t = {
   provenance : Provenance.summary option;
 }
 
+let constraint_rows ~(plan : Plan.t) (stats : Engine.stats) =
+  let depth0 = Plan.depth0_constraints plan in
+  Array.to_list
+    (Array.mapi
+       (fun i (n, c, k) ->
+         { cr_name = n; cr_class = c; cr_depth0 = depth0.(i); cr_fired = k })
+       stats.Engine.pruned)
+
 let of_stats ~(plan : Plan.t) ?run_id ?(shard = unsharded) ?metrics ?provenance
     (stats : Engine.stats) =
-  let depth0 = Plan.depth0_constraints plan in
   {
     space = plan.Plan.space_name;
     run_id;
     shard;
     survivors = stats.Engine.survivors;
     loop_iterations = stats.Engine.loop_iterations;
-    constraints =
-      Array.to_list
-        (Array.mapi
-           (fun i (n, c, k) ->
-             { cr_name = n; cr_class = c; cr_depth0 = depth0.(i); cr_fired = k })
-           stats.Engine.pruned);
+    constraints = constraint_rows ~plan stats;
     metrics;
     provenance;
   }
@@ -69,6 +71,13 @@ let to_stats t =
 (* ------------------------------------------------------------------ *)
 (* Encoding                                                            *)
 (* ------------------------------------------------------------------ *)
+
+let row_fields r =
+  [
+    ("name", Jsonx.Str r.cr_name);
+    ("class", Jsonx.Str (Space.constraint_class_name r.cr_class));
+    ("depth0", Jsonx.Bool r.cr_depth0);
+  ]
 
 let to_jsonx t =
   Jsonx.Obj
@@ -89,14 +98,7 @@ let to_jsonx t =
           Jsonx.Arr
             (List.map
                (fun r ->
-                 Jsonx.Obj
-                   [
-                     ("name", Jsonx.Str r.cr_name);
-                     ( "class",
-                       Jsonx.Str (Space.constraint_class_name r.cr_class) );
-                     ("depth0", Jsonx.Bool r.cr_depth0);
-                     ("fired", Jsonx.Int r.cr_fired);
-                   ])
+                 Jsonx.Obj (row_fields r @ [ ("fired", Jsonx.Int r.cr_fired) ]))
                t.constraints) );
       ]
     @ Jsonx.optional "metrics" Metrics.Snapshot.to_jsonx t.metrics
@@ -114,17 +116,23 @@ let constraint_class_of_name = function
   | "correctness" -> Space.Correctness
   | other -> Jsonx.fail "unknown constraint class %S" other
 
+let row_of_jsonx row =
+  {
+    cr_name = Jsonx.to_str "name" (Jsonx.member "name" row);
+    cr_class =
+      constraint_class_of_name
+        (Jsonx.to_str "class" (Jsonx.member "class" row));
+    cr_depth0 = Jsonx.to_bool "depth0" (Jsonx.member "depth0" row);
+    cr_fired = 0;
+  }
+
 let decode json =
   let shard_json = Jsonx.member "shard" json in
   let constraints =
     List.map
       (fun row ->
         {
-          cr_name = Jsonx.to_str "name" (Jsonx.member "name" row);
-          cr_class =
-            constraint_class_of_name
-              (Jsonx.to_str "class" (Jsonx.member "class" row));
-          cr_depth0 = Jsonx.to_bool "depth0" (Jsonx.member "depth0" row);
+          (row_of_jsonx row) with
           cr_fired = Jsonx.to_int "fired" (Jsonx.member "fired" row);
         })
       (Jsonx.to_list "constraints" (Jsonx.member "constraints" json))
@@ -187,8 +195,8 @@ let merge_metrics shards =
 (* Provenance merges exactly: removal counts and depth entries sum,
    survivor-density cells union by outer value. Depth-0 firings carry
    chunk-sized removal closures, so even those sum (unlike the fired
-   counts above, which max-dedupe). Mixed presence is an error, like
-   metrics. *)
+   counts, which Engine.merge_blocks max-dedupes). Mixed presence is
+   an error, like metrics. *)
 let merge_provenance shards =
   match List.partition (fun s -> s.provenance <> None) shards with
   | [], _ -> Ok None
@@ -230,22 +238,12 @@ let merge = function
             match merge_provenance shards with
             | Error msg -> Error msg
             | Ok provenance ->
-            let sum f = List.fold_left (fun acc s -> acc + f s) 0 shards in
-            let constraints =
-              List.mapi
-                (fun i r ->
-                  let fired_of s = (List.nth s.constraints i).cr_fired in
-                  let fired =
-                    if r.cr_depth0 then
-                      (* depth-0 checks ran once per shard with identical
-                         results (loop-free plans excepted, where only
-                         shard 0 carries them): keep a single shard's
-                         count via max, which is order-independent. *)
-                      List.fold_left (fun acc s -> max acc (fired_of s)) 0 shards
-                    else sum fired_of
-                  in
-                  { r with cr_fired = fired })
-                first.constraints
+            let stats =
+              Engine.merge_blocks
+                ~depth0:
+                  (Array.of_list
+                     (List.map (fun r -> r.cr_depth0) first.constraints))
+                (List.map to_stats shards)
             in
             Ok
               {
@@ -254,9 +252,14 @@ let merge = function
                    the merged file describes no single run. *)
                 run_id = None;
                 shard = unsharded;
-                survivors = sum (fun s -> s.survivors);
-                loop_iterations = sum (fun s -> s.loop_iterations);
-                constraints;
+                survivors = stats.Engine.survivors;
+                loop_iterations = stats.Engine.loop_iterations;
+                constraints =
+                  List.mapi
+                    (fun i r ->
+                      let _, _, k = stats.Engine.pruned.(i) in
+                      { r with cr_fired = k })
+                    first.constraints;
                 metrics;
                 provenance;
               })

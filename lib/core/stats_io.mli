@@ -59,6 +59,19 @@ val of_stats :
 val to_stats : t -> Engine.stats
 (** Back to engine statistics, e.g. for {!Engine.pp_stats}. *)
 
+val constraint_rows : plan:Plan.t -> Engine.stats -> constraint_row list
+(** The per-constraint rows of {!of_stats}: each fired count tagged
+    with its class and the plan's depth-0 placement. A {!Checkpoint}
+    header takes the rows of [Engine.empty_stats plan]. *)
+
+val row_fields : constraint_row -> (string * Beast_obs.Jsonx.t) list
+(** A row's [name], [class] and [depth0] members: all a checkpoint
+    header row holds; a stats file appends [fired]. *)
+
+val row_of_jsonx : Beast_obs.Jsonx.t -> constraint_row
+(** Reads the members {!row_fields} writes, with [cr_fired = 0].
+    Raises [Beast_obs.Jsonx.Error] on a malformed row. *)
+
 val to_jsonx : t -> Beast_obs.Jsonx.t
 (** Fixed key order, no timestamps: equal values encode to equal
     bytes. The payload shape {!Beast_obs.Archive.ingest} consumes when
@@ -72,18 +85,14 @@ val of_file : string -> (t, string) result
 val write_file : string -> t -> unit
 (** Atomic, through {!Beast_obs.Jsonx.write_file}. *)
 
-val constraint_class_of_name : string -> Space.constraint_class
-(** Inverse of {!Space.constraint_class_name}; raises
-    [Beast_obs.Jsonx.Error] on an unknown name. Shared with the
-    {!Checkpoint} decoder. *)
-
 val merge : t list -> (t, string) result
 (** Recombine a complete shard set: every input must describe the same
     space, constraint list and split arity [N], and the indices must
     cover [0..N-1] exactly once. Totals and non-depth-0 fired counts
-    sum; depth-0 fired counts keep a single shard's value. The result is
-    an {!unsharded} record, so [to_json (merge shards)] equals the
-    unsharded sweep's file byte-for-byte.
+    sum; depth-0 fired counts keep a single shard's value
+    ({!Engine.merge_blocks}, the rule the chunk ledger uses). The
+    result is an {!unsharded} record, so [to_json (merge shards)]
+    equals the unsharded sweep's file byte-for-byte.
 
     Metric snapshots merge by bucket-wise pooling (lossless for the
     log-bucketed histograms), giving exact fleet-level percentiles; it

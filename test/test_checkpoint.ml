@@ -181,7 +181,6 @@ let test_interrupt_then_resume_byte_identical () =
           (* periodic writes never fire: only the forced final flush *)
           ck_run_id = None;
           ck_shard = Stats_io.unsharded;
-          ck_base_metrics = None;
         }
       in
       (* Interrupt from inside the sweep after a handful of survivors,
@@ -222,6 +221,89 @@ let test_interrupt_then_resume_byte_identical () =
       in
       Alcotest.(check string) "byte-identical stats JSON" reference_json
         (Stats_io.to_json (Stats_io.of_stats ~plan resumed)))
+
+(* A resumed run's metrics are the checkpoint's pooled with the live
+   registry's: the points counted before the interruption and after the
+   resume add up to an uninterrupted run's, in the checkpoints the
+   resumed run writes as in the pool its stats file takes. *)
+let test_resumed_metrics_pool () =
+  let module Obs = Beast_obs.Obs in
+  let module Metrics = Beast_obs.Metrics in
+  let plan = gemm_plan () in
+  let with_metrics f =
+    let r = Metrics.create () in
+    Obs.with_context
+      { Obs.off with Obs.metrics = Some r; instrumented = true }
+      f
+  in
+  let points = function
+    | None -> Alcotest.fail "no metrics"
+    | Some snap -> (
+      match Metrics.Snapshot.find snap ~name:"points_total" ~labels:[] with
+      | Some { Metrics.value = Metrics.Vcounter v; _ } -> v
+      | _ -> Alcotest.fail "no points_total counter")
+  in
+  let reference =
+    with_metrics (fun () ->
+        ignore (Engine_parallel.run ~domains:2 plan);
+        points (Checkpoint.run_metrics None))
+  in
+  let path = tmp_path () in
+  let sink =
+    {
+      Engine_intf.ck_path = path;
+      ck_every_s = 1e9;
+      ck_run_id = None;
+      ck_shard = Stats_io.unsharded;
+    }
+  in
+  let read () =
+    match Checkpoint.of_file path with
+    | Ok ck -> ck
+    | Error msg -> Alcotest.fail msg
+  in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let hits = ref 0 in
+      let on_hit _ =
+        incr hits;
+        if !hits = 10 then Engine_parallel.interrupt ()
+      in
+      (match
+         with_metrics (fun () ->
+             Engine_parallel.run_resumable ~on_hit ~checkpoint:sink
+               ~domains:2 plan)
+       with
+      | Engine_intf.Interrupted _ -> ()
+      | Engine_intf.Finished _ ->
+        Alcotest.fail "sweep finished despite the interrupt");
+      let ck = read () in
+      Alcotest.(check bool) "interrupted part counted" true
+        (points ck.Checkpoint.metrics < reference);
+      with_metrics (fun () ->
+          ignore
+            (finished
+               (Engine_parallel.run_resumable ~resume:ck ~domains:2 plan));
+          Alcotest.(check int) "pooled points" reference
+            (points (Checkpoint.run_metrics (Some ck))));
+      (* Interrupted again, the resumed run flushes a checkpoint that
+         pools both runs' points. *)
+      let interrupt_at_first_hit _ = Engine_parallel.interrupt () in
+      let live =
+        with_metrics (fun () ->
+            (match
+               Engine_parallel.run_resumable ~on_hit:interrupt_at_first_hit
+                 ~checkpoint:sink ~resume:ck ~domains:2 plan
+             with
+            | Engine_intf.Interrupted _ -> ()
+            | Engine_intf.Finished _ ->
+              Alcotest.fail "resumed sweep finished despite the interrupt");
+            points (Checkpoint.run_metrics None))
+      in
+      Alcotest.(check int) "flushed checkpoint pools both runs"
+        (points ck.Checkpoint.metrics + live)
+        (points (read ()).Checkpoint.metrics))
 
 let test_resume_from_complete_checkpoint_runs_nothing () =
   let plan = triangle_plan () in
@@ -297,7 +379,6 @@ let test_fault_with_checkpoint_and_resume () =
           (* checkpoint after virtually every chunk *)
           ck_run_id = None;
           ck_shard = Stats_io.unsharded;
-          ck_base_metrics = None;
         }
       in
       let fault = Run_config.Chunk_crash { prob = 0.5; seed = 11 } in
@@ -357,6 +438,8 @@ let () =
             test_resumable_equals_plain_run;
           Alcotest.test_case "interrupt then resume, byte-identical" `Quick
             test_interrupt_then_resume_byte_identical;
+          Alcotest.test_case "resumed metrics pool" `Quick
+            test_resumed_metrics_pool;
           Alcotest.test_case "complete checkpoint sweeps nothing" `Quick
             test_resume_from_complete_checkpoint_runs_nothing;
           Alcotest.test_case "interrupt without checkpoint" `Quick

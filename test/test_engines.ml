@@ -428,17 +428,40 @@ let prop_constraint_subsets_monotone =
       in
       none >= all)
 
+(* The shard check: a 1..4-way [Plan.chunk_outer] split, each shard
+   run as is and propagated after chunking (as [beast sweep --shard]
+   does), merges with [Stats_io.merge] to the unsharded record's bytes.
+   Half the draws gain a depth-0 check that fires, so every shard counts
+   it once and the merge must keep one count, not the sum. *)
 let prop_chunks_partition =
   QCheck.Test.make ~name:"outer chunks partition the space" ~count:100
-    Support.arb_space (fun descr ->
-      let plan = Plan.make_exn (Support.space_of descr) in
-      let full = (Engine_staged.run plan).Engine.survivors in
-      let parts =
-        List.init 5 (fun index ->
-            (Engine_staged.run (Plan.chunk_outer plan ~index ~of_:5))
-              .Engine.survivors)
+    QCheck.(pair Support.arb_space bool)
+    (fun (descr, gated) ->
+      let sp = Support.space_of descr in
+      if gated then
+        Space.constrain sp "gate" Expr.Infix.(Expr.int 8 <: Expr.int 9);
+      let plan = Plan.make_exn sp in
+      let full =
+        Stats_io.to_json (Stats_io.of_stats ~plan (Engine_staged.run plan))
       in
-      full = List.fold_left ( + ) 0 parts)
+      List.for_all
+        (fun (of_, propagate) ->
+          let shard index =
+            let chunk = Plan.chunk_outer plan ~index ~of_ in
+            let chunk =
+              if propagate then Plan.optimize ~passes:[ Propagate.pass ] chunk
+              else chunk
+            in
+            Stats_io.of_stats ~plan
+              ~shard:{ Stats_io.shard_index = index; shard_of = of_ }
+              (Engine_staged.run chunk)
+          in
+          match Stats_io.merge (List.init of_ shard) with
+          | Ok merged -> Stats_io.to_json merged = full
+          | Error _ -> false)
+        (List.concat_map
+           (fun of_ -> [ (of_, false); (of_, true) ])
+           [ 1; 2; 3; 4 ]))
 
 let prop_provenance_keeps_staged_stats =
   QCheck.Test.make ~name:"staged stats unchanged under provenance" ~count:100

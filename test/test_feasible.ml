@@ -246,15 +246,14 @@ let test_of_propagation () =
     Alcotest.(check int) "coupled: exact below bound" 22 exact
 
 (* A static range too long to materialise (2^62 values) is the budget
-   error [build] gives, from the bound and from balanced chunking. *)
+   error [build] gives, from the bound too. *)
 let test_oversized_range () =
-  let xy stop =
+  let plan =
     let sp = Space.create ~name:"long_range" () in
-    Space.iterator sp "x" (Iter.range_i 0 stop);
+    Space.iterator sp "x" (Iter.range_i 0 max_int);
     Space.iterator sp "y" (Iter.range_i 0 3);
     Plan.make_exn sp
   in
-  let plan = xy max_int in
   let budget what = function
     | Ok _ -> Alcotest.failf "%s accepted a 2^62-value range" what
     | Error msg ->
@@ -265,9 +264,7 @@ let test_oversized_range () =
         msg
   in
   budget "build" (Feasible.build plan);
-  budget "of_propagation" (Feasible.of_propagation plan);
-  budget "chunk_outer_balanced"
-    (Feasible.chunk_outer_balanced (build_exn (xy 3)) plan ~index:0 ~of_:2)
+  budget "of_propagation" (Feasible.of_propagation plan)
 
 (* ------------------------------------------------------------------ *)
 (* Set algebra                                                         *)
@@ -562,67 +559,6 @@ let test_solved_counts () =
     [ ("plan", plan); ("propagated", Propagate.pass plan) ]
 
 (* ------------------------------------------------------------------ *)
-(* Survivor-balanced sharding                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* All survivors live under x = 0: equal-trip chunking puts all the
-   work in chunk 0 of 2; balanced chunking must cut after the single
-   heavy value. *)
-let skewed_space () =
-  let open Expr.Infix in
-  let sp = Space.create ~name:"skewed" () in
-  Space.iterator sp "x" (Iter.range_i 0 10);
-  Space.constrain sp "xpos" (Expr.var "x" >: Expr.int 0);
-  Space.iterator sp "y" (Iter.range_i 0 10);
-  sp
-
-let outer_values plan =
-  let rec go = function
-    | Plan.Loop { l_iter = Plan.CValues vs; _ } :: _ -> vs
-    | Plan.Loop _ :: _ -> Alcotest.fail "outer iterator not CValues"
-    | _ :: rest -> go rest
-    | [] -> Alcotest.fail "no loop"
-  in
-  go plan.Plan.steps
-
-let balanced feas plan ~index =
-  match Feasible.chunk_outer_balanced feas plan ~index ~of_:2 with
-  | Ok chunk -> chunk
-  | Error msg -> Alcotest.fail msg
-
-let test_balanced_chunks () =
-  let plan = Plan.make_exn (skewed_space ()) in
-  let feas = build_exn plan in
-  let c0 = balanced feas plan ~index:0 in
-  let c1 = balanced feas plan ~index:1 in
-  Alcotest.(check (array int)) "heavy value isolated" [| 0 |] (outer_values c0);
-  Alcotest.(check (array int))
-    "light tail together"
-    [| 1; 2; 3; 4; 5; 6; 7; 8; 9 |]
-    (outer_values c1);
-  (* The chunks still tile the space: merged statistics equal the
-     sequential run's. *)
-  let seq = Engine_staged.run plan in
-  let s0 = Engine_staged.run c0 and s1 = Engine_staged.run c1 in
-  Alcotest.(check int) "survivors tile" seq.Engine.survivors
-    (s0.Engine.survivors + s1.Engine.survivors);
-  Alcotest.(check int) "iterations tile" seq.Engine.loop_iterations
-    (s0.Engine.loop_iterations + s1.Engine.loop_iterations);
-  Array.iteri
-    (fun ci (cname, _, k) ->
-      let _, _, k0 = s0.Engine.pruned.(ci) and _, _, k1 = s1.Engine.pruned.(ci) in
-      Alcotest.(check int) ("pruned tile: " ^ cname) k (k0 + k1))
-    seq.Engine.pruned;
-  (* Balanced chunks of a propagated plan keep the byte-identity rail:
-     the propagated chunk's stats equal the unpropagated chunk's. *)
-  let prop = Propagate.pass plan in
-  let feas_p = build_exn prop in
-  let p0 = balanced feas_p prop ~index:0 in
-  let sp0 = Engine_staged.run p0 in
-  Alcotest.(check int) "propagated balanced chunk survivors"
-    s0.Engine.survivors sp0.Engine.survivors
-
-(* ------------------------------------------------------------------ *)
 (* Oracle: random spaces against brute-force enumeration               *)
 (* ------------------------------------------------------------------ *)
 
@@ -702,9 +638,6 @@ let () =
           Alcotest.test_case "opaque computes" `Quick test_opaque_counts;
           Alcotest.test_case "solved checks" `Quick test_solved_counts;
         ] );
-      ( "sharding",
-        [ Alcotest.test_case "balanced chunks" `Quick test_balanced_chunks ]
-      );
       ( "oracle",
         [ QCheck_alcotest.to_alcotest prop_matches_brute_force ] );
     ]

@@ -273,6 +273,68 @@ let test_golden_checkpoint_no_chunks () =
         \  \"chunks\": []\n\
         }\n" (read_all path))
 
+(* The triangle space with a depth-0 check placed before the first loop
+   (n = 8, so it never fires): its rows exercise the depth-0 flag. *)
+let gated_plan () =
+  let sp = Support.triangle_space () in
+  let open Expr.Infix in
+  Space.constrain sp "n_small" (Expr.var "n" <: Expr.int 4);
+  Plan.make_exn sp
+
+let test_golden_stats_constraints () =
+  let plan = gated_plan () in
+  match Stats_io.merge (shard_results plan ~of_:2) with
+  | Error msg -> Alcotest.fail msg
+  | Ok merged ->
+    golden "stats with constraints" "{\n\
+      \  \"space\": \"triangle\",\n\
+      \  \"shard\": { \"index\": 0, \"of\": 1 },\n\
+      \  \"survivors\": 18,\n\
+      \  \"loop_iterations\": 41,\n\
+      \  \"constraints\": [\n\
+      \    { \"name\": \"odd_sum\", \"class\": \"hard\", \"depth0\": false, \"fired\": 15 },\n\
+      \    { \"name\": \"big_x\", \"class\": \"soft\", \"depth0\": false, \"fired\": 2 },\n\
+      \    { \"name\": \"n_small\", \"class\": \"hard\", \"depth0\": true, \"fired\": 0 }\n\
+      \  ]\n\
+      }\n"
+      (Stats_io.to_json merged)
+
+let test_golden_checkpoint_chunks () =
+  let plan = gated_plan () in
+  let chunk index =
+    (index, Engine_staged.run (Plan.chunk_outer plan ~index ~of_:3))
+  in
+  let ck =
+    Checkpoint.make ~plan ~shard:{ Stats_io.shard_index = 1; shard_of = 2 }
+      ~n_chunks:3 [ chunk 2; chunk 0 ]
+  in
+  let path = Filename.temp_file "beast_golden" ".json" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Checkpoint.save path ck;
+      let text = read_all path in
+      golden "checkpoint with chunks" "{\n\
+        \  \"beast_checkpoint\": 1,\n\
+        \  \"space\": \"triangle\",\n\
+        \  \"shard\": { \"index\": 1, \"of\": 2 },\n\
+        \  \"n_chunks\": 3,\n\
+        \  \"constraints\": [\n\
+        \    { \"name\": \"odd_sum\", \"class\": \"hard\", \"depth0\": false },\n\
+        \    { \"name\": \"big_x\", \"class\": \"soft\", \"depth0\": false },\n\
+        \    { \"name\": \"n_small\", \"class\": \"hard\", \"depth0\": true }\n\
+        \  ],\n\
+        \  \"chunks\": [\n\
+        \    { \"id\": 0, \"survivors\": 8, \"loop_iterations\": 17, \"fired\": [7, 0, 0] },\n\
+        \    { \"id\": 2, \"survivors\": 2, \"loop_iterations\": 6, \"fired\": [1, 2, 0] }\n\
+        \  ]\n\
+        }\n" text;
+      match Checkpoint.of_json text with
+      | Error msg -> Alcotest.fail msg
+      | Ok back ->
+        Checkpoint.save path back;
+        golden "checkpoint read back" text (read_all path))
+
 let () =
   Alcotest.run "stats_io"
     [
@@ -295,6 +357,10 @@ let () =
             test_golden_metrics_edges;
           Alcotest.test_case "checkpoint without chunks" `Quick
             test_golden_checkpoint_no_chunks;
+          Alcotest.test_case "stats with constraints" `Quick
+            test_golden_stats_constraints;
+          Alcotest.test_case "checkpoint with chunks" `Quick
+            test_golden_checkpoint_chunks;
         ] );
       ( "merging",
         [
