@@ -347,6 +347,15 @@ let sweep_config_term =
     $ checkpoint_arg $ checkpoint_every_arg $ resume_arg $ fault_arg
     $ explain_out_arg $ archive_flag_arg $ archive_dir_arg)
 
+(* A failed file operation or stdout write: one "beast: ..." line and
+   exit code 1. What stdout still buffers is dropped with the channel,
+   so the flush [exit] runs has nothing left to fail on. *)
+let io_failure msg =
+  (try Format.pp_print_flush Format.std_formatter () with Sys_error _ -> ());
+  close_out_noerr stdout;
+  Format.eprintf "beast: %s@." msg;
+  1
+
 (* Validate the config, then run [f] under its instrumentation, which
    probes [outputs] (the files only [f] writes) with the config's own
    output paths before anything runs. [f] receives the effective run id
@@ -356,7 +365,8 @@ let sweep_config_term =
    engines cannot run — untranslatable for the compiled tier, a missing
    compiler, a failed compile, an evaluation error such as a zero range
    step — gets one actionable line and exit 2, never an exception
-   trace; any other exception reaches Cmdliner, which exits 125. *)
+   trace; a failed file or stdout write gets one line and exit 1
+   ({!io_failure}); any other exception exits 125. *)
 let with_config ?outputs ~space ~engine cfg f =
   (match Run_config.validate cfg with
   | Ok () -> ()
@@ -370,13 +380,12 @@ let with_config ?outputs ~space ~engine cfg f =
   match
     Run_config.with_instrumentation ?outputs ~space ~engine cfg (fun run_id ->
         try f run_id with
-        | Sys_error msg -> diagnose 1 msg
+        | Sys_error msg -> io_failure msg
         | Engine_native.Error msg | Expr.Eval_error msg -> diagnose 2 msg
         | Division_by_zero -> diagnose 2 "division by zero")
   with
   | 0 -> ()
   | code -> exit code
-  | exception Sys_error msg -> exit (diagnose 1 msg)
 
 (* The space, and the device when the space is built from it: a .beast
    file's own settings define its space, and fft and synth have none. *)
@@ -916,6 +925,19 @@ let count_cmd =
           cheaper propagation-only upper bound")
     Term.(const run $ bound_arg $ space_term)
 
+(* The decimal digits of [v], written into [buf] without building a
+   string. *)
+let add_int buf v =
+  if v = min_int then Buffer.add_string buf (string_of_int v)
+  else begin
+    if v < 0 then Buffer.add_char buf '-';
+    let rec digits v =
+      if v >= 10 then digits (v / 10);
+      Buffer.add_char buf (Char.unsafe_chr (48 + (v mod 10)))
+    in
+    digits (abs v)
+  end
+
 let sample_cmd =
   let n_arg =
     Arg.(
@@ -934,22 +956,32 @@ let sample_cmd =
     let f = build () in
     let rng = Option.map (fun s -> Random.State.make [| s |]) seed in
     let ok = ref 0 in
-    (* One flush at the end: a flush per line costs a write(2) per point. *)
+    let prefix =
+      Array.of_list
+        (List.mapi
+           (fun i k -> (if i > 0 then " " else "") ^ k ^ "=")
+           (Feasible.iterators f))
+    in
+    let point = Array.make (Array.length prefix) 0 in
+    (* Lines collect in one small buffer, handed to stdout 4 KiB at a
+       time: a larger one only grows the process. *)
+    let buf = Buffer.create 0x2000 in
     for _ = 1 to n do
-      match Feasible.sample ?rng f with
-      | Some point ->
+      if Feasible.sample_into ?rng f point then begin
         incr ok;
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then print_char ' ';
-            print_string k;
-            print_char '=';
-            print_string (string_of_int v))
-          point;
-        print_char '\n'
-      | None -> ()
+        Array.iteri
+          (fun i p ->
+            Buffer.add_string buf p;
+            add_int buf point.(i))
+          prefix;
+        Buffer.add_char buf '\n';
+        if Buffer.length buf >= 0x1000 then begin
+          Buffer.output_buffer stdout buf;
+          Buffer.clear buf
+        end
+      end
     done;
-    flush stdout;
+    Buffer.output_buffer stdout buf;
     if !ok = 0 && n > 0 then (
       Format.eprintf "%s: no feasible points@." space_name;
       exit 1)
@@ -1017,14 +1049,6 @@ let search_cmd =
     Term.(
       const run $ method_arg $ budget_arg $ seed_arg $ obs_config_term
       $ space_term)
-
-(* An output file a command writes once it has its result: atomic, and
-   an unwritable path is one diagnostic and exit 1. *)
-let write_or_exit file text =
-  try Jsonx.write_file file text
-  with Sys_error msg ->
-    Format.eprintf "beast: %s@." msg;
-    exit 1
 
 (* Cross-shard trace correlation: stitch the per-shard JSONL traces of a
    sharded sweep into one Chrome trace, with each shard rendered as a
@@ -1105,7 +1129,7 @@ let merge_traces files trace_out =
   (match trace_out with
   | None -> print_string rendered
   | Some file ->
-    write_or_exit file rendered;
+    Jsonx.write_file file rendered;
     Format.eprintf "wrote merged trace (%d shard%s) to %s@."
       (List.length files)
       (if List.length files = 1 then "" else "s")
@@ -1170,7 +1194,7 @@ let merge_cmd =
       match stats_out with
       | None -> ()
       | Some file ->
-        write_or_exit file (Stats_io.to_json merged);
+        Jsonx.write_file file (Stats_io.to_json merged);
         Format.eprintf "wrote merged statistics to %s@." file
     end
   in
@@ -2098,4 +2122,23 @@ let main =
       explain_cmd; export_cmd; top_cmd; runs_cmd; archive_cmd; diff_cmd;
       trends_cmd; engines_cmd ]
 
-let () = exit (Cmd.eval main)
+(* Every command's stdout leaves through the one flush below, inside
+   the handler that maps [Sys_error] — from a file, or from a stdout
+   that cannot take the output, such as a full disk — to one line and
+   exit 1. Any other exception is an internal error, exit 125, as
+   Cmdliner would report it. *)
+let () =
+  let code =
+    try
+      let code = Cmd.eval ~catch:false main in
+      Format.pp_print_flush Format.std_formatter ();
+      flush stdout;
+      code
+    with
+    | Sys_error msg -> io_failure msg
+    | e ->
+      Format.eprintf "beast: internal error, uncaught exception:@\n       %s@."
+        (Printexc.to_string e);
+      125
+  in
+  exit code

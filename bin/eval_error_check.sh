@@ -26,7 +26,10 @@
 # 2^65 points, more than max_int, are one stderr line naming the file
 # and exit 2. A bad `tune --retries`, `--backoff` or `--timeout`,
 # `occupancy --device` or `search --budget` is one stderr line naming
-# it, exit 2 and no output.
+# it, exit 2 and no output. Where /dev/full exists, a stdout that takes
+# no output makes count, sample, explain and sweep print one
+# "beast: ..." line and exit 1, with no second report from the flush
+# at exit.
 # Usage: sh eval_error_check.sh path/to/beast.exe zero_step.beast
 beast=$1
 space=$2
@@ -238,3 +241,24 @@ for opt in --status-every --status-e; do
   "$beast" sweep gemm --max-dim 12 --max-threads 32 "$opt" 2 >/dev/null ||
     { echo "sweep $opt 2 failed" >&2; exit 1; }
 done
+
+if [ -w /dev/full ]; then
+  dir=$(mktemp -d)
+  "$beast" sweep gemm --max-dim 12 --max-threads 32 --explain-out "$dir/E" \
+    >/dev/null 2>&1 ||
+    { echo "sweep --explain-out failed" >&2; rm -rf "$dir"; exit 1; }
+  for cmd in 'count synth' 'sample synth -n 3' "explain $dir/E" \
+    'sweep gemm --max-dim 12 --max-threads 32'; do
+    err=$("$beast" $cmd 2>&1 >/dev/full)
+    code=$?
+    lines=$(printf '%s\n' "$err" | wc -l)
+    case $err in "beast: "*) ok=1 ;; *) ok=0 ;; esac
+    if [ "$code" -ne 1 ] || [ "$lines" -ne 1 ] || [ "$ok" -ne 1 ]; then
+      echo "$cmd >/dev/full: exit $code, stderr: $err" >&2
+      echo "expected exit 1 and one 'beast: ...' line" >&2
+      rm -rf "$dir"
+      exit 1
+    fi
+  done
+  rm -rf "$dir"
+fi

@@ -204,10 +204,18 @@ let citer_reads = function
    plan with the staged engine's compiler: [Static_prune] steps vanish
    (they are statistics, not feasibility), and each loop carries a memo
    id plus the free slots of its subtree (every slot for [All]). A loop
-   whose key holds its parent loop's whole exact key and the parent's
-   own slot is not memoized: its context fixes the parent's context and
-   value, the parent is walked once per context and visits each value
-   once, so that key can never repeat. *)
+   is memoized only where that key can repeat. It cannot when it holds
+   the slot of every enclosing loop (each walk sits under a distinct
+   path of outer values), nor, for a loop only its parent walks, when
+   it holds the parent's whole exact key and the parent's own slot (the
+   parent is walked once per context, each value once).
+
+   With [entry], the counter's program ({!sub_nests}): checks vanish,
+   each reporting its index and the free slots and program after it;
+   unread derives vanish; dead values rejoin their loop (the counter
+   counts the unpropagated nest); a loop whose slot its body does not
+   read multiplies its trip out. Only a loop that enumerates above
+   another is memoized: any other walk costs about one key hash. *)
 type fn = int array -> int
 
 type aprog =
@@ -220,6 +228,8 @@ type aprog =
       slot : int;
       iter : aiter;
       key : int array;  (** free slots of the whole loop step *)
+      enumerates : bool;  (** false: the counter multiplies the trip out *)
+      mutable entered : bool;  (** a firing's count starts here *)
       mutable memo : bool;  (** false when [key] can never repeat *)
       probe : int array;
           (** the memo key: a loop id, then the [key] slots' values,
@@ -239,32 +249,73 @@ let check_trip var n max_states =
     fail "iterator %s: range of %d values exceeds the %d-state budget" var n
       max_states
 
-let annotate ~n_slots (steps : Plan.step list) =
+let default_max_states = 2_000_000
+
+(* The values of iterator [var] when its bounds are all slot-free;
+   [Failed] for a range past the state budget. *)
+let static var = function
+  | Plan.CValues vs -> Some vs
+  | Plan.CRange (sa, sb, sc) -> (
+    let open Plan in
+    match (static_cexpr sa, static_cexpr sb, static_cexpr sc) with
+    | Some start, Some stop, Some step when step <> 0 ->
+      let n = trip_count ~start ~stop ~step in
+      check_trip var n default_max_states;
+      Some (Array.init n (fun i -> start + (i * step)))
+    | _ -> None)
+  | Plan.CDyn _ -> None
+
+let annotate ?entry ~n_slots (steps : Plan.step list) =
   let uid = ref 0 in
+  let counting = entry <> None in
   let compute = function Plan.CE e -> Plan.compile_cexpr e | Plan.CF f -> f
   and cond = function
     | Plan.CE e -> Plan.compile_cond e
     | Plan.CF f -> fun s -> f s <> 0
   in
-  let rec go steps =
+  let reads s = function All -> true | Only r -> List.mem s r in
+  let rec go enclosing steps =
     match (steps : Plan.step list) with
     | [] -> (ANone, Only [])
     | Plan.Yield :: _ -> (ADone, Only [])
-    | Plan.Static_prune _ :: rest -> go rest
+    | Plan.Static_prune { sp_dead; _ } :: Plan.Loop l :: rest when counting ->
+      (* The counter counts the unpropagated nest: a propagated loop's
+         dead values rejoin its (static) domain. *)
+      let dead = Array.map fst sp_dead in
+      let l_iter =
+        match static l.l_var l.l_iter with
+        | Some live -> Plan.CValues (Array.append live dead)
+        | None | (exception Failed _) ->
+          Plan.CDyn (fun _ -> fail "iterator %s: domain unknown" l.l_var)
+      in
+      go enclosing (Plan.Loop { l with l_iter } :: rest)
+    | Plan.Static_prune _ :: rest -> go enclosing rest
     | Plan.Derive { d_slot; d_compute; _ } :: rest ->
-      let a, fs = go rest in
-      (ADerive (d_slot, compute d_compute, a),
-       sunion (compute_reads d_compute) (sremove d_slot fs))
-    | Plan.Check { c_compute; _ } :: rest ->
-      let a, fs = go rest in
-      (ACheck (cond c_compute, a), sunion (compute_reads c_compute) fs)
+      let a, fs = go enclosing rest in
+      if counting && not (reads d_slot fs) then (a, fs)
+      else
+        (ADerive (d_slot, compute d_compute, a),
+         sunion (compute_reads d_compute) (sremove d_slot fs))
+    | Plan.Check { c_index; c_compute; _ } :: rest -> (
+      let a, fs = go enclosing rest in
+      match entry with
+      | Some report ->
+        let rec enter = function
+          | ADerive (_, _, a) -> enter a
+          | ALoop l -> l.entered <- true
+          | ACheck _ | ADone | ANone -> ()
+        in
+        enter a;
+        report c_index fs a;
+        (a, fs)
+      | None -> (ACheck (cond c_compute, a), sunion (compute_reads c_compute) fs))
     | Plan.Loop { l_var; l_slot; l_iter; l_body } :: rest ->
       (* Canonical nests put nothing after a loop; points are defined by
          the path to Yield, so trailing steps would be ambiguous. *)
-      (match go rest with
+      (match go enclosing rest with
       | ANone, _ -> ()
       | _ -> fail "unsupported plan shape: steps after a loop");
-      let body, bfs = go l_body in
+      let body, bfs = go (l_slot :: enclosing) l_body in
       let key = sunion (citer_reads l_iter) (sremove l_slot bfs) in
       (* An opaque key also holds stale values of inner slots, so only an
          exact one is fixed by a child's context. *)
@@ -275,7 +326,8 @@ let annotate ~n_slots (steps : Plan.step list) =
           | ADerive (_, _, a) | ACheck (_, a) -> mark_child a
           | ALoop c ->
             let within s = Array.mem s c.key in
-            c.memo <- not (within l_slot && List.for_all within read)
+            if (not c.entered) && within l_slot && List.for_all within read
+            then c.memo <- false
           | ADone | ANone -> ()
         in
         mark_child body);
@@ -284,7 +336,10 @@ let annotate ~n_slots (steps : Plan.step list) =
         | Plan.CRange (a, b, c) ->
           let f = Plan.compile_cexpr in
           let solve (sv : Plan.solved) = (f sv.sv_coef, f sv.sv_target) in
-          let solved = Plan.solved_check ~slot:l_slot l_iter l_body in
+          let solved =
+            if counting then None
+            else Plan.solved_check ~slot:l_slot l_iter l_body
+          in
           ARange (f a, f b, f c, Option.map solve solved)
         | Plan.CValues vs -> AValues (fun _ -> vs)
         | Plan.CDyn f -> AValues f
@@ -293,18 +348,27 @@ let annotate ~n_slots (steps : Plan.step list) =
       let read = match key with All -> List.init n_slots Fun.id | Only r -> r in
       let key' = Array.of_list read in
       let probe = Array.make (Array.length key' + 1) !uid in
+      let enumerates = (not counting) || reads l_slot bfs in
+      let rec nested = function
+        | ADerive (_, _, a) | ACheck (_, a) -> nested a
+        | ALoop c -> c.enumerates || nested c.body
+        | ADone | ANone -> false
+      in
+      let memo =
+        enumerates
+        && ((not counting) || nested body)
+        && not (List.for_all (fun s -> Array.mem s key') enclosing)
+      in
       ( ALoop
-          { var = l_var; slot = l_slot; iter; key = key';
-            memo = true; probe; body },
+          { var = l_var; slot = l_slot; iter; key = key'; enumerates;
+            entered = false; memo; probe; body },
         key )
   in
-  fst (go steps)
+  fst (go [] steps)
 
 (* ------------------------------------------------------------------ *)
 (* Building from a plan (exact)                                        *)
 (* ------------------------------------------------------------------ *)
-
-let default_max_states = 2_000_000
 
 (* A range visits its values in trip order, already sorted (reversed
    when the step is negative) and distinct, and keeps only the
@@ -410,22 +474,105 @@ let build ?(max_states = default_max_states) (plan : Plan.t) :
   | Division_by_zero -> Error "division by zero while evaluating the plan"
 
 (* ------------------------------------------------------------------ *)
-(* Upper bound from propagation alone                                  *)
+(* Sub-nest counts (what a firing prunes)                              *)
 (* ------------------------------------------------------------------ *)
 
-(* The values of iterator [var] when its bounds are all slot-free;
-   [Failed] for a range past the state budget. *)
-let static var = function
-  | Plan.CValues vs -> Some vs
-  | Plan.CRange (sa, sb, sc) -> (
-    let open Plan in
-    match (static_cexpr sa, static_cexpr sb, static_cexpr sc) with
-    | Some start, Some stop, Some step when step <> 0 ->
-      let n = trip_count ~start ~stop ~step in
-      check_trip var n default_max_states;
-      Some (Array.init n (fun i -> start + (i * step)))
-    | _ -> None)
-  | Plan.CDyn _ -> None
+type sub_nest =
+  | Static of int
+  | Dyn of (int array -> int)
+  | Inexact
+
+(* Every check's entry is a suffix of one annotated program, so checks
+   at one depth share its loops and memo. Counts run on one scratch
+   slot array; a step of 0 is an empty range, as in Plan.trip_count. *)
+let sub_nests ?(max_states = default_max_states) (plan : Plan.t) =
+  let n_c = Array.length plan.Plan.constraint_info in
+  let scratch = Array.make (max 1 plan.Plan.n_slots) 0 in
+  let entries = ref [] in
+  let (_ : aprog) =
+    annotate
+      ~entry:(fun c fs a -> entries := (c, fs, a) :: !entries)
+      ~n_slots:(Array.length scratch) plan.Plan.steps
+  in
+  let memo = Ints.create 64 in
+  (* By loop id ([probe.(0)], at most one per slot); -1 until counted. *)
+  let consts = Array.make (Array.length scratch + 1) (-1) in
+  let states = ref 0 in
+  let rec count = function
+    | ADone -> 1
+    | ANone -> 0
+    | ADerive (slot, f, rest) ->
+      scratch.(slot) <- f scratch;
+      count rest
+    | ACheck (_, rest) -> count rest
+    | ALoop l when Array.length l.key = 0 ->
+      (* A sub-nest that reads nothing from outside is counted once. *)
+      let id = l.probe.(0) in
+      if consts.(id) < 0 then
+        consts.(id) <- walk l.var l.slot l.iter l.enumerates l.body;
+      consts.(id)
+    | ALoop l when not l.memo -> walk l.var l.slot l.iter l.enumerates l.body
+    | ALoop l -> (
+      let probe = l.probe in
+      for i = 0 to Array.length l.key - 1 do
+        probe.(i + 1) <- scratch.(l.key.(i))
+      done;
+      match Ints.find_opt memo probe with
+      | Some k -> k
+      | None ->
+        let k = Array.copy probe in
+        incr states;
+        if !states > max_states then
+          fail "more than %d sub-nest contexts" max_states;
+        let n = walk l.var l.slot l.iter l.enumerates l.body in
+        Ints.add memo k n;
+        n)
+  and walk var slot iter enumerates body =
+    match iter with
+    | ARange (start, stop, step, _) ->
+      let start = start scratch and step = step scratch in
+      let n = Plan.trip_count ~start ~stop:(stop scratch) ~step in
+      if not enumerates then n * count body
+      else begin
+        check_trip var n max_states;
+        let acc = ref 0 in
+        for i = 0 to n - 1 do
+          scratch.(slot) <- start + (i * step);
+          acc := !acc + count body
+        done;
+        !acc
+      end
+    | AValues f ->
+      let vs = f scratch in
+      if not enumerates then Array.length vs * count body
+      else
+        Array.fold_left
+          (fun acc v ->
+            scratch.(slot) <- v;
+            acc + count body)
+          0 vs
+  in
+  let out = Array.make n_c Inexact in
+  List.iter
+    (fun (c, fs, a) ->
+      out.(c) <-
+        (match fs with
+        | All -> Inexact
+        | Only [] -> ( match count a with k -> Static k | exception _ -> Inexact)
+        | Only read ->
+          let read = Array.of_list read in
+          Dyn
+            (fun slots ->
+              for i = 0 to Array.length read - 1 do
+                scratch.(read.(i)) <- slots.(read.(i))
+              done;
+              count a)))
+    !entries;
+  out
+
+(* ------------------------------------------------------------------ *)
+(* Upper bound from propagation alone                                  *)
+(* ------------------------------------------------------------------ *)
 
 (* The product of the (propagated) iterator domains: every check is
    assumed to pass, so this is exact precisely when propagation folded
@@ -472,47 +619,60 @@ let of_propagation (plan : Plan.t) : (t, string) result =
    each layer, outermost first — a canonical order independent of the
    plan's trip order, so every consumer of the same set agrees on what
    "point [i]" means. Cost: one run scan per layer. *)
-let nth t i =
+let nth_into t i point =
   if i < 0 || i >= count t then
     invalid_arg
       (Printf.sprintf "Feasible.nth: index %d out of bounds [0, %d)" i
          (count t));
-  let rec go node i acc =
+  if Array.length point < Array.length t.f_iters then
+    invalid_arg "Feasible.nth_into: one slot per layer expected";
+  let rec go layer node i =
     match node with
     | Empty -> assert false
-    | Accept -> List.rev acc
+    | Accept -> ()
     | Node { runs; _ } ->
       let rec scan ri i =
         let r = runs.(ri) in
         let per = node_count r.r_child in
         let here = r.r_len * per in
         if i < here then begin
-          let k = i / per in
-          let v = r.r_lo + (k * r.r_step) in
-          go r.r_child (i mod per) (v :: acc)
+          point.(layer) <- r.r_lo + (i / per * r.r_step);
+          go (layer + 1) r.r_child (i mod per)
         end
         else scan (ri + 1) (i - here)
       in
       scan 0 i
   in
-  List.combine (Array.to_list t.f_iters) (go t.f_root i [])
+  go 0 t.f_root i
+
+let nth t i =
+  let point = Array.make (Array.length t.f_iters) 0 in
+  nth_into t i point;
+  List.combine (Array.to_list t.f_iters) (Array.to_list point)
 
 let default_rng = lazy (Random.State.make [| 0xbea57 |])
 
-let sample ?rng t =
+let sample_into ?rng t point =
   let n = count t in
-  if n = 0 then None
-  else
-    let rng =
-      match rng with
-      | Some r -> r
-      | None -> Lazy.force default_rng
-    in
-    let i =
-      if n <= 0x3FFFFFFF then Random.State.int rng n
-      else Int64.to_int (Random.State.int64 rng (Int64.of_int n))
-    in
-    Some (nth t i)
+  n > 0
+  &&
+  let rng =
+    match rng with
+    | Some r -> r
+    | None -> Lazy.force default_rng
+  in
+  let i =
+    if n <= 0x3FFFFFFF then Random.State.int rng n
+    else Int64.to_int (Random.State.int64 rng (Int64.of_int n))
+  in
+  nth_into t i point;
+  true
+
+let sample ?rng t =
+  let point = Array.make (Array.length t.f_iters) 0 in
+  if sample_into ?rng t point then
+    Some (List.combine (Array.to_list t.f_iters) (Array.to_list point))
+  else None
 
 (* A difference of two stored values, or a run's stride, can pass
    max_int and wrap; its true value lies in [0, 2^63), so reading the

@@ -39,6 +39,23 @@ val build : ?max_states:int -> Plan.t -> (t, string) result
     visiting a value twice, a zero range step, division by zero, or a
     non-canonical nest shape. *)
 
+type sub_nest =
+  | Static of int  (** reads no slot bound above the check: a constant *)
+  | Dyn of (int array -> int)  (** counted from the live slots *)
+  | Inexact  (** a closure in a load-bearing position below the check *)
+
+val sub_nests : ?max_states:int -> Plan.t -> sub_nest array
+(** By [c_index]: the size of the nest below each check with every
+    check removed, given the slots bound above it — what one firing
+    prunes. One counter serves every check: a loop whose slot nothing
+    below reads is a trip-count factor, any other enumerates, memoized
+    on the slots its sub-nest reads where that key can repeat. [Dyn]
+    copies only those slots into one scratch array. A [CDyn] iterator,
+    or an opaque derive a deeper bound reads, makes a check [Inexact].
+    A [Dyn] count raises when it needs more than [max_states] (default
+    2M) memo contexts or must enumerate a longer range, or on an
+    evaluation error; the caller treats that count as unknown. *)
+
 val of_propagation : Plan.t -> (t, string) result
 (** Product of the static iterator domains: every check assumed to
     pass. An upper bound on {!build}; [Error] when an iterator has
@@ -56,16 +73,26 @@ val space_name : t -> string
 val iterators : t -> string list
 (** Layer order, outermost first (the plan's [iter_order]). *)
 
-val nth : t -> int -> (string * int) list
-(** The [i]-th feasible point, 0-indexed, in the canonical order —
+val nth_into : t -> int -> int array -> unit
+(** [nth_into t i point] writes the [i]-th feasible point, 0-indexed,
+    into [point] in {!iterators} order. The order is canonical —
     lexicographic by value per layer, outermost first, independent of
-    the plan's trip order. One run scan per layer.
-    @raise Invalid_argument when [i] is out of bounds. *)
+    the plan's trip order. One run scan per layer, no allocation.
+    @raise Invalid_argument when [i] is out of bounds or [point] is
+    shorter than the layer list. *)
+
+val nth : t -> int -> (string * int) list
+(** {!nth_into} as a fresh [(iterator, value)] list. *)
+
+val sample_into : ?rng:Random.State.t -> t -> int array -> bool
+(** Draw a uniformly random feasible point into [point] as
+    {!nth_into} writes it; [false] (and [point] untouched) for an empty
+    set. The default generator is a fixed-seed state shared across
+    calls, so an unseeded sequence is reproducible run to run. *)
 
 val sample : ?rng:Random.State.t -> t -> (string * int) list option
-(** A uniformly random feasible point ([None] for an empty set). The
-    default generator is a fixed-seed state shared across calls, so an
-    unseeded sequence is reproducible run to run. *)
+(** {!sample_into} as a fresh [(iterator, value)] list; [None] for an
+    empty set. *)
 
 val nearest : t -> int array -> (string * int) list
 (** [nearest t targets] descends the diagram greedily: at each layer it

@@ -1,38 +1,16 @@
-(* Single-pass pruning provenance: exact per-constraint removal counts,
-   per-depth loop entries and an outer-value survivor-density map from
-   one sweep.
-
-   Exactness argument. The canonical nest evaluates constraints in
-   pre-order; a constraint hoisted to depth d reads only slots bound at
-   depths <= d (or derived earlier in its own group). When it fires, the
-   engine abandons a subtree whose cardinality is the product of the
-   trip counts of the loops at depths d+1..n. Every abandoned point is
-   charged to the FIRST constraint (in evaluation order) that rejects
-   its prefix — the same exclusive attribution Stats.prefix_sweeps
-   measures — because deeper/later constraints were never
-   reached for those points. The subtree cardinality is computed by a
-   per-check compiled COUNTING PROGRAM over the tail of the (linear)
-   nest: loops whose slot no deeper bound reads contribute a trip-count
-   factor (constant-folded when static, re-evaluated from the live slot
-   array otherwise); loops whose slot feeds a deeper bound (dim_vec
-   feeding vec_mul's range in GEMM) are enumerated value by value, with
-   intervening derived slots recomputed, so data-dependent subtrees
-   count exactly too. Enumeration visits only loop-bound nodes of the
-   REMOVED subtree, so its total cost is bounded by the number of
-   points removed — one sweep's worth, against the n+1 sweeps it
-   replaces. Only opaque closures below the check (CDyn iterators, or
-   deferred derive bodies whose slot a deeper bound reads) defeat the
-   analysis and yield Inexact.
-
-   The density map is keyed by the VALUE of the outermost iterator, not
-   by chunk index: Plan.chunk_outer blocks partition the outer trip
-   sequence, so per-value cells sum across any chunk/shard split and
-   re-sort deterministically — the property that makes merged shard
-   provenance byte-identical to an unsharded run's. *)
+(* Single-pass pruning provenance (see provenance.mli). A firing at
+   depth d abandons the nest below the check; every point of it is
+   charged to this, the first rejecting constraint, so the removal is
+   that sub-nest's size with every check removed, which
+   Feasible.sub_nests counts: one memoized counter per plan, entered by
+   every check at its own depth, a firing costing the loops it must
+   enumerate up to the first memo hit. Density cells are keyed by the
+   outermost iterator's VALUE, so they sum across any chunk or shard
+   split. *)
 
 module Jsonx = Beast_obs.Jsonx
 
-type removal =
+type removal = Feasible.sub_nest =
   | Static of int
   | Dyn of (int array -> int)
   | Inexact
@@ -46,211 +24,21 @@ type attribution = {
   at_outer_slot : int;  (* -1 when the plan has no loops *)
 }
 
-(* One pre-order item of a counting program: what runs below a check in
-   the linear nest, with the checks themselves (irrelevant to subtree
-   cardinality — every point under a firing passed all earlier checks)
-   and Yield dropped. *)
-type titem =
-  | TDerive of int * Plan.cexpr  (* slot, body *)
-  | TDerive_opaque of int  (* deferred/closure body: reads unknown *)
-  | TLoop of int * Plan.citer
-
-(* A tail defeats exact counting (opaque closure in a load-bearing
-   position); the whole constraint degrades to Inexact. *)
-exception Opaque
-
-let union a b = List.sort_uniq compare (List.rev_append a b)
-let remove s l = List.filter (fun x -> x <> s) l
-
-let citer_reads = function
-  | Plan.CValues _ | Plan.CDyn _ -> []
-  | Plan.CRange (a, b, c) ->
-    union (Plan.cexpr_slots a) (union (Plan.cexpr_slots b) (Plan.cexpr_slots c))
-
-(* Compile a counting program bottom-up. Returns the counter, the slots
-   it reads from OUTSIDE the tail (reads satisfied by an earlier tail
-   item are discharged) and whether it ever WRITES a slot (it does only
-   when something is enumerated or recomputed — the common all-hoisted
-   program is read-only and may run directly on the engine's live slot
-   array, saving a scratch copy per firing). A loop whose slot nothing
-   deeper reads hoists to a trip-count factor; one that feeds a deeper
-   bound is enumerated, rebinding its slot per value — likewise
-   derives, which are executed only when some deeper bound needs their
-   slot. *)
-(* Memoise a compiled sub-program on the values of its free slots. An
-   enumerated loop runs its body once per value per firing; across the
-   tens of thousands of firings of a hot constraint the body sees only
-   as many distinct free valuations as the product of its read slots'
-   value ranges, so the table collapses the enumeration's inner work to
-   lookups. Skipping a cached body also skips its writes, which is
-   sound: a body only writes slots bound inside itself, which nothing
-   outside it reads. *)
-let memoize (f, reads, _writes) =
-  match reads with
-  | [] -> f
-  | [ s ] ->
-    let memo : (int, int) Hashtbl.t = Hashtbl.create 64 in
-    fun slots ->
-      let key = slots.(s) in
-      (match Hashtbl.find_opt memo key with
-      | Some k -> k
-      | None ->
-        let k = f slots in
-        Hashtbl.add memo key k;
-        k)
-  | _ ->
-    let memo : (int list, int) Hashtbl.t = Hashtbl.create 64 in
-    fun slots ->
-      let key = List.map (fun s -> slots.(s)) reads in
-      (match Hashtbl.find_opt memo key with
-      | Some k -> k
-      | None ->
-        let k = f slots in
-        Hashtbl.add memo key k;
-        k)
-
-let compile_tail tail =
-  List.fold_right
-    (fun item ((f, reads, writes) as acc) ->
-      match item with
-      | TDerive (s, e) ->
-        if List.mem s reads then
-          let ereads = Plan.cexpr_slots e in
-          let e = Plan.compile_cexpr e in
-          ( (fun slots ->
-              slots.(s) <- e slots;
-              f slots),
-            union ereads (remove s reads),
-            true )
-        else acc
-      | TDerive_opaque s -> if List.mem s reads then raise Opaque else acc
-      | TLoop (s, it) -> (
-        match it with
-        | Plan.CDyn _ -> raise Opaque
-        | Plan.CValues vs ->
-          if List.mem s reads then
-            let f = memoize (f, reads, writes) in
-            ( (fun slots ->
-                let acc = ref 0 in
-                Array.iter
-                  (fun v ->
-                    slots.(s) <- v;
-                    acc := !acc + f slots)
-                  vs;
-                !acc),
-              remove s reads,
-              true )
-          else
-            let n = Array.length vs in
-            ((fun slots -> n * f slots), reads, writes)
-        | Plan.CRange (a, b, c) ->
-          let breads = citer_reads it in
-          let a = Plan.compile_cexpr a
-          and b = Plan.compile_cexpr b
-          and c = Plan.compile_cexpr c in
-          if List.mem s reads then
-            let f = memoize (f, reads, writes) in
-            ( (fun slots ->
-                let start = a slots and step = c slots in
-                let acc = ref 0 in
-                let v = ref start in
-                for _ = 1 to Plan.trip_count ~start ~stop:(b slots) ~step do
-                  slots.(s) <- !v;
-                  acc := !acc + f slots;
-                  v := !v + step
-                done;
-                !acc),
-              union breads (remove s reads),
-              true )
-          else
-            ( (fun slots ->
-                Plan.trip_count ~start:(a slots) ~stop:(b slots)
-                  ~step:(c slots)
-                * f slots),
-              union breads reads,
-              writes )))
-    tail
-    ((fun _ -> 1), [], false)
-
 let attribution (plan : Plan.t) =
   let n_c = Array.length plan.Plan.constraint_info in
   let n_loops = List.length plan.Plan.iter_order in
-  (* Pre-order walk: when is each slot bound, when does each check run,
-     and what does the tail after each check look like? A slot
-     (iterator or derived) is live at a check iff its binding step
-     precedes the check in pre-order. *)
-  let bind_seq = Array.make (max 1 plan.Plan.n_slots) max_int in
-  let check_seq = Array.make (max 1 n_c) 0 in
-  let check_depth = Array.make (max 1 n_c) 0 in
-  let items = ref [] in
-  let seq = ref 0 in
-  let next () =
-    incr seq;
-    !seq
-  in
-  let rec walk depth steps =
-    List.iter
-      (fun (step : Plan.step) ->
-        match step with
-        | Plan.Derive { d_slot; d_compute; _ } ->
-          bind_seq.(d_slot) <- next ();
-          items :=
-            (!seq,
-             match d_compute with
-             | Plan.CE e -> TDerive (d_slot, e)
-             | Plan.CF _ -> TDerive_opaque d_slot)
-            :: !items
-        | Plan.Check { c_index; _ } ->
-          check_seq.(c_index) <- next ();
-          check_depth.(c_index) <- depth
-        | Plan.Yield -> ()
-        | Plan.Static_prune _ ->
-          (* Dead values are replayed as statistics, not executed: they
-             are not part of the live nest the counting programs model. *)
-          ()
-        | Plan.Loop { l_slot; l_iter; l_body; _ } ->
-          bind_seq.(l_slot) <- next ();
-          items := (!seq, TLoop (l_slot, l_iter)) :: !items;
-          walk (depth + 1) l_body)
-      steps
+  let depth = Array.make n_c 0 in
+  let rec walk d =
+    List.iter (function
+      | Plan.Check { c_index; _ } -> depth.(c_index) <- d
+      | Plan.Loop { l_body; _ } -> walk (d + 1) l_body
+      | Plan.Derive _ | Plan.Static_prune _ | Plan.Yield -> ())
   in
   walk 0 plan.Plan.steps;
-  let items = List.rev !items in
-  let removal_for c =
-    (* The nest is linear, so the pre-order tail after the check IS the
-       subtree's program. *)
-    let tail =
-      List.filter_map
-        (fun (s, it) -> if s > check_seq.(c) then Some it else None)
-        items
-    in
-    match compile_tail tail with
-    | exception Opaque -> Inexact
-    | f, reads, writes ->
-      if not (List.for_all (fun s -> bind_seq.(s) < check_seq.(c)) reads)
-      then Inexact (* defensive: a well-formed plan never gets here *)
-      else if reads = [] then (
-        (* No outside reads: the count is a plan-time constant (the
-           program only reads slots it binds itself). *)
-        match f (Array.make (max 1 plan.Plan.n_slots) 0) with
-        | k -> Static k
-        | exception _ -> Inexact)
-      else if writes then
-        (* The counter rebinds enumerated slots as it runs; give it a
-           scratch copy so a firing never perturbs the engine's live
-           slot array. Inner enumerations are memoised on their free
-           slots by [compile_tail], so repeat firings under the same
-           outer valuation cost table lookups, not re-enumeration. *)
-        Dyn (fun slots -> f (Array.copy slots))
-      else
-        (* Read-only program: safe on the live array, no per-firing
-           allocation. *)
-        Dyn f
-  in
   {
     at_names = Array.map fst plan.Plan.constraint_info;
-    at_depth = Array.sub check_depth 0 n_c;
-    at_removal = Array.init n_c removal_for;
+    at_depth = depth;
+    at_removal = Feasible.sub_nests plan;
     at_iters = plan.Plan.iter_order;
     at_n_loops = n_loops;
     at_outer_slot =
@@ -273,6 +61,9 @@ type local = {
   l_removed : int array;
   l_exact : bool array;
   l_cells : (int, cell_acc) Hashtbl.t;
+  mutable l_last : (int * cell_acc) option;
+      (* the last outer value's cell: the outer value changes only once
+         per outer iteration, so most lookups skip the table *)
 }
 
 let local_of at =
@@ -282,6 +73,7 @@ let local_of at =
     l_removed = Array.make (max 1 n_c) 0;
     l_exact = Array.make (max 1 n_c) true;
     l_cells = Hashtbl.create 64;
+    l_last = None;
   }
 
 let cell_of tbl v =
@@ -292,31 +84,38 @@ let cell_of tbl v =
     Hashtbl.replace tbl v c;
     c
 
-let fire local slots c =
+let outer_cell local slots =
+  let v = slots.(local.lat.at_outer_slot) in
+  match local.l_last with
+  | Some (w, c) when w = v -> c
+  | _ ->
+    let c = cell_of local.l_cells v in
+    local.l_last <- Some (v, c);
+    c
+
+let charge local slots c k =
   let at = local.lat in
-  match at.at_removal.(c) with
-  | Static k ->
-    local.l_removed.(c) <- local.l_removed.(c) + k;
-    if at.at_depth.(c) > 0 && at.at_outer_slot >= 0 then begin
-      let cell = cell_of local.l_cells slots.(at.at_outer_slot) in
-      cell.ca_removed <- cell.ca_removed + k
-    end
+  local.l_removed.(c) <- local.l_removed.(c) + k;
+  if at.at_depth.(c) > 0 && at.at_outer_slot >= 0 then begin
+    let cell = outer_cell local slots in
+    cell.ca_removed <- cell.ca_removed + k
+  end
+
+let fire local slots c =
+  match local.lat.at_removal.(c) with
+  | Static k -> charge local slots c k
   | Dyn f -> (
     match f slots with
-    | k ->
-      local.l_removed.(c) <- local.l_removed.(c) + k;
-      if at.at_depth.(c) > 0 && at.at_outer_slot >= 0 then begin
-        let cell = cell_of local.l_cells slots.(at.at_outer_slot) in
-        cell.ca_removed <- cell.ca_removed + k
-      end
-    (* A bound expression that divides by a not-yet-meaningful value:
-       the exact count is lost for this constraint, not for the run. *)
+    | k -> charge local slots c k
+    (* A bound expression that divides by a not-yet-meaningful value, or
+       a count past the counter's budget: the exact count is lost for
+       this constraint, not for the run. *)
     | exception _ -> local.l_exact.(c) <- false)
   | Inexact -> local.l_exact.(c) <- false
 
 (* Replay one Static_prune dead value: the engine never binds it, so
    substitute it into the live slot array for the duration of the
-   firing (the removal program and the density cell both read it),
+   firing (the sub-nest count and the density cell both read it),
    then restore. *)
 let static_fire local slots ~slot ~value c =
   let saved = slots.(slot) in
@@ -327,7 +126,7 @@ let static_fire local slots ~slot ~value c =
 let hit local slots =
   let at = local.lat in
   if at.at_outer_slot >= 0 then begin
-    let cell = cell_of local.l_cells slots.(at.at_outer_slot) in
+    let cell = outer_cell local slots in
     cell.ca_survivors <- cell.ca_survivors + 1
   end
 

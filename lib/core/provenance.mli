@@ -4,31 +4,27 @@
     with [n+1] full sweeps; this module gets the same numbers from
     {e one} sweep by exploiting the plan's structure: a constraint
     firing at depth [d] abandons the whole subtree below it, and the
-    cardinality of that subtree is the product of the trip counts of the
-    loops deeper than [d]. In the canonical nest constraints earlier in
-    evaluation order (the pre-order walk) read only slots bound at
-    depths [<= d], so the per-firing subtree products are {e exclusive}
-    removal counts — each removed point is charged to exactly the first
-    constraint that would have rejected it, which is what the
-    prefix-sweep funnel measures.
+    cardinality of that subtree is the size of the nest below the check
+    with every check removed — a product of trip counts wherever no
+    deeper bound reads a loop's value. In the canonical nest
+    constraints earlier in evaluation order (the pre-order walk) read
+    only slots bound at depths [<= d], so the per-firing subtree sizes
+    are {e exclusive} removal counts — each removed point is charged to
+    exactly the first constraint that would have rejected it, which is
+    what the prefix-sweep funnel measures.
 
-    Subtree cardinality comes from a per-check counting program
-    compiled over the tail of the (linear) nest ({!attribution}): loops
-    whose slot no deeper bound reads hoist to a trip-count factor;
-    loops feeding a deeper bound (GEMM's [dim_vec] feeding [vec_mul]'s
-    range) are enumerated value by value with intervening derived slots
-    recomputed, so data-dependent subtrees count exactly too.
-    Enumeration only ever visits loop-bound nodes of the {e removed}
-    subtree, bounding its total cost by the points removed. Three
-    flavours result:
-    - {e static} — the program reads nothing outside the tail: the
-      count is a plan-time constant;
-    - {e dynamic} — it reads slots live at the firing: evaluated (on a
-      scratch copy of the slot array) per firing;
-    - {e inexact} — an opaque closure sits in a load-bearing position
-      below the check (a [CDyn] iterator, or a deferred derive body
-      whose slot a deeper bound reads): the exact count is unknowable
-      without sweeping, and the summary reports [None].
+    Subtree sizes come from {!Feasible.sub_nests}: one memoized counter
+    per plan, shared by every check. Loops whose slot no deeper bound
+    reads are trip-count factors; loops feeding a deeper bound (GEMM's
+    [dim_vec] feeding [vec_mul]'s range) are enumerated value by value,
+    memoized on the slots their sub-nest reads where that key can
+    repeat, so a firing costs the loops it must enumerate up to the
+    first memo hit. Three flavours result: {e static} (the count reads
+    nothing bound above the check: a plan-time constant), {e dynamic}
+    (counted from the live slots per firing) and {e inexact} (a [CDyn]
+    iterator or an opaque derive a deeper bound reads sits below the
+    check). A count that is inexact, needs more memo contexts than the
+    budget, or raises leaves its constraint's row [None].
 
     Alongside the per-constraint counts a run records per-depth loop
     entries (the survival funnel) and a survivor-density map keyed by
@@ -46,9 +42,9 @@
 
 (** {2 Attribution (per plan)} *)
 
-type removal =
-  | Static of int  (** subtree product is a compile-time constant *)
-  | Dyn of (int array -> int)  (** evaluated from bound slots per firing *)
+type removal = Feasible.sub_nest =
+  | Static of int  (** subtree size is a plan-time constant *)
+  | Dyn of (int array -> int)  (** counted from bound slots per firing *)
   | Inexact  (** closure iterators / later-bound slots below this depth *)
 
 type attribution

@@ -145,7 +145,33 @@ let test_sample () =
   Space.constrain dead "always" (Expr.var "x" >=: Expr.int 0);
   let td = build_exn (Plan.make_exn dead) in
   Alcotest.(check int) "dead space count" 0 (Feasible.count td);
-  Alcotest.(check bool) "dead space sample" true (Feasible.sample td = None)
+  Alcotest.(check bool) "dead space sample" true (Feasible.sample td = None);
+  let point = [| 7 |] in
+  Alcotest.(check bool) "dead space sample_into" false
+    (Feasible.sample_into td point);
+  Alcotest.(check (array int)) "point untouched" [| 7 |] point
+
+(* The array walker and the list wrappers agree draw for draw: the same
+   seed gives the same points through [sample_into] and [sample], and
+   every [nth_into] equals [nth]. *)
+let test_into_matches_lists () =
+  let t = build_exn (Plan.make_exn (Support.mixed_space ())) in
+  let n_layers = List.length (Feasible.iterators t) in
+  let point = Array.make n_layers 0 in
+  for i = 0 to Feasible.count t - 1 do
+    Feasible.nth_into t i point;
+    Alcotest.(check (list int)) "nth_into" (List.map snd (Feasible.nth t i))
+      (Array.to_list point)
+  done;
+  let r1 = Random.State.make [| 9 |] and r2 = Random.State.make [| 9 |] in
+  for _ = 1 to 50 do
+    Alcotest.(check bool) "drawn" true (Feasible.sample_into ~rng:r1 t point);
+    match Feasible.sample ~rng:r2 t with
+    | Some p ->
+      Alcotest.(check (list int)) "same draw" (List.map snd p)
+        (Array.to_list point)
+    | None -> Alcotest.fail "sample of a non-empty set"
+  done
 
 (* Layer-greedy nearest by brute force: keep the members whose value at
    each layer, in turn, is nearest that layer's target (smallest on a
@@ -606,6 +632,8 @@ let () =
             test_nth_enumerates_the_set;
           Alcotest.test_case "nth bounds" `Quick test_nth_out_of_bounds;
           Alcotest.test_case "sample" `Quick test_sample;
+          Alcotest.test_case "array walker matches lists" `Quick
+            test_into_matches_lists;
           Alcotest.test_case "nearest is layer-greedy" `Quick test_nearest;
           Alcotest.test_case "nearest ties and extremes" `Quick
             test_nearest_ties_and_extremes;

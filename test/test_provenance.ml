@@ -191,6 +191,208 @@ let test_single_pass_conv2d () =
     (Stats.funnel (conv2d_space ()))
 
 (* ------------------------------------------------------------------ *)
+(* Oracle: first-rejecting-constraint attribution by brute force       *)
+(* ------------------------------------------------------------------ *)
+
+(* Constraint indices in the plan's evaluation (pre-)order. *)
+let check_order (plan : Plan.t) =
+  let rec walk acc = function
+    | [] -> acc
+    | Plan.Check { c_index; _ } :: rest -> walk (c_index :: acc) rest
+    | Plan.Loop { l_body; _ } :: rest -> walk (walk acc l_body) rest
+    | (Plan.Derive _ | Plan.Static_prune _ | Plan.Yield) :: rest -> walk acc rest
+  in
+  List.rev (walk [] plan.Plan.steps)
+
+(* Every point of the unconstrained product, charged to the first
+   constraint in evaluation order that rejects it: per-constraint
+   removals by name, survivors and the product's size. Iterators bind
+   in the plan's loop order, and every derived value is computed at the
+   full point — an evaluation independent of the engines and of the
+   plan's hoisting. *)
+let brute_attribution space (plan : Plan.t) =
+  let env : (string, Value.t) Hashtbl.t = Hashtbl.create 16 in
+  List.iter (fun (n, v) -> Hashtbl.replace env n v) (Space.settings space);
+  let lookup n = Hashtbl.find env n in
+  let iter_of n =
+    (List.find (fun it -> it.Space.it_name = n) (Space.iterators space))
+      .Space.it_iter
+  in
+  let body = function
+    | Space.E e -> Expr.eval lookup e
+    | Space.F { fn; _ } -> fn lookup
+  in
+  let deriveds = Space.deriveds space in
+  let constraints =
+    List.map
+      (fun c ->
+        let name = fst plan.Plan.constraint_info.(c) in
+        ( name,
+          (List.find (fun k -> k.Space.cn_name = name) (Space.constraints space))
+            .Space.cn_body ))
+      (check_order plan)
+  in
+  let removed = Hashtbl.create 8 and survivors = ref 0 and total = ref 0 in
+  let rec loop = function
+    | [] -> (
+      incr total;
+      List.iter
+        (fun d -> Hashtbl.replace env d.Space.dv_name (body d.Space.dv_body))
+        deriveds;
+      match
+        List.find_opt (fun (_, b) -> Value.truthy (body b)) constraints
+      with
+      | None -> incr survivors
+      | Some (name, _) ->
+        Hashtbl.replace removed name
+          (1 + Option.value ~default:0 (Hashtbl.find_opt removed name)))
+    | n :: rest ->
+      Array.iter
+        (fun v ->
+          Hashtbl.replace env n v;
+          loop rest)
+        (Iter.materialize lookup (iter_of n))
+  in
+  loop plan.Plan.iter_order;
+  (removed, !survivors, !total)
+
+(* On random spaces, plain and propagated, one provenance sweep's
+   removal per constraint equals the brute-force charge, and survivors
+   plus removals cover the unconstrained product exactly. *)
+let prop_matches_brute_attribution =
+  QCheck.Test.make ~name:"removals match brute-force attribution" ~count:200
+    Support.arb_space (fun descr ->
+      let sp = Support.space_of descr in
+      let plan = Plan.make_exn sp in
+      let removed, survivors, total = brute_attribution sp plan in
+      List.for_all
+        (fun run_plan ->
+          let stats, summary =
+            Provenance.with_collector (fun () -> Engine_staged.run run_plan)
+          in
+          List.for_all
+            (fun (r : Provenance.crow) ->
+              r.Provenance.pc_removed
+              = Some
+                  (Option.value ~default:0
+                     (Hashtbl.find_opt removed r.Provenance.pc_name)))
+            summary.Provenance.pv_constraints
+          && stats.Engine.survivors = survivors
+          && Provenance.total_removed summary = Some (total - survivors))
+        [ plan; Propagate.pass plan ])
+
+(* ------------------------------------------------------------------ *)
+(* The counter's state budget                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* [cx] fires under (a, x), and the counter enters its sub-nest at [b],
+   whose key {a} repeats across x: each distinct a is one memo context,
+   so with no budget cx's count raises. [cc] fires under c, where the
+   rest of the nest is one trip count: it needs no context and stays
+   exact. *)
+let budget_space () =
+  let open Expr.Infix in
+  let sp = Space.create ~name:"budget" () in
+  Space.iterator sp "a" (Iter.range_i 0 4);
+  Space.iterator sp "x" (Iter.range_i 0 3);
+  Space.constrain sp "cx" (Expr.var "x" >: Expr.var "a");
+  Space.iterator sp "b" (Iter.range (Expr.int 0) (Expr.var "a" +: Expr.int 1));
+  Space.iterator sp "c" (Iter.range (Expr.int 0) (Expr.var "b" +: Expr.int 1));
+  Space.constrain sp "cc" (Expr.var "c" >: Expr.int 1);
+  Space.iterator sp "d" (Iter.range (Expr.int 0) (Expr.var "c" +: Expr.int 1));
+  sp
+
+(* Every check's count under a zero budget, at the iterator valuations
+   of the first [limit] feasible points (every iterator slot bound, a
+   superset of what any firing reads): a check whose count ever raises
+   is affected, and every other check counts what the uncapped counter
+   counts, raise for raise. On GEMM-20 only over_max_threads and
+   partial_warps fire among the affected checks, so a capped run would
+   leave just their rows unknown ([fire] maps a raise to an unknown
+   row, as the next test shows). *)
+let test_budget_marks_affected_counts () =
+  List.iter
+    (fun (label, sp, affected) ->
+      let plan = Plan.make_exn (sp ()) in
+      let capped = Feasible.sub_nests ~max_states:0 plan in
+      let full = Feasible.sub_nests plan in
+      let t =
+        match Feasible.build plan with
+        | Ok t -> t
+        | Error e -> Alcotest.failf "%s: %s" label e
+      in
+      let point = Array.make (List.length (Feasible.iterators t)) 0 in
+      let slots = Array.make (max 1 plan.Plan.n_slots) 0 in
+      let raised = Array.make (Array.length capped) false in
+      let outcome = function
+        | Feasible.Static k -> Some k
+        | Feasible.Dyn f -> ( try Some (f slots) with _ -> None)
+        | Feasible.Inexact -> None
+      in
+      for i = 0 to min 400 (Feasible.count t) - 1 do
+        Feasible.nth_into t i point;
+        Array.iteri (fun l s -> slots.(s) <- point.(l)) plan.Plan.iter_slots;
+        Array.iteri
+          (fun c r ->
+            match (outcome r, outcome full.(c)) with
+            | None, Some _ -> raised.(c) <- true
+            | got, want ->
+              Alcotest.(check (option int))
+                (label ^ ": " ^ fst plan.Plan.constraint_info.(c))
+                want got)
+          capped
+      done;
+      Alcotest.(check (list string)) (label ^ ": affected checks") affected
+        (List.filteri (fun c _ -> raised.(c))
+           (Array.to_list (Array.map fst plan.Plan.constraint_info))))
+    [
+      ("budget", budget_space, [ "cx" ]);
+      ( "GEMM-20",
+        (fun () -> Support.gemm_space ~max_dim:20 ~max_threads:96),
+        [ "over_max_threads"; "over_max_regs_per_thread";
+          "over_max_regs_per_block"; "over_max_shmem"; "low_occupancy_regs";
+          "low_occupancy_shmem"; "partial_warps" ] );
+    ]
+
+(* A count that raises at a firing (here [12 / a] at a = 0, which the
+   engine never evaluates because the check prunes it) leaves only that
+   constraint's row unknown, and the run completes. *)
+let test_raising_count_leaves_row_unknown () =
+  let open Expr.Infix in
+  let sp = Space.create ~name:"raise" () in
+  Space.iterator sp "a" (Iter.range_i 0 4);
+  Space.constrain sp "ca" (Expr.var "a" <: Expr.int 1);
+  Space.iterator sp "b" (Iter.range (Expr.int 0) (Expr.int 12 /: Expr.var "a"));
+  Space.constrain sp "cb" (Expr.var "b" >: Expr.int 4);
+  let stats, summary =
+    Provenance.with_collector (fun () -> Engine_staged.run (Plan.make_exn sp))
+  in
+  Alcotest.(check (list (pair string (option int)))) "rows"
+    [ ("ca", None); ("cb", Some 8) ]
+    (List.map
+       (fun (r : Provenance.crow) -> (r.Provenance.pc_name, r.Provenance.pc_removed))
+       summary.Provenance.pv_constraints);
+  Alcotest.(check int) "survivors" 14 stats.Engine.survivors
+
+(* ------------------------------------------------------------------ *)
+(* Golden explain file                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* golden/gemm20.explain.json pins `beast sweep golden/gemm20.beast
+   --explain-out` byte for byte; the same sweep in-process must write
+   exactly that file. *)
+let test_gemm20_golden () =
+  let read f = In_channel.with_open_bin f In_channel.input_all in
+  let sp =
+    match Beast_dsl.Parse.space_of_file "golden/gemm20.beast" with
+    | Ok sp -> sp
+    | Error e -> Alcotest.failf "parse: %a" Beast_dsl.Parse.pp_error e
+  in
+  Alcotest.(check string) "explain file"
+    (read "golden/gemm20.explain.json")
+    (Stats_io.to_json (run_io ~propagate:true sp))
+
+(* ------------------------------------------------------------------ *)
 (* Engine agreement                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -247,23 +449,30 @@ let test_shard_merge_byte_identical () =
 let test_shard_merge_gemm () = check_shard_merge gemm_space
 
 (* The explain file depends on the space alone: propagation replays its
-   dead values as ordinary firings, so neither propagating nor
-   propagating per shard and merging changes a byte. Propagation removes
-   values from the batched TRSM space (it leaves the scaled GEMM one
-   untouched). *)
+   dead values as ordinary firings, and the counter puts them back into
+   the sub-nests it counts, so neither propagating nor propagating per
+   shard and merging changes a byte. Propagation removes values from
+   the batched TRSM and Cholesky spaces (it leaves the scaled GEMM one
+   untouched); in Cholesky's it removes some below firing checks. *)
 let test_explain_propagation_invariant () =
-  let sp = Beast_kernels.Trsm_batched.space in
-  Alcotest.(check bool) "propagation removes values" true
-    (Plan.static_pruned (Propagate.pass (Plan.make_exn (sp ()))) > 0);
-  let unpropagated = Stats_io.to_json (run_io (sp ())) in
-  Alcotest.(check string) "propagated == unpropagated" unpropagated
-    (Stats_io.to_json (run_io ~propagate:true (sp ())));
-  let merged =
-    merge_exn
-      (List.init 2 (fun i -> run_io ~propagate:true ~shard:(i, 2) (sp ())))
-  in
-  Alcotest.(check string) "propagated 2-way merge == unsharded" unpropagated
-    (Stats_io.to_json merged)
+  List.iter
+    (fun (label, sp) ->
+      Alcotest.(check bool) (label ^ ": propagation removes values") true
+        (Plan.static_pruned (Propagate.pass (Plan.make_exn (sp ()))) > 0);
+      let unpropagated = Stats_io.to_json (run_io (sp ())) in
+      Alcotest.(check string) (label ^ ": propagated == unpropagated")
+        unpropagated
+        (Stats_io.to_json (run_io ~propagate:true (sp ())));
+      let merged =
+        merge_exn
+          (List.init 2 (fun i -> run_io ~propagate:true ~shard:(i, 2) (sp ())))
+      in
+      Alcotest.(check string) (label ^ ": propagated 2-way merge == unsharded")
+        unpropagated (Stats_io.to_json merged))
+    [
+      ("trsm", fun () -> Beast_kernels.Trsm_batched.space ());
+      ("cholesky", fun () -> Beast_kernels.Cholesky_batched.space ());
+    ]
 
 let test_shard_merge_mixed_presence () =
   let sp () = Support.triangle_space () in
@@ -406,6 +615,18 @@ let () =
             test_single_pass_fallback;
           Alcotest.test_case "gemm" `Quick test_single_pass_gemm;
           Alcotest.test_case "conv2d" `Quick test_single_pass_conv2d;
+        ] );
+      ( "oracle",
+        [
+          QCheck_alcotest.to_alcotest prop_matches_brute_attribution;
+          Alcotest.test_case "GEMM-20 explain golden" `Quick test_gemm20_golden;
+        ] );
+      ( "budget",
+        [
+          Alcotest.test_case "tiny budget: affected counts raise" `Quick
+            test_budget_marks_affected_counts;
+          Alcotest.test_case "raising count: row unknown" `Quick
+            test_raising_count_leaves_row_unknown;
         ] );
       ( "engines",
         [ Alcotest.test_case "agree on summaries" `Quick test_engines_agree ] );
