@@ -1002,7 +1002,7 @@ let search_cmd =
   in
   let budget_arg =
     Arg.(value & opt int 500 & info [ "budget" ] ~docv:"N"
-           ~doc:"Objective evaluations (random) or restarts x steps (hill).")
+           ~doc:"Number of objective evaluations to spend, for either method.")
   in
   let seed_arg =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.")
@@ -1023,9 +1023,7 @@ let search_cmd =
         let result =
           match method_ with
           | `Random -> Search.random_search ~rng ~budget ~objective plan feas
-          | `Hill ->
-            Search.hill_climb ~rng ~restarts:(max 1 (budget / 100))
-              ~steps:100 ~objective plan feas
+          | `Hill -> Search.hill_climb ~rng ~budget ~objective plan feas
         in
         (match result with
         | None -> Format.printf "no feasible point found@."

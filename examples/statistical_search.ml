@@ -43,9 +43,9 @@ let () =
       c.Tuner.score (pct c.Tuner.score) (Search.evaluations ())
   | None -> Format.printf "random search: no feasible sample@.");
 
-  (* Hill climbing. *)
+  (* Hill climbing on the same budget. *)
   Search.reset_counters ();
-  (match Search.hill_climb ~rng ~restarts:8 ~steps:150 ~objective plan feas with
+  (match Search.hill_climb ~rng ~budget ~objective plan feas with
   | Some c ->
     Format.printf
       "hill climb:    best %7.1f GF (%4.1f%% of peak), %d evaluations@."

@@ -73,9 +73,11 @@ let random_search ?rng ~budget ~objective plan feas =
     "search:random"
     (fun () -> go None budget)
 
-let hill_climb ?rng ?(restarts = 5) ?(steps = 200) ~objective plan feas =
+let hill_climb ?rng ~budget ~objective plan feas =
   let rng = setup ?rng plan feas in
   let layers = List.length plan.Plan.iter_order in
+  (* A climb stalls after this many nudges in a row improve nothing. *)
+  let patience = 4 * layers in
   (* Nudge one layer; magnitude scales with its value so big ranges move
      in useful increments. The nearest survivor is always a legal move. *)
   let move point =
@@ -85,26 +87,34 @@ let hill_climb ?rng ?(restarts = 5) ?(steps = 200) ~objective plan feas =
     targets.(dim) <- targets.(dim) + (delta * max 1 (abs targets.(dim) / 8));
     point_of (Feasible.nearest feas targets)
   in
-  let rec climb point current k =
-    if k = 0 || layers = 0 then current
+  (* Returns the climb's best point and the evaluations left; a nudge
+     that lands back on the current point costs none. *)
+  let rec climb point current stalled left =
+    if left = 0 || stalled >= patience then (current, left)
     else
       let moved = move point in
-      if moved = point then climb point current (k - 1)
+      if moved = point then climb point current (stalled + 1) left
       else
         let cand = evaluate plan ~objective moved in
-        if cand.Tuner.score > current.Tuner.score then climb moved cand (k - 1)
-        else climb point current (k - 1)
+        if cand.Tuner.score > current.Tuner.score then
+          climb moved cand 0 (left - 1)
+        else climb point current (stalled + 1) (left - 1)
   in
-  let climb_once () =
-    Feasible.sample ~rng feas
-    |> Option.map (fun p ->
-           let point = point_of p in
-           climb point (evaluate plan ~objective point) steps)
+  (* Each restart draws a fresh start and spends one evaluation on it,
+     so the loop ends after exactly [budget] evaluations. *)
+  let rec restart best i left =
+    if left <= 0 then best
+    else
+      match Feasible.sample ~rng feas with
+      | None -> None
+      | Some p ->
+        let current, left =
+          Obs.with_span ~cat:"tune" ~args:[ ("restart", Obs.Int i) ]
+            "search:climb"
+            (fun () ->
+              let point = point_of p in
+              climb point (evaluate plan ~objective point) 0 (left - 1))
+        in
+        restart (better best (Some current)) (i + 1) left
   in
-  List.fold_left
-    (fun best i ->
-      better best
-        (Obs.with_span ~cat:"tune" ~args:[ ("restart", Obs.Int i) ]
-           "search:climb" climb_once))
-    None
-    (List.init (max 0 restarts) Fun.id)
+  restart None 0 budget

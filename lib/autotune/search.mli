@@ -28,18 +28,20 @@ val random_search :
 
 val hill_climb :
   ?rng:Random.State.t ->
-  ?restarts:int ->
-  ?steps:int ->
+  budget:int ->
   objective:(Expr.lookup -> float) ->
   Plan.t ->
   Feasible.t ->
   Tuner.candidate option
-(** Stochastic hill climbing: start from a {!Feasible.sample} draw;
-    repeatedly nudge one layer's value by [max 1 (|v|/8)] up or down
-    and move to {!Feasible.nearest} of the nudged point; accept
-    improvements. [restarts] (default 5) independent climbs of [steps]
-    (default 200) moves each; returns the best point seen, [None] only
-    for an empty set.
+(** Stochastic hill climbing that spends exactly [budget] objective
+    evaluations on a non-empty set (none when [budget <= 0]). A climb
+    starts from a {!Feasible.sample} draw, repeatedly nudges one layer's
+    value by [max 1 (|v|/8)] up or down, moves to {!Feasible.nearest}
+    of the nudged point and accepts improvements. It stalls after
+    [4 * layers] nudges in a row improve nothing, and the search then
+    restarts from a fresh draw. A nudge that lands back on the current
+    point is not evaluated. Returns the best point seen, [None] for an
+    empty set or a budget below 1.
     @raise Invalid_argument as {!random_search}. *)
 
 val evaluations : unit -> int

@@ -149,7 +149,7 @@ let run_resumable ?on_hit ?checkpoint ?resume ?fault ~domains (plan : Plan.t) :
         attempt (k + 1)
       | Some (Run_config.Chunk_fatal { chunk = fatal }) when fatal = id ->
         (* Unrecoverable by design: the event lands in the flight ring
-           before the exception unwinds through Domain.join, so a
+           before the exception unwinds out of the sweep, so a
            post-mortem dump names the chunk that took the run down. *)
         Obs.instant ~cat:"engine"
           ~args:[ ("chunk", Obs.Int id) ]
@@ -198,12 +198,22 @@ let run_resumable ?on_hit ?checkpoint ?resume ?fault ~domains (plan : Plan.t) :
     in
     steal ()
   in
+  (* The calling domain is worker 0, so [domains] counts every domain
+     that sweeps; a helper is spawned only where it can claim a chunk. *)
+  let helpers = max 0 (min domains (Array.length pending) - 1) in
   let sweep () =
     (* The resumed count is reported up front so the reporter treats it
        as the base, not as throughput observed this run. *)
     Obs.chunk_tick ~completed:!completed ~total:n_chunks;
-    let spawned = List.init domains (fun dom -> Domain.spawn (worker dom)) in
-    (* Join every domain before re-raising a chunk's exception: a domain
+    let spawned =
+      List.init helpers (fun h -> Domain.spawn (worker (h + 1)))
+    in
+    let own =
+      match worker 0 () with
+      | () -> None
+      | exception e -> Some (e, Printexc.get_raw_backtrace ())
+    in
+    (* Join every helper before re-raising a chunk's exception: a domain
        left running would finish its chunk and could set
        [stop_requested] after the next sweep in this process reset it. *)
     let failures =
@@ -214,7 +224,7 @@ let run_resumable ?on_hit ?checkpoint ?resume ?fault ~domains (plan : Plan.t) :
           | exception e -> Some (e, Printexc.get_raw_backtrace ()))
         spawned
     in
-    match failures with
+    match Option.to_list own @ failures with
     | (e, bt) :: _ -> Printexc.raise_with_backtrace e bt
     | [] -> ()
   in
@@ -223,6 +233,7 @@ let run_resumable ?on_hit ?checkpoint ?resume ?fault ~domains (plan : Plan.t) :
       [
         ("space", Obs.Str plan.Plan.space_name);
         ("domains", Obs.Int domains);
+        ("helpers", Obs.Int helpers);
         ("chunks", Obs.Int n_chunks);
         ("resumed", Obs.Int (n_chunks - Array.length pending));
       ]

@@ -39,11 +39,16 @@ val run_resumable :
   Engine_intf.outcome
 (** The scheduler: a chunked work-stealing sweep over [domains] domains
     using [domains * default_chunks_per_domain] chunks, with a chunk
-    ledger. [on_hit] may be invoked from any domain but invocations are
+    ledger. The calling domain is worker 0; it spawns
+    [min domains pending - 1] helpers, where [pending] counts the chunks
+    left to sweep, so [domains = 1] and a resume with one pending chunk
+    spawn none (the [sweep:parallel] span records the count as
+    [helpers]). [on_hit] may be invoked from any domain but invocations are
     serialized behind an internal mutex, so the callback need not be
     thread-safe (it must not call back into the sweep, or it will
     deadlock). A chunk that raises stops the other workers at their next
-    chunk boundary and the exception propagates.
+    chunk boundary and the exception propagates once every helper is
+    joined.
 
     [resume] seeds the ledger with the checkpoint's completed chunks
     (and fixes the chunk-split arity to the file's [n_chunks], so a

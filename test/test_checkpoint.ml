@@ -406,6 +406,43 @@ let test_fault_with_checkpoint_and_resume () =
         reference_json
         (Stats_io.to_json (Stats_io.of_stats ~plan resumed)))
 
+(* A fatal chunk under 2 and 3 domains, at every chunk id, so some of
+   the raises happen on the calling domain and some on a helper. The
+   error surfaces only after every domain is joined: no survivor
+   callback runs once it has surfaced. The next run in the same process
+   is not stopped by the flag the failure set. *)
+let test_fatal_chunk_joins_every_domain () =
+  let plan = gemm_plan () in
+  let json stats = Stats_io.to_json (Stats_io.of_stats ~plan stats) in
+  let reference = json (Engine_staged.run plan) in
+  List.iter
+    (fun domains ->
+      let n_chunks = domains * Engine_parallel.default_chunks_per_domain in
+      for chunk = 0 to n_chunks - 1 do
+        let what = Printf.sprintf "domains:%d chunk %d" domains chunk in
+        let hits = Atomic.make 0 in
+        (match
+           Engine_parallel.run_resumable
+             ~on_hit:(fun _ -> Atomic.incr hits)
+             ~fault:(Run_config.Chunk_fatal { chunk })
+             ~domains plan
+         with
+        | _ -> Alcotest.failf "%s: finished despite the fatal fault" what
+        | exception Failure msg ->
+          Alcotest.(check string) (what ^ ": injected error")
+            (Printf.sprintf
+               "Engine_parallel: injected fatal fault on chunk %d" chunk)
+            msg);
+        let seen = Atomic.get hits in
+        Unix.sleepf 0.002;
+        Alcotest.(check int) (what ^ ": no callback after the raise") seen
+          (Atomic.get hits);
+        Alcotest.(check string) (what ^ ": next run identical to staged")
+          reference
+          (json (Engine_parallel.run ~domains plan))
+      done)
+    [ 2; 3 ]
+
 let test_bad_fault_probability_rejected () =
   let plan = triangle_plan () in
   Alcotest.check_raises "prob 1.0"
@@ -453,5 +490,7 @@ let () =
             test_fault_with_checkpoint_and_resume;
           Alcotest.test_case "bad probability rejected" `Quick
             test_bad_fault_probability_rejected;
+          Alcotest.test_case "fatal chunk joins every domain" `Quick
+            test_fatal_chunk_joins_every_domain;
         ] );
     ]

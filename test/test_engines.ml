@@ -161,6 +161,63 @@ let test_parallel_more_domains_than_trip_count () =
   Alcotest.check Support.stats_testable "stealing" seq
     (Engine_parallel.run ~domains:16 plan)
 
+(* The calling domain is worker 0 and a helper is spawned only where it
+   can claim a chunk: the [helpers] arg of the [sweep:parallel] span is
+   [min domains pending - 1]. With no helper every chunk runs on the
+   calling domain. *)
+let test_parallel_helper_count () =
+  let open Beast_obs in
+  let plan = Plan.make_exn (Support.triangle_space ()) in
+  let seq = Engine_staged.run plan in
+  let check what ~helpers f =
+    let r = Recorder.create () in
+    let ctx = { Obs.off with sink = Some (Recorder.sink r) } in
+    (match Obs.with_context ctx f with
+    | Engine_intf.Finished stats ->
+      Alcotest.check Support.stats_testable (what ^ ": stats") seq stats
+    | Engine_intf.Interrupted _ -> Alcotest.failf "%s: interrupted" what);
+    let begins =
+      List.filter
+        (fun (ev : Obs.event) ->
+          ev.ev_name = "sweep:parallel" && ev.ev_kind = Obs.Begin)
+        (Array.to_list (Recorder.events r))
+    in
+    (match begins with
+    | [ ev ] ->
+      Alcotest.(check (option int)) (what ^ ": helpers") (Some helpers)
+        (match List.assoc_opt "helpers" ev.ev_args with
+        | Some (Obs.Int n) -> Some n
+        | _ -> None)
+    | evs ->
+      Alcotest.failf "%s: %d sweep:parallel spans" what (List.length evs));
+    if helpers = 0 then
+      Alcotest.(check (list int)) (what ^ ": only the calling domain emits")
+        [ Obs.domain_id () ] (Recorder.domains r)
+  in
+  (* A checkpoint of an [n_chunks]-way split missing only [pending]. *)
+  let resume ~n_chunks pending =
+    Checkpoint.make ~plan ~shard:Stats_io.unsharded ~n_chunks
+      (List.filter_map
+         (fun index ->
+           if List.mem index pending then None
+           else
+             Some
+               ( index,
+                 Engine_staged.run
+                   (Plan.chunk_outer plan ~index ~of_:n_chunks) ))
+         (List.init n_chunks Fun.id))
+  in
+  check "domains:1" ~helpers:0 (fun () ->
+      Engine_parallel.run_resumable ~domains:1 plan);
+  check "domains:3" ~helpers:2 (fun () ->
+      Engine_parallel.run_resumable ~domains:3 plan);
+  check "resume, one pending chunk" ~helpers:0 (fun () ->
+      Engine_parallel.run_resumable ~resume:(resume ~n_chunks:16 [ 5 ])
+        ~domains:4 plan);
+  check "domains:16, three pending chunks" ~helpers:2 (fun () ->
+      Engine_parallel.run_resumable ~resume:(resume ~n_chunks:16 [ 0; 7; 15 ])
+        ~domains:16 plan)
+
 let test_parallel_firing_depth0_deduped () =
   (* A depth-0 constraint that fires runs once per chunk; the merged
      count must stay 1, as sequentially. *)
@@ -674,6 +731,7 @@ let () =
             test_parallel_more_domains_than_trip_count;
           Alcotest.test_case "firing depth-0 constraint deduped" `Quick
             test_parallel_firing_depth0_deduped;
+          Alcotest.test_case "helper count" `Quick test_parallel_helper_count;
         ] );
       ( "callbacks",
         [

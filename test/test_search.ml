@@ -48,7 +48,7 @@ let test_sample_empty_space () =
     (Search.random_search ~rng:(rng ()) ~budget:10 ~objective plan feas
     = None);
   Alcotest.(check bool) "hill climb finds nothing" true
-    (Search.hill_climb ~rng:(rng ()) ~objective plan feas = None)
+    (Search.hill_climb ~rng:(rng ()) ~budget:10 ~objective plan feas = None)
 
 let test_sample_sparse_gemm () =
   (* The motivating case: GEMM's divisor constraints make uniform draws
@@ -83,7 +83,7 @@ let test_hill_climb_improves () =
   let objective = Gemm.objective settings in
   Search.reset_counters ();
   match
-    Search.hill_climb ~rng:(rng ()) ~restarts:4 ~steps:60 ~objective plan
+    Search.hill_climb ~rng:(rng ()) ~budget:240 ~objective plan
       (feasible plan)
   with
   | None -> Alcotest.fail "no start"
@@ -92,6 +92,35 @@ let test_hill_climb_improves () =
     Alcotest.(check bool) "evaluations counted" true (Search.evaluations () > 0);
     Alcotest.(check int) "bindings cover iterators" 15
       (List.length c.Tuner.bindings)
+
+(* Both methods spend exactly [budget] objective evaluations on a set
+   that holds at least that many points. *)
+let test_budget_spent () =
+  let settings, plan = gemm_plan () in
+  let feas = feasible plan in
+  let objective = Gemm.objective settings in
+  Alcotest.(check bool) "set holds the largest budget" true
+    (Feasible.count feas >= 500);
+  List.iter
+    (fun (what, search) ->
+      List.iter
+        (fun budget ->
+          Search.reset_counters ();
+          (match search ~budget with
+          | None -> Alcotest.failf "%s: no point" what
+          | Some _ -> ());
+          Alcotest.(check int)
+            (Printf.sprintf "%s: --budget %d" what budget)
+            budget (Search.evaluations ()))
+        [ 1; 2; 7; 150; 500 ])
+    [
+      ( "random search",
+        fun ~budget ->
+          Search.random_search ~rng:(rng ()) ~budget ~objective plan feas );
+      ( "hill climb",
+        fun ~budget ->
+          Search.hill_climb ~rng:(rng ()) ~budget ~objective plan feas );
+    ]
 
 let test_search_candidates_satisfy_constraints () =
   let settings, plan = gemm_plan () in
@@ -110,7 +139,7 @@ let test_search_candidates_satisfy_constraints () =
   check "random search"
     (Search.random_search ~rng:(rng ()) ~budget:20 ~objective plan feas);
   check "hill climb"
-    (Search.hill_climb ~rng:(rng ()) ~restarts:2 ~steps:30 ~objective plan
+    (Search.hill_climb ~rng:(rng ()) ~budget:60 ~objective plan
        feas)
 
 (* A range whose naive trip count (stop - start + step - 1) / step
@@ -133,7 +162,7 @@ let test_huge_step () =
   check "random search"
     (Search.random_search ~rng:(rng ()) ~budget:5 ~objective plan feas);
   check "hill climb"
-    (Search.hill_climb ~rng:(rng ()) ~restarts:2 ~steps:10 ~objective plan
+    (Search.hill_climb ~rng:(rng ()) ~budget:20 ~objective plan
        feas)
 
 (* Draws are uniform over the survivors, not over each layer's values:
@@ -307,6 +336,7 @@ let () =
         [
           Alcotest.test_case "random search" `Quick test_random_search_finds_good;
           Alcotest.test_case "hill climb" `Quick test_hill_climb_improves;
+          Alcotest.test_case "budget spent" `Quick test_budget_spent;
           Alcotest.test_case "constraints hold" `Quick
             test_search_candidates_satisfy_constraints;
           Alcotest.test_case "overflowing trip count" `Quick test_huge_step;
