@@ -781,7 +781,7 @@ let ablation_provenance () =
   let stats, summary =
     Provenance.with_collector (fun () -> Engine_staged.run plan)
   in
-  let removed = Provenance.total_removed summary in
+  let removed = Pruned.total_removed summary in
   Printf.printf "provenance disabled: %10.3f ms/run\n" (off *. 1e-6);
   Printf.printf "provenance enabled:  %10.3f ms/run  (+%.1f%%)\n" (on *. 1e-6)
     (100.0 *. ((on /. off) -. 1.0));

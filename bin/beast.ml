@@ -665,20 +665,24 @@ let sweep_term =
                 ?metrics:(Checkpoint.run_metrics resume_ck) ?provenance
                 stats
             in
+            (* The context's collector, with --explain-out. *)
+            let provenance =
+              Option.bind (Obs.current ()).Obs.provenance (fun c ->
+                  c.Pruned.acc)
+            in
             (match stats_out with
             | None -> ()
             | Some file ->
               Stats_io.write_file file
                 (record ?run_id:cfg.Run_config.run_id ());
               Format.eprintf "wrote sweep statistics to %s@." file);
-            (match (cfg.Run_config.explain_out, Provenance.current ()) with
-            | Some file, Some collector ->
+            (match (cfg.Run_config.explain_out, provenance) with
+            | Some file, Some provenance ->
               (* The explain file is the stats file plus the provenance
                  section (and the metrics, when recorded), so beast
                  merge/report/explain all read it. *)
               Stats_io.write_file file
-                (record ?run_id:cfg.Run_config.run_id
-                   ~provenance:(Provenance.summary collector) ());
+                (record ?run_id:cfg.Run_config.run_id ~provenance ());
               Format.eprintf "wrote pruning provenance to %s@." file
             | _ -> ());
             (* Archive ingestion happens last and never fails the run: a
@@ -688,12 +692,7 @@ let sweep_term =
                the trends timeline actually accumulates. *)
             (if cfg.Run_config.archive then begin
                let dir = resolve_archive_dir cfg.Run_config.archive_dir in
-               let record =
-                 record ?run_id
-                   ?provenance:
-                     (Option.map Provenance.summary (Provenance.current ()))
-                   ()
-               in
+               let record = record ?run_id ?provenance () in
                match
                  Archive.ingest ~dir ~engine:E.name
                    ?commit:(Archive.commit_from_env ())
@@ -1019,7 +1018,6 @@ let search_cmd =
     let feas = build () in
     with_config ~space:space_name ~engine:"search" cfg (fun _run_id ->
         let rng = Random.State.make [| seed |] in
-        Search.reset_counters ();
         let result =
           match method_ with
           | `Random -> Search.random_search ~rng ~budget ~objective plan feas
@@ -1033,7 +1031,8 @@ let search_cmd =
           | Some p when p > 0.0 ->
             Format.printf " (%.1f%% of peak)" (100.0 *. c.Tuner.score /. p)
           | _ -> ());
-          Format.printf " after %d evaluations@." (Search.evaluations ());
+          (* Both methods spend exactly [budget] on a non-empty set. *)
+          Format.printf " after %d evaluations@." budget;
           List.iter
             (fun (n, v) -> Format.printf "  %s = %s@." n (Value.to_string v))
             c.Tuner.bindings);

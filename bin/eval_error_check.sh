@@ -27,9 +27,11 @@
 # and exit 2. A bad `tune --retries`, `--backoff` or `--timeout`,
 # `occupancy --device` or `search --budget` is one stderr line naming
 # it, exit 2 and no output. Where /dev/full exists, a stdout that takes
-# no output makes count, sample, explain and sweep print one
-# "beast: ..." line and exit 1, with no second report from the flush
-# at exit.
+# no output makes every command that prints (count, sample, explain,
+# sweep, enumerate, engines, export, dot, codegen, occupancy, tune,
+# search, funnel, merge, report, runs, top --once, diff, archive list,
+# archive show, trends) print one "beast: ..." line and exit 1, with
+# no second report from the flush at exit.
 # Usage: sh eval_error_check.sh path/to/beast.exe zero_step.beast
 beast=$1
 space=$2
@@ -244,11 +246,25 @@ done
 
 if [ -w /dev/full ]; then
   dir=$(mktemp -d)
-  "$beast" sweep gemm --max-dim 12 --max-threads 32 --explain-out "$dir/E" \
-    >/dev/null 2>&1 ||
-    { echo "sweep --explain-out failed" >&2; rm -rf "$dir"; exit 1; }
-  for cmd in 'count synth' 'sample synth -n 3' "explain $dir/E" \
-    'sweep gemm --max-dim 12 --max-threads 32'; do
+  g='gemm --max-dim 12 --max-threads 32'
+  # Fixtures: an explain file, a run record, two archived runs, a
+  # metrics file and two shards.
+  { "$beast" sweep $g --explain-out "$dir/E" --runs "$dir/runs" \
+      --archive --archive-dir "$dir/A" &&
+    "$beast" sweep $g --engine vm --metrics --stats-out "$dir/M" \
+      --archive --archive-dir "$dir/A" &&
+    "$beast" sweep $g --shard 0/2 --stats-out "$dir/S0" &&
+    "$beast" sweep $g --shard 1/2 --stats-out "$dir/S1"; } >/dev/null 2>&1 ||
+    { echo "the /dev/full fixtures failed" >&2; rm -rf "$dir"; exit 1; }
+  set -- $(ls "$dir/A" | sed 's/\.json$//')
+  record=$(ls "$dir"/runs/*.json)
+  for cmd in 'count synth' 'sample synth -n 3' "explain $dir/E" "sweep $g" \
+    "enumerate $g" engines "export $g" "dot $g" "codegen $g" \
+    'occupancy 256 32 4096' "tune $g" "search $g --budget 20" "funnel $g" \
+    "merge $dir/S0 $dir/S1" "report $dir/M" "runs $dir/runs" \
+    "top --once $record" "diff --dir $dir/A $1 $2" \
+    "archive list --dir $dir/A" "archive show --dir $dir/A $1" \
+    "trends --dir $dir/A"; do
     err=$("$beast" $cmd 2>&1 >/dev/full)
     code=$?
     lines=$(printf '%s\n' "$err" | wc -l)

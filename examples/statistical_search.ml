@@ -33,23 +33,22 @@ let () =
     "exhaustive:    best %7.1f GF (%4.1f%% of peak), %d evaluations@."
     best_exhaustive (pct best_exhaustive) exhaustive.Tuner.evaluated;
 
-  (* Random search at a fraction of the budget. *)
-  Search.reset_counters ();
+  (* Random search at a fraction of the budget; on a non-empty set both
+     methods spend exactly [budget] evaluations. *)
   let budget = max 50 (exhaustive.Tuner.evaluated / 100) in
   (match Search.random_search ~rng ~budget ~objective plan feas with
   | Some c ->
     Format.printf
       "random search: best %7.1f GF (%4.1f%% of peak), %d evaluations (1%% of budget)@."
-      c.Tuner.score (pct c.Tuner.score) (Search.evaluations ())
+      c.Tuner.score (pct c.Tuner.score) budget
   | None -> Format.printf "random search: no feasible sample@.");
 
   (* Hill climbing on the same budget. *)
-  Search.reset_counters ();
   (match Search.hill_climb ~rng ~budget ~objective plan feas with
   | Some c ->
     Format.printf
       "hill climb:    best %7.1f GF (%4.1f%% of peak), %d evaluations@."
-      c.Tuner.score (pct c.Tuner.score) (Search.evaluations ());
+      c.Tuner.score (pct c.Tuner.score) budget;
     Format.printf "               config:";
     List.iter
       (fun (n, v) -> Format.printf " %s=%s" n (Value.to_string v))

@@ -1,10 +1,6 @@
 open Beast_core
 open Beast_obs
 
-let eval_count = ref 0
-let evaluations () = !eval_count
-let reset_counters () = eval_count := 0
-
 (* The slot vector of one feasible point (iterator values in layer
    order). The iterators take the point's values; the single path they
    select is walked to compute each derive and re-run each check as a
@@ -37,7 +33,6 @@ let point_of feasible_point = Array.of_list (List.map snd feasible_point)
 
 let evaluate plan ~objective point =
   let lookup = Plan.lookup_of_slots plan (bind plan point) in
-  incr eval_count;
   let score = objective lookup in
   Obs.instant ~cat:"tune" ~args:[ ("score", Obs.Float score) ] "search:eval";
   {

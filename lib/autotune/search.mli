@@ -43,9 +43,3 @@ val hill_climb :
     point is not evaluated. Returns the best point seen, [None] for an
     empty set or a budget below 1.
     @raise Invalid_argument as {!random_search}. *)
-
-val evaluations : unit -> int
-(** Number of objective evaluations since the last {!reset_counters} —
-    lets examples compare search cost against exhaustive sweeps. *)
-
-val reset_counters : unit -> unit

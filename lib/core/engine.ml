@@ -68,7 +68,7 @@ module Run = struct
   type t = {
     plan : Plan.t;
     instrumented : bool;
-    prov : (Provenance.t * Provenance.local) option;
+    prov : (Pruned.collector * Provenance.local) option;
     metrics : Metrics.t option;
     eval_hists : Metrics.histogram array option;
     pruned : int array;
@@ -95,13 +95,13 @@ module Run = struct
       plan;
       instrumented = ctx.Obs.instrumented;
       (* Provenance accumulates into a run-private local (no
-         synchronization in the hot path) published into the ambient
+         synchronization in the hot path) added to the context's
          collector by [finish], so parallel chunk runs compose by
          summation. *)
       prov =
         Option.map
           (fun c -> (c, Provenance.local_of (Provenance.attribution plan)))
-          (Provenance.current ());
+          ctx.Obs.provenance;
       metrics;
       eval_hists =
         Option.map
@@ -183,7 +183,8 @@ module Run = struct
     if r.instrumented && Obs.enabled () then emit_aggregates r;
     Option.iter
       (fun (collector, local) ->
-        Provenance.publish collector ~depth_entries:r.depth_entries local)
+        Pruned.add collector
+          (Provenance.summary_of_local ~depth_entries:r.depth_entries local))
       r.prov;
     (* Counters add across chunks and shards, so per-run adds compose. *)
     Option.iter

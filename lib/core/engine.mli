@@ -69,8 +69,8 @@ module Run : sig
     plan : Plan.t;
     instrumented : bool;
         (** {!instrumenting}, decided once, at {!start} *)
-    prov : (Provenance.t * Provenance.local) option;
-        (** the ambient collector and this run's private accumulator,
+    prov : (Beast_obs.Pruned.collector * Provenance.local) option;
+        (** the context's collector and this run's private accumulator,
             when provenance is on *)
     metrics : Beast_obs.Metrics.t option;
     eval_hists : Beast_obs.Metrics.histogram array option;
@@ -96,7 +96,7 @@ module Run : sig
       progress / points-per-second. *)
 
   val start : Plan.t -> t
-  (** Read the Obs context and the Provenance collector once and
+  (** Read the Obs context (its provenance collector too) once and
       allocate the per-constraint and per-depth arrays. *)
 
   val charge : t -> int -> int -> unit
@@ -120,6 +120,7 @@ module Run : sig
 
   val finish : t -> survivors:int -> loop_iterations:int -> stats
   (** Emit the per-constraint and per-level aggregates (tracing only),
-      the provenance publish, the [loop_entries_total] counters (metrics
-      only) and {!report_totals}; return the run's statistics. *)
+      add the run's provenance summary to the collector, bump the
+      [loop_entries_total] counters (metrics only) and call
+      {!report_totals}; return the run's statistics. *)
 end

@@ -8,7 +8,7 @@
    outermost iterator's VALUE, so they sum across any chunk or shard
    split. *)
 
-module Jsonx = Beast_obs.Jsonx
+open Beast_obs
 
 type removal = Feasible.sub_nest =
   | Static of int
@@ -76,20 +76,19 @@ let local_of at =
     l_last = None;
   }
 
-let cell_of tbl v =
-  match Hashtbl.find_opt tbl v with
-  | Some c -> c
-  | None ->
-    let c = { ca_survivors = 0; ca_removed = 0 } in
-    Hashtbl.replace tbl v c;
-    c
-
 let outer_cell local slots =
   let v = slots.(local.lat.at_outer_slot) in
   match local.l_last with
   | Some (w, c) when w = v -> c
   | _ ->
-    let c = cell_of local.l_cells v in
+    let c =
+      match Hashtbl.find_opt local.l_cells v with
+      | Some c -> c
+      | None ->
+        let c = { ca_survivors = 0; ca_removed = 0 } in
+        Hashtbl.replace local.l_cells v c;
+        c
+    in
     local.l_last <- Some (v, c);
     c
 
@@ -131,213 +130,61 @@ let hit local slots =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Ambient collector                                                   *)
+(* Summaries: plain data in Beast_obs.Pruned, summed by its one merge   *)
 (* ------------------------------------------------------------------ *)
 
-type schema = {
-  s_names : string array;
-  s_depths : int array;
-  s_iters : string list;
-  s_n_loops : int;
-}
-
-type t = {
-  mutex : Mutex.t;
-  mutable schema : schema option;
-  mutable g_removed : int array;
-  mutable g_exact : bool array;
-  mutable g_depth_entries : int array;
-  g_cells : (int, cell_acc) Hashtbl.t;
-}
-
-let create () =
-  {
-    mutex = Mutex.create ();
-    schema = None;
-    g_removed = [||];
-    g_exact = [||];
-    g_depth_entries = [||];
-    g_cells = Hashtbl.create 64;
-  }
-
-(* Same discipline as the Obs context: a plain shared slot, read once per
-   run before any domain spawns, so the engines' disabled path is one
-   load-and-branch. [with_current] is its only writer. *)
-let current_ref : t option ref = ref None
-
-let with_current c f =
-  let prev = !current_ref in
-  current_ref := Some c;
-  Fun.protect ~finally:(fun () -> current_ref := prev) f
-
-let current () = !current_ref
-let enabled () = !current_ref <> None
-
-let publish t ~depth_entries local =
-  let at = local.lat in
-  Mutex.lock t.mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mutex)
-    (fun () ->
-      (match t.schema with
-      | None ->
-        t.schema <-
-          Some
-            {
-              s_names = at.at_names;
-              s_depths = at.at_depth;
-              s_iters = at.at_iters;
-              s_n_loops = at.at_n_loops;
-            };
-        t.g_removed <- Array.make (Array.length at.at_names) 0;
-        t.g_exact <- Array.make (Array.length at.at_names) true;
-        t.g_depth_entries <- Array.make at.at_n_loops 0
-      | Some s ->
-        if Array.length s.s_names <> Array.length at.at_names then
-          invalid_arg "Provenance.publish: runs disagree on the constraint list");
-      Array.iteri
-        (fun i _ ->
-          t.g_removed.(i) <- t.g_removed.(i) + local.l_removed.(i);
-          t.g_exact.(i) <- t.g_exact.(i) && local.l_exact.(i))
-        t.g_removed;
-      let n = min (Array.length t.g_depth_entries) (Array.length depth_entries) in
-      for d = 0 to n - 1 do
-        t.g_depth_entries.(d) <- t.g_depth_entries.(d) + depth_entries.(d)
-      done;
-      Hashtbl.iter
-        (fun v (c : cell_acc) ->
-          let g = cell_of t.g_cells v in
-          g.ca_survivors <- g.ca_survivors + c.ca_survivors;
-          g.ca_removed <- g.ca_removed + c.ca_removed)
-        local.l_cells)
-
-(* ------------------------------------------------------------------ *)
-(* Summaries                                                           *)
-(* ------------------------------------------------------------------ *)
-
-type crow = {
+type crow = Pruned.crow = {
   pc_name : string;
   pc_depth : int;
   pc_removed : int option;
 }
 
-type cell = {
+type cell = Pruned.cell = {
   cell_value : int;
   cell_survivors : int;
   cell_removed : int;
 }
 
-type summary = {
+type summary = Pruned.summary = {
   pv_iters : string list;
   pv_constraints : crow list;
   pv_depth_entries : int list;
   pv_cells : cell list;
 }
 
-let cells_sorted tbl =
-  Hashtbl.fold
-    (fun v (c : cell_acc) acc ->
-      { cell_value = v; cell_survivors = c.ca_survivors;
-        cell_removed = c.ca_removed }
-      :: acc)
-    tbl []
-  |> List.sort (fun a b -> compare a.cell_value b.cell_value)
+let summary_of_local ~depth_entries local =
+  let at = local.lat in
+  {
+    pv_iters = at.at_iters;
+    pv_constraints =
+      List.init (Array.length at.at_names) (fun i ->
+          {
+            pc_name = at.at_names.(i);
+            pc_depth = at.at_depth.(i);
+            pc_removed =
+              (if local.l_exact.(i) then Some local.l_removed.(i) else None);
+          });
+    pv_depth_entries = List.init at.at_n_loops (fun d -> depth_entries.(d));
+    pv_cells =
+      Hashtbl.fold
+        (fun v (c : cell_acc) acc ->
+          { cell_value = v; cell_survivors = c.ca_survivors;
+            cell_removed = c.ca_removed }
+          :: acc)
+        local.l_cells []
+      |> List.sort (fun a b -> compare a.cell_value b.cell_value);
+  }
 
-let summary t =
-  Mutex.lock t.mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mutex)
-    (fun () ->
-      match t.schema with
-      | None -> invalid_arg "Provenance.summary: nothing was published"
-      | Some s ->
-        {
-          pv_iters = s.s_iters;
-          pv_constraints =
-            List.init (Array.length s.s_names) (fun i ->
-                {
-                  pc_name = s.s_names.(i);
-                  pc_depth = s.s_depths.(i);
-                  pc_removed =
-                    (if t.g_exact.(i) then Some t.g_removed.(i) else None);
-                });
-          pv_depth_entries = Array.to_list t.g_depth_entries;
-          pv_cells = cells_sorted t.g_cells;
-        })
-
-let total_removed s =
-  List.fold_left
-    (fun acc r ->
-      match (acc, r.pc_removed) with
-      | Some a, Some k -> Some (a + k)
-      | _ -> None)
-    (Some 0) s.pv_constraints
+let enabled () = (Obs.current ()).Obs.provenance <> None
 
 let with_collector f =
-  let c = create () in
-  let x = with_current c f in
-  (x, summary c)
-
-let merge_summaries = function
-  | [] -> Error "no provenance sections given"
-  | first :: rest as all ->
-    if List.exists (fun s -> s.pv_iters <> first.pv_iters) rest then
-      Error "provenance: shards disagree on the loop order"
-    else if
-      List.exists
-        (fun s ->
-          List.length s.pv_constraints <> List.length first.pv_constraints
-          || not
-               (List.for_all2
-                  (fun a b -> a.pc_name = b.pc_name && a.pc_depth = b.pc_depth)
-                  s.pv_constraints first.pv_constraints))
-        rest
-    then Error "provenance: shards disagree on the constraint list"
-    else if
-      List.exists
-        (fun s ->
-          List.length s.pv_depth_entries <> List.length first.pv_depth_entries)
-        rest
-    then Error "provenance: shards disagree on the loop depth count"
-    else begin
-      let constraints =
-        List.mapi
-          (fun i r ->
-            let removed =
-              List.fold_left
-                (fun acc s ->
-                  match (acc, (List.nth s.pv_constraints i).pc_removed) with
-                  | Some a, Some k -> Some (a + k)
-                  | _ -> None)
-                (Some 0) all
-            in
-            { r with pc_removed = removed })
-          first.pv_constraints
-      in
-      let depth_entries =
-        List.fold_left
-          (fun acc s -> List.map2 ( + ) acc s.pv_depth_entries)
-          (List.map (fun _ -> 0) first.pv_depth_entries)
-          all
-      in
-      let tbl : (int, cell_acc) Hashtbl.t = Hashtbl.create 64 in
-      List.iter
-        (fun s ->
-          List.iter
-            (fun c ->
-              let g = cell_of tbl c.cell_value in
-              g.ca_survivors <- g.ca_survivors + c.cell_survivors;
-              g.ca_removed <- g.ca_removed + c.cell_removed)
-            s.pv_cells)
-        all;
-      Ok
-        {
-          pv_iters = first.pv_iters;
-          pv_constraints = constraints;
-          pv_depth_entries = depth_entries;
-          pv_cells = cells_sorted tbl;
-        }
-    end
+  let c = Pruned.collector () in
+  let x =
+    Obs.with_context { (Obs.current ()) with Obs.provenance = Some c } f
+  in
+  match c.Pruned.acc with
+  | Some s -> (x, s)
+  | None -> invalid_arg "Provenance.with_collector: no run was collected"
 
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                       *)

@@ -34,11 +34,13 @@
     re-sort deterministically, which is what makes merged shard
     provenance byte-identical to an unsharded run's.
 
-    Collection follows the [Obs.current] discipline: engines check
-    {!current} once per run, accumulate into a private {!local} with no
-    synchronization, and {!publish} it under the collector's mutex at
-    run end. With no collector installed the engines' uninstrumented
-    paths are compiled, so the disabled cost is zero. *)
+    The collector is the [provenance] field of the run's
+    {!Beast_obs.Obs.ctx}, the one ambient slot: engines read it once per
+    run, accumulate into a private {!local} with no synchronization, and
+    at run end add {!summary_of_local} to it, so chunks, runs and shard
+    files all sum by one merge, {!merge_summaries}. With no collector
+    installed the engines' uninstrumented paths are compiled, so the
+    disabled cost is zero. *)
 
 (** {2 Attribution (per plan)} *)
 
@@ -77,64 +79,47 @@ val static_fire : local -> int array -> slot:int -> value:int -> int -> unit
 val hit : local -> int array -> unit
 (** A point survived: credit the current outer-value cell. *)
 
-(** {2 Ambient collector} *)
+(** {2 Summaries (what {!Stats_io} serializes)}
 
-type t
+    Plain data defined in {!Beast_obs.Pruned}, re-exported here;
+    [Pruned.merge_summaries] sums them and [Pruned.total_removed]
+    totals one. *)
 
-val create : unit -> t
-
-val with_current : t -> (unit -> 'a) -> 'a
-(** Make [t] the ambient collector for the duration of the callback,
-    restoring the previous one when it returns or raises. *)
-
-val current : unit -> t option
-val enabled : unit -> bool
-
-val publish : t -> depth_entries:int array -> local -> unit
-(** Fold a run's accumulator into the collector (thread-safe; parallel
-    chunk runs publish independently and the sums compose).
-    [depth_entries] is the engine's per-depth loop-entry array; entries
-    beyond the plan's loop count are ignored. *)
-
-(** {2 Summaries (what {!Stats_io} serializes)} *)
-
-type crow = {
+type crow = Beast_obs.Pruned.crow = {
   pc_name : string;
   pc_depth : int;  (** rejection depth: 0 = before the first loop *)
   pc_removed : int option;  (** [None] when attribution is inexact *)
 }
 
-type cell = {
+type cell = Beast_obs.Pruned.cell = {
   cell_value : int;  (** outermost-iterator value *)
   cell_survivors : int;
   cell_removed : int;  (** exactly-attributed removals under this value *)
 }
 
-type summary = {
+type summary = Beast_obs.Pruned.summary = {
   pv_iters : string list;  (** loop variables, outermost first *)
   pv_constraints : crow list;  (** by [c_index] *)
   pv_depth_entries : int list;  (** loop entries per depth *)
   pv_cells : cell list;  (** sorted by [cell_value] *)
 }
 
-val summary : t -> summary
-(** Raises [Invalid_argument] if nothing was ever published. *)
+val summary_of_local : depth_entries:int array -> local -> summary
+(** A run's summary. [depth_entries] is the engine's per-depth
+    loop-entry array; entries beyond the plan's loop count are
+    ignored. *)
 
-val total_removed : summary -> int option
-(** Sum of the per-constraint removal counts; [None] when any
-    constraint's attribution is inexact. *)
+(** {2 The collector in the run's context} *)
 
-val merge_summaries : summary list -> (summary, string) result
-(** Shard merge: constraint names/depths and the loop order must agree;
-    removal counts and depth entries sum ([None] is contagious), cells
-    union by value, summing fields, and re-sort. [merge_summaries]
-    of per-shard summaries equals the summary an unsharded run
-    collects, bucket for bucket. *)
+val enabled : unit -> bool
+(** Whether the installed context has a collector. *)
 
 val with_collector : (unit -> 'a) -> 'a * summary
-(** Install a fresh collector around [f] (restoring any previous one),
-    returning [f]'s result and the collected summary — how
-    {!Stats.funnel} runs one provenance-enabled sweep. *)
+(** Run [f] under the current context plus a fresh collector (so an
+    installed sink, tally or registry stays), restoring the context
+    afterwards; returns [f]'s result and the collected summary — how
+    {!Stats.funnel} runs one provenance-enabled sweep. Raises
+    [Invalid_argument] when no run was collected. *)
 
 (** {2 Serialization} *)
 

@@ -187,7 +187,12 @@ let with_instrumentation ?(outputs = []) ~space ~engine t f =
     | _ -> None
   in
   let trace = Option.map (fun file -> (file, Recorder.create ())) t.trace in
-  let flight = Option.map (fun file -> (file, Flight.create ())) t.flight in
+  (* The flight recording keeps each domain's last 512 events. *)
+  let flight =
+    Option.map
+      (fun file -> (file, Recorder.create ~capacity:512 ()))
+      t.flight
+  in
   let registry = if metrics_enabled t then Some (Metrics.create ()) else None in
   let reporter = if t.progress then Option.map Progress.create tally else None in
   let ctx =
@@ -195,15 +200,22 @@ let with_instrumentation ?(outputs = []) ~space ~engine t f =
       Obs.sink =
         (match (trace, flight) with
         | None, None -> None
-        | Some (_, r), None -> Some (Recorder.sink r)
-        | None, Some (_, fl) -> Some (Flight.sink fl)
-        | Some (_, r), Some (_, fl) -> Some (Flight.tee fl (Recorder.sink r)));
-      (* A flight ring or a run record alone keeps the plain path:
+        | Some (_, r), None | None, Some (_, r) -> Some (Recorder.sink r)
+        | Some (_, r), Some (_, fl) ->
+          Some
+            (fun ev ->
+              Recorder.sink fl ev;
+              Recorder.sink r ev));
+      (* A flight recording or a run record alone keeps the plain path:
          they want the run's final moments and once-per-chunk ticks, and
          must not slow the sweep down. *)
       instrumented = trace <> None || t.progress || registry <> None;
       tally;
       metrics = registry;
+      (* The caller reads the collector inside [f]: the explain file
+         needs the plan and shard tag, which only it has. *)
+      provenance =
+        (if t.explain_out = None then None else Some (Pruned.collector ()));
     }
   in
   let run () =
@@ -221,10 +233,7 @@ let with_instrumentation ?(outputs = []) ~space ~engine t f =
         | Some (i, n) -> [ ("shard_index", Obs.Int i); ("shard_of", Obs.Int n) ]
         )
       "run:meta";
-    (* The caller reads the collector (Provenance.current) inside [f]:
-       the explain file needs the plan and shard tag, which only it has. *)
-    if t.explain_out = None then f run_id
-    else Provenance.with_current (Provenance.create ()) (fun () -> f run_id)
+    f run_id
   in
   let result =
     match Obs.with_context ctx run with
@@ -254,7 +263,7 @@ let with_instrumentation ?(outputs = []) ~space ~engine t f =
         (fun () ->
           Option.iter
             (fun (file, fl) ->
-              let n = Flight.dump fl file in
+              let n = Recorder.dump fl file in
               Format.eprintf "wrote flight recording (%d events) to %s@." n
                 file)
             flight);

@@ -51,8 +51,9 @@ type t = {
   status_every_s : float;
       (** seconds between run-record rewrites; 0 = every tick *)
   flight : string option;
-      (** keep a flight-recorder ring of recent events and dump it here
-          as JSONL at exit (clean, interrupted or crashed) *)
+      (** keep each domain's last 512 events (a
+          {!Beast_obs.Recorder} with a capacity) and dump them here as
+          JSONL at exit (clean, interrupted or crashed) *)
   archive : bool;
       (** ingest the run's stats record into the cross-run archive on
           clean completion *)
@@ -96,18 +97,18 @@ val with_instrumentation :
     touched.
 
     The callback runs under one {!Beast_obs.Obs.ctx}: the trace
-    recorder and/or flight ring as its sink, one progress tally (with
+    and/or flight recorder as its sink, one progress tally (with
     [progress] or [runs_dir]) drawn by the terminal reporter and/or the
-    run record's heartbeat, the metrics registry, and the
-    [instrumented] decision (tracing, terminal progress or metrics on).
-    With [explain_out] a {!Provenance} collector is ambient too; the
-    callback reads [Provenance.current ()]'s summary itself
-    (serialization needs the plan and shard tag, which only it has).
+    run record's heartbeat, the metrics registry, the
+    [instrumented] decision (tracing, terminal progress or metrics on)
+    and, with [explain_out], a provenance collector; the callback reads
+    the collector's summary itself (serialization needs the plan and
+    shard tag, which only it has).
     [run_id] and [space] are stamped into a ["run:meta"] instant event
     at the head of the event stream.
 
     On every exit path the context is uninstalled, the progress line
-    finished, and the metrics, flight ring and trace written
+    finished, and the metrics, flight recording and trace written
     ({!Beast_obs.Jsonx.write_with}), each even when another failed. The
     record is then finalized with how the run ended: 0 completed, 3
     interrupted, another code crashed, an exception crashed with 1 for

@@ -203,7 +203,7 @@ let merge_provenance shards =
   | _, [] ->
     Result.map
       (fun p -> Some p)
-      (Provenance.merge_summaries
+      (Beast_obs.Pruned.merge_summaries
          (List.filter_map (fun s -> s.provenance) shards))
   | _, _ -> Error "some shards carry provenance and some do not"
 

@@ -98,7 +98,7 @@ val merge : t list -> (t, string) result
     log-bucketed histograms), giving exact fleet-level percentiles; it
     is an error if only some shards carry metrics.
 
-    Provenance summaries merge with {!Provenance.merge_summaries}
+    Provenance summaries merge with {!Beast_obs.Pruned.merge_summaries}
     (removal counts and depth entries sum, survivor-density cells union
     by outer value), so merged shard provenance is byte-identical to an
     unsharded instrumented run's; it is an error if only some shards

@@ -7,9 +7,10 @@
     which makes bucket-wise addition of two histograms exactly the
     histogram of the pooled samples — shard merges are lossless.
 
-    Recording writes into per-domain cells (no locks on the hot path,
-    same pattern as {!Recorder}); the registry mutex is only taken on a
-    domain's first touch of a metric and when snapshotting. A run's
+    Recording writes into per-domain cells ({!cell_for}, which
+    {!Recorder} shares; no locks on the hot path); the registry mutex is
+    only taken on a domain's first touch of a metric and when
+    snapshotting. A run's
     registry is the [metrics] field of its {!Obs.ctx}. *)
 
 (** {2 Bucket grid} *)
@@ -37,6 +38,16 @@ val record : histogram -> int -> unit
 val add : counter -> int -> unit
 val incr : counter -> unit
 val set_gauge : gauge -> float -> unit
+
+val cell_for :
+  mutex:Mutex.t ->
+  cells:(int, 'a) Hashtbl.t ->
+  key:'a option Domain.DLS.key ->
+  make:(unit -> 'a) ->
+  'a
+(** The calling domain's cell: cached in [key] after the first call;
+    else found in, or [make]d and added to, [cells] (keyed by domain id)
+    under [mutex]. *)
 
 (** {2 Registry} *)
 

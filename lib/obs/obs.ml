@@ -26,9 +26,12 @@ type ctx = {
   instrumented : bool;
   tally : Tally.t option;
   metrics : Metrics.t option;
+  provenance : Pruned.collector option;
 }
 
-let off = { sink = None; instrumented = false; tally = None; metrics = None }
+let off =
+  { sink = None; instrumented = false; tally = None; metrics = None;
+    provenance = None }
 
 (* The one slot. The hot-path contract: with no context installed an
    emission (and every clock read feeding one) costs a single
@@ -43,7 +46,8 @@ let with_context ctx f =
   (* A plain run installs as nothing, so it keeps that contract. *)
   slot :=
     (match ctx with
-    | { sink = None; instrumented = false; tally = None; metrics = None } ->
+    | { sink = None; instrumented = false; tally = None; metrics = None;
+        provenance = None } ->
       None
     | _ -> Some ctx);
   Fun.protect ~finally:(fun () -> slot := prev) f

@@ -1,15 +1,14 @@
-(** The observability event model and the per-run instrumentation
-    context.
+(** The observability event model and the per-run context.
 
-    Monotonic-clock spans, instant events and sampled counters flow into
-    the {!sink} of the installed {!ctx}, which also carries the run's
-    progress {!Tally} and {!Metrics} registry. A run installs one
-    context with {!with_context} ([Run_config.with_instrumentation]
-    builds it from a run's configuration); engines read it once per run
-    with {!current}. With no context installed every emission helper
-    reduces to a single load-and-branch, so instrumented hot paths stay
-    within the engines' performance budget (measured in
-    [bench/main.ml]).
+    One context per run, one slot: monotonic-clock spans, instant events
+    and sampled counters flow into the {!sink} of the installed {!ctx},
+    which also carries the run's progress {!Tally}, {!Metrics} registry
+    and {!Pruned} provenance collector. A run installs its context with
+    {!with_context} ([Run_config.with_instrumentation] builds it from a
+    run's configuration); engines read it once per run with {!current}.
+    With no context installed every emission helper reduces to a single
+    load-and-branch, so instrumented hot paths stay within the engines'
+    performance budget (measured in [bench/main.ml]).
 
     Events are tagged with the emitting domain's id; thread-safety of
     concurrent emission is the sink's responsibility ({!Recorder} keeps
@@ -56,6 +55,8 @@ type ctx = {
           path. *)
   tally : Tally.t option;  (** fed by {!progress_tick} and {!chunk_tick} *)
   metrics : Metrics.t option;
+  provenance : Pruned.collector option;
+      (** engines add each run's pruning summary to it ([--explain-out]) *)
 }
 
 val off : ctx

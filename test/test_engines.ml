@@ -525,8 +525,7 @@ let prop_provenance_keeps_staged_stats =
     Support.arb_space (fun descr ->
       let plan = Plan.make_exn (Support.space_of descr) in
       Engine_staged.run plan
-      = Provenance.with_current (Provenance.create ()) (fun () ->
-            Engine_staged.run plan))
+      = fst (Provenance.with_collector (fun () -> Engine_staged.run plan)))
 
 let prop_work_stealing_matches_staged =
   QCheck.Test.make ~name:"work-stealing sweep reproduces staged stats"

@@ -278,7 +278,8 @@ let prop_matches_brute_attribution =
                      (Hashtbl.find_opt removed r.Provenance.pc_name)))
             summary.Provenance.pv_constraints
           && stats.Engine.survivors = survivors
-          && Provenance.total_removed summary = Some (total - survivors))
+          && Beast_obs.Pruned.total_removed summary
+             = Some (total - survivors))
         [ plan; Propagate.pass plan ])
 
 (* ------------------------------------------------------------------ *)
@@ -418,7 +419,7 @@ let test_engines_agree () =
       Alcotest.(check (option int))
         (label ^ ": exact total removed")
         (Some total)
-        (Provenance.total_removed staged))
+        (Beast_obs.Pruned.total_removed staged))
     [
       ("triangle", Support.triangle_space, 18);
       ( "GEMM-20",
@@ -493,7 +494,7 @@ let test_shard_merge_mixed_presence () =
 let test_merge_summaries_mismatch () =
   let s1 = collect_with Engine_staged.run (Support.triangle_space ()) in
   let s2 = collect_with Engine_staged.run (Support.mixed_space ()) in
-  match Provenance.merge_summaries [ s1; s2 ] with
+  match Beast_obs.Pruned.merge_summaries [ s1; s2 ] with
   | Ok _ -> Alcotest.fail "summaries of different spaces must not merge"
   | Error _ -> ()
 
@@ -510,13 +511,29 @@ let test_disabled_no_provenance () =
     (contains json "\"provenance\"")
 
 let test_with_collector_restores () =
-  Alcotest.(check bool) "off before" false (Provenance.enabled ());
-  let (), _ =
-    Provenance.with_collector (fun () ->
-        Alcotest.(check bool) "on inside" true (Provenance.enabled ());
-        ignore (Engine_staged.run_space (Support.triangle_space ())))
+  let collect () =
+    Alcotest.(check bool) "off before" false (Provenance.enabled ());
+    let (), _ =
+      Provenance.with_collector (fun () ->
+          Alcotest.(check bool) "on inside" true (Provenance.enabled ());
+          ignore (Engine_staged.run_space (Support.triangle_space ())))
+    in
+    Alcotest.(check bool) "off after" false (Provenance.enabled ())
   in
-  Alcotest.(check bool) "off after" false (Provenance.enabled ())
+  collect ();
+  (* Under a traced context the collector joins it: the sink stays
+     installed inside, and the earlier context is back afterwards. *)
+  let open Beast_obs in
+  let r = Recorder.create () in
+  let ctx = { Obs.off with Obs.sink = Some (Recorder.sink r) } in
+  Obs.with_context ctx (fun () ->
+      collect ();
+      Alcotest.(check bool) "the traced context is back" true
+        (Obs.current () == ctx));
+  Alcotest.(check bool) "the sweep span reached the recorder" true
+    (Array.exists
+       (fun (ev : Obs.event) -> ev.ev_name = "sweep:staged")
+       (Recorder.events r))
 
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                       *)

@@ -94,7 +94,8 @@ let with_files f =
 
 (* Each row: the config, and whether the run is instrumented (engines
    compile their timing/sampling paths), traced (a sink receives
-   events) and explained (a provenance collector is ambient). Flight
+   events) and explained (the context holds a provenance collector);
+   one context carries all three. Flight
    and the run record are coarse consumers: they ride on the plain
    path. *)
 let matrix ~trace ~flight ~runs ~metrics_out ~explain_out =
@@ -117,6 +118,9 @@ let matrix ~trace ~flight ~runs ~metrics_out ~explain_out =
     ( "trace+flight",
       { d with Run_config.trace = Some trace; flight = Some flight },
       true, true, false );
+    ( "trace+explain_out",
+      { d with Run_config.trace = Some trace; explain_out = Some explain_out },
+      true, true, true );
     ( "progress+runs",
       { d with Run_config.progress = true; runs_dir = Some runs },
       true, false, false );
@@ -130,7 +134,8 @@ let nothing_installed what =
     (Engine.Run.instrumenting ());
   Alcotest.(check bool)
     (what ^ ": no collector")
-    false (Provenance.enabled ())
+    true
+    ((Beast_obs.Obs.current ()).Beast_obs.Obs.provenance = None)
 
 let run_id = "0123456789ab"
 

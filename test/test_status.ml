@@ -312,38 +312,43 @@ let mk_event ?(name = "ev") ?(ts = 0) ?(dom = 0) ?(args = []) () =
   }
 
 let test_flight_ring_wraps () =
-  let fl = Flight.create ~capacity:4 () in
+  let fl = Recorder.create ~capacity:4 () in
   for i = 1 to 10 do
-    Flight.emit fl (mk_event ~name:(Printf.sprintf "ev%d" i) ~ts:i ())
+    Recorder.sink fl (mk_event ~name:(Printf.sprintf "ev%d" i) ~ts:i ())
   done;
-  Alcotest.(check int) "bounded by capacity" 4 (Flight.event_count fl);
+  Alcotest.(check int) "bounded by capacity" 4 (Recorder.event_count fl);
   Alcotest.(check (list string)) "keeps the most recent, oldest first"
     [ "ev7"; "ev8"; "ev9"; "ev10" ]
     (Array.to_list
-       (Array.map (fun e -> e.Obs.ev_name) (Flight.events fl)))
+       (Array.map (fun e -> e.Obs.ev_name) (Recorder.events fl)))
 
 let test_flight_capacity_validated () =
   Alcotest.check_raises "zero capacity"
-    (Invalid_argument "Flight.create: capacity must be positive") (fun () ->
-      ignore (Flight.create ~capacity:0 ()))
+    (Invalid_argument "Recorder.create: capacity must be positive") (fun () ->
+      ignore (Recorder.create ~capacity:0 ()))
 
+(* Two recorders behind one sink, as --trace with --flight installs
+   them. *)
 let test_flight_tee_forwards () =
-  let fl = Flight.create ~capacity:2 () in
+  let fl = Recorder.create ~capacity:2 () in
   let recorder = Recorder.create () in
-  let sink = Flight.tee fl (Recorder.sink recorder) in
+  let sink ev =
+    Recorder.sink fl ev;
+    Recorder.sink recorder ev
+  in
   for i = 1 to 5 do
     sink (mk_event ~name:(Printf.sprintf "ev%d" i) ~ts:i ())
   done;
-  Alcotest.(check int) "ring keeps the tail" 2 (Flight.event_count fl);
+  Alcotest.(check int) "ring keeps the tail" 2 (Recorder.event_count fl);
   Alcotest.(check int) "inner sink sees everything" 5
     (Recorder.event_count recorder)
 
 let test_flight_dump_round_trips () =
   with_tmp ".flight" (fun path ->
-      let fl = Flight.create ~capacity:8 () in
-      Flight.emit fl (mk_event ~name:"a" ~ts:1 ~args:[ ("k", Obs.Int 7) ] ());
-      Flight.emit fl (mk_event ~name:"b" ~ts:2 ());
-      Alcotest.(check int) "dump count" 2 (Flight.dump fl path);
+      let fl = Recorder.create ~capacity:8 () in
+      Recorder.sink fl (mk_event ~name:"a" ~ts:1 ~args:[ ("k", Obs.Int 7) ] ());
+      Recorder.sink fl (mk_event ~name:"b" ~ts:2 ());
+      Alcotest.(check int) "dump count" 2 (Recorder.dump fl path);
       match Sink_jsonl.read_file path with
       | Error msg -> Alcotest.failf "dump unreadable: %s" msg
       | Ok events ->
