@@ -367,9 +367,9 @@ let funnel () =
   header
     "Section VI: constraint pruning funnel on the GEMM space\n\
      (paper: constraints prune 'sometimes by as much as 99%').\n\
-     Measured on the divisor-iterator variant so the exact per-prefix\n\
-     sweeps stay tractable (the reshape constraints are absorbed into\n\
-     the read-grid iterators; the ten explicit constraints remain).";
+     Measured in one provenance sweep on the divisor-iterator variant\n\
+     (the reshape constraints are absorbed into the read-grid closure\n\
+     iterators; the ten explicit constraints remain).";
   let max_dim = if fast then 14 else 16 in
   let device = Device.scale ~max_dim ~max_threads:64 Device.tesla_k40c in
   let settings = { Gemm.default_settings with Gemm.device } in

@@ -871,10 +871,10 @@ let funnel_cmd =
   Cmd.v
     (Cmd.info "funnel"
        ~doc:
-         "Measure how much of the space each constraint removes: one \
-          provenance-instrumented sweep, or one sweep per constraint \
-          prefix when closure iterators make that sweep's attribution \
-          inexact")
+         "Measure how much of the space each constraint removes, in one \
+          provenance-instrumented sweep. A row reads ? when counting its \
+          removal raised, and the header then says the counts are \
+          partial")
     Term.(const run $ svg_arg $ obs_config_term $ space_term)
 
 (* ------------------------------------------------------------------ *)

@@ -12,14 +12,10 @@ let () =
   let device = Device.scale ~max_dim:16 ~max_threads:64 Device.tesla_k40c in
   let settings = { Gemm.default_settings with Gemm.device } in
   (* The divisor-iterator variant absorbs the reshape constraints into
-     the read-grid iterators. Those closure iterators make one
-     provenance sweep's attribution inexact, so Stats.funnel falls back
-     to the exact per-prefix sweeps, which this small space keeps
-     cheap. *)
+     the read-grid iterators. Those closure iterators declare what they
+     read, so one provenance sweep counts every removal exactly. *)
   let sp = Gemm.space_divisor_opt ~settings () in
-  Format.printf
-    "measuring the exact funnel (closure iterators: one sweep per \
-     constraint prefix)...@.";
+  Format.printf "measuring the exact funnel (one provenance sweep)...@.";
   let f = Stats.funnel sp in
   Format.printf "%a" Stats.pp f;
   Format.printf "@.The paper (Section VI): constraints prune 'sometimes by as much as 99%%'.@.";

@@ -11,7 +11,7 @@ let bind (plan : Plan.t) point =
   Array.iteri (fun i s -> slots.(s) <- point.(i)) plan.Plan.iter_slots;
   let compute = function
     | Plan.CE e -> Plan.eval_cexpr slots e
-    | Plan.CF f -> f slots
+    | Plan.CF (_, f) -> f slots
   in
   let rec go (steps : Plan.step list) =
     match steps with

@@ -134,6 +134,29 @@ static inline int beast_solve(int64_t start, int64_t step, uint64_t trip,
 
 |}
 
+let value_tables (plan : Plan.t) =
+  let tables = ref [] in
+  let rec scan steps =
+    List.iter
+      (fun (step : Plan.step) ->
+        match step with
+        | Plan.Derive { d_compute = CF _; d_name; _ } ->
+          unsupported "derived variable %s has an opaque OCaml body" d_name
+        | Plan.Check { c_compute = CF _; c_name; _ } ->
+          unsupported "constraint %s has an opaque OCaml body" c_name
+        | Plan.Loop { l_iter = CDyn _; l_var; _ } ->
+          unsupported "iterator %s depends on other iterators through a closure"
+            l_var
+        | Plan.Loop { l_iter = CValues vs; l_body; _ } ->
+          tables := (List.length !tables, vs) :: !tables;
+          scan l_body
+        | Plan.Loop { l_body; _ } -> scan l_body
+        | Plan.Derive _ | Plan.Check _ | Plan.Yield | Plan.Static_prune _ -> ())
+      steps
+  in
+  scan plan.Plan.steps;
+  List.rev !tables
+
 let generate ?(threads = 1) ?(emit_survivors = false) (plan : Plan.t) =
   try
     if threads < 1 then unsupported "threads must be >= 1";
@@ -148,31 +171,7 @@ let generate ?(threads = 1) ?(emit_survivors = false) (plan : Plan.t) =
     let buf = Buffer.create 4096 in
     let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
     let n_constraints = Array.length plan.Plan.constraint_info in
-    (* Collect static value tables first. *)
-    let tables = ref [] in
-    let n_tables = ref 0 in
-    let rec scan_steps steps =
-      List.iter
-        (fun (step : Plan.step) ->
-          match step with
-          | Plan.Derive { d_compute = CF _; d_name; _ } ->
-            unsupported "derived variable %s has an opaque OCaml body" d_name
-          | Plan.Check { c_compute = CF _; c_name; _ } ->
-            unsupported "constraint %s has an opaque OCaml body" c_name
-          | Plan.Loop { l_iter = CDyn _; l_var; _ } ->
-            unsupported "iterator %s depends on other iterators through a closure"
-              l_var
-          | Plan.Loop { l_iter = CValues vs; l_body; _ } ->
-            let id = !n_tables in
-            incr n_tables;
-            tables := (id, vs) :: !tables;
-            scan_steps l_body
-          | Plan.Loop { l_body; _ } -> scan_steps l_body
-          | Plan.Derive _ | Plan.Check _ | Plan.Yield | Plan.Static_prune _ ->
-            ())
-        steps
-    in
-    scan_steps plan.Plan.steps;
+    let tables = value_tables plan in
     let rec any_solved steps =
       List.exists
         (fun (step : Plan.step) ->
@@ -207,7 +206,7 @@ let generate ?(threads = 1) ?(emit_survivors = false) (plan : Plan.t) =
             vs;
           add " };\n"
         end)
-      (List.rev !tables);
+      tables;
     add "\n";
     (* With several threads, each claims the next position of the outer
        loop from one counter until the counter passes the trip count, so

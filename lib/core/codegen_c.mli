@@ -48,6 +48,18 @@ val sanitize : string -> string
 
 val pp_error : Format.formatter -> error -> unit
 
+val var_names : Plan.t -> string array
+(** Each slot's variable name in every backend: [v_] plus its
+    {!sanitize}d parameter name. *)
+
+val unsupported : ('a, unit, string, 'b) format4 -> 'a
+(** Raise {!Error} [(Unsupported msg)]. *)
+
+val value_tables : Plan.t -> (int * int array) list
+(** Every backend's translatability scan: the static value tables
+    ([CValues] loops), numbered in pre-order.
+    @raise Error on the first opaque body or dynamic iterator. *)
+
 val generate :
   ?threads:int -> ?emit_survivors:bool -> Plan.t -> (string, error) result
 (** [generate plan] returns the C source. [threads] (default 1) selects

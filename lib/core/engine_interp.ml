@@ -36,7 +36,7 @@ let eval_body lookup bodies name =
 
 let eval_compute slots = function
   | Plan.CE e -> Plan.eval_cexpr slots e
-  | Plan.CF f -> f slots
+  | Plan.CF (_, f) -> f slots
 
 let derive env slots name slot compute =
   match env with
@@ -76,7 +76,7 @@ let loop env slots var slot (iter : Plan.citer) =
         Array.init (Plan.trip_count ~start ~stop ~step) (fun i ->
             start + (i * step))
       | CValues vs -> vs
-      | CDyn f -> f slots
+      | CDyn (_, f) -> f slots
     in
     (Array.length vs, fun j -> slots.(slot) <- vs.(j))
 

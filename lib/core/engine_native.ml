@@ -182,7 +182,7 @@ let stats_of_lines ?on_hit (plan : Plan.t) (lines : string Seq.t) :
         (fun (slot, compute) ->
           match (compute : Plan.compute) with
           | Plan.CE e -> slots.(slot) <- Plan.eval_cexpr slots e
-          | Plan.CF f -> slots.(slot) <- f slots)
+          | Plan.CF (_, f) -> slots.(slot) <- f slots)
         derives;
       f (Plan.lookup_of_slots plan slots)
   in

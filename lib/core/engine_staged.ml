@@ -81,7 +81,7 @@ let compile_loop ~entries l_var l_slot (l_iter : Plan.citer) body =
     fun s ->
       entries := !entries + n;
       iterate_values s l_slot vs body
-  | CDyn materialize ->
+  | CDyn (_, materialize) ->
     fun s ->
       let vs = materialize s in
       entries := !entries + Array.length vs;
@@ -151,7 +151,7 @@ let run ?on_hit (plan : Plan.t) =
     let cond =
       match compute with
       | CE e -> Plan.compile_cond e
-      | CF f -> fun s -> f s <> 0
+      | CF (_, f) -> fun s -> f s <> 0
     in
     let fired = ref 0 in
     at_end (fun () -> pruned.(c_index) <- pruned.(c_index) + !fired);
@@ -241,7 +241,7 @@ let run ?on_hit (plan : Plan.t) =
     | Yield :: rest -> and_then ~depth hit rest
     | Derive { d_slot; d_compute; _ } :: rest ->
       let f =
-        match d_compute with CE e -> Plan.compile_cexpr e | CF f -> f
+        match d_compute with CE e -> Plan.compile_cexpr e | CF (_, f) -> f
       in
       let k = compile ~depth rest in
       fun s ->

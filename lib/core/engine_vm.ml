@@ -217,7 +217,7 @@ let compile ?(instrument = false) (plan : Plan.t) =
   let compile_compute compute dst =
     match (compute : Plan.compute) with
     | CE e -> compile_expr e dst (scratch_base + 1)
-    | CF f -> emit a (Icall (add_fun f, dst))
+    | CF (_, f) -> emit a (Icall (add_fun f, dst))
   in
   (* [depth] indexes the per-loop register block; [cont] is the label a
      firing constraint jumps to (continuation of the innermost loop, or
@@ -275,7 +275,7 @@ let compile ?(instrument = false) (plan : Plan.t) =
         let aid, mat =
           match l_iter with
           | CValues vs -> (add_array (Some vs), None)
-          | CDyn f -> (add_array None, Some (add_iterfun f))
+          | CDyn (_, f) -> (add_array None, Some (add_iterfun f))
           | CRange _ -> assert false
         in
         (match mat with

@@ -14,14 +14,7 @@ let opt_int = function
 
 let waterfall ppf (f : Stats.funnel) =
   let survivors = f.Stats.survivors in
-  let total =
-    if
-      List.for_all
-        (fun (r : Stats.row) -> r.Stats.removed <> None)
-        f.Stats.rows
-    then Some f.Stats.total_points
-    else None
-  in
+  let total = if Stats.exact f then Some f.Stats.total_points else None in
   Format.fprintf ppf "constraint waterfall (evaluation order)@.";
   (match total with
   | Some total ->
@@ -31,8 +24,7 @@ let waterfall ppf (f : Stats.funnel) =
        else 100.0 *. float_of_int (total - survivors) /. float_of_int total)
   | None ->
     Format.fprintf ppf
-      "  (a constraint guards a data-dependent subtree: exact removal \
-       counts are partial)@.");
+      "  (a removal count raised: exact removal counts are partial)@.");
   Format.fprintf ppf "  %-30s %5s %10s %10s %10s@." "" "depth" "fired"
     "removed" "left";
   let remaining = ref total in

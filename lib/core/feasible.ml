@@ -20,9 +20,9 @@
    assignment (a loop whose context can never repeat skips the memo),
    and a loop whose first check is [m * x != t] visits only the value
    that solves it. Opaque computes ([CF]) and dynamic
-   iterators ([CDyn]) are plain int functions, run as they are, but
-   their reads are unknown, so they widen the memo key to the whole
-   slot state; correct, merely less shared.
+   iterators ([CDyn]) are plain int functions, run as they are, and
+   read exactly the slots of their declared deps ([Space] refuses any
+   other read), so they key like expressions.
 
    The payoff: [count] is exact without enumeration (the CI criterion
    pins a billion-point space), [nth]/[sample] index the set directly,
@@ -161,40 +161,21 @@ let cons_node a = function
 (* Free-slot analysis (the memo projection)                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Slots a program fragment reads from its surrounding context. [All]
-   is the poison for opaque computes/iterators, whose reads cannot be
-   inspected. *)
-type slotset = All | Only of int list (* sorted, distinct *)
-
-let sunion a b =
-  match (a, b) with
-  | All, _ | _, All -> All
-  | Only xs, Only ys ->
-    let rec merge xs ys =
-      match (xs, ys) with
-      | [], r | r, [] -> r
-      | x :: xt, y :: yt ->
-        if x < y then x :: merge xt ys
-        else if x > y then y :: merge xs yt
-        else x :: merge xt yt
-    in
-    Only (merge xs ys)
-
-let sremove s = function
-  | All -> All
-  | Only xs -> Only (List.filter (fun x -> x <> s) xs)
+(* Slots a program fragment reads from its surrounding context: sorted,
+   distinct. A closure reads its declared deps. *)
+let sunion xs ys = List.sort_uniq Int.compare (xs @ ys)
+let sremove s xs = List.filter (fun x -> x <> s) xs
 
 let compute_reads = function
-  | Plan.CE e -> Only (Plan.cexpr_slots e)
-  | Plan.CF _ -> All
+  | Plan.CE e -> Plan.cexpr_slots e
+  | Plan.CF (reads, _) -> reads
 
 let citer_reads = function
   | Plan.CRange (a, b, c) ->
-    sunion
-      (Only (Plan.cexpr_slots a))
-      (sunion (Only (Plan.cexpr_slots b)) (Only (Plan.cexpr_slots c)))
-  | Plan.CValues _ -> Only []
-  | Plan.CDyn _ -> All
+    sunion (Plan.cexpr_slots a)
+      (sunion (Plan.cexpr_slots b) (Plan.cexpr_slots c))
+  | Plan.CValues _ -> []
+  | Plan.CDyn (reads, _) -> reads
 
 (* ------------------------------------------------------------------ *)
 (* Annotated program                                                   *)
@@ -203,8 +184,8 @@ let citer_reads = function
 (* The canonical nest re-expressed for the walk and compiled once per
    plan with the staged engine's compiler: [Static_prune] steps vanish
    (they are statistics, not feasibility), and each loop carries a memo
-   id plus the free slots of its subtree (every slot for [All]). A loop
-   is memoized only where that key can repeat. It cannot when it holds
+   id plus the free slots of its subtree. A loop is memoized only where
+   that key can repeat. It cannot when it holds
    the slot of every enclosing loop (each walk sits under a distinct
    path of outer values), nor, for a loop only its parent walks, when
    it holds the parent's whole exact key and the parent's own slot (the
@@ -265,19 +246,20 @@ let static var = function
     | _ -> None)
   | Plan.CDyn _ -> None
 
-let annotate ?entry ~n_slots (steps : Plan.step list) =
+let annotate ?entry (steps : Plan.step list) =
   let uid = ref 0 in
   let counting = entry <> None in
-  let compute = function Plan.CE e -> Plan.compile_cexpr e | Plan.CF f -> f
+  let compute = function
+    | Plan.CE e -> Plan.compile_cexpr e
+    | Plan.CF (_, f) -> f
   and cond = function
     | Plan.CE e -> Plan.compile_cond e
-    | Plan.CF f -> fun s -> f s <> 0
+    | Plan.CF (_, f) -> fun s -> f s <> 0
   in
-  let reads s = function All -> true | Only r -> List.mem s r in
   let rec go enclosing steps =
     match (steps : Plan.step list) with
-    | [] -> (ANone, Only [])
-    | Plan.Yield :: _ -> (ADone, Only [])
+    | [] -> (ANone, [])
+    | Plan.Yield :: _ -> (ADone, [])
     | Plan.Static_prune { sp_dead; _ } :: Plan.Loop l :: rest when counting ->
       (* The counter counts the unpropagated nest: a propagated loop's
          dead values rejoin its (static) domain. *)
@@ -286,13 +268,15 @@ let annotate ?entry ~n_slots (steps : Plan.step list) =
         match static l.l_var l.l_iter with
         | Some live -> Plan.CValues (Array.append live dead)
         | None | (exception Failed _) ->
-          Plan.CDyn (fun _ -> fail "iterator %s: domain unknown" l.l_var)
+          Plan.CDyn
+            ( citer_reads l.l_iter,
+              fun _ -> fail "iterator %s: domain unknown" l.l_var )
       in
       go enclosing (Plan.Loop { l with l_iter } :: rest)
     | Plan.Static_prune _ :: rest -> go enclosing rest
     | Plan.Derive { d_slot; d_compute; _ } :: rest ->
       let a, fs = go enclosing rest in
-      if counting && not (reads d_slot fs) then (a, fs)
+      if counting && not (List.mem d_slot fs) then (a, fs)
       else
         (ADerive (d_slot, compute d_compute, a),
          sunion (compute_reads d_compute) (sremove d_slot fs))
@@ -316,21 +300,16 @@ let annotate ?entry ~n_slots (steps : Plan.step list) =
       | ANone, _ -> ()
       | _ -> fail "unsupported plan shape: steps after a loop");
       let body, bfs = go (l_slot :: enclosing) l_body in
-      let key = sunion (citer_reads l_iter) (sremove l_slot bfs) in
-      (* An opaque key also holds stale values of inner slots, so only an
-         exact one is fixed by a child's context. *)
-      (match key with
-      | All -> ()
-      | Only read ->
-        let rec mark_child = function
-          | ADerive (_, _, a) | ACheck (_, a) -> mark_child a
-          | ALoop c ->
-            let within s = Array.mem s c.key in
-            if (not c.entered) && within l_slot && List.for_all within read
-            then c.memo <- false
-          | ADone | ANone -> ()
-        in
-        mark_child body);
+      let read = sunion (citer_reads l_iter) (sremove l_slot bfs) in
+      let rec mark_child = function
+        | ADerive (_, _, a) | ACheck (_, a) -> mark_child a
+        | ALoop c ->
+          let within s = Array.mem s c.key in
+          if (not c.entered) && within l_slot && List.for_all within read then
+            c.memo <- false
+        | ADone | ANone -> ()
+      in
+      mark_child body;
       let iter =
         match l_iter with
         | Plan.CRange (a, b, c) ->
@@ -342,13 +321,12 @@ let annotate ?entry ~n_slots (steps : Plan.step list) =
           in
           ARange (f a, f b, f c, Option.map solve solved)
         | Plan.CValues vs -> AValues (fun _ -> vs)
-        | Plan.CDyn f -> AValues f
+        | Plan.CDyn (_, f) -> AValues f
       in
       incr uid;
-      let read = match key with All -> List.init n_slots Fun.id | Only r -> r in
-      let key' = Array.of_list read in
-      let probe = Array.make (Array.length key' + 1) !uid in
-      let enumerates = (not counting) || reads l_slot bfs in
+      let key = Array.of_list read in
+      let probe = Array.make (Array.length key + 1) !uid in
+      let enumerates = (not counting) || List.mem l_slot bfs in
       let rec nested = function
         | ADerive (_, _, a) | ACheck (_, a) -> nested a
         | ALoop c -> c.enumerates || nested c.body
@@ -357,12 +335,12 @@ let annotate ?entry ~n_slots (steps : Plan.step list) =
       let memo =
         enumerates
         && ((not counting) || nested body)
-        && not (List.for_all (fun s -> Array.mem s key') enclosing)
+        && not (List.for_all (fun s -> Array.mem s key) enclosing)
       in
       ( ALoop
-          { var = l_var; slot = l_slot; iter; key = key'; enumerates;
+          { var = l_var; slot = l_slot; iter; key; enumerates;
             entered = false; memo; probe; body },
-        key )
+        read )
   in
   fst (go [] steps)
 
@@ -380,7 +358,7 @@ let build ?(max_states = default_max_states) (plan : Plan.t) :
     (t, string) result =
   try
     let slots = Array.make (max 1 plan.Plan.n_slots) 0 in
-    let prog = annotate ~n_slots:(Array.length slots) plan.Plan.steps in
+    let prog = annotate plan.Plan.steps in
     let a = arena () in
     let memo = Ints.create 1024 in
     let states = ref 0 in
@@ -492,7 +470,7 @@ let sub_nests ?(max_states = default_max_states) (plan : Plan.t) =
   let (_ : aprog) =
     annotate
       ~entry:(fun c fs a -> entries := (c, fs, a) :: !entries)
-      ~n_slots:(Array.length scratch) plan.Plan.steps
+      plan.Plan.steps
   in
   let memo = Ints.create 64 in
   (* By loop id ([probe.(0)], at most one per slot); -1 until counted. *)
@@ -557,9 +535,8 @@ let sub_nests ?(max_states = default_max_states) (plan : Plan.t) =
     (fun (c, fs, a) ->
       out.(c) <-
         (match fs with
-        | All -> Inexact
-        | Only [] -> ( match count a with k -> Static k | exception _ -> Inexact)
-        | Only read ->
+        | [] -> ( match count a with k -> Static k | exception _ -> Inexact)
+        | read ->
           let read = Array.of_list read in
           Dyn
             (fun slots ->

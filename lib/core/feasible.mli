@@ -29,20 +29,20 @@ val build : ?max_states:int -> Plan.t -> (t, string) result
     Every walk, memoized or not, counts as one state toward
     [max_states]. A loop whose first check [Plan.solved_check]
     recognises visits only the value that can pass it. Opaque computes
-    and [CDyn] iterators are executed concretely but widen the memo key
-    to the full slot state.
+    and [CDyn] iterators run as they are and key on their declared deps.
     [Error] (never an exception) on: more than [max_states] walks
     (default 2M; the message starts [state explosion] and names the
     iterator and the slots of its context), a single range entry of more
     than [max_states] values (the message names the iterator and its
     trip count), a set of more than [max_int] points, an iterator
-    visiting a value twice, a zero range step, division by zero, or a
-    non-canonical nest shape. *)
+    visiting a value twice, a zero range step, division by zero, a
+    closure reading a name it does not declare, or a non-canonical nest
+    shape. *)
 
 type sub_nest =
   | Static of int  (** reads no slot bound above the check: a constant *)
   | Dyn of (int array -> int)  (** counted from the live slots *)
-  | Inexact  (** a closure in a load-bearing position below the check *)
+  | Inexact  (** the plan-time count of a [Static] sub-nest raised *)
 
 val sub_nests : ?max_states:int -> Plan.t -> sub_nest array
 (** By [c_index]: the size of the nest below each check with every
@@ -50,11 +50,10 @@ val sub_nests : ?max_states:int -> Plan.t -> sub_nest array
     prunes. One counter serves every check: a loop whose slot nothing
     below reads is a trip-count factor, any other enumerates, memoized
     on the slots its sub-nest reads where that key can repeat. [Dyn]
-    copies only those slots into one scratch array. A [CDyn] iterator,
-    or an opaque derive a deeper bound reads, makes a check [Inexact].
-    A [Dyn] count raises when it needs more than [max_states] (default
-    2M) memo contexts or must enumerate a longer range, or on an
-    evaluation error; the caller treats that count as unknown. *)
+    copies only those slots into one scratch array. A count raises when
+    it needs more than [max_states] (default 2M) memo contexts or must
+    enumerate a longer range, or on an evaluation error: a [Static] one
+    is then [Inexact], and the caller treats a [Dyn] one as unknown. *)
 
 val of_propagation : Plan.t -> (t, string) result
 (** Product of the static iterator domains: every check assumed to

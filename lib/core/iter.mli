@@ -21,7 +21,9 @@
     (Figure 5 uses [range(x, 0, -1)]). *)
 
 type gen = {
-  gen_deps : string list;  (** names this generator reads via the lookup *)
+  gen_deps : string list;
+      (** names this generator reads via the lookup; in a space, its
+          lookup answers no other name ({!Space.iterator}) *)
   generate : Expr.lookup -> Value.t Seq.t;
 }
 

@@ -8,12 +8,12 @@ type cexpr =
 
 type compute =
   | CE of cexpr
-  | CF of (int array -> int)
+  | CF of int list * (int array -> int)
 
 type citer =
   | CRange of cexpr * cexpr * cexpr
   | CValues of int array
-  | CDyn of (int array -> int array)
+  | CDyn of int list * (int array -> int array)
 
 type step =
   | Derive of {
@@ -483,10 +483,17 @@ let make_untraced ~hoist ~order space =
           | Some i -> Value.Int slots.(i)
           | None -> raise Not_found)
       in
+      (* A closure's reads are its declared deps; settings have no slot. *)
+      let dep_slots deps =
+        List.sort_uniq Int.compare
+          (List.filter_map (fun n -> Smap.find_opt n slot_map) deps)
+      in
       let lower_body name = function
         | Space.E e -> CE (lower_expr ~name slot_map (fold e))
-        | Space.F { fn; _ } ->
-          CF (fun slots -> Value.to_int (fn (lookup_of_slots slots)))
+        | Space.F { fn_deps; fn } ->
+          CF
+            ( dep_slots fn_deps,
+              fun slots -> Value.to_int (fn (lookup_of_slots slots)) )
       in
       let static_lookup name =
         match Hashtbl.find_opt setting_tbl name with
@@ -522,9 +529,10 @@ let make_untraced ~hoist ~order space =
               (Array.map (value_to_cint name) (Iter.materialize static_lookup it))
           else
             CDyn
-              (fun slots ->
-                Array.map (value_to_cint name)
-                  (Iter.materialize (lookup_of_slots slots) it))
+              ( dep_slots (Iter.deps it),
+                fun slots ->
+                  Array.map (value_to_cint name)
+                    (Iter.materialize (lookup_of_slots slots) it) )
       in
       (* Group non-iterator nodes by depth, preserving topological order. *)
       let topo = Dag.topo_order dag in
@@ -783,7 +791,7 @@ let chunk_outer t ~index ~of_ =
     in
     let chunk_citer = function
       | CValues vs -> CValues (chunk_values vs)
-      | CDyn f -> CDyn (fun slots -> chunk_values (f slots))
+      | CDyn (reads, f) -> CDyn (reads, fun slots -> chunk_values (f slots))
       | CRange (a, b, c) -> (
         match (static_cexpr a, static_cexpr b, static_cexpr c) with
         | Some a', Some b', Some c' when c' <> 0 ->

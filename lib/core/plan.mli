@@ -30,15 +30,18 @@ type cexpr =
 
 type compute =
   | CE of cexpr
-  | CF of (int array -> int)
-      (** opaque (deferred / closure) body, reading bound slots *)
+  | CF of int list * (int array -> int)
+      (** opaque (deferred / closure) body: the sorted slots of its
+          declared deps ([Space.F]'s [fn_deps]), then the body, which
+          reads no other slot *)
 
 (** Lowered iterators. *)
 type citer =
   | CRange of cexpr * cexpr * cexpr  (** start, stop exclusive, step *)
   | CValues of int array
-  | CDyn of (int array -> int array)
-      (** closure/algebra iterators: materialized at loop entry *)
+  | CDyn of int list * (int array -> int array)
+      (** closure/algebra iterators, materialized at loop entry: the
+          sorted slots of {!Iter.deps}, then the generator *)
 
 type step =
   | Derive of {

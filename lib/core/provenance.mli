@@ -19,12 +19,12 @@
     [dim_vec] feeding [vec_mul]'s range) are enumerated value by value,
     memoized on the slots their sub-nest reads where that key can
     repeat, so a firing costs the loops it must enumerate up to the
-    first memo hit. Three flavours result: {e static} (the count reads
-    nothing bound above the check: a plan-time constant), {e dynamic}
-    (counted from the live slots per firing) and {e inexact} (a [CDyn]
-    iterator or an opaque derive a deeper bound reads sits below the
-    check). A count that is inexact, needs more memo contexts than the
-    budget, or raises leaves its constraint's row [None].
+    first memo hit; closures count through their declared deps. Three
+    flavours result: {e static} (the count reads nothing bound above the
+    check: a plan-time constant), {e dynamic} (counted from the live
+    slots per firing) and {e inexact} (the static count raised). Only a
+    count that raises (past the memo budget, or on an evaluation error)
+    leaves its constraint's row [None].
 
     Alongside the per-constraint counts a run records per-depth loop
     entries (the survival funnel) and a survivor-density map keyed by
@@ -47,7 +47,7 @@
 type removal = Feasible.sub_nest =
   | Static of int  (** subtree size is a plan-time constant *)
   | Dyn of (int array -> int)  (** counted from bound slots per firing *)
-  | Inexact  (** closure iterators / later-bound slots below this depth *)
+  | Inexact  (** the plan-time count raised *)
 
 type attribution
 (** Per-plan compiled attribution: rejection depth and {!removal}
@@ -88,7 +88,7 @@ val hit : local -> int array -> unit
 type crow = Beast_obs.Pruned.crow = {
   pc_name : string;
   pc_depth : int;  (** rejection depth: 0 = before the first loop *)
-  pc_removed : int option;  (** [None] when attribution is inexact *)
+  pc_removed : int option;  (** [None] when a removal count raised *)
 }
 
 type cell = Beast_obs.Pruned.cell = {

@@ -77,9 +77,30 @@ let setting t n v =
 let setting_i t n i = setting t n (Value.Int i)
 let setting_s t n s = setting t n (Value.Str s)
 
+(* A closure's lookup answers only the names it declares, so its deps
+   are exactly what it reads: the planner places it by them, and
+   Feasible and Provenance count through them. Every engine reads the
+   space's closures, so this one guard covers every path. *)
+let declared owner deps fn lookup =
+  fn (fun name ->
+      if List.mem name deps then lookup name
+      else
+        let msg = owner ^ " reads " ^ name ^ ", which it does not declare" in
+        raise (Expr.Eval_error msg))
+
+let rec guard_iter owner : Iter.t -> Iter.t = function
+  | Closure g ->
+    Closure { g with generate = declared owner g.gen_deps g.generate }
+  | (Range _ | Values _) as it -> it
+  | Union (a, b) -> Union (guard_iter owner a, guard_iter owner b)
+  | Inter (a, b) -> Inter (guard_iter owner a, guard_iter owner b)
+  | Concat (a, b) -> Concat (guard_iter owner a, guard_iter owner b)
+  | Map (f, a) -> Map (f, guard_iter owner a)
+  | Filter (p, a) -> Filter (p, guard_iter owner a)
+
 let iterator t n it =
   declare t n;
-  t.rev_iterators <- { it_name = n; it_iter = it } :: t.rev_iterators
+  t.rev_iterators <- { it_name = n; it_iter = guard_iter n it } :: t.rev_iterators
 
 let derived t n e =
   declare t n;
@@ -87,6 +108,7 @@ let derived t n e =
 
 let derived_f t n ~deps fn =
   declare t n;
+  let fn = declared n deps fn in
   t.rev_deriveds <- { dv_name = n; dv_body = F { fn_deps = deps; fn } } :: t.rev_deriveds
 
 let constrain t ?(cls = Hard) n e =
@@ -96,6 +118,7 @@ let constrain t ?(cls = Hard) n e =
 
 let constrain_f t ?(cls = Hard) n ~deps fn =
   declare t n;
+  let fn = declared n deps fn in
   t.rev_constraints <-
     { cn_name = n; cn_class = cls; cn_body = F { fn_deps = deps; fn } }
     :: t.rev_constraints
@@ -133,25 +156,13 @@ let node_edges t =
   in
   it_edges @ dv_edges @ cn_edges
 
+(* Declarations are copied as they are: their closures are guarded
+   already. *)
 let filter_constraints t ~keep =
-  let copy = create ~name:t.sp_name () in
-  List.iter (fun (n, v) -> setting copy n v) (settings t);
-  List.iter (fun it -> iterator copy it.it_name it.it_iter) (iterators t);
-  List.iter
-    (fun dv ->
-      match dv.dv_body with
-      | E e -> derived copy dv.dv_name e
-      | F { fn_deps; fn } -> derived_f copy dv.dv_name ~deps:fn_deps fn)
-    (deriveds t);
-  List.iter
-    (fun cn ->
-      if keep cn then
-        match cn.cn_body with
-        | E e -> constrain copy ~cls:cn.cn_class cn.cn_name e
-        | F { fn_deps; fn } ->
-          constrain_f copy ~cls:cn.cn_class cn.cn_name ~deps:fn_deps fn)
-    (constraints t);
-  copy
+  let kept, dropped = List.partition keep t.rev_constraints in
+  let names = Hashtbl.copy t.names in
+  List.iter (fun cn -> Hashtbl.remove names cn.cn_name) dropped;
+  { t with rev_constraints = kept; names }
 
 let dag t =
   let nodes =

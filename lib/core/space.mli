@@ -80,7 +80,10 @@ val derived : t -> string -> Expr.t -> unit
 val derived_f : t -> string -> deps:string list -> (Expr.lookup -> Value.t) -> unit
 (** A deferred derived variable backed by an OCaml function; [deps] must
     name every parameter the function reads, exactly as the paper's
-    deferred functions name theirs in the argument list. *)
+    deferred functions name theirs in the argument list. Enforced: the
+    lookup of every closure in a space ([derived_f], [constrain_f], and
+    an iterator's [Iter.Closure]s) answers only its deps, and any other
+    name raises [Expr.Eval_error] naming the closure and the name. *)
 
 val constrain : t -> ?cls:constraint_class -> string -> Expr.t -> unit
 (** [constrain sp name e]: prune the point whenever [e] is truthy.

@@ -140,8 +140,8 @@ let funnel space =
       in
       let f =
         match of_run (Stats_io.of_stats ~plan ~provenance stats) with
-        | Ok f when List.for_all (fun r -> r.removed <> None) f.rows -> f
-        | Ok _ | Error _ -> prefix_sweeps space
+        | Ok f -> f
+        | Error msg -> failwith ("Stats.funnel: " ^ msg)
       in
       List.iter
         (fun r ->
@@ -175,10 +175,16 @@ let to_csv f =
     (Printf.sprintf "TOTAL,,%d,%d\n" total_fired (f.total_points - f.survivors));
   Buffer.contents buf
 
+let exact f = List.for_all (fun r -> r.removed <> None) f.rows
+
 let pp ppf f =
-  Format.fprintf ppf "funnel for %s: %d points -> %d survivors (%.2f%% pruned)@\n"
-    f.space f.total_points f.survivors
-    (100. *. pruned_fraction f);
+  Format.fprintf ppf "funnel for %s: " f.space;
+  if exact f then
+    Format.fprintf ppf "%d points -> %d survivors (%.2f%% pruned)@\n"
+      f.total_points f.survivors (100. *. pruned_fraction f)
+  else
+    Format.fprintf ppf "%d survivors (%s)@\n" f.survivors
+      "a removal count raised: removal counts are partial";
   List.iter
     (fun r ->
       Format.fprintf ppf "  %-30s %-11s fired %-10d removed %s@\n"

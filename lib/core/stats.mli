@@ -41,24 +41,27 @@ val of_run : Stats_io.t -> (funnel, string) result
     (which is then a lower bound). *)
 
 val funnel : Space.t -> funnel
-(** The exact funnel, every row [Some]: one provenance-instrumented
-    staged sweep read through {!of_run}. A constraint firing at depth
-    [d] abandons a subtree whose cardinality is the product of the
-    inner loops' trip counts, and earlier constraints reject first, so
-    these sums are each constraint's exclusive removal count (see
-    {!Provenance}). When the space defeats exact attribution (closure
-    iterators, or bounds read from later-bound variables below a check)
-    the result is {!prefix_sweeps} instead. Emits one ["funnel"] trace
-    instant per row.
+(** The funnel from one provenance-instrumented staged sweep, read
+    through {!of_run}. A constraint firing at depth [d] abandons the
+    nest below it, and earlier constraints reject first, so these sums
+    are each constraint's exclusive removal count (see {!Provenance}).
+    A row is [None] only when counting its removal raised (the state
+    budget, or an evaluation error the sweep never reached). Emits one
+    ["funnel"] trace instant per row.
     @raise Plan.Error if the space does not plan. *)
 
 val prefix_sweeps : Space.t -> funnel
-(** The exact fallback and the tests' reference: one staged sweep per
+(** The tests' reference for {!funnel}: one staged sweep per
     prefix of the constraint set in evaluation order, each adding one
     more constraint; the drop in survivors between consecutive sweeps
     is the number of points each constraint removes. Cost: [n+1] sweeps
     over the {e unconstrained} space.
     @raise Plan.Error if the space does not plan. *)
 
+val exact : funnel -> bool
+(** Every row's [removed] is known, so [total_points] is exact. *)
+
 val to_csv : funnel -> string
+
 val pp : Format.formatter -> funnel -> unit
+(** The header gives [total_points] only when the funnel is {!exact}. *)

@@ -48,13 +48,15 @@ let i = Expr.int
 (* Closure iterator over the divisors d of threads_per_block admissible
    as the first read-grid dimension: d within its range bound and the
    cofactor within the partner bound. Replaces the full grid scan that
-   cant_reshape_a1/b1 would otherwise reject point by point. *)
-let divisor_pairs_iter ~bound_m ~bound_n =
+   cant_reshape_a1/b1 would otherwise reject point by point. [blk] is
+   the side's own block dimension ([blk_m] for A, [blk_n] for B), which
+   the bounds read with [blk_k] and [dim_vec]. *)
+let divisor_pairs_iter ~blk ~bound_m ~bound_n =
   (* The divisor set only depends on (threads, bound_m, bound_n), which
      repeat across millions of loop entries: memoize per key. *)
   let memo : (int * int * int, Value.t list) Hashtbl.t = Hashtbl.create 256 in
   Iter.of_list_fn
-    ~deps:[ "threads_per_block"; "blk_m"; "blk_k"; "dim_vec" ]
+    ~deps:[ "threads_per_block"; blk; "blk_k"; "dim_vec" ]
     (fun lookup ->
       let threads = Value.to_int (lookup "threads_per_block") in
       let bm = Value.to_int (bound_m lookup)
@@ -156,9 +158,11 @@ let build_space ~divisor_opt ~settings () =
     if settings.trans_b then lookup "blk_k" else lookup "blk_n"
   in
   if divisor_opt then begin
-    Space.iterator sp "dim_m_a" (divisor_pairs_iter ~bound_m:bound_m_a ~bound_n:bound_n_a);
+    Space.iterator sp "dim_m_a"
+      (divisor_pairs_iter ~blk:"blk_m" ~bound_m:bound_m_a ~bound_n:bound_n_a);
     Space.derived sp "dim_n_a" (v "threads_per_block" /: v "dim_m_a");
-    Space.iterator sp "dim_m_b" (divisor_pairs_iter ~bound_m:bound_m_b ~bound_n:bound_n_b);
+    Space.iterator sp "dim_m_b"
+      (divisor_pairs_iter ~blk:"blk_n" ~bound_m:bound_m_b ~bound_n:bound_n_b);
     Space.derived sp "dim_n_b" (v "threads_per_block" /: v "dim_m_b")
   end
   else begin

@@ -13,7 +13,7 @@
 type crow = {
   pc_name : string;
   pc_depth : int;  (** rejection depth: 0 = before the first loop *)
-  pc_removed : int option;  (** [None] when attribution is inexact *)
+  pc_removed : int option;  (** [None] when the removal count raised *)
 }
 
 type cell = {
@@ -31,7 +31,7 @@ type summary = {
 
 val total_removed : summary -> int option
 (** Sum of the per-constraint removal counts; [None] when any
-    constraint's attribution is inexact. *)
+    constraint's count is unknown. *)
 
 val merge_summaries : summary list -> (summary, string) result
 (** Constraint names/depths and the loop order must agree; removal

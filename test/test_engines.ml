@@ -380,6 +380,54 @@ let test_accounting_zero_step () =
       ("parallel", fun () -> Engine_parallel.run ~domains:2 plan);
     ]
 
+(* A closure that reads a name it does not declare fails with one
+   diagnostic naming it, on every in-process engine and in the diagram,
+   whether it is an iterator or a constraint body. *)
+let test_undeclared_closure_read () =
+  let space body =
+    let sp = Space.create () in
+    Space.iterator sp "x" (Iter.range_i 0 3);
+    Space.iterator sp "y" (Iter.range_i 0 2);
+    body sp;
+    sp
+  in
+  let sum env = Value.to_int (env "x") + Value.to_int (env "y") in
+  List.iter
+    (fun (owner, sp) ->
+      let plan = Plan.make_exn sp in
+      let expected = owner ^ " reads y, which it does not declare" in
+      List.iter
+        (fun (name, run) ->
+          match run () with
+          | () -> Alcotest.failf "%s: %s ran" owner name
+          | exception Expr.Eval_error msg ->
+            Alcotest.(check string) (owner ^ " on " ^ name) expected msg)
+        [
+          ("staged", fun () -> ignore (Engine_staged.run plan));
+          ("interp plan", fun () -> ignore (Engine_interp.run_plan plan));
+          ("interp space", fun () -> ignore (Engine_interp.run sp));
+          ( "interp naive",
+            fun () -> ignore (Engine_interp.run ~variant:`Naive sp) );
+          ("vm", fun () -> ignore (Engine_vm.run_plan plan));
+          ("parallel", fun () -> ignore (Engine_parallel.run ~domains:2 plan));
+          ( "feasible",
+            fun () ->
+              match Feasible.build plan with
+              | Ok _ -> ()
+              | Error msg -> raise (Expr.Eval_error msg) );
+        ])
+    [
+      ( "z",
+        space (fun sp ->
+            Space.iterator sp "z"
+              (Iter.of_list_fn ~deps:[ "x" ] (fun env -> [ Value.Int (sum env) ])))
+      );
+      ( "odd",
+        space (fun sp ->
+            Space.constrain_f sp "odd" ~deps:[ "x" ] (fun env ->
+                Value.Bool (sum env mod 2 = 1))) );
+    ]
+
 let test_dynamic_algebra_iterators () =
   (* Union/intersection/filter with iterator-dependent operands exercise
      the CDyn lowering in every engine. *)
@@ -753,6 +801,8 @@ let () =
           Alcotest.test_case "values and dynamic" `Quick
             test_accounting_values_and_dyn;
           Alcotest.test_case "zero step" `Quick test_accounting_zero_step;
+          Alcotest.test_case "undeclared closure read" `Quick
+            test_undeclared_closure_read;
           Alcotest.test_case "generator reaches solved checks" `Quick
             test_generator_reaches_solved;
         ] );

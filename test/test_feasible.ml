@@ -536,6 +536,31 @@ let test_opaque_counts () =
   Alcotest.(check int) "count = reference" expected
     (Feasible.count (build_exn plan))
 
+(* gemm-opt's divisor iterators are closures: the diagram keys them on
+   their declared deps and counts what the staged sweep enumerates. *)
+let test_gemm_opt_counts () =
+  List.iter
+    (fun max_dim ->
+      let device =
+        Beast_gpu.Device.scale ~max_dim ~max_threads:128
+          Beast_gpu.Device.tesla_k40c
+      in
+      let plan =
+        Plan.make_exn
+          (Beast_kernels.Gemm.space_divisor_opt
+             ~settings:{ Beast_kernels.Gemm.default_settings with device }
+             ())
+      in
+      let survivors = (Engine_staged.run plan).Engine.survivors in
+      List.iter
+        (fun plan ->
+          Alcotest.(check int)
+            (Printf.sprintf "gemm-opt-%d count" max_dim)
+            survivors
+            (Feasible.count (build_exn plan)))
+        [ plan; Propagate.pass plan ])
+    [ 8; 16 ]
+
 (* [y * x != 12] is solved per entry of the y loop: x = 0 and x = 5
    leave no y ([Pass_none]), x in {1, 3, 4} leave exactly one
    ([Pass_one]), and x = max_int / 2 could overflow the solve, which
@@ -664,6 +689,7 @@ let () =
           Alcotest.test_case "count past max_int" `Quick test_count_overflow;
           Alcotest.test_case "long range" `Quick test_long_range;
           Alcotest.test_case "opaque computes" `Quick test_opaque_counts;
+          Alcotest.test_case "gemm-opt closures" `Quick test_gemm_opt_counts;
           Alcotest.test_case "solved checks" `Quick test_solved_counts;
         ] );
       ( "oracle",

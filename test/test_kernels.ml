@@ -243,6 +243,23 @@ let test_gemm_divisor_opt_not_c_translatable () =
   | Error (Codegen_c.Unsupported _) -> ()
   | Ok _ -> Alcotest.fail "dynamic closures should not translate to C"
 
+(* Each read-grid iterator declares its own side's block dimension: B's
+   divisors read blk_n, so an order that opens dim_m_b before blk_n is
+   refused rather than swept with blk_n unbound. *)
+let test_gemm_divisor_opt_deps () =
+  let sp = Gemm.space_divisor_opt ~settings:(scaled ()) () in
+  let order =
+    [ "dim_m"; "dim_n"; "blk_m"; "blk_k"; "dim_vec"; "dim_m_b"; "blk_n";
+      "vec_mul"; "dim_m_a"; "tex_a"; "tex_b"; "shmem_l1"; "shmem_banks" ]
+  in
+  match Plan.make ~order sp with
+  | Ok _ -> Alcotest.fail "dim_m_b opened before blk_n"
+  | Error e ->
+    Alcotest.(check string) "refusal"
+      "unsupported: iterator dim_m_b (loop 6) depends on blk_n bound at \
+       depth 7"
+      (Format.asprintf "%a" Plan.pp_error e)
+
 let test_gemm_dag_levels () =
   (* Figure 16's qualitative structure: dim_m/dim_n/blk_k at level 0,
      blk_m/blk_n at level 1. *)
@@ -516,6 +533,8 @@ let () =
             test_gemm_divisor_opt_same_survivors;
           Alcotest.test_case "divisor-opt not C-translatable" `Quick
             test_gemm_divisor_opt_not_c_translatable;
+          Alcotest.test_case "divisor-opt deps per side" `Quick
+            test_gemm_divisor_opt_deps;
           Alcotest.test_case "DAG levels (Fig. 16)" `Quick test_gemm_dag_levels;
         ] );
       ( "batched",

@@ -70,9 +70,9 @@ let test_attribution_dynamic () =
   | _ -> Alcotest.fail "ca guards a data-dependent subtree: Dyn"
 
 (* A closure iterator below a check that fires (a = 3, 4). *)
-let inexact_space () =
+let closure_space () =
   let open Expr.Infix in
-  let sp = Space.create ~name:"inexact" () in
+  let sp = Space.create ~name:"closure" () in
   Space.iterator sp "a" (Iter.range_i 1 5);
   Space.constrain sp "ca" (Expr.var "a" >: Expr.int 2);
   Space.iterator sp "z"
@@ -80,15 +80,6 @@ let inexact_space () =
          let a = Value.to_int (env "a") in
          List.to_seq (List.init a (fun i -> Value.Int i))));
   sp
-
-(* A closure iterator below the check is opaque: no exact count without
-   sweeping. *)
-let test_attribution_inexact () =
-  let plan = Plan.make_exn (inexact_space ()) in
-  let at = Provenance.attribution plan in
-  match Provenance.removal_of at (c_index plan "ca") with
-  | Provenance.Inexact -> ()
-  | _ -> Alcotest.fail "closure iterator below the check must be Inexact"
 
 (* What [beast sweep --explain-out] writes: the stats file with the
    provenance section. Like the CLI, a shard chunks the plan before
@@ -161,24 +152,31 @@ let test_single_pass_triangle () =
   check_funnels_agree "triangle" (Stats.prefix_sweeps (sp ()))
     (Stats.funnel (sp ()))
 
-(* A closure iterator below a firing check leaves that row inexact after
-   one provenance sweep, so Stats.funnel must fall back to the prefix
-   sweeps. (Support.mixed_space's closure iterator sits above both of
-   its checks, so its attribution is exact.) *)
-let test_single_pass_fallback () =
-  let sp () = inexact_space () in
+(* A closure iterator below a firing check counts through its declared
+   deps, so one provenance sweep is exact and equals the n+1 prefix
+   sweeps; so does gemm-opt, whose two divisor iterators are closures. *)
+let test_single_pass_closure () =
+  let sp () = closure_space () in
   (match Stats.of_run (run_io (sp ())) with
   | Ok f ->
-    Alcotest.(check bool) "one provenance sweep leaves a row inexact" true
-      (List.exists (fun (r : Stats.row) -> r.Stats.removed = None) f.Stats.rows)
+    Alcotest.(check bool) "one provenance sweep is exact" true (Stats.exact f);
+    check_funnels_agree "closure" (Stats.prefix_sweeps (sp ())) f
   | Error e -> Alcotest.failf "of_run failed: %s" e);
-  let f = Stats.funnel (sp ()) in
-  List.iter
-    (fun (r : Stats.row) ->
-      Alcotest.(check bool) ("exact " ^ r.Stats.constraint_name) true
-        (r.Stats.removed <> None))
-    f.Stats.rows;
-  check_funnels_agree "inexact" (Stats.prefix_sweeps (sp ())) f
+  check_funnels_agree "closure funnel"
+    (Stats.prefix_sweeps (sp ()))
+    (Stats.funnel (sp ()));
+  let gemm_opt () =
+    let settings =
+      {
+        Beast_kernels.Gemm.default_settings with
+        Beast_kernels.Gemm.device = scaled_device Beast_gpu.Device.tesla_k40c;
+      }
+    in
+    Beast_kernels.Gemm.space_divisor_opt ~settings ()
+  in
+  let f = Stats.funnel (gemm_opt ()) in
+  Alcotest.(check bool) "gemm-opt funnel is exact" true (Stats.exact f);
+  check_funnels_agree "gemm-opt" (Stats.prefix_sweeps (gemm_opt ())) f
 
 let test_single_pass_gemm () =
   check_funnels_agree "gemm"
@@ -255,6 +253,31 @@ let brute_attribution space (plan : Plan.t) =
   in
   loop plan.Plan.iter_order;
   (removed, !survivors, !total)
+
+let removed_rows summary =
+  List.map
+    (fun (r : Provenance.crow) -> (r.Provenance.pc_name, r.Provenance.pc_removed))
+    summary.Provenance.pv_constraints
+
+(* The closure iterator's declared deps are its reads, so the removal
+   below it is counted from the live slots and equals brute-force
+   first-rejecting attribution. *)
+let test_attribution_closure () =
+  let sp = closure_space () in
+  let plan = Plan.make_exn sp in
+  (match Provenance.removal_of (Provenance.attribution plan) (c_index plan "ca") with
+  | Provenance.Dyn _ -> ()
+  | _ -> Alcotest.fail "a closure below the check counts from the slots: Dyn");
+  let removed, survivors, _ = brute_attribution sp plan in
+  Alcotest.(check (option int)) "brute force" (Some 7)
+    (Hashtbl.find_opt removed "ca");
+  let stats, summary =
+    Provenance.with_collector (fun () -> Engine_staged.run plan)
+  in
+  Alcotest.(check (list (pair string (option int)))) "rows"
+    [ ("ca", Hashtbl.find_opt removed "ca") ]
+    (removed_rows summary);
+  Alcotest.(check int) "survivors" survivors stats.Engine.survivors
 
 (* On random spaces, plain and propagated, one provenance sweep's
    removal per constraint equals the brute-force charge, and survivors
@@ -356,24 +379,42 @@ let test_budget_marks_affected_counts () =
     ]
 
 (* A count that raises at a firing (here [12 / a] at a = 0, which the
-   engine never evaluates because the check prunes it) leaves only that
-   constraint's row unknown, and the run completes. *)
-let test_raising_count_leaves_row_unknown () =
+   engine never evaluates because the check prunes it). *)
+let raising_space () =
   let open Expr.Infix in
   let sp = Space.create ~name:"raise" () in
   Space.iterator sp "a" (Iter.range_i 0 4);
   Space.constrain sp "ca" (Expr.var "a" <: Expr.int 1);
   Space.iterator sp "b" (Iter.range (Expr.int 0) (Expr.int 12 /: Expr.var "a"));
   Space.constrain sp "cb" (Expr.var "b" >: Expr.int 4);
+  sp
+
+(* Only that constraint's row is unknown, and the run completes. *)
+let test_raising_count_leaves_row_unknown () =
   let stats, summary =
-    Provenance.with_collector (fun () -> Engine_staged.run (Plan.make_exn sp))
+    Provenance.with_collector (fun () ->
+        Engine_staged.run (Plan.make_exn (raising_space ())))
   in
   Alcotest.(check (list (pair string (option int)))) "rows"
     [ ("ca", None); ("cb", Some 8) ]
-    (List.map
-       (fun (r : Provenance.crow) -> (r.Provenance.pc_name, r.Provenance.pc_removed))
-       summary.Provenance.pv_constraints);
+    (removed_rows summary);
   Alcotest.(check int) "survivors" 14 stats.Engine.survivors
+
+(* The funnel runs the same one sweep, so it completes where the sweep
+   does, and its header does not pass the known removals off as a
+   total. *)
+let test_raising_count_funnel () =
+  let f = Stats.funnel (raising_space ()) in
+  Alcotest.(check (list (pair string (option int)))) "rows"
+    [ ("ca", None); ("cb", Some 8) ]
+    (List.map
+       (fun (r : Stats.row) -> (r.Stats.constraint_name, r.Stats.removed))
+       f.Stats.rows);
+  Alcotest.(check int) "survivors" 14 f.Stats.survivors;
+  Alcotest.(check string) "header"
+    "funnel for raise: 14 survivors (a removal count raised: removal counts \
+     are partial)"
+    (List.hd (String.split_on_char '\n' (Format.asprintf "%a" Stats.pp f)))
 
 (* ------------------------------------------------------------------ *)
 (* Golden explain file                                                  *)
@@ -622,14 +663,14 @@ let () =
         [
           Alcotest.test_case "static products" `Quick test_attribution_static;
           Alcotest.test_case "dynamic products" `Quick test_attribution_dynamic;
-          Alcotest.test_case "inexact under closures" `Quick
-            test_attribution_inexact;
+          Alcotest.test_case "exact under closures" `Quick
+            test_attribution_closure;
         ] );
       ( "single-pass funnel",
         [
           Alcotest.test_case "triangle" `Quick test_single_pass_triangle;
-          Alcotest.test_case "closure fallback" `Quick
-            test_single_pass_fallback;
+          Alcotest.test_case "closure exact in one sweep" `Quick
+            test_single_pass_closure;
           Alcotest.test_case "gemm" `Quick test_single_pass_gemm;
           Alcotest.test_case "conv2d" `Quick test_single_pass_conv2d;
         ] );
@@ -644,6 +685,8 @@ let () =
             test_budget_marks_affected_counts;
           Alcotest.test_case "raising count: row unknown" `Quick
             test_raising_count_leaves_row_unknown;
+          Alcotest.test_case "raising count: funnel partial" `Quick
+            test_raising_count_funnel;
         ] );
       ( "engines",
         [ Alcotest.test_case "agree on summaries" `Quick test_engines_agree ] );
