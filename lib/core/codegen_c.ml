@@ -134,6 +134,38 @@ static inline int beast_solve(int64_t start, int64_t step, uint64_t trip,
 
 |}
 
+(* The C twin of [Plan.pair_window], emitted only into programs with a
+   solved pair, with the same 63-bit guards as [solve_helper]. *)
+let pair_window_helper =
+  {|/* 1 when the pair's guards hold: then only the outer positions
+   [*lo, *hi) can pass "x * y != t" for some inner value, and among
+   them only the divisors of t. 0: test every value. Mirrors
+   Plan.pair_window. */
+static inline int beast_pair_window(int64_t start, int64_t step, uint64_t trip,
+                                    int64_t ystart, int64_t ystep, uint64_t ytrip,
+                                    int64_t t, uint64_t *lo, uint64_t *hi) {
+  *lo = 0;
+  *hi = 0;
+  if (start < 1 || step < 1 || ystart < 1 || ystep < 1 || t < 1) return 0;
+  if (BEAST_OUT63(start) || BEAST_OUT63(step) || BEAST_OUT63(ystart)
+      || BEAST_OUT63(ystep) || BEAST_OUT63(t))
+    return 0;
+  if (trip == 0 || ytrip == 0) return 1;
+  int64_t last = (int64_t)((uint64_t)start + (trip - 1) * (uint64_t)step);
+  int64_t ylast = (int64_t)((uint64_t)ystart + (ytrip - 1) * (uint64_t)ystep);
+  if (BEAST_OUT63(last) || BEAST_OUT63(ylast) || last > BEAST_MAX63 / ylast)
+    return 0;
+  int64_t wlo = beast_max(start, (t - 1) / ylast + 1);
+  int64_t whi = beast_min(last, t / ystart);
+  if (wlo <= whi) {
+    *lo = wlo == start ? 0 : (uint64_t)((wlo - start - 1) / step + 1);
+    *hi = (uint64_t)((whi - start) / step + 1);
+  }
+  return 1;
+}
+
+|}
+
 let value_tables (plan : Plan.t) =
   let tables = ref [] in
   let rec scan steps =
@@ -172,13 +204,12 @@ let generate ?(threads = 1) ?(emit_survivors = false) (plan : Plan.t) =
     let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
     let n_constraints = Array.length plan.Plan.constraint_info in
     let tables = value_tables plan in
-    let rec any_solved steps =
+    let rec any found steps =
       List.exists
         (fun (step : Plan.step) ->
           match step with
           | Plan.Loop { l_slot; l_iter; l_body; _ } ->
-            Option.is_some (Plan.solved_check ~slot:l_slot l_iter l_body)
-            || any_solved l_body
+            Option.is_some (found ~slot:l_slot l_iter l_body) || any found l_body
           | Plan.Derive _ | Plan.Check _ | Plan.Yield | Plan.Static_prune _ ->
             false)
         steps
@@ -193,7 +224,8 @@ let generate ?(threads = 1) ?(emit_survivors = false) (plan : Plan.t) =
     add "#include <stdint.h>\n#include <inttypes.h>\n";
     if threads > 1 then add "#include <pthread.h>\n";
     add "\n%s" helpers;
-    if any_solved plan.Plan.steps then add "%s" solve_helper;
+    if any Plan.solved_check plan.Plan.steps then add "%s" solve_helper;
+    if any Plan.solved_pair plan.Plan.steps then add "%s" pair_window_helper;
     add "#define BEAST_N_CONSTRAINTS %d\n\n" n_constraints;
     List.iter
       (fun (id, vs) ->
@@ -295,7 +327,16 @@ let generate ?(threads = 1) ?(emit_survivors = false) (plan : Plan.t) =
             match l_iter with
             | Plan.CRange (a, b, c) ->
               let solved = Plan.solved_check ~slot:l_slot l_iter l_body in
-              let bound = if solved = None then "const int64_t" else "int64_t" in
+              (* A claimed loop visits its positions in any order, so it
+                 keeps the per-value solve. *)
+              let pair =
+                if claimed then None
+                else Plan.solved_pair ~slot:l_slot l_iter l_body
+              in
+              let bound =
+                if solved = None && pair = None then "const int64_t"
+                else "int64_t"
+              in
               add "%s{  /* loop %s */\n" ind l_var;
               add "%s  %s start_%d = %s;\n" ind bound depth (c_expr names a);
               add "%s  %s stop_%d = %s;\n" ind bound depth (c_expr names b);
@@ -336,6 +377,58 @@ let generate ?(threads = 1) ?(emit_survivors = false) (plan : Plan.t) =
                   add "%s    }\n" ind;
                   add "%s  }\n" ind)
                 solved;
+              Option.iter
+                (fun (pr : Plan.pair) ->
+                  (* Narrow the loop to the window; the positions
+                     outside it are charged in bulk, each as its own
+                     entry plus the inner trip in entries and firings.
+                     The inner bounds and t are evaluated only when the
+                     loop has values, as unwindowed. *)
+                  let c_index = pr.pr_solved.sv_index in
+                  let ya, yb, yc = pr.pr_range in
+                  add "%s  int window_%d = 0;\n" ind depth;
+                  add "%s  int64_t window_t_%d = 0, window_ny_%d = 0;\n" ind depth
+                    depth;
+                  add "%s  {  /* window %s */\n" ind
+                    (fst plan.Plan.constraint_info.(c_index));
+                  add
+                    "%s    const uint64_t trip = beast_trip(start_%d, stop_%d, step_%d);\n"
+                    ind depth depth depth;
+                  add "%s    if (trip > 0) {\n" ind;
+                  add "%s      const int64_t ystart = %s;\n" ind (c_expr names ya);
+                  add "%s      const int64_t ystop = %s;\n" ind (c_expr names yb);
+                  add "%s      const int64_t ystep = %s;\n" ind (c_expr names yc);
+                  (match yc with
+                  | CLit k when k <> 0 -> ()
+                  | _ ->
+                    add "%s      if (ystep == 0) beast_zero_step(%d);\n" ind
+                      (loop_position pr.pr_var));
+                  add
+                    "%s      const uint64_t ytrip = beast_trip(ystart, ystop, ystep);\n"
+                    ind;
+                  add "%s      uint64_t lo, hi;\n" ind;
+                  add "%s      window_t_%d = %s;\n" ind depth
+                    (c_expr names pr.pr_solved.sv_target);
+                  add
+                    "%s      window_%d = beast_pair_window(start_%d, step_%d, trip, ystart, ystep, ytrip, window_t_%d, &lo, &hi);\n"
+                    ind depth depth depth depth;
+                  add "%s      if (window_%d) {\n" ind depth;
+                  add "%s        const int64_t skipped = (int64_t)(trip - (hi - lo));\n"
+                    ind;
+                  add "%s        window_ny_%d = (int64_t)ytrip;\n" ind depth;
+                  add
+                    "%s        *loop_iterations += skipped * (1 + window_ny_%d);\n"
+                    ind depth;
+                  add "%s        prune_counts[%d] += skipped * window_ny_%d;\n" ind
+                    c_index depth;
+                  add "%s        stop_%d = start_%d + (int64_t)hi * step_%d;\n" ind
+                    depth depth depth;
+                  add "%s        start_%d += (int64_t)lo * step_%d;\n" ind depth
+                    depth;
+                  add "%s      }\n" ind;
+                  add "%s    }\n" ind;
+                  add "%s  }\n" ind)
+                pair;
               if claimed then begin
                 add
                   "%s  const uint64_t trip_%d = beast_trip(start_%d, stop_%d, step_%d);\n"
@@ -352,6 +445,13 @@ let generate ?(threads = 1) ?(emit_survivors = false) (plan : Plan.t) =
                   "%s  for (%s = start_%d; step_%d > 0 ? %s < stop_%d : %s > stop_%d; %s += step_%d) {\n"
                   ind v depth depth v depth v depth v depth;
               add "%s    (*loop_iterations)++;\n" ind;
+              Option.iter
+                (fun (pr : Plan.pair) ->
+                  let c_index = pr.pr_solved.sv_index in
+                  add
+                    "%s    if (window_%d && window_t_%d %% %s != 0) { *loop_iterations += window_ny_%d; prune_counts[%d] += window_ny_%d; continue; }\n"
+                    ind depth depth v depth c_index depth)
+                pair;
               emit_steps (depth + 2) l_body;
               add "%s  }\n" ind;
               add "%s}\n" ind

@@ -14,6 +14,11 @@
       loop, the yield of a loop-free plan), so per-worker totals sum to
       exactly the sequential run's — the invariant {!Engine_native}
       relies on for byte-identical multithreaded stats;
+    - the same shortcuts as the staged engine's plain mode: a loop
+      {!Plan.solved_check} recognises is narrowed to the value
+      [beast_solve] keeps, and the outer loop of a {!Plan.solved_pair}
+      to the divisors in its [beast_pair_window] (a claimed outer loop
+      keeps the per-value solve), the skipped values charged in bulk;
     - a [main] that runs the sweep as worker 0, beside [threads - 1]
       POSIX threads (a thread that cannot be created leaves its claims
       to the others), and prints the statistics in a stable, parseable

@@ -24,9 +24,11 @@
    - plain: nothing installed — the disabled path is the uninstrumented
      code. Here alone a loop whose first check [Plan.solved_check]
      recognises solves it once per entry ([Plan.solve]) and binds only
-     the value that passes, charging the others to the check in bulk;
-     the other modes test every value, so per-value provenance and
-     per-evaluation timing see every evaluation;
+     the value that passes, charging the others to the check in bulk,
+     and the outer loop of a [Plan.solved_pair] runs only the values
+     of its [Plan.pair_window] that divide the target; the other modes
+     test every value, so per-value provenance and per-evaluation
+     timing see every evaluation;
    - provenance: a collector is installed; firings, hits and static
      prunes also feed a run-private [Provenance.local], with no clock
      reads;
@@ -111,6 +113,54 @@ let compile_solved ~entries ~fired l_var l_slot (a, b, c) (sv : Plan.solved)
       s.(l_slot) <- !only;
       body s
     | Pass_all | Test_each -> iterate s l_slot ~start ~step n body
+
+(* The outer loop [x] of a [Plan.solved_pair] (plain mode only), with
+   [inner] the compiled solved loop [y]. [y]'s bounds are evaluated once
+   per entry, and only when [x] has values, as the first [inner] call
+   would; [x] stays out of them, so [inner] sees the same. A value of
+   [x] the window skips, or that does not divide [t], charges [y]'s trip
+   to [inner_entries] and [fired] in bulk. *)
+let compile_window ~entries ~inner_entries ~fired l_var l_slot (a, b, c)
+    (pr : Plan.pair) inner =
+  let fa = Plan.compile_cexpr a
+  and fb = Plan.compile_cexpr b
+  and fc = Plan.compile_cexpr c
+  and ga, gb, gc = pr.pr_range in
+  let ga = Plan.compile_cexpr ga
+  and gb = Plan.compile_cexpr gb
+  and gc = Plan.compile_cexpr gc
+  and ft = Plan.compile_cexpr pr.pr_solved.sv_target in
+  let lo = ref 0 and hi = ref 0 in
+  fun s ->
+    let start = fa s and stop = fb s and step = fc s in
+    if step = 0 then Engine.zero_step l_var;
+    let n = Plan.trip_count ~start ~stop ~step in
+    entries := !entries + n;
+    if n > 0 then begin
+      let inner_start = ga s and inner_stop = gb s and inner_step = gc s in
+      if inner_step = 0 then Engine.zero_step pr.pr_var;
+      let ny =
+        Plan.trip_count ~start:inner_start ~stop:inner_stop ~step:inner_step
+      in
+      let t = ft s in
+      if
+        Plan.pair_window ~start ~step ~trip:n ~inner_start ~inner_step
+          ~inner_trip:ny ~target:t ~lo ~hi
+      then begin
+        let misses = ref (n - (!hi - !lo)) in
+        for k = !lo to !hi - 1 do
+          let x = start + (k * step) in
+          if t mod x <> 0 then incr misses
+          else begin
+            s.(l_slot) <- x;
+            inner s
+          end
+        done;
+        inner_entries := !inner_entries + (!misses * ny);
+        fired := !fired + (!misses * ny)
+      end
+      else iterate s l_slot ~start ~step n inner
+    end
 
 let run ?on_hit (plan : Plan.t) =
   let r = Engine.Run.start plan in
@@ -210,14 +260,18 @@ let run ?on_hit (plan : Plan.t) =
           plocal;
         k s
   in
+  let plain = (not instrumented) && plocal = None in
+  let solved_fired (sv : Plan.solved) =
+    let fired = ref 0 in
+    at_end (fun () -> pruned.(sv.sv_index) <- pruned.(sv.sv_index) + !fired);
+    fired
+  in
   let compile_entry ~depth ~entries l_var l_slot l_iter l_body body =
     if not instrumented then
-      match (l_iter, plocal, Plan.solved_check ~slot:l_slot l_iter l_body) with
-      | CRange (a, b, c), None, Some sv ->
-        let fired = ref 0 in
-        at_end (fun () ->
-            pruned.(sv.sv_index) <- pruned.(sv.sv_index) + !fired);
-        compile_solved ~entries ~fired l_var l_slot (a, b, c) sv body
+      match (l_iter, plain, Plan.solved_check ~slot:l_slot l_iter l_body) with
+      | CRange (a, b, c), true, Some sv ->
+        compile_solved ~entries ~fired:(solved_fired sv) l_var l_slot (a, b, c)
+          sv body
       | _ -> compile_loop ~entries l_var l_slot l_iter body
     else
       let body s =
@@ -254,10 +308,23 @@ let run ?on_hit (plan : Plan.t) =
     | Loop { l_var; l_slot; l_iter; l_body } :: rest ->
       let entries = ref 0 in
       at_end (fun () -> add_entries depth !entries);
-      let body = compile ~depth:(depth + 1) l_body in
-      and_then ~depth
-        (compile_entry ~depth ~entries l_var l_slot l_iter l_body body)
-        rest
+      let loop =
+        match (l_iter, plain, Plan.solved_pair ~slot:l_slot l_iter l_body) with
+        | CRange (a, b, c), true, Some pr ->
+          let inner_entries = ref 0 and fired = solved_fired pr.pr_solved in
+          at_end (fun () -> add_entries (depth + 1) !inner_entries);
+          let inner =
+            compile_solved ~entries:inner_entries ~fired pr.pr_var pr.pr_slot
+              pr.pr_range pr.pr_solved
+              (compile ~depth:(depth + 2) pr.pr_body)
+          in
+          compile_window ~entries ~inner_entries ~fired l_var l_slot (a, b, c)
+            pr inner
+        | _ ->
+          compile_entry ~depth ~entries l_var l_slot l_iter l_body
+            (compile ~depth:(depth + 1) l_body)
+      in
+      and_then ~depth loop rest
   (* A loop or yield ends its step list in every plan [Plan.make] builds,
      so the common case has no continuation to call. *)
   and and_then ~depth f rest =

@@ -219,10 +219,18 @@ type aprog =
     }
 
 and aiter =
-  | ARange of fn * fn * fn * (fn * fn) option
-      (** start, stop, step, and the coefficient and target of the first
-          check when [Plan.solved_check] recognises it *)
+  | ARange of fn * fn * fn * shortcut  (** start, stop, step *)
   | AValues of (int array -> int array)  (** [CValues] and [CDyn] *)
+
+(* How a range walk may skip values that cannot reach [Yield]. *)
+and shortcut =
+  | Every  (** visit every value *)
+  | Solved of fn * fn
+      (** the coefficient and target of the first check, which
+          [Plan.solved_check] recognises *)
+  | Window of { w_var : string; w_range : fn * fn * fn; w_target : fn }
+      (** the outer loop of a [Plan.solved_pair]: the inner loop's name
+          and start, stop and step, and the check's target *)
 
 (* A range too long to walk or materialise is refused up front. *)
 let check_trip var n max_states =
@@ -314,12 +322,24 @@ let annotate ?entry (steps : Plan.step list) =
         match l_iter with
         | Plan.CRange (a, b, c) ->
           let f = Plan.compile_cexpr in
-          let solve (sv : Plan.solved) = (f sv.sv_coef, f sv.sv_target) in
-          let solved =
-            if counting then None
-            else Plan.solved_check ~slot:l_slot l_iter l_body
+          let shortcut =
+            if counting then Every
+            else
+              match
+                ( Plan.solved_check ~slot:l_slot l_iter l_body,
+                  Plan.solved_pair ~slot:l_slot l_iter l_body )
+              with
+              | Some sv, _ -> Solved (f sv.sv_coef, f sv.sv_target)
+              | None, Some { pr_var; pr_range = ya, yb, yc; pr_solved; _ } ->
+                Window
+                  {
+                    w_var = pr_var;
+                    w_range = (f ya, f yb, f yc);
+                    w_target = f pr_solved.sv_target;
+                  }
+              | None, None -> Every
           in
-          ARange (f a, f b, f c, Option.map solve solved)
+          ARange (f a, f b, f c, shortcut)
         | Plan.CValues vs -> AValues (fun _ -> vs)
         | Plan.CDyn (_, f) -> AValues f
       in
@@ -353,7 +373,11 @@ let annotate ?entry (steps : Plan.step list) =
    non-Empty children. A solved loop visits only the values that can
    pass its first check: a skipped value fails that check right after
    derives that cannot raise, so no deeper loop, state or error is
-   skipped. Value lists are sorted and checked for repeats. *)
+   skipped. The outer loop of a solved pair visits only the divisors of
+   the target in its [Plan.pair_window]: the inner loop of any other
+   value solves to nothing. The inner bounds are evaluated and checked
+   once per entry with values, as the first visit would. Value lists
+   are sorted and checked for repeats. *)
 let build ?(max_states = default_max_states) (plan : Plan.t) :
     (t, string) result =
   try
@@ -362,7 +386,7 @@ let build ?(max_states = default_max_states) (plan : Plan.t) :
     let a = arena () in
     let memo = Ints.create 1024 in
     let states = ref 0 in
-    let only = ref 0 in
+    let only = ref 0 and lo = ref 0 and hi = ref 0 in
     (* Every walk of a loop is one state, memoized or not. *)
     let count_state var key =
       incr states;
@@ -418,28 +442,52 @@ let build ?(max_states = default_max_states) (plan : Plan.t) :
             fail "iterator visits value %d twice" (fst pairs.(i))
         done;
         List.filter (fun (_, c) -> c != Empty) (Array.to_list pairs)
-      | ARange (start, stop, step, solved) -> (
+      | ARange (start, stop, step, shortcut) -> (
         let start = start slots and stop = stop slots and step = step slots in
         if step = 0 then fail "Feasible: zero range step";
         let n = Plan.trip_count ~start ~stop ~step in
         check_trip var n max_states;
-        let solution =
-          match solved with
-          | None -> Plan.Test_each
-          | Some (coef, target) ->
-            Plan.solve ~start ~step ~trip:n ~coef:(coef slots)
-              ~target:(target slots) ~only
-        in
-        match solution with
-        | Pass_none -> []
-        | Pass_one -> keep [] !only
-        | Pass_all | Test_each ->
+        let every () =
           let acc = ref [] and v = ref start in
           for _ = 1 to n do
             acc := keep !acc !v;
             v := !v + step
           done;
-          if step > 0 then List.rev !acc else !acc)
+          if step > 0 then List.rev !acc else !acc
+        in
+        match shortcut with
+        | Every -> every ()
+        | Solved (coef, target) -> (
+          match
+            Plan.solve ~start ~step ~trip:n ~coef:(coef slots)
+              ~target:(target slots) ~only
+          with
+          | Pass_none -> []
+          | Pass_one -> keep [] !only
+          | Pass_all | Test_each -> every ())
+        | Window _ when n = 0 -> []
+        | Window { w_var; w_range = ya, yb, yc; w_target } ->
+          let inner_start = ya slots
+          and inner_stop = yb slots
+          and inner_step = yc slots in
+          if inner_step = 0 then fail "Feasible: zero range step";
+          let ny =
+            Plan.trip_count ~start:inner_start ~stop:inner_stop ~step:inner_step
+          in
+          check_trip w_var ny max_states;
+          let t = w_target slots in
+          if
+            Plan.pair_window ~start ~step ~trip:n ~inner_start ~inner_step
+              ~inner_trip:ny ~target:t ~lo ~hi
+          then begin
+            let acc = ref [] in
+            for k = !lo to !hi - 1 do
+              let x = start + (k * step) in
+              if t mod x = 0 then acc := keep !acc x
+            done;
+            List.rev !acc
+          end
+          else every ())
     in
     Ok
       {

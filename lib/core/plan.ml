@@ -774,6 +774,61 @@ let solve ~start ~step ~trip ~coef ~target ~only =
           Pass_one
         end
 
+type pair = {
+  pr_var : string;
+  pr_slot : int;
+  pr_range : cexpr * cexpr * cexpr;
+  pr_body : step list;
+  pr_solved : solved;
+}
+
+let solved_pair ~slot (iter : citer) body =
+  match (iter, body) with
+  | CRange _, [ Loop { l_var; l_slot; l_iter = CRange (a, b, c) as l_iter; l_body } ]
+    -> (
+    match solved_check ~slot:l_slot l_iter l_body with
+    | Some ({ sv_coef = CSlot i; sv_target; _ } as sv) when i = slot ->
+      let reads_x e = List.mem slot (cexpr_slots e) in
+      if List.exists reads_x [ a; b; c; sv_target ] then None
+      else
+        Some
+          {
+            pr_var = l_var;
+            pr_slot = l_slot;
+            pr_range = (a, b, c);
+            pr_body = l_body;
+            pr_solved = sv;
+          }
+    | _ -> None)
+  | _ -> None
+
+(* [Codegen_c]'s [beast_pair_window] is the C twin. With every value
+   positive and [last * inner_last <= max_int], no product [x * y]
+   wraps, so [x * y = target] needs [x] in
+   [[ceil (target / inner_last), target / inner_start]]; and the
+   product guard also bounds [trip * inner_trip], the most any caller
+   charges in bulk. *)
+let pair_window ~start ~step ~trip ~inner_start ~inner_step ~inner_trip ~target
+    ~lo ~hi =
+  lo := 0;
+  hi := 0;
+  if start < 1 || step < 1 || inner_start < 1 || inner_step < 1 || target < 1
+  then false
+  else if trip = 0 || inner_trip = 0 then true
+  else
+    let last = start + ((trip - 1) * step)
+    and inner_last = inner_start + ((inner_trip - 1) * inner_step) in
+    if last > max_int / inner_last then false
+    else begin
+      let wlo = int_max start (((target - 1) / inner_last) + 1)
+      and whi = int_min last (target / inner_start) in
+      if wlo <= whi then begin
+        lo := if wlo = start then 0 else ((wlo - start - 1) / step) + 1;
+        hi := ((whi - start) / step) + 1
+      end;
+      true
+    end
+
 (* Block [index] of [of_] over a trip sequence of length [len]:
    positions [index*len/of_, (index+1)*len/of_). Adjacent blocks tile
    the sequence exactly and differ in size by at most one. *)
@@ -937,8 +992,13 @@ let pp ppf t =
             (if solved = Some c_index then ", solved" else "")
             pp_compute c_compute
         | Loop { l_var; l_slot; l_iter; l_body } ->
-          Format.fprintf ppf "%sfor %s (s%d) in %a:@\n" indent l_var l_slot
-            pp_citer l_iter;
+          Format.fprintf ppf "%sfor %s (s%d) in %a%s:@\n" indent l_var l_slot
+            pp_citer l_iter
+            (match solved_pair ~slot:l_slot l_iter l_body with
+            | Some pr ->
+              Printf.sprintf " [window %s]"
+                (fst t.constraint_info.(pr.pr_solved.sv_index))
+            | None -> "");
           pp_steps
             ?solved:
               (Option.map

@@ -242,10 +242,57 @@ val solve :
     exceed [max_int], or [coef <> 0] and the range spans more than
     [max_int]. *)
 
+(** {2 Solved pairs}
+
+    A loop [x] whose body is exactly one loop [y] with a solved check
+    [x * y != t] (paper Fig. 15's [cant_reshape_a1]) passes only divisor
+    pairs. Per entry of [x], only a window of its values can pass for
+    some [y], and inside it only divisors of [t]: every other value of
+    [x] costs its [y] loop's trip in entries and firings, charged in
+    bulk. The same paths as {!solve} use it, and the oracles test every
+    value. *)
+
+type pair = {
+  pr_var : string;  (** [y] *)
+  pr_slot : int;
+  pr_range : cexpr * cexpr * cexpr;  (** [y]'s start, stop, step *)
+  pr_body : step list;  (** [y]'s body *)
+  pr_solved : solved;  (** [y]'s solved check; its [sv_coef] is [CSlot x] *)
+}
+
+val solved_pair : slot:int -> citer -> step list -> pair option
+(** [solved_pair ~slot iter body] recognises a loop over slot [slot]
+    (the [x]) whose iterator is a [CRange] and whose [body] is exactly
+    one [CRange] loop [y] whose {!solved_check} has coefficient
+    [CSlot slot], where neither [y]'s bounds nor the target read
+    [slot]. *)
+
+val pair_window :
+  start:int ->
+  step:int ->
+  trip:int ->
+  inner_start:int ->
+  inner_step:int ->
+  inner_trip:int ->
+  target:int ->
+  lo:int ref ->
+  hi:int ref ->
+  bool
+(** One entry of a recognised pair: [x] visits [start], [start + step],
+    ... ([trip] values), [y] visits [inner_trip] values from
+    [inner_start] by [inner_step], and [target] is [t]. [true] when the
+    guards hold: every value and step positive and
+    [last x * last y <= max_int] (so no product wraps and
+    [trip * inner_trip <= max_int]). Then only the positions
+    [[!lo, !hi)] of [x]'s trip can pass [x * y != t] for some [y], and
+    among them only the divisors of [target]. [false]: test every value
+    of [x]. Allocates nothing. *)
+
 val pp_cexpr : Format.formatter -> cexpr -> unit
 (** Infix dump of one expression, slots as [s<i>]. *)
 
 val pp : Format.formatter -> t -> unit
 (** Pseudo-code dump of the nest, for inspection and golden tests. A
     check {!solved_check} recognises is marked, as in
-    [prune if c [hard, solved]: ...]. *)
+    [prune if c [hard, solved]: ...], and so is the outer loop of a
+    {!solved_pair}, as in [for x (s7) in range(...) [window c]:]. *)

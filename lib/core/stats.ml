@@ -154,6 +154,8 @@ let funnel space =
         f.rows;
       f)
 
+let exact f = List.for_all (fun r -> r.removed <> None) f.rows
+
 let to_csv f =
   let buf = Buffer.create 256 in
   Buffer.add_string buf "constraint,class,fired,removed\n";
@@ -169,22 +171,22 @@ let to_csv f =
     f.rows;
   (* fired counts events (one firing can remove a whole subtree), removed
      counts points; they are different quantities, so the TOTAL row sums
-     each column independently. *)
+     each column independently. A partial removed column has no total:
+     its cell stays empty, like the unknown rows'. *)
   let total_fired = List.fold_left (fun acc r -> acc + r.fired) 0 f.rows in
   Buffer.add_string buf
-    (Printf.sprintf "TOTAL,,%d,%d\n" total_fired (f.total_points - f.survivors));
+    (Printf.sprintf "TOTAL,,%d,%s\n" total_fired
+       (if exact f then string_of_int (f.total_points - f.survivors) else ""));
   Buffer.contents buf
 
-let exact f = List.for_all (fun r -> r.removed <> None) f.rows
+let partial_note = "a removal count raised: removal counts are partial"
 
 let pp ppf f =
   Format.fprintf ppf "funnel for %s: " f.space;
   if exact f then
     Format.fprintf ppf "%d points -> %d survivors (%.2f%% pruned)@\n"
       f.total_points f.survivors (100. *. pruned_fraction f)
-  else
-    Format.fprintf ppf "%d survivors (%s)@\n" f.survivors
-      "a removal count raised: removal counts are partial";
+  else Format.fprintf ppf "%d survivors (%s)@\n" f.survivors partial_note;
   List.iter
     (fun r ->
       Format.fprintf ppf "  %-30s %-11s fired %-10d removed %s@\n"

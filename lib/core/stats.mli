@@ -62,6 +62,13 @@ val exact : funnel -> bool
 (** Every row's [removed] is known, so [total_points] is exact. *)
 
 val to_csv : funnel -> string
+(** One row per constraint, then a TOTAL row summing fired and removed;
+    the TOTAL removed cell is empty unless the funnel is {!exact}, as an
+    unknown row's is. *)
+
+val partial_note : string
+(** What {!pp} and {!Visualize.html_report} print in place of a point
+    total when the funnel is not {!exact}. *)
 
 val pp : Format.formatter -> funnel -> unit
 (** The header gives [total_points] only when the funnel is {!exact}. *)

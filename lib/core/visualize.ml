@@ -139,9 +139,13 @@ let html_report ?(title = "BEAST pruning funnel") f =
   add "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\"><title>%s</title></head>\n"
     title;
   add "<body style=\"font-family: sans-serif\">\n<h1>%s</h1>\n" title;
-  add "<p>space <b>%s</b>: %d points, %d survivors (%.2f%%25 pruned)</p>\n"
-    f.Stats.space f.Stats.total_points f.Stats.survivors
-    (100.0 *. Stats.pruned_fraction f);
+  if Stats.exact f then
+    add "<p>space <b>%s</b>: %d points, %d survivors (%.2f%% pruned)</p>\n"
+      f.Stats.space f.Stats.total_points f.Stats.survivors
+      (100.0 *. Stats.pruned_fraction f)
+  else
+    add "<p>space <b>%s</b>: %d survivors (%s)</p>\n" f.Stats.space
+      f.Stats.survivors Stats.partial_note;
   Buffer.add_string buf (svg f);
   add "<table border=\"1\" cellpadding=\"4\">\n";
   add "<tr><th>constraint</th><th>class</th><th>fired</th><th>removed</th></tr>\n";

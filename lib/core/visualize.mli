@@ -14,7 +14,9 @@ val svg : ?size:int -> Stats.funnel -> string
     an arc split. [size] is the image edge in pixels (default 480). *)
 
 val html_report : ?title:string -> Stats.funnel -> string
-(** The SVG embedded in a minimal HTML page with a legend table. *)
+(** The SVG embedded in a minimal HTML page with a legend table. The
+    summary line gives the point total only when the funnel is
+    {!Stats.exact}, as {!Stats.pp} does. *)
 
 val scatter_svg :
   ?size:int ->

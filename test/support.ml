@@ -106,6 +106,18 @@ let mixed_space () =
       Value.Bool (p mod c <> 0));
   sp
 
+(* A space whose removal count raises at a firing (here [12 / a] at
+   a = 0, which the engine never evaluates because the check prunes
+   it): its funnel is partial, [ca] removed unknown and [cb] 8. *)
+let raising_space () =
+  let open Expr.Infix in
+  let sp = Space.create ~name:"raise" () in
+  Space.iterator sp "a" (Iter.range_i 0 4);
+  Space.constrain sp "ca" (Expr.var "a" <: Expr.int 1);
+  Space.iterator sp "b" (Iter.range (Expr.int 0) (Expr.int 12 /: Expr.var "a"));
+  Space.constrain sp "cb" (Expr.var "b" >: Expr.int 4);
+  sp
+
 let stats_testable =
   Alcotest.testable Engine.pp_stats (fun a b ->
       a.Engine.survivors = b.Engine.survivors
@@ -126,7 +138,11 @@ let gemm_space ~max_dim ~max_threads =
    Ranges start anywhere in -3..3 and step by either sign; the [!=]
    shapes over products, with literal 0 and negative coefficients, reach
    the checks the staged engine and the generated C solve per loop entry
-   instead of testing each value. *)
+   instead of testing each value. A third of the draws end in a divisor
+   pair: two more ranges [p] and [q], read by nothing else, and the
+   check [p * q != t] ([Plan.solved_pair]'s shape), with [t] a literal
+   in -5..40 or an earlier iterator; [p] starts in -1..3 so the window's
+   guards both hold and fail. *)
 let gen_space =
   let open QCheck.Gen in
   let gen_bound prev =
@@ -184,12 +200,47 @@ let gen_space =
       let name = Printf.sprintf "i%d" i in
       build_iters (i + 1) (name :: prev) ((name, range) :: acc)
   in
+  let gen_pair names =
+    let open Expr.Infix in
+    let gen_pair_range =
+      oneof
+        [
+          map (fun k -> Expr.int k) (int_range 1 8);
+          map (fun i -> Expr.var (List.nth names (i mod List.length names)))
+            (int_range 0 10);
+        ]
+      >>= fun bound ->
+      int_range (-1) 3 >>= fun start ->
+      oneofl [ 1; 1; 2; 3; -1 ] >>= fun step ->
+      return
+        (if step > 0 then (Expr.int start, bound, step)
+         else (bound, Expr.int (start - 1), step))
+    in
+    gen_pair_range >>= fun p ->
+    gen_pair_range >>= fun q ->
+    oneof
+      [
+        map Expr.int (int_range (-5) 40);
+        map Expr.var (oneofl names);
+      ]
+    >>= fun t ->
+    oneofl
+      [
+        (Expr.var "p" *: Expr.var "q") <>: t;
+        t <>: (Expr.var "q" *: Expr.var "p");
+      ]
+    >>= fun check -> return ([ ("p", p); ("q", q) ], check)
+  in
   build_iters 0 [] [] >>= fun iters ->
   let names = List.map fst iters in
   gen_expr_over names >>= fun dv ->
   int_range 0 2 >>= fun n_cons ->
   list_repeat n_cons (gen_expr_over ("d0" :: names)) >>= fun cons ->
-  return (iters, dv, cons)
+  int_range 0 2 >>= fun pair ->
+  if pair > 0 then return (iters, dv, cons)
+  else
+    gen_pair names >>= fun (pq, check) ->
+    return (iters @ pq, dv, cons @ [ check ])
 
 let space_of (iters, dv, cons) =
   let sp = Space.create () in

@@ -500,6 +500,173 @@ let test_generator_reaches_solved () =
   if solved < 40 then
     Alcotest.failf "only %d of 400 generated plans have a solved check" solved
 
+(* ---- Solved pairs: the window paths against the interpreter ---- *)
+
+let rec has_pair steps =
+  List.exists
+    (fun (step : Plan.step) ->
+      match step with
+      | Loop { l_slot; l_iter; l_body; _ } ->
+        Option.is_some (Plan.solved_pair ~slot:l_slot l_iter l_body)
+        || has_pair l_body
+      | Derive _ | Check _ | Static_prune _ | Yield -> false)
+    steps
+
+let test_generator_reaches_pairs () =
+  let rng = Random.State.make [| 17 |] in
+  let pairs =
+    List.length
+      (List.filter
+         (fun _ ->
+           let sp = Support.space_of (Support.gen_space rng) in
+           has_pair (Plan.make_exn sp).Plan.steps)
+         (List.init 400 Fun.id))
+  in
+  if pairs < 40 then
+    Alcotest.failf "only %d of 400 generated plans have a solved pair" pairs
+
+let have_cc =
+  lazy
+    (Sys.command
+       (Printf.sprintf "command -v %s >/dev/null 2>&1" (Engine_native.cc ()))
+    = 0)
+
+(* A private native cache, removed afterwards; [None] without a C
+   compiler. *)
+let with_native_cache f =
+  if not (Lazy.force have_cc) then f None
+  else
+    let dir =
+      Filename.concat
+        (Filename.get_temp_dir_name ())
+        (Printf.sprintf "beast_test_engines_%d" (Unix.getpid ()))
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        if Sys.file_exists dir then begin
+          Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+          Unix.rmdir dir
+        end)
+      (fun () -> f (Some dir))
+
+(* The paths that window a solved pair's outer loop: staged, parallel:2
+   and, given a native cache, native:1 and native:2. *)
+let window_paths ?native plan =
+  [
+    ("staged", fun () -> Engine_staged.run plan);
+    ("parallel:2", fun () -> Engine_parallel.run ~domains:2 plan);
+  ]
+  @
+  match native with
+  | None -> []
+  | Some workdir ->
+    List.map
+      (fun threads ->
+        ( Printf.sprintf "native:%d" threads,
+          fun () -> Engine_native.run ~workdir ~threads plan ))
+      [ 1; 2 ]
+
+let stats_bytes plan stats = Stats_io.to_json (Stats_io.of_stats ~plan stats)
+
+let window_paths_agree ?native plan =
+  let expected = stats_bytes plan (Engine_interp.run_plan plan) in
+  List.for_all
+    (fun (_, run) -> stats_bytes plan (run ()) = expected)
+    (window_paths ?native plan)
+
+(* test/golden/pair_edge.beast (outer ranges from 0 and from a negative
+   value by 2, targets 24, 0 and -6) and GEMM-12, propagated and not:
+   the interpreter's bytes on every window path. *)
+let test_pair_edges () =
+  let edge =
+    match Beast_dsl.Parse.space_of_file "golden/pair_edge.beast" with
+    | Ok sp -> sp
+    | Error e -> Alcotest.failf "parse: %a" Beast_dsl.Parse.pp_error e
+  in
+  with_native_cache (fun native ->
+      List.iter
+        (fun sp ->
+          let plan = Plan.make_exn sp in
+          Alcotest.(check bool) (Space.name sp ^ " has a pair") true
+            (has_pair plan.Plan.steps);
+          let expected = stats_bytes plan (Engine_interp.run_plan plan) in
+          List.iter
+            (fun plan ->
+              List.iter
+                (fun (name, run) ->
+                  Alcotest.(check string) (Space.name sp ^ " on " ^ name)
+                    expected
+                    (stats_bytes plan (run ())))
+                (window_paths ?native plan))
+            [ plan; Propagate.pass plan ])
+        [ edge; Support.gemm_space ~max_dim:12 ~max_threads:48 ])
+
+(* The inner bounds are evaluated once per entry with values, as the
+   first inner loop would: an empty outer loop raises nothing, and a
+   non-empty one gives the inner loop's zero step or division by zero
+   on every path, the diagram's included. *)
+let test_pair_inner_raises () =
+  let open Expr.Infix in
+  let space ~n inner =
+    let sp = Space.create () in
+    Space.setting_i sp "n" n;
+    Space.setting_i sp "z" 0;
+    Space.iterator sp "x" (Iter.range (Expr.int 1) (Expr.var "n"));
+    Space.iterator sp "y" inner;
+    Space.constrain sp "pair" ((Expr.var "x" *: Expr.var "y") <>: Expr.int 6);
+    sp
+  in
+  let zero_step = Iter.range ~step:(Expr.var "z") (Expr.int 1) (Expr.int 9) in
+  let div_zero = Iter.range (Expr.int 1) (Expr.int 12 /: Expr.var "z") in
+  with_native_cache (fun native ->
+      List.iter
+        (fun (what, inner, expected) ->
+          let raising = Plan.make_exn (space ~n:4 inner) in
+          let empty = Plan.make_exn (space ~n:1 inner) in
+          Alcotest.(check bool) (what ^ ": a pair") true
+            (has_pair raising.Plan.steps);
+          List.iter
+            (fun (name, run) ->
+              match run () with
+              | (_ : Engine.stats) -> Alcotest.failf "%s: %s ran" what name
+              | exception (Expr.Eval_error msg | Engine_native.Error msg) ->
+                Alcotest.(check string) (what ^ " on " ^ name) expected msg
+              | exception Division_by_zero ->
+                Alcotest.(check string) (what ^ " on " ^ name) expected
+                  "division by zero")
+            (("interp", fun () -> Engine_interp.run_plan raising)
+            :: window_paths ?native raising);
+          Alcotest.(check bool) (what ^ ": the diagram refuses") true
+            (Result.is_error (Feasible.build raising));
+          List.iter
+            (fun (name, run) ->
+              Alcotest.(check int) (what ^ ": empty outer on " ^ name) 0
+                (run ()).Engine.loop_iterations)
+            (window_paths ?native empty);
+          Alcotest.(check int) (what ^ ": empty diagram") 0
+            (Feasible.count (Result.get_ok (Feasible.build empty))))
+        [
+          ("zero step", zero_step, "y: zero range step");
+          ("division by zero", div_zero, "division by zero");
+        ])
+
+let prop_window_paths_match_interp =
+  QCheck.Test.make ~name:"window paths give the interpreter's bytes"
+    ~count:200 Support.arb_space (fun descr ->
+      let plan = Plan.make_exn (Support.space_of descr) in
+      window_paths_agree plan && window_paths_agree (Propagate.pass plan))
+
+(* Native compiles each draw, so it sees fewer, and only draws that
+   hold a pair. *)
+let prop_native_window_matches_interp =
+  QCheck.Test.make ~name:"native window gives the interpreter's bytes"
+    ~count:8 Support.arb_space (fun descr ->
+      let plan = Plan.make_exn (Support.space_of descr) in
+      QCheck.assume (has_pair plan.Plan.steps);
+      with_native_cache (function
+        | None -> true
+        | Some workdir -> window_paths_agree ~native:workdir plan))
+
 let prop_engines_agree =
   QCheck.Test.make ~name:"all engines match brute force" ~count:200
     Support.arb_space (fun descr ->
@@ -805,6 +972,11 @@ let () =
             test_undeclared_closure_read;
           Alcotest.test_case "generator reaches solved checks" `Quick
             test_generator_reaches_solved;
+          Alcotest.test_case "generator reaches solved pairs" `Quick
+            test_generator_reaches_pairs;
+          Alcotest.test_case "solved pair edges" `Quick test_pair_edges;
+          Alcotest.test_case "solved pair inner raises" `Quick
+            test_pair_inner_raises;
         ] );
       ( "registry",
         [
@@ -829,6 +1001,8 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_engines_agree;
+            prop_window_paths_match_interp;
+            prop_native_window_matches_interp;
             prop_vm_staged_stats;
             prop_chunks_partition;
             prop_work_stealing_matches_staged;

@@ -609,6 +609,43 @@ let test_solved_counts () =
         (Feasible.count (build_exn plan)))
     [ ("plan", plan); ("propagated", Propagate.pass plan) ]
 
+(* The outer loop of a solved pair visits only the divisors of [t] in
+   its window: count and every point still equal brute force, on
+   test/golden/pair_edge.beast (windows refused at outer starts of 0
+   and -5 and at targets 0 and -6) and on a pair whose window holds for
+   some entries, with a target that is an outer iterator. *)
+let test_solved_pair_points () =
+  let open Expr.Infix in
+  let edge =
+    match Beast_dsl.Parse.space_of_file "golden/pair_edge.beast" with
+    | Ok sp -> sp
+    | Error e -> Alcotest.failf "parse: %a" Beast_dsl.Parse.pp_error e
+  in
+  let window = Space.create ~name:"window" () in
+  Space.iterator window "t" (Iter.range_i ~step:5 (-4) 60);
+  Space.iterator window "x" (Iter.range_i ~step:2 1 30);
+  Space.iterator window "y" (Iter.range_i 2 11);
+  Space.constrain window "pair" ((Expr.var "x" *: Expr.var "y") <>: Expr.var "t");
+  List.iter
+    (fun sp ->
+      let plan = Plan.make_exn sp in
+      let expected =
+        Support.brute_force sp
+        |> List.map (fun point ->
+               List.map
+                 (fun n -> Value.to_int (List.assoc n point))
+                 plan.Plan.iter_order)
+        |> List.sort compare
+      in
+      List.iter
+        (fun plan ->
+          let t = build_exn plan in
+          Alcotest.(check (list (list int))) (Space.name sp) expected
+            (List.init (Feasible.count t) (fun i ->
+                 List.map snd (Feasible.nth t i))))
+        [ plan; Propagate.pass plan ])
+    [ edge; window ]
+
 (* ------------------------------------------------------------------ *)
 (* Oracle: random spaces against brute-force enumeration               *)
 (* ------------------------------------------------------------------ *)
@@ -691,6 +728,7 @@ let () =
           Alcotest.test_case "opaque computes" `Quick test_opaque_counts;
           Alcotest.test_case "gemm-opt closures" `Quick test_gemm_opt_counts;
           Alcotest.test_case "solved checks" `Quick test_solved_counts;
+          Alcotest.test_case "solved pairs" `Quick test_solved_pair_points;
         ] );
       ( "oracle",
         [ QCheck_alcotest.to_alcotest prop_matches_brute_force ] );

@@ -365,10 +365,14 @@ let test_pp_smoke () =
   let s = Format.asprintf "%a" Plan.pp p in
   Alcotest.(check bool) "mentions loops" true (String.length s > 40);
   Alcotest.(check bool) "no check solved" false (contains s "solved");
-  let s = Format.asprintf "%a" Plan.pp (plan_of (reshape_space ())) in
-  Alcotest.(check bool) "solved check marked" true
-    (contains s
-       "prune if cant_reshape [correctness, solved]: ((s0 * s1) != 12)")
+  Alcotest.(check bool) "no loop windowed" false (contains s "window");
+  Alcotest.(check string) "solved pair marked"
+    "plan reshape (2 loops, 1 constraints)\n\
+     for a (s0) in range(1, 9, 1) [window cant_reshape]:\n\
+    \  for b (s1) in range(1, 9, 1):\n\
+    \    prune if cant_reshape [correctness, solved]: ((s0 * s1) != 12)\n\
+    \    yield\n"
+    (Format.asprintf "%a" Plan.pp (plan_of (reshape_space ())))
 
 (* ---- Solved checks ---- *)
 
@@ -524,6 +528,174 @@ let test_solved_check_shapes () =
   Alcotest.(check bool) "target bound in the loop" false
     (recognised ~derived:[ ("d", b +: Expr.int 1) ] ((a *: b) <>: Expr.var "d"))
 
+(* ---- Solved pairs ---- *)
+
+(* Bit [k] of [masks.(t - t_lo)]: some [y] passes [x_k * y = t], in the
+   engines' wrapping arithmetic, for [t] in [t_lo, t_lo + len). *)
+let passing_masks ~t_lo ~len (start, step, trip) (ystart, ystep, ytrip) =
+  let masks = Array.make len 0 in
+  for k = 0 to trip - 1 do
+    let x = start + (k * step) in
+    for j = 0 to ytrip - 1 do
+      let i = (x * (ystart + (j * ystep))) - t_lo in
+      if i >= 0 && i < len then masks.(i) <- masks.(i) lor (1 lsl k)
+    done
+  done;
+  masks
+
+(* [pair_window]'s answer for one entry, checked against [mask] (the
+   passing positions): when it holds, no position outside [lo, hi) and
+   no non-divisor of [t] passes. Returns whether it held, and the
+   window. *)
+let check_window ~what (start, step, trip) (ystart, ystep, ytrip) t mask =
+  let lo = ref (-1) and hi = ref (-1) in
+  let held =
+    Plan.pair_window ~start ~step ~trip ~inner_start:ystart ~inner_step:ystep
+      ~inner_trip:ytrip ~target:t ~lo ~hi
+  in
+  let fail why =
+    Alcotest.failf
+      "%s: x from %d by %d (%d values), y from %d by %d (%d values), t = %d: \
+       %s"
+      what start step trip ystart ystep ytrip t why
+  in
+  if held then begin
+    if not (0 <= !lo && !lo <= !hi && !hi <= trip) then
+      fail (Printf.sprintf "window [%d, %d) out of the trip" !lo !hi);
+    for k = 0 to trip - 1 do
+      if mask land (1 lsl k) <> 0 then begin
+        let x = start + (k * step) in
+        if k < !lo || k >= !hi then fail (Printf.sprintf "x = %d passes outside" x);
+        if t mod x <> 0 then fail (Printf.sprintf "x = %d passes, not dividing" x)
+      end
+    done
+  end
+  else if (!lo, !hi) <> (0, 0) then fail "refused, but the window was set";
+  (held, !lo, !hi)
+
+(* Every x and y range within [-3, 12] with steps 1-3, and every t in
+   [-5, 40]: the window is sound, it holds exactly when every value
+   and t are positive (no product can wrap here), and every branch is
+   reached: refused, an empty trip, an empty window, a window starting
+   at x's start and one starting past it. *)
+let test_pair_window_exhaustive () =
+  let ranges =
+    List.concat_map
+      (fun start ->
+        List.concat_map
+          (fun stop ->
+            List.map
+              (fun step -> (start, step, Plan.trip_count ~start ~stop ~step))
+              [ 1; 2; 3 ])
+          (List.init (14 - start) (fun i -> start + i)))
+      (List.init 16 (fun i -> i - 3))
+  in
+  let t_lo = -5 and len = 46 in
+  let refused = ref 0 and empty_trip = ref 0 and empty = ref 0
+  and at_start = ref 0 and past_start = ref 0 in
+  List.iter
+    (fun ((start, _, trip) as x) ->
+      List.iter
+        (fun ((ystart, _, ytrip) as y) ->
+          let masks = passing_masks ~t_lo ~len x y in
+          for i = 0 to len - 1 do
+            let t = t_lo + i in
+            let held, lo, hi = check_window ~what:"small" x y t masks.(i) in
+            let expected = start >= 1 && ystart >= 1 && t >= 1 in
+            if held <> expected then
+              Alcotest.failf "x from %d, y from %d, t = %d: held %b" start ystart
+                t held;
+            if not held then incr refused
+            else if trip = 0 || ytrip = 0 then incr empty_trip
+            else if lo = hi then incr empty
+            else if lo = 0 then incr at_start
+            else incr past_start
+          done)
+        ranges)
+    ranges;
+  List.iter
+    (fun (what, n) -> if n = 0 then Alcotest.failf "no %s entry" what)
+    [
+      ("refused", !refused); ("empty-trip", !empty_trip);
+      ("empty-window", !empty); ("window-at-start", !at_start);
+      ("window-past-start", !past_start);
+    ]
+
+(* Near [max_int] the window must refuse whenever a product [x * y]
+   could wrap, and stay sound where it holds. *)
+let test_pair_window_extremes () =
+  let m = max_int in
+  let ranges =
+    [
+      (1, 1, 4); (3, 2, 3); (m / 2, 1, 3); (m / 3, 1, 4); (m - 5, 1, 5);
+      (1, m / 2, 2); (m / 4, m / 8, 3); (m / 6, 1, 2); (2, 1, 3);
+    ]
+  in
+  let refused_wrap = ref false and held_big = ref false in
+  List.iter
+    (fun ((start, step, trip) as x) ->
+      List.iter
+        (fun ((ystart, ystep, ytrip) as y) ->
+          let last = start + ((trip - 1) * step)
+          and ylast = ystart + ((ytrip - 1) * ystep) in
+          let fits = last <= m / ylast in
+          let products =
+            List.concat
+              (List.init trip (fun k ->
+                   List.init ytrip (fun j ->
+                       (start + (k * step)) * (ystart + (j * ystep)))))
+          in
+          List.iter
+            (fun t ->
+              let mask = (passing_masks ~t_lo:t ~len:1 x y).(0) in
+              let held, _, _ = check_window ~what:"extreme" x y t mask in
+              if t >= 1 && held <> fits then
+                Alcotest.failf "x from %d by %d, y from %d by %d: held %b" start
+                  step ystart ystep held;
+              if held && last > 1_000_000 then held_big := true;
+              if t >= 1 && not fits then refused_wrap := true)
+            ([ 1; 7; m; m - 1; -1 ] @ List.filter (fun p -> p >= 1) products))
+        ranges)
+    ranges;
+  Alcotest.(check bool) "refused a product that could wrap" true !refused_wrap;
+  Alcotest.(check bool) "held near the limit" true !held_big
+
+(* Which loops [a] over an inner loop [b] are recognised as pairs. *)
+let test_solved_pair_shapes () =
+  let open Expr.Infix in
+  let a = Expr.var "a" and b = Expr.var "b" in
+  let recognised ?(derived = []) ?(iter_a = Iter.range_i 1 9)
+      ?(iter_b = Iter.range_i 1 9) c =
+    let sp = Space.create () in
+    Space.iterator sp "a" iter_a;
+    Space.iterator sp "b" iter_b;
+    List.iter (fun (n, e) -> Space.derived sp n e) derived;
+    Space.constrain sp "c" c;
+    match (plan_of sp).Plan.steps with
+    | [ Plan.Loop { l_slot; l_iter; l_body; _ } ] ->
+      Option.is_some (Plan.solved_pair ~slot:l_slot l_iter l_body)
+    | _ -> Alcotest.fail "expected one outer loop"
+  in
+  let yes name c = Alcotest.(check bool) name true (recognised c) in
+  let no name c = Alcotest.(check bool) name false (recognised c) in
+  yes "x * y != t" ((a *: b) <>: Expr.int 12);
+  yes "t != y * x" (Expr.int 12 <>: (b *: a));
+  no "coefficient 1" (b <>: Expr.int 12);
+  no "literal coefficient" ((Expr.int 2 *: b) <>: Expr.int 12);
+  no "target reads x" ((a *: b) <>: (a +: Expr.int 12));
+  Alcotest.(check bool) "y's bound reads x" false
+    (recognised ~iter_b:(Iter.range (Expr.int 1) a) ((a *: b) <>: Expr.int 12));
+  Alcotest.(check bool) "y's step reads x" false
+    (recognised
+       ~iter_b:(Iter.range ~step:a (Expr.int 1) (Expr.int 9))
+       ((a *: b) <>: Expr.int 12));
+  Alcotest.(check bool) "a derived between the loops" false
+    (recognised ~derived:[ ("d", a +: Expr.int 1) ] ((a *: b) <>: Expr.int 12));
+  Alcotest.(check bool) "x over a value list" false
+    (recognised ~iter_a:(Iter.ints [ 1; 2; 3 ]) ((a *: b) <>: Expr.int 12));
+  Alcotest.(check bool) "y over a value list" false
+    (recognised ~iter_b:(Iter.ints [ 1; 2; 3 ]) ((a *: b) <>: Expr.int 12))
+
 let () =
   Alcotest.run "plan"
     [
@@ -564,6 +736,11 @@ let () =
             test_solve_extremes;
           Alcotest.test_case "solved check shapes" `Quick
             test_solved_check_shapes;
+          Alcotest.test_case "pair window matches brute force" `Quick
+            test_pair_window_exhaustive;
+          Alcotest.test_case "pair window near the int limits" `Quick
+            test_pair_window_extremes;
+          Alcotest.test_case "solved pair shapes" `Quick test_solved_pair_shapes;
         ] );
       ( "chunking",
         [

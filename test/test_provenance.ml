@@ -378,22 +378,11 @@ let test_budget_marks_affected_counts () =
           "low_occupancy_shmem"; "partial_warps" ] );
     ]
 
-(* A count that raises at a firing (here [12 / a] at a = 0, which the
-   engine never evaluates because the check prunes it). *)
-let raising_space () =
-  let open Expr.Infix in
-  let sp = Space.create ~name:"raise" () in
-  Space.iterator sp "a" (Iter.range_i 0 4);
-  Space.constrain sp "ca" (Expr.var "a" <: Expr.int 1);
-  Space.iterator sp "b" (Iter.range (Expr.int 0) (Expr.int 12 /: Expr.var "a"));
-  Space.constrain sp "cb" (Expr.var "b" >: Expr.int 4);
-  sp
-
 (* Only that constraint's row is unknown, and the run completes. *)
 let test_raising_count_leaves_row_unknown () =
   let stats, summary =
     Provenance.with_collector (fun () ->
-        Engine_staged.run (Plan.make_exn (raising_space ())))
+        Engine_staged.run (Plan.make_exn (Support.raising_space ())))
   in
   Alcotest.(check (list (pair string (option int)))) "rows"
     [ ("ca", None); ("cb", Some 8) ]
@@ -404,7 +393,7 @@ let test_raising_count_leaves_row_unknown () =
    does, and its header does not pass the known removals off as a
    total. *)
 let test_raising_count_funnel () =
-  let f = Stats.funnel (raising_space ()) in
+  let f = Stats.funnel (Support.raising_space ()) in
   Alcotest.(check (list (pair string (option int)))) "rows"
     [ ("ca", None); ("cb", Some 8) ]
     (List.map

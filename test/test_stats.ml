@@ -80,6 +80,22 @@ let test_csv_total_row () =
       (expected_fired <> f.Stats.total_points - f.Stats.survivors)
   | _ -> Alcotest.fail "malformed TOTAL row"
 
+(* On a funnel whose removal count raised, the TOTAL row's removed cell
+   stays empty, like the unknown row's: the known removals are no
+   total. *)
+let test_csv_partial_total () =
+  let f = Stats.funnel (Support.raising_space ()) in
+  Alcotest.(check bool) "partial" false (Stats.exact f);
+  Alcotest.(check (list string)) "rows"
+    [
+      "constraint,class,fired,removed";
+      "ca,hard,1,";
+      "cb,hard,8,8";
+      "TOTAL,,9,";
+      "";
+    ]
+    (String.split_on_char '\n' (Stats.to_csv f))
+
 let test_merge () =
   let sp = Support.triangle_space () in
   let s = Engine_staged.run_space sp in
@@ -113,14 +129,29 @@ let test_svg () =
   Alcotest.(check bool) "labels constraints" true (contains "odd_sum");
   Alcotest.(check bool) "closes" true (contains "</svg>")
 
+(* The summary line prints a percent sign, and a point total only when
+   the funnel is exact; otherwise [Stats.pp]'s partial note. *)
 let test_html_report () =
+  let contains html sub =
+    let n = String.length html and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub html i m = sub || go (i + 1)) in
+    go 0
+  in
   let f = Stats.funnel (Support.triangle_space ()) in
   let html = Visualize.html_report f in
-  Alcotest.(check bool) "has table" true
-    (let sub = "<table" in
-     let n = String.length html and m = String.length sub in
-     let rec go i = i + m <= n && (String.sub html i m = sub || go (i + 1)) in
-     go 0)
+  Alcotest.(check bool) "has table" true (contains html "<table");
+  Alcotest.(check bool) "percent sign" true
+    (contains html
+       (Printf.sprintf "36 points, %d survivors (%.2f%% pruned)</p>"
+          f.Stats.survivors
+          (100. *. Stats.pruned_fraction f)));
+  Alcotest.(check bool) "no escaped percent" false (contains html "%25");
+  let html = Visualize.html_report (Stats.funnel (Support.raising_space ())) in
+  Alcotest.(check bool) "partial note" true
+    (contains html
+       "<b>raise</b>: 14 survivors (a removal count raised: removal counts \
+        are partial)</p>");
+  Alcotest.(check bool) "no point total" false (contains html "points")
 
 let test_sweep_engines_api () =
   let sp = Support.triangle_space () in
@@ -191,6 +222,8 @@ let () =
             test_funnel_order_is_evaluation_order;
           Alcotest.test_case "csv" `Quick test_csv;
           Alcotest.test_case "csv TOTAL row" `Quick test_csv_total_row;
+          Alcotest.test_case "csv partial TOTAL row" `Quick
+            test_csv_partial_total;
           Alcotest.test_case "merge" `Quick test_merge;
         ] );
       ( "visualize",
