@@ -14,7 +14,7 @@
       loop, the yield of a loop-free plan), so per-worker totals sum to
       exactly the sequential run's — the invariant {!Engine_native}
       relies on for byte-identical multithreaded stats;
-    - the same shortcuts as the staged engine's plain mode: a loop
+    - the same shortcuts as the staged engine, in every mode: a loop
       {!Plan.solved_check} recognises is narrowed to the value
       [beast_solve] keeps, and the outer loop of a {!Plan.solved_pair}
       to the divisors in its [beast_pair_window] (a claimed outer loop

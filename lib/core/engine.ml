@@ -134,8 +134,10 @@ module Run = struct
         check_time.(c) <- check_time.(c) + dt;
         Metrics.record h dt
 
+  (* [points] may jump by more than one (a bulk add), so a sample is
+     due when it crosses a multiple of [sample_mask + 1]. *)
   let tick r ~points ~survivors =
-    if points land sample_mask = 0 then begin
+    if points lor sample_mask <> r.last_points lor sample_mask then begin
       let now = Clock.now_ns () in
       let dt = now - r.last_ns in
       if dt > 0 && Obs.enabled () then

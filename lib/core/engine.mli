@@ -105,8 +105,10 @@ module Run : sig
       and, with metrics, to its [constraint_eval_ns] histogram. *)
 
   val tick : t -> points:int -> survivors:int -> unit
-  (** Every [0x8000] points: a points/sec counter (when tracing) and a
-      progress tick. Instrumented runs call it once per loop entry. *)
+  (** Whenever [points] has crossed a multiple of [0x8000] since the
+      last sample: a points/sec counter (when tracing) and a progress
+      tick. Instrumented runs call it once per loop entry and after
+      each bulk add. *)
 
   val sweep :
     t ->

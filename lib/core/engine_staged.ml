@@ -19,24 +19,19 @@
    once, at run end; [Engine.Run.finish] does the rest of the per-run
    accounting.
 
-   One compiler serves three modes, chosen once per run, at compile
-   time, so the closures of one mode carry nothing of the others:
-   - plain: nothing installed — the disabled path is the uninstrumented
-     code. Here alone a loop whose first check [Plan.solved_check]
-     recognises solves it once per entry ([Plan.solve]) and binds only
-     the value that passes, charging the others to the check in bulk,
-     and the outer loop of a [Plan.solved_pair] runs only the values
-     of its [Plan.pair_window] that divide the target; the other modes
-     test every value, so per-value provenance and per-evaluation
-     timing see every evaluation;
-   - provenance: a collector is installed; firings, hits and static
-     prunes also feed a run-private [Provenance.local], with no clock
-     reads;
-   - instrumented ([Engine.Run]'s [instrumented]: tracing, progress or
-     a Metrics registry). Iterations are also counted live to sample
-     throughput, each loop level and each constraint evaluation is
-     timed, and with metrics each evaluation lands in a per-constraint
-     latency histogram whose recorder is resolved here, once per run. *)
+   One visiting order serves three modes, chosen once per run at
+   compile time, so the closures of one mode carry nothing of the
+   others (DESIGN §11). A loop whose first check [Plan.solved_check]
+   recognises solves it once per entry and binds only the value that
+   passes; the outer loop of a [Plan.solved_pair] binds only the
+   divisors in its [Plan.pair_window]. The modes differ only in what
+   they record of the values they bind or skip: nothing (plain);
+   firings, hits, static prunes and skipped values in a run-private
+   [Provenance.local] (provenance), where a loop whose removal count
+   reads a slot a skip leaves unbound tests every value instead; live
+   point counts and the time of each level and constraint evaluation,
+   a solve once per entry (instrumented: tracing, progress or a
+   Metrics registry, whose latency recorders resolve here, once). *)
 
 open Beast_obs
 
@@ -89,12 +84,14 @@ let compile_loop ~entries l_var l_slot (l_iter : Plan.citer) body =
       entries := !entries + Array.length vs;
       iterate_values s l_slot vs body
 
-(* A loop whose first check [Plan.solve]s once per entry (plain mode
-   only). The loop still adds its whole trip to [entries]; the check
-   charges the values the solve skips to [fired] in bulk, and a kept
-   value still runs the check in [body], where it passes. *)
-let compile_solved ~entries ~fired l_var l_slot (a, b, c) (sv : Plan.solved)
-    body =
+(* A loop whose first check [Plan.solve]s once per entry. The loop
+   still adds its whole trip to [entries]; the check charges the values
+   the solve skips to [fired] in bulk, and a kept value still runs the
+   check in [body], where it passes. [time] takes each solve's ns, and
+   [skip s k] records [k] skipped values: with [each], one at a time
+   and bound, else at once. *)
+let compile_solved ~entries ~fired ?time ?skip ?(each = false) l_var l_slot
+    (a, b, c) (sv : Plan.solved) body =
   let fa = Plan.compile_cexpr a
   and fb = Plan.compile_cexpr b
   and fc = Plan.compile_cexpr c
@@ -106,7 +103,23 @@ let compile_solved ~entries ~fired l_var l_slot (a, b, c) (sv : Plan.solved)
     if step = 0 then Engine.zero_step l_var;
     let n = Plan.trip_count ~start ~stop ~step in
     entries := !entries + n;
-    match Plan.solve ~start ~step ~trip:n ~coef:(fm s) ~target:(ft s) ~only with
+    let t0 = match time with None -> 0 | Some _ -> Clock.now_ns () in
+    let sol =
+      Plan.solve ~start ~step ~trip:n ~coef:(fm s) ~target:(ft s) ~only
+    in
+    (match time with None -> () | Some time -> time (Clock.now_ns () - t0));
+    (match (skip, sol) with
+    | None, _ | Some _, (Pass_all | Test_each) -> ()
+    | Some skip, _ when not each -> skip s (if sol = Pass_none then n else n - 1)
+    | Some skip, _ ->
+      for i = 0 to n - 1 do
+        let x = start + (i * step) in
+        if sol = Pass_none || x <> !only then begin
+          s.(l_slot) <- x;
+          skip s 1
+        end
+      done);
+    match sol with
     | Pass_none -> fired := !fired + n
     | Pass_one ->
       fired := !fired + n - 1;
@@ -114,14 +127,15 @@ let compile_solved ~entries ~fired l_var l_slot (a, b, c) (sv : Plan.solved)
       body s
     | Pass_all | Test_each -> iterate s l_slot ~start ~step n body
 
-(* The outer loop [x] of a [Plan.solved_pair] (plain mode only), with
-   [inner] the compiled solved loop [y]. [y]'s bounds are evaluated once
-   per entry, and only when [x] has values, as the first [inner] call
-   would; [x] stays out of them, so [inner] sees the same. A value of
-   [x] the window skips, or that does not divide [t], charges [y]'s trip
-   to [inner_entries] and [fired] in bulk. *)
-let compile_window ~entries ~inner_entries ~fired l_var l_slot (a, b, c)
-    (pr : Plan.pair) inner =
+(* The outer loop [x] of a [Plan.solved_pair], with [inner] the
+   compiled solved loop [y]. [y]'s bounds are evaluated once per entry,
+   and only when [x] has values, as the first [inner] call would; [x]
+   stays out of them, so [inner] sees the same. A value of [x] the
+   window skips, or that does not divide [t], charges [y]'s trip to
+   [inner_entries] and [fired] in bulk, and [miss s k ny] records [k]
+   such values: with [each], one at a time and bound, else at once. *)
+let compile_window ~entries ~inner_entries ~fired ?(each = false) ?miss l_var
+    l_slot (a, b, c) (pr : Plan.pair) inner =
   let fa = Plan.compile_cexpr a
   and fb = Plan.compile_cexpr b
   and fc = Plan.compile_cexpr c
@@ -147,17 +161,20 @@ let compile_window ~entries ~inner_entries ~fired l_var l_slot (a, b, c)
         Plan.pair_window ~start ~step ~trip:n ~inner_start ~inner_step
           ~inner_trip:ny ~target:t ~lo ~hi
       then begin
-        let misses = ref (n - (!hi - !lo)) in
-        for k = !lo to !hi - 1 do
+        let kept = ref 0 in
+        for k = (if each then 0 else !lo) to (if each then n else !hi) - 1 do
           let x = start + (k * step) in
-          if t mod x <> 0 then incr misses
-          else begin
-            s.(l_slot) <- x;
+          s.(l_slot) <- x;
+          if k >= !lo && k < !hi && t mod x = 0 then begin
+            incr kept;
             inner s
           end
+          else match miss with Some miss when each -> miss s 1 ny | _ -> ()
         done;
-        inner_entries := !inner_entries + (!misses * ny);
-        fired := !fired + (!misses * ny)
+        let skipped = n - !kept in
+        (match miss with Some miss when not each -> miss s skipped ny | _ -> ());
+        inner_entries := !inner_entries + (skipped * ny);
+        fired := !fired + (skipped * ny)
       end
       else iterate s l_slot ~start ~step n inner
     end
@@ -166,6 +183,7 @@ let run ?on_hit (plan : Plan.t) =
   let r = Engine.Run.start plan in
   let instrumented = r.Engine.Run.instrumented in
   let plocal = Option.map snd r.Engine.Run.prov in
+  let recording = instrumented || plocal <> None in
   let slots = Array.make (max 1 plan.Plan.n_slots) 0 in
   let survivors = ref 0 in
   (* The compiled closures own their counters; these fold them into the
@@ -176,10 +194,24 @@ let run ?on_hit (plan : Plan.t) =
   let depth_entries = r.Engine.Run.depth_entries in
   let add_entries depth n = depth_entries.(depth) <- depth_entries.(depth) + n in
   (* Instrumented mode only: live point count for throughput sampling,
-     outer-loop progress, and per-level / per-constraint time. *)
+     outer-loop progress, and per-level / per-constraint time. [visited]
+     counts [k] values of the loop at [depth], bound or skipped. *)
   let level_time = r.Engine.Run.level_time in
   let points = ref 0 in
-  let tick () = Engine.Run.tick r ~points:!points ~survivors:!survivors in
+  let visited ~depth ~entries k =
+    points := !points + k;
+    if depth = 0 then begin
+      r.Engine.Run.outer_total <- !entries;
+      r.Engine.Run.outer_done <- r.Engine.Run.outer_done + k
+    end;
+    Engine.Run.tick r ~points:!points ~survivors:!survivors
+  in
+  let timed record f s =
+    let t0 = Clock.now_ns () in
+    let v = f s in
+    record (Clock.now_ns () - t0);
+    v
+  in
   let hit =
     let count =
       match on_hit with
@@ -203,31 +235,18 @@ let run ?on_hit (plan : Plan.t) =
       | CE e -> Plan.compile_cond e
       | CF (_, f) -> fun s -> f s <> 0
     in
+    let cond =
+      if instrumented then timed (Engine.Run.charge r c_index) cond else cond
+    in
     let fired = ref 0 in
     at_end (fun () -> pruned.(c_index) <- pruned.(c_index) + !fired);
-    match (instrumented, plocal) with
-    | false, None -> fun s -> if cond s then incr fired else k s
-    | false, Some pl ->
+    match plocal with
+    | None -> fun s -> if cond s then incr fired else k s
+    | Some pl ->
       fun s ->
         if cond s then begin
           incr fired;
           Provenance.fire pl s c_index
-        end
-        else k s
-    | true, _ ->
-      let charge = Engine.Run.charge r c_index in
-      let prov_fire =
-        match plocal with
-        | None -> fun _ -> ()
-        | Some pl -> fun s -> Provenance.fire pl s c_index
-      in
-      fun s ->
-        let t0 = Clock.now_ns () in
-        let v = cond s in
-        charge (Clock.now_ns () - t0);
-        if v then begin
-          incr fired;
-          prov_fire s
         end
         else k s
   in
@@ -243,51 +262,66 @@ let run ?on_hit (plan : Plan.t) =
     at_end (fun () ->
         add_entries depth (!execs * n);
         Array.iter (fun (c, m) -> pruned.(c) <- pruned.(c) + (!execs * m)) counts);
-    match (instrumented, plocal) with
-    | false, None ->
-      fun s ->
-        incr execs;
-        k s
-    | _ ->
-      fun s ->
-        incr execs;
-        if instrumented then points := !points + n;
-        Option.iter
-          (fun pl ->
-            Array.iter
-              (fun (v, c) -> Provenance.static_fire pl s ~slot:sp_slot ~value:v c)
-              sp_dead)
-          plocal;
-        k s
+    if not recording then fun s ->
+      incr execs;
+      k s
+    else fun s ->
+      incr execs;
+      if instrumented then points := !points + n;
+      (match plocal with
+      | None -> ()
+      | Some pl ->
+        Array.iter
+          (fun (v, c) -> Provenance.static_fire pl s ~slot:sp_slot ~value:v c)
+          sp_dead);
+      k s
   in
-  let plain = (not instrumented) && plocal = None in
-  let solved_fired (sv : Plan.solved) =
-    let fired = ref 0 in
-    at_end (fun () -> pruned.(sv.sv_index) <- pruned.(sv.sv_index) + !fired);
-    fired
-  in
-  let compile_entry ~depth ~entries l_var l_slot l_iter l_body body =
-    if not instrumented then
-      match (l_iter, plain, Plan.solved_check ~slot:l_slot l_iter l_body) with
-      | CRange (a, b, c), true, Some sv ->
-        compile_solved ~entries ~fired:(solved_fired sv) l_var l_slot (a, b, c)
-          sv body
-      | _ -> compile_loop ~entries l_var l_slot l_iter body
+  (* Instrumented mode wraps each loop, however it is compiled: [entry]
+     times the level, [visit] counts each value bound. *)
+  let entry ~depth loop =
+    if not instrumented then loop
     else
-      let body s =
-        incr points;
-        if depth = 0 then begin
-          r.Engine.Run.outer_total <- !entries;
-          r.Engine.Run.outer_done <- r.Engine.Run.outer_done + 1
-        end;
-        tick ();
-        body s
-      in
-      let loop = compile_loop ~entries l_var l_slot l_iter body in
-      fun s ->
-        let t0 = Clock.now_ns () in
-        loop s;
-        level_time.(depth) <- level_time.(depth) + (Clock.now_ns () - t0)
+      timed (fun dt -> level_time.(depth) <- level_time.(depth) + dt) loop
+  in
+  let visit ~depth ~entries body =
+    if not instrumented then body
+    else fun s ->
+      visited ~depth ~entries 1;
+      body s
+  in
+  (* Provenance charges a skip in bulk only where the removal count reads
+     no slot the skipped values leave unbound. *)
+  let solvable (sv : Plan.solved) =
+    match plocal with
+    | None -> true
+    | Some pl -> Provenance.reads_none pl sv.sv_index sv.sv_binds
+  in
+  (* Provenance takes skipped values of [slot] one at a time, bound,
+     where they key density cells (depth 0) or [c]'s removal count may
+     read them. *)
+  let one_by_one ~depth c slot =
+    match plocal with
+    | None -> false
+    | Some pl -> depth = 0 || not (Provenance.reads_none pl c [ slot ])
+  in
+  (* A solved loop at [depth], its fired counter and its [skip] hook. *)
+  let solved ~depth ~entries var slot range (sv : Plan.solved) body =
+    let c = sv.sv_index and fired = ref 0 in
+    at_end (fun () -> pruned.(c) <- pruned.(c) + !fired);
+    let skip s k =
+      if instrumented then visited ~depth ~entries k;
+      match plocal with
+      | None -> ()
+      | Some pl -> Provenance.fire_many pl s c ~count:k
+    in
+    ( compile_solved ~entries ~fired
+        ?time:(if instrumented then Some (Engine.Run.charge r c) else None)
+        ?skip:(if recording then Some skip else None)
+        ~each:(one_by_one ~depth c slot)
+        var slot range sv
+        (visit ~depth ~entries body),
+      fired,
+      skip )
   in
   let rec compile ~depth (steps : Plan.step list) : int array -> unit =
     match steps with
@@ -309,22 +343,40 @@ let run ?on_hit (plan : Plan.t) =
       let entries = ref 0 in
       at_end (fun () -> add_entries depth !entries);
       let loop =
-        match (l_iter, plain, Plan.solved_pair ~slot:l_slot l_iter l_body) with
-        | CRange (a, b, c), true, Some pr ->
-          let inner_entries = ref 0 and fired = solved_fired pr.pr_solved in
-          at_end (fun () -> add_entries (depth + 1) !inner_entries);
-          let inner =
-            compile_solved ~entries:inner_entries ~fired pr.pr_var pr.pr_slot
+        match
+          ( l_iter,
+            Plan.solved_pair ~slot:l_slot l_iter l_body,
+            Plan.solved_check ~slot:l_slot l_iter l_body )
+        with
+        | CRange (a, b, c), Some pr, _ when solvable pr.pr_solved ->
+          let d = depth + 1 and inner_entries = ref 0 in
+          at_end (fun () -> add_entries d !inner_entries);
+          let inner, fired, skip =
+            solved ~depth:d ~entries:inner_entries pr.pr_var pr.pr_slot
               pr.pr_range pr.pr_solved
-              (compile ~depth:(depth + 2) pr.pr_body)
+              (compile ~depth:(d + 1) pr.pr_body)
           in
-          compile_window ~entries ~inner_entries ~fired l_var l_slot (a, b, c)
-            pr inner
+          (* [k] values of [x] missed, each skipping [ny] of [y]. *)
+          let miss s k ny =
+            if instrumented then visited ~depth ~entries k;
+            skip s (k * ny)
+          in
+          compile_window ~entries ~inner_entries ~fired
+            ~each:(one_by_one ~depth pr.pr_solved.sv_index l_slot)
+            ?miss:(if recording then Some miss else None)
+            l_var l_slot (a, b, c) pr
+            (visit ~depth ~entries (entry ~depth:d inner))
+        | CRange (a, b, c), _, Some sv when solvable sv ->
+          let loop, _, _ =
+            solved ~depth ~entries l_var l_slot (a, b, c) sv
+              (compile ~depth:(depth + 1) l_body)
+          in
+          loop
         | _ ->
-          compile_entry ~depth ~entries l_var l_slot l_iter l_body
-            (compile ~depth:(depth + 1) l_body)
+          compile_loop ~entries l_var l_slot l_iter
+            (visit ~depth ~entries (compile ~depth:(depth + 1) l_body))
       in
-      and_then ~depth loop rest
+      and_then ~depth (entry ~depth loop) rest
   (* A loop or yield ends its step list in every plan [Plan.make] builds,
      so the common case has no continuation to call. *)
   and and_then ~depth f rest =

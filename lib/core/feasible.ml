@@ -505,7 +505,7 @@ let build ?(max_states = default_max_states) (plan : Plan.t) :
 
 type sub_nest =
   | Static of int
-  | Dyn of (int array -> int)
+  | Dyn of int list * (int array -> int)
   | Inexact
 
 (* Every check's entry is a suffix of one annotated program, so checks
@@ -584,14 +584,15 @@ let sub_nests ?(max_states = default_max_states) (plan : Plan.t) =
       out.(c) <-
         (match fs with
         | [] -> ( match count a with k -> Static k | exception _ -> Inexact)
-        | read ->
-          let read = Array.of_list read in
+        | fs ->
+          let read = Array.of_list fs in
           Dyn
-            (fun slots ->
-              for i = 0 to Array.length read - 1 do
-                scratch.(read.(i)) <- slots.(read.(i))
-              done;
-              count a)))
+            ( fs,
+              fun slots ->
+                for i = 0 to Array.length read - 1 do
+                  scratch.(read.(i)) <- slots.(read.(i))
+                done;
+                count a )))
     !entries;
   out
 

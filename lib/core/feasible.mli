@@ -41,7 +41,8 @@ val build : ?max_states:int -> Plan.t -> (t, string) result
 
 type sub_nest =
   | Static of int  (** reads no slot bound above the check: a constant *)
-  | Dyn of (int array -> int)  (** counted from the live slots *)
+  | Dyn of int list * (int array -> int)
+      (** counted from the live slots; the list names the slots read *)
   | Inexact  (** the plan-time count of a [Static] sub-nest raised *)
 
 val sub_nests : ?max_states:int -> Plan.t -> sub_nest array

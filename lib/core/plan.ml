@@ -678,6 +678,7 @@ type solved = {
   sv_index : int;
   sv_coef : cexpr;
   sv_target : cexpr;
+  sv_binds : int list;
 }
 
 (* Slots a step list binds, its nested loops included. *)
@@ -729,10 +730,15 @@ let solved_check ~slot (iter : citer) body =
       | CBin (Mul, CSlot i, m) when i = slot && outer m -> Some m
       | _ -> None
     in
+    let rec binds = function
+      | Derive { d_slot; _ } :: rest -> d_slot :: binds rest
+      | _ -> [ slot ]
+    in
     let solve x t =
       match coef x with
       | Some m when outer t ->
-        Some { sv_index = c_index; sv_coef = m; sv_target = t }
+        Some
+          { sv_index = c_index; sv_coef = m; sv_target = t; sv_binds = binds body }
       | _ -> None
     in
     match solve l r with Some _ as s -> s | None -> solve r l)

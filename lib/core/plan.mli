@@ -204,13 +204,17 @@ val trip_count : start:int -> stop:int -> step:int -> int
     can solve the check once per entry instead of testing every value.
     The plan is not rewritten: the recogniser and the per-entry
     arithmetic live here, and each engine decides whether to use them.
-    The staged engine's plain mode and the generated C solve; every
-    other path tests each value and stays the oracle. *)
+    The staged engine (in every mode), the generated C and
+    {!Feasible.build} solve; the interpreter and the VM test each value
+    and stay the oracles. *)
 
 type solved = {
   sv_index : int;  (** the check's [c_index] *)
   sv_coef : cexpr;  (** [m]; [CLit 1] for [x != t] *)
   sv_target : cexpr;  (** [t] *)
+  sv_binds : int list;
+      (** the derived slots ahead of the check and the loop's own slot:
+          what a skipped value leaves unbound *)
 }
 
 val solved_check : slot:int -> citer -> step list -> solved option

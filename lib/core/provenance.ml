@@ -12,7 +12,7 @@ open Beast_obs
 
 type removal = Feasible.sub_nest =
   | Static of int
-  | Dyn of (int array -> int)
+  | Dyn of int list * (int array -> int)
   | Inexact
 
 type attribution = {
@@ -100,17 +100,27 @@ let charge local slots c k =
     cell.ca_removed <- cell.ca_removed + k
   end
 
-let fire local slots c =
+(* [count] firings with one removal count, so one [charge]: no firing
+   means no charge, and so no density cell. *)
+let fire_many local slots c ~count =
+  if count > 0 then
+    match local.lat.at_removal.(c) with
+    | Static k -> charge local slots c (k * count)
+    | Dyn (_, f) -> (
+      match f slots with
+      | k -> charge local slots c (k * count)
+      (* A bound expression that divides by a not-yet-meaningful value,
+         or a count past the counter's budget: the exact count is lost
+         for this constraint, not for the run. *)
+      | exception _ -> local.l_exact.(c) <- false)
+    | Inexact -> local.l_exact.(c) <- false
+
+let fire local slots c = fire_many local slots c ~count:1
+
+let reads_none local c slots =
   match local.lat.at_removal.(c) with
-  | Static k -> charge local slots c k
-  | Dyn f -> (
-    match f slots with
-    | k -> charge local slots c k
-    (* A bound expression that divides by a not-yet-meaningful value, or
-       a count past the counter's budget: the exact count is lost for
-       this constraint, not for the run. *)
-    | exception _ -> local.l_exact.(c) <- false)
-  | Inexact -> local.l_exact.(c) <- false
+  | Dyn (reads, _) -> not (List.exists (fun r -> List.mem r slots) reads)
+  | Static _ | Inexact -> true
 
 (* Replay one Static_prune dead value: the engine never binds it, so
    substitute it into the live slot array for the duration of the

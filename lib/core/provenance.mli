@@ -46,7 +46,8 @@
 
 type removal = Feasible.sub_nest =
   | Static of int  (** subtree size is a plan-time constant *)
-  | Dyn of (int array -> int)  (** counted from bound slots per firing *)
+  | Dyn of int list * (int array -> int)
+      (** counted per firing from the bound slots the list names *)
   | Inexact  (** the plan-time count raised *)
 
 type attribution
@@ -67,6 +68,20 @@ val fire : local -> int array -> int -> unit
 (** [fire local slots c_index]: constraint [c_index] rejected with the
     given slot bindings; accumulate its subtree product and charge the
     current outer-value cell (when the firing is below depth 0). *)
+
+val fire_many : local -> int array -> int -> count:int -> unit
+(** [fire_many local slots c ~count]: [count] firings of [c] that
+    differ only in slots its removal count does not read (see
+    {!reads_none}), charged with one removal count: [k * count] for a
+    [Static k] removal, and a [Dyn] one counted once. The current
+    outer-value cell takes the whole charge, so firings under different
+    outer values need one call each. [count = 0] charges nothing and
+    creates no cell; a count that raises marks [c] inexact, as in
+    {!fire}, which is [fire_many ~count:1]. *)
+
+val reads_none : local -> int -> int list -> bool
+(** [reads_none local c slots]: [c]'s removal count reads none of
+    [slots] — always for a [Static] or [Inexact] removal. *)
 
 val static_fire : local -> int array -> slot:int -> value:int -> int -> unit
 (** [static_fire local slots ~slot ~value c_index]: replay one

@@ -735,12 +735,77 @@ let prop_chunks_partition =
            (fun of_ -> [ (of_, false); (of_, true) ])
            [ 1; 2; 3; 4 ]))
 
-let prop_provenance_keeps_staged_stats =
-  QCheck.Test.make ~name:"staged stats unchanged under provenance" ~count:100
+(* The interpreter tests every value, so it is the oracle for what every
+   staged mode records: the provenance summary and the stats of a plain
+   staged run, a two-domain parallel run and a staged run with a metrics
+   registry installed (the instrumented mode). *)
+let staged_modes_match_interp plan =
+  let collect run () = Provenance.with_collector run in
+  let instrumented run () =
+    Beast_obs.Obs.with_context
+      {
+        Beast_obs.Obs.off with
+        metrics = Some (Beast_obs.Metrics.create ());
+        instrumented = true;
+      }
+      (collect run)
+  in
+  let expected = collect (fun () -> Engine_interp.run_plan plan) () in
+  List.for_all
+    (fun run -> run () = expected)
+    [
+      collect (fun () -> Engine_staged.run plan);
+      collect (fun () -> Engine_parallel.run ~domains:2 plan);
+      instrumented (fun () -> Engine_staged.run plan);
+    ]
+
+let prop_provenance_matches_interp =
+  QCheck.Test.make ~name:"provenance matches the interpreter" ~count:100
     Support.arb_space (fun descr ->
       let plan = Plan.make_exn (Support.space_of descr) in
-      Engine_staged.run plan
-      = fst (Provenance.with_collector (fun () -> Engine_staged.run plan)))
+      staged_modes_match_interp plan
+      && staged_modes_match_interp (Propagate.pass plan))
+
+(* Shapes the generator does not draw: a solved check [3 * x != 12] or a
+   pair [x * y != 12] at depth 0, where each skipped [x] keys a density
+   cell, or at depth 1 below [a]; and a last loop [z] whose bound makes
+   the removal count a constant or read [a] (charged in bulk), [x] (a
+   solve then tests every value, a window charges each miss on its own)
+   or [y] (the pair tests every value). *)
+let test_solved_provenance_shapes () =
+  let open Expr.Infix in
+  let space ~outer ~window bound =
+    let sp = Space.create () in
+    if outer then Space.iterator sp "a" (Iter.range_i 1 3);
+    Space.iterator sp "x" (Iter.range_i 1 13);
+    if window then begin
+      Space.iterator sp "y" (Iter.range_i 1 13);
+      Space.constrain sp "c" ((Expr.var "x" *: Expr.var "y") <>: Expr.int 12)
+    end
+    else Space.constrain sp "c" ((Expr.int 3 *: Expr.var "x") <>: Expr.int 12);
+    Space.iterator sp "z" (Iter.range (Expr.int 0) (Expr.var bound));
+    Space.setting_i sp "three" 3;
+    sp
+  in
+  List.iter
+    (fun (outer, window, bound) ->
+      let what =
+        Printf.sprintf "%s at depth %d, z below %s"
+          (if window then "window" else "solve")
+          (if outer then 1 else 0)
+          bound
+      in
+      let plan = Plan.make_exn (space ~outer ~window bound) in
+      Alcotest.(check bool) (what ^ ": solved") true
+        ((if window then has_pair else has_solved_loop) plan.Plan.steps);
+      Alcotest.(check bool) what true (staged_modes_match_interp plan))
+    (List.concat_map
+       (fun (outer, window) ->
+         List.map
+           (fun bound -> (outer, window, bound))
+           ([ "three"; "x" ] @ (if outer then [ "a" ] else [])
+           @ if window then [ "y" ] else []))
+       [ (false, false); (false, true); (true, false); (true, true) ])
 
 let prop_work_stealing_matches_staged =
   QCheck.Test.make ~name:"work-stealing sweep reproduces staged stats"
@@ -977,6 +1042,8 @@ let () =
           Alcotest.test_case "solved pair edges" `Quick test_pair_edges;
           Alcotest.test_case "solved pair inner raises" `Quick
             test_pair_inner_raises;
+          Alcotest.test_case "provenance of solves and windows" `Quick
+            test_solved_provenance_shapes;
         ] );
       ( "registry",
         [
@@ -1006,7 +1073,7 @@ let () =
             prop_vm_staged_stats;
             prop_chunks_partition;
             prop_work_stealing_matches_staged;
-            prop_provenance_keeps_staged_stats;
+            prop_provenance_matches_interp;
             prop_hoisting_preserves_semantics;
             prop_constraint_subsets_monotone;
           ] );

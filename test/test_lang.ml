@@ -77,18 +77,24 @@ let test_lua_for_is_smallest_program () =
   Alcotest.(check bool) "repeat < while" true
     (size Interp_lua.Repeat_until < size Interp_lua.While_loop)
 
+(* The fastest of 5 wall-clock runs: a neighbouring process can slow
+   any one run, but seldom all five. *)
 let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+  let best = ref infinity in
+  for _ = 1 to 5 do
+    let t0 = Unix.gettimeofday () in
+    ignore (Sys.opaque_identity (f ()));
+    best := Float.min !best (Unix.gettimeofday () -. t0)
+  done;
+  !best
 
 let test_tier_ordering () =
   (* The headline claim of Figures 17-19: compiled >> VM >> AST-walking,
      by comfortable margins even on a small workload. *)
   let nest = Loopnest.make ~depth:2 ~total:1_000_000 in
-  let _, t_python = time (fun () -> Interp_python.run Interp_python.For_xrange nest) in
-  let _, t_lua = time (fun () -> Interp_lua.run Interp_lua.Numeric_for nest) in
-  let _, t_native = time (fun () -> Native.run Native.Fortran_style nest) in
+  let t_python = time (fun () -> Interp_python.run Interp_python.For_xrange nest) in
+  let t_lua = time (fun () -> Interp_lua.run Interp_lua.Numeric_for nest) in
+  let t_native = time (fun () -> Native.run Native.Fortran_style nest) in
   Alcotest.(check bool) "lua at least 2x python" true (t_python > 2.0 *. t_lua);
   Alcotest.(check bool) "native at least 5x lua" true (t_lua > 5.0 *. t_native)
 

@@ -409,6 +409,72 @@ let test_engines_emit_same_metrics () =
   end
 
 (* ------------------------------------------------------------------ *)
+(* Solved loops and windows under instrumentation                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A solved check [3 * x != 30] over 40000 values of [x], or a divisor
+   pair [x * y != 1200] over x in 1..40 and y in 1..1999 (every divisor
+   of 1200 up to 40 has its cofactor in y's range), at depth 0, or at
+   depth 1 below [a] in 0..1. Each kept value runs a 40000-value loop
+   [z], so progress is sampled after the last outer value. *)
+let solved_space ~window ~depth =
+  let open Expr.Infix in
+  let sp = Space.create () in
+  if depth = 1 then Space.iterator sp "a" (Iter.range_i 0 2);
+  if window then begin
+    Space.iterator sp "x" (Iter.range_i 1 41);
+    Space.iterator sp "y" (Iter.range_i 1 2000);
+    Space.constrain sp "c" ((Expr.var "x" *: Expr.var "y") <>: Expr.int 1200)
+  end
+  else begin
+    Space.iterator sp "x" (Iter.range_i 0 40_000);
+    Space.constrain sp "c" ((Expr.int 3 *: Expr.var "x") <>: Expr.int 30)
+  end;
+  Space.iterator sp "z" (Iter.range_i 0 40_000);
+  sp
+
+(* A solve records one evaluation per loop entry and the kept value one
+   more, so [c] is evaluated twice per entry that keeps a value: once
+   per [a] for the solved check, and once per divisor (16 of them) per
+   [a] for the pair, whose misses run no solve. Skipped values count
+   toward the points and, at depth 0, toward the progress fraction, in
+   bulk: the first sample of the solved check lands off a multiple of
+   0x8000, where the bulk add crossed one, and the last sample before
+   the end-of-run tick reads the outer loop as done. *)
+let test_solved_instrumented () =
+  List.iter
+    (fun (window, depth) ->
+      let what =
+        Printf.sprintf "%s at depth %d" (if window then "window" else "solved")
+          depth
+      in
+      let plan = Plan.make_exn (solved_space ~window ~depth) in
+      let r = Metrics.create () and tally = Tally.create () in
+      let samples = ref [] in
+      Tally.watch tally ~every_s:0.0 (fun snap -> samples := snap :: !samples);
+      let (_ : Engine.stats) =
+        Obs.with_context
+          { Obs.off with metrics = Some r; instrumented = true; tally = Some tally }
+          (fun () -> Engine_staged.run plan)
+      in
+      let entries = if depth = 1 then 2 else 1 in
+      Alcotest.(check int) (what ^ ": evaluations of c")
+        (2 * entries * if window then 16 else 1)
+        (evals (Metrics.snapshot r) "c");
+      (* The last tick is the end-of-run total. *)
+      match List.rev (List.tl !samples) with
+      | [] -> Alcotest.failf "%s: no progress sample" what
+      | first :: _ as sampled ->
+        let last = List.nth sampled (List.length sampled - 1) in
+        Alcotest.(check (option (float 1e-9))) (what ^ ": outer loop done")
+          (Some 1.0) last.Tally.frac;
+        if not window then
+          Alcotest.(check int) (what ^ ": first sample at the bulk add")
+            (if depth = 0 then 39_999 else 40_000)
+            first.Tally.points)
+    [ (false, 0); (false, 1); (true, 0); (true, 1) ]
+
+(* ------------------------------------------------------------------ *)
 (* Serialization                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -530,6 +596,11 @@ let () =
         [
           Alcotest.test_case "same counters on every engine" `Quick
             test_engines_emit_same_metrics;
+        ] );
+      ( "solved",
+        [
+          Alcotest.test_case "instrumented solves and windows" `Quick
+            test_solved_instrumented;
         ] );
       ( "serialization",
         [

@@ -56,7 +56,7 @@ let test_attribution_dynamic () =
   let plan = Plan.make_exn sp in
   let at = Provenance.attribution plan in
   match Provenance.removal_of at (c_index plan "ca") with
-  | Provenance.Dyn f ->
+  | Provenance.Dyn (_, f) ->
     let slot =
       match find_loop_slot "a" plan.Plan.steps with
       | Some s -> s
@@ -350,7 +350,7 @@ let test_budget_marks_affected_counts () =
       let raised = Array.make (Array.length capped) false in
       let outcome = function
         | Feasible.Static k -> Some k
-        | Feasible.Dyn f -> ( try Some (f slots) with _ -> None)
+        | Feasible.Dyn (_, f) -> ( try Some (f slots) with _ -> None)
         | Feasible.Inexact -> None
       in
       for i = 0 to min 400 (Feasible.count t) - 1 do
